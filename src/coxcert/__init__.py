@@ -49,13 +49,8 @@ from .gram import (
     threshold_report,
 )
 from .liealg import (
-    BasisReport,
     DensityCertificate,
-    PlaneReport,
     bracket_closure_density,
-    full_basis_check,
-    hyperbolic_plane_check,
-    orthocomplement_basis,
     planar_generator,
 )
 from .units import (
@@ -83,7 +78,6 @@ from .words import (
     FaithfulnessReport,
     append_letter,
     enumerate_by_length,
-    even_filter,
     faithfulness_probe,
     normal_form,
 )
@@ -91,7 +85,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisReport",
     "CompactnessReport",
     "CoxeterDiagram",
     "CycleReport",
@@ -104,7 +97,6 @@ __all__ = [
     "Interval",
     "Matrix",
     "PellSolution",
-    "PlaneReport",
     "Poly",
     "QuadElem",
     "Rat",
@@ -125,19 +117,15 @@ __all__ = [
     "enumerate_by_length",
     "epsilon_threshold",
     "evaluate_pencil",
-    "even_filter",
     "expected_trace",
     "faithfulness_probe",
-    "full_basis_check",
     "fundamental_pell",
     "galois_pair_check",
     "generators_integral",
     "gram_pencil",
-    "hyperbolic_plane_check",
     "is_connected",
     "minor_polynomials",
     "normal_form",
-    "orthocomplement_basis",
     "parse_diagram",
     "planar_generator",
     "predicted_spectrum",

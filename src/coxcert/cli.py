@@ -152,6 +152,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.probe_len < 0:
+        raise InputError("--probe-len must be nonnegative")
     g = _load_diagram(args.diagram)
     cert = build_embedding_certificate(g, m=args.m, probe_len=args.probe_len)
     text = canonical_json(certificate_payload(cert))
@@ -214,11 +216,17 @@ def cmd_verify(args) -> int:
 
     try:
         _recheck_unit_block(payload)
-    except (KeyError, ValueError) as exc:
+        m = payload["m"]
+        probe_len = payload["faithfulness_probe"]["max_len"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"certificate is malformed: {exc!r}") from exc
+    for name, value in (("m", m), ("faithfulness_probe.max_len", probe_len)):
+        if type(value) is not int:
+            raise InputError(f"certificate is malformed: {name} must be an integer, got {value!r}")
+    if probe_len < 0:
+        raise InputError(f"certificate is malformed: faithfulness_probe.max_len is {probe_len} < 0")
 
-    probe_len = payload["faithfulness_probe"]["max_len"]
-    cert = build_embedding_certificate(g, m=payload["m"], probe_len=probe_len)
+    cert = build_embedding_certificate(g, m=m, probe_len=probe_len)
     fresh_text = canonical_json(certificate_payload(cert))
     _emit_timings(cert.timings)
     if fresh_text != stored_text:
@@ -250,11 +258,13 @@ def cmd_words(args) -> int:
     g = _load_diagram(args.diagram)
     if args.max_len < 0:
         raise InputError("--max-len must be nonnegative")
-    counts = enumerate_by_length(g, args.max_len)
-    print("word counts: " + " ".join(str(c) for c in counts))
     if args.at_d is not None:
         t = _parse_fraction(args.at_d)
-    else:
+        if t < 1:
+            raise InputError(f"--at-d must be at least 1, got {args.at_d}")
+    counts = enumerate_by_length(g, args.max_len)
+    print("word counts: " + " ".join(str(c) for c in counts))
+    if args.at_d is None:
         t = Fraction(d_threshold(gram_pencil(g))[0])
     report = faithfulness_probe(g, t, args.max_len)
     print("image counts: " + " ".join(str(c) for c in report.image_counts))

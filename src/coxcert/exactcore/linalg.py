@@ -58,14 +58,6 @@ def mat_vec(a: Matrix, v) -> tuple:
     return tuple(out)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     if len(a) != len(b):
         return False
@@ -88,22 +80,6 @@ def trace(a: Matrix):
     for i in range(1, len(a)):
         acc = acc + a[i][i]
     return acc
-
-
-def try_int_matrix(a: Matrix):
-    """Integer copy when every entry is an integral rational, else None."""
-    out = []
-    for row in a:
-        out_row = []
-        for x in row:
-            if isinstance(x, int):
-                out_row.append(x)
-            elif isinstance(x, Fraction) and x.denominator == 1:
-                out_row.append(x.numerator)
-            else:
-                return None
-        out.append(tuple(out_row))
-    return tuple(out)
 
 
 def _check_single_radicand(a: Matrix) -> None:
@@ -248,10 +224,6 @@ def rref(rows: list) -> tuple[list, list[int]]:
         if rank == len(work):
             break
     return work[:rank], pivots
-
-
-def matrix_rank(rows: list) -> int:
-    return len(rref(rows)[1])
 
 
 def nullspace(rows: list, ncols: int) -> list[tuple]:

@@ -47,10 +47,6 @@ class Poly:
     def constant(c) -> "Poly":
         return Poly((c,))
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((Fraction(0), Fraction(1)))
-
     # -- structure ----------------------------------------------------------
 
     @property

@@ -10,7 +10,6 @@ __float__, which exists for human-readable reporting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from ..errors import MixedRadicands, NotSquarefree
 
@@ -261,9 +260,3 @@ def quad_sign(x) -> int:
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
     raise TypeError(f"quad_sign expects an exact scalar, got {type(x).__name__}")
-
-
-def sqrt_lower_bound(m: int, digits: int = 30) -> Fraction:
-    """Rational under-approximation of sqrt(m), for reporting aids only."""
-    scale = 10**digits
-    return Fraction(isqrt(m * scale * scale), scale)

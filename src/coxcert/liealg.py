@@ -1,16 +1,22 @@
 """Infinitesimal certificates: planar generators and bracket closure.
 
 For a nondegenerate symmetric M, the matrices A with A^T M + M A = 0 form
-the Lie algebra of the orthogonal group of M (dimension n(n-1)/2).  For a
-vertex pair (i, j), E_ij denotes the M-orthogonal complement of the
-coordinate plane: all v with (Mv)_i = (Mv)_j = 0.  The one-parameter
-rotation fixing E_ij pointwise has a single generator X_ij up to scale;
-planar_generator computes it by solving the defining linear system exactly
-and certifies that the solution space is one-dimensional.
+the Lie algebra so(M), of dimension n(n-1)/2.  That equation says exactly
+that A M^-1 is antisymmetric, so every element is S M for a unique
+antisymmetric S.  For a vertex pair (i, j) the rotation generator fixing
+the M-orthocomplement of the plane <e_i, e_j> pointwise is, up to scale,
 
-bracket_closure_density starts from the X_ij of the edges, repeatedly
-adjoins commutators [A, B] = AB - BA, and certifies that the span reaches
-the full n(n-1)/2 dimension and contains every X_ij.  That is the exact,
+    X_ij = E_ij M,   E_ij = e_i e_j^T - e_j e_i^T:
+
+row i of X_ij is row j of M, row j is minus row i of M, and every other
+row is zero.  planar_generator returns it in primitive integer coordinates.
+
+bracket_closure_density stores S M as the coordinates S_ab (a < b), a
+vector of length n(n-1)/2 in which X_ij is the unit vector at (i, j).  The
+bracket is [S M, T M] = (S M T - T M S) M, and T M S = (S M T)^T, so the
+bracket of S and T is Q - Q^T with Q = S M T.  Starting from the edge
+generators it repeatedly adjoins brackets and certifies that the span
+reaches all of so(M); a full span contains every X_ij.  That is the exact,
 finite computation backing Zariski density of the reflection group.
 """
 
@@ -18,51 +24,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd as int_gcd
+from itertools import combinations
+from math import gcd, lcm
 
 from .diagram import CoxeterDiagram, is_connected
 from .errors import (
     DegenerateForm,
-    NotAnEdge,
+    IndexOutOfRange,
     NotConnected,
     SameVertex,
     UnexpectedDimension,
-    VerificationFailed,
 )
-from .exactcore import (
-    Matrix,
-    QuadElem,
-    bareiss_det,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    quad_sign,
-    rref,
-    transpose,
-    try_int_matrix,
-)
+from .exactcore import Matrix, QuadElem, bareiss_det, quad_sign
 from .gram import evaluate_pencil, gram_pencil
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // int_gcd(a, b) * b
-
-
 def _check_pair(n: int, i: int, j: int) -> None:
-    from .errors import IndexOutOfRange
-
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"pair ({i}, {j}) outside 1..{n}")
     if i == j:
         raise SameVertex(f"need two distinct vertices, got {i} twice")
-
-
-def orthocomplement_basis(m: Matrix, i: int, j: int) -> list:
-    """Basis of E_ij = {v : (Mv)_i = (Mv)_j = 0}, n-2 vectors for nondegenerate M."""
-    n = len(m)
-    _check_pair(n, i, j)
-    return nullspace([list(m[i - 1]), list(m[j - 1])], n)
 
 
 def _entry_fractions(x) -> tuple:
@@ -75,11 +56,10 @@ def _normalize_primitive(a: Matrix) -> Matrix:
     """Scale by a positive rational to primitive integer coordinates, then
     fix the sign so the first nonzero entry (row-major) is positive."""
     fracs = [f for row in a for x in row for f in _entry_fractions(x)]
-    denom = reduce(_lcm, (f.denominator for f in fracs), 1)
-    numer = reduce(int_gcd, (abs(f.numerator) for f in fracs), 0)
+    numer = gcd(*(f.numerator for f in fracs))
     if numer == 0:
         raise UnexpectedDimension("cannot normalize the zero matrix")
-    scale = Fraction(denom, numer)
+    scale = Fraction(lcm(*(f.denominator for f in fracs)), numer)
     scaled = tuple(tuple(x * scale for x in row) for row in a)
     for row in scaled:
         for x in row:
@@ -92,121 +72,50 @@ def _normalize_primitive(a: Matrix) -> Matrix:
 
 
 def planar_generator(m: Matrix, i: int, j: int) -> Matrix:
-    """The generator X_ij: solves {A^T M + M A = 0, A v = 0 for v in E_ij}.
+    """The generator X_ij = E_ij M of the rotations in the (e_i, e_j) plane.
 
-    The second constraint says every row of A is Euclidean-orthogonal to
-    E_ij, i.e. lies in the 2-dimensional kernel of the E-basis matrix; the
-    rows are re-expressed in that kernel basis and the form-compatibility
-    equations are solved on the reduced unknowns.  The solution space must
-    be exactly one-dimensional (UnexpectedDimension otherwise); the result
-    is normalized to primitive integer coordinates with positive leading
-    entry, making it independent of every basis choice along the way.
+    It satisfies X^T M + M X = 0 and annihilates every v with
+    (Mv)_i = (Mv)_j = 0; for nondegenerate M those conditions fix it up
+    to scale.  The result is scaled by a positive rational to primitive
+    integer coordinates with positive leading entry.  That fixes it for
+    rational M; for M over Q(sqrt m) it is fixed only up to a factor in
+    Q(sqrt m), so it may differ from another generator of the same line.
     """
     n = len(m)
     _check_pair(n, i, j)
     if bareiss_det(m) == 0:
         raise DegenerateForm("the symmetric form is singular")
-    e_basis = orthocomplement_basis(m, i, j)
-    if len(e_basis) != n - 2:
-        raise UnexpectedDimension(f"E_{i}{j} has dimension {len(e_basis)}, expected {n - 2}")
-    kernel = nullspace([list(v) for v in e_basis], n)
-    if len(kernel) != 2:
-        raise UnexpectedDimension(f"row space for X_{i}{j} has dimension {len(kernel)}, expected 2")
-    u1, u2 = kernel
-    # Unknowns: rows A[k] = x_k u1 + y_k u2.  Equations: (A^T M + M A)_{rs} = 0.
-    equations = []
-    for r in range(n):
-        for s in range(r, n):
-            # Column order: x_1..x_n then y_1..y_n.
-            row = []
-            for basis_vec in (u1, u2):
-                for k in range(n):
-                    row.append(basis_vec[r] * m[k][s] + m[r][k] * basis_vec[s])
-            equations.append(row)
-    solutions = nullspace(equations, 2 * n)
-    if len(solutions) != 1:
-        raise UnexpectedDimension(
-            f"solution space for X_{i}{j} has dimension {len(solutions)}, expected 1"
-        )
-    sol = solutions[0]
-    a_rows = []
-    for k in range(n):
-        xk, yk = sol[k], sol[n + k]
-        a_rows.append(tuple(xk * u1[c] + yk * u2[c] for c in range(n)))
-    a_mat = _normalize_primitive(tuple(a_rows))
-    _verify_planar(m, a_mat, e_basis)
-    return a_mat
-
-
-def _verify_planar(m: Matrix, a: Matrix, e_basis) -> None:
-    lhs = _form_bracket(m, a)
-    if any(not (x == 0) for row in lhs for x in row):
-        raise VerificationFailed("X does not satisfy A^T M + M A = 0")
-    for v in e_basis:
-        if any(not (x == 0) for x in mat_vec(a, v)):
-            raise VerificationFailed("X does not annihilate E_ij")
-
-
-def _form_bracket(m: Matrix, a: Matrix) -> Matrix:
-    at_m = mat_mul(transpose(a), m)
-    m_a = mat_mul(m, a)
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(at_m, m_a))
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    """Rank of the flattened X_ij family against the full dimension."""
-
-    rank: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.rank == self.expected
-
-
-def full_basis_check(m: Matrix) -> BasisReport:
-    """Do the X_ij over ALL pairs span the whole Lie algebra?"""
-    n = len(m)
-    rows = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            x = planar_generator(m, i, j)
-            rows.append([entry for row in x for entry in row])
-    _reduced, pivots = rref(rows)
-    return BasisReport(len(pivots), n * (n - 1) // 2)
+    rows = [tuple(x * 0 for x in m[0])] * n
+    rows[i - 1] = tuple(m[j - 1])
+    rows[j - 1] = tuple(-x for x in m[i - 1])
+    return _normalize_primitive(tuple(rows))
 
 
 # -- bracket closure -----------------------------------------------------------
 
 
 class _Echelon:
-    """Incremental echelon over Fraction vectors; tracks span dimension."""
+    """Incremental fraction-free echelon over integer vectors; tracks span dimension."""
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list = []  # (pivot index, normalized row), pivot-sorted
+    def __init__(self):
+        # (pivot, primitive row); each row is zero at the pivots of the rows
+        # before it, so reducing in this order clears every pivot.
+        self.rows: list = []
 
-    def _residual(self, vec: list) -> list:
+    def insert(self, vec) -> bool:
+        """Add vec to the span; True when the dimension grew."""
         v = list(vec)
         for pivot, row in self.rows:
             c = v[pivot]
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
-
-    def contains(self, vec) -> bool:
-        return not any(self._residual(list(vec)))
-
-    def insert(self, vec) -> bool:
-        """Add vec to the span; True when the dimension grew."""
-        v = self._residual([Fraction(x) if isinstance(x, int) else x for x in vec])
+                lead = row[pivot]
+                v = [lead * x - c * y for x, y in zip(v, row)]
+                content = gcd(*v)
+                if content > 1:
+                    v = [x // content for x in v]
         for pivot, x in enumerate(v):
             if x:
-                lead = x
-                row = [y / lead for y in v]
-                self.rows.append((pivot, row))
-                self.rows.sort(key=lambda pr: pr[0])
+                self.rows.append((pivot, v))
                 return True
         return False
 
@@ -215,14 +124,28 @@ class _Echelon:
         return len(self.rows)
 
 
-def _flatten(a: Matrix) -> list:
-    return [entry for row in a for entry in row]
+def _times_form(s: list, pairs: list, form: list) -> list:
+    """The dense matrix S M for S given by its coordinates."""
+    n = len(form)
+    sm = [[0] * n for _ in range(n)]
+    for (a, b), c in zip(pairs, s):
+        if c:
+            row_a, row_b = sm[a], sm[b]
+            for k, (x, y) in enumerate(zip(form[a], form[b])):
+                row_a[k] += c * y
+                row_b[k] -= c * x
+    return sm
 
 
-def _bracket(a: Matrix, b: Matrix) -> Matrix:
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
+def _bracket(sm: list, t: list, pairs: list) -> list:
+    """Coordinates of Q - Q^T with Q = (S M) T, for T given by its coordinates."""
+    q = [[0] * len(sm) for _ in sm]
+    for (a, b), c in zip(pairs, t):
+        if c:
+            for q_row, sm_row in zip(q, sm):
+                q_row[b] += c * sm_row[a]
+                q_row[a] -= c * sm_row[b]
+    return [q[a][b] - q[b][a] for a, b in pairs]
 
 
 @dataclass(frozen=True)
@@ -230,7 +153,6 @@ class DensityCertificate:
     """Exact record of the bracket-closure computation at one point t."""
 
     t: object
-    generators: dict
     seed_pairs: tuple
     dimension_trace: tuple
     final_dimension: int
@@ -243,92 +165,51 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
 
     Seeds are the planar generators of the edges (sorted); each round
     brackets all pairs of the current basis and adjoins what falls outside
-    the span.  The verdict also demands that every X_ij (all vertex pairs)
-    lies in the final span.  Everything is exact linear algebra over Q (or
-    Q(sqrt m) for quadratic t).
+    the span.  t must be rational.  M_t is scaled by the denominator of t
+    to an integer matrix, which changes no span, and everything is exact
+    integer linear algebra.
     """
     if not is_connected(g):
         raise NotConnected("density certification needs a connected diagram")
     if isinstance(t, int):
         t = Fraction(t)
+    if not isinstance(t, Fraction):
+        raise TypeError(f"density needs a rational parameter, got {type(t).__name__}")
     m = evaluate_pencil(gram_pencil(g), t)
     if bareiss_det(m) == 0:
         raise DegenerateForm(f"the form is singular at t = {t}")
+    form = [[int(x * t.denominator) for x in row] for row in m]
     n = g.n
-    full_dim = n * (n - 1) // 2
-    generators = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            x = planar_generator(m, i, j)
-            as_int = try_int_matrix(x)
-            generators[(i, j)] = x if as_int is None else as_int
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    full_dim = len(pairs)
     seed_pairs = tuple(g.sorted_edges())
-    echelon = _Echelon(n * n)
-    mats = []
-    for pair in seed_pairs:
-        x = generators[pair]
-        echelon.insert(_flatten(x))
-        mats.append(x)
+    echelon = _Echelon()
+    basis = []
+    for i, j in seed_pairs:
+        s = [int(pair == (i - 1, j - 1)) for pair in pairs]
+        echelon.insert(s)
+        basis.append(s)
     trace = [echelon.dimension]
-    for _round in range(full_dim + 1):
-        if echelon.dimension == full_dim:
-            break
-        snapshot = len(mats)
+    products: list = []  # S M for each basis element S
+    while echelon.dimension < full_dim:
+        snapshot = len(basis)
+        products.extend(_times_form(s, pairs, form) for s in basis[len(products):])
         added = False
-        for a in range(snapshot):
-            for b in range(a + 1, snapshot):
-                c = _bracket(mats[a], mats[b])
-                if echelon.insert(_flatten(c)):
-                    mats.append(c)
-                    added = True
+        for a, b in combinations(range(snapshot), 2):
+            c = _bracket(products[a], basis[b], pairs)
+            if echelon.insert(c):
+                basis.append(c)
+                added = True
+                if echelon.dimension == full_dim:
+                    break  # a full span takes no more; the round's trace entry is the same
         if not added:
             break
         trace.append(echelon.dimension)
-    contained = all(echelon.contains(_flatten(x)) for x in generators.values())
-    verdict = echelon.dimension == full_dim and contained
     return DensityCertificate(
         t=t,
-        generators=generators,
         seed_pairs=seed_pairs,
         dimension_trace=tuple(trace),
         final_dimension=echelon.dimension,
         full_dimension=full_dim,
-        verdict=verdict,
+        verdict=echelon.dimension == full_dim,
     )
-
-
-@dataclass(frozen=True)
-class PlaneReport:
-    """The rank-2 behavior of one edge product R_i R_j."""
-
-    block: tuple
-    block_trace: object
-    trace_matches: bool
-    fixes_complement: bool
-    classification: str
-
-
-def hyperbolic_plane_check(gs, i: int, j: int) -> PlaneReport:
-    """R_i R_j fixes E_ij pointwise and acts on the (e_i, e_j) plane with
-    trace 4t^2 - 2: hyperbolic for trace > 2, parabolic at t = 1 (trace 2)."""
-    g = gs.diagram
-    _check_pair(g.n, i, j)
-    if not g.adjacent(i, j):
-        raise NotAnEdge(f"({i}, {j}) is not an edge")
-    product = mat_mul(gs.matrices[i - 1], gs.matrices[j - 1])
-    e_basis = orthocomplement_basis(gs.form, i, j)
-    fixes = all(
-        all(x == y for x, y in zip(mat_vec(product, v), v)) for v in e_basis
-    )
-    bi, bj = i - 1, j - 1
-    block = (
-        (product[bi][bi], product[bi][bj]),
-        (product[bj][bi], product[bj][bj]),
-    )
-    block_trace = product[bi][bi] + product[bj][bj]
-    t = gs.t if not isinstance(gs.t, int) else Fraction(gs.t)
-    expected = 4 * t * t - 2
-    trace_matches = block_trace == expected
-    s = quad_sign(block_trace - 2)
-    classification = "hyperbolic" if s > 0 else ("parabolic" if s == 0 else "elliptic")
-    return PlaneReport(block, block_trace, trace_matches, fixes, classification)

@@ -111,11 +111,6 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     return counts
 
 
-def even_filter(words) -> list:
-    """Keep the words of even length (the index-two orientation subgroup)."""
-    return [w for w in words if len(w) % 2 == 0]
-
-
 @dataclass(frozen=True)
 class FaithfulnessReport:
     """Word counts versus matrix-image counts per length."""

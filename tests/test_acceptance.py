@@ -22,7 +22,6 @@ from coxcert import (
     evaluate_pencil,
     expected_trace,
     faithfulness_probe,
-    full_basis_check,
     fundamental_pell,
     galois_pair_check,
     generators_integral,
@@ -37,6 +36,7 @@ from coxcert import (
 from coxcert.cli import main as cli_main
 from coxcert.errors import CoxcertError
 
+from _liealg_oracle import full_basis_check
 from _suite import K3, acceptance_suite, probe_length
 
 F = Fraction

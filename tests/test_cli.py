@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from coxcert import CoxeterDiagram, enumerate_by_length, faithfulness_probe
 from coxcert.cli import main
 
 K3_TEXT = "n 3\nedge 1 2\nedge 1 3\nedge 2 3\n"
@@ -78,6 +79,11 @@ def test_embed_timings_on_stderr_only(k3_file, capsys):
     json.loads(captured.out)  # stdout is pure JSON
 
 
+def test_embed_negative_probe_len_is_usage_error(k3_file, capsys):
+    assert main(["embed", k3_file, "--probe-len", "-1"]) == 2
+    assert "--probe-len" in capsys.readouterr().err
+
+
 def test_embed_verify_round_trip(k3_file, tmp_path, capsys):
     cert = tmp_path / "k3.json"
     assert main(["embed", k3_file, "--out", str(cert)]) == 0
@@ -104,6 +110,34 @@ def test_verify_rejects_wrong_diagram(k3_file, p3_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(cert), p3_file]) == 1
     assert "different diagram" in capsys.readouterr().err
+
+
+def _drop_probe(payload):
+    del payload["faithfulness_probe"]
+
+
+def _negative_probe(payload):
+    payload["faithfulness_probe"]["max_len"] = -1
+
+
+def _string_radicand(payload):
+    payload["m"] = "2"
+
+
+def _string_power(payload):
+    payload["unit"]["power"] = "x"
+
+
+@pytest.mark.parametrize("mutate", [_drop_probe, _negative_probe, _string_radicand, _string_power])
+def test_verify_rejects_malformed_certificate(mutate, k3_file, tmp_path, capsys):
+    cert = tmp_path / "k3.json"
+    main(["embed", k3_file, "--out", str(cert)])
+    payload = json.loads(cert.read_text())
+    mutate(payload)
+    cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(cert), k3_file]) == 2
+    assert "certificate is malformed" in capsys.readouterr().err
 
 
 def test_verify_rejects_non_certificate(k3_file, tmp_path, capsys):
@@ -137,6 +171,16 @@ def test_words_command(p3_file, capsys):
     out = capsys.readouterr().out
     assert "word counts: 1 3 5 8" in out
     assert "faithfulness probe: PASS" in out
+    p3 = CoxeterDiagram(3, frozenset({(1, 2), (2, 3)}))
+    counts = enumerate_by_length(p3, 3)
+    assert f"word counts: {' '.join(map(str, counts))}\n" in out
+    # The probe counts the same words, so the CLI could print its counts.
+    assert list(faithfulness_probe(p3, 2, 3).word_counts) == list(counts)
+
+
+def test_words_at_d_below_one_is_usage_error(p3_file, capsys):
+    assert main(["words", p3_file, "--at-d", "1/2"]) == 2
+    assert "--at-d" in capsys.readouterr().err
 
 
 def test_words_negative_length_is_usage_error(p3_file, capsys):

@@ -1,40 +1,59 @@
-"""Planar Lie-algebra generators, bracket closure, and edge-plane dynamics."""
+"""Planar Lie-algebra generators, bracket closure, and edge-plane dynamics.
+
+The closed-form generators and the closure in antisymmetric coordinates
+are pinned against the nullspace solver and the n-by-n matrix closure of
+_liealg_oracle.
+"""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from coxcert import (
     CoxeterDiagram,
+    QuadElem,
     bracket_closure_density,
     cycle_complement,
+    d_threshold,
     evaluate_pencil,
-    full_basis_check,
     gram_pencil,
-    hyperbolic_plane_check,
-    orthocomplement_basis,
     planar_generator,
     reflection_generators,
 )
 from coxcert.errors import DegenerateForm, NotAnEdge, NotConnected, SameVertex
-from coxcert.exactcore import mat_mul, mat_vec, transpose
+from coxcert.exactcore import mat_mul, mat_vec, rref
+from coxcert.liealg import _bracket, _Echelon, _times_form
+
+from _liealg_oracle import (
+    full_basis_check,
+    hyperbolic_plane_check,
+    oracle_density_trace,
+    orthocomplement_basis,
+    solve_planar_generator,
+    verify_planar,
+)
+from _suite import acceptance_suite
 
 F = Fraction
 
 K3 = CoxeterDiagram(3, frozenset({(1, 2), (1, 3), (2, 3)}))
 P3 = CoxeterDiagram(3, frozenset({(1, 2), (2, 3)}))
+SUITE = acceptance_suite()
 
 
 def _identity(n):
     return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def _form_bracket(m, a):
-    at_m = mat_mul(transpose(a), m)
-    m_a = mat_mul(m, a)
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(at_m, m_a))
+def _d_value(g):
+    return F(d_threshold(gram_pencil(g))[0])
+
+
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def test_elementary_skew_for_identity_form():
@@ -56,11 +75,32 @@ def test_elementary_skew_for_identity_form():
 def test_planar_generator_satisfies_defining_equations():
     m = evaluate_pencil(gram_pencil(K3), 1)
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        x = planar_generator(m, i, j)
-        zero = _form_bracket(m, x)
-        assert all(v == 0 for row in zero for v in row)
-        for v in orthocomplement_basis(m, i, j):
-            assert all(c == 0 for c in mat_vec(x, v))
+        verify_planar(m, planar_generator(m, i, j), orthocomplement_basis(m, i, j))
+
+
+@pytest.mark.parametrize("point", ["D", F(3, 7)], ids=["at_D", "at_3_7"])
+def test_planar_generator_matches_solver(point):
+    for name, g in SUITE:
+        t = _d_value(g) if point == "D" else point
+        m = evaluate_pencil(gram_pencil(g), t)
+        for i, j in _pairs(g.n):
+            assert planar_generator(m, i, j) == solve_planar_generator(m, i, j), (name, i, j)
+
+
+def test_planar_generator_proportional_to_solver_at_quadratic_point():
+    # Over Q(sqrt 2) the solver takes about 45 s on the whole suite and
+    # about 1 s on the members with at most four vertices.
+    t = QuadElem(3, 2, 2)  # 3 + 2 sqrt 2
+    for name, g in SUITE:
+        if g.n > 4:
+            continue
+        m = evaluate_pencil(gram_pencil(g), t)
+        for i, j in _pairs(g.n):
+            x = [v for row in planar_generator(m, i, j) for v in row]
+            y = [v for row in solve_planar_generator(m, i, j) for v in row]
+            k = next(k for k, v in enumerate(y) if v != 0)
+            ratio = x[k] / y[k]
+            assert all(a == ratio * b for a, b in zip(x, y)), (name, i, j)
 
 
 def test_planar_generator_primitive_and_canonical():
@@ -127,7 +167,56 @@ def test_density_pinned_traces():
 def test_density_seed_pairs_are_edges():
     cert = bracket_closure_density(P3, 2)
     assert cert.seed_pairs == ((1, 2), (2, 3))
-    assert set(cert.generators) == {(1, 2), (1, 3), (2, 3)}
+
+
+def test_bracket_coordinates_match_matrix_commutator():
+    # [S M, T M] = C M, with C read off the coordinates _bracket returns.
+    rng = random.Random(7)
+    for name, g in SUITE[:8]:
+        n = g.n
+        form = [[int(x) for x in row] for row in evaluate_pencil(gram_pencil(g), 3)]
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+        def dense(coords):
+            full = [[0] * n for _ in range(n)]
+            for (a, b), c in zip(pairs, coords):
+                full[a][b], full[b][a] = c, -c
+            return tuple(map(tuple, full))
+
+        for _ in range(3):
+            s = [rng.randint(-3, 3) for _ in pairs]
+            t = [rng.randint(-3, 3) for _ in pairs]
+            c = _bracket(_times_form(s, pairs, form), t, pairs)
+            sm, tm = mat_mul(dense(s), form), mat_mul(dense(t), form)
+            commutator = [
+                [x - y for x, y in zip(r1, r2)]
+                for r1, r2 in zip(mat_mul(sm, tm), mat_mul(tm, sm))
+            ]
+            assert [list(row) for row in mat_mul(dense(c), form)] == commutator, name
+
+
+def test_echelon_dimension_is_rank():
+    rng = random.Random(11)
+    for _ in range(20):
+        echelon = _Echelon()
+        rows = []
+        for _ in range(12):
+            if rows and rng.random() < 0.4:
+                a, b = rng.choice(rows), rng.choice(rows)
+                vec = [rng.randint(-5, 5) * x + rng.randint(-5, 5) * y for x, y in zip(a, b)]
+            else:
+                vec = [rng.choice((0, 0, 1, -2, 3, 7)) for _ in range(8)]
+            before = len(rref(rows)[1])
+            rows.append(vec)
+            after = len(rref(rows)[1])
+            assert echelon.insert(vec) == (after > before)
+            assert echelon.dimension == after
+
+
+def test_density_trace_matches_matrix_oracle():
+    for name, g in SUITE:
+        t = _d_value(g)
+        assert bracket_closure_density(g, t).dimension_trace == oracle_density_trace(g, t), name
 
 
 def test_density_rejects_disconnected_and_degenerate():
@@ -135,6 +224,8 @@ def test_density_rejects_disconnected_and_degenerate():
         bracket_closure_density(CoxeterDiagram(4, frozenset({(1, 2), (3, 4)})), 2)
     with pytest.raises(DegenerateForm):
         bracket_closure_density(K3, F(1, 2))
+    with pytest.raises(TypeError):
+        bracket_closure_density(K3, QuadElem(3, 2, 2))
 
 
 def test_hyperbolic_plane_pinned():

@@ -23,7 +23,6 @@ from coxcert import (
     append_letter,
     cycle_complement,
     enumerate_by_length,
-    even_filter,
     faithfulness_probe,
     normal_form,
 )
@@ -130,11 +129,6 @@ def test_counts_match_brute_force_distinct_elements():
                 if len(f) <= max_len:
                     by_len[len(f)] += 1
             assert counts == by_len
-
-
-def test_even_filter():
-    words = [(), (1,), (1, 2), (2, 1, 3)]
-    assert even_filter(words) == [(), (1, 2)]
 
 
 def test_faithfulness_probe_pinned():
