@@ -33,7 +33,6 @@ from .exactcore import (
     Matrix,
     Poly,
     QuadElem,
-    Rat,
     Signature,
     quad_sign,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "PellSolution",
     "Poly",
     "QuadElem",
-    "Rat",
     "RelationReport",
     "SPECTRUM_TOLERANCE",
     "Signature",

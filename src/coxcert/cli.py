@@ -184,7 +184,11 @@ def _recheck_unit_block(payload: dict) -> None:
     if stated != pell:
         raise VerificationFailed(f"stored Pell solution {stated} is not fundamental for m={m}")
     alpha = QuadElem(Fraction(unit["alpha"]["a"]), Fraction(unit["alpha"]["b"]), m)
-    if alpha != pell.unit() ** unit["power"]:
+    power = unit["power"]
+    # Every unit > 1 of Z[sqrt(m)] is at least 1 + sqrt(2) > 2, so the k-th
+    # power has rational part >= 2^(k-1): a larger power cannot match alpha,
+    # and rejecting it first bounds the work by the certificate's size.
+    if not 1 <= power <= int(alpha.a).bit_length() or alpha != pell.unit() ** power:
         raise VerificationFailed("stored alpha is not the stated power of the fundamental unit")
     tau = alpha.conjugate()
     if tau != QuadElem(Fraction(unit["tau_alpha"]["a"]), Fraction(unit["tau_alpha"]["b"]), m):

@@ -23,10 +23,6 @@ def mat(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 

@@ -20,8 +20,6 @@ from math import gcd as int_gcd
 from ..errors import EndpointIsRoot, ZeroPolynomial
 from .quadratic import QuadElem, quad_sign
 
-Rat = Fraction
-
 
 def _lcm(a: int, b: int) -> int:
     return a // int_gcd(a, b) * b
@@ -41,12 +39,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly((c,))
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -55,6 +47,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     @property
     def leading(self):

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from ..errors import MixedRadicands, NotSquarefree
 
-Rat = Fraction
-
 _SQUAREFREE_CACHE: dict[int, bool] = {}
 
 RADICAND_LIMIT = 10**6

@@ -1,22 +1,26 @@
 """Reflection generators, their relations, and the embedding certificate.
 
 For an evaluation point t the generator attached to vertex i is the
-reflection R_i = I - 2 e_i m_i^T where m_i is the i-th column of M_t.  Row i
-reads (-1 at i, 2t at each neighbor, 0 elsewhere); every other row is the
-identity.  These satisfy R_i^2 = I, preserve the symmetric form M_t, and two
-of them commute exactly when their vertices are non-adjacent.
+reflection R_i = I - 2 e_i m_i^T where m_i is the i-th column of M_t.  It is
+defined once, by its rank-one right action: A * R_i negates column i of A
+and adds 2t * (old column i) to each neighbor column.  The generators are
+that action applied to I, and every product the checks need runs through
+it: R_i^2 = I, (R_i R_j)^2 = I on commuting pairs, R_i^T M_t R_i = M_t, and
+tr(R_i R_j) over Q[d].
 
 The embedding certificate bundles every exact verdict for one diagram and
 one quadratic ring: thresholds, the chosen unit alpha with its Galois
 checks, generator relations at alpha, integrality, compactness of the
-conjugate form, the trace identity as a polynomial identity in d, a Lie
-bracket density check at t = D, and a short faithfulness probe.
+conjugate form (its leading minors are the pencil's minor polynomials at
+tau), the trace identity as a polynomial identity in d, a Lie bracket
+density check at t = D, and a short faithfulness probe.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from fractions import Fraction
 
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
@@ -27,18 +31,16 @@ from .exactcore import (
     Poly,
     QuadElem,
     Signature,
-    leading_principal_minors,
     mat_eq,
-    mat_mul,
     quad_sign,
     transpose,
 )
 from .gram import (
-    GramPencil,
     d_threshold,
     epsilon_threshold,
     evaluate_pencil,
     gram_pencil,
+    minor_polynomials,
     stable_signature,
 )
 from .units import GaloisReport, PellSolution, UnitValue, choose_unit, galois_pair_check
@@ -54,22 +56,53 @@ class GeneratorSet:
     matrices: tuple
 
 
+def reflection_actions(g: CoxeterDiagram, t) -> dict:
+    """Per vertex i: (column, neighbor columns, 2t), the right action of R_i.
+
+    Right-multiplying a matrix A by the reflection R_i sends column i to its
+    negative and adds 2t * (old column i) to every neighbor column; all other
+    columns are untouched.  t may be any exact scalar or a polynomial in d.
+    """
+    two_t = 2 * t
+    if isinstance(two_t, Fraction) and two_t.denominator == 1:
+        two_t = two_t.numerator
+    return {i: (i - 1, tuple(j - 1 for j in g.neighbors(i)), two_t) for i in g.vertices}
+
+
+def times_reflection(a, action):
+    """A * R_i for the action of R_i, in O(rows * degree)."""
+    col, neighbor_cols, two_t = action
+    out = []
+    for row in a:
+        v = row[col]
+        new_row = list(row)
+        new_row[col] = -v
+        if v:
+            for j in neighbor_cols:
+                new_row[j] = new_row[j] + two_t * v
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def _identity_like(a: Matrix) -> Matrix:
+    zero = a[0][0] * 0
+    one = zero + 1
+    n = len(a)
+    return tuple(tuple(one if c == r else zero for c in range(n)) for r in range(n))
+
+
 def reflection_generators(g: CoxeterDiagram, t) -> GeneratorSet:
     """One reflection per vertex at the exact evaluation point t."""
     form = evaluate_pencil(gram_pencil(g), t)
-    n = g.n
-    zero = form[0][0] * 0
-    one = zero + 1
-    mats = []
-    for i in range(n):
-        rows = []
-        for r in range(n):
-            if r != i:
-                rows.append(tuple(one if c == r else zero for c in range(n)))
-            else:
-                rows.append(tuple((one if c == i else zero) - 2 * form[c][i] for c in range(n)))
-        mats.append(tuple(rows))
-    return GeneratorSet(g, t, form, tuple(mats))
+    ident = _identity_like(form)
+    actions = reflection_actions(g, t)
+    return GeneratorSet(g, t, form, tuple(times_reflection(ident, actions[i]) for i in g.vertices))
+
+
+def _preserves(form: Matrix, action) -> bool:
+    """R^T M R = M, computed as ((M R)^T R)^T without assuming M symmetric."""
+    moved = times_reflection(transpose(times_reflection(form, action)), action)
+    return mat_eq(transpose(moved), form)
 
 
 @dataclass(frozen=True)
@@ -87,34 +120,37 @@ class RelationReport:
 
 
 def verify_relations(gs: GeneratorSet) -> RelationReport:
-    """Check R_i^2 = I, (R_i R_j)^2 = I for commuting pairs, R^T M R = M."""
+    """Check R_i^2 = I, (R_i R_j)^2 = I for commuting pairs, R^T M R = M.
+
+    The products run through the action of (diagram, t), so each stored
+    matrix is first compared with that action applied to I; a mismatch is a
+    ("generator", i, i) failure and fails all three verdicts.
+    """
     g = gs.diagram
-    n = g.n
-    form = gs.form
-    zero = form[0][0] * 0
-    one = zero + 1
-    ident = tuple(tuple(one if c == r else zero for c in range(n)) for r in range(n))
+    ident = _identity_like(gs.form)
+    actions = reflection_actions(g, gs.t)
     failures = []
-    involutions_ok = True
     for i, r_mat in enumerate(gs.matrices, start=1):
-        if not mat_eq(mat_mul(r_mat, r_mat), ident):
-            involutions_ok = False
+        if not mat_eq(times_reflection(ident, actions[i]), r_mat):
+            failures.append(("generator", i, i))
+        elif not mat_eq(times_reflection(r_mat, actions[i]), ident):
             failures.append(("involution", i, i))
-    commutations_ok = True
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not g.commutes(i, j):
-                continue
-            prod = mat_mul(gs.matrices[i - 1], gs.matrices[j - 1])
-            if not mat_eq(mat_mul(prod, prod), ident):
-                commutations_ok = False
+    for i, j in combinations(g.vertices, 2):
+        if g.commutes(i, j):
+            prod = times_reflection(gs.matrices[i - 1], actions[j])
+            if not mat_eq(times_reflection(times_reflection(prod, actions[i]), actions[j]), ident):
                 failures.append(("commutation", i, j))
-    orthogonality_ok = True
-    for i, r_mat in enumerate(gs.matrices, start=1):
-        if not mat_eq(mat_mul(transpose(r_mat), mat_mul(form, r_mat)), form):
-            orthogonality_ok = False
+    for i in g.vertices:
+        if not _preserves(gs.form, actions[i]):
             failures.append(("orthogonality", i, i))
-    return RelationReport(involutions_ok, commutations_ok, orthogonality_ok, tuple(failures))
+    kinds = {kind for kind, _, _ in failures}
+    defined = "generator" not in kinds
+    return RelationReport(
+        defined and "involution" not in kinds,
+        defined and "commutation" not in kinds,
+        defined and "orthogonality" not in kinds,
+        tuple(failures),
+    )
 
 
 def generators_integral(gs: GeneratorSet) -> bool:
@@ -134,16 +170,13 @@ def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
     """tr(R_i R_j) as an exact polynomial in d."""
     if i == j:
         raise SameVertex(f"need two distinct vertices, got {i} twice")
-    pencil = gram_pencil(g).entries
-    n = g.n
-    zero = Poly()
-    one = Poly((Fraction(1),))
-    ri = _symbolic_reflection(pencil, n, i - 1, zero, one)
-    rj = _symbolic_reflection(pencil, n, j - 1, zero, one)
-    total = zero
-    for c in range(n):
-        for k in range(n):
-            total = total + ri[c][k] * rj[k][c]
+    actions = reflection_actions(g, Poly((Fraction(0), Fraction(1))))
+    product = times_reflection(
+        times_reflection(_identity_like(gram_pencil(g).entries), actions[i]), actions[j]
+    )
+    total = Poly()
+    for c in range(g.n):
+        total = total + product[c][c]
     return total
 
 
@@ -155,16 +188,6 @@ def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:
     if g.adjacent(i, j):
         return Poly((Fraction(n - 4), Fraction(0), Fraction(4)))
     return Poly((Fraction(n - 4),))
-
-
-def _symbolic_reflection(pencil, n, idx, zero, one):
-    rows = []
-    for r in range(n):
-        if r != idx:
-            rows.append(tuple(one if c == r else zero for c in range(n)))
-        else:
-            rows.append(tuple((one if c == idx else zero) - 2 * pencil[c][idx] for c in range(n)))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -185,9 +208,10 @@ class CompactnessReport:
 def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> CompactnessReport:
     """Conjugate every generator coordinate-wise and certify the compact side.
 
-    The conjugated generators must preserve M_tau, and M_tau must be
-    positive-definite (all leading principal minors positive, decided by
-    exact sign analysis in Q(sqrt(m))).
+    The conjugated generators must equal the reflections at tau and preserve
+    M_tau, and M_tau must be positive-definite: its leading principal minors
+    are the minor polynomials of the pencil evaluated at tau, each of whose
+    signs is decided exactly in Q(sqrt(m)).
     """
     alpha = u.value
     tau = alpha.conjugate()
@@ -195,17 +219,14 @@ def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> CompactnessRepor
     conj_mats = tuple(
         tuple(tuple(x.conjugate() for x in row) for row in mat_) for mat_ in gens.matrices
     )
-    conj_form = evaluate_pencil(gram_pencil(g), tau)
     direct = reflection_generators(g, tau)
     for built, mapped in zip(direct.matrices, conj_mats):
         if not mat_eq(built, mapped):
             raise VerificationFailed("Galois map disagrees with direct construction at tau")
-    preserved = tuple(
-        mat_eq(mat_mul(transpose(r), mat_mul(conj_form, r)), conj_form) for r in conj_mats
-    )
-    minors = leading_principal_minors(conj_form)
-    positive_definite = all(quad_sign(p) > 0 for p in minors)
-    return CompactnessReport(tau, conj_mats, conj_form, preserved, positive_definite)
+    actions = reflection_actions(g, tau)
+    preserved = tuple(_preserves(direct.form, actions[i]) for i in g.vertices)
+    positive_definite = all(quad_sign(p(tau)) > 0 for p in minor_polynomials(gram_pencil(g)))
+    return CompactnessReport(tau, conj_mats, direct.form, preserved, positive_definite)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from functools import lru_cache
 
 from .diagram import CoxeterDiagram
 from .errors import IndexOutOfRange
-from .exactcore import QuadElem, quad_sign
+from .exactcore import quad_sign
+from .vinberg import reflection_actions, times_reflection
 
 Word = tuple
 
@@ -127,36 +128,6 @@ class FaithfulnessReport:
         return self.word_counts == self.image_counts and self.total_words == self.total_images
 
 
-def _generator_actions(g: CoxeterDiagram, t):
-    """Per letter: (neighbor indices, 2t) for the right-multiplication update.
-
-    Right-multiplying a matrix A by the reflection R_i sends column i to its
-    negative and adds 2t * (old column i) to every neighbor column; all other
-    columns are untouched.
-    """
-    two_t = 2 * t
-    if isinstance(two_t, Fraction) and two_t.denominator == 1:
-        two_t = two_t.numerator
-    actions = {}
-    for i in g.vertices:
-        actions[i] = (i - 1, tuple(j - 1 for j in g.neighbors(i)), two_t)
-    return actions
-
-
-def _apply_generator(a, action):
-    col, neighbor_cols, two_t = action
-    out = []
-    for row in a:
-        v = row[col]
-        new_row = list(row)
-        new_row[col] = -v
-        if v:
-            for j in neighbor_cols:
-                new_row[j] = new_row[j] + two_t * v
-        out.append(tuple(new_row))
-    return tuple(out)
-
-
 def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport:
     """Exact injectivity probe on the ball of radius max_len.
 
@@ -177,7 +148,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     else:
         ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    actions = _generator_actions(g, t)
+    actions = reflection_actions(g, t)
     layer = {(): ident}
     word_counts = [1]
     image_counts = [1]
@@ -189,7 +160,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
             for letter in g.vertices:
                 grown = append_letter(word, letter, g)
                 if len(grown) == target and grown not in nxt:
-                    nxt[grown] = _apply_generator(image, actions[letter])
+                    nxt[grown] = times_reflection(image, actions[letter])
         word_counts.append(len(nxt))
         images = set(nxt.values())
         image_counts.append(len(images))

@@ -4,20 +4,33 @@ The fixed members are the triangle K3 (all pairs non-commuting), the path
 P3, the star K13, and the cycle complements on 5..9 vertices.  On top of
 those come twenty pseudorandom connected diagrams with n <= 7, generated
 from a frozen seed: a random spanning tree keeps them connected, then each
-remaining pair joins with probability one third.
+remaining pair joins with probability one third.  `suite_thresholds` and
+`suite_unit` compute each member's thresholds and alpha once, for every test
+module that asks.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from coxcert import CoxeterDiagram, cycle_complement
+from coxcert import (
+    CoxeterDiagram,
+    UnitValue,
+    choose_unit,
+    cycle_complement,
+    gram_pencil,
+    threshold_report,
+)
 
 K3 = CoxeterDiagram(3, frozenset({(1, 2), (1, 3), (2, 3)}))
 P3 = CoxeterDiagram(3, frozenset({(1, 2), (2, 3)}))
 K13 = CoxeterDiagram(4, frozenset({(1, 2), (1, 3), (1, 4)}))
 
 SUITE_SEED = 20260814
+
+_THRESHOLDS: dict = {}
+_UNITS: dict = {}
 
 
 def random_connected_diagram(rng: random.Random, n: int) -> CoxeterDiagram:
@@ -50,3 +63,20 @@ def probe_length(n: int) -> int | None:
     if n <= 7:
         return 6
     return None
+
+
+def suite_thresholds(name, g):
+    """threshold_report of a suite member, computed once per test session."""
+    if name not in _THRESHOLDS:
+        _THRESHOLDS[name] = threshold_report(gram_pencil(g))
+    return _THRESHOLDS[name]
+
+
+def suite_unit(name, g, m) -> UnitValue:
+    """The pipeline's alpha for a suite member over Z[sqrt(m)]."""
+    key = (name, m)
+    if key not in _UNITS:
+        rep = suite_thresholds(name, g)
+        bound = max(Fraction(1) / rep.epsilon, Fraction(rep.d_value))
+        _UNITS[key] = choose_unit(m, bound)
+    return _UNITS[key]

@@ -13,10 +13,8 @@ from math import isqrt
 
 from coxcert import (
     SPECTRUM_TOLERANCE,
-    UnitValue,
     bracket_closure_density,
     build_embedding_certificate,
-    choose_unit,
     compact_conjugate_check,
     enumerate_by_length,
     evaluate_pencil,
@@ -28,7 +26,6 @@ from coxcert import (
     gram_pencil,
     quad_sign,
     reflection_generators,
-    threshold_report,
     trace_polynomial,
     verify_cycle_example,
     verify_relations,
@@ -37,29 +34,11 @@ from coxcert.cli import main as cli_main
 from coxcert.errors import CoxcertError
 
 from _liealg_oracle import full_basis_check
-from _suite import K3, acceptance_suite, probe_length
+from _suite import K3, acceptance_suite, probe_length, suite_thresholds, suite_unit
 
 F = Fraction
 
 SUITE = acceptance_suite()
-
-_THRESHOLDS: dict = {}
-_UNITS: dict = {}
-
-
-def _thresholds(name, g):
-    if name not in _THRESHOLDS:
-        _THRESHOLDS[name] = threshold_report(gram_pencil(g))
-    return _THRESHOLDS[name]
-
-
-def _unit(name, g, m) -> UnitValue:
-    key = (name, m)
-    if key not in _UNITS:
-        rep = _thresholds(name, g)
-        bound = max(F(1) / rep.epsilon, F(rep.d_value))
-        _UNITS[key] = choose_unit(m, bound)
-    return _UNITS[key]
 
 
 def _verdict(num: int, name: str, failures: list) -> None:
@@ -71,8 +50,8 @@ def _verdict(num: int, name: str, failures: list) -> None:
 def test_criterion_1_relations_and_orthogonality():
     failures = []
     for name, g in SUITE:
-        rep = _thresholds(name, g)
-        for t in (F(rep.d_value), _unit(name, g, 2).value):
+        rep = suite_thresholds(name, g)
+        for t in (F(rep.d_value), suite_unit(name, g, 2).value):
             rel = verify_relations(reflection_generators(g, t))
             if not rel.ok:
                 failures.append((name, str(t), rel.failures[:3]))
@@ -93,8 +72,8 @@ def test_criterion_3_galois_chain():
     failures = []
     for m in (2, 3, 5):
         for name, g in SUITE:
-            rep = _thresholds(name, g)
-            u = _unit(name, g, m)
+            rep = suite_thresholds(name, g)
+            u = suite_unit(name, g, m)
             bound = max(F(1) / rep.epsilon, F(rep.d_value))
             if quad_sign(u.value - bound) < 0:
                 failures.append((name, m, "alpha below bound"))
@@ -115,7 +94,7 @@ def test_criterion_4_integrality():
     failures = []
     for m in (2, 3, 5):
         for name, g in SUITE:
-            gens = reflection_generators(g, _unit(name, g, m).value)
+            gens = reflection_generators(g, suite_unit(name, g, m).value)
             if not generators_integral(gens):
                 failures.append((name, m))
     _verdict(4, "integrality", failures)
@@ -124,7 +103,7 @@ def test_criterion_4_integrality():
 def test_criterion_5_indefiniteness():
     failures = []
     for name, g in SUITE:
-        sig = _thresholds(name, g).signature
+        sig = suite_thresholds(name, g).signature
         if not (sig.p >= 1 and sig.q >= 1 and sig.z == 0):
             failures.append((name, (sig.p, sig.q, sig.z)))
     _verdict(5, "indefiniteness", failures)
@@ -149,7 +128,7 @@ def test_criterion_6_cycle_example():
 def test_criterion_7_density_certificates():
     failures = []
     for name, g in SUITE:
-        rep = _thresholds(name, g)
+        rep = suite_thresholds(name, g)
         t = F(rep.d_value)
         cert = bracket_closure_density(g, t)
         full = g.n * (g.n - 1) // 2
@@ -166,7 +145,7 @@ def test_criterion_8_faithfulness_probe():
         max_len = probe_length(g.n)
         if max_len is None:
             continue
-        t = F(_thresholds(name, g).d_value)
+        t = F(suite_thresholds(name, g).d_value)
         rep = faithfulness_probe(g, t, max_len)
         if not rep.injective:
             failures.append((name, rep.word_counts, rep.image_counts))

@@ -140,6 +140,25 @@ def test_verify_rejects_malformed_certificate(mutate, k3_file, tmp_path, capsys)
     assert "certificate is malformed" in capsys.readouterr().err
 
 
+def test_verify_rejects_huge_unit_power_without_exponentiating(k3_file, tmp_path, capsys):
+    import subprocess
+    import sys
+
+    cert = tmp_path / "k3.json"
+    main(["embed", k3_file, "--out", str(cert)])
+    payload = json.loads(cert.read_text())
+    payload["unit"]["power"] = 10_000_000
+    cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxcert", "verify", str(cert), k3_file],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert "not the stated power" in proc.stderr
+
+
 def test_verify_rejects_non_certificate(k3_file, tmp_path, capsys):
     cert = tmp_path / "junk.json"
     cert.write_text('{"format": "something-else"}\n')

@@ -9,22 +9,29 @@ import pytest
 
 from coxcert import (
     CoxeterDiagram,
+    GeneratorSet,
     Poly,
     QuadElem,
+    UnitValue,
     build_embedding_certificate,
     choose_unit,
     compact_conjugate_check,
     cycle_complement,
     evaluate_pencil,
     expected_trace,
+    fundamental_pell,
     generators_integral,
     gram_pencil,
+    minor_polynomials,
     reflection_generators,
     trace_polynomial,
     verify_relations,
 )
 from coxcert.errors import Disconnected, SameVertex
-from coxcert.exactcore import mat_eq, mat_mul, transpose
+from coxcert.exactcore import leading_principal_minors, mat_eq, mat_mul, quad_sign, transpose
+from coxcert.vinberg import reflection_actions, times_reflection
+
+from _suite import acceptance_suite, suite_thresholds, suite_unit
 
 F = Fraction
 
@@ -34,6 +41,17 @@ P3 = CoxeterDiagram(3, frozenset({(1, 2), (2, 3)}))
 
 def _identity(n):
     return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def _dense_reflection(form, i):
+    """R_i = I - 2 e_i m_i^T with m_i the i-th column of M_t, entry by entry."""
+    n = len(form)
+    zero = form[0][0] * 0
+    one = zero + 1
+    return tuple(
+        tuple((one if c == r else zero) - (2 * form[c][i] if r == i else zero) for c in range(n))
+        for r in range(n)
+    )
 
 
 def test_generator_rows_pinned():
@@ -57,6 +75,28 @@ def test_relations_hold_at_integer_and_quadratic_points():
             assert rel.commutations_ok
             assert rel.orthogonality_ok
             assert rel.failures == ()
+
+
+def test_rank_one_action_matches_dense_products():
+    for name, g in acceptance_suite():
+        d_value = suite_thresholds(name, g).d_value
+        for t in (F(d_value), F(7, 3), suite_unit(name, g, 2).value):
+            gs = reflection_generators(g, t)
+            dense = [_dense_reflection(gs.form, i) for i in range(g.n)]
+            assert all(mat_eq(r, d) for r, d in zip(gs.matrices, dense)), (name, t)
+            actions = reflection_actions(g, t)
+            for i, r_i in enumerate(dense, start=1):
+                for a in (*dense, gs.form):
+                    assert mat_eq(times_reflection(a, actions[i]), mat_mul(a, r_i)), (name, t, i)
+
+
+def test_relations_flag_a_stored_matrix_from_another_point():
+    g = cycle_complement(8)
+    gs = reflection_generators(g, 2)
+    swapped = (reflection_generators(g, 3).matrices[0],) + gs.matrices[1:]
+    rel = verify_relations(GeneratorSet(g, gs.t, gs.form, swapped))
+    assert not rel.ok
+    assert ("generator", 1, 1) in rel.failures
 
 
 def test_involution_directly():
@@ -117,6 +157,24 @@ def test_compact_conjugate_check():
     # the conjugated form is the pencil evaluated at tau(alpha)
     expected_form = evaluate_pencil(gram_pencil(K3), u.value.conjugate())
     assert mat_eq(rep.conj_form, expected_form)
+
+
+def test_minors_at_tau_are_the_minor_polynomials_evaluated():
+    for m in (2, 3, 5):
+        for name, g in acceptance_suite():
+            tau = suite_unit(name, g, m).value.conjugate()
+            conj_form = evaluate_pencil(gram_pencil(g), tau)
+            at_tau = [p(tau) for p in minor_polynomials(gram_pencil(g))]
+            assert at_tau == leading_principal_minors(conj_form), (name, m)
+
+
+def test_conjugate_form_indefinite_above_epsilon():
+    # tau = sqrt(2) - 1 lies above cc8's positive-definite radius 1/5.
+    g = cycle_complement(8)
+    rep = compact_conjugate_check(g, UnitValue(fundamental_pell(2), 1, QuadElem(1, 1, 2)))
+    assert not rep.positive_definite
+    assert not rep.ok
+    assert not all(quad_sign(p) > 0 for p in leading_principal_minors(rep.conj_form))
 
 
 def test_certificate_end_to_end_k3():
