@@ -14,7 +14,6 @@ floats appear only in reports.
 from __future__ import annotations
 
 from .cyclecheck import (
-    SPECTRUM_TOLERANCE,
     CycleReport,
     SpectrumPrediction,
     circulant_identity_ok,
@@ -99,7 +98,6 @@ __all__ = [
     "Poly",
     "QuadElem",
     "RelationReport",
-    "SPECTRUM_TOLERANCE",
     "Signature",
     "SpectrumPrediction",
     "ThresholdReport",

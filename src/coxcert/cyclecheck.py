@@ -12,10 +12,10 @@ with J the cyclic shift.  Its eigenvalues are therefore explicit:
 
 verify_cycle_example certifies three things for one n: the circulant
 identity as an exact polynomial-matrix identity, the stable signature
-(2 floor(n/3), n - 2 floor(n/3), 0), and the numerical spectrum at the
-first integer past the threshold against the closed form.  Only the last
-comparison uses floats, with the exact roots refined far below the
-comparison tolerance first.
+(2 floor(n/3), n - 2 floor(n/3), 0), and the spectrum at the first integer
+past the threshold as an exact identity of characteristic polynomials
+(see predicted_char_poly).  Floats appear only in the printed report of
+how far the refined roots lie from the closed-form cosines.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .exactcore import (
 )
 from .gram import d_threshold, evaluate_pencil, gram_pencil, stable_signature
 
-SPECTRUM_TOLERANCE = 1e-9
 _REFINE_WIDTH = Fraction(1, 10**12)
 
 
@@ -104,23 +103,27 @@ class CycleReport:
         )
 
 
-def _predicted_multiset(pred: SpectrumPrediction) -> list:
-    values = [(float(pred.special), 1)]
-    for _k, mult, value in pred.family:
-        values.append((value, mult))
-    values.sort()
-    return values
-
-
-def _observed_multiset(mat) -> list:
-    cp = char_poly(mat)
+def _observed_roots(cp: Poly) -> list:
+    """The distinct real roots of cp as floats, ascending."""
     sf = squarefree_part(cp)
-    out = []
-    for interval, mult in isolate_real_roots(cp):
-        tight = refine_root_interval(sf, interval, _REFINE_WIDTH)
-        out.append((float(tight.mid), mult))
-    out.sort()
-    return out
+    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in isolate_real_roots(cp)]
+
+
+def predicted_char_poly(n: int, t) -> Poly:
+    """(x - (1 - t(n-3))) * t^(n-1) * P((x-1-t)/t), exactly over Q.
+
+    P(y) = (C_n(y) - 2)/(y - 2) with C_0 = 2, C_1 = y, C_{k+1} = y C_k - C_{k-1},
+    so C_n(2 cos a) = 2 cos(n a) and P has the roots 2 cos(2 pi k / n),
+    k = 1..n-1: this is the characteristic polynomial of M_t that the
+    closed-form spectrum predicts.
+    """
+    t = Fraction(t)
+    y = Poly((Fraction(0), Fraction(1)))
+    prev, cheb = Poly((Fraction(2),)), y
+    for _ in range(n - 1):
+        prev, cheb = cheb, y * cheb - prev
+    p = (cheb - 2) / (y - 2)
+    return Poly((t * (n - 3) - 1, Fraction(1))) * p(Poly((-(1 + t) / t, 1 / t))) * t ** (n - 1)
 
 
 def verify_cycle_example(n: int) -> CycleReport:
@@ -132,28 +135,25 @@ def verify_cycle_example(n: int) -> CycleReport:
 
     identity_ok = circulant_identity_ok(n)
 
-    signature = stable_signature(pencil)
+    signature = stable_signature(pencil, d_value)
     third = 2 * (n // 3)
     expected = Signature(third, n - third, 0)
     signature_ok = signature == expected
 
     prediction = predicted_spectrum(n, t)
-    mat = evaluate_pencil(pencil, t)
-    cp = char_poly(mat)
+    cp = char_poly(evaluate_pencil(pencil, t))
     special_is_root = cp(prediction.special) == 0
+    spectrum_ok = cp == predicted_char_poly(n, t)
 
-    predicted = _predicted_multiset(prediction)
-    observed = _observed_multiset(mat)
-    pairs = []
+    # The predicted values are distinct for n >= 5, as are the observed roots.
+    family = [(value, mult) for _k, mult, value in prediction.family]
+    predicted = sorted([(float(prediction.special), 1)] + family)
+    observed = _observed_roots(cp)
+    pairs = ()
     max_dev = 0.0
-    spectrum_ok = len(predicted) == len(observed)
-    if spectrum_ok:
-        for (pv, pm), (ov, om) in zip(predicted, observed):
-            dev = abs(pv - ov)
-            max_dev = max(max_dev, dev)
-            pairs.append((pv, ov, pm))
-            if pm != om or dev > SPECTRUM_TOLERANCE:
-                spectrum_ok = False
+    if len(predicted) == len(observed):
+        pairs = tuple((pv, ov, pm) for (pv, pm), ov in zip(predicted, observed))
+        max_dev = max(abs(pv - ov) for pv, ov, _pm in pairs)
 
     return CycleReport(
         n=n,
@@ -165,7 +165,7 @@ def verify_cycle_example(n: int) -> CycleReport:
         signature_ok=signature_ok,
         special_eigenvalue=prediction.special,
         special_is_root=special_is_root,
-        matched_pairs=tuple(pairs),
+        matched_pairs=pairs,
         max_deviation=max_dev,
         spectrum_ok=spectrum_ok,
     )

@@ -116,9 +116,27 @@ def bareiss_det(a: Matrix):
 
 
 def leading_principal_minors(a: Matrix) -> list:
-    """Determinants of the top-left k-by-k blocks, k = 1..n."""
+    """Determinants of the top-left k-by-k blocks, k = 1..n, in one pass.
+
+    Pivot-free Bareiss elimination: by Sylvester's identity its k-th pivot
+    is exactly the k-th leading minor.  A vanishing minor other than the
+    last leaves no pivot to continue with and raises ValueError.
+    """
     n = len(a)
-    return [bareiss_det(tuple(row[:k] for row in a[:k])) for k in range(1, n + 1)]
+    if any(len(row) != n for row in a):
+        raise ValueError("minors need a square matrix")
+    _check_single_radicand(a)
+    rows = [list(row) for row in a]
+    prev = 1
+    for k in range(n - 1):
+        pivot = rows[k][k]
+        if pivot == 0:
+            raise ValueError(f"leading minor {k + 1} vanishes")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]) / prev
+        prev = pivot
+    return [rows[k][k] for k in range(n)]
 
 
 def char_poly(a: Matrix) -> Poly:

@@ -3,8 +3,8 @@
 Coefficients may be Fraction or QuadElem (any exact type supporting field
 operations and an exact sign via quad_sign).  On top of the arithmetic this
 module provides Sturm sequences, distinct-root counting over intervals and
-half-lines, squarefree (Yun) decomposition, bisection-based real-root
-isolation with multiplicities, and interval refinement to arbitrary width.
+half-lines, squarefree (Yun) decomposition, bisection-based isolation of
+the distinct real roots, and interval refinement to arbitrary width.
 Root isolation keeps every root strictly interior to its interval and every
 interval endpoint off the root set, which downstream threshold code relies
 on.
@@ -162,9 +162,6 @@ class Poly:
             for j, oc in enumerate(other.coeffs):
                 rem[i - dd + j] = rem[i - dd + j] - q * oc
         return Poly(quot), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -422,8 +419,8 @@ def _nonroot_point(sf: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     return point
 
 
-def isolate_real_roots(p: Poly) -> list[tuple[Interval, int]]:
-    """Isolating intervals for all real roots, ascending, with multiplicities.
+def isolate_real_roots(p: Poly) -> list[Interval]:
+    """Isolating intervals for the distinct real roots of p, ascending.
 
     Intervals are pairwise disjoint, endpoints are never roots, and each
     contains exactly one distinct root of p strictly inside.  Coefficients
@@ -442,7 +439,6 @@ def isolate_real_roots(p: Poly) -> list[tuple[Interval, int]]:
     p = Poly(normalized)
     if p.degree == 0:
         return []
-    decomp = squarefree_decomposition(p)
     sf = squarefree_part(p)
     seq = sturm_sequence(sf)
     bound = cauchy_root_bound(sf)
@@ -462,17 +458,7 @@ def isolate_real_roots(p: Poly) -> list[tuple[Interval, int]]:
         stack.append((mid, hi, count - left))
         stack.append((lo, mid, left))
     intervals.sort(key=lambda iv: iv.lo)
-    out: list[tuple[Interval, int]] = []
-    for iv in intervals:
-        mult = 0
-        for factor, k in decomp:
-            if factor.degree > 0 and _count_on(sturm_sequence(factor), iv.lo, iv.hi) == 1:
-                mult = k
-                break
-        if mult == 0:
-            raise ZeroPolynomial("internal: isolated interval matched no factor")
-        out.append((iv, mult))
-    return out
+    return intervals
 
 
 def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> Interval:

@@ -13,7 +13,8 @@ construction:
   det(M_d).  For d >= D the determinant no longer vanishes and the inertia
   of M_d is constant ("stable signature").
 
-Minor polynomials come from fraction-free elimination over Q[d]; root
+All n minor polynomials come from one pivot-free, fraction-free Bareiss
+pass over Q[d], whose pivots are the leading minors; distinct root
 locations from Sturm counts and bisection.  The final positive-definiteness
 and no-root checks are re-verified exactly before anything is returned.
 """
@@ -127,7 +128,7 @@ def _smallest_abs_root(p: Poly) -> tuple[Poly, Interval] | None:
     if not roots:
         return None
     positive: list[Interval] = []
-    for iv, _mult in roots:
+    for iv in roots:
         # even(0) = p(0)^2 != 0 here, so any interval straddling 0 can be
         # shrunk off it.
         while iv.lo < 0 < iv.hi:
@@ -201,11 +202,11 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
         while rho_interval.lo <= 0 or rho_interval.width >= rho_interval.lo / 1024:
             rho_interval = refine_root_interval(even, rho_interval, rho_interval.width / 4)
         epsilon = rho_interval.lo if rho_interval.lo < 1 else _EPSILON_CAP
-    _verify_epsilon(minors, epsilon, rho_interval)
+    _verify_epsilon(minors, epsilon)
     return epsilon, rho_interval
 
 
-def _verify_epsilon(minors: list[Poly], epsilon: Fraction, rho_interval: Interval | None) -> None:
+def _verify_epsilon(minors: list[Poly], epsilon: Fraction) -> None:
     if not (0 < epsilon < 1):
         raise VerificationFailed(f"epsilon {epsilon} outside (0, 1)")
     for k, p in enumerate(minors, start=1):
@@ -214,9 +215,6 @@ def _verify_epsilon(minors: list[Poly], epsilon: Fraction, rho_interval: Interva
                 raise VerificationFailed(f"minor {k} not positive at d = {point}")
         if p.degree > 0 and sturm_root_count(p, Interval(-epsilon, epsilon)) != 0:
             raise VerificationFailed(f"minor {k} vanishes inside [-{epsilon}, {epsilon}]")
-    if rho_interval is not None and epsilon == rho_interval.lo:
-        if not (epsilon >= rho_interval.lo / 2):
-            raise VerificationFailed("epsilon fell below half the rho lower bound")
 
 
 def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
@@ -243,7 +241,7 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
         raise VerificationFailed("no valid integer below the root bound")
     if not roots:
         return chosen, None
-    largest = roots[-1][0]
+    largest = roots[-1]
     while largest.hi >= chosen:
         largest = refine_root_interval(det, largest, largest.width / 4)
     if count_roots_above(det, largest.hi) != 0:

@@ -8,14 +8,21 @@ from fractions import Fraction
 import pytest
 
 from coxcert import (
-    SPECTRUM_TOLERANCE,
     circulant_identity_ok,
     cycle_complement,
+    evaluate_pencil,
+    gram_pencil,
     predicted_spectrum,
     verify_cycle_example,
 )
+from coxcert.cyclecheck import predicted_char_poly
+from coxcert.exactcore import char_poly
 
 F = Fraction
+
+# Bound on the printed float deviation of the refined roots from the cosines;
+# the spectrum verdict itself is the exact identity of predicted_char_poly.
+DEVIATION_BOUND = 1e-9
 
 
 def test_predicted_spectrum_n6_t1():
@@ -67,7 +74,7 @@ def test_verify_cycle_n5_pinned():
     assert rep.special_eigenvalue == F(-5)
     assert rep.special_is_root
     assert rep.spectrum_ok
-    assert rep.max_deviation <= SPECTRUM_TOLERANCE
+    assert rep.max_deviation <= DEVIATION_BOUND
     assert rep.ok
 
 
@@ -76,9 +83,28 @@ def test_verify_cycle_small_range():
         rep = verify_cycle_example(n)
         assert rep.ok, (n, rep)
         assert len(rep.matched_pairs) == 1 + n // 2
+        # distinct observed roots, paired with the predicted multiplicities
+        observed = [ov for _pv, ov, _mult in rep.matched_pairs]
+        assert observed == sorted(set(observed))
+        assert sum(mult for _pv, _ov, mult in rep.matched_pairs) == n
         third = 2 * (n // 3)
         assert rep.expected_signature.p == third
         assert rep.expected_signature.q == n - third
+
+
+def test_predicted_char_poly_is_exact():
+    # the identity behind spectrum_ok off the integers; verify_cycle_example
+    # checks it at D + 1 (test_acceptance criterion 6 covers n = 5..12)
+    cases = [(n, t) for n in range(5, 13) for t in (F(3, 2), F(7, 3))] + [(20, F(3, 2))]
+    for n, t in cases:
+        cp = char_poly(evaluate_pencil(gram_pencil(cycle_complement(n)), t))
+        assert cp == predicted_char_poly(n, t), (n, t)
+
+
+def test_predicted_char_poly_detects_a_wrong_point():
+    # the matrix at 3/2 does not satisfy the identity predicted at 7/3
+    cp = char_poly(evaluate_pencil(gram_pencil(cycle_complement(7)), F(3, 2)))
+    assert cp != predicted_char_poly(7, F(7, 3))
 
 
 def test_cycle_complement_guard():

@@ -145,26 +145,26 @@ def test_sturm_pinned_counts():
 def test_isolate_real_roots_pinned():
     p = Poly((-2, 0, 1))  # d^2 - 2
     roots = isolate_real_roots(p)
-    assert [mult for _iv, mult in roots] == [1, 1]
-    neg = refine_root_interval(p, roots[0][0], F(1, 100))
-    pos = refine_root_interval(p, roots[1][0], F(1, 100))
+    assert len(roots) == 2
+    neg = refine_root_interval(p, roots[0], F(1, 100))
+    pos = refine_root_interval(p, roots[1], F(1, 100))
     assert F(-2) < neg.lo and neg.hi < F(-1)
     assert F(1) < pos.lo and pos.hi < F(2)
     assert pos.lo ** 2 < 2 < pos.hi ** 2
 
     roots = isolate_real_roots(Poly((1, 0, -3, -2)))  # (1-2d)(1+d)^2
-    assert [mult for _iv, mult in roots] == [2, 1]
-    assert roots[0][0].lo < -1 < roots[0][0].hi or roots[0][0].contains(F(-1))
-    assert roots[1][0].contains(F(1, 2))
+    assert len(roots) == 2  # one interval per distinct root
+    assert roots[0].lo < -1 < roots[0].hi
+    assert roots[1].contains(F(1, 2))
 
     roots = isolate_real_roots(Poly((-3, 1)))  # d - 3
-    assert len(roots) == 1 and roots[0][1] == 1
-    assert roots[0][0].contains(F(3))
+    assert len(roots) == 1
+    assert roots[0].contains(F(3))
 
 
 def test_refine_root_interval_narrows():
     p = Poly((-2, 0, 1))
-    (iv, _mult) = isolate_real_roots(p)[1]
+    iv = isolate_real_roots(p)[1]
     tight = refine_root_interval(p, iv, F(1, 10**6))
     assert tight.width <= F(1, 10**6)
     assert tight.lo ** 2 < 2 < tight.hi ** 2
@@ -172,10 +172,20 @@ def test_refine_root_interval_narrows():
 
 def test_refine_keeps_exact_rational_root_interior():
     p = Poly((-1, 2))  # root exactly 1/2
-    [(iv, _)] = isolate_real_roots(p)
+    [iv] = isolate_real_roots(p)
     tight = refine_root_interval(p, iv, F(1, 1000))
     assert tight.lo < F(1, 2) < tight.hi
     assert tight.width <= F(1, 1000)
+
+
+def test_squarefree_decomposition_pinned():
+    # the multiplicities that root isolation used to report
+    assert squarefree_decomposition(Poly((-2, 0, 1))) == [(Poly((-2, 0, 1)), 1)]
+    assert squarefree_decomposition(Poly((1, 0, -3, -2))) == [
+        (Poly((F(-1, 2), 1)), 1),
+        (Poly((1, 1)), 2),
+    ]
+    assert squarefree_decomposition(Poly((-3, 1))) == [(Poly((-3, 1)), 1)]
 
 
 def test_squarefree_decomposition_multiplicity():

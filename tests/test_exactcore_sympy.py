@@ -1,0 +1,165 @@
+"""The exact kernels against sympy, an independent implementation.
+
+sympy is a test-only dependency: it computes block determinants, real roots
+with multiplicities, squarefree factorizations and characteristic
+polynomials by its own algorithms, and every comparison below is exact.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxcert import CoxeterDiagram, gram_pencil
+from coxcert.exactcore import (
+    Poly,
+    Signature,
+    bareiss_det,
+    char_poly,
+    isolate_real_roots,
+    leading_principal_minors,
+    signature_of,
+    squarefree_decomposition,
+)
+
+sp = pytest.importorskip("sympy")
+
+X = sp.Symbol("x")
+F = Fraction
+
+
+def _from_sympy(expr) -> Poly:
+    coeffs = sp.Poly(expr, X).all_coeffs()[::-1]
+    return Poly(tuple(F(int(c.p), int(c.q)) for c in coeffs))
+
+
+def _to_sympy(p: Poly):
+    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], X)
+
+
+def _rational(q: Fraction):
+    return sp.Rational(q.numerator, q.denominator)
+
+
+@st.composite
+def diagrams(draw, max_n=7):
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return CoxeterDiagram(n, frozenset(p for p, keep in zip(pairs, chosen) if keep))
+
+
+@st.composite
+def polys_with_repeated_roots(draw):
+    """Products of small integer factors raised to powers 1..3."""
+    factors = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=4),
+                st.integers(min_value=1, max_value=3),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    p = Poly((1,))
+    for coeffs, k in factors:
+        f = Poly(coeffs)
+        if f.degree >= 1:
+            p = p * f**k
+    return p
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(diagrams())
+def test_pencil_minors_match_sympy_block_determinants(g):
+    pencil = gram_pencil(g)
+    m = sp.Matrix(
+        g.n,
+        g.n,
+        lambda i, j: 1 if i == j else (-X if g.adjacent(i + 1, j + 1) else 0),
+    )
+    expected = [_from_sympy(m[:k, :k].det(method="berkowitz")) for k in range(1, g.n + 1)]
+    assert leading_principal_minors(pencil.entries) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+))
+def test_minors_of_integer_matrices_match_sympy(rows):
+    a = tuple(tuple(F(x) for x in row) for row in rows)
+    m = sp.Matrix(rows)
+    expected = [F(int(m[:k, :k].det())) for k in range(1, len(rows) + 1)]
+    assert bareiss_det(a) == expected[-1]  # with row swaps where a pivot vanishes
+    if 0 in expected[:-1]:
+        with pytest.raises(ValueError):
+            leading_principal_minors(a)
+    else:
+        assert leading_principal_minors(a) == expected
+
+
+def test_vanishing_leading_minor_raises():
+    with pytest.raises(ValueError, match="leading minor 1 vanishes"):
+        leading_principal_minors(((F(0), F(1)), (F(1), F(0))))
+    with pytest.raises(ValueError, match="leading minor 2 vanishes"):
+        leading_principal_minors(((F(1), F(1), F(0)), (F(1), F(1), F(0)), (F(0), F(0), F(1))))
+    # the last minor may vanish: it is returned, not raised
+    assert leading_principal_minors(((F(1), F(1)), (F(1), F(1)))) == [F(1), F(0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys_with_repeated_roots())
+def test_isolation_matches_sympy_real_roots(p):
+    intervals = isolate_real_roots(p)
+    roots = [r for r, _mult in sp.real_roots(_to_sympy(p), multiple=False)]
+    assert len(intervals) == len(roots)
+    for prev, iv in zip(intervals, intervals[1:]):
+        assert prev.hi <= iv.lo
+    for iv in intervals:
+        assert p(iv.lo) != 0 and p(iv.hi) != 0
+        lo, hi = _rational(iv.lo), _rational(iv.hi)
+        inside = [r for r in roots if bool(lo < r) and bool(r < hi)]
+        assert len(inside) == 1, (iv, roots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys_with_repeated_roots())
+def test_squarefree_decomposition_matches_sympy(p):
+    if p.degree < 1:
+        assert squarefree_decomposition(p) == []
+        return
+    _const, factors = sp.sqf_list(_to_sympy(p))
+    expected = sorted((k, _from_sympy(f.as_expr()).monic().coeffs) for f, k in factors)
+    got = sorted((k, f.coeffs) for f, k in squarefree_decomposition(p))
+    assert got == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_matrices())
+def test_char_poly_and_signature_match_sympy(a):
+    m = sp.Matrix([[_rational(x) for x in row] for row in a])
+    cp = m.charpoly(X)
+    assert char_poly(a) == _from_sympy(cp.as_expr())
+    counts = {1: 0, -1: 0, 0: 0}
+    for r, mult in sp.real_roots(cp, multiple=False):
+        counts[1 if bool(r > 0) else -1 if bool(r < 0) else 0] += mult
+    assert signature_of(a) == Signature(counts[1], counts[-1], counts[0])

@@ -28,6 +28,8 @@ from coxcert import (
 )
 from coxcert.errors import DegenerateAtD
 
+from _suite import acceptance_suite
+
 F = Fraction
 
 K3 = CoxeterDiagram(3, frozenset({(1, 2), (1, 3), (2, 3)}))
@@ -162,3 +164,37 @@ def test_positive_definite_inside_epsilon_band():
     for t in (F(0), eps / 2, -eps / 2, eps * F(99, 100)):
         minors = [p(t) for p in minor_polynomials(pencil)]
         assert all(v > 0 for v in minors)
+
+
+K7_PENDANT = CoxeterDiagram(
+    8, frozenset({(i, j) for i in range(1, 8) for j in range(i + 1, 8)} | {(1, 8)})
+)
+TIE6 = CoxeterDiagram(6, frozenset({(1, 4), (2, 6), (3, 4)}))
+TIE7 = CoxeterDiagram(7, frozenset({(1, 3), (1, 4), (2, 3), (6, 7)}))
+
+# "epsilon rho-interval D largest-root-interval signature", all certificate
+# bytes: epsilon and rho depend on how the interval of the minimum is refined
+# against every minor's candidate, not only on the value of rho.
+PINNED_THRESHOLDS = {
+    "K3": (K3, "4095/8192 [4095/8192, 32769/65536] 1 [3/8, 3/4] (2, 1, 0)"),
+    "cc5": (cycle_complement(5), "65535/131072 [65535/131072, 4097/8192] 2 [25/16, 15/8] (2, 3, 0)"),
+    "cc8": (cycle_complement(8), "131031/655360 [131031/655360, 327681/1638400] 3 [17/8, 51/20] (4, 4, 0)"),
+    "rand05": (
+        dict(acceptance_suite())["rand05"],
+        "92231/262144 [92231/262144, 369073/1048576] 1 [7/16, 7/8] (4, 2, 0)",
+    ),
+    # rho is the Perron root of the clique, but a det-only rho changes both
+    # epsilon and the interval here
+    "K7+pendant": (K7_PENDANT, "543931/3276800 [543931/3276800, 43521/262144] 2 [289/160, 153/80] (6, 2, 0)"),
+    # disconnected, with the minimum shared by several minors
+    "tie6": (TIE6, "2895/4096 [2895/4096, 5793/8192] 2 [15/16, 5/4] (4, 2, 0)"),
+    "tie7": (TIE7, "2531/4096 [2531/4096, 633/1024] 2 [25/16, 15/8] (4, 3, 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_THRESHOLDS))
+def test_threshold_bytes_pinned(name):
+    g, expected = PINNED_THRESHOLDS[name]
+    rep = threshold_report(gram_pencil(g))
+    got = f"{rep.epsilon} {rep.rho_interval} {rep.d_value} {rep.largest_root_interval} {rep.signature}"
+    assert got == expected

@@ -28,7 +28,7 @@ from coxcert import (
     verify_relations,
 )
 from coxcert.errors import Disconnected, SameVertex
-from coxcert.exactcore import leading_principal_minors, mat_eq, mat_mul, quad_sign, transpose
+from coxcert.exactcore import bareiss_det, leading_principal_minors, mat_eq, mat_mul, quad_sign, transpose
 from coxcert.vinberg import reflection_actions, times_reflection
 
 from _suite import acceptance_suite, suite_thresholds, suite_unit
@@ -174,7 +174,14 @@ def test_conjugate_form_indefinite_above_epsilon():
     rep = compact_conjugate_check(g, UnitValue(fundamental_pell(2), 1, QuadElem(1, 1, 2)))
     assert not rep.positive_definite
     assert not rep.ok
-    assert not all(quad_sign(p) > 0 for p in leading_principal_minors(rep.conj_form))
+    # Bareiss oracle, one block at a time: the 7th leading minor vanishes at
+    # this tau, so the one-pass elimination of leading_principal_minors stops
+    form = rep.conj_form
+    blocks = [bareiss_det(tuple(row[:k] for row in form[:k])) for k in range(1, len(form) + 1)]
+    assert not all(quad_sign(p) > 0 for p in blocks)
+    assert blocks[6] == 0
+    with pytest.raises(ValueError, match="leading minor 7 vanishes"):
+        leading_principal_minors(form)
 
 
 def test_certificate_end_to_end_k3():
