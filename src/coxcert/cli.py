@@ -24,8 +24,8 @@ import sys
 from fractions import Fraction
 
 from .cyclecheck import verify_cycle_example
-from .diagram import cycle_complement, parse_diagram, serialize_diagram
-from .errors import CoxcertError, InputError
+from .diagram import MAX_VERTICES, cycle_complement, parse_diagram, serialize_diagram
+from .errors import CoxcertError, InputError, TooManyVertices
 from .exactcore import Interval, QuadElem, quad_sign
 from .gram import d_threshold, gram_pencil, threshold_report
 from .liealg import bracket_closure_density
@@ -278,6 +278,8 @@ def cmd_words(args) -> int:
 
 
 def cmd_cycle(args) -> int:
+    if args.n > MAX_VERTICES:
+        raise TooManyVertices(f"--n must be at most {MAX_VERTICES}, got {args.n}")
     report = verify_cycle_example(args.n)
     print(serialize_diagram(cycle_complement(args.n)), end="")
     print(f"D: {report.d_value}")
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("cycle", help="closed-form checks for cycle_complement(n)")
-    p.add_argument("--n", type=int, required=True, help="number of vertices (at least 5)")
+    p.add_argument("--n", type=int, required=True, help=f"number of vertices (5 to {MAX_VERTICES})")
     p.set_defaults(func=cmd_cycle)
 
     return parser

@@ -106,7 +106,7 @@ class CycleReport:
 def _observed_roots(cp: Poly) -> list:
     """The distinct real roots of cp as floats, ascending."""
     sf = squarefree_part(cp)
-    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in isolate_real_roots(cp)]
+    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in isolate_real_roots(sf)]
 
 
 def predicted_char_poly(n: int, t) -> Poly:
@@ -135,7 +135,7 @@ def verify_cycle_example(n: int) -> CycleReport:
 
     identity_ok = circulant_identity_ok(n)
 
-    signature = stable_signature(pencil, d_value)
+    signature = stable_signature(pencil)
     third = 2 * (n // 3)
     expected = Signature(third, n - third, 0)
     signature_ok = signature == expected

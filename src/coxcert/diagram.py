@@ -12,8 +12,8 @@ The text format accepted by ``parse_diagram`` is the CLI's diagram format:
     edge 1 3
     edge 2 4
 
-First non-comment line declares the vertex count; each following line adds
-one edge with 1 <= i < j <= n.
+First non-comment line declares the vertex count, 3 <= n <= MAX_VERTICES;
+each following line adds one edge with 1 <= i < j <= n.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ from .errors import (
     IndexOutOfRange,
     NTooSmall,
     TooFewVertices,
+    TooManyVertices,
 )
+
+# Cap on n for untrusted input: the exact pipeline needs tens of seconds at
+# n = 32, and its cost grows far faster than n beyond that.
+MAX_VERTICES = 32
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,8 @@ def parse_diagram(text) -> CoxeterDiagram:
                 raise DiagramSyntaxError(lineno, f"bad vertex count {parts[1]!r}") from None
             if n < 3:
                 raise TooFewVertices(f"line {lineno}: need at least 3 vertices, got {n}")
+            if n > MAX_VERTICES:
+                raise TooManyVertices(f"line {lineno}: at most {MAX_VERTICES} vertices, got {n}")
             continue
         if parts[0] != "edge" or len(parts) != 3:
             raise DiagramSyntaxError(lineno, f"expected 'edge <i> <j>', got {line!r}")

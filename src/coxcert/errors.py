@@ -37,6 +37,10 @@ class TooFewVertices(InputError):
     """Diagrams need at least 3 vertices."""
 
 
+class TooManyVertices(InputError):
+    """More vertices than diagram.MAX_VERTICES, the cap on untrusted input."""
+
+
 class NTooSmall(InputError):
     """Cycle complements need at least 5 vertices."""
 
@@ -83,10 +87,6 @@ class UnexpectedDimension(CoxcertError):
 
 class VerificationFailed(CoxcertError):
     """An internal consistency re-check failed; indicates a bug."""
-
-
-class DegenerateAtD(VerificationFailed):
-    """The pencil is singular at the chosen integer evaluation point."""
 
 
 class InequalityFailed(CoxcertError):

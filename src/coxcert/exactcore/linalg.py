@@ -3,9 +3,11 @@
 Matrices are immutable tuples of row tuples.  Everything here is decided by
 exact arithmetic: determinants come from fraction-free Bareiss elimination
 (whose divisions are exact over any integral domain, so polynomial matrices
-work too), characteristic polynomials from the Faddeev-LeVerrier recursion
-(divisions by 1..n, exact in characteristic zero), and inertia signatures
-from Sturm counts on the characteristic polynomial.
+work too), characteristic polynomials of rational matrices from the
+Faddeev-LeVerrier recursion (divisions by 1..n, exact in characteristic
+zero), and inertia signatures from Sturm counts on the characteristic
+polynomial.  The package reads the stable signature off det M_d instead
+(gram.stable_signature); signature_of is kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -140,11 +142,10 @@ def leading_principal_minors(a: Matrix) -> list:
 
 
 def char_poly(a: Matrix) -> Poly:
-    """det(x*I - a) via Faddeev-LeVerrier; coefficients share a's entry type."""
+    """det(x*I - a) of a rational matrix via Faddeev-LeVerrier."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial needs a square matrix")
-    _check_single_radicand(a)
     desc = [1]
     mk = a
     ck = -trace(mk)
@@ -179,7 +180,7 @@ class Signature:
 
 
 def signature_of(a: Matrix) -> Signature:
-    """Exact inertia of a symmetric matrix via Sturm counts.
+    """Exact inertia of a symmetric rational matrix via Sturm counts.
 
     Eigenvalues of a symmetric matrix are real, so p = number of roots of
     the characteristic polynomial in (0, inf) counted with multiplicity,

@@ -1,10 +1,12 @@
-"""Dense univariate polynomials over an exact field, with real-root tools.
+"""Dense univariate polynomials over Q, with real-root tools.
 
-Coefficients may be Fraction or QuadElem (any exact type supporting field
-operations and an exact sign via quad_sign).  On top of the arithmetic this
-module provides Sturm sequences, distinct-root counting over intervals and
-half-lines, squarefree (Yun) decomposition, bisection-based isolation of
-the distinct real roots, and interval refinement to arbitrary width.
+Coefficients are Fractions; a polynomial can be evaluated at any exact
+point that supports ring operations (Fraction, QuadElem, Poly).  On top of
+the arithmetic this module provides Sturm sequences, distinct-root counting
+over intervals and half-lines, squarefree (Yun) decomposition,
+bisection-based isolation of the distinct real roots, and interval
+refinement to arbitrary width.  None of the root tools needs a squarefree
+input: Sturm's theorem counts distinct roots of any nonzero polynomial.
 Root isolation keeps every root strictly interior to its interval and every
 interval endpoint off the root set, which downstream threshold code relies
 on.
@@ -18,7 +20,7 @@ from functools import reduce
 from math import gcd as int_gcd
 
 from ..errors import EndpointIsRoot, ZeroPolynomial
-from .quadratic import QuadElem, quad_sign
+from .quadratic import quad_sign
 
 
 def _lcm(a: int, b: int) -> int:
@@ -60,7 +62,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.coeffs
             return len(self.coeffs) == 1 and self.coeffs[0] == other
@@ -87,7 +89,7 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
@@ -105,7 +107,7 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
@@ -115,7 +117,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
@@ -143,7 +145,7 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly"):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -170,9 +172,6 @@ class Poly:
         """Exact division; raises if the remainder is nonzero."""
         if isinstance(other, (int, Fraction)):
             inv = Fraction(1) / Fraction(other)
-            return Poly(tuple(c * inv for c in self.coeffs))
-        if isinstance(other, QuadElem):
-            inv = other.inverse()
             return Poly(tuple(c * inv for c in self.coeffs))
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -204,20 +203,12 @@ class Poly:
         """Rescale by a positive rational so coefficients are small integers.
 
         Preserves the sign pattern and root set exactly; used to keep Sturm
-        remainder chains from ballooning.  QuadElem coefficients are rescaled
-        through their rational coordinates.
+        remainder chains from ballooning.
         """
         if not self.coeffs:
             return self
-        fracs: list[Fraction] = []
-        for c in self.coeffs:
-            if isinstance(c, QuadElem):
-                fracs.append(c.a)
-                fracs.append(c.b)
-            else:
-                fracs.append(Fraction(c))
-        denom = reduce(_lcm, (f.denominator for f in fracs), 1)
-        numer = reduce(int_gcd, (abs(f.numerator) for f in fracs), 0)
+        denom = reduce(_lcm, (c.denominator for c in self.coeffs), 1)
+        numer = reduce(int_gcd, (abs(c.numerator) for c in self.coeffs), 0)
         if numer == 0:
             return self
         scale = Fraction(denom, numer)
@@ -313,7 +304,12 @@ class Interval:
 
 
 def sturm_sequence(f: Poly) -> list[Poly]:
-    """Sturm chain of a squarefree polynomial (primitive-rescaled)."""
+    """Sturm chain f, f', -rem, ... (primitive-rescaled).
+
+    For a non-squarefree f the chain ends in gcd(f, f'), which divides every
+    member and is nonzero off the roots of f, so sign variations at such
+    points are those of the squarefree part's chain.
+    """
     seq = [f.primitive()]
     d = f.derivative()
     if not d.is_zero():
@@ -363,20 +359,18 @@ def sturm_root_count(p: Poly, interval: Interval | None = None) -> int:
     """Count distinct real roots of p, on the whole line or inside an interval.
 
     Endpoints must not be roots (EndpointIsRoot otherwise); the count is of
-    roots strictly between them.  Multiplicities are ignored: counting runs
-    on the squarefree part.
+    roots strictly between them, each counted once whatever its multiplicity.
     """
     if p.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial")
     if p.degree == 0:
         return 0
-    sf = squarefree_part(p)
     if interval is not None:
-        if sf(interval.lo) == 0:
+        if p(interval.lo) == 0:
             raise EndpointIsRoot(f"left endpoint {interval.lo} is a root")
-        if sf(interval.hi) == 0:
+        if p(interval.hi) == 0:
             raise EndpointIsRoot(f"right endpoint {interval.hi} is a root")
-    seq = sturm_sequence(sf)
+    seq = sturm_sequence(p)
     if interval is None:
         return _count_on(seq, None, None)
     return _count_on(seq, interval.lo, interval.hi)
@@ -388,10 +382,9 @@ def count_roots_above(p: Poly, a: Fraction) -> int:
         raise ZeroPolynomial("root count of the zero polynomial")
     if p.degree == 0:
         return 0
-    sf = squarefree_part(p)
-    if sf(a) == 0:
+    if p(a) == 0:
         raise EndpointIsRoot(f"endpoint {a} is a root")
-    return _count_on(sturm_sequence(sf), a, None)
+    return _count_on(sturm_sequence(p), a, None)
 
 
 # -- root isolation ----------------------------------------------------------
@@ -401,19 +394,19 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     """B with every real root of p strictly inside (-B, B)."""
     if p.is_zero():
         raise ZeroPolynomial("root bound of the zero polynomial")
-    lead = abs(Fraction(p.coeffs[-1]))
+    lead = abs(p.coeffs[-1])
     if p.degree == 0:
         return Fraction(1)
-    biggest = max(abs(Fraction(c)) for c in p.coeffs[:-1])
+    biggest = max(abs(c) for c in p.coeffs[:-1])
     return Fraction(1) + biggest / lead
 
 
-def _nonroot_point(sf: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point near the middle of (lo, hi) that is not a root of sf."""
+def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    """A point near the middle of (lo, hi) that is not a root of p."""
     width = hi - lo
     point = lo + width / 2
     step = width / 4
-    while sf(point) == 0:
+    while p(point) == 0:
         point = point + step
         step = step / 2
     return point
@@ -423,25 +416,16 @@ def isolate_real_roots(p: Poly) -> list[Interval]:
     """Isolating intervals for the distinct real roots of p, ascending.
 
     Intervals are pairwise disjoint, endpoints are never roots, and each
-    contains exactly one distinct root of p strictly inside.  Coefficients
-    must be rational (isolation is only ever needed over Q here).
+    contains exactly one distinct root of p strictly inside.  The bisection
+    depends on p itself (its Cauchy bound and Sturm chain), so callers that
+    want the intervals of a squarefree part pass that part.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    normalized = []
-    for c in p.coeffs:
-        if isinstance(c, QuadElem):
-            if not c.is_rational():
-                raise TypeError("root isolation expects rational coefficients")
-            normalized.append(c.as_fraction())
-        else:
-            normalized.append(Fraction(c))
-    p = Poly(normalized)
     if p.degree == 0:
         return []
-    sf = squarefree_part(p)
-    seq = sturm_sequence(sf)
-    bound = cauchy_root_bound(sf)
+    seq = sturm_sequence(p)
+    bound = cauchy_root_bound(p)
     total = _count_on(seq, -bound, bound)
     intervals: list[Interval] = []
     stack = [(-bound, bound, total)]
@@ -452,7 +436,7 @@ def isolate_real_roots(p: Poly) -> list[Interval]:
         if count == 1:
             intervals.append(Interval(lo, hi))
             continue
-        mid = _nonroot_point(sf, lo, hi)
+        mid = _nonroot_point(p, lo, hi)
         left = _count_on(seq, lo, mid)
         # Right side first so the stack pops left-to-right.
         stack.append((mid, hi, count - left))
@@ -464,24 +448,24 @@ def isolate_real_roots(p: Poly) -> list[Interval]:
 def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> Interval:
     """Shrink an isolating interval below max_width, root kept strictly inside.
 
-    The interval must isolate exactly one root of p with non-root endpoints
-    (as produced by isolate_real_roots).  If bisection lands on the root
+    The interval must isolate exactly one root of p, of odd multiplicity, with
+    non-root endpoints (as isolate_real_roots produces for a squarefree p):
+    bisection follows the sign change of p.  If bisection lands on the root
     exactly, a tight interval straddling it is returned instead of a point.
     """
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    sf = squarefree_part(p)
     lo, hi = interval.lo, interval.hi
-    s_lo = quad_sign(sf(lo))
-    s_hi = quad_sign(sf(hi))
+    s_lo = quad_sign(p(lo))
+    s_hi = quad_sign(p(hi))
     if s_lo == 0 or s_hi == 0:
         raise EndpointIsRoot("refinement endpoints must not be roots")
     if s_lo == s_hi:
-        raise ValueError("interval does not isolate a sign change of the squarefree part")
+        raise ValueError("p does not change sign on the interval")
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        s_mid = quad_sign(sf(mid))
+        s_mid = quad_sign(p(mid))
         if s_mid == 0:
             # Rational root hit dead on; return a snug interval around it.
             radius = min(max_width / 2, (mid - lo) / 2, (hi - mid) / 2)

@@ -11,7 +11,8 @@ construction:
   until the first root).
 * D: the smallest integer >= 1 strictly greater than every real root of
   det(M_d).  For d >= D the determinant no longer vanishes and the inertia
-  of M_d is constant ("stable signature").
+  of M_d is constant ("stable signature"); it is read off the signs of
+  det(M_d)'s coefficients.
 
 All n minor polynomials come from one pivot-free, fraction-free Bareiss
 pass over Q[d], whose pivots are the leading minors; distinct root
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import CoxeterDiagram
-from .errors import DegenerateAtD, VerificationFailed
+from .errors import VerificationFailed
 from .exactcore import (
     Interval,
     Poly,
@@ -39,7 +40,6 @@ from .exactcore import (
     poly_gcd,
     quad_sign,
     refine_root_interval,
-    signature_of,
     sturm_root_count,
     squarefree_part,
 )
@@ -118,29 +118,20 @@ def _smallest_abs_root(p: Poly) -> tuple[Poly, Interval] | None:
     """Isolate min |root| of p as the smallest positive root of p(d)p(-d).
 
     Returns (squarefree even polynomial, isolating interval) or None when p
-    has no real roots.
+    has no real roots.  even(0) = p(0)^2 = 1 and the roots of even are
+    symmetric, so isolation splits its symmetric Cauchy interval first at 0
+    and no isolating interval straddles 0.
     """
     if p.degree < 1:
         return None
     mirrored = Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
     even = squarefree_part(p * mirrored)
-    roots = isolate_real_roots(even)
-    if not roots:
-        return None
-    positive: list[Interval] = []
-    for iv in roots:
-        # even(0) = p(0)^2 != 0 here, so any interval straddling 0 can be
-        # shrunk off it.
-        while iv.lo < 0 < iv.hi:
-            iv = refine_root_interval(even, iv, iv.width / 4)
-        if iv.lo >= 0 and iv.hi > 0:
+    for iv in isolate_real_roots(even):
+        if iv.lo >= 0:
             while iv.lo == 0:
                 iv = refine_root_interval(even, iv, iv.width / 4)
-            positive.append(iv)
-    if not positive:
-        return None
-    positive.sort(key=lambda iv: iv.lo)
-    return even, positive[0]
+            return even, iv
+    return None
 
 
 def _gcd_root_in_overlap(common: Poly, lo: Fraction, hi: Fraction) -> bool:
@@ -222,19 +213,23 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
 
     D = max(1, smallest integer strictly greater than every real root of
     det M_d).  Certified by a Sturm count of zero on (L, infinity) for a
-    rational L strictly between the largest root and D.
+    rational L strictly between the largest root and D.  Roots are isolated
+    and refined on the squarefree part, since det can have multiple roots
+    (cycle complements have double ones) and refinement follows a sign
+    change.
     """
     det = minor_polynomials(pencil)[-1]
     if det.degree < 1:
         return 1, None
-    roots = isolate_real_roots(det)
+    sf = squarefree_part(det)
+    roots = isolate_real_roots(sf)
     limit = int(cauchy_root_bound(det)) + 2
     chosen = None
     for candidate in range(1, limit + 1):
         point = Fraction(candidate)
-        if det(point) == 0:
+        if sf(point) == 0:
             continue
-        if count_roots_above(det, point) == 0:
+        if count_roots_above(sf, point) == 0:
             chosen = candidate
             break
     if chosen is None:
@@ -243,24 +238,29 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
         return chosen, None
     largest = roots[-1]
     while largest.hi >= chosen:
-        largest = refine_root_interval(det, largest, largest.width / 4)
-    if count_roots_above(det, largest.hi) != 0:
+        largest = refine_root_interval(sf, largest, largest.width / 4)
+    if count_roots_above(sf, largest.hi) != 0:
         raise VerificationFailed("roots remain above the refined largest-root interval")
     return chosen, largest
 
 
-def stable_signature(pencil: GramPencil, d_value: int | None = None) -> Signature:
-    """Exact inertia of M_D (constant for all d >= D).
+def stable_signature(pencil: GramPencil) -> Signature:
+    """Exact inertia of M_d for every d >= D, by Descartes' rule on det M_d.
 
-    Raises DegenerateAtD if the pencil is singular at D, which d_threshold
-    rules out.
+    M_d = I - d*A with A the symmetric adjacency matrix, so
+    det M_d = prod(1 - d*lambda_i) over A's real eigenvalues: det is
+    real-rooted with constant term 1, and its positive roots, counted with
+    multiplicity, are the 1/lambda_i with lambda_i > 0.  Once d is past every
+    root, 1 - d*lambda_i is negative exactly for those lambda_i and positive
+    for the rest, so M_d is nonsingular with q negative eigenvalues, q the
+    number of positive roots.  Descartes' rule bounds that number by the
+    sign changes of the coefficient sequence, with an even deficit that
+    vanishes for real-rooted polynomials, so q is exactly that count.
     """
-    if d_value is None:
-        d_value = d_threshold(pencil)[0]
-    sig = signature_of(evaluate_pencil(pencil, Fraction(d_value)))
-    if sig.z != 0:
-        raise DegenerateAtD(f"pencil singular at d = {d_value}")
-    return sig
+    det = minor_polynomials(pencil)[-1]
+    signs = [c > 0 for c in det.coeffs if c != 0]
+    q = sum(a != b for a, b in zip(signs, signs[1:]))
+    return Signature(pencil.n - q, q, 0)
 
 
 @dataclass(frozen=True)
@@ -277,5 +277,5 @@ class ThresholdReport:
 def threshold_report(pencil: GramPencil) -> ThresholdReport:
     epsilon, rho_interval = epsilon_threshold(pencil)
     d_value, largest = d_threshold(pencil)
-    sig = stable_signature(pencil, d_value)
+    sig = stable_signature(pencil)
     return ThresholdReport(epsilon, rho_interval, d_value, largest, sig)

@@ -302,7 +302,7 @@ def build_embedding_certificate(
     pencil = gram_pencil(g)
     epsilon, rho_interval = epsilon_threshold(pencil)
     d_value, largest = d_threshold(pencil)
-    sig = stable_signature(pencil, d_value)
+    sig = stable_signature(pencil)
     timings["thresholds"] = clock() - start
 
     start = clock()

@@ -219,6 +219,27 @@ def test_cycle_too_small_is_usage_error(capsys):
     assert main(["cycle", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, stdin",
+    [(["analyze", "-"], "n 100000\n"), (["cycle", "--n", "100000"], "")],
+    ids=["analyze", "cycle"],
+)
+def test_huge_vertex_count_is_usage_error_without_work(args, stdin):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxcert", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "at most 32" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_script_entry_point():
     import subprocess
     import sys

@@ -11,6 +11,7 @@ from coxcert.errors import (
     IndexOutOfRange,
     NTooSmall,
     TooFewVertices,
+    TooManyVertices,
 )
 
 
@@ -55,6 +56,9 @@ def test_parse_errors():
         parse_diagram("n 3\nedge 1 2\nedge 1 2\n")
     with pytest.raises(TooFewVertices):
         parse_diagram("n 2\n")
+    with pytest.raises(TooManyVertices):
+        parse_diagram("n 33\n")
+    assert parse_diagram("n 32\n").n == 32
 
 
 def test_syntax_error_reports_line_number():

@@ -242,14 +242,6 @@ def test_signature_pinned():
     assert signature_of(k3_at_1) == Signature(2, 1, 0)
 
 
-def test_signature_of_quadratic_entries():
-    m = (
-        (QuadElem(1, 1, 2), QuadElem(0, 0, 2)),
-        (QuadElem(0, 0, 2), QuadElem(1, -1, 2)),
-    )
-    assert signature_of(m) == Signature(1, 1, 0)
-
-
 def test_signature_components_sum_to_n():
     mats = [
         ((F(0), F(1)), (F(1), F(0))),

@@ -3,6 +3,8 @@
 sympy is a test-only dependency: it computes block determinants, real roots
 with multiplicities, squarefree factorizations and characteristic
 polynomials by its own algorithms, and every comparison below is exact.
+The root kernels run here on polynomials with repeated roots, which their
+callers never pass, to pin that none of them needs a squarefree input.
 """
 
 from __future__ import annotations
@@ -10,19 +12,30 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coxcert import CoxeterDiagram, gram_pencil
+from coxcert import (
+    CoxeterDiagram,
+    cycle_complement,
+    d_threshold,
+    evaluate_pencil,
+    gram_pencil,
+    stable_signature,
+)
 from coxcert.exactcore import (
+    Interval,
     Poly,
     Signature,
     bareiss_det,
     char_poly,
+    count_roots_above,
     isolate_real_roots,
     leading_principal_minors,
+    refine_root_interval,
     signature_of,
     squarefree_decomposition,
+    sturm_root_count,
 )
 
 sp = pytest.importorskip("sympy")
@@ -42,6 +55,15 @@ def _to_sympy(p: Poly):
 
 def _rational(q: Fraction):
     return sp.Rational(q.numerator, q.denominator)
+
+
+def _sympy_inertia(a) -> Signature:
+    """Eigenvalue sign counts from sympy's real roots of the char poly."""
+    cp = sp.Matrix([[_rational(x) for x in row] for row in a]).charpoly(X)
+    counts = {1: 0, -1: 0, 0: 0}
+    for r, mult in sp.real_roots(cp, multiple=False):
+        counts[1 if bool(r > 0) else -1 if bool(r < 0) else 0] += mult
+    return Signature(counts[1], counts[-1], counts[0])
 
 
 @st.composite
@@ -141,6 +163,34 @@ def test_isolation_matches_sympy_real_roots(p):
         assert len(inside) == 1, (iv, roots)
 
 
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys_with_repeated_roots(), rationals, rationals)
+def test_root_counts_match_sympy_distinct_roots(p, a, b):
+    assume(p.degree >= 1 and a < b and p(a) != 0 and p(b) != 0)
+    roots = [r for r, _mult in sp.real_roots(_to_sympy(p), multiple=False)]
+    lo, hi = _rational(a), _rational(b)
+    assert sturm_root_count(p, None) == len(roots)
+    assert sturm_root_count(p, Interval(a, b)) == sum(bool(lo < r) and bool(r < hi) for r in roots)
+    assert count_roots_above(p, a) == sum(bool(r > lo) for r in roots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys_with_repeated_roots())
+def test_refinement_needs_an_odd_multiplicity(p):
+    roots = sp.real_roots(_to_sympy(p), multiple=False)
+    for iv, (root, mult) in zip(isolate_real_roots(p), roots):
+        if mult % 2 == 0:
+            with pytest.raises(ValueError, match="does not change sign"):
+                refine_root_interval(p, iv, iv.width / 8)
+            continue
+        tight = refine_root_interval(p, iv, iv.width / 8)
+        assert tight.width <= iv.width / 8
+        assert bool(_rational(tight.lo) < root) and bool(root < _rational(tight.hi))
+
+
 @settings(max_examples=30, deadline=None)
 @given(polys_with_repeated_roots())
 def test_squarefree_decomposition_matches_sympy(p):
@@ -159,7 +209,19 @@ def test_char_poly_and_signature_match_sympy(a):
     m = sp.Matrix([[_rational(x) for x in row] for row in a])
     cp = m.charpoly(X)
     assert char_poly(a) == _from_sympy(cp.as_expr())
-    counts = {1: 0, -1: 0, 0: 0}
-    for r, mult in sp.real_roots(cp, multiple=False):
-        counts[1 if bool(r > 0) else -1 if bool(r < 0) else 0] += mult
-    assert signature_of(a) == Signature(counts[1], counts[-1], counts[0])
+    assert signature_of(a) == _sympy_inertia(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(diagrams())
+@example(CoxeterDiagram(4, frozenset({(1, 2), (3, 4)})))
+@example(cycle_complement(5))
+def test_stable_signature_is_the_inertia_at_d(g):
+    # includes disconnected, edgeless and singular-adjacency diagrams, where
+    # det M_d has degree below n; the two examples give det M_d a double
+    # positive root, which a count of distinct roots would miss
+    pencil = gram_pencil(g)
+    at_d = evaluate_pencil(pencil, d_threshold(pencil)[0])
+    sig = stable_signature(pencil)
+    assert sig == signature_of(at_d)
+    assert sig == _sympy_inertia(at_d)
