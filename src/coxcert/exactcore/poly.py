@@ -1,15 +1,20 @@
 """Dense univariate polynomials over Q, with real-root tools.
 
-Coefficients are Fractions; a polynomial can be evaluated at any exact
-point that supports ring operations (Fraction, QuadElem, Poly).  On top of
+Coefficients are exact rationals, kept as Python ints whenever they are
+integral and as Fractions only otherwise; no operation ever yields a float.
+The pencil's minors and every Sturm chain member lie in Z[x], so their
+arithmetic runs on ints.  A polynomial can be evaluated at any exact point
+that supports ring operations (int, Fraction, QuadElem, Poly).  On top of
 the arithmetic this module provides Sturm sequences, distinct-root counting
 over intervals and half-lines, squarefree (Yun) decomposition,
 bisection-based isolation of the distinct real roots, and interval
-refinement to arbitrary width.  None of the root tools needs a squarefree
-input: Sturm's theorem counts distinct roots of any nonzero polynomial.
-Root isolation keeps every root strictly interior to its interval and every
-interval endpoint off the root set, which downstream threshold code relies
-on.
+refinement to arbitrary width.  Sturm chains are built by sign-preserving
+pseudo-division into primitive members, so the chain and its signs at a
+rational point (homogenized Horner) need integers only.  None of the root
+tools needs a squarefree input: Sturm's theorem counts distinct roots of
+any nonzero polynomial.  Root isolation keeps every root strictly interior
+to its interval and every interval endpoint off the root set, which
+downstream threshold code relies on.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd as int_gcd
+from typing import Iterator
 
 from ..errors import EndpointIsRoot, ZeroPolynomial
 from .quadratic import quad_sign
@@ -27,13 +33,22 @@ def _lcm(a: int, b: int) -> int:
     return a // int_gcd(a, b) * b
 
 
+def _exact_div(c, s):
+    """c / s for rationals c and s: an int when s divides c, else a Fraction."""
+    if c.__class__ is int and s.__class__ is int and not c % s:
+        return c // s
+    return Fraction(c) / s
+
+
 class Poly:
     """Polynomial as an ascending coefficient tuple (zero poly is empty)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        cs = [
+            c.numerator if c.__class__ is Fraction and c.denominator == 1 else c for c in coeffs
+        ]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -123,11 +138,10 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                prod = a * b
-                out[i + j] = prod if out[i + j] is None else out[i + j] + prod
+            for j, b in enumerate(other.coeffs, i):
+                out[j] += a * b
         return Poly(out)
 
     __rmul__ = __mul__
@@ -135,7 +149,7 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = Poly((Fraction(1),))
+        result = Poly((1,))
         base = self
         while k:
             if k & 1:
@@ -159,20 +173,18 @@ class Poly:
             c = rem[i]
             if c == 0:
                 continue
-            q = c / lead
+            q = _exact_div(c, lead)
             quot[i - dd] = q
             for j, oc in enumerate(other.coeffs):
                 rem[i - dd + j] = rem[i - dd + j] - q * oc
         return Poly(quot), Poly(rem)
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __truediv__(self, other):
         """Exact division; raises if the remainder is nonzero."""
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / Fraction(other)
-            return Poly(tuple(c * inv for c in self.coeffs))
+            if other == 0:
+                raise ZeroDivisionError("polynomial division by zero")
+            return Poly(tuple(_exact_div(c, other) for c in self.coeffs))
         q, r = divmod(self, other)
         if not r.is_zero():
             raise ValueError("inexact polynomial division")
@@ -200,28 +212,51 @@ class Poly:
         return self / lead
 
     def primitive(self) -> "Poly":
-        """Rescale by a positive rational so coefficients are small integers.
+        """Rescale by a positive rational to coprime integer coefficients.
 
         Preserves the sign pattern and root set exactly; used to keep Sturm
-        remainder chains from ballooning.
+        remainder chains from ballooning and to take signs in integers.
         """
         if not self.coeffs:
             return self
         denom = reduce(_lcm, (c.denominator for c in self.coeffs), 1)
-        numer = reduce(int_gcd, (abs(c.numerator) for c in self.coeffs), 0)
-        if numer == 0:
+        numer = reduce(int_gcd, (c.numerator for c in self.coeffs), 0)
+        if denom == 1 and numer == 1:
             return self
-        scale = Fraction(denom, numer)
-        if scale == 1:
-            return self
-        return Poly(tuple(c * scale for c in self.coeffs))
+        return Poly(tuple(c.numerator * (denom // c.denominator) // numer for c in self.coeffs))
+
+
+def _positive_remainder(a: Poly, b: Poly) -> Poly:
+    """|lead(b)|^k * (a mod b) for some k >= 0, by pseudo-division.
+
+    Each step scales the running remainder by |lead(b)| before cancelling
+    its top term, so the quotient digits need no division and integer
+    inputs stay integer; the positive factor keeps every sign, and the
+    primitive part is that of a mod b.
+    """
+    rem = list(a.coeffs)
+    bc = b.coeffs
+    dd = len(bc) - 1
+    lead = bc[-1]
+    scale = abs(lead)
+    sign = 1 if lead > 0 else -1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem.pop()
+        if c == 0:
+            continue
+        if scale != 1:
+            rem = [x * scale for x in rem]
+        q = sign * c
+        for j, bj in enumerate(bc[:-1], i - dd):
+            rem[j] -= q * bj
+    return Poly(rem)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd via the Euclidean algorithm with primitive rescaling."""
     a, b = f, g
     while not b.is_zero():
-        a, b = b, (a % b).primitive()
+        a, b = b, _positive_remainder(a, b).primitive()
     if a.is_zero():
         return a
     return a.monic()
@@ -232,7 +267,7 @@ def squarefree_part(p: Poly) -> Poly:
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
     if p.degree == 0:
-        return Poly((Fraction(1),))
+        return Poly((1,))
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return p.monic()
@@ -304,7 +339,7 @@ class Interval:
 
 
 def sturm_sequence(f: Poly) -> list[Poly]:
-    """Sturm chain f, f', -rem, ... (primitive-rescaled).
+    """Sturm chain f, f', -rem, ... (primitive-rescaled, so in Z[x]).
 
     For a non-squarefree f the chain ends in gcd(f, f'), which divides every
     member and is nonzero off the roots of f, so sign variations at such
@@ -315,7 +350,7 @@ def sturm_sequence(f: Poly) -> list[Poly]:
     if not d.is_zero():
         seq.append(d.primitive())
         while True:
-            r = seq[-2] % seq[-1]
+            r = _positive_remainder(seq[-2], seq[-1])
             if r.is_zero():
                 break
             seq.append((-r).primitive())
@@ -334,8 +369,24 @@ def _variations(signs: list[int]) -> int:
     return out
 
 
+def _sign_at(p: Poly, x) -> int:
+    """Exact sign of p(x) at a rational x = a/b in lowest terms, b > 0.
+
+    b^deg * p(a/b) = sum c_i a^i b^(deg - i) has the sign of p(a/b), and
+    homogenized Horner computes it in integers when p's coefficients are
+    (as for primitive polynomials); Fraction coefficients stay exact too.
+    """
+    a, b = x.numerator, x.denominator
+    acc = 0
+    power = 1
+    for c in reversed(p.coeffs):
+        acc = acc * a + c * power
+        power *= b
+    return (acc > 0) - (acc < 0)
+
+
 def _signs_at(seq: list[Poly], x) -> list[int]:
-    return [quad_sign(p(x)) for p in seq]
+    return [_sign_at(p, x) for p in seq]
 
 
 def _signs_at_inf(seq: list[Poly], direction: int) -> list[int]:
@@ -348,11 +399,14 @@ def _signs_at_inf(seq: list[Poly], direction: int) -> list[int]:
     return out
 
 
+def _variations_at(seq: list[Poly], x, direction: int = +1) -> int:
+    """Sign variations of the chain at x; None means the infinity of that sign."""
+    return _variations(_signs_at(seq, x) if x is not None else _signs_at_inf(seq, direction))
+
+
 def _count_on(seq: list[Poly], lo, hi) -> int:
     """Distinct roots on (lo, hi); None endpoints mean the infinities."""
-    va = _variations(_signs_at(seq, lo) if lo is not None else _signs_at_inf(seq, -1))
-    vb = _variations(_signs_at(seq, hi) if hi is not None else _signs_at_inf(seq, +1))
-    return va - vb
+    return _variations_at(seq, lo, -1) - _variations_at(seq, hi)
 
 
 def sturm_root_count(p: Poly, interval: Interval | None = None) -> int:
@@ -366,9 +420,9 @@ def sturm_root_count(p: Poly, interval: Interval | None = None) -> int:
     if p.degree == 0:
         return 0
     if interval is not None:
-        if p(interval.lo) == 0:
+        if _sign_at(p, interval.lo) == 0:
             raise EndpointIsRoot(f"left endpoint {interval.lo} is a root")
-        if p(interval.hi) == 0:
+        if _sign_at(p, interval.hi) == 0:
             raise EndpointIsRoot(f"right endpoint {interval.hi} is a root")
     seq = sturm_sequence(p)
     if interval is None:
@@ -376,15 +430,19 @@ def sturm_root_count(p: Poly, interval: Interval | None = None) -> int:
     return _count_on(seq, interval.lo, interval.hi)
 
 
-def count_roots_above(p: Poly, a: Fraction) -> int:
-    """Distinct real roots of p on the open half-line (a, +infinity)."""
+def count_roots_above(p: Poly, a: Fraction, chain: list[Poly] | None = None) -> int:
+    """Distinct real roots of p on the open half-line (a, +infinity).
+
+    chain, if given, must be sturm_sequence(p): a caller counting at several
+    points builds it once.
+    """
     if p.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial")
     if p.degree == 0:
         return 0
-    if p(a) == 0:
+    if _sign_at(p, a) == 0:
         raise EndpointIsRoot(f"endpoint {a} is a root")
-    return _count_on(sturm_sequence(p), a, None)
+    return _count_on(sturm_sequence(p) if chain is None else chain, a, None)
 
 
 # -- root isolation ----------------------------------------------------------
@@ -398,7 +456,7 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     if p.degree == 0:
         return Fraction(1)
     biggest = max(abs(c) for c in p.coeffs[:-1])
-    return Fraction(1) + biggest / lead
+    return 1 + Fraction(biggest) / lead
 
 
 def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -406,13 +464,49 @@ def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     width = hi - lo
     point = lo + width / 2
     step = width / 4
-    while p(point) == 0:
+    while _sign_at(p, point) == 0:
         point = point + step
         step = step / 2
     return point
 
 
-def isolate_real_roots(p: Poly) -> list[Interval]:
+def root_intervals(
+    p: Poly, above: Fraction | None = None, chain: list[Poly] | None = None
+) -> Iterator[Interval]:
+    """Isolating intervals for the distinct real roots of p, ascending, lazily.
+
+    Bisection of the Cauchy interval by Sturm counts, walked depth first
+    from the left, so intervals come out in ascending order and a caller
+    that needs only the first ones stops the walk there.  With `above`,
+    subtrees with hi <= above are not searched: the intervals are those of
+    isolate_real_roots(p) with hi > above.  chain, if given, must be
+    sturm_sequence(p).
+    """
+    if p.is_zero():
+        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    if p.degree == 0:
+        return
+    seq = sturm_sequence(p) if chain is None else chain
+    bound = cauchy_root_bound(p)
+    v_lo = _variations_at(seq, -bound)
+    # (lo, hi, roots inside, chain variations at lo)
+    stack = [(-bound, bound, v_lo - _variations_at(seq, bound), v_lo)]
+    while stack:
+        lo, hi, count, v_lo = stack.pop()
+        if count == 0 or (above is not None and hi <= above):
+            continue
+        if count == 1:
+            yield Interval(lo, hi)
+            continue
+        mid = _nonroot_point(seq[0], lo, hi)
+        v_mid = _variations_at(seq, mid)
+        left = v_lo - v_mid
+        # Right side first so the stack pops left-to-right.
+        stack.append((mid, hi, count - left, v_mid))
+        stack.append((lo, mid, left, v_lo))
+
+
+def isolate_real_roots(p: Poly, chain: list[Poly] | None = None) -> list[Interval]:
     """Isolating intervals for the distinct real roots of p, ascending.
 
     Intervals are pairwise disjoint, endpoints are never roots, and each
@@ -420,29 +514,7 @@ def isolate_real_roots(p: Poly) -> list[Interval]:
     depends on p itself (its Cauchy bound and Sturm chain), so callers that
     want the intervals of a squarefree part pass that part.
     """
-    if p.is_zero():
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
-        return []
-    seq = sturm_sequence(p)
-    bound = cauchy_root_bound(p)
-    total = _count_on(seq, -bound, bound)
-    intervals: list[Interval] = []
-    stack = [(-bound, bound, total)]
-    while stack:
-        lo, hi, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            intervals.append(Interval(lo, hi))
-            continue
-        mid = _nonroot_point(p, lo, hi)
-        left = _count_on(seq, lo, mid)
-        # Right side first so the stack pops left-to-right.
-        stack.append((mid, hi, count - left))
-        stack.append((lo, mid, left))
-    intervals.sort(key=lambda iv: iv.lo)
-    return intervals
+    return list(root_intervals(p, chain=chain))
 
 
 def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> Interval:
@@ -456,16 +528,17 @@ def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> In
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
+    p = p.primitive()
     lo, hi = interval.lo, interval.hi
-    s_lo = quad_sign(p(lo))
-    s_hi = quad_sign(p(hi))
+    s_lo = _sign_at(p, lo)
+    s_hi = _sign_at(p, hi)
     if s_lo == 0 or s_hi == 0:
         raise EndpointIsRoot("refinement endpoints must not be roots")
     if s_lo == s_hi:
         raise ValueError("p does not change sign on the interval")
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        s_mid = quad_sign(p(mid))
+        s_mid = _sign_at(p, mid)
         if s_mid == 0:
             # Rational root hit dead on; return a snug interval around it.
             radius = min(max_width / 2, (mid - lo) / 2, (hi - mid) / 2)

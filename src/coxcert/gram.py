@@ -14,10 +14,12 @@ construction:
   of M_d is constant ("stable signature"); it is read off the signs of
   det(M_d)'s coefficients.
 
-All n minor polynomials come from one pivot-free, fraction-free Bareiss
-pass over Q[d], whose pivots are the leading minors; distinct root
-locations from Sturm counts and bisection.  The final positive-definiteness
-and no-root checks are re-verified exactly before anything is returned.
+The pencil's entries lie in Z[d], so all n minor polynomials come from one
+pivot-free, fraction-free Bareiss pass over Z[d] in integer coefficients,
+whose pivots are the leading minors; distinct root locations come from
+Sturm counts and bisection, with signs taken in integers.  The final
+positive-definiteness and no-root checks are re-verified exactly before
+anything is returned.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from .exactcore import (
     poly_gcd,
     quad_sign,
     refine_root_interval,
+    root_intervals,
     sturm_root_count,
+    sturm_sequence,
     squarefree_part,
 )
 
@@ -50,7 +54,7 @@ _EPSILON_CAP = Fraction(1023, 1024)
 
 @dataclass(frozen=True)
 class GramPencil:
-    """The pencil M_d with entries in Q[d]."""
+    """The pencil M_d with entries in Z[d]."""
 
     diagram: CoxeterDiagram
     entries: tuple
@@ -62,8 +66,8 @@ class GramPencil:
 
 @lru_cache(maxsize=256)
 def gram_pencil(g: CoxeterDiagram) -> GramPencil:
-    one = Poly((Fraction(1),))
-    minus_d = Poly((Fraction(0), Fraction(-1)))
+    one = Poly((1,))
+    minus_d = Poly((0, -1))
     zero = Poly()
     rows = []
     for i in g.vertices:
@@ -120,13 +124,15 @@ def _smallest_abs_root(p: Poly) -> tuple[Poly, Interval] | None:
     Returns (squarefree even polynomial, isolating interval) or None when p
     has no real roots.  even(0) = p(0)^2 = 1 and the roots of even are
     symmetric, so isolation splits its symmetric Cauchy interval first at 0
-    and no isolating interval straddles 0.
+    and no isolating interval straddles 0.  Only the bisection path to the
+    first interval right of 0 is walked; it is the first interval with
+    lo >= 0 that isolate_real_roots(even) returns.
     """
     if p.degree < 1:
         return None
     mirrored = Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
     even = squarefree_part(p * mirrored)
-    for iv in isolate_real_roots(even):
+    for iv in root_intervals(even, above=0):
         if iv.lo >= 0:
             while iv.lo == 0:
                 iv = refine_root_interval(even, iv, iv.width / 4)
@@ -216,20 +222,22 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     rational L strictly between the largest root and D.  Roots are isolated
     and refined on the squarefree part, since det can have multiple roots
     (cycle complements have double ones) and refinement follows a sign
-    change.
+    change.  One Sturm chain of the squarefree part serves the isolation
+    and every count.
     """
     det = minor_polynomials(pencil)[-1]
     if det.degree < 1:
         return 1, None
     sf = squarefree_part(det)
-    roots = isolate_real_roots(sf)
+    chain = sturm_sequence(sf)
+    roots = isolate_real_roots(sf, chain)
     limit = int(cauchy_root_bound(det)) + 2
     chosen = None
     for candidate in range(1, limit + 1):
         point = Fraction(candidate)
         if sf(point) == 0:
             continue
-        if count_roots_above(sf, point) == 0:
+        if count_roots_above(sf, point, chain) == 0:
             chosen = candidate
             break
     if chosen is None:
@@ -239,7 +247,7 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     largest = roots[-1]
     while largest.hi >= chosen:
         largest = refine_root_interval(sf, largest, largest.width / 4)
-    if count_roots_above(sf, largest.hi) != 0:
+    if count_roots_above(sf, largest.hi, chain) != 0:
         raise VerificationFailed("roots remain above the refined largest-root interval")
     return chosen, largest
 

@@ -36,7 +36,7 @@ from .errors import (
     UnexpectedDimension,
 )
 from .exactcore import Matrix, QuadElem, bareiss_det, quad_sign
-from .gram import evaluate_pencil, gram_pencil
+from .gram import evaluate_pencil, gram_pencil, minor_polynomials
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -165,9 +165,10 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
 
     Seeds are the planar generators of the edges (sorted); each round
     brackets all pairs of the current basis and adjoins what falls outside
-    the span.  t must be rational.  M_t is scaled by the denominator of t
-    to an integer matrix, which changes no span, and everything is exact
-    integer linear algebra.
+    the span.  t must be rational, and M_t nondegenerate: det M_d, cached
+    with the pencil's minors, must not vanish at t.  M_t is scaled by the
+    denominator of t to an integer matrix, which changes no span, and
+    everything is exact integer linear algebra.
     """
     if not is_connected(g):
         raise NotConnected("density certification needs a connected diagram")
@@ -175,9 +176,10 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
         t = Fraction(t)
     if not isinstance(t, Fraction):
         raise TypeError(f"density needs a rational parameter, got {type(t).__name__}")
-    m = evaluate_pencil(gram_pencil(g), t)
-    if bareiss_det(m) == 0:
+    pencil = gram_pencil(g)
+    if minor_polynomials(pencil)[-1](t) == 0:
         raise DegenerateForm(f"the form is singular at t = {t}")
+    m = evaluate_pencil(pencil, t)
     form = [[int(x * t.denominator) for x in row] for row in m]
     n = g.n
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from coxcert.exactcore import (
     QuadElem,
     Signature,
     bareiss_det,
+    cauchy_root_bound,
     char_poly,
     count_roots_above,
     isolate_real_roots,
@@ -130,6 +132,60 @@ def test_poly_exact_division():
     assert p / q == Poly((-1, 1))
     with pytest.raises(ValueError):
         Poly((1, 1, 1)) / q
+
+
+# -- integer representation ----------------------------------------------------
+
+nonzero_int_polys = st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=8).map(
+    Poly
+).filter(lambda p: not p.is_zero())
+
+
+def _canonical(p: Poly) -> bool:
+    """Coefficients are ints when integral and non-integral Fractions otherwise."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.coeffs
+    )
+
+
+def test_integral_coefficients_are_ints():
+    assert Poly((F(2), F(1, 2), F(-4, 2))).coeffs == (2, F(1, 2), -2)
+    assert [type(c) for c in Poly((F(2), F(1, 2), F(-4, 2))).coeffs] == [int, Fraction, int]
+    assert (Poly((1, 1)) * F(1, 2) * 2).coeffs == (1, 1)
+    assert all(type(c) is int for c in (Poly((F(1, 2), F(1, 2))) * 2).coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_int_polys, nonzero_int_polys, st.integers(min_value=-9, max_value=9).filter(bool))
+def test_integer_poly_operations_stay_exact(p, q, k):
+    # the ops a threshold computation runs: none may produce a float or an
+    # integral Fraction, and division must reconstruct its input
+    quot, rem = divmod(p, q)
+    assert quot * q + rem == p
+    assert rem.is_zero() or rem.degree < q.degree
+    assert (p * q) / q == p
+    assert (p / k) * k == p
+    for r in (quot, rem, p.monic(), p / k, p.primitive(), p * q, p + q, p - q, p.derivative()):
+        assert _canonical(r), r
+    prim = p.primitive()
+    assert all(type(c) is int for c in prim.coeffs)
+    assert gcd(*prim.coeffs) == 1
+    assert (prim.leading > 0) == (p.leading > 0)
+    assert prim * p.leading == p * prim.leading  # a rescaling of p
+    assert p.monic().leading == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero_int_polys)
+def test_cauchy_root_bound_is_an_exact_fraction(p):
+    bound = cauchy_root_bound(p)
+    assert type(bound) is Fraction  # biggest / lead on ints would be a float
+    if p.degree == 0:
+        assert bound == 1
+        return
+    biggest = max(abs(c) for c in p.coeffs[:-1])
+    assert bound == 1 + F(biggest, abs(p.leading))
+    assert sturm_root_count(p, Interval(-bound, bound)) == sturm_root_count(p, None)
 
 
 def test_sturm_pinned_counts():

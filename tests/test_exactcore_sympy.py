@@ -21,6 +21,8 @@ from coxcert import (
     d_threshold,
     evaluate_pencil,
     gram_pencil,
+    is_connected,
+    minor_polynomials,
     stable_signature,
 )
 from coxcert.exactcore import (
@@ -32,11 +34,19 @@ from coxcert.exactcore import (
     count_roots_above,
     isolate_real_roots,
     leading_principal_minors,
+    quad_sign,
     refine_root_interval,
+    root_intervals,
     signature_of,
     squarefree_decomposition,
+    squarefree_part,
     sturm_root_count,
+    sturm_sequence,
 )
+from coxcert.exactcore.poly import _sign_at
+from coxcert.gram import _smallest_abs_root
+
+from _suite import acceptance_suite, suite_thresholds
 
 sp = pytest.importorskip("sympy")
 
@@ -225,3 +235,86 @@ def test_stable_signature_is_the_inertia_at_d(g):
     sig = stable_signature(pencil)
     assert sig == signature_of(at_d)
     assert sig == _sympy_inertia(at_d)
+
+
+# -- the integer threshold paths --------------------------------------------
+
+
+def _mirror(p: Poly) -> Poly:
+    return Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
+
+
+def _first_interval_right_of_zero(p: Poly):
+    """What _smallest_abs_root returned before it followed one root."""
+    even = squarefree_part(p * _mirror(p))
+    for iv in isolate_real_roots(even):
+        if iv.lo >= 0:
+            while iv.lo == 0:
+                iv = refine_root_interval(even, iv, iv.width / 4)
+            return even, iv
+    return None
+
+
+def _check_follow_one(p: Poly):
+    found = _smallest_abs_root(p)
+    assert found == _first_interval_right_of_zero(p)
+    roots = [abs(r) for r, _mult in sp.real_roots(_to_sympy(p), multiple=False)]
+    if found is None:
+        assert not roots
+    else:
+        iv = found[1]
+        assert bool(_rational(iv.lo) < min(roots)) and bool(min(roots) < _rational(iv.hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=7))
+def test_follow_one_root_matches_full_isolation(coeffs):
+    # p(0) != 0, as for the minors (constant term 1): p(d) p(-d) is even
+    # with no root at 0, and its squarefree part is what gets isolated
+    assume(coeffs[0] != 0 and Poly(coeffs).degree >= 1)
+    _check_follow_one(Poly(coeffs))
+
+
+def test_follow_one_root_on_every_suite_minor():
+    for name, g in acceptance_suite():
+        for p in minor_polynomials(gram_pencil(g)):
+            if p.degree >= 1:
+                _check_follow_one(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys_with_repeated_roots(), rationals)
+def test_root_intervals_above_is_a_suffix_of_isolation(p, above):
+    assume(p.degree >= 1)
+    assert list(root_intervals(p, above=above)) == [
+        iv for iv in isolate_real_roots(p) if iv.hi > above
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=9),
+    st.integers(min_value=-10**4, max_value=10**4),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_integer_horner_sign_matches_fraction_evaluation(coeffs, a, b):
+    p = Poly(coeffs)
+    x = F(a, b)
+    assert _sign_at(p, x) == quad_sign(p(x))
+    for member in sturm_sequence(p) if p.degree >= 1 else [p]:
+        assert all(type(c) is int for c in member.coeffs)
+        assert _sign_at(member, x) == quad_sign(member(x))
+
+
+def test_rho_is_the_perron_root_of_det():
+    # For a connected diagram det M_d = prod(1 - d lambda_i) has its smallest
+    # positive root at 1/lambda_max(A) >= 1/|lambda_min(A)|, and every proper
+    # leading block has a strictly smaller spectral radius (Perron-Frobenius),
+    # so that root is rho.  Only containment is checked: the interval itself
+    # is refined against every minor's candidate.
+    for name, g in acceptance_suite():
+        assert is_connected(g)
+        rho = suite_thresholds(name, g).rho_interval
+        det = minor_polynomials(gram_pencil(g))[-1]
+        root = min(r for r in sp.real_roots(_to_sympy(det)) if bool(r > 0))
+        assert bool(_rational(rho.lo) <= root) and bool(root <= _rational(rho.hi)), name

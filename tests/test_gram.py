@@ -47,6 +47,15 @@ def test_pencil_entries():
     assert pencil.entries[1][2] == -d
 
 
+def test_pencil_and_minors_have_int_coefficients():
+    # M_d lies in Z[d], so the Bareiss pass must never leave the integers
+    for _name, g in acceptance_suite() + [("cc12", cycle_complement(12))]:
+        pencil = gram_pencil(g)
+        assert all(type(c) is int for row in pencil.entries for e in row for c in e.coeffs)
+        for p in minor_polynomials(pencil):
+            assert all(type(c) is int for c in p.coeffs), p
+
+
 def test_evaluate_pencil_types():
     pencil = gram_pencil(K3)
     m_int = evaluate_pencil(pencil, 2)
@@ -183,6 +192,19 @@ PINNED_THRESHOLDS = {
     # disconnected, with the minimum shared by several minors
     "tie6": (TIE6, "2895/4096 [2895/4096, 5793/8192] 2 [15/16, 5/4] (4, 2, 0)"),
     "tie7": (TIE7, "2531/4096 [2531/4096, 633/1024] 2 [25/16, 15/8] (4, 3, 0)"),
+    # the scale of the benchmark's analyze inputs
+    "cc12": (
+        cycle_complement(12),
+        "589687/5308416 [589687/5308416, 2360129/21233664] 2 [53/48, 53/36] (8, 4, 0)",
+    ),
+    "cc16": (
+        cycle_complement(16),
+        "109009989/1417674752 [109009989/1417674752, 54538209/708837376] 3 [279/208, 279/104] (10, 6, 0)",
+    ),
+    "cc20": (
+        cycle_complement(20),
+        "570172675/9697230848 [570172675/9697230848, 16782441/285212672] 6 [6165/1088, 12741/2176] (12, 8, 0)",
+    ),
 }
 
 
