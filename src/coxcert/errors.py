@@ -91,3 +91,7 @@ class VerificationFailed(CoxcertError):
 
 class InequalityFailed(CoxcertError):
     """The Galois conjugate bound failed; the caller passed a bad bound."""
+
+
+class BallTooLarge(InputError):
+    """A ball enumeration would hold more than words.MAX_BALL_ELEMENTS elements."""

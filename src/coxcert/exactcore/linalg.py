@@ -1,4 +1,4 @@
-"""Small exact linear-algebra kit over Fraction, QuadElem, or Poly entries.
+"""Small exact linear-algebra kit over int, Fraction, QuadElem, or Poly entries.
 
 Matrices are immutable tuples of row tuples.  Everything here is decided by
 exact arithmetic.  Determinants come from fraction-free Bareiss
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, truediv
 
 from ..errors import MixedRadicands
 from .poly import Poly, count_roots_above, squarefree_decomposition
@@ -89,6 +90,15 @@ def _check_single_radicand(a: Matrix) -> None:
         raise MixedRadicands(f"matrix mixes radicands {sorted(radicands)}")
 
 
+def _exact_division(a: Matrix):
+    """The division for Bareiss quotients of a: // on an int matrix, else /.
+
+    Every quotient is exact (Sylvester's identity), so an int matrix keeps
+    int entries throughout instead of turning them into floats.
+    """
+    return floordiv if all(isinstance(x, int) for row in a for x in row) else truediv
+
+
 def bareiss_det(a: Matrix):
     """Exact determinant by fraction-free elimination (any entry type)."""
     n = len(a)
@@ -98,6 +108,7 @@ def bareiss_det(a: Matrix):
     if n == 1:
         return a[0][0]
     rows = [list(row) for row in a]
+    divide = _exact_division(a)
     zero = a[0][0] * 0
     sign = 1
     prev = 1
@@ -113,7 +124,7 @@ def bareiss_det(a: Matrix):
         pivot = rows[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]) / prev
+                rows[i][j] = divide(pivot * rows[i][j] - rows[i][k] * rows[k][j], prev)
             rows[i][k] = zero
         prev = pivot
     det = rows[n - 1][n - 1]
@@ -132,6 +143,7 @@ def leading_principal_minors(a: Matrix) -> list:
         raise ValueError("minors need a square matrix")
     _check_single_radicand(a)
     rows = [list(row) for row in a]
+    divide = _exact_division(a)
     prev = 1
     for k in range(n - 1):
         pivot = rows[k][k]
@@ -139,7 +151,7 @@ def leading_principal_minors(a: Matrix) -> list:
             raise ValueError(f"leading minor {k + 1} vanishes")
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                rows[i][j] = (pivot * rows[i][j] - rows[i][k] * rows[k][j]) / prev
+                rows[i][j] = divide(pivot * rows[i][j] - rows[i][k] * rows[k][j], prev)
         prev = pivot
     return [rows[k][k] for k in range(n)]
 

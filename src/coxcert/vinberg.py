@@ -69,19 +69,22 @@ def reflection_actions(g: CoxeterDiagram, t) -> dict:
     return {i: (i - 1, tuple(j - 1 for j in g.neighbors(i)), two_t) for i in g.vertices}
 
 
+def reflect_row(row: tuple, action) -> tuple:
+    """row * R_i for the action of R_i, in O(degree)."""
+    col, neighbor_cols, two_t = action
+    v = row[col]
+    if not v:
+        return row
+    new_row = list(row)
+    new_row[col] = -v
+    for j in neighbor_cols:
+        new_row[j] = new_row[j] + two_t * v
+    return tuple(new_row)
+
+
 def times_reflection(a, action):
     """A * R_i for the action of R_i, in O(rows * degree)."""
-    col, neighbor_cols, two_t = action
-    out = []
-    for row in a:
-        v = row[col]
-        new_row = list(row)
-        new_row[col] = -v
-        if v:
-            for j in neighbor_cols:
-                new_row[j] = new_row[j] + two_t * v
-        out.append(tuple(new_row))
-    return tuple(out)
+    return tuple(reflect_row(row, action) for row in a)
 
 
 def _identity_like(a: Matrix) -> Matrix:

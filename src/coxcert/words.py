@@ -1,4 +1,4 @@
-"""Words in the generators: canonical normal forms and exact enumeration.
+"""Words in the generators: normal forms, growth counts, faithfulness probe.
 
 An element is represented by the lexicographically least word among the
 shortest words for it.  Two rewriting moves generate the equivalence:
@@ -8,24 +8,44 @@ computed incrementally: appending one letter to a normal word either cancels
 exactly one earlier occurrence (the letters after it all commute with it;
 the exchange condition rules out deeper cascades) or gets inserted at its
 lexicographically best slot by sliding left past larger commuting letters.
+`enumerate_by_length` counts the ball by deduplicating these normal forms,
+independently of any matrix model.
 
-Enumeration deduplicates by normal form, so the counts are independent of
-any matrix model; the faithfulness probe then maps every element through the
-reflection matrices and demands exactly as many distinct images.
+The faithfulness probe builds no words.  It walks the ball by right descent
+sets: Desc(w) is the set of letters s with l(ws) < l(w), a set of pairwise
+commuting letters.  Growing w by s lengthens it exactly when s is not in
+Desc(w), and then Desc(ws) = {s} + (Desc(w) & C(s)), where C(s) holds the
+letters other than s that commute with s.  Keeping only the growths after
+which s is the least descent (no letter of Desc(w) & C(s) lies below s)
+builds every element v exactly once, from v * min Desc(v), so each layer of
+the walk is the sphere of that radius.  Each element carries the row
+x * R_w for one fixed row x instead of its matrix R_w: different rows force
+different matrices, so matrices are compared, after rebuilding them along
+the parent chain, only among elements whose rows coincide.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import CoxeterDiagram
-from .errors import IndexOutOfRange
+from .errors import BallTooLarge, IndexOutOfRange
 from .exactcore import quad_sign
-from .vinberg import reflection_actions, times_reflection
+from .vinberg import reflect_row, reflection_actions, times_reflection
 
 Word = tuple
+
+# Most group elements a ball enumeration may hold; cc7 to length 8 has 536,131.
+MAX_BALL_ELEMENTS = 1_000_000
+
+
+def _check_ball_size(count: int) -> None:
+    if count > MAX_BALL_ELEMENTS:
+        raise BallTooLarge(f"the ball has more than {MAX_BALL_ELEMENTS} elements")
 
 
 @lru_cache(maxsize=256)
@@ -94,11 +114,13 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     """Count distinct group elements of each length 0..max_len.
 
     Breadth-first over normal forms; deduplication uses the normal form
-    itself, never a matrix image.
+    itself, never a matrix image.  Raises BallTooLarge once the ball holds
+    more than MAX_BALL_ELEMENTS elements.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     counts = [1]
+    total = 1
     layer = {()}
     for target in range(1, max_len + 1):
         nxt = set()
@@ -107,7 +129,9 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
                 grown = append_letter(word, letter, g)
                 if len(grown) == target:
                     nxt.add(grown)
+            _check_ball_size(total + len(nxt))
         counts.append(len(nxt))
+        total += len(nxt)
         layer = nxt
     return counts
 
@@ -128,13 +152,21 @@ class FaithfulnessReport:
         return self.word_counts == self.image_counts and self.total_words == self.total_images
 
 
+def _start_vector(n: int) -> tuple:
+    """The row x = (1, ..., n) whose images x * R_w key the ball."""
+    return tuple(range(1, n + 1))
+
+
 def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport:
     """Exact injectivity probe on the ball of radius max_len.
 
-    Enumerates elements by normal form, carries each element's matrix image
-    at the evaluation point t (t >= 1), and compares counts per length and in
-    total.  Entries stay integers whenever t is an integer, so the check is
-    exact overflow-free arithmetic either way.
+    Walks the ball by descent sets (see the module docstring), so word
+    counts need no normal forms, and compares them with the number of
+    distinct matrices R_w at the evaluation point t (t >= 1), per length and
+    in total.  Only the row x * R_w is stored per element, with one parent
+    index and one letter; the matrices of elements sharing a row are rebuilt
+    from their parent chains and compared exactly.  Raises BallTooLarge once
+    the ball holds more than MAX_BALL_ELEMENTS elements.
     """
     if isinstance(t, int):
         t = Fraction(t)
@@ -143,35 +175,76 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     n = g.n
-    use_int = isinstance(t, Fraction) and t.denominator == 1
-    if use_int:
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    else:
-        ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     actions = reflection_actions(g, t)
-    layer = {(): ident}
-    word_counts = [1]
-    image_counts = [1]
-    seen_images = {ident}
-    total_words = 1
-    for target in range(1, max_len + 1):
-        nxt: dict = {}
-        for word, image in layer.items():
-            for letter in g.vertices:
-                grown = append_letter(word, letter, g)
-                if len(grown) == target and grown not in nxt:
-                    nxt[grown] = times_reflection(image, actions[letter])
-        word_counts.append(len(nxt))
-        images = set(nxt.values())
-        image_counts.append(len(images))
-        seen_images.update(images)
-        total_words += len(nxt)
+    noncommuting = _noncommuting_masks(g)
+    # Per letter s: s, its action, the mask of s and the letters below s that
+    # commute with it (growth by s is skipped if desc meets it), and the mask
+    # of the letters that commute with s.
+    steps = tuple(
+        (s, actions[s], (1 << s) | (((1 << s) - 1) & ~noncommuting[s]), ~noncommuting[s])
+        for s in g.vertices
+    )
+    start = _start_vector(n)
+    first = {start: 0}  # row -> index of the first element with that row
+    shared: dict = {}  # row -> indices of every element with that row, if several
+    parent = array("L", [0])
+    letter_of = bytearray(1)
+    layer_starts = [0]
+    layer = [(start, 0)]
+    for _ in range(max_len):
+        index = layer_starts[-1]
+        layer_starts.append(len(letter_of))
+        nxt = []
+        for row, desc in layer:
+            for s, action, blocked, commuting in steps:
+                if desc & blocked:
+                    continue
+                child = reflect_row(row, action)
+                child_index = len(letter_of)
+                parent.append(index)
+                letter_of.append(s)
+                nxt.append((child, (1 << s) | (desc & commuting)))
+                earlier = first.setdefault(child, child_index)
+                if earlier != child_index:
+                    shared.setdefault(child, [earlier]).append(child_index)
+            _check_ball_size(len(letter_of))
+            index += 1
         layer = nxt
+    layer_starts.append(len(letter_of))
+    word_counts = [layer_starts[k + 1] - layer_starts[k] for k in range(max_len + 1)]
+
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    built = {0: ident}
+
+    def image(i: int):
+        chain = []
+        while i not in built:
+            chain.append(i)
+            i = parent[i]
+        mat = built[i]
+        for j in reversed(chain):
+            mat = times_reflection(mat, actions[letter_of[j]])
+            built[j] = mat
+        return mat
+
+    image_counts = list(word_counts)
+    total_images = len(letter_of)
+    for members in shared.values():
+        lengths_by_image: dict = {}
+        for i in members:
+            length = bisect_right(layer_starts, i) - 1
+            lengths_by_image.setdefault(image(i), []).append(length)
+        total_images -= len(members) - len(lengths_by_image)
+        for lengths in lengths_by_image.values():
+            for length in lengths:
+                image_counts[length] -= 1
+            for length in set(lengths):
+                image_counts[length] += 1
     return FaithfulnessReport(
         t=t,
         max_len=max_len,
         word_counts=tuple(word_counts),
         image_counts=tuple(image_counts),
-        total_words=total_words,
-        total_images=len(seen_images),
+        total_words=len(letter_of),
+        total_images=total_images,
     )

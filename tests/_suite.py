@@ -6,13 +6,15 @@ those come twenty pseudorandom connected diagrams with n <= 7, generated
 from a frozen seed: a random spanning tree keeps them connected, then each
 remaining pair joins with probability one third.  `suite_thresholds` and
 `suite_unit` compute each member's thresholds and alpha once, for every test
-module that asks.
+module that asks.  `growth_series` counts group elements by length from the
+diagram's commuting cliques alone, an oracle independent of any enumeration.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from coxcert import (
     CoxeterDiagram,
@@ -80,3 +82,41 @@ def suite_unit(name, g, m) -> UnitValue:
         bound = max(Fraction(1) / rep.epsilon, Fraction(rep.d_value))
         _UNITS[key] = choose_unit(m, bound)
     return _UNITS[key]
+
+
+def clique_counts(g: CoxeterDiagram) -> list[int]:
+    """c[k] = number of k-sets of pairwise commuting (non-adjacent) generators."""
+    adjacent = [0] * (g.n + 1)
+    for i, j in g.edges:
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+    counts = [0] * (g.n + 1)
+
+    def grow(start: int, size: int, blocked: int) -> None:
+        counts[size] += 1
+        for v in range(start, g.n + 1):
+            if not (blocked >> v) & 1:
+                grow(v + 1, size + 1, blocked | adjacent[v])
+
+    grow(1, 0, 0)
+    return counts
+
+
+def growth_series(g: CoxeterDiagram, max_len: int) -> list[int]:
+    """Number of group elements of each length 0..max_len.
+
+    The growth series of a right-angled Coxeter group is 1 / sum_k c_k
+    (-t / (1 + t))^k over the commuting cliques; invert that power series.
+    """
+    denom = [0] * (max_len + 1)
+    for k, ck in enumerate(clique_counts(g)):
+        if ck == 0 or k > max_len:
+            continue
+        # (-t)^k (1+t)^(-k) = sum_j (-1)^(k+j) C(k+j-1, j) t^(k+j)
+        for j in range(max_len - k + 1):
+            binom = comb(k + j - 1, j) if k > 0 else int(j == 0)
+            denom[k + j] += ck * (-1) ** (k + j) * binom
+    series = [1] + [0] * max_len
+    for i in range(1, max_len + 1):
+        series[i] = -sum(denom[j] * series[i - j] for j in range(1, i + 1))
+    return series

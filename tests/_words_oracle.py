@@ -1,0 +1,53 @@
+"""The faithfulness probe by normal forms and whole matrix images.
+
+The slow reference for `words.faithfulness_probe`: it enumerates the ball by
+normal form with `append_letter`, carries every element's full matrix R_w at
+t, and counts distinct matrices per length and over the ball.  It shares no
+enumeration or keying code with the production probe, which walks descent
+sets and keys elements by one row of R_w.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from coxcert import append_letter
+from coxcert.exactcore import quad_sign
+from coxcert.vinberg import reflection_actions, times_reflection
+from coxcert.words import FaithfulnessReport
+
+
+def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
+    if isinstance(t, int):
+        t = Fraction(t)
+    if quad_sign(t - 1) < 0:
+        raise ValueError(f"probe needs t >= 1, got {t}")
+    n = g.n
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    actions = reflection_actions(g, t)
+    layer = {(): ident}
+    word_counts = [1]
+    image_counts = [1]
+    seen_images = {ident}
+    total_words = 1
+    for target in range(1, max_len + 1):
+        nxt: dict = {}
+        for word, image in layer.items():
+            for letter in g.vertices:
+                grown = append_letter(word, letter, g)
+                if len(grown) == target and grown not in nxt:
+                    nxt[grown] = times_reflection(image, actions[letter])
+        word_counts.append(len(nxt))
+        images = set(nxt.values())
+        image_counts.append(len(images))
+        seen_images.update(images)
+        total_words += len(nxt)
+        layer = nxt
+    return FaithfulnessReport(
+        t=t,
+        max_len=max_len,
+        word_counts=tuple(word_counts),
+        image_counts=tuple(image_counts),
+        total_words=total_words,
+        total_images=len(seen_images),
+    )

@@ -206,6 +206,27 @@ def test_words_negative_length_is_usage_error(p3_file, capsys):
     assert main(["words", p3_file, "--max-len", "-1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "embed", "words"])
+def test_ball_past_the_cap_is_usage_error(command, k3_file, tmp_path, monkeypatch, capsys):
+    cert = tmp_path / "k3.json"
+    if command == "verify":
+        main(["embed", k3_file, "--out", str(cert)])
+        payload = json.loads(cert.read_text())
+        payload["faithfulness_probe"]["max_len"] = 40
+        cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    argv = {
+        "verify": ["verify", str(cert), k3_file],
+        "embed": ["embed", k3_file, "--probe-len", "40"],
+        "words": ["words", k3_file, "--max-len", "40"],
+    }[command]
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 1000)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "more than 1000 elements" in err
+    assert "Traceback" not in err
+
+
 def test_cycle_command(capsys):
     assert main(["cycle", "--n", "5"]) == 0
     out = capsys.readouterr().out

@@ -339,6 +339,13 @@ def test_leading_principal_minors_pinned():
     assert leading_principal_minors(m) == [F(2), F(5)]
 
 
+def test_bareiss_keeps_int_matrices_in_int():
+    minors = leading_principal_minors(((2, 1), (1, 3)))
+    assert minors == [2, 5] and all(type(x) is int for x in minors)
+    det = bareiss_det(((2, 1, 0), (1, 3, 1), (0, 1, 4)))
+    assert det == 18 and type(det) is int
+
+
 def test_count_roots_above():
     p = Poly((-2, 0, 1))  # roots +-sqrt2
     assert count_roots_above(p, F(0)) == 1

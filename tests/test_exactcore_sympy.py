@@ -138,15 +138,20 @@ def test_pencil_minors_match_sympy_block_determinants(g):
     )
 ))
 def test_minors_of_integer_matrices_match_sympy(rows):
-    a = tuple(tuple(F(x) for x in row) for row in rows)
     m = sp.Matrix(rows)
-    expected = [F(int(m[:k, :k].det())) for k in range(1, len(rows) + 1)]
-    assert bareiss_det(a) == expected[-1]  # with row swaps where a pivot vanishes
-    if 0 in expected[:-1]:
-        with pytest.raises(ValueError):
-            leading_principal_minors(a)
-    else:
-        assert leading_principal_minors(a) == expected
+    expected = [int(m[:k, :k].det()) for k in range(1, len(rows) + 1)]
+    ints = tuple(tuple(row) for row in rows)
+    for a in (tuple(tuple(F(x) for x in row) for row in rows), ints):
+        assert bareiss_det(a) == expected[-1]  # with row swaps where a pivot vanishes
+        if 0 in expected[:-1]:
+            with pytest.raises(ValueError):
+                leading_principal_minors(a)
+        else:
+            assert leading_principal_minors(a) == expected
+    # a plain int matrix keeps int entries: every Bareiss quotient is exact
+    assert type(bareiss_det(ints)) is int
+    if 0 not in expected[:-1]:
+        assert all(type(x) is int for x in leading_principal_minors(ints))
 
 
 def test_vanishing_leading_minor_raises():

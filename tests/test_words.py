@@ -1,10 +1,12 @@
 """Normal forms, growth counts, and the faithfulness probe.
 
-The independent oracle here is a breadth-first closure over the two
-rewriting moves (cancel an adjacent equal pair, swap an adjacent commuting
-pair): it finds the true shortest length and the lexicographically least
-shortest word with no shortcuts, so any disagreement indicts the
-incremental algorithm.
+The independent oracle for normal forms is a breadth-first closure over the
+two rewriting moves (cancel an adjacent equal pair, swap an adjacent
+commuting pair): it finds the true shortest length and the lexicographically
+least shortest word with no shortcuts, so any disagreement indicts the
+incremental algorithm.  Growth counts are checked against the clique
+polynomial's growth series, and the descent-set probe against the
+normal-form, whole-matrix probe in `_words_oracle`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ from coxcert import (
     faithfulness_probe,
     normal_form,
 )
-from coxcert.errors import IndexOutOfRange
+from coxcert import words
+from coxcert.errors import BallTooLarge, IndexOutOfRange
+from coxcert.vinberg import reflection_actions
+
+from _suite import acceptance_suite, growth_series, probe_length, suite_thresholds
+from _words_oracle import matrix_image_probe
 
 F = Fraction
 
@@ -152,3 +159,70 @@ def test_faithfulness_probe_rational_point():
 def test_faithfulness_probe_rejects_small_t():
     with pytest.raises(ValueError):
         faithfulness_probe(K3, F(1, 2), 3)
+
+
+def test_ball_cap_counts_every_element(monkeypatch):
+    # The K3 ball of radius 4 has 46 elements: it fits a cap of 46, not 45.
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 46)
+    assert sum(enumerate_by_length(K3, 4)) == 46
+    assert faithfulness_probe(K3, 2, 4).total_words == 46
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 45)
+    with pytest.raises(BallTooLarge):
+        enumerate_by_length(K3, 4)
+    with pytest.raises(BallTooLarge):
+        faithfulness_probe(K3, 2, 4)
+
+
+def _probe_cases():
+    for name, g in acceptance_suite():
+        max_len = probe_length(g.n)
+        if max_len is not None:
+            for t in (suite_thresholds(name, g).d_value, F(3, 2)):
+                yield name, g, t, max_len
+    yield "P3", P3, QuadElem(1, 1, 2), 8
+
+
+def test_probe_matches_matrix_image_oracle(monkeypatch):
+    # A zero start row keys every element alike and e1 keys many alike, so
+    # those runs count every image through the rebuilt matrices.
+    starts = (words._start_vector, lambda n: (0,) * n, lambda n: (1,) + (0,) * (n - 1))
+    for name, g, t, max_len in _probe_cases():
+        expected = matrix_image_probe(g, t, max_len)
+        for start in starts:
+            monkeypatch.setattr(words, "_start_vector", start)
+            assert faithfulness_probe(g, t, max_len) == expected, (name, t, start(g.n))
+
+
+def test_probe_counts_colliding_images_like_the_oracle(monkeypatch):
+    # Act with the commuting reflections of the edgeless diagram, whose images
+    # form (Z/2)^n: equal matrices then arise within a length and across lengths.
+    def commuting_actions(g, t):
+        return reflection_actions(CoxeterDiagram(g.n, frozenset()), t)
+
+    monkeypatch.setattr(words, "reflection_actions", commuting_actions)
+    monkeypatch.setattr("_words_oracle.reflection_actions", commuting_actions)
+    for g in (K3, P3, CC5):
+        rep = faithfulness_probe(g, 2, 5)
+        assert rep == matrix_image_probe(g, 2, 5)
+        assert not rep.injective
+        assert rep.total_images == 2**g.n
+        assert rep.image_counts[:2] == (1, g.n)
+
+
+def test_counts_match_growth_series():
+    for name, g in acceptance_suite():
+        max_len = probe_length(g.n) or 4
+        expected = growth_series(g, max_len)
+        assert enumerate_by_length(g, max_len) == expected, name
+        assert list(faithfulness_probe(g, 2, max_len).word_counts) == expected, name
+
+
+def test_counts_of_the_finite_group_stop_at_its_longest_element():
+    # No edges: every pair commutes, the group is (Z/2)^5 and layer k has C(5, k).
+    free = CoxeterDiagram(5, frozenset())
+    expected = [1, 5, 10, 10, 5, 1, 0, 0]
+    assert growth_series(free, 7) == expected
+    assert enumerate_by_length(free, 7) == expected
+    rep = faithfulness_probe(free, 2, 7)
+    assert list(rep.word_counts) == expected
+    assert rep.injective and rep.total_images == 32
