@@ -65,6 +65,17 @@ class CoxeterDiagram:
             adj[j].add(i)
         return adj
 
+    @cached_property
+    def noncommuting_masks(self) -> tuple:
+        """masks[i] has bit y set when generator y does NOT commute with i (y == i or edge).
+
+        Index 0 is an unused 0, so a generator indexes its own mask.
+        """
+        masks = [0] * (self.n + 1)
+        for i, adjacent in self._adjacency.items():
+            masks[i] = (1 << i) | sum(1 << j for j in adjacent)
+        return tuple(masks)
+
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)

@@ -8,20 +8,30 @@ computed incrementally: appending one letter to a normal word either cancels
 exactly one earlier occurrence (the letters after it all commute with it;
 the exchange condition rules out deeper cascades) or gets inserted at its
 lexicographically best slot by sliding left past larger commuting letters.
-`enumerate_by_length` counts the ball by deduplicating these normal forms,
-independently of any matrix model.
 
-The faithfulness probe builds no words.  It walks the ball by right descent
-sets: Desc(w) is the set of letters s with l(ws) < l(w), a set of pairwise
-commuting letters.  Growing w by s lengthens it exactly when s is not in
-Desc(w), and then Desc(ws) = {s} + (Desc(w) & C(s)), where C(s) holds the
-letters other than s that commute with s.  Keeping only the growths after
+Both walks of the ball rest on right descent sets: Desc(w) is the set of
+letters s with l(ws) < l(w), a set of pairwise commuting letters.  Growing w
+by s lengthens it exactly when s is not in Desc(w), and then
+Desc(ws) = {s} + (Desc(w) & C(s)), where C(s) holds the letters other than s
+that commute with s.
+
+`enumerate_by_length` counts the ball by deduplicating normal forms,
+independently of any matrix model.  Each normal form carries its descent
+mask and is grown only by the letters outside it, so `append_letter` never
+cancels on this path: every call lengthens the word by one letter, and an
+element reached from several shorter ones is kept once by its normal form.
+
+The faithfulness probe builds no words.  Keeping only the growths after
 which s is the least descent (no letter of Desc(w) & C(s) lies below s)
 builds every element v exactly once, from v * min Desc(v), so each layer of
 the walk is the sphere of that radius.  Each element carries the row
 x * R_w for one fixed row x instead of its matrix R_w: different rows force
 different matrices, so matrices are compared, after rebuilding them along
 the parent chain, only among elements whose rows coincide.
+
+Both walks stop at the first empty layer, which only a finite group has, and
+refuse a radius above MAX_BALL_ELEMENTS: past that, a ball of an infinite
+group, having an element of every length, holds too many elements anyway.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .diagram import CoxeterDiagram
 from .errors import BallTooLarge, IndexOutOfRange
@@ -48,16 +57,11 @@ def _check_ball_size(count: int) -> None:
         raise BallTooLarge(f"the ball has more than {MAX_BALL_ELEMENTS} elements")
 
 
-@lru_cache(maxsize=256)
-def _noncommuting_masks(g: CoxeterDiagram) -> tuple:
-    """masks[i] has bit y set when letter y does NOT commute with i (y == i or edge)."""
-    masks = [0] * (g.n + 1)
-    for i in g.vertices:
-        m = 1 << i
-        for j in g.neighbors(i):
-            m |= 1 << j
-        masks[i] = m
-    return tuple(masks)
+def _check_radius(max_len: int) -> None:
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    if max_len > MAX_BALL_ELEMENTS:
+        raise BallTooLarge(f"radius {max_len} is above the cap of {MAX_BALL_ELEMENTS} ball elements")
 
 
 def _check_letters(w, n: int) -> None:
@@ -70,8 +74,7 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     """Normal form of (normal word nf) * generator letter, in O(len(nf))."""
     if not isinstance(letter, int) or not (1 <= letter <= g.n):
         raise IndexOutOfRange(f"letter {letter!r} outside 1..{g.n}")
-    masks = _noncommuting_masks(g)
-    mask = masks[letter]
+    mask = g.noncommuting_masks[letter]
     suffix_start = 0
     for q in range(len(nf) - 1, -1, -1):
         y = nf[q]
@@ -114,26 +117,32 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     """Count distinct group elements of each length 0..max_len.
 
     Breadth-first over normal forms; deduplication uses the normal form
-    itself, never a matrix image.  Raises BallTooLarge once the ball holds
-    more than MAX_BALL_ELEMENTS elements.
+    itself, never a matrix image.  Each layer maps a normal form to its
+    descent mask, and a word is grown only by the letters outside that mask
+    (see the module docstring), so every `append_letter` call lengthens its
+    word and none cancels.  Stops at the first empty layer and pads the
+    counts with zeros.  Raises BallTooLarge when max_len or the ball exceeds
+    MAX_BALL_ELEMENTS.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    _check_radius(max_len)
+    noncommuting = g.noncommuting_masks
+    steps = tuple((s, 1 << s, ~noncommuting[s]) for s in g.vertices)
     counts = [1]
     total = 1
-    layer = {()}
-    for target in range(1, max_len + 1):
-        nxt = set()
-        for word in layer:
-            for letter in g.vertices:
-                grown = append_letter(word, letter, g)
-                if len(grown) == target:
-                    nxt.add(grown)
+    layer = {(): 0}
+    for _ in range(max_len):
+        if not layer:
+            break
+        nxt: dict = {}
+        for word, desc in layer.items():
+            for s, bit, commuting in steps:
+                if not desc & bit:
+                    nxt[append_letter(word, s, g)] = bit | (desc & commuting)
             _check_ball_size(total + len(nxt))
         counts.append(len(nxt))
         total += len(nxt)
         layer = nxt
-    return counts
+    return counts + [0] * (max_len + 1 - len(counts))
 
 
 @dataclass(frozen=True)
@@ -165,18 +174,18 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     distinct matrices R_w at the evaluation point t (t >= 1), per length and
     in total.  Only the row x * R_w is stored per element, with one parent
     index and one letter; the matrices of elements sharing a row are rebuilt
-    from their parent chains and compared exactly.  Raises BallTooLarge once
-    the ball holds more than MAX_BALL_ELEMENTS elements.
+    from their parent chains and compared exactly.  Stops at the first empty
+    layer.  Raises BallTooLarge when max_len or the ball exceeds
+    MAX_BALL_ELEMENTS.
     """
     if isinstance(t, int):
         t = Fraction(t)
     if quad_sign(t - 1) < 0:
         raise ValueError(f"probe needs t >= 1, got {t}")
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    _check_radius(max_len)
     n = g.n
     actions = reflection_actions(g, t)
-    noncommuting = _noncommuting_masks(g)
+    noncommuting = g.noncommuting_masks
     # Per letter s: s, its action, the mask of s and the letters below s that
     # commute with it (growth by s is skipped if desc meets it), and the mask
     # of the letters that commute with s.
@@ -192,6 +201,8 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     layer_starts = [0]
     layer = [(start, 0)]
     for _ in range(max_len):
+        if not layer:
+            break
         index = layer_starts[-1]
         layer_starts.append(len(letter_of))
         nxt = []
@@ -211,7 +222,8 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
             index += 1
         layer = nxt
     layer_starts.append(len(letter_of))
-    word_counts = [layer_starts[k + 1] - layer_starts[k] for k in range(max_len + 1)]
+    word_counts = [layer_starts[k + 1] - layer_starts[k] for k in range(len(layer_starts) - 1)]
+    word_counts += [0] * (max_len + 1 - len(word_counts))
 
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     built = {0: ident}

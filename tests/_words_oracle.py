@@ -1,10 +1,14 @@
-"""The faithfulness probe by normal forms and whole matrix images.
+"""Slow references for the ball walks of `words`, by renormalising normal forms.
 
-The slow reference for `words.faithfulness_probe`: it enumerates the ball by
-normal form with `append_letter`, carries every element's full matrix R_w at
-t, and counts distinct matrices per length and over the ball.  It shares no
-enumeration or keying code with the production probe, which walks descent
-sets and keys elements by one row of R_w.
+`normal_form_layers` grows every normal form by every letter with
+`append_letter`, which cancels and renormalises whenever the letter is a
+descent, and keeps the words that got longer: it knows nothing of descent
+masks, so it checks `words.enumerate_by_length`.  `matrix_image_probe` is
+the reference for `words.faithfulness_probe`: it enumerates the ball the
+same way, carries every element's full matrix R_w at t, and counts distinct
+matrices per length and over the ball.  It shares no enumeration or keying
+code with the production probe, which walks descent sets and keys elements
+by one row of R_w.
 """
 
 from __future__ import annotations
@@ -15,6 +19,15 @@ from coxcert import append_letter
 from coxcert.exactcore import quad_sign
 from coxcert.vinberg import reflection_actions, times_reflection
 from coxcert.words import FaithfulnessReport
+
+
+def normal_form_layers(g, max_len: int) -> list[set]:
+    """The spheres of radius 0..max_len of g's group, as sets of normal forms."""
+    layers = [{()}]
+    for target in range(1, max_len + 1):
+        grown = (append_letter(word, letter, g) for word in layers[-1] for letter in g.vertices)
+        layers.append({word for word in grown if len(word) == target})
+    return layers
 
 
 def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:

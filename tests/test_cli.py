@@ -227,6 +227,25 @@ def test_ball_past_the_cap_is_usage_error(command, k3_file, tmp_path, monkeypatc
     assert "Traceback" not in err
 
 
+def test_words_on_a_finite_group_pads_counts_and_caps_the_radius(tmp_path, monkeypatch, capsys):
+    # The edgeless diagram on 3 vertices has (Z/2)^3 as its group: every layer
+    # past length 3 is empty and printed as 0, and a radius above the cap is
+    # refused although the ball itself stays within it.
+    path = tmp_path / "n3.txt"
+    path.write_text("n 3\n")
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 10)
+    assert main(["words", str(path), "--max-len", "10"]) == 0
+    out = capsys.readouterr().out
+    zeros = " 0" * 7
+    assert f"word counts: 1 3 3 1{zeros}\n" in out
+    assert f"image counts: 1 3 3 1{zeros}\n" in out
+    assert "faithfulness probe: PASS" in out
+    assert main(["words", str(path), "--max-len", "11"]) == 2
+    err = capsys.readouterr().err
+    assert "radius 11" in err
+    assert "Traceback" not in err
+
+
 def test_cycle_command(capsys):
     assert main(["cycle", "--n", "5"]) == 0
     out = capsys.readouterr().out

@@ -5,8 +5,9 @@ two rewriting moves (cancel an adjacent equal pair, swap an adjacent
 commuting pair): it finds the true shortest length and the lexicographically
 least shortest word with no shortcuts, so any disagreement indicts the
 incremental algorithm.  Growth counts are checked against the clique
-polynomial's growth series, and the descent-set probe against the
-normal-form, whole-matrix probe in `_words_oracle`.
+polynomial's growth series and against the renormalising normal-form walk
+in `_words_oracle`, and the descent-set probe against that module's
+normal-form, whole-matrix probe.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from coxcert.errors import BallTooLarge, IndexOutOfRange
 from coxcert.vinberg import reflection_actions
 
 from _suite import acceptance_suite, growth_series, probe_length, suite_thresholds
-from _words_oracle import matrix_image_probe
+from _words_oracle import matrix_image_probe, normal_form_layers
 
 F = Fraction
 
@@ -138,6 +139,49 @@ def test_counts_match_brute_force_distinct_elements():
             assert counts == by_len
 
 
+def test_descent_mask_of_a_grown_normal_form():
+    # Desc(ws) = {s} + (Desc(w) & C(s)) for s outside Desc(w), on every normal
+    # form of length at most 5; both ball walks rest on this rule.
+    for name, g in acceptance_suite():
+
+        def descents(w):
+            return {s for s in g.vertices if len(append_letter(w, s, g)) < len(w)}
+
+        for layer in normal_form_layers(g, 4):
+            for w in layer:
+                desc = descents(w)
+                for s in set(g.vertices) - desc:
+                    expected = {s} | {y for y in desc if g.commutes(y, s)}
+                    assert descents(append_letter(w, s, g)) == expected, (name, w, s)
+
+
+def test_enumeration_never_cancels(monkeypatch):
+    # Grown only past its descent set, a normal form always gets longer, so
+    # `append_letter` never takes its cancelling, renormalising branch.
+    changes = []
+    real = words.append_letter
+
+    def spy(nf, letter, g):
+        grown = real(nf, letter, g)
+        changes.append(len(grown) - len(nf))
+        return grown
+
+    monkeypatch.setattr(words, "append_letter", spy)
+    for g in (CC5, P3, K3):
+        changes.clear()
+        enumerate_by_length(g, 6)
+        assert changes and set(changes) == {1}, g
+
+
+def test_counts_match_renormalising_walk():
+    cases = [(name, g, probe_length(g.n) or 4) for name, g in acceptance_suite()]
+    cases.append(("edgeless5", CoxeterDiagram(5, frozenset()), 7))
+    assert ("cc7", cycle_complement(7), 6) in cases
+    for name, g, max_len in cases:
+        expected = [len(layer) for layer in normal_form_layers(g, max_len)]
+        assert enumerate_by_length(g, max_len) == expected, name
+
+
 def test_faithfulness_probe_pinned():
     rep = faithfulness_probe(K3, 2, 4)
     assert rep.injective
@@ -217,7 +261,7 @@ def test_counts_match_growth_series():
         assert list(faithfulness_probe(g, 2, max_len).word_counts) == expected, name
 
 
-def test_counts_of_the_finite_group_stop_at_its_longest_element():
+def test_counts_of_the_finite_group_stop_at_its_longest_element(monkeypatch):
     # No edges: every pair commutes, the group is (Z/2)^5 and layer k has C(5, k).
     free = CoxeterDiagram(5, frozenset())
     expected = [1, 5, 10, 10, 5, 1, 0, 0]
@@ -226,3 +270,13 @@ def test_counts_of_the_finite_group_stop_at_its_longest_element():
     rep = faithfulness_probe(free, 2, 7)
     assert list(rep.word_counts) == expected
     assert rep.injective and rep.total_images == 32
+    # The 32-element ball fits any cap from 32 up, but a radius above the cap
+    # is refused even though the ball stops growing at length 5.
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 40)
+    padded = expected + [0] * 33
+    assert enumerate_by_length(free, 40) == padded
+    assert list(faithfulness_probe(free, 2, 40).image_counts) == padded
+    with pytest.raises(BallTooLarge):
+        enumerate_by_length(free, 41)
+    with pytest.raises(BallTooLarge):
+        faithfulness_probe(free, 2, 41)
