@@ -60,7 +60,6 @@ from .units import (
     galois_pair_check,
 )
 from .vinberg import (
-    CompactnessReport,
     EmbeddingCertificate,
     GeneratorSet,
     RelationReport,
@@ -83,7 +82,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompactnessReport",
     "CoxeterDiagram",
     "CycleReport",
     "DensityCertificate",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,12 @@ from .vinberg import EmbeddingCertificate, build_embedding_certificate
 from .words import enumerate_by_length, faithfulness_probe
 
 CERTIFICATE_FORMAT = "coxcert-embedding/1"
+# The certificate sections verify reads, each checked to be an object first;
+# a parent comes before its children.
+_SECTIONS = ("diagram", "thresholds", "unit", "unit.pell", "unit.alpha", "unit.tau_alpha", "faithfulness_probe")
+# The only form _rat writes; Fraction() alone would also take "1e20000000"
+# and spend minutes computing 10**20000000.
+_STORED_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 # -- canonical rendering ---------------------------------------------------
@@ -168,6 +175,25 @@ def cmd_embed(args) -> int:
     return 0 if cert.passed else 1
 
 
+def _check_sections(payload: dict) -> None:
+    for path in _SECTIONS:
+        node = payload
+        for key in path.split("."):
+            node = node.get(key)
+        if not isinstance(node, dict):
+            raise InputError(f"certificate is malformed: {path} must be an object")
+
+
+def _stored_rational(text, name: str) -> Fraction:
+    """A rational of the certificate, accepted only in the form _rat writes."""
+    if isinstance(text, str) and _STORED_RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"certificate is malformed: {name} must be a rational p/q")
+
+
 def _recheck_unit_block(payload: dict) -> None:
     """Re-derive the unit data of a stored certificate from scratch.
 
@@ -183,7 +209,12 @@ def _recheck_unit_block(payload: dict) -> None:
     stated = PellSolution(m, int(unit["pell"]["x"]), int(unit["pell"]["y"]), unit["pell"]["norm"])
     if stated != pell:
         raise VerificationFailed(f"stored Pell solution {stated} is not fundamental for m={m}")
-    alpha = QuadElem(Fraction(unit["alpha"]["a"]), Fraction(unit["alpha"]["b"]), m)
+
+    def stored_quad(key: str) -> QuadElem:
+        a, b = (_stored_rational(unit[key][c], f"unit.{key}.{c}") for c in "ab")
+        return QuadElem(a, b, m)
+
+    alpha = stored_quad("alpha")
     power = unit["power"]
     # Every unit > 1 of Z[sqrt(m)] is at least 1 + sqrt(2) > 2, so the k-th
     # power has rational part >= 2^(k-1): a larger power cannot match alpha,
@@ -191,12 +222,12 @@ def _recheck_unit_block(payload: dict) -> None:
     if not 1 <= power <= int(alpha.a).bit_length() or alpha != pell.unit() ** power:
         raise VerificationFailed("stored alpha is not the stated power of the fundamental unit")
     tau = alpha.conjugate()
-    if tau != QuadElem(Fraction(unit["tau_alpha"]["a"]), Fraction(unit["tau_alpha"]["b"]), m):
+    if tau != stored_quad("tau_alpha"):
         raise VerificationFailed("stored tau(alpha) is not the conjugate of alpha")
     product = alpha * tau
-    if not (product.is_rational() and product.as_fraction() == Fraction(unit["product"])):
+    if not (product.is_rational() and product.as_fraction() == _stored_rational(unit["product"], "unit.product")):
         raise VerificationFailed("stored alpha * tau(alpha) does not match")
-    epsilon = Fraction(payload["thresholds"]["epsilon"])
+    epsilon = _stored_rational(payload["thresholds"]["epsilon"], "thresholds.epsilon")
     if quad_sign(abs(tau) - epsilon) > 0:
         raise VerificationFailed("stored tau(alpha) violates the stated epsilon bound")
 
@@ -212,8 +243,9 @@ def cmd_verify(args) -> int:
     if not isinstance(payload, dict) or payload.get("format") != CERTIFICATE_FORMAT:
         raise InputError(f"not a {CERTIFICATE_FORMAT} certificate")
 
+    _check_sections(payload)
     g = _load_diagram(args.diagram)
-    stored_diagram = payload.get("diagram", {})
+    stored_diagram = payload["diagram"]
     if stored_diagram.get("n") != g.n or [list(e) for e in g.sorted_edges()] != stored_diagram.get("edges"):
         print("FAIL: certificate was issued for a different diagram", file=sys.stderr)
         return 1

@@ -14,7 +14,8 @@ verify_cycle_example certifies three things for one n: the circulant
 identity as an exact polynomial-matrix identity, the stable signature
 (2 floor(n/3), n - 2 floor(n/3), 0), and the spectrum at the first integer
 past the threshold as an exact identity of characteristic polynomials
-(see predicted_char_poly).  Floats appear only in the printed report of
+(see predicted_char_poly; the observed side is read off the cached det M_d
+by gram.pencil_char_poly).  Floats appear only in the printed report of
 how far the refined roots lie from the closed-form cosines.
 """
 
@@ -28,12 +29,11 @@ from .diagram import cycle_complement
 from .exactcore import (
     Poly,
     Signature,
-    char_poly,
     isolate_real_roots,
     refine_root_interval,
     squarefree_part,
 )
-from .gram import d_threshold, evaluate_pencil, gram_pencil, stable_signature
+from .gram import d_threshold, gram_pencil, pencil_char_poly, stable_signature
 
 _REFINE_WIDTH = Fraction(1, 10**12)
 
@@ -141,7 +141,7 @@ def verify_cycle_example(n: int) -> CycleReport:
     signature_ok = signature == expected
 
     prediction = predicted_spectrum(n, t)
-    cp = char_poly(evaluate_pencil(pencil, t))
+    cp = pencil_char_poly(pencil, t)
     special_is_root = cp(prediction.special) == 0
     spectrum_ok = cp == predicted_char_poly(n, t)
 

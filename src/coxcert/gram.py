@@ -271,6 +271,19 @@ def stable_signature(pencil: GramPencil) -> Signature:
     return Signature(pencil.n - q, q, 0)
 
 
+def pencil_char_poly(pencil: GramPencil, t) -> Poly:
+    """det(x I - M_t) for a rational t, read off det M_d = sum_k c_k d^k.
+
+    M_t = I - t*A, so det((x - 1) I + t*A) = sum_k c_k (-t)^k (x - 1)^(n - k):
+    det M_d's coefficients, scaled, reversed, padded to degree n and shifted
+    by x -> x - 1.
+    """
+    t = Fraction(t)
+    scaled = [c * (-t) ** k for k, c in enumerate(minor_polynomials(pencil)[-1].coeffs)]
+    scaled += [0] * (pencil.n + 1 - len(scaled))
+    return Poly(tuple(reversed(scaled)))(Poly((-1, 1)))
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
     """Everything cmd_analyze prints: both thresholds plus the stable inertia."""

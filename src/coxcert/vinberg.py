@@ -4,16 +4,22 @@ For an evaluation point t the generator attached to vertex i is the
 reflection R_i = I - 2 e_i m_i^T where m_i is the i-th column of M_t.  It is
 defined once, by its rank-one right action: A * R_i negates column i of A
 and adds 2t * (old column i) to each neighbor column.  The generators are
-that action applied to I, and every product the checks need runs through
-it: R_i^2 = I, (R_i R_j)^2 = I on commuting pairs, R_i^T M_t R_i = M_t, and
-tr(R_i R_j) over Q[d].
+that action applied to I.
+
+Every entry of R_i(d) is an integer polynomial in d of degree at most 1, so
+R_i^2 = I, (R_i R_j)^2 = I on commuting pairs, R_i^T M_d R_i = M_d and
+tr(R_i R_j) = n - 4 + 4 M_ij(d)^2 are identities in Z[d].  verify_relations
+checks each once there, from one product R_i R_j per pair; holding in Z[d],
+they hold at alpha and at its Galois conjugate tau alike.  Only two facts
+are decided at a point: the generators at alpha have entries in Z[sqrt(m)],
+and M_tau is positive-definite (its leading minors are the pencil's minor
+polynomials at tau).
 
 The embedding certificate bundles every exact verdict for one diagram and
 one quadratic ring: thresholds, the chosen unit alpha with its Galois
-checks, generator relations at alpha, integrality, compactness of the
-conjugate form (its leading minors are the pencil's minor polynomials at
-tau), the trace identity as a polynomial identity in d, a Lie bracket
-density check at t = D, and a short faithfulness probe.
+checks, the Z[d] identities, integrality at alpha, compactness of the
+conjugate form, a Lie bracket density check at t = D, and a short
+faithfulness probe.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from itertools import combinations
 from fractions import Fraction
 
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
-from .errors import Disconnected, SameVertex, VerificationFailed
+from .errors import Disconnected, SameVertex
 from .exactcore import (
     Interval,
     Matrix,
@@ -33,6 +39,7 @@ from .exactcore import (
     Signature,
     mat_eq,
     quad_sign,
+    trace,
     transpose,
 )
 from .gram import (
@@ -110,48 +117,57 @@ def _preserves(form: Matrix, action) -> bool:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Exact verdicts for the defining relations and form preservation."""
+    """Verdicts of the Z[d] identities, with each failing (kind, i, j)."""
 
     involutions_ok: bool
     commutations_ok: bool
     orthogonality_ok: bool
+    traces_ok: bool
     failures: tuple
 
-    @property
-    def ok(self) -> bool:
-        return self.involutions_ok and self.commutations_ok and self.orthogonality_ok
+
+def _pencil_generators(g: CoxeterDiagram) -> tuple[dict, tuple]:
+    """The actions of R_i(d) and the matrices R_i(d) over Z[d], one per vertex."""
+    actions = reflection_actions(g, Poly((0, 1)))
+    ident = _identity_like(gram_pencil(g).entries)
+    return actions, tuple(times_reflection(ident, actions[i]) for i in g.vertices)
 
 
-def verify_relations(gs: GeneratorSet) -> RelationReport:
-    """Check R_i^2 = I, (R_i R_j)^2 = I for commuting pairs, R^T M R = M.
+def _pair_product(actions: dict, generators: tuple, i: int, j: int) -> tuple:
+    """R_i R_j (R_j's action on the matrix R_i) and its trace."""
+    product = times_reflection(generators[i - 1], actions[j])
+    return product, trace(product)
 
-    The products run through the action of (diagram, t), so each stored
-    matrix is first compared with that action applied to I; a mismatch is a
-    ("generator", i, i) failure and fails all three verdicts.
+
+def verify_relations(g: CoxeterDiagram) -> RelationReport:
+    """Check R_i^2 = I, R_i^T M_d R_i = M_d, and per pair P = R_i R_j.
+
+    Every check is an identity in Z[d]: P^2 = I on commuting pairs, and
+    tr P = expected_trace(g, i, j) on all pairs i < j.
     """
-    g = gs.diagram
-    ident = _identity_like(gs.form)
-    actions = reflection_actions(g, gs.t)
+    actions, generators = _pencil_generators(g)
+    form = gram_pencil(g).entries
+    ident = _identity_like(form)
     failures = []
-    for i, r_mat in enumerate(gs.matrices, start=1):
-        if not mat_eq(times_reflection(ident, actions[i]), r_mat):
-            failures.append(("generator", i, i))
-        elif not mat_eq(times_reflection(r_mat, actions[i]), ident):
-            failures.append(("involution", i, i))
-    for i, j in combinations(g.vertices, 2):
-        if g.commutes(i, j):
-            prod = times_reflection(gs.matrices[i - 1], actions[j])
-            if not mat_eq(times_reflection(times_reflection(prod, actions[i]), actions[j]), ident):
-                failures.append(("commutation", i, j))
     for i in g.vertices:
-        if not _preserves(gs.form, actions[i]):
+        if not mat_eq(times_reflection(generators[i - 1], actions[i]), ident):
+            failures.append(("involution", i, i))
+        if not _preserves(form, actions[i]):
             failures.append(("orthogonality", i, i))
+    for i, j in combinations(g.vertices, 2):
+        product, tr = _pair_product(actions, generators, i, j)
+        if g.commutes(i, j):
+            square = times_reflection(times_reflection(product, actions[i]), actions[j])
+            if not mat_eq(square, ident):
+                failures.append(("commutation", i, j))
+        if tr != expected_trace(g, i, j):
+            failures.append(("trace", i, j))
     kinds = {kind for kind, _, _ in failures}
-    defined = "generator" not in kinds
     return RelationReport(
-        defined and "involution" not in kinds,
-        defined and "commutation" not in kinds,
-        defined and "orthogonality" not in kinds,
+        "involution" not in kinds,
+        "commutation" not in kinds,
+        "orthogonality" not in kinds,
+        "trace" not in kinds,
         tuple(failures),
     )
 
@@ -170,17 +186,10 @@ def generators_integral(gs: GeneratorSet) -> bool:
 
 
 def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
-    """tr(R_i R_j) as an exact polynomial in d."""
+    """tr(R_i R_j) as an integer polynomial in d."""
     if i == j:
         raise SameVertex(f"need two distinct vertices, got {i} twice")
-    actions = reflection_actions(g, Poly((Fraction(0), Fraction(1))))
-    product = times_reflection(
-        times_reflection(_identity_like(gram_pencil(g).entries), actions[i]), actions[j]
-    )
-    total = Poly()
-    for c in range(g.n):
-        total = total + product[c][c]
-    return total
+    return _pair_product(*_pencil_generators(g), i, j)[1]
 
 
 def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:
@@ -189,47 +198,20 @@ def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:
         raise SameVertex(f"need two distinct vertices, got {i} twice")
     n = g.n
     if g.adjacent(i, j):
-        return Poly((Fraction(n - 4), Fraction(0), Fraction(4)))
-    return Poly((Fraction(n - 4),))
+        return Poly((n - 4, 0, 4))
+    return Poly((n - 4,))
 
 
-@dataclass(frozen=True)
-class CompactnessReport:
-    """Galois-conjugated generators against the conjugated (definite) form."""
+def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> bool:
+    """True when M_tau is positive-definite, tau the Galois conjugate of alpha.
 
-    tau: QuadElem
-    conj_generators: tuple
-    conj_form: Matrix
-    form_preserved: tuple
-    positive_definite: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(self.form_preserved) and self.positive_definite
-
-
-def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> CompactnessReport:
-    """Conjugate every generator coordinate-wise and certify the compact side.
-
-    The conjugated generators must equal the reflections at tau and preserve
-    M_tau, and M_tau must be positive-definite: its leading principal minors
-    are the minor polynomials of the pencil evaluated at tau, each of whose
-    signs is decided exactly in Q(sqrt(m)).
+    Its leading principal minors are the minor polynomials of the pencil
+    evaluated at tau, each of whose signs is decided exactly in Q(sqrt(m)).
+    That the conjugate generators preserve M_tau is the Z[d] orthogonality
+    of verify_relations.
     """
-    alpha = u.value
-    tau = alpha.conjugate()
-    gens = reflection_generators(g, alpha)
-    conj_mats = tuple(
-        tuple(tuple(x.conjugate() for x in row) for row in mat_) for mat_ in gens.matrices
-    )
-    direct = reflection_generators(g, tau)
-    for built, mapped in zip(direct.matrices, conj_mats):
-        if not mat_eq(built, mapped):
-            raise VerificationFailed("Galois map disagrees with direct construction at tau")
-    actions = reflection_actions(g, tau)
-    preserved = tuple(_preserves(direct.form, actions[i]) for i in g.vertices)
-    positive_definite = all(quad_sign(p(tau)) > 0 for p in minor_polynomials(gram_pencil(g)))
-    return CompactnessReport(tau, conj_mats, direct.form, preserved, positive_definite)
+    tau = u.value.conjugate()
+    return all(quad_sign(p(tau)) > 0 for p in minor_polynomials(gram_pencil(g)))
 
 
 @dataclass(frozen=True)
@@ -288,9 +270,10 @@ def build_embedding_certificate(
 ) -> EmbeddingCertificate:
     """Run the whole pipeline for one diagram and one quadratic ring.
 
-    Stages: thresholds -> unit choice -> Galois bound -> generator relations
-    and integrality at alpha -> compact conjugate check -> bracket closure
-    density at D -> trace identity over all pairs -> faithfulness probe.
+    Stages: thresholds -> unit choice -> Galois bound -> relations,
+    orthogonality and traces over Z[d], integrality at alpha -> positive
+    definiteness at tau -> bracket closure density at D -> faithfulness
+    probe.
     Deterministic: same (g, m) always yields an identical certificate.
     """
     from .liealg import bracket_closure_density
@@ -315,26 +298,17 @@ def build_embedding_certificate(
     timings["unit"] = clock() - start
 
     start = clock()
-    gens = reflection_generators(g, unit.value)
-    relations = verify_relations(gens)
-    integrality_ok = generators_integral(gens)
+    relations = verify_relations(g)
+    integrality_ok = generators_integral(reflection_generators(g, unit.value))
     timings["relations"] = clock() - start
 
     start = clock()
-    compactness = compact_conjugate_check(g, unit)
+    positive_definite = compact_conjugate_check(g, unit)
     timings["compactness"] = clock() - start
 
     start = clock()
     density = bracket_closure_density(g, Fraction(d_value))
     timings["density"] = clock() - start
-
-    start = clock()
-    trace_identity_ok = all(
-        trace_polynomial(g, i, j) == expected_trace(g, i, j)
-        for i in range(1, g.n + 1)
-        for j in range(i + 1, g.n + 1)
-    )
-    timings["traces"] = clock() - start
 
     start = clock()
     probe_t = Fraction(d_value)
@@ -366,8 +340,8 @@ def build_embedding_certificate(
         integrality_ok=integrality_ok,
         galois_product_unit=galois.product_is_unit,
         galois_conj_bounded=galois.conj_bounded,
-        conj_form_positive_definite=compactness.ok,
-        trace_identity_ok=trace_identity_ok,
+        conj_form_positive_definite=relations.orthogonality_ok and positive_definite,
+        trace_identity_ok=relations.traces_ok,
         density_ok=density.verdict,
         density_trace=tuple(density.dimension_trace),
         faithfulness_passed=probe.injective,

@@ -128,7 +128,18 @@ def _string_power(payload):
     payload["unit"]["power"] = "x"
 
 
-@pytest.mark.parametrize("mutate", [_drop_probe, _negative_probe, _string_radicand, _string_power])
+def _diagram_not_an_object(payload):
+    payload["diagram"] = []
+
+
+def _zero_denominator(payload):
+    payload["unit"]["product"] = "1/0"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_drop_probe, _negative_probe, _string_radicand, _string_power, _diagram_not_an_object, _zero_denominator],
+)
 def test_verify_rejects_malformed_certificate(mutate, k3_file, tmp_path, capsys):
     cert = tmp_path / "k3.json"
     main(["embed", k3_file, "--out", str(cert)])
@@ -157,6 +168,30 @@ def test_verify_rejects_huge_unit_power_without_exponentiating(k3_file, tmp_path
     )
     assert proc.returncode == 1
     assert "not the stated power" in proc.stderr
+
+
+@pytest.mark.parametrize("path", [("thresholds", "epsilon"), ("unit", "alpha", "a")])
+def test_verify_rejects_a_decimal_exponent_without_expanding_it(path, k3_file, tmp_path):
+    import subprocess
+    import sys
+
+    cert = tmp_path / "k3.json"
+    main(["embed", k3_file, "--out", str(cert)])
+    payload = json.loads(cert.read_text())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "1e20000000"
+    cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxcert", "verify", str(cert), k3_file],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "certificate is malformed" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_rejects_non_certificate(k3_file, tmp_path, capsys):

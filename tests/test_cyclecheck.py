@@ -17,6 +17,7 @@ from coxcert import (
 )
 from coxcert.cyclecheck import predicted_char_poly
 from coxcert.exactcore import char_poly
+from coxcert.gram import d_threshold, pencil_char_poly
 
 F = Fraction
 
@@ -99,6 +100,14 @@ def test_predicted_char_poly_is_exact():
     for n, t in cases:
         cp = char_poly(evaluate_pencil(gram_pencil(cycle_complement(n)), t))
         assert cp == predicted_char_poly(n, t), (n, t)
+
+
+def test_char_poly_read_off_det_matches_faddeev_leverrier():
+    # verify_cycle_example takes char_poly(M_t) from the cached det M_d
+    for n in range(5, 21):
+        pencil = gram_pencil(cycle_complement(n))
+        for t in (F(d_threshold(pencil)[0] + 1), F(3, 2), F(7, 3)):
+            assert pencil_char_poly(pencil, t) == char_poly(evaluate_pencil(pencil, t)), (n, t)
 
 
 def test_predicted_char_poly_detects_a_wrong_point():

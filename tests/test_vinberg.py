@@ -27,10 +27,12 @@ from coxcert import (
     trace_polynomial,
     verify_relations,
 )
+from coxcert import vinberg
 from coxcert.errors import Disconnected, SameVertex
 from coxcert.exactcore import bareiss_det, leading_principal_minors, mat_eq, mat_mul, quad_sign, transpose
 from coxcert.vinberg import reflection_actions, times_reflection
 
+from _relations_oracle import conjugate_matrix, conjugates_to_tau, relations_at
 from _suite import acceptance_suite, suite_thresholds, suite_unit
 
 F = Fraction
@@ -70,11 +72,46 @@ def test_relations_hold_at_integer_and_quadratic_points():
     alpha = choose_unit(2, 3).value
     for g in (K3, P3, cycle_complement(5)):
         for t in (1, 2, F(7, 3), alpha):
-            rel = verify_relations(reflection_generators(g, t))
-            assert rel.involutions_ok
-            assert rel.commutations_ok
-            assert rel.orthogonality_ok
+            rel = relations_at(reflection_generators(g, t))
+            assert rel.ok
             assert rel.failures == ()
+
+
+def test_zd_verdicts_match_the_point_oracle():
+    for name, g in acceptance_suite():
+        rel = verify_relations(g)
+        assert rel.failures == () and rel.traces_ok, name
+        zd = (rel.involutions_ok, rel.commutations_ok, rel.orthogonality_ok)
+        d_value = suite_thresholds(name, g).d_value
+        for t in (F(d_value), F(7, 3), suite_unit(name, g, 2).value):
+            at_t = relations_at(reflection_generators(g, t))
+            assert zd == (at_t.involutions_ok, at_t.commutations_ok, at_t.orthogonality_ok), (name, t)
+            assert at_t.failures == (), (name, t)
+
+
+def test_conjugating_the_generators_at_alpha_gives_those_at_tau():
+    for m in (2, 3, 5):
+        for name, g in acceptance_suite():
+            assert conjugates_to_tau(g, suite_unit(name, g, m).value), (name, m)
+
+
+def test_a_wrong_neighbour_coefficient_flips_the_verdicts(monkeypatch):
+    original = vinberg.reflection_actions
+
+    def off_by_one_at_vertex_1(g, t):
+        actions = original(g, t)
+        col, neighbor_cols, two_t = actions[1]
+        actions[1] = (col, neighbor_cols, two_t + 1)
+        return actions
+
+    g = cycle_complement(6)
+    assert build_embedding_certificate(g).passed
+    monkeypatch.setattr(vinberg, "reflection_actions", off_by_one_at_vertex_1)
+    rel = verify_relations(g)
+    assert not rel.orthogonality_ok and not rel.traces_ok
+    cert = build_embedding_certificate(g)
+    assert not (cert.relations_ok and cert.orthogonality_ok)
+    assert not cert.passed
 
 
 def test_rank_one_action_matches_dense_products():
@@ -94,7 +131,7 @@ def test_relations_flag_a_stored_matrix_from_another_point():
     g = cycle_complement(8)
     gs = reflection_generators(g, 2)
     swapped = (reflection_generators(g, 3).matrices[0],) + gs.matrices[1:]
-    rel = verify_relations(GeneratorSet(g, gs.t, gs.form, swapped))
+    rel = relations_at(GeneratorSet(g, gs.t, gs.form, swapped))
     assert not rel.ok
     assert ("generator", 1, 1) in rel.failures
 
@@ -149,14 +186,14 @@ def test_trace_polynomial_rejects_equal_vertices():
 
 def test_compact_conjugate_check():
     u = choose_unit(2, 3)
-    rep = compact_conjugate_check(K3, u)
-    assert rep.positive_definite
-    assert all(rep.form_preserved)
-    assert rep.ok
-    assert rep.tau == QuadElem(3, -2, 2)
-    # the conjugated form is the pencil evaluated at tau(alpha)
-    expected_form = evaluate_pencil(gram_pencil(K3), u.value.conjugate())
-    assert mat_eq(rep.conj_form, expected_form)
+    tau = u.value.conjugate()
+    assert tau == QuadElem(3, -2, 2)
+    assert compact_conjugate_check(K3, u)
+    # the conjugate generators preserve M_tau, and the conjugated form is the
+    # pencil evaluated at tau(alpha)
+    assert relations_at(reflection_generators(K3, tau)).orthogonality_ok
+    conj_form = conjugate_matrix(evaluate_pencil(gram_pencil(K3), u.value))
+    assert mat_eq(conj_form, evaluate_pencil(gram_pencil(K3), tau))
 
 
 def test_minors_at_tau_are_the_minor_polynomials_evaluated():
@@ -171,12 +208,10 @@ def test_minors_at_tau_are_the_minor_polynomials_evaluated():
 def test_conjugate_form_indefinite_above_epsilon():
     # tau = sqrt(2) - 1 lies above cc8's positive-definite radius 1/5.
     g = cycle_complement(8)
-    rep = compact_conjugate_check(g, UnitValue(fundamental_pell(2), 1, QuadElem(1, 1, 2)))
-    assert not rep.positive_definite
-    assert not rep.ok
+    assert not compact_conjugate_check(g, UnitValue(fundamental_pell(2), 1, QuadElem(1, 1, 2)))
     # Bareiss oracle, one block at a time: the 7th leading minor vanishes at
     # this tau, so the one-pass elimination of leading_principal_minors stops
-    form = rep.conj_form
+    form = evaluate_pencil(gram_pencil(g), QuadElem(1, -1, 2))
     blocks = [bareiss_det(tuple(row[:k] for row in form[:k])) for k in range(1, len(form) + 1)]
     assert not all(quad_sign(p) > 0 for p in blocks)
     assert blocks[6] == 0
