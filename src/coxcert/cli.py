@@ -27,10 +27,10 @@ from fractions import Fraction
 from .cyclecheck import verify_cycle_example
 from .diagram import MAX_VERTICES, cycle_complement, parse_diagram, serialize_diagram
 from .errors import CoxcertError, InputError, TooManyVertices
-from .exactcore import Interval, QuadElem, quad_sign
+from .exactcore import Interval, QuadElem
 from .gram import d_threshold, gram_pencil, threshold_report
 from .liealg import bracket_closure_density
-from .units import PellSolution, fundamental_pell
+from .units import PellSolution, UnitValue, fundamental_pell, galois_pair_check
 from .vinberg import EmbeddingCertificate, build_embedding_certificate
 from .words import enumerate_by_length, faithfulness_probe
 
@@ -41,6 +41,8 @@ _SECTIONS = ("diagram", "thresholds", "unit", "unit.pell", "unit.alpha", "unit.t
 # The only form _rat writes; Fraction() alone would also take "1e20000000"
 # and spend minutes computing 10**20000000.
 _STORED_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+# The form the Pell coordinates x and y are written in.
+_STORED_DIGITS = re.compile(r"[0-9]+")
 
 
 # -- canonical rendering ---------------------------------------------------
@@ -108,13 +110,15 @@ def canonical_json(payload: dict) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
 def _load_diagram(path: str):
@@ -194,42 +198,60 @@ def _stored_rational(text, name: str) -> Fraction:
     raise InputError(f"certificate is malformed: {name} must be a rational p/q")
 
 
+def _stored_int(value, name: str) -> int:
+    """A JSON integer of the certificate; bools and floats are refused."""
+    if type(value) is not int:
+        raise InputError(f"certificate is malformed: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _stored_digits(text, name: str) -> int:
+    """A nonnegative integer the certificate writes as a string of digits."""
+    if not (isinstance(text, str) and _STORED_DIGITS.fullmatch(text)):
+        raise InputError(f"certificate is malformed: {name} must be a string of digits")
+    return int(text)
+
+
 def _recheck_unit_block(payload: dict) -> None:
     """Re-derive the unit data of a stored certificate from scratch.
 
-    Independent of the byte comparison: the Pell solution is recomputed,
-    alpha is rebuilt as the stated power, and the Galois bound is checked
-    against the stated epsilon.  Any mismatch is a verification failure.
+    Independent of the byte comparison: every unit field is type-checked
+    first, the Pell solution is recomputed, alpha is rebuilt as the stated
+    power, and galois_pair_check decides the Galois pair against the stated
+    epsilon; its tau and product must equal the stored ones.  Any mismatch
+    is a verification failure.
     """
     from .errors import VerificationFailed
 
     unit = payload["unit"]
-    m = unit["pell"]["m"]
-    pell = fundamental_pell(m)
-    stated = PellSolution(m, int(unit["pell"]["x"]), int(unit["pell"]["y"]), unit["pell"]["norm"])
-    if stated != pell:
-        raise VerificationFailed(f"stored Pell solution {stated} is not fundamental for m={m}")
+    pell_data = unit["pell"]
+    m = _stored_int(pell_data["m"], "unit.pell.m")
+    x, y = (_stored_digits(pell_data[c], f"unit.pell.{c}") for c in "xy")
+    stated = PellSolution(m, x, y, _stored_int(pell_data["norm"], "unit.pell.norm"))
+    power = _stored_int(unit["power"], "unit.power")
 
     def stored_quad(key: str) -> QuadElem:
         a, b = (_stored_rational(unit[key][c], f"unit.{key}.{c}") for c in "ab")
         return QuadElem(a, b, m)
 
     alpha = stored_quad("alpha")
-    power = unit["power"]
+    tau = stored_quad("tau_alpha")
+    product = _stored_rational(unit["product"], "unit.product")
+    epsilon = _stored_rational(payload["thresholds"]["epsilon"], "thresholds.epsilon")
+
+    pell = fundamental_pell(m)
+    if stated != pell:
+        raise VerificationFailed(f"stored Pell solution {stated} is not fundamental for m={m}")
     # Every unit > 1 of Z[sqrt(m)] is at least 1 + sqrt(2) > 2, so the k-th
     # power has rational part >= 2^(k-1): a larger power cannot match alpha,
     # and rejecting it first bounds the work by the certificate's size.
     if not 1 <= power <= int(alpha.a).bit_length() or alpha != pell.unit() ** power:
         raise VerificationFailed("stored alpha is not the stated power of the fundamental unit")
-    tau = alpha.conjugate()
-    if tau != stored_quad("tau_alpha"):
+    galois = galois_pair_check(UnitValue(pell, power, alpha), epsilon)
+    if galois.tau != tau:
         raise VerificationFailed("stored tau(alpha) is not the conjugate of alpha")
-    product = alpha * tau
-    if not (product.is_rational() and product.as_fraction() == _stored_rational(unit["product"], "unit.product")):
+    if galois.product != product:
         raise VerificationFailed("stored alpha * tau(alpha) does not match")
-    epsilon = _stored_rational(payload["thresholds"]["epsilon"], "thresholds.epsilon")
-    if quad_sign(abs(tau) - epsilon) > 0:
-        raise VerificationFailed("stored tau(alpha) violates the stated epsilon bound")
 
 
 def cmd_verify(args) -> int:
@@ -252,13 +274,10 @@ def cmd_verify(args) -> int:
 
     try:
         _recheck_unit_block(payload)
-        m = payload["m"]
-        probe_len = payload["faithfulness_probe"]["max_len"]
+        m = _stored_int(payload["m"], "m")
+        probe_len = _stored_int(payload["faithfulness_probe"]["max_len"], "faithfulness_probe.max_len")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"certificate is malformed: {exc!r}") from exc
-    for name, value in (("m", m), ("faithfulness_probe.max_len", probe_len)):
-        if type(value) is not int:
-            raise InputError(f"certificate is malformed: {name} must be an integer, got {value!r}")
     if probe_len < 0:
         raise InputError(f"certificate is malformed: faithfulness_probe.max_len is {probe_len} < 0")
 

@@ -25,6 +25,7 @@ from .errors import (
     DiagramSyntaxError,
     DuplicateEdge,
     IndexOutOfRange,
+    InputError,
     NTooSmall,
     TooFewVertices,
     TooManyVertices,
@@ -125,7 +126,10 @@ def is_connected(g: CoxeterDiagram) -> bool:
 def parse_diagram(text) -> CoxeterDiagram:
     """Parse the diagram text format; see the module docstring."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"diagram is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     n = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

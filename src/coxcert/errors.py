@@ -90,7 +90,7 @@ class VerificationFailed(CoxcertError):
 
 
 class InequalityFailed(CoxcertError):
-    """The Galois conjugate bound failed; the caller passed a bad bound."""
+    """The Galois conjugate bound failed: alpha lies below 1/epsilon."""
 
 
 class BallTooLarge(InputError):

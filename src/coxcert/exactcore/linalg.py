@@ -157,10 +157,14 @@ def leading_principal_minors(a: Matrix) -> list:
 
 
 def char_poly(a: Matrix) -> Poly:
-    """det(x*I - a) of a rational matrix via Faddeev-LeVerrier."""
+    """det(x*I - a) of a rational matrix via Faddeev-LeVerrier.
+
+    Each division by k is exact, so an int matrix keeps int coefficients.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial needs a square matrix")
+    divide = _exact_division(a)
     desc = [1]
     mk = a
     ck = -trace(mk)
@@ -170,7 +174,7 @@ def char_poly(a: Matrix) -> Poly:
             tuple(mk[i][j] + ck if i == j else mk[i][j] for j in range(n)) for i in range(n)
         )
         mk = mat_mul(a, shifted)
-        ck = -trace(mk) / k
+        ck = -divide(trace(mk), k)
         desc.append(ck)
     return Poly(tuple(reversed(desc)))
 

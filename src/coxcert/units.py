@@ -103,8 +103,8 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
     """Certify alpha * tau(alpha) = +-1 and |tau(alpha)| <= epsilon.
 
     Since alpha >= 1/epsilon forces |tau(alpha)| = 1/alpha <= epsilon, a
-    failed inequality means the caller passed choose_unit a bound below
-    1/epsilon; that is reported as InequalityFailed.
+    failed inequality means alpha lies below 1/epsilon; that is reported as
+    InequalityFailed.
     """
     epsilon = Fraction(epsilon)
     alpha = u.value
@@ -116,6 +116,6 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
     conj_bounded = quad_sign(abs(tau) - epsilon) <= 0
     if not conj_bounded:
         raise InequalityFailed(
-            f"|tau(alpha)| exceeds epsilon = {epsilon}; choose_unit was given a bound below 1/epsilon"
+            f"|tau(alpha)| exceeds epsilon = {epsilon}: alpha lies below 1/epsilon"
         )
     return GaloisReport(alpha, tau, product.as_fraction(), product_is_unit, conj_bounded)

@@ -10,10 +10,10 @@ Every entry of R_i(d) is an integer polynomial in d of degree at most 1, so
 R_i^2 = I, (R_i R_j)^2 = I on commuting pairs, R_i^T M_d R_i = M_d and
 tr(R_i R_j) = n - 4 + 4 M_ij(d)^2 are identities in Z[d].  verify_relations
 checks each once there, from one product R_i R_j per pair; holding in Z[d],
-they hold at alpha and at its Galois conjugate tau alike.  Only two facts
-are decided at a point: the generators at alpha have entries in Z[sqrt(m)],
-and M_tau is positive-definite (its leading minors are the pencil's minor
-polynomials at tau).
+they hold at alpha and at its Galois conjugate tau alike.  R_i(t) has
+entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Only one fact
+is decided at a point: M_tau is positive-definite (its leading minors are
+the pencil's minor polynomials at tau).
 
 The embedding certificate bundles every exact verdict for one diagram and
 one quadratic ring: thresholds, the chosen unit alpha with its Galois
@@ -172,17 +172,16 @@ def verify_relations(g: CoxeterDiagram) -> RelationReport:
     )
 
 
-def generators_integral(gs: GeneratorSet) -> bool:
-    """True when every generator entry lies in Z[sqrt(m)] (or Z over Q)."""
-    for mat_ in gs.matrices:
-        for row in mat_:
-            for x in row:
-                if isinstance(x, QuadElem):
-                    if not x.is_integral():
-                        return False
-                elif Fraction(x).denominator != 1:
-                    return False
-    return True
+def generators_integral(g: CoxeterDiagram, t) -> bool:
+    """True when every R_i(t) has entries in Z[sqrt(m)] (or Z over Q).
+
+    R_i(t), the action applied to I, has entries 0, +-1 and the action's 2t.
+    """
+    return all(
+        two_t.is_integral() if isinstance(two_t, QuadElem) else Fraction(two_t).denominator == 1
+        for _, neighbor_cols, two_t in reflection_actions(g, t).values()
+        if neighbor_cols
+    )
 
 
 def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
@@ -299,7 +298,7 @@ def build_embedding_certificate(
 
     start = clock()
     relations = verify_relations(g)
-    integrality_ok = generators_integral(reflection_generators(g, unit.value))
+    integrality_ok = generators_integral(g, unit.value)
     timings["relations"] = clock() - start
 
     start = clock()

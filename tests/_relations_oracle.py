@@ -7,14 +7,17 @@ stored matrix is first compared with the rank-one action at t applied to I
 (a mismatch is a ("generator", i, i) failure and fails all three verdicts),
 and the products then run through that action.  `conjugates_to_tau` is the
 Galois-map comparison: conjugating R_i(alpha) coordinate-wise gives R_i(tau).
+`integral_at` reads integrality entry by entry off the stored matrices; the
+package reads it off the actions' 2t alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
-from coxcert.exactcore import mat_eq, transpose
+from coxcert.exactcore import QuadElem, mat_eq, transpose
 from coxcert.vinberg import GeneratorSet, reflection_actions, reflection_generators, times_reflection
 
 
@@ -78,3 +81,16 @@ def conjugates_to_tau(g, alpha) -> bool:
     at_alpha = reflection_generators(g, alpha).matrices
     at_tau = reflection_generators(g, alpha.conjugate()).matrices
     return all(mat_eq(conjugate_matrix(a), b) for a, b in zip(at_alpha, at_tau))
+
+
+def integral_at(gs: GeneratorSet) -> bool:
+    """True when every stored generator entry lies in Z[sqrt(m)] (or Z over Q)."""
+    for mat_ in gs.matrices:
+        for row in mat_:
+            for x in row:
+                if isinstance(x, QuadElem):
+                    if not x.is_integral():
+                        return False
+                elif Fraction(x).denominator != 1:
+                    return False
+    return True

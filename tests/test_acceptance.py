@@ -24,7 +24,6 @@ from coxcert import (
     generators_integral,
     gram_pencil,
     quad_sign,
-    reflection_generators,
     trace_polynomial,
     verify_cycle_example,
     verify_relations,
@@ -92,8 +91,7 @@ def test_criterion_4_integrality():
     failures = []
     for m in (2, 3, 5):
         for name, g in SUITE:
-            gens = reflection_generators(g, suite_unit(name, g, m).value)
-            if not generators_integral(gens):
+            if not generators_integral(g, suite_unit(name, g, m).value):
                 failures.append((name, m))
     _verdict(4, "integrality", failures)
 

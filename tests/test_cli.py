@@ -49,6 +49,16 @@ def test_missing_file_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_undecodable_file_is_usage_error(command, k3_file, tmp_path, capsys):
+    path = tmp_path / "binary"
+    path.write_bytes(b"n 3\n\xff\n")
+    argv = ["analyze", str(path)] if command == "analyze" else ["verify", str(path), k3_file]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err
+
+
 def test_malformed_diagram_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.diagram"
     path.write_text("n 3\nedge 1 99\n")
@@ -104,6 +114,29 @@ def test_verify_rejects_tampered_certificate(k3_file, tmp_path, capsys):
     assert "failed:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("thresholds", "epsilon"), "1/1000", "alpha lies below 1/epsilon"),
+        (("unit", "tau_alpha", "b"), "1/1", "not the conjugate of alpha"),
+        (("unit", "product"), "1/1", "alpha * tau(alpha) does not match"),
+    ],
+)
+def test_verify_rechecks_the_galois_pair(path, value, message, k3_file, tmp_path, capsys):
+    cert = tmp_path / "k3.json"
+    main(["embed", k3_file, "--out", str(cert)])
+    payload = json.loads(cert.read_text())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(cert), k3_file]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "choose_unit" not in err
+
+
 def test_verify_rejects_wrong_diagram(k3_file, p3_file, tmp_path, capsys):
     cert = tmp_path / "k3.json"
     main(["embed", k3_file, "--out", str(cert)])
@@ -128,6 +161,26 @@ def _string_power(payload):
     payload["unit"]["power"] = "x"
 
 
+def _float_power(payload):
+    payload["unit"]["power"] = 1.5
+
+
+def _bool_radicand(payload):
+    payload["unit"]["pell"]["m"] = True
+
+
+def _string_norm(payload):
+    payload["unit"]["pell"]["norm"] = "x"
+
+
+def _float_pell_x(payload):
+    payload["unit"]["pell"]["x"] = float(payload["unit"]["pell"]["x"])
+
+
+def _signed_pell_y(payload):
+    payload["unit"]["pell"]["y"] = "+" + payload["unit"]["pell"]["y"]
+
+
 def _diagram_not_an_object(payload):
     payload["diagram"] = []
 
@@ -136,11 +189,24 @@ def _zero_denominator(payload):
     payload["unit"]["product"] = "1/0"
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [_drop_probe, _negative_probe, _string_radicand, _string_power, _diagram_not_an_object, _zero_denominator],
-)
-def test_verify_rejects_malformed_certificate(mutate, k3_file, tmp_path, capsys):
+# Each mutation, with the field the error message must name.
+_MALFORMED = [
+    (_drop_probe, "faithfulness_probe"),
+    (_negative_probe, "faithfulness_probe.max_len"),
+    (_string_radicand, "m"),
+    (_string_power, "unit.power"),
+    (_float_power, "unit.power"),
+    (_bool_radicand, "unit.pell.m"),
+    (_string_norm, "unit.pell.norm"),
+    (_float_pell_x, "unit.pell.x"),
+    (_signed_pell_y, "unit.pell.y"),
+    (_diagram_not_an_object, "diagram"),
+    (_zero_denominator, "unit.product"),
+]
+
+
+@pytest.mark.parametrize("mutate, field", _MALFORMED, ids=[mutate.__name__ for mutate, _ in _MALFORMED])
+def test_verify_rejects_malformed_certificate(mutate, field, k3_file, tmp_path, capsys):
     cert = tmp_path / "k3.json"
     main(["embed", k3_file, "--out", str(cert)])
     payload = json.loads(cert.read_text())
@@ -148,7 +214,7 @@ def test_verify_rejects_malformed_certificate(mutate, k3_file, tmp_path, capsys)
     cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     capsys.readouterr()
     assert main(["verify", str(cert), k3_file]) == 2
-    assert "certificate is malformed" in capsys.readouterr().err
+    assert f"certificate is malformed: {field} " in capsys.readouterr().err
 
 
 def test_verify_rejects_huge_unit_power_without_exponentiating(k3_file, tmp_path, capsys):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcert import CoxeterDiagram, cycle_complement, is_connected, parse_diagram, serialize_diagram
 from coxcert.errors import (
     DiagramSyntaxError,
     DuplicateEdge,
     IndexOutOfRange,
+    InputError,
     NTooSmall,
     TooFewVertices,
     TooManyVertices,
@@ -25,6 +28,46 @@ def test_parse_accepts_bytes_and_blank_lines():
     g = parse_diagram(b"\nn 4\n\nedge 1 4\n# comment\nedge 2 3\n")
     assert g.n == 4
     assert g.sorted_edges() == [(1, 4), (2, 3)]
+
+
+def test_parse_refuses_undecodable_bytes():
+    with pytest.raises(InputError, match="not UTF-8 text"):
+        parse_diagram(b"\xff")
+
+
+_VALID_TEXTS = [
+    b"# triangle\nn 3\nedge 1 2\nedge 1 3\nedge 2 3\n",
+    b"\nn 4\n\nedge 1 4\n# comment\nedge 2 3\n",
+    serialize_diagram(cycle_complement(7)).encode(),
+]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid diagram text with a few bytes replaced, inserted or deleted."""
+    data = bytearray(draw(st.sampled_from(_VALID_TEXTS)))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        pos = draw(st.integers(min_value=0, max_value=len(data)))
+        chunk = draw(st.binary(min_size=1, max_size=4))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "insert":
+            data[pos:pos] = chunk
+        elif kind == "delete":
+            del data[pos : pos + len(chunk)]
+        else:
+            data[pos : pos + len(chunk)] = chunk
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.binary(max_size=64), mutated_texts()))
+def test_parse_returns_a_diagram_or_raises_input_error(data):
+    for text in (data, data.decode("utf-8", errors="replace")):
+        try:
+            g = parse_diagram(text)
+        except InputError:
+            continue
+        assert isinstance(g, CoxeterDiagram)
 
 
 def test_commutes_is_inverse_of_adjacent():

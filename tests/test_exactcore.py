@@ -346,6 +346,13 @@ def test_bareiss_keeps_int_matrices_in_int():
     assert det == 18 and type(det) is int
 
 
+def test_char_poly_keeps_int_matrices_in_int():
+    a = ((2, 1), (1, 3))
+    cp = char_poly(a)
+    assert cp.coeffs == (5, -5, 1) and all(type(c) is int for c in cp.coeffs)
+    assert signature_of(a) == Signature(2, 0, 0)
+
+
 def test_count_roots_above():
     p = Poly((-2, 0, 1))  # roots +-sqrt2
     assert count_roots_above(p, F(0)) == 1

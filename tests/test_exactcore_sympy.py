@@ -106,10 +106,9 @@ def polys_with_repeated_roots(draw):
 
 
 @st.composite
-def symmetric_matrices(draw, max_n=5):
+def symmetric_matrices(draw, max_n=5, entry=st.fractions(min_value=-4, max_value=4, max_denominator=4)):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-    rows = [[F(0)] * n for _ in range(n)]
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(entry)
@@ -224,6 +223,15 @@ def test_char_poly_and_signature_match_sympy(a):
     m = sp.Matrix([[_rational(x) for x in row] for row in a])
     cp = m.charpoly(X)
     assert char_poly(a) == _from_sympy(cp.as_expr())
+    assert signature_of(a) == _sympy_inertia(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_matrices(entry=st.integers(min_value=-4, max_value=4)))
+def test_char_poly_and_signature_of_int_matrices_match_sympy(a):
+    cp = char_poly(a)
+    assert cp == _from_sympy(sp.Matrix(a).charpoly(X).as_expr())
+    assert all(type(c) is int for c in cp.coeffs)  # every Faddeev-LeVerrier division is exact
     assert signature_of(a) == _sympy_inertia(a)
 
 

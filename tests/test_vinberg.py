@@ -3,6 +3,7 @@ and the end-to-end embedding certificate."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from coxcert.errors import Disconnected, SameVertex
 from coxcert.exactcore import bareiss_det, leading_principal_minors, mat_eq, mat_mul, quad_sign, transpose
 from coxcert.vinberg import reflection_actions, times_reflection
 
-from _relations_oracle import conjugate_matrix, conjugates_to_tau, relations_at
+from _relations_oracle import conjugate_matrix, conjugates_to_tau, integral_at, relations_at
 from _suite import acceptance_suite, suite_thresholds, suite_unit
 
 F = Fraction
@@ -159,9 +160,65 @@ def test_commuting_pairs_square_to_identity():
 
 def test_integrality_at_units_but_not_at_half():
     alpha = choose_unit(2, 3).value
-    assert generators_integral(reflection_generators(K3, alpha))
-    assert generators_integral(reflection_generators(K3, 7))
-    assert not generators_integral(reflection_generators(K3, F(1, 3)))
+    assert generators_integral(K3, alpha)
+    assert generators_integral(K3, 7)
+    assert not generators_integral(K3, F(1, 3))
+
+
+def test_integrality_from_the_action_matches_the_matrix_oracle():
+    # At t = 1/2 and t = (1 + sqrt 5)/2 the point is not integral but 2t is.
+    points = [7, F(1, 3), F(1, 2), QuadElem(F(1, 2), F(1, 2), 5), QuadElem(1, F(1, 3), 2)]
+    verdicts = set()
+    for name, g in acceptance_suite():
+        for t in [suite_unit(name, g, m).value for m in (2, 3, 5)] + points:
+            verdict = generators_integral(g, t)
+            assert verdict == integral_at(reflection_generators(g, t)), (name, t)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_a_non_integral_coefficient_at_alpha_flips_integrality(monkeypatch):
+    original = vinberg.reflection_actions
+
+    def half_off_at_vertex_2(g, t):
+        actions = original(g, t)
+        if isinstance(t, QuadElem):
+            col, neighbor_cols, two_t = actions[2]
+            actions[2] = (col, neighbor_cols, two_t + F(1, 2))
+        return actions
+
+    g = cycle_complement(6)
+    assert build_embedding_certificate(g).integrality_ok
+    monkeypatch.setattr(vinberg, "reflection_actions", half_off_at_vertex_2)
+    cert = build_embedding_certificate(g)
+    assert cert.relations_ok and cert.orthogonality_ok
+    assert not cert.integrality_ok
+    assert not cert.passed
+
+
+def test_the_pipeline_evaluates_no_matrix_over_the_quadratic_field(monkeypatch):
+    """Only the scalars alpha and tau are quadratic: no M_alpha, no R_i(alpha)."""
+    originals = {"reflection_generators": reflection_generators, "evaluate_pencil": evaluate_pencil}
+
+    def refusing(name):
+        def at_rational_points_only(first, t, *rest):
+            if isinstance(t, QuadElem):
+                raise AssertionError(f"{name} called at {t}")
+            return originals[name](first, t, *rest)
+
+        return at_rational_points_only
+
+    patched = 0
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "coxcert" or mod_name.startswith("coxcert."):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refusing(name))
+                    patched += 1
+    assert patched >= 4  # the defining modules, the users and the package namespace
+    for name, g in acceptance_suite():
+        cert = build_embedding_certificate(g)
+        assert cert.passed and cert.integrality_ok, name
 
 
 def test_trace_polynomial_pinned():
