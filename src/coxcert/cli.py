@@ -43,6 +43,8 @@ _SECTIONS = ("diagram", "thresholds", "unit", "unit.pell", "unit.alpha", "unit.t
 _STORED_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 # The form the Pell coordinates x and y are written in.
 _STORED_DIGITS = re.compile(r"[0-9]+")
+# The forms --d and --at-d accept: an integer or p/q, optionally signed.
+_USER_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 # -- canonical rendering ---------------------------------------------------
@@ -126,10 +128,13 @@ def _load_diagram(path: str):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
+    """An integer or p/q; a decimal or exponent form is refused unexpanded."""
+    if _USER_RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"not a rational number: {text!r} (give an integer or p/q)")
 
 
 def _emit_timings(timings: dict) -> None:

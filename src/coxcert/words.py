@@ -24,10 +24,20 @@ element reached from several shorter ones is kept once by its normal form.
 The faithfulness probe builds no words.  Keeping only the growths after
 which s is the least descent (no letter of Desc(w) & C(s) lies below s)
 builds every element v exactly once, from v * min Desc(v), so each layer of
-the walk is the sphere of that radius.  Each element carries the row
-x * R_w for one fixed row x instead of its matrix R_w: different rows force
-different matrices, so matrices are compared, after rebuilding them along
-the parent chain, only among elements whose rows coincide.
+the walk is the sphere of that radius.  Each element is keyed by one scalar,
+key(w) = x * R_w * y, for a fixed row x and a fixed column y, instead of by
+its matrix R_w.  Right-multiplying by R_s negates entry s of the row x * R_w
+and adds 2t times that entry to each neighbour entry, so
+
+    key(ws) = key(w) - c_s * (x * R_w)_s,  c_s = 2 y_s - 2t * sum_{j in N(s)} y_j,
+
+with c_s fixed per letter: a child's key costs O(1) from its parent's row
+and key.  The O(degree) row of a child is built only when the walk goes on
+to a further layer, so the last layer, most of the ball, holds keys, parent
+indices and letters and no rows.  Equal matrices give equal rows and so
+equal keys; hence distinct keys mean distinct matrices, and matrices are
+compared, after rebuilding them along the parent chain, only among elements
+whose keys coincide.  The counts are exact for every choice of x and y.
 
 Both walks stop at the first empty layer, which only a finite group has, and
 refuse a radius above MAX_BALL_ELEMENTS: past that, a ball of an infinite
@@ -162,8 +172,13 @@ class FaithfulnessReport:
 
 
 def _start_vector(n: int) -> tuple:
-    """The row x = (1, ..., n) whose images x * R_w key the ball."""
+    """The row x = (1, ..., n) whose images x * R_w are walked."""
     return tuple(range(1, n + 1))
+
+
+def _key_vector(n: int) -> tuple:
+    """The column y, y_j = 2^(20+3j) + 7j + 1, that turns x * R_w into a key."""
+    return tuple((1 << (20 + 3 * j)) + 7 * j + 1 for j in range(n))
 
 
 def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport:
@@ -172,11 +187,18 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     Walks the ball by descent sets (see the module docstring), so word
     counts need no normal forms, and compares them with the number of
     distinct matrices R_w at the evaluation point t (t >= 1), per length and
-    in total.  Only the row x * R_w is stored per element, with one parent
-    index and one letter; the matrices of elements sharing a row are rebuilt
-    from their parent chains and compared exactly.  Stops at the first empty
-    layer.  Raises BallTooLarge when max_len or the ball exceeds
-    MAX_BALL_ELEMENTS.
+    in total.  Each element gets the scalar key x * R_w * y, for the row x of
+    `_start_vector` and the column y of `_key_vector`; the ball-wide table
+    holds that key, one parent index and one letter per element.  Since R_s
+    negates entry s of a row and adds 2t times it to each neighbour entry,
+    key(ws) = key(w) - c_s * (x * R_w)_s with c_s = 2 y_s - 2t * (sum of y_j
+    over the neighbours j of s), so a child's key costs O(1) from its
+    parent's row.  Rows x * R_w are built, in O(degree), only for a layer
+    that will itself be grown: the last layer, most of the ball, keeps keys
+    alone.  Equal rows give equal keys, so distinct keys mean distinct
+    matrices; the matrices of elements sharing a key are rebuilt from their
+    parent chains and compared exactly.  Stops at the first empty layer.
+    Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS.
     """
     if isinstance(t, int):
         t = Fraction(t)
@@ -186,38 +208,49 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     n = g.n
     actions = reflection_actions(g, t)
     noncommuting = g.noncommuting_masks
-    # Per letter s: s, its action, the mask of s and the letters below s that
-    # commute with it (growth by s is skipped if desc meets it), and the mask
-    # of the letters that commute with s.
-    steps = tuple(
-        (s, actions[s], (1 << s) | (((1 << s) - 1) & ~noncommuting[s]), ~noncommuting[s])
-        for s in g.vertices
-    )
     start = _start_vector(n)
-    first = {start: 0}  # row -> index of the first element with that row
-    shared: dict = {}  # row -> indices of every element with that row, if several
+    y = _key_vector(n)
+    # Per letter s: s, its action, its column, the key step c_s, the mask of
+    # s and the letters below s that commute with it (growth by s is skipped
+    # if desc meets it), and the mask of the letters that commute with s.
+    steps = tuple(
+        (
+            s,
+            action,
+            action[0],
+            2 * y[action[0]] - action[2] * sum(y[j] for j in action[1]),
+            (1 << s) | (((1 << s) - 1) & ~noncommuting[s]),
+            ~noncommuting[s],
+        )
+        for s, action in actions.items()
+    )
+    start_key = sum(a * b for a, b in zip(start, y))
+    first = {start_key: 0}  # key -> index of the first element with that key
+    shared: dict = {}  # key -> indices of every element with that key, if several
     parent = array("L", [0])
     letter_of = bytearray(1)
     layer_starts = [0]
-    layer = [(start, 0)]
-    for _ in range(max_len):
+    layer = [(start, start_key, 0)]
+    for length in range(1, max_len + 1):
         if not layer:
             break
         index = layer_starts[-1]
         layer_starts.append(len(letter_of))
+        grow_rows = length < max_len
         nxt = []
-        for row, desc in layer:
-            for s, action, blocked, commuting in steps:
+        for row, key, desc in layer:
+            for s, action, col, step, blocked, commuting in steps:
                 if desc & blocked:
                     continue
-                child = reflect_row(row, action)
+                child_key = key - step * row[col]
                 child_index = len(letter_of)
                 parent.append(index)
                 letter_of.append(s)
-                nxt.append((child, (1 << s) | (desc & commuting)))
-                earlier = first.setdefault(child, child_index)
+                if grow_rows:
+                    nxt.append((reflect_row(row, action), child_key, (1 << s) | (desc & commuting)))
+                earlier = first.setdefault(child_key, child_index)
                 if earlier != child_index:
-                    shared.setdefault(child, [earlier]).append(child_index)
+                    shared.setdefault(child_key, [earlier]).append(child_index)
             _check_ball_size(len(letter_of))
             index += 1
         layer = nxt

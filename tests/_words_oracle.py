@@ -8,7 +8,7 @@ the reference for `words.faithfulness_probe`: it enumerates the ball the
 same way, carries every element's full matrix R_w at t, and counts distinct
 matrices per length and over the ball.  It shares no enumeration or keying
 code with the production probe, which walks descent sets and keys elements
-by one row of R_w.
+by the scalar x * R_w * y.
 """
 
 from __future__ import annotations

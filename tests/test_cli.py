@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from coxcert import CoxeterDiagram, enumerate_by_length, faithfulness_probe
+from coxcert import CoxeterDiagram, cycle_complement, enumerate_by_length, faithfulness_probe, serialize_diagram
 from coxcert.cli import main
 
 K3_TEXT = "n 3\nedge 1 2\nedge 1 3\nedge 2 3\n"
@@ -284,6 +284,41 @@ def test_density_degenerate_point_fails(k3_file, capsys):
 def test_density_bad_parameter_is_usage_error(k3_file, capsys):
     assert main(["density", k3_file, "--d", "banana"]) == 2
     assert "not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1_000", " 3/2 ", "1e3", "0.5", "1/0", "3/-2", "+-2"])
+def test_parameter_outside_integer_or_p_over_q_is_usage_error(text, k3_file, capsys):
+    assert main(["density", k3_file, "--d", text]) == 2
+    assert "not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["2", "+2", "4/2", "+3/2"])
+def test_parameter_as_integer_or_p_over_q_is_accepted(text, p3_file):
+    assert main(["density", p3_file, "--d", text]) == 0
+    assert main(["words", p3_file, "--max-len", "2", "--at-d", text]) == 0
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["density", "--d", "1e999999999"], ["words", "--max-len", "2", "--at-d", "1e999999999"]],
+    ids=["density", "words"],
+)
+def test_parameter_with_a_huge_exponent_is_refused_unexpanded(options, tmp_path):
+    import subprocess
+    import sys
+
+    diagram = tmp_path / "cc5.diagram"
+    diagram.write_text(serialize_diagram(cycle_complement(5)))
+    command, *rest = options
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxcert", command, str(diagram), *rest],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "not a rational number" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_words_command(p3_file, capsys):

@@ -13,6 +13,7 @@ normal-form, whole-matrix probe.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -33,7 +34,7 @@ from coxcert import words
 from coxcert.errors import BallTooLarge, IndexOutOfRange
 from coxcert.vinberg import reflection_actions
 
-from _suite import acceptance_suite, growth_series, probe_length, suite_thresholds
+from _suite import acceptance_suite, growth_series, probe_length, random_connected_diagram, suite_thresholds
 from _words_oracle import matrix_image_probe, normal_form_layers
 
 F = Fraction
@@ -224,17 +225,32 @@ def _probe_cases():
             for t in (suite_thresholds(name, g).d_value, F(3, 2)):
                 yield name, g, t, max_len
     yield "P3", P3, QuadElem(1, 1, 2), 8
+    # (Z/2)^4 ends at length 4: radius 5 makes the row-free last layer empty,
+    # radius 7 stops at the first empty layer before reaching it.
+    edgeless = CoxeterDiagram(4, frozenset())
+    for max_len in (5, 7):
+        yield "edgeless4", edgeless, F(3, 2), max_len
+
+
+def _zeros(n):
+    return (0,) * n
+
+
+def _e1(n):
+    return (1,) + (0,) * (n - 1)
 
 
 def test_probe_matches_matrix_image_oracle(monkeypatch):
-    # A zero start row keys every element alike and e1 keys many alike, so
-    # those runs count every image through the rebuilt matrices.
-    starts = (words._start_vector, lambda n: (0,) * n, lambda n: (1,) + (0,) * (n - 1))
+    # A zero start row or key column keys every element alike, and e1 keys
+    # many alike, so those runs count every image through the rebuilt matrices.
+    default = (words._start_vector, words._key_vector)
+    vectors = (default, (_zeros, default[1]), (_e1, default[1]), (default[0], _zeros), (default[0], _e1))
     for name, g, t, max_len in _probe_cases():
         expected = matrix_image_probe(g, t, max_len)
-        for start in starts:
+        for start, key in vectors:
             monkeypatch.setattr(words, "_start_vector", start)
-            assert faithfulness_probe(g, t, max_len) == expected, (name, t, start(g.n))
+            monkeypatch.setattr(words, "_key_vector", key)
+            assert faithfulness_probe(g, t, max_len) == expected, (name, t, start(g.n), key(g.n))
 
 
 def test_probe_counts_colliding_images_like_the_oracle(monkeypatch):
@@ -280,3 +296,36 @@ def test_counts_of_the_finite_group_stop_at_its_longest_element(monkeypatch):
         enumerate_by_length(free, 41)
     with pytest.raises(BallTooLarge):
         faithfulness_probe(free, 2, 41)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=3, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+    st.fractions(min_value=1, max_value=6, max_denominator=12),
+    st.integers(min_value=0, max_value=4),
+)
+def test_probe_is_injective_as_tits_vinberg_says(n, seed, t, max_len):
+    # At t >= 1 the form M_t has B(e_s, e_s) = 1, B = 0 on commuting pairs and
+    # B = -t <= -1 on the others, so by Vinberg's theorem (Humphreys, Reflection
+    # Groups and Coxeter Groups, 5.3-5.4) the representation is faithful; the
+    # word counts come from the clique polynomial, independently of any walk.
+    g = random_connected_diagram(random.Random(seed), n)
+    rep = faithfulness_probe(g, t, max_len)
+    assert rep.injective
+    assert list(rep.word_counts) == growth_series(g, max_len)
+
+
+def test_probe_memory_stays_below_the_row_keyed_table():
+    # tracemalloc peak of the same call when every element kept its row in the
+    # ball-wide table: 44,659,891 bytes (Python 3.11); keyed by one scalar it
+    # is about 21.1 MB, so the bound is 60 % of the row-keyed peak.
+    g = cycle_complement(7)
+    tracemalloc.start()
+    try:
+        rep = faithfulness_probe(g, 2, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.injective and rep.total_words == sum(growth_series(g, 7))
+    assert peak < 0.6 * 44_659_891, peak
