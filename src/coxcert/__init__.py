@@ -76,7 +76,6 @@ from .words import (
     append_letter,
     enumerate_by_length,
     faithfulness_probe,
-    normal_form,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "gram_pencil",
     "is_connected",
     "minor_polynomials",
-    "normal_form",
     "parse_diagram",
     "planar_generator",
     "predicted_spectrum",

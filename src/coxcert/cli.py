@@ -265,7 +265,7 @@ def cmd_verify(args) -> int:
     stored_text = _read_text(args.certificate)
     try:
         payload = json.loads(stored_text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long for int()
         raise InputError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CERTIFICATE_FORMAT:
         raise InputError(f"not a {CERTIFICATE_FORMAT} certificate")

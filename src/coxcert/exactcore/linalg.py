@@ -50,16 +50,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v) -> tuple:
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
-        out.append(acc)
-    return tuple(out)
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     if len(a) != len(b):
         return False

@@ -11,13 +11,29 @@ the M-orthocomplement of the plane <e_i, e_j> pointwise is, up to scale,
 row i of X_ij is row j of M, row j is minus row i of M, and every other
 row is zero.  planar_generator returns it in primitive integer coordinates.
 
-bracket_closure_density stores S M as the coordinates S_ab (a < b), a
-vector of length n(n-1)/2 in which X_ij is the unit vector at (i, j).  The
-bracket is [S M, T M] = (S M T - T M S) M, and T M S = (S M T)^T, so the
-bracket of S and T is Q - Q^T with Q = S M T.  Starting from the edge
-generators it repeatedly adjoins brackets and certifies that the span
-reaches all of so(M); a full span contains every X_ij.  That is the exact,
-finite computation backing Zariski density of the reflection group.
+bracket_closure_density stores S M by the nonzero coordinates S_ab
+(a < b) of S, as a dict in which X_ij is {(i-1, j-1): 1}.  The bracket is
+[S M, T M] = (S M T - T M S) M, and T M S = (S M T)^T, so the bracket of S
+and T is Q - Q^T with Q = S M T.  For two coordinate matrices that is the
+closed form
+
+    [E_ab, E_cd] = M_bc E_ad - M_bd E_ac - M_ac E_bd + M_ad E_bc,
+
+with E_qp = -E_pq and E_pp = 0, and by bilinearity the bracket of S and T
+sums it over their entries: a bracket of two seeds costs O(1).
+
+Starting from the edge generators, round k brackets every pair of the
+current basis and adjoins what falls outside the span.  By bilinearity and
+antisymmetry the new span is V_(k+1) = V_k + [V_k, V_k], whichever basis
+represents V_k, so the dimension trace dim V_0, dim V_1, ... is fixed by
+the diagram and t alone; stopping a round once the span is full appends
+nothing.  Every span contains V_0, the span of the edge unit vectors, so a
+bracket lies in the span exactly when its coordinates at the commuting
+pairs lie in the span of the basis's coordinates there, and the echelon
+runs on those short vectors (32 at cc32 rather than 496).  The closure
+certifies that the span reaches all of so(M); a full span contains every
+X_ij.  That is the exact, finite computation backing Zariski density of
+the reflection group.
 """
 
 from __future__ import annotations
@@ -95,7 +111,7 @@ def planar_generator(m: Matrix, i: int, j: int) -> Matrix:
 
 
 class _Echelon:
-    """Incremental fraction-free echelon over integer vectors; tracks span dimension."""
+    """Incremental fraction-free echelon over integer vectors."""
 
     def __init__(self):
         # (pivot, primitive row); each row is zero at the pivots of the rows
@@ -119,33 +135,27 @@ class _Echelon:
                 return True
         return False
 
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
-
-def _times_form(s: list, pairs: list, form: list) -> list:
-    """The dense matrix S M for S given by its coordinates."""
-    n = len(form)
-    sm = [[0] * n for _ in range(n)]
-    for (a, b), c in zip(pairs, s):
-        if c:
-            row_a, row_b = sm[a], sm[b]
-            for k, (x, y) in enumerate(zip(form[a], form[b])):
-                row_a[k] += c * y
-                row_b[k] -= c * x
-    return sm
-
-
-def _bracket(sm: list, t: list, pairs: list) -> list:
-    """Coordinates of Q - Q^T with Q = (S M) T, for T given by its coordinates."""
-    q = [[0] * len(sm) for _ in sm]
-    for (a, b), c in zip(pairs, t):
-        if c:
-            for q_row, sm_row in zip(q, sm):
-                q_row[b] += c * sm_row[a]
-                q_row[a] -= c * sm_row[b]
-    return [q[a][b] - q[b][a] for a, b in pairs]
+def _bracket(s: dict, t: dict, form: list) -> dict:
+    """Nonzero coordinates {(p, q): c} (p < q) of [S M, T M], for S and T
+    given the same way: the closed form for [E_ab, E_cd], summed."""
+    out: dict = {}
+    for (a, b), x in s.items():
+        row_a, row_b = form[a], form[b]
+        for (c, d), y in t.items():
+            xy = x * y
+            for p, q, v in (
+                (a, d, row_b[c]),
+                (a, c, -row_b[d]),
+                (b, d, -row_a[c]),
+                (b, c, row_a[d]),
+            ):
+                if v and p != q:
+                    if p < q:
+                        out[p, q] = out.get((p, q), 0) + xy * v
+                    else:
+                        out[q, p] = out.get((q, p), 0) - xy * v
+    return {pair: c for pair, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -182,36 +192,37 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
     m = evaluate_pencil(pencil, t)
     form = [[int(x * t.denominator) for x in row] for row in m]
     n = g.n
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    full_dim = len(pairs)
+    full_dim = n * (n - 1) // 2
     seed_pairs = tuple(g.sorted_edges())
+    commuting = [(a, b) for a, b in combinations(range(n), 2) if g.commutes(a + 1, b + 1)]
+    slot = {pair: k for k, pair in enumerate(commuting)}
+    basis = [{(i - 1, j - 1): 1} for i, j in seed_pairs]
+    # The seeds span the edge coordinates, so only the commuting ones decide
+    # whether a bracket is new; the span has dimension len(basis).
     echelon = _Echelon()
-    basis = []
-    for i, j in seed_pairs:
-        s = [int(pair == (i - 1, j - 1)) for pair in pairs]
-        echelon.insert(s)
-        basis.append(s)
-    trace = [echelon.dimension]
-    products: list = []  # S M for each basis element S
-    while echelon.dimension < full_dim:
+    trace = [len(basis)]
+    while len(basis) < full_dim:
         snapshot = len(basis)
-        products.extend(_times_form(s, pairs, form) for s in basis[len(products):])
         added = False
         for a, b in combinations(range(snapshot), 2):
-            c = _bracket(products[a], basis[b], pairs)
-            if echelon.insert(c):
+            c = _bracket(basis[a], basis[b], form)
+            v = [0] * len(slot)
+            for pair, x in c.items():
+                if pair in slot:
+                    v[slot[pair]] = x
+            if any(v) and echelon.insert(v):
                 basis.append(c)
                 added = True
-                if echelon.dimension == full_dim:
+                if len(basis) == full_dim:
                     break  # a full span takes no more; the round's trace entry is the same
         if not added:
             break
-        trace.append(echelon.dimension)
+        trace.append(len(basis))
     return DensityCertificate(
         t=t,
         seed_pairs=seed_pairs,
         dimension_trace=tuple(trace),
-        final_dimension=echelon.dimension,
+        final_dimension=len(basis),
         full_dimension=full_dim,
-        verdict=echelon.dimension == full_dim,
+        verdict=len(basis) == full_dim,
     )

@@ -74,12 +74,6 @@ def _check_radius(max_len: int) -> None:
         raise BallTooLarge(f"radius {max_len} is above the cap of {MAX_BALL_ELEMENTS} ball elements")
 
 
-def _check_letters(w, n: int) -> None:
-    for x in w:
-        if not isinstance(x, int) or not (1 <= x <= n):
-            raise IndexOutOfRange(f"letter {x!r} outside 1..{n}")
-
-
 def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     """Normal form of (normal word nf) * generator letter, in O(len(nf))."""
     if not isinstance(letter, int) or not (1 <= letter <= g.n):
@@ -108,19 +102,6 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
             pos = p
             break
     return nf[:pos] + (letter,) + nf[pos:]
-
-
-def normal_form(w, g: CoxeterDiagram) -> Word:
-    """Canonical form: shortest, then lexicographically least.
-
-    Idempotent, and two words get the same normal form exactly when they
-    represent the same group element.
-    """
-    _check_letters(w, g.n)
-    nf: Word = ()
-    for letter in w:
-        nf = append_letter(nf, letter, g)
-    return nf
 
 
 def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:

@@ -31,13 +31,22 @@ from coxcert.exactcore import (
     QuadElem,
     bareiss_det,
     mat_mul,
-    mat_vec,
     nullspace,
     quad_sign,
     rref,
     transpose,
 )
 from coxcert.gram import evaluate_pencil, gram_pencil
+
+
+def mat_vec(a: Matrix, v) -> tuple:
+    out = []
+    for row in a:
+        acc = row[0] * v[0]
+        for k in range(1, len(v)):
+            acc = acc + row[k] * v[k]
+        out.append(acc)
+    return tuple(out)
 
 
 # The pair check and the normalizer are kept apart from coxcert.liealg's, so

@@ -8,7 +8,8 @@ the reference for `words.faithfulness_probe`: it enumerates the ball the
 same way, carries every element's full matrix R_w at t, and counts distinct
 matrices per length and over the ball.  It shares no enumeration or keying
 code with the production probe, which walks descent sets and keys elements
-by the scalar x * R_w * y.
+by the scalar x * R_w * y.  `normal_form` folds a whole word with
+`append_letter`, checking its letters first.
 """
 
 from __future__ import annotations
@@ -16,9 +17,29 @@ from __future__ import annotations
 from fractions import Fraction
 
 from coxcert import append_letter
+from coxcert.errors import IndexOutOfRange
 from coxcert.exactcore import quad_sign
 from coxcert.vinberg import reflection_actions, times_reflection
 from coxcert.words import FaithfulnessReport
+
+
+def _check_letters(w, n: int) -> None:
+    for x in w:
+        if not isinstance(x, int) or not (1 <= x <= n):
+            raise IndexOutOfRange(f"letter {x!r} outside 1..{n}")
+
+
+def normal_form(w, g) -> tuple:
+    """Canonical form: shortest, then lexicographically least.
+
+    Idempotent, and two words get the same normal form exactly when they
+    represent the same group element.
+    """
+    _check_letters(w, g.n)
+    nf: tuple = ()
+    for letter in w:
+        nf = append_letter(nf, letter, g)
+    return nf
 
 
 def normal_form_layers(g, max_len: int) -> list[set]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -428,3 +429,68 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "vertices: 3" in proc.stdout
+
+
+# Written into a certificate as a bare integer literal, past the 4300 digits
+# Python parses by default; as an option it is just those digits.
+_LONG_LITERAL = "9" * 5000
+# Values of every JSON kind, and some past the usual ranges.
+_FUZZ_VALUES = [None, True, 1.5, 10**500, "1/0", "7" * 4000 + "/3", [1, 2], {"a": 1}, _LONG_LITERAL]
+
+
+def _node_paths(node, path=()):
+    """Paths to every node below the root, leaves and containers alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _run_bounded(argv) -> int:
+    """main's exit code, argparse's usage exits included, within 1 s."""
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert time.perf_counter() - start < 1, argv
+    return code
+
+
+@pytest.mark.parametrize("value", _FUZZ_VALUES, ids=lambda v: type(v).__name__)
+def test_verify_survives_any_node_replaced(value, k3_file, tmp_path, capsys):
+    cert = tmp_path / "k3.json"
+    main(["embed", k3_file, "--out", str(cert)])
+    text = cert.read_text()
+    mutant = tmp_path / "mutant.json"
+    for path in _node_paths(json.loads(text)):
+        payload = json.loads(text)
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        mutated = json.dumps(payload, sort_keys=True, indent=2)
+        mutant.write_text(mutated.replace(json.dumps(_LONG_LITERAL), _LONG_LITERAL) + "\n")
+        assert _run_bounded(["verify", str(mutant), k3_file]) in (0, 1, 2), path
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["density", "{diagram}", "--d"],
+        ["words", "{diagram}", "--max-len", "2", "--at-d"],
+        ["embed", "{diagram}", "--out", "{out}", "--m"],
+        ["embed", "{diagram}", "--out", "{out}", "--probe-len"],
+        ["words", "{diagram}", "--max-len"],
+        ["cycle", "--n"],
+    ],
+    ids=["density-d", "words-at-d", "embed-m", "embed-probe-len", "words-max-len", "cycle-n"],
+)
+def test_options_survive_any_value(options, k3_file, tmp_path, capsys):
+    out = str(tmp_path / "k3.json")
+    argv = [arg.format(diagram=k3_file, out=out) for arg in options]
+    for value in _FUZZ_VALUES:
+        text = json.dumps(value) if isinstance(value, (list, dict)) else str(value)
+        assert _run_bounded(argv + [text]) in (0, 1, 2), (argv, text[:20])
+    capsys.readouterr()

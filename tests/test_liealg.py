@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coxcert import (
     CoxeterDiagram,
@@ -20,16 +23,18 @@ from coxcert import (
     d_threshold,
     evaluate_pencil,
     gram_pencil,
+    minor_polynomials,
     planar_generator,
     reflection_generators,
 )
 from coxcert.errors import DegenerateForm, NotAnEdge, NotConnected, SameVertex
-from coxcert.exactcore import mat_mul, mat_vec, rref
-from coxcert.liealg import _bracket, _Echelon, _times_form
+from coxcert.exactcore import bareiss_det, mat_mul, rref
+from coxcert.liealg import _bracket, _Echelon
 
 from _liealg_oracle import (
     full_basis_check,
     hyperbolic_plane_check,
+    mat_vec,
     oracle_density_trace,
     orthocomplement_basis,
     solve_planar_generator,
@@ -179,14 +184,14 @@ def test_bracket_coordinates_match_matrix_commutator():
 
         def dense(coords):
             full = [[0] * n for _ in range(n)]
-            for (a, b), c in zip(pairs, coords):
+            for (a, b), c in coords.items():
                 full[a][b], full[b][a] = c, -c
             return tuple(map(tuple, full))
 
         for _ in range(3):
-            s = [rng.randint(-3, 3) for _ in pairs]
-            t = [rng.randint(-3, 3) for _ in pairs]
-            c = _bracket(_times_form(s, pairs, form), t, pairs)
+            s, t = ({p: c for p in pairs if (c := rng.randint(-3, 3))} for _ in range(2))
+            c = _bracket(s, t, form)
+            assert all(a < b and x for (a, b), x in c.items()), name
             sm, tm = mat_mul(dense(s), form), mat_mul(dense(t), form)
             commutator = [
                 [x - y for x, y in zip(r1, r2)]
@@ -210,13 +215,63 @@ def test_echelon_dimension_is_rank():
             rows.append(vec)
             after = len(rref(rows)[1])
             assert echelon.insert(vec) == (after > before)
-            assert echelon.dimension == after
+            assert len(echelon.rows) == after
+
+
+def _path(n):
+    return CoxeterDiagram(n, frozenset((i, i + 1) for i in range(1, n)))
+
+
+def _cycle(n):
+    return CoxeterDiagram(n, _path(n).edges | {(1, n)})
+
+
+# No suite member needs more than one bracket round, so these pin brackets
+# of two non-seed elements; the traces are the same at D and at 7/3.
+MULTI_ROUND = [
+    ("P5", _path(5), (4, 9, 10)),
+    ("P7", _path(7), (6, 15, 21)),
+    ("C8", _cycle(8), (8, 24, 28)),
+    ("P9", _path(9), (8, 21, 35, 36)),
+]
 
 
 def test_density_trace_matches_matrix_oracle():
     for name, g in SUITE:
         t = _d_value(g)
         assert bracket_closure_density(g, t).dimension_trace == oracle_density_trace(g, t), name
+    for name, g, trace in MULTI_ROUND:
+        for t in (_d_value(g), F(7, 3)):
+            if bareiss_det(evaluate_pencil(gram_pencil(g), t)) == 0:
+                continue
+            assert bracket_closure_density(g, t).dimension_trace == trace, (name, t)
+            assert oracle_density_trace(g, t) == trace, (name, t)
+
+
+def _diameter_at_most_two(n, edges) -> CoxeterDiagram:
+    """The diagram with edges plus every pair at distance above 2 in it."""
+    g = CoxeterDiagram(n, frozenset(edges))
+    near = {v: {v, *g.neighbors(v)} for v in g.vertices}
+    far = {(i, j) for i, j in combinations(g.vertices, 2) if not near[i] & near[j]}
+    return CoxeterDiagram(n, g.edges | far)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+def test_diameter_two_closes_in_one_round(n, seed, t):
+    # For a commuting pair a, c with a common neighbour b, [X_ab, X_bc] is
+    # M_bb X_ac plus multiples of the seeds X_ab and X_bc.  So one round
+    # reaches every commuting pair, whatever the nonsingular t.
+    rng = random.Random(seed)
+    g = _diameter_at_most_two(n, {p for p in combinations(range(1, n + 1), 2) if rng.random() < 0.4})
+    assume(minor_polynomials(gram_pencil(g))[-1](t) != 0)
+    full = n * (n - 1) // 2
+    expected = (full,) if len(g.edges) == full else (len(g.edges), full)
+    assert bracket_closure_density(g, t).dimension_trace == expected
 
 
 def test_density_rejects_disconnected_and_degenerate():

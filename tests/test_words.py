@@ -28,14 +28,13 @@ from coxcert import (
     cycle_complement,
     enumerate_by_length,
     faithfulness_probe,
-    normal_form,
 )
 from coxcert import words
 from coxcert.errors import BallTooLarge, IndexOutOfRange
 from coxcert.vinberg import reflection_actions
 
 from _suite import acceptance_suite, growth_series, probe_length, random_connected_diagram, suite_thresholds
-from _words_oracle import matrix_image_probe, normal_form_layers
+from _words_oracle import matrix_image_probe, normal_form, normal_form_layers
 
 F = Fraction
 
