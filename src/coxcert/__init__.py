@@ -49,7 +49,6 @@ from .gram import (
 from .liealg import (
     DensityCertificate,
     bracket_closure_density,
-    planar_generator,
 )
 from .units import (
     GaloisReport,
@@ -61,14 +60,11 @@ from .units import (
 )
 from .vinberg import (
     EmbeddingCertificate,
-    GeneratorSet,
     RelationReport,
     build_embedding_certificate,
     compact_conjugate_check,
     expected_trace,
     generators_integral,
-    reflection_generators,
-    trace_polynomial,
     verify_relations,
 )
 from .words import (
@@ -87,7 +83,6 @@ __all__ = [
     "EmbeddingCertificate",
     "FaithfulnessReport",
     "GaloisReport",
-    "GeneratorSet",
     "GramPencil",
     "Interval",
     "Matrix",
@@ -119,14 +114,11 @@ __all__ = [
     "is_connected",
     "minor_polynomials",
     "parse_diagram",
-    "planar_generator",
     "predicted_spectrum",
     "quad_sign",
-    "reflection_generators",
     "serialize_diagram",
     "stable_signature",
     "threshold_report",
-    "trace_polynomial",
     "verify_cycle_example",
     "verify_relations",
     "__version__",

@@ -67,6 +67,7 @@ def _interval(iv: Interval | None):
 
 def certificate_payload(cert: EmbeddingCertificate) -> dict:
     """The deterministic JSON body; everything exact, nothing environmental."""
+    thresholds, pell = cert.thresholds, cert.unit.base
     return {
         "format": CERTIFICATE_FORMAT,
         "diagram": {
@@ -75,29 +76,29 @@ def certificate_payload(cert: EmbeddingCertificate) -> dict:
         },
         "m": cert.m,
         "thresholds": {
-            "epsilon": _rat(cert.epsilon),
-            "rho_interval": _interval(cert.rho_interval),
-            "d_value": cert.d_value,
-            "largest_root_interval": _interval(cert.largest_root_interval),
-            "signature": list(cert.signature),
+            "epsilon": _rat(thresholds.epsilon),
+            "rho_interval": _interval(thresholds.rho_interval),
+            "d_value": thresholds.d_value,
+            "largest_root_interval": _interval(thresholds.largest_root_interval),
+            "signature": list(thresholds.signature),
         },
         "unit": {
             "pell": {
-                "m": cert.pell.m,
-                "x": str(cert.pell.x),
-                "y": str(cert.pell.y),
-                "norm": cert.pell.norm,
+                "m": pell.m,
+                "x": str(pell.x),
+                "y": str(pell.y),
+                "norm": pell.norm,
             },
-            "power": cert.unit_power,
-            "alpha": _quad(cert.alpha),
+            "power": cert.unit.k,
+            "alpha": _quad(cert.unit.value),
             "tau_alpha": _quad(cert.galois.tau),
             "product": _rat(cert.galois.product),
         },
-        "density_trace": list(cert.density_trace),
+        "density_trace": list(cert.density.dimension_trace),
         "faithfulness_probe": {
-            "passed": cert.faithfulness_passed,
-            "max_len": cert.faithfulness_length,
-            "t": _rat(cert.faithfulness_t),
+            "passed": cert.probe.injective,
+            "max_len": cert.probe.max_len,
+            "t": _rat(cert.probe.t),
         },
         "verdicts": cert.verdicts(),
         "passed": cert.passed,
@@ -174,8 +175,11 @@ def cmd_embed(args) -> int:
     cert = build_embedding_certificate(g, m=args.m, probe_len=args.probe_len)
     text = canonical_json(certificate_payload(cert))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     _emit_timings(cert.timings)

@@ -4,16 +4,8 @@ Sturm root counting, and symmetric-matrix inertia."""
 from .linalg import (
     Matrix,
     Signature,
-    bareiss_det,
-    char_poly,
-    is_symmetric,
     leading_principal_minors,
-    mat,
     mat_eq,
-    mat_mul,
-    nullspace,
-    rref,
-    signature_of,
     trace,
     transpose,
 )
@@ -26,7 +18,6 @@ from .poly import (
     poly_gcd,
     refine_root_interval,
     root_intervals,
-    squarefree_decomposition,
     squarefree_part,
     sturm_root_count,
     sturm_sequence,
@@ -39,25 +30,16 @@ __all__ = [
     "Poly",
     "QuadElem",
     "Signature",
-    "bareiss_det",
     "cauchy_root_bound",
-    "char_poly",
     "count_roots_above",
     "is_squarefree",
-    "is_symmetric",
     "isolate_real_roots",
     "leading_principal_minors",
-    "mat",
     "mat_eq",
-    "mat_mul",
-    "nullspace",
     "poly_gcd",
     "quad_sign",
     "refine_root_interval",
     "root_intervals",
-    "rref",
-    "signature_of",
-    "squarefree_decomposition",
     "squarefree_part",
     "sturm_root_count",
     "sturm_sequence",

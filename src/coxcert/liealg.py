@@ -51,7 +51,8 @@ from .errors import (
     SameVertex,
     UnexpectedDimension,
 )
-from .exactcore import Matrix, QuadElem, bareiss_det, quad_sign
+from .exactcore import Matrix, QuadElem, quad_sign
+from .exactcore.linalg import bareiss_det
 from .gram import evaluate_pencil, gram_pencil, minor_polynomials
 
 

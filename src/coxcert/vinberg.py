@@ -15,11 +15,11 @@ entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Only one fact
 is decided at a point: M_tau is positive-definite (its leading minors are
 the pencil's minor polynomials at tau).
 
-The embedding certificate bundles every exact verdict for one diagram and
-one quadratic ring: thresholds, the chosen unit alpha with its Galois
+The embedding certificate keeps the report of every stage for one diagram
+and one quadratic ring: thresholds, the chosen unit alpha with its Galois
 checks, the Z[d] identities, integrality at alpha, compactness of the
-conjugate form, a Lie bracket density check at t = D, and a short
-faithfulness probe.
+conjugate form, a Lie bracket density check at t = D, a short faithfulness
+probe and, for a cycle complement, its closed-form checks.
 """
 
 from __future__ import annotations
@@ -28,29 +28,18 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
+from .cyclecheck import CycleReport, verify_cycle_example
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
 from .errors import Disconnected, SameVertex
-from .exactcore import (
-    Interval,
-    Matrix,
-    Poly,
-    QuadElem,
-    Signature,
-    mat_eq,
-    quad_sign,
-    trace,
-    transpose,
-)
-from .gram import (
-    d_threshold,
-    epsilon_threshold,
-    evaluate_pencil,
-    gram_pencil,
-    minor_polynomials,
-    stable_signature,
-)
-from .units import GaloisReport, PellSolution, UnitValue, choose_unit, galois_pair_check
+from .exactcore import Matrix, Poly, QuadElem, mat_eq, quad_sign, trace, transpose
+from .gram import ThresholdReport, evaluate_pencil, gram_pencil, minor_polynomials, threshold_report
+from .liealg import DensityCertificate, bracket_closure_density
+from .units import GaloisReport, UnitValue, choose_unit, galois_pair_check
+
+if TYPE_CHECKING:  # words imports this module
+    from .words import FaithfulnessReport
 
 
 @dataclass(frozen=True)
@@ -215,48 +204,39 @@ def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> bool:
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
-    """All exact verdicts for one (diagram, m) pair, plus serializable data."""
+    """The stage reports for one (diagram, m) pair, each kept as returned.
+
+    cycle is None unless the diagram is cycle_complement(n) with n >= 5.
+    """
 
     diagram: CoxeterDiagram
     m: int
-    epsilon: Fraction
-    rho_interval: Interval | None
-    d_value: int
-    largest_root_interval: Interval | None
-    signature: Signature
-    pell: PellSolution
-    unit_power: int
-    alpha: QuadElem
+    thresholds: ThresholdReport
+    unit: UnitValue
     galois: GaloisReport
-    relations_ok: bool
-    orthogonality_ok: bool
+    relations: RelationReport
     integrality_ok: bool
-    galois_product_unit: bool
-    galois_conj_bounded: bool
-    conj_form_positive_definite: bool
-    trace_identity_ok: bool
-    density_ok: bool
-    density_trace: tuple
-    faithfulness_passed: bool
-    faithfulness_length: int
-    faithfulness_t: Fraction
-    cycle_example_ok: bool | None
+    positive_definite: bool
+    density: DensityCertificate
+    probe: FaithfulnessReport
+    cycle: CycleReport | None
     timings: dict
 
     def verdicts(self) -> dict:
+        relations = self.relations
         out = {
-            "relations_ok": self.relations_ok,
-            "orthogonality_ok": self.orthogonality_ok,
+            "relations_ok": relations.involutions_ok and relations.commutations_ok,
+            "orthogonality_ok": relations.orthogonality_ok,
             "integrality_ok": self.integrality_ok,
-            "galois_product_unit": self.galois_product_unit,
-            "galois_conj_bounded": self.galois_conj_bounded,
-            "conj_form_positive_definite": self.conj_form_positive_definite,
-            "trace_identity_ok": self.trace_identity_ok,
-            "density_ok": self.density_ok,
-            "faithfulness_probe": self.faithfulness_passed,
+            "galois_product_unit": self.galois.product_is_unit,
+            "galois_conj_bounded": self.galois.conj_bounded,
+            "conj_form_positive_definite": relations.orthogonality_ok and self.positive_definite,
+            "trace_identity_ok": relations.traces_ok,
+            "density_ok": self.density.verdict,
+            "faithfulness_probe": self.probe.injective,
         }
-        if self.cycle_example_ok is not None:
-            out["cycle_example_ok"] = self.cycle_example_ok
+        if self.cycle is not None:
+            out["cycle_example_ok"] = self.cycle.ok
         return out
 
     @property
@@ -275,7 +255,6 @@ def build_embedding_certificate(
     probe.
     Deterministic: same (g, m) always yields an identical certificate.
     """
-    from .liealg import bracket_closure_density
     from .words import faithfulness_probe
 
     if not is_connected(g):
@@ -284,16 +263,13 @@ def build_embedding_certificate(
     clock = time.perf_counter
 
     start = clock()
-    pencil = gram_pencil(g)
-    epsilon, rho_interval = epsilon_threshold(pencil)
-    d_value, largest = d_threshold(pencil)
-    sig = stable_signature(pencil)
+    thresholds = threshold_report(gram_pencil(g))
     timings["thresholds"] = clock() - start
 
     start = clock()
-    bound = max(Fraction(1) / epsilon, Fraction(d_value))
+    bound = max(Fraction(1) / thresholds.epsilon, Fraction(thresholds.d_value))
     unit = choose_unit(m, bound)
-    galois = galois_pair_check(unit, epsilon)
+    galois = galois_pair_check(unit, thresholds.epsilon)
     timings["unit"] = clock() - start
 
     start = clock()
@@ -306,46 +282,18 @@ def build_embedding_certificate(
     timings["compactness"] = clock() - start
 
     start = clock()
-    density = bracket_closure_density(g, Fraction(d_value))
+    density = bracket_closure_density(g, Fraction(thresholds.d_value))
     timings["density"] = clock() - start
 
     start = clock()
-    probe_t = Fraction(d_value)
-    probe = faithfulness_probe(g, probe_t, probe_len)
+    probe = faithfulness_probe(g, Fraction(thresholds.d_value), probe_len)
     timings["faithfulness"] = clock() - start
 
     start = clock()
-    cycle_ok: bool | None = None
-    if g.n >= 5 and g == cycle_complement(g.n):
-        from .cyclecheck import verify_cycle_example
-
-        cycle_ok = verify_cycle_example(g.n).ok
+    cycle = verify_cycle_example(g.n) if g.n >= 5 and g == cycle_complement(g.n) else None
     timings["cycle"] = clock() - start
 
     return EmbeddingCertificate(
-        diagram=g,
-        m=m,
-        epsilon=epsilon,
-        rho_interval=rho_interval,
-        d_value=d_value,
-        largest_root_interval=largest,
-        signature=sig,
-        pell=unit.base,
-        unit_power=unit.k,
-        alpha=unit.value,
-        galois=galois,
-        relations_ok=relations.involutions_ok and relations.commutations_ok,
-        orthogonality_ok=relations.orthogonality_ok,
-        integrality_ok=integrality_ok,
-        galois_product_unit=galois.product_is_unit,
-        galois_conj_bounded=galois.conj_bounded,
-        conj_form_positive_definite=relations.orthogonality_ok and positive_definite,
-        trace_identity_ok=relations.traces_ok,
-        density_ok=density.verdict,
-        density_trace=tuple(density.dimension_trace),
-        faithfulness_passed=probe.injective,
-        faithfulness_length=probe_len,
-        faithfulness_t=probe_t,
-        cycle_example_ok=cycle_ok,
-        timings=timings,
+        g, m, thresholds, unit, galois, relations, integrality_ok, positive_definite, density, probe, cycle,
+        timings,
     )

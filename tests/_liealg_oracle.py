@@ -26,16 +26,8 @@ from coxcert.errors import (
     UnexpectedDimension,
     VerificationFailed,
 )
-from coxcert.exactcore import (
-    Matrix,
-    QuadElem,
-    bareiss_det,
-    mat_mul,
-    nullspace,
-    quad_sign,
-    rref,
-    transpose,
-)
+from coxcert.exactcore import Matrix, QuadElem, quad_sign, transpose
+from coxcert.exactcore.linalg import bareiss_det, mat_mul, nullspace, rref
 from coxcert.gram import evaluate_pencil, gram_pencil
 
 

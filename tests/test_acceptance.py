@@ -24,12 +24,12 @@ from coxcert import (
     generators_integral,
     gram_pencil,
     quad_sign,
-    trace_polynomial,
     verify_cycle_example,
     verify_relations,
 )
 from coxcert.cli import main as cli_main
 from coxcert.errors import CoxcertError
+from coxcert.vinberg import trace_polynomial
 
 from _liealg_oracle import full_basis_check
 from _suite import K3, acceptance_suite, probe_length, suite_thresholds, suite_unit

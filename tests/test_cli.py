@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import time
@@ -80,6 +81,35 @@ def test_embed_deterministic(k3_file, capsys):
     assert payload["m"] == 2
     assert payload["thresholds"]["d_value"] == 1
     assert payload["unit"]["pell"] == {"m": 2, "x": "1", "y": "1", "norm": -1}
+
+
+# sha256 of `embed` stdout with the default --probe-len 4, pinned so that a
+# refactor of the pipeline or the rendering cannot change the bytes unseen.
+_PINNED_CERTIFICATES = {
+    "K3": (K3_TEXT, [], "8f900606b5a3d0a283f5e56bf2ef8b24e8165404978b0f49eeee84ed7c50ab91"),
+    "K3-m3": (K3_TEXT, ["--m", "3"], "36d7ff03dc7f323ca70e9def126f2304eeee4fbf2889e3e6fb562a0f86cc3cea"),
+    "P3": (P3_TEXT, [], "97c418cc51394882f99d2b4e57d4328a50f27d682fdf42355bb59d2034a6f039"),
+    "cc5-m5": (
+        cycle_complement(5), ["--m", "5"], "a59e48a59a13a5029ae2b5336d96a3de98bdb83f5efb8fef9a46e708e30e2358"
+    ),
+    "cc7": (cycle_complement(7), [], "6896102450d55e8b66c198a447dec27d2ceddb5e3216531548165495f80b7afd"),
+    "cc12": (cycle_complement(12), [], "63f65921e6d3b74a2956622d861b79ab33bb66178c0c8b6420249fd8e5a0d42d"),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_CERTIFICATES)
+def test_embed_bytes_are_pinned(name, tmp_path, capsys):
+    diagram, options, digest = _PINNED_CERTIFICATES[name]
+    path = tmp_path / "g.diagram"
+    path.write_text(diagram if isinstance(diagram, str) else serialize_diagram(diagram))
+    assert main(["embed", str(path), *options]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_embed_to_an_unwritable_path_is_usage_error(k3_file, tmp_path, capsys):
+    for out in (tmp_path / "missing" / "k3.json", tmp_path):
+        assert main(["embed", k3_file, "--out", str(out)]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 def test_embed_timings_on_stderr_only(k3_file, capsys):

@@ -16,7 +16,7 @@ from coxcert import (
     verify_cycle_example,
 )
 from coxcert.cyclecheck import predicted_char_poly
-from coxcert.exactcore import char_poly
+from coxcert.exactcore.linalg import char_poly
 from coxcert.gram import d_threshold, pencil_char_poly
 
 F = Fraction

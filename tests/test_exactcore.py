@@ -20,21 +20,18 @@ from coxcert.exactcore import (
     Poly,
     QuadElem,
     Signature,
-    bareiss_det,
     cauchy_root_bound,
-    char_poly,
     count_roots_above,
     isolate_real_roots,
     leading_principal_minors,
-    mat_mul,
     quad_sign,
     refine_root_interval,
-    signature_of,
-    squarefree_decomposition,
     squarefree_part,
     sturm_root_count,
     transpose,
 )
+from coxcert.exactcore.linalg import bareiss_det, char_poly, mat_mul, signature_of
+from coxcert.exactcore.poly import squarefree_decomposition
 
 F = Fraction
 

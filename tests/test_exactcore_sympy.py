@@ -29,21 +29,18 @@ from coxcert.exactcore import (
     Interval,
     Poly,
     Signature,
-    bareiss_det,
-    char_poly,
     count_roots_above,
     isolate_real_roots,
     leading_principal_minors,
     quad_sign,
     refine_root_interval,
     root_intervals,
-    signature_of,
-    squarefree_decomposition,
     squarefree_part,
     sturm_root_count,
     sturm_sequence,
 )
-from coxcert.exactcore.poly import _sign_at
+from coxcert.exactcore.linalg import bareiss_det, char_poly, signature_of
+from coxcert.exactcore.poly import _sign_at, squarefree_decomposition
 from coxcert.gram import _smallest_abs_root
 
 from _suite import acceptance_suite, suite_thresholds

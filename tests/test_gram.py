@@ -26,7 +26,7 @@ from coxcert import (
     stable_signature,
     threshold_report,
 )
-from coxcert.exactcore import signature_of
+from coxcert.exactcore.linalg import signature_of
 
 from _suite import acceptance_suite
 

@@ -24,12 +24,11 @@ from coxcert import (
     evaluate_pencil,
     gram_pencil,
     minor_polynomials,
-    planar_generator,
-    reflection_generators,
 )
 from coxcert.errors import DegenerateForm, NotAnEdge, NotConnected, SameVertex
-from coxcert.exactcore import bareiss_det, mat_mul, rref
-from coxcert.liealg import _bracket, _Echelon
+from coxcert.exactcore.linalg import bareiss_det, mat_mul, rref
+from coxcert.liealg import _bracket, _Echelon, planar_generator
+from coxcert.vinberg import reflection_generators
 
 from _liealg_oracle import (
     full_basis_check,

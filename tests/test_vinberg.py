@@ -10,7 +10,6 @@ import pytest
 
 from coxcert import (
     CoxeterDiagram,
-    GeneratorSet,
     Poly,
     QuadElem,
     UnitValue,
@@ -24,14 +23,19 @@ from coxcert import (
     generators_integral,
     gram_pencil,
     minor_polynomials,
-    reflection_generators,
-    trace_polynomial,
     verify_relations,
 )
 from coxcert import vinberg
 from coxcert.errors import Disconnected, SameVertex
-from coxcert.exactcore import bareiss_det, leading_principal_minors, mat_eq, mat_mul, quad_sign, transpose
-from coxcert.vinberg import reflection_actions, times_reflection
+from coxcert.exactcore import leading_principal_minors, mat_eq, quad_sign, transpose
+from coxcert.exactcore.linalg import bareiss_det, mat_mul
+from coxcert.vinberg import (
+    GeneratorSet,
+    reflection_actions,
+    reflection_generators,
+    times_reflection,
+    trace_polynomial,
+)
 
 from _relations_oracle import conjugate_matrix, conjugates_to_tau, integral_at, relations_at
 from _suite import acceptance_suite, suite_thresholds, suite_unit
@@ -111,7 +115,7 @@ def test_a_wrong_neighbour_coefficient_flips_the_verdicts(monkeypatch):
     rel = verify_relations(g)
     assert not rel.orthogonality_ok and not rel.traces_ok
     cert = build_embedding_certificate(g)
-    assert not (cert.relations_ok and cert.orthogonality_ok)
+    assert not (cert.verdicts()["relations_ok"] and cert.verdicts()["orthogonality_ok"])
     assert not cert.passed
 
 
@@ -191,7 +195,7 @@ def test_a_non_integral_coefficient_at_alpha_flips_integrality(monkeypatch):
     assert build_embedding_certificate(g).integrality_ok
     monkeypatch.setattr(vinberg, "reflection_actions", half_off_at_vertex_2)
     cert = build_embedding_certificate(g)
-    assert cert.relations_ok and cert.orthogonality_ok
+    assert cert.verdicts()["relations_ok"] and cert.verdicts()["orthogonality_ok"]
     assert not cert.integrality_ok
     assert not cert.passed
 
@@ -280,10 +284,10 @@ def test_certificate_end_to_end_k3():
     cert = build_embedding_certificate(K3)
     assert cert.passed
     assert cert.m == 2
-    assert cert.d_value == 1
-    assert cert.epsilon < F(1, 2)
-    assert cert.alpha == QuadElem(1, 1, 2)
-    assert cert.signature.p >= 1 and cert.signature.q >= 1
+    assert cert.thresholds.d_value == 1
+    assert cert.thresholds.epsilon < F(1, 2)
+    assert cert.unit.value == QuadElem(1, 1, 2)
+    assert cert.thresholds.signature.p >= 1 and cert.thresholds.signature.q >= 1
     assert cert.verdicts()["density_ok"]
     assert "cycle_example_ok" not in cert.verdicts()
 
@@ -292,15 +296,15 @@ def test_certificate_cycle_member_includes_cycle_check():
     cert = build_embedding_certificate(cycle_complement(5), m=5)
     assert cert.passed
     assert cert.verdicts()["cycle_example_ok"] is True
-    assert cert.pell.m == 5
+    assert cert.unit.base.m == 5
 
 
 def test_certificate_deterministic():
     a = build_embedding_certificate(P3)
     b = build_embedding_certificate(P3)
-    assert a.epsilon == b.epsilon
-    assert a.alpha == b.alpha
-    assert a.density_trace == b.density_trace
+    assert a.thresholds.epsilon == b.thresholds.epsilon
+    assert a.unit.value == b.unit.value
+    assert a.density.dimension_trace == b.density.dimension_trace
     assert a.verdicts() == b.verdicts()
 
 
@@ -313,6 +317,6 @@ def test_alpha_clears_both_bounds():
     for g in (K3, P3, cycle_complement(5)):
         for m in (2, 3, 5):
             cert = build_embedding_certificate(g, m=m)
-            bound = max(1 / cert.epsilon, F(cert.d_value))
-            assert cert.alpha >= bound
+            bound = max(1 / cert.thresholds.epsilon, F(cert.thresholds.d_value))
+            assert cert.unit.value >= bound
             assert cert.galois.product in (1, -1)
