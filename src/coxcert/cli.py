@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -172,6 +173,8 @@ def cmd_embed(args) -> int:
     if args.probe_len < 0:
         raise InputError("--probe-len must be nonnegative")
     g = _load_diagram(args.diagram)
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        raise InputError(f"cannot write {args.out}: not a file in an existing directory")
     cert = build_embedding_certificate(g, m=args.m, probe_len=args.probe_len)
     text = canonical_json(certificate_payload(cert))
     if args.out:

@@ -32,6 +32,7 @@ from .exactcore import (
     isolate_real_roots,
     refine_root_interval,
     squarefree_part,
+    sturm_sequence,
 )
 from .gram import d_threshold, gram_pencil, pencil_char_poly, stable_signature
 
@@ -106,7 +107,8 @@ class CycleReport:
 def _observed_roots(cp: Poly) -> list:
     """The distinct real roots of cp as floats, ascending."""
     sf = squarefree_part(cp)
-    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in isolate_real_roots(sf)]
+    intervals = isolate_real_roots(sturm_sequence(sf))
+    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in intervals]
 
 
 def predicted_char_poly(n: int, t) -> Poly:

@@ -13,13 +13,12 @@ from .poly import (
     Interval,
     Poly,
     cauchy_root_bound,
-    count_roots_above,
+    count_roots,
     isolate_real_roots,
     poly_gcd,
     refine_root_interval,
     root_intervals,
     squarefree_part,
-    sturm_root_count,
     sturm_sequence,
 )
 from .quadratic import QuadElem, is_squarefree, quad_sign
@@ -31,7 +30,7 @@ __all__ = [
     "QuadElem",
     "Signature",
     "cauchy_root_bound",
-    "count_roots_above",
+    "count_roots",
     "is_squarefree",
     "isolate_real_roots",
     "leading_principal_minors",
@@ -41,7 +40,6 @@ __all__ = [
     "refine_root_interval",
     "root_intervals",
     "squarefree_part",
-    "sturm_root_count",
     "sturm_sequence",
     "trace",
     "transpose",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import floordiv, truediv
 
 from ..errors import MixedRadicands
-from .poly import Poly, count_roots_above, squarefree_decomposition
+from .poly import Poly, count_roots, squarefree_decomposition, sturm_sequence
 from .quadratic import QuadElem
 
 Matrix = tuple
@@ -207,7 +207,7 @@ def signature_of(a: Matrix) -> Signature:
     positive = 0
     if reduced.degree > 0:
         for factor, mult in squarefree_decomposition(reduced):
-            positive += mult * count_roots_above(factor, Fraction(0))
+            positive += mult * count_roots(sturm_sequence(factor), 0)
     return Signature(positive, n - positive - z, z)
 
 

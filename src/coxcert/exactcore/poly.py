@@ -6,7 +6,7 @@ The pencil's minors and every Sturm chain member lie in Z[x], so their
 arithmetic runs on ints.  A polynomial can be evaluated at any exact point
 that supports ring operations (int, Fraction, QuadElem, Poly).  On top of
 the arithmetic this module provides Sturm sequences, distinct-root counting
-over intervals and half-lines, squarefree (Yun) decomposition,
+on open intervals (count_roots), squarefree (Yun) decomposition,
 bisection-based isolation of the distinct real roots, and interval
 refinement to arbitrary width.  Sturm chains are built by sign-preserving
 pseudo-division into primitive members, so the chain and its signs at a
@@ -26,7 +26,6 @@ from math import gcd as int_gcd
 from typing import Iterator
 
 from ..errors import EndpointIsRoot, ZeroPolynomial
-from .quadratic import quad_sign
 
 
 def _lcm(a: int, b: int) -> int:
@@ -328,9 +327,6 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x) -> bool:
-        return quad_sign(x - self.lo) >= 0 and quad_sign(self.hi - x) >= 0
-
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
@@ -345,6 +341,8 @@ def sturm_sequence(f: Poly) -> list[Poly]:
     member and is nonzero off the roots of f, so sign variations at such
     points are those of the squarefree part's chain.
     """
+    if f.is_zero():
+        raise ZeroPolynomial("Sturm chain of the zero polynomial")
     seq = [f.primitive()]
     d = f.derivative()
     if not d.is_zero():
@@ -355,18 +353,6 @@ def sturm_sequence(f: Poly) -> list[Poly]:
                 break
             seq.append((-r).primitive())
     return seq
-
-
-def _variations(signs: list[int]) -> int:
-    out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            out += 1
-        prev = s
-    return out
 
 
 def _sign_at(p: Poly, x) -> int:
@@ -385,64 +371,35 @@ def _sign_at(p: Poly, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _signs_at(seq: list[Poly], x) -> list[int]:
-    return [_sign_at(p, x) for p in seq]
-
-
-def _signs_at_inf(seq: list[Poly], direction: int) -> list[int]:
-    out = []
-    for p in seq:
-        s = quad_sign(p.leading)
-        if direction < 0 and p.degree % 2 == 1:
-            s = -s
-        out.append(s)
+def _variations(chain: list[Poly], x, direction: int = +1) -> int:
+    """Sign variations of the chain at x; None means the infinity of that sign."""
+    out = 0
+    prev = 0
+    for p in chain:
+        if x is None:
+            s = 1 if p.coeffs[-1] > 0 else -1
+            if direction < 0 and p.degree % 2 == 1:
+                s = -s
+        else:
+            s = _sign_at(p, x)
+        if s == 0:
+            continue
+        if prev != 0 and s != prev:
+            out += 1
+        prev = s
     return out
 
 
-def _variations_at(seq: list[Poly], x, direction: int = +1) -> int:
-    """Sign variations of the chain at x; None means the infinity of that sign."""
-    return _variations(_signs_at(seq, x) if x is not None else _signs_at_inf(seq, direction))
+def count_roots(chain: list[Poly], lo=None, hi=None) -> int:
+    """Distinct real roots of p on the open (lo, hi), chain = sturm_sequence(p).
 
-
-def _count_on(seq: list[Poly], lo, hi) -> int:
-    """Distinct roots on (lo, hi); None endpoints mean the infinities."""
-    return _variations_at(seq, lo, -1) - _variations_at(seq, hi)
-
-
-def sturm_root_count(p: Poly, interval: Interval | None = None) -> int:
-    """Count distinct real roots of p, on the whole line or inside an interval.
-
-    Endpoints must not be roots (EndpointIsRoot otherwise); the count is of
-    roots strictly between them, each counted once whatever its multiplicity.
+    None endpoints stand for the infinities; each root counts once whatever
+    its multiplicity.  A finite endpoint that is a root raises EndpointIsRoot.
     """
-    if p.is_zero():
-        raise ZeroPolynomial("root count of the zero polynomial")
-    if p.degree == 0:
-        return 0
-    if interval is not None:
-        if _sign_at(p, interval.lo) == 0:
-            raise EndpointIsRoot(f"left endpoint {interval.lo} is a root")
-        if _sign_at(p, interval.hi) == 0:
-            raise EndpointIsRoot(f"right endpoint {interval.hi} is a root")
-    seq = sturm_sequence(p)
-    if interval is None:
-        return _count_on(seq, None, None)
-    return _count_on(seq, interval.lo, interval.hi)
-
-
-def count_roots_above(p: Poly, a: Fraction, chain: list[Poly] | None = None) -> int:
-    """Distinct real roots of p on the open half-line (a, +infinity).
-
-    chain, if given, must be sturm_sequence(p): a caller counting at several
-    points builds it once.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("root count of the zero polynomial")
-    if p.degree == 0:
-        return 0
-    if _sign_at(p, a) == 0:
-        raise EndpointIsRoot(f"endpoint {a} is a root")
-    return _count_on(sturm_sequence(p) if chain is None else chain, a, None)
+    for x in (lo, hi):
+        if x is not None and _sign_at(chain[0], x) == 0:
+            raise EndpointIsRoot(f"endpoint {x} is a root")
+    return _variations(chain, lo, -1) - _variations(chain, hi)
 
 
 # -- root isolation ----------------------------------------------------------
@@ -470,27 +427,20 @@ def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     return point
 
 
-def root_intervals(
-    p: Poly, above: Fraction | None = None, chain: list[Poly] | None = None
-) -> Iterator[Interval]:
+def root_intervals(chain: list[Poly], above: Fraction | None = None) -> Iterator[Interval]:
     """Isolating intervals for the distinct real roots of p, ascending, lazily.
 
     Bisection of the Cauchy interval by Sturm counts, walked depth first
     from the left, so intervals come out in ascending order and a caller
     that needs only the first ones stops the walk there.  With `above`,
     subtrees with hi <= above are not searched: the intervals are those of
-    isolate_real_roots(p) with hi > above.  chain, if given, must be
-    sturm_sequence(p).
+    isolate_real_roots(chain) with hi > above.  chain is sturm_sequence(p);
+    its first member, p's primitive part, has p's roots and Cauchy bound.
     """
-    if p.is_zero():
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
-        return
-    seq = sturm_sequence(p) if chain is None else chain
-    bound = cauchy_root_bound(p)
-    v_lo = _variations_at(seq, -bound)
+    bound = cauchy_root_bound(chain[0])
+    v_lo = _variations(chain, -bound)
     # (lo, hi, roots inside, chain variations at lo)
-    stack = [(-bound, bound, v_lo - _variations_at(seq, bound), v_lo)]
+    stack = [(-bound, bound, v_lo - _variations(chain, bound), v_lo)]
     while stack:
         lo, hi, count, v_lo = stack.pop()
         if count == 0 or (above is not None and hi <= above):
@@ -498,23 +448,23 @@ def root_intervals(
         if count == 1:
             yield Interval(lo, hi)
             continue
-        mid = _nonroot_point(seq[0], lo, hi)
-        v_mid = _variations_at(seq, mid)
+        mid = _nonroot_point(chain[0], lo, hi)
+        v_mid = _variations(chain, mid)
         left = v_lo - v_mid
         # Right side first so the stack pops left-to-right.
         stack.append((mid, hi, count - left, v_mid))
         stack.append((lo, mid, left, v_lo))
 
 
-def isolate_real_roots(p: Poly, chain: list[Poly] | None = None) -> list[Interval]:
+def isolate_real_roots(chain: list[Poly]) -> list[Interval]:
     """Isolating intervals for the distinct real roots of p, ascending.
 
-    Intervals are pairwise disjoint, endpoints are never roots, and each
-    contains exactly one distinct root of p strictly inside.  The bisection
-    depends on p itself (its Cauchy bound and Sturm chain), so callers that
-    want the intervals of a squarefree part pass that part.
+    chain is sturm_sequence(p).  Intervals are pairwise disjoint, endpoints
+    are never roots, and each contains exactly one distinct root of p
+    strictly inside.  The bisection depends on p itself, so callers that
+    want the intervals of a squarefree part pass that part's chain.
     """
-    return list(root_intervals(p, chain=chain))
+    return list(root_intervals(chain))
 
 
 def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> Interval:

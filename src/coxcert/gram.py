@@ -36,14 +36,13 @@ from .exactcore import (
     QuadElem,
     Signature,
     cauchy_root_bound,
-    count_roots_above,
+    count_roots,
     isolate_real_roots,
     leading_principal_minors,
     poly_gcd,
     quad_sign,
     refine_root_interval,
     root_intervals,
-    sturm_root_count,
     sturm_sequence,
     squarefree_part,
 )
@@ -132,7 +131,7 @@ def _smallest_abs_root(p: Poly) -> tuple[Poly, Interval] | None:
         return None
     mirrored = Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
     even = squarefree_part(p * mirrored)
-    for iv in root_intervals(even, above=0):
+    for iv in root_intervals(sturm_sequence(even), above=0):
         if iv.lo >= 0:
             while iv.lo == 0:
                 iv = refine_root_interval(even, iv, iv.width / 4)
@@ -146,7 +145,7 @@ def _gcd_root_in_overlap(common: Poly, lo: Fraction, hi: Fraction) -> bool:
         return False
     if common(lo) == 0 or common(hi) == 0:
         return True
-    return lo < hi and sturm_root_count(common, Interval(lo, hi)) > 0
+    return lo < hi and count_roots(sturm_sequence(common), lo, hi) > 0
 
 
 def _minimum_of_algebraics(candidates: list[tuple[Poly, Interval]]) -> tuple[Poly, Interval]:
@@ -210,7 +209,7 @@ def _verify_epsilon(minors: list[Poly], epsilon: Fraction) -> None:
         for point in (epsilon, -epsilon):
             if quad_sign(p(point)) <= 0:
                 raise VerificationFailed(f"minor {k} not positive at d = {point}")
-        if p.degree > 0 and sturm_root_count(p, Interval(-epsilon, epsilon)) != 0:
+        if p.degree > 0 and count_roots(sturm_sequence(p), -epsilon, epsilon) != 0:
             raise VerificationFailed(f"minor {k} vanishes inside [-{epsilon}, {epsilon}]")
 
 
@@ -230,14 +229,14 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
         return 1, None
     sf = squarefree_part(det)
     chain = sturm_sequence(sf)
-    roots = isolate_real_roots(sf, chain)
+    roots = isolate_real_roots(chain)
     limit = int(cauchy_root_bound(det)) + 2
     chosen = None
     for candidate in range(1, limit + 1):
         point = Fraction(candidate)
         if sf(point) == 0:
             continue
-        if count_roots_above(sf, point, chain) == 0:
+        if count_roots(chain, point) == 0:
             chosen = candidate
             break
     if chosen is None:
@@ -247,7 +246,7 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     largest = roots[-1]
     while largest.hi >= chosen:
         largest = refine_root_interval(sf, largest, largest.width / 4)
-    if count_roots_above(sf, largest.hi, chain) != 0:
+    if count_roots(chain, largest.hi) != 0:
         raise VerificationFailed("roots remain above the refined largest-root interval")
     return chosen, largest
 

@@ -179,7 +179,8 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     alone.  Equal rows give equal keys, so distinct keys mean distinct
     matrices; the matrices of elements sharing a key are rebuilt from their
     parent chains and compared exactly.  Stops at the first empty layer.
-    Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS.
+    Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS,
+    counting the next layer, sized by its descent masks, while rows are built.
     """
     if isinstance(t, int):
         t = Fraction(t)
@@ -208,6 +209,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     start_key = sum(a * b for a, b in zip(start, y))
     first = {start_key: 0}  # key -> index of the first element with that key
     shared: dict = {}  # key -> indices of every element with that key, if several
+    fanout: dict = {}  # descent mask -> children it has in the next layer
     parent = array("L", [0])
     letter_of = bytearray(1)
     layer_starts = [0]
@@ -219,6 +221,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
         layer_starts.append(len(letter_of))
         grow_rows = length < max_len
         nxt = []
+        ahead = 0  # the part of the next layer's size counted so far
         for row, key, desc in layer:
             for s, action, col, step, blocked, commuting in steps:
                 if desc & blocked:
@@ -228,11 +231,15 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
                 parent.append(index)
                 letter_of.append(s)
                 if grow_rows:
-                    nxt.append((reflect_row(row, action), child_key, (1 << s) | (desc & commuting)))
+                    child_desc = (1 << s) | (desc & commuting)
+                    if child_desc not in fanout:
+                        fanout[child_desc] = sum(not child_desc & b for _, _, _, _, b, _ in steps)
+                    ahead += fanout[child_desc]
+                    nxt.append((reflect_row(row, action), child_key, child_desc))
                 earlier = first.setdefault(child_key, child_index)
                 if earlier != child_index:
                     shared.setdefault(child_key, [earlier]).append(child_index)
-            _check_ball_size(len(letter_of))
+            _check_ball_size(len(letter_of) + ahead)
             index += 1
         layer = nxt
     layer_starts.append(len(letter_of))

@@ -97,19 +97,48 @@ _PINNED_CERTIFICATES = {
 }
 
 
+# sha256 of `analyze` stdout, computed at commit 61bb572: every interval it
+# prints comes out of the Sturm chains and the root isolation.
+_PINNED_ANALYSES = {
+    "K3": (K3_TEXT, "92fe8b2b0f76e2b81ec5f5259ff24defb3e1d19a67e677cfab683a3873ce246b"),
+    "P3": (P3_TEXT, "c3906dcd50a381c9339a193b32fae5466c1db3b51123a14a5ccc93a2c1b90ec6"),
+    "K1,3": (
+        "n 4\nedge 1 2\nedge 1 3\nedge 1 4\n", "32c0e8e3e5b05913521dcb1e075aa003ebe2a3f2ea32311639d01e79aafc068e"
+    ),
+    "cc5": (cycle_complement(5), "008791d17b8fe2edbb311b32110ea349edc04244d1719b1ba7a960219806386f"),
+    "cc12": (cycle_complement(12), "69f86ed01f301d5ba0efd73fb7bc651e39dca323673a8497433aa2b506be68db"),
+    "cc20": (cycle_complement(20), "26fadd05a1ec5171ac381085a2bf4fb652ed48838de1e1f99b75e57c9eb81c22"),
+}
+
+
+def _stdout_digest(command, diagram, options, tmp_path, capsys) -> str:
+    path = tmp_path / "g.diagram"
+    path.write_text(diagram if isinstance(diagram, str) else serialize_diagram(diagram))
+    assert main([command, str(path), *options]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", _PINNED_CERTIFICATES)
 def test_embed_bytes_are_pinned(name, tmp_path, capsys):
     diagram, options, digest = _PINNED_CERTIFICATES[name]
-    path = tmp_path / "g.diagram"
-    path.write_text(diagram if isinstance(diagram, str) else serialize_diagram(diagram))
-    assert main(["embed", str(path), *options]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    assert _stdout_digest("embed", diagram, options, tmp_path, capsys) == digest
 
 
-def test_embed_to_an_unwritable_path_is_usage_error(k3_file, tmp_path, capsys):
+@pytest.mark.parametrize("name", _PINNED_ANALYSES)
+def test_analyze_bytes_are_pinned(name, tmp_path, capsys):
+    diagram, digest = _PINNED_ANALYSES[name]
+    assert _stdout_digest("analyze", diagram, [], tmp_path, capsys) == digest
+
+
+def test_embed_to_an_unwritable_path_is_usage_error(k3_file, tmp_path, monkeypatch, capsys):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran before --out was checked")
+
+    monkeypatch.setattr("coxcert.cli.build_embedding_certificate", no_pipeline)
     for out in (tmp_path / "missing" / "k3.json", tmp_path):
         assert main(["embed", k3_file, "--out", str(out)]) == 2
         assert "error: cannot write" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
 
 def test_embed_timings_on_stderr_only(k3_file, capsys):

@@ -16,18 +16,17 @@ from coxcert.errors import (
     ZeroPolynomial,
 )
 from coxcert.exactcore import (
-    Interval,
     Poly,
     QuadElem,
     Signature,
     cauchy_root_bound,
-    count_roots_above,
+    count_roots,
     isolate_real_roots,
     leading_principal_minors,
     quad_sign,
     refine_root_interval,
     squarefree_part,
-    sturm_root_count,
+    sturm_sequence,
     transpose,
 )
 from coxcert.exactcore.linalg import bareiss_det, char_poly, mat_mul, signature_of
@@ -182,22 +181,23 @@ def test_cauchy_root_bound_is_an_exact_fraction(p):
         return
     biggest = max(abs(c) for c in p.coeffs[:-1])
     assert bound == 1 + F(biggest, abs(p.leading))
-    assert sturm_root_count(p, Interval(-bound, bound)) == sturm_root_count(p, None)
+    chain = sturm_sequence(p)
+    assert count_roots(chain, -bound, bound) == count_roots(chain)
 
 
 def test_sturm_pinned_counts():
-    assert sturm_root_count(Poly((-2, 0, 1)), Interval(F(0), F(2))) == 1
-    assert sturm_root_count(Poly((1, 0, -3, -2)), None) == 2  # (1-2d)(1+d)^2
-    assert sturm_root_count(Poly((1, 0, 1)), None) == 0
+    assert count_roots(sturm_sequence(Poly((-2, 0, 1))), F(0), F(2)) == 1
+    assert count_roots(sturm_sequence(Poly((1, 0, -3, -2)))) == 2  # (1-2d)(1+d)^2
+    assert count_roots(sturm_sequence(Poly((1, 0, 1)))) == 0
     with pytest.raises(ZeroPolynomial):
-        sturm_root_count(Poly(()), None)
+        sturm_sequence(Poly(()))
     with pytest.raises(EndpointIsRoot):
-        sturm_root_count(Poly((-4, 0, 1)), Interval(F(0), F(2)))
+        count_roots(sturm_sequence(Poly((-4, 0, 1))), F(0), F(2))
 
 
 def test_isolate_real_roots_pinned():
     p = Poly((-2, 0, 1))  # d^2 - 2
-    roots = isolate_real_roots(p)
+    roots = isolate_real_roots(sturm_sequence(p))
     assert len(roots) == 2
     neg = refine_root_interval(p, roots[0], F(1, 100))
     pos = refine_root_interval(p, roots[1], F(1, 100))
@@ -205,19 +205,19 @@ def test_isolate_real_roots_pinned():
     assert F(1) < pos.lo and pos.hi < F(2)
     assert pos.lo ** 2 < 2 < pos.hi ** 2
 
-    roots = isolate_real_roots(Poly((1, 0, -3, -2)))  # (1-2d)(1+d)^2
+    roots = isolate_real_roots(sturm_sequence(Poly((1, 0, -3, -2))))  # (1-2d)(1+d)^2
     assert len(roots) == 2  # one interval per distinct root
     assert roots[0].lo < -1 < roots[0].hi
-    assert roots[1].contains(F(1, 2))
+    assert roots[1].lo < F(1, 2) < roots[1].hi
 
-    roots = isolate_real_roots(Poly((-3, 1)))  # d - 3
+    roots = isolate_real_roots(sturm_sequence(Poly((-3, 1))))  # d - 3
     assert len(roots) == 1
-    assert roots[0].contains(F(3))
+    assert roots[0].lo < F(3) < roots[0].hi
 
 
 def test_refine_root_interval_narrows():
     p = Poly((-2, 0, 1))
-    iv = isolate_real_roots(p)[1]
+    iv = isolate_real_roots(sturm_sequence(p))[1]
     tight = refine_root_interval(p, iv, F(1, 10**6))
     assert tight.width <= F(1, 10**6)
     assert tight.lo ** 2 < 2 < tight.hi ** 2
@@ -225,7 +225,7 @@ def test_refine_root_interval_narrows():
 
 def test_refine_keeps_exact_rational_root_interior():
     p = Poly((-1, 2))  # root exactly 1/2
-    [iv] = isolate_real_roots(p)
+    [iv] = isolate_real_roots(sturm_sequence(p))
     tight = refine_root_interval(p, iv, F(1, 1000))
     assert tight.lo < F(1, 2) < tight.hi
     assert tight.width <= F(1, 1000)
@@ -255,7 +255,8 @@ def test_sturm_whole_line_matches_isolation(coeffs):
     p = Poly(coeffs)
     if p.is_zero() or p.degree == 0:
         return
-    assert sturm_root_count(p, None) == len(isolate_real_roots(p))
+    chain = sturm_sequence(p)
+    assert count_roots(chain) == len(isolate_real_roots(chain))
 
 
 # -- matrices ----------------------------------------------------------------
@@ -350,8 +351,9 @@ def test_char_poly_keeps_int_matrices_in_int():
     assert signature_of(a) == Signature(2, 0, 0)
 
 
-def test_count_roots_above():
-    p = Poly((-2, 0, 1))  # roots +-sqrt2
-    assert count_roots_above(p, F(0)) == 1
-    assert count_roots_above(p, F(-2)) == 2
-    assert count_roots_above(p, F(2)) == 0
+def test_count_roots_on_half_lines():
+    chain = sturm_sequence(Poly((-2, 0, 1)))  # roots +-sqrt2
+    assert count_roots(chain, F(0)) == 1
+    assert count_roots(chain, F(-2)) == 2
+    assert count_roots(chain, F(2)) == 0
+    assert count_roots(chain, None, F(0)) == 1

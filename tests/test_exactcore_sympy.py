@@ -26,17 +26,15 @@ from coxcert import (
     stable_signature,
 )
 from coxcert.exactcore import (
-    Interval,
     Poly,
     Signature,
-    count_roots_above,
+    count_roots,
     isolate_real_roots,
     leading_principal_minors,
     quad_sign,
     refine_root_interval,
     root_intervals,
     squarefree_part,
-    sturm_root_count,
     sturm_sequence,
 )
 from coxcert.exactcore.linalg import bareiss_det, char_poly, signature_of
@@ -162,7 +160,7 @@ def test_vanishing_leading_minor_raises():
 @settings(max_examples=30, deadline=None)
 @given(polys_with_repeated_roots())
 def test_isolation_matches_sympy_real_roots(p):
-    intervals = isolate_real_roots(p)
+    intervals = isolate_real_roots(sturm_sequence(p))
     roots = [r for r, _mult in sp.real_roots(_to_sympy(p), multiple=False)]
     assert len(intervals) == len(roots)
     for prev, iv in zip(intervals, intervals[1:]):
@@ -183,16 +181,17 @@ def test_root_counts_match_sympy_distinct_roots(p, a, b):
     assume(p.degree >= 1 and a < b and p(a) != 0 and p(b) != 0)
     roots = [r for r, _mult in sp.real_roots(_to_sympy(p), multiple=False)]
     lo, hi = _rational(a), _rational(b)
-    assert sturm_root_count(p, None) == len(roots)
-    assert sturm_root_count(p, Interval(a, b)) == sum(bool(lo < r) and bool(r < hi) for r in roots)
-    assert count_roots_above(p, a) == sum(bool(r > lo) for r in roots)
+    chain = sturm_sequence(p)
+    assert count_roots(chain) == len(roots)
+    assert count_roots(chain, a, b) == sum(bool(lo < r) and bool(r < hi) for r in roots)
+    assert count_roots(chain, a) == sum(bool(r > lo) for r in roots)
 
 
 @settings(max_examples=30, deadline=None)
 @given(polys_with_repeated_roots())
 def test_refinement_needs_an_odd_multiplicity(p):
     roots = sp.real_roots(_to_sympy(p), multiple=False)
-    for iv, (root, mult) in zip(isolate_real_roots(p), roots):
+    for iv, (root, mult) in zip(isolate_real_roots(sturm_sequence(p)), roots):
         if mult % 2 == 0:
             with pytest.raises(ValueError, match="does not change sign"):
                 refine_root_interval(p, iv, iv.width / 8)
@@ -257,7 +256,7 @@ def _mirror(p: Poly) -> Poly:
 def _first_interval_right_of_zero(p: Poly):
     """What _smallest_abs_root returned before it followed one root."""
     even = squarefree_part(p * _mirror(p))
-    for iv in isolate_real_roots(even):
+    for iv in isolate_real_roots(sturm_sequence(even)):
         if iv.lo >= 0:
             while iv.lo == 0:
                 iv = refine_root_interval(even, iv, iv.width / 4)
@@ -296,8 +295,9 @@ def test_follow_one_root_on_every_suite_minor():
 @given(polys_with_repeated_roots(), rationals)
 def test_root_intervals_above_is_a_suffix_of_isolation(p, above):
     assume(p.degree >= 1)
-    assert list(root_intervals(p, above=above)) == [
-        iv for iv in isolate_real_roots(p) if iv.hi > above
+    chain = sturm_sequence(p)
+    assert list(root_intervals(chain, above=above)) == [
+        iv for iv in isolate_real_roots(chain) if iv.hi > above
     ]
 
 

@@ -1,19 +1,29 @@
-"""Every package module uses each name it imports.
+"""Every package module uses each name it imports, and every name it defines
+is used somewhere.
 
-No linter ships with the test dependencies, so this stdlib check stands in
-for one: a deletion that leaves an import behind fails here.  Package
-__init__ files are skipped, since they import names to re-export them.
+No linter ships with the test dependencies, so these stdlib checks stand in
+for one.  A deletion that leaves an import behind fails here; package
+__init__ files are skipped by that check, since they import names to
+re-export them.  A top-level function or class, or a non-dunder method, that
+nothing in src/, tests/ or bench/ mentions outside its own definition fails
+here too, and so does an __all__ entry that does not resolve.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coxcert"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "coxcert"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+CORPUS = sorted(p for top in ("src", "tests", "bench") for p in (ROOT / top).rglob("*.py"))
+WORD = re.compile(r"\w+")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +48,56 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of the classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*defs, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield item
+
+
+def unreferenced(source: str, corpus_words: Counter) -> list[str]:
+    """Names defined in source that occur in corpus_words only inside their definitions.
+
+    corpus_words counts the whole words of every file searched, source
+    included; a name is matched as a whole word, so a mention in a string
+    (such as a name the benchmark tracer looks up) counts.
+    """
+    lines = source.splitlines()
+    out = []
+    for node in _definitions(ast.parse(source)):
+        own = WORD.findall("\n".join(lines[node.lineno - 1 : node.end_lineno])).count(node.name)
+        if corpus_words[node.name] <= own:
+            out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
+def test_the_check_sees_an_unreferenced_name():
+    source = (
+        "def used():\n    return used()\n\n"
+        "def dead():\n    return dead()\n\n"
+        "class C:\n    def m(self):\n        return self.m\n\n    def __len__(self):\n        return 0\n"
+    )
+    words = Counter(WORD.findall(source + "used(); C()\n"))
+    assert unreferenced(source, words) == ["dead (line 4)", "m (line 8)"]
+
+
+def test_every_package_definition_is_referenced():
+    words = Counter(w for path in CORPUS for w in WORD.findall(path.read_text(encoding="utf-8")))
+    found = {
+        str(path.relative_to(PACKAGE)): unreferenced(path.read_text(encoding="utf-8"), words)
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+@pytest.mark.parametrize("module", ["coxcert", "coxcert.exactcore"])
+def test_every_export_resolves(module):
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []

@@ -26,8 +26,10 @@ from coxcert import (
     QuadElem,
     append_letter,
     cycle_complement,
+    d_threshold,
     enumerate_by_length,
     faithfulness_probe,
+    gram_pencil,
 )
 from coxcert import words
 from coxcert.errors import BallTooLarge, IndexOutOfRange
@@ -215,6 +217,28 @@ def test_ball_cap_counts_every_element(monkeypatch):
         enumerate_by_length(K3, 4)
     with pytest.raises(BallTooLarge):
         faithfulness_probe(K3, 2, 4)
+
+
+def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
+    # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements, most of
+    # them on the last layer, which gets no rows.  The size of the next layer
+    # is known from the descent masks while a layer's rows are built, so the
+    # refusal comes after 61,104 rows; counting only the elements already
+    # made, it came after 891,840 rows and about 1.3 GB.
+    g = cycle_complement(32)
+    real = words.reflect_row
+    calls = 0
+
+    def counting(row, action):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise AssertionError("the probe built rows for a ball it refuses")
+        return real(row, action)
+
+    monkeypatch.setattr(words, "reflect_row", counting)
+    with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
+        faithfulness_probe(g, d_threshold(gram_pencil(g))[0], 5)
 
 
 def _probe_cases():
