@@ -34,7 +34,7 @@ from .exactcore import (
     squarefree_part,
     sturm_sequence,
 )
-from .gram import d_threshold, gram_pencil, pencil_char_poly, stable_signature
+from .gram import d_threshold, evaluate_pencil, gram_pencil, pencil_char_poly, stable_signature
 
 _REFINE_WIDTH = Fraction(1, 10**12)
 
@@ -62,19 +62,13 @@ def predicted_spectrum(n: int, t) -> SpectrumPrediction:
 
 def circulant_identity_ok(n: int) -> bool:
     """Check M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones), exactly in Q[d]."""
-    pencil = gram_pencil(cycle_complement(n))
-    d = Poly((Fraction(0), Fraction(1)))
-    one = Poly((Fraction(1),))
-    zero = Poly(())
-    for i in range(n):
-        for j in range(n):
-            shift = 1 if (i - j) % n in (1, n - 1) else 0
-            rhs = -d + (one if shift else zero) * d
-            if i == j:
-                rhs = rhs + one + d
-            if pencil.entries[i][j] != rhs:
-                return False
-    return True
+    d = Poly((0, 1))
+    m_d = evaluate_pencil(gram_pencil(cycle_complement(n)), d)
+    return all(
+        m_d[i][j] == (1 + d) * (i == j) + d * ((i - j) % n in (1, n - 1)) - d
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 @dataclass(frozen=True)

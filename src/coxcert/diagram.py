@@ -9,11 +9,11 @@ The text format accepted by ``parse_diagram`` is the CLI's diagram format:
 
     # comment
     n 5
-    edge 1 3
+    edge 1 3  # a comment may close any line
     edge 2 4
 
 First non-comment line declares the vertex count, 3 <= n <= MAX_VERTICES;
-each following line adds one edge with 1 <= i < j <= n.
+each following line adds one edge with 1 <= i < j <= n, in ASCII digits.
 """
 
 from __future__ import annotations
@@ -123,6 +123,16 @@ def is_connected(g: CoxeterDiagram) -> bool:
     return len(seen) == g.n
 
 
+def _digits(token: str, lineno: int, message: str) -> int:
+    """The value of a string of ASCII digits [0-9]+, else DiagramSyntaxError(message)."""
+    try:
+        if token.isascii() and token.isdigit():
+            return int(token)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise DiagramSyntaxError(lineno, message)
+
+
 def parse_diagram(text) -> CoxeterDiagram:
     """Parse the diagram text format; see the module docstring."""
     if isinstance(text, bytes):
@@ -133,17 +143,14 @@ def parse_diagram(text) -> CoxeterDiagram:
     n = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         parts = line.split()
         if n is None:
             if parts[0] != "n" or len(parts) != 2:
                 raise DiagramSyntaxError(lineno, f"expected 'n <INT>', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise DiagramSyntaxError(lineno, f"bad vertex count {parts[1]!r}") from None
+            n = _digits(parts[1], lineno, f"bad vertex count {parts[1]!r}")
             if n < 3:
                 raise TooFewVertices(f"line {lineno}: need at least 3 vertices, got {n}")
             if n > MAX_VERTICES:
@@ -151,10 +158,7 @@ def parse_diagram(text) -> CoxeterDiagram:
             continue
         if parts[0] != "edge" or len(parts) != 3:
             raise DiagramSyntaxError(lineno, f"expected 'edge <i> <j>', got {line!r}")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise DiagramSyntaxError(lineno, f"bad edge endpoints in {line!r}") from None
+        i, j = (_digits(part, lineno, f"bad edge endpoints in {line!r}") for part in parts[1:])
         if i >= j:
             raise DiagramSyntaxError(lineno, f"edge endpoints must satisfy i < j, got {i} {j}")
         if not (1 <= i <= n and 1 <= j <= n):

@@ -1,16 +1,14 @@
 """Small exact linear-algebra kit over int, Fraction, QuadElem, or Poly entries.
 
 Matrices are immutable tuples of row tuples.  Everything here is decided by
-exact arithmetic.  Determinants come from fraction-free Bareiss
-elimination, whose divisions are exact over any integral domain: a matrix
-over Z[d] (integer-coefficient Poly entries, like the pencil M_d) is
-eliminated in integers throughout, since every quotient is again in Z[d]
-and Poly divides int coefficients with //.  Characteristic polynomials of
-rational matrices come from the Faddeev-LeVerrier recursion (divisions by
-1..n, exact in characteristic zero), and inertia signatures from Sturm
-counts on the characteristic polynomial.  The package reads the stable
-signature off det M_d instead (gram.stable_signature); signature_of is
-kept as its test oracle.
+exact arithmetic.  Determinants come from fraction-free Bareiss elimination,
+whose divisions are exact over any integral domain, so an int or
+integer-Poly matrix stays in integers throughout.  Characteristic
+polynomials of rational matrices come from the Faddeev-LeVerrier recursion
+(divisions by 1..n, exact in characteristic zero), and inertia signatures
+from Sturm counts on the characteristic polynomial.  The package reads the
+stable signature off det M_d instead (gram.stable_signature); signature_of
+is kept as its test oracle.
 """
 
 from __future__ import annotations

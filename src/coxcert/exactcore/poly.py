@@ -225,6 +225,16 @@ class Poly:
         return Poly(tuple(c.numerator * (denom // c.denominator) // numer for c in self.coeffs))
 
 
+def poly_from_balanced_digits(value: int, bits: int) -> Poly:
+    """Undo Kronecker substitution: the p in Z[x] with p(2^bits) = value whose
+    coefficients, value's balanced base-2^bits digits, lie in [-2^(bits-1), 2^(bits-1))."""
+    half, coeffs = 1 << (bits - 1), []
+    while value:
+        coeffs.append(((value + half) & ((1 << bits) - 1)) - half)
+        value = (value - coeffs[-1]) >> bits
+    return Poly(coeffs)
+
+
 def _positive_remainder(a: Poly, b: Poly) -> Poly:
     """|lead(b)|^k * (a mod b) for some k >= 0, by pseudo-division.
 

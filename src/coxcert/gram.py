@@ -14,10 +14,12 @@ construction:
   of M_d is constant ("stable signature"); it is read off the signs of
   det(M_d)'s coefficients.
 
-The pencil's entries lie in Z[d], so all n minor polynomials come from one
-pivot-free, fraction-free Bareiss pass over Z[d] in integer coefficients,
-whose pivots are the leading minors; distinct root locations come from
-Sturm counts and bisection, with signs taken in integers.  The final
+All n minor polynomials come from one pivot-free, fraction-free Bareiss
+pass over the integer matrix M_{2^bits}, with 2^bits past twice a Hadamard
+bound on their coefficients: its pivots are the minors at d = 2^bits, and
+their balanced base-2^bits digits are the coefficients (Kronecker
+substitution).  Distinct root locations come from Sturm counts and
+bisection, with signs taken in integers.  The final
 positive-definiteness and no-root checks are re-verified exactly before
 anything is returned.
 """
@@ -27,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, isqrt
 
 from .diagram import CoxeterDiagram
 from .errors import VerificationFailed
 from .exactcore import (
     Interval,
+    Matrix,
     Poly,
     QuadElem,
     Signature,
@@ -46,6 +50,7 @@ from .exactcore import (
     sturm_sequence,
     squarefree_part,
 )
+from .exactcore.poly import poly_from_balanced_digits
 
 # epsilon when the cap at 1 binds (pencils whose minors have no root in (0, 1)).
 _EPSILON_CAP = Fraction(1023, 1024)
@@ -53,56 +58,47 @@ _EPSILON_CAP = Fraction(1023, 1024)
 
 @dataclass(frozen=True)
 class GramPencil:
-    """The pencil M_d with entries in Z[d]."""
+    """The pencil M_d = I - dA, A the adjacency matrix of the diagram."""
 
     diagram: CoxeterDiagram
-    entries: tuple
 
     @property
     def n(self) -> int:
         return self.diagram.n
 
+    def at(self, t) -> Matrix:
+        """M_t in t's own ring: 1 on the diagonal, -t at each edge, 0 elsewhere."""
+        g, zero = self.diagram, t * 0
+        one = zero + 1
+        return tuple(
+            tuple(one if i == j else -t if g.adjacent(i, j) else zero for j in g.vertices) for i in g.vertices
+        )
+
 
 @lru_cache(maxsize=256)
 def gram_pencil(g: CoxeterDiagram) -> GramPencil:
-    one = Poly((1,))
-    minus_d = Poly((0, -1))
-    zero = Poly()
-    rows = []
-    for i in g.vertices:
-        row = []
-        for j in g.vertices:
-            if i == j:
-                row.append(one)
-            elif g.adjacent(i, j):
-                row.append(minus_d)
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return GramPencil(g, tuple(rows))
+    return GramPencil(g)
 
 
 def evaluate_pencil(pencil: GramPencil, t):
-    """M_t as an exact matrix; t may be int, Fraction, or QuadElem."""
+    """M_t as an exact matrix; t may be int, Fraction, QuadElem or Poly (an int reads as a Fraction)."""
     if isinstance(t, int):
         t = Fraction(t)
-    if isinstance(t, Fraction):
-        return tuple(tuple(Fraction(e(t)) for e in row) for row in pencil.entries)
-    if isinstance(t, QuadElem):
-        return tuple(tuple(_eval_quad(e, t) for e in row) for row in pencil.entries)
-    raise TypeError(f"evaluation point must be exact, got {type(t).__name__}")
-
-
-def _eval_quad(e: Poly, t: QuadElem) -> QuadElem:
-    value = e(t)
-    if isinstance(value, QuadElem):
-        return value
-    return QuadElem(value, 0, t.m)
+    if not isinstance(t, (Fraction, QuadElem, Poly)):
+        raise TypeError(f"evaluation point must be exact, got {type(t).__name__}")
+    return pencil.at(t)
 
 
 @lru_cache(maxsize=256)
 def _minor_polynomials_cached(pencil: GramPencil) -> tuple[Poly, ...]:
-    minors = leading_principal_minors(pencil.entries)
+    # Every Bareiss entry is a minor of I - dA (Sylvester).  Its d^j coefficient
+    # sums at most C(n, j) determinants with j columns from the 0/1 matrix A,
+    # each at most n^(j/2) by Hadamard.  Past twice that bound, d = 2^bits keeps
+    # each coefficient as one balanced digit; evaluation is a ring map and each
+    # Z[d] quotient is exact, so the integer pass divides exactly.
+    n = pencil.n
+    bits = (2 * max(comb(n, j) * (isqrt(n**j) + 1) for j in range(n + 1))).bit_length()
+    minors = [poly_from_balanced_digits(v, bits) for v in leading_principal_minors(pencil.at(1 << bits))]
     for k, p in enumerate(minors, start=1):
         if not (p(Fraction(0)) == 1):
             raise VerificationFailed(f"minor {k} has constant term {p(Fraction(0))}, expected 1")

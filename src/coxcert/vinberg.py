@@ -9,11 +9,12 @@ that action applied to I.
 Every entry of R_i(d) is an integer polynomial in d of degree at most 1, so
 R_i^2 = I, (R_i R_j)^2 = I on commuting pairs, R_i^T M_d R_i = M_d and
 tr(R_i R_j) = n - 4 + 4 M_ij(d)^2 are identities in Z[d].  verify_relations
-checks each once there, from one product R_i R_j per pair; holding in Z[d],
-they hold at alpha and at its Galois conjugate tau alike.  R_i(t) has
-entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Only one fact
-is decided at a point: M_tau is positive-definite (its leading minors are
-the pencil's minor polynomials at tau).
+checks each once, from one product R_i R_j per pair, in integers at
+d = 2^64, which separates every polynomial that arises there; holding in
+Z[d], they hold at alpha and at its Galois conjugate tau alike.  R_i(t) has
+entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Only M_tau's
+positive definiteness is decided at tau (its leading minors are the
+pencil's minor polynomials at tau).
 
 The embedding certificate keeps the report of every stage for one diagram
 and one quadratic ring: thresholds, the chosen unit alpha with its Galois
@@ -34,6 +35,7 @@ from .cyclecheck import CycleReport, verify_cycle_example
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
 from .errors import Disconnected, SameVertex
 from .exactcore import Matrix, Poly, QuadElem, mat_eq, quad_sign, trace, transpose
+from .exactcore.poly import poly_from_balanced_digits
 from .gram import ThresholdReport, evaluate_pencil, gram_pencil, minor_polynomials, threshold_report
 from .liealg import DensityCertificate, bracket_closure_density
 from .units import GaloisReport, UnitValue, choose_unit, galois_pair_check
@@ -83,25 +85,12 @@ def times_reflection(a, action):
     return tuple(reflect_row(row, action) for row in a)
 
 
-def _identity_like(a: Matrix) -> Matrix:
-    zero = a[0][0] * 0
-    one = zero + 1
-    n = len(a)
-    return tuple(tuple(one if c == r else zero for c in range(n)) for r in range(n))
-
-
 def reflection_generators(g: CoxeterDiagram, t) -> GeneratorSet:
     """One reflection per vertex at the exact evaluation point t."""
     form = evaluate_pencil(gram_pencil(g), t)
-    ident = _identity_like(form)
+    ident = evaluate_pencil(gram_pencil(g), t * 0)  # M_0 = I, in t's ring
     actions = reflection_actions(g, t)
     return GeneratorSet(g, t, form, tuple(times_reflection(ident, actions[i]) for i in g.vertices))
-
-
-def _preserves(form: Matrix, action) -> bool:
-    """R^T M R = M, computed as ((M R)^T R)^T without assuming M symmetric."""
-    moved = times_reflection(transpose(times_reflection(form, action)), action)
-    return mat_eq(transpose(moved), form)
 
 
 @dataclass(frozen=True)
@@ -115,10 +104,18 @@ class RelationReport:
     failures: tuple
 
 
+# R_i(d) has entries 0, +-1 and +-2d.  One rank-one action at most triples
+# the largest coefficient sum (l1 norm) of an entry, so R_i^2 and R_i^T M_d R_i
+# have entries of l1 at most 9, (R_i R_j)^2 at most 81, tr R_i R_j at most 9n.
+# Integer polynomials with coefficients below 2^63 in absolute value agree
+# exactly when their values at 2^64 do, so d = 2^64 decides each identity.
+_BITS = 64
+_POINT = 1 << _BITS
+
+
 def _pencil_generators(g: CoxeterDiagram) -> tuple[dict, tuple]:
-    """The actions of R_i(d) and the matrices R_i(d) over Z[d], one per vertex."""
-    actions = reflection_actions(g, Poly((0, 1)))
-    ident = _identity_like(gram_pencil(g).entries)
+    """The actions of R_i(d) and the matrices R_i(d) at d = 2^64, one per vertex."""
+    actions, ident = reflection_actions(g, _POINT), gram_pencil(g).at(0)  # M_0 = I
     return actions, tuple(times_reflection(ident, actions[i]) for i in g.vertices)
 
 
@@ -131,17 +128,17 @@ def _pair_product(actions: dict, generators: tuple, i: int, j: int) -> tuple:
 def verify_relations(g: CoxeterDiagram) -> RelationReport:
     """Check R_i^2 = I, R_i^T M_d R_i = M_d, and per pair P = R_i R_j.
 
-    Every check is an identity in Z[d]: P^2 = I on commuting pairs, and
-    tr P = expected_trace(g, i, j) on all pairs i < j.
+    Every check is an identity in Z[d], decided at d = 2^64: P^2 = I on
+    commuting pairs, and tr P = expected_trace(g, i, j) on all pairs i < j.
     """
     actions, generators = _pencil_generators(g)
-    form = gram_pencil(g).entries
-    ident = _identity_like(form)
+    form, ident = gram_pencil(g).at(_POINT), gram_pencil(g).at(0)  # M_0 = I
     failures = []
     for i in g.vertices:
         if not mat_eq(times_reflection(generators[i - 1], actions[i]), ident):
             failures.append(("involution", i, i))
-        if not _preserves(form, actions[i]):
+        # (M R_i)^T R_i = R_i^T M R_i, as M is symmetric
+        if not mat_eq(times_reflection(transpose(times_reflection(form, actions[i])), actions[i]), form):
             failures.append(("orthogonality", i, i))
     for i, j in combinations(g.vertices, 2):
         product, tr = _pair_product(actions, generators, i, j)
@@ -149,7 +146,7 @@ def verify_relations(g: CoxeterDiagram) -> RelationReport:
             square = times_reflection(times_reflection(product, actions[i]), actions[j])
             if not mat_eq(square, ident):
                 failures.append(("commutation", i, j))
-        if tr != expected_trace(g, i, j):
+        if tr != expected_trace(g, i, j)(_POINT):
             failures.append(("trace", i, j))
     kinds = {kind for kind, _, _ in failures}
     return RelationReport(
@@ -177,7 +174,7 @@ def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
     """tr(R_i R_j) as an integer polynomial in d."""
     if i == j:
         raise SameVertex(f"need two distinct vertices, got {i} twice")
-    return _pair_product(*_pencil_generators(g), i, j)[1]
+    return poly_from_balanced_digits(_pair_product(*_pencil_generators(g), i, j)[1], _BITS)
 
 
 def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:

@@ -35,14 +35,14 @@ _THRESHOLDS: dict = {}
 _UNITS: dict = {}
 
 
-def random_connected_diagram(rng: random.Random, n: int) -> CoxeterDiagram:
+def random_connected_diagram(rng: random.Random, n: int, rate: float = 1 / 3) -> CoxeterDiagram:
     edges = set()
     for v in range(2, n + 1):
         u = rng.randrange(1, v)
         edges.add((u, v))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if (i, j) not in edges and rng.random() < 1 / 3:
+            if (i, j) not in edges and rng.random() < rate:
                 edges.add((i, j))
     return CoxeterDiagram(n, frozenset(edges))
 

@@ -111,6 +111,36 @@ _PINNED_ANALYSES = {
 }
 
 
+# sha256 of `density`, `words` and `cycle` stdout, computed at commit d35fb66,
+# before the pencil's minors and identities moved to integer evaluation.
+_PINNED_OUTPUTS = {
+    "density cc7": (
+        "density", cycle_complement(7), [], "13d6d88da0b9d913817f69c87650632fda864da0cfa2e5637a41f46baae48b6f"
+    ),
+    "density cc7 7/3": (
+        "density", cycle_complement(7), ["--d", "7/3"],
+        "523b4238423142b00d602c2c31ca9e13a81e9f400843207a49b4e2154457abcf",
+    ),
+    "density P3 3/2": (
+        "density", P3_TEXT, ["--d", "3/2"], "4330d0aa8f7adfe56c6ba39648654bb3e8b053c059e945cfaddbea6383d3455a"
+    ),
+    "words cc7 5": (
+        "words", cycle_complement(7), ["--max-len", "5"],
+        "dceff05fcf9fc867d3139d5efb1e36d57576ab1b09476149dcbe0619ddfe5114",
+    ),
+}
+_PINNED_CYCLES = {
+    5: "7eaa5fc246ac3e3c023fdf4f28568f61acd14f657ccffd2310d5a54c6fbdf96f",
+    6: "998e466dc66403bdf3acf21003c221405eb92c1eea5772beb4da06ae0c51cc91",
+    7: "c276c01eadf326c6cbf7d7292c35a095d927d2b0a69c210546bbec4299a8f0ae",
+    8: "f7c803ef946f26056ae408eeb0ccaa19f6758e251c8307efb296bdf5715ece2a",
+    9: "f8c7f1a055b0b52e9a679b7736e69332d212a8cadd0217f0ad1ad2383c09f76c",
+    10: "79177e3bb9ff58aa0b352106f0c32eadfc822a3807f920aa8f1bef0a03186f12",
+    11: "0cb22c494f828854343ea189a5613ab80833396feaa4f0c03e078b6538cf2c9a",
+    12: "68d519d02224b00d35dde895c3a727979767121fa46e29359d91e7f8c5ed62d1",
+}
+
+
 def _stdout_digest(command, diagram, options, tmp_path, capsys) -> str:
     path = tmp_path / "g.diagram"
     path.write_text(diagram if isinstance(diagram, str) else serialize_diagram(diagram))
@@ -128,6 +158,18 @@ def test_embed_bytes_are_pinned(name, tmp_path, capsys):
 def test_analyze_bytes_are_pinned(name, tmp_path, capsys):
     diagram, digest = _PINNED_ANALYSES[name]
     assert _stdout_digest("analyze", diagram, [], tmp_path, capsys) == digest
+
+
+@pytest.mark.parametrize("name", _PINNED_OUTPUTS)
+def test_density_and_words_bytes_are_pinned(name, tmp_path, capsys):
+    command, diagram, options, digest = _PINNED_OUTPUTS[name]
+    assert _stdout_digest(command, diagram, options, tmp_path, capsys) == digest
+
+
+@pytest.mark.parametrize("n", _PINNED_CYCLES)
+def test_cycle_bytes_are_pinned(n, capsys):
+    assert main(["cycle", "--n", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _PINNED_CYCLES[n]
 
 
 def test_embed_to_an_unwritable_path_is_usage_error(k3_file, tmp_path, monkeypatch, capsys):

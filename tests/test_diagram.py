@@ -104,6 +104,29 @@ def test_parse_errors():
     assert parse_diagram("n 32\n").n == 32
 
 
+def test_parse_cuts_each_line_at_its_comment():
+    g = parse_diagram("n 3  # a path\nedge 1 2  # note\nedge 2 3#x\n  # indented\n")
+    assert g.n == 3
+    assert g.sorted_edges() == [(1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n 1_0\n",  # int() reads the underscore as a digit separator
+        "n \uff13\n",  # fullwidth 3
+        "n 3\nedge 1 \u0662\n",  # Arabic-Indic 2
+        "n +3\n",
+        "n 3\nedge 1 +2\n",
+        "n " + "1" * 5000 + "\n",  # more digits than int() reads
+        "n 3\nedge 1 " + "2" * 5000 + "\n",
+    ],
+)
+def test_integers_are_ascii_digits_only(text):
+    with pytest.raises(DiagramSyntaxError):
+        parse_diagram(text)
+
+
 def test_syntax_error_reports_line_number():
     with pytest.raises(DiagramSyntaxError) as exc:
         parse_diagram("n 3\nedge 1 2\nedge 3 2\n")

@@ -30,7 +30,7 @@ from coxcert.exactcore import (
     transpose,
 )
 from coxcert.exactcore.linalg import bareiss_det, char_poly, mat_mul, signature_of
-from coxcert.exactcore.poly import squarefree_decomposition
+from coxcert.exactcore.poly import poly_from_balanced_digits, squarefree_decomposition
 
 F = Fraction
 
@@ -169,6 +169,20 @@ def test_integer_poly_operations_stay_exact(p, q, k):
     assert (prim.leading > 0) == (p.leading > 0)
     assert prim * p.leading == p * prim.leading  # a rescaling of p
     assert p.monic().leading == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=70).flatmap(
+    lambda bits: st.tuples(
+        st.just(bits),
+        st.lists(st.integers(min_value=-(1 << (bits - 1)), max_value=(1 << (bits - 1)) - 1), max_size=8),
+    )
+))
+def test_balanced_digits_invert_evaluation_at_a_power_of_two(case):
+    bits, coeffs = case
+    p = Poly(coeffs)
+    assert poly_from_balanced_digits(p(1 << bits), bits) == p
+    assert all(type(c) is int for c in poly_from_balanced_digits(p(1 << bits), bits).coeffs)
 
 
 @settings(max_examples=150, deadline=None)

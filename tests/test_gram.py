@@ -8,7 +8,9 @@ checks below compare squares, never floats.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,9 +28,10 @@ from coxcert import (
     stable_signature,
     threshold_report,
 )
+from coxcert.exactcore import leading_principal_minors
 from coxcert.exactcore.linalg import signature_of
 
-from _suite import acceptance_suite
+from _suite import acceptance_suite, random_connected_diagram
 
 F = Fraction
 
@@ -38,22 +41,50 @@ K13 = CoxeterDiagram(4, frozenset({(1, 2), (1, 3), (1, 4)}))
 
 
 def test_pencil_entries():
-    pencil = gram_pencil(P3)
     d = Poly((0, 1))
+    m_d = evaluate_pencil(gram_pencil(P3), d)
     one = Poly((1,))
-    assert pencil.entries[0][0] == one
-    assert pencil.entries[0][1] == -d  # edge (1,2)
-    assert pencil.entries[0][2] == Poly(())  # commuting pair
-    assert pencil.entries[1][2] == -d
+    assert m_d[0][0] == one
+    assert m_d[0][1] == -d  # edge (1,2)
+    assert m_d[0][2] == Poly(())  # commuting pair
+    assert m_d[1][2] == -d
 
 
 def test_pencil_and_minors_have_int_coefficients():
     # M_d lies in Z[d], so the Bareiss pass must never leave the integers
     for _name, g in acceptance_suite() + [("cc12", cycle_complement(12))]:
         pencil = gram_pencil(g)
-        assert all(type(c) is int for row in pencil.entries for e in row for c in e.coeffs)
+        m_d = evaluate_pencil(pencil, Poly((0, 1)))
+        assert all(type(c) is int for row in m_d for e in row for c in e.coeffs)
         for p in minor_polynomials(pencil):
             assert all(type(c) is int for c in p.coeffs), p
+
+
+def _top_of_range() -> dict:
+    """n = 32 diagrams, the largest the CLI accepts, with dense and sparse minors."""
+    n, half = 32, 16
+    rng = random.Random(32)
+    return {
+        "K32": CoxeterDiagram(n, frozenset(combinations(range(1, n + 1), 2))),
+        "K16,16": CoxeterDiagram(
+            n, frozenset((i, j) for i in range(1, half + 1) for j in range(half + 1, n + 1))
+        ),
+        "star32": CoxeterDiagram(n, frozenset((1, j) for j in range(2, n + 1))),
+        "cc32": cycle_complement(n),
+        "rand32-0.3": random_connected_diagram(rng, n, 0.3),
+        "rand32-0.7": random_connected_diagram(rng, n, 0.7),
+    }
+
+
+_TOP_OF_RANGE = _top_of_range()
+
+
+@pytest.mark.parametrize("name", _TOP_OF_RANGE)
+def test_integer_minors_equal_the_elimination_over_z_d(name):
+    # The production minors come from one integer pass at d = 2^bits; the
+    # oracle eliminates the Poly-entry pencil over Z[d] itself.
+    pencil = gram_pencil(_TOP_OF_RANGE[name])
+    assert minor_polynomials(pencil) == leading_principal_minors(evaluate_pencil(pencil, Poly((0, 1))))
 
 
 def test_evaluate_pencil_types():

@@ -10,6 +10,7 @@ import pytest
 
 from coxcert import (
     CoxeterDiagram,
+    GramPencil,
     Poly,
     QuadElem,
     UnitValue,
@@ -203,6 +204,7 @@ def test_a_non_integral_coefficient_at_alpha_flips_integrality(monkeypatch):
 def test_the_pipeline_evaluates_no_matrix_over_the_quadratic_field(monkeypatch):
     """Only the scalars alpha and tau are quadratic: no M_alpha, no R_i(alpha)."""
     originals = {"reflection_generators": reflection_generators, "evaluate_pencil": evaluate_pencil}
+    originals["at"] = GramPencil.at  # the one definition of M_t, which evaluate_pencil calls
 
     def refusing(name):
         def at_rational_points_only(first, t, *rest):
@@ -220,6 +222,7 @@ def test_the_pipeline_evaluates_no_matrix_over_the_quadratic_field(monkeypatch):
                     monkeypatch.setattr(module, name, refusing(name))
                     patched += 1
     assert patched >= 4  # the defining modules, the users and the package namespace
+    monkeypatch.setattr(GramPencil, "at", refusing("at"))
     for name, g in acceptance_suite():
         cert = build_embedding_certificate(g)
         assert cert.passed and cert.integrality_ok, name
