@@ -16,7 +16,9 @@ identity as an exact polynomial-matrix identity, the stable signature
 past the threshold as an exact identity of characteristic polynomials
 (see predicted_char_poly; the observed side is read off the cached det M_d
 by gram.pencil_char_poly).  Floats appear only in the printed report of
-how far the refined roots lie from the closed-form cosines.
+how far the refined roots lie from the closed-form cosines, isolated by
+roots_above on the squarefree part of the real-rooted characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from .diagram import cycle_complement
 from .exactcore import (
     Poly,
     Signature,
-    isolate_real_roots,
     refine_root_interval,
+    root_intervals,
     squarefree_part,
-    sturm_sequence,
 )
 from .gram import d_threshold, evaluate_pencil, gram_pencil, pencil_char_poly, stable_signature
 
@@ -99,10 +100,9 @@ class CycleReport:
 
 
 def _observed_roots(cp: Poly) -> list:
-    """The distinct real roots of cp as floats, ascending."""
-    sf = squarefree_part(cp)
-    intervals = isolate_real_roots(sturm_sequence(sf))
-    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in intervals]
+    """The distinct real roots of cp, a real-rooted characteristic polynomial, as floats, ascending."""
+    sf = squarefree_part(cp).primitive()
+    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in root_intervals(sf)]
 
 
 def predicted_char_poly(n: int, t) -> Poly:

@@ -1,5 +1,5 @@
 """Exact arithmetic core: rationals, quadratic irrationals, polynomials,
-Sturm root counting, and symmetric-matrix inertia."""
+real-root counting and isolation, and symmetric-matrix inertia."""
 
 from .linalg import (
     Matrix,
@@ -13,13 +13,11 @@ from .poly import (
     Interval,
     Poly,
     cauchy_root_bound,
-    count_roots,
-    isolate_real_roots,
     poly_gcd,
     refine_root_interval,
     root_intervals,
+    roots_above,
     squarefree_part,
-    sturm_sequence,
 )
 from .quadratic import QuadElem, is_squarefree, quad_sign
 
@@ -30,17 +28,15 @@ __all__ = [
     "QuadElem",
     "Signature",
     "cauchy_root_bound",
-    "count_roots",
     "is_squarefree",
-    "isolate_real_roots",
     "leading_principal_minors",
     "mat_eq",
     "poly_gcd",
     "quad_sign",
     "refine_root_interval",
     "root_intervals",
+    "roots_above",
     "squarefree_part",
-    "sturm_sequence",
     "trace",
     "transpose",
 ]

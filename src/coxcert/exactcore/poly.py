@@ -2,26 +2,25 @@
 
 Coefficients are exact rationals, kept as Python ints whenever they are
 integral and as Fractions only otherwise; no operation ever yields a float.
-The pencil's minors and every Sturm chain member lie in Z[x], so their
-arithmetic runs on ints.  A polynomial can be evaluated at any exact point
-that supports ring operations (int, Fraction, QuadElem, Poly).  On top of
-the arithmetic this module provides Sturm sequences, distinct-root counting
-on open intervals (count_roots), squarefree (Yun) decomposition,
-bisection-based isolation of the distinct real roots, and interval
-refinement to arbitrary width.  Sturm chains are built by sign-preserving
-pseudo-division into primitive members, so the chain and its signs at a
-rational point (homogenized Horner) need integers only.  None of the root
-tools needs a squarefree input: Sturm's theorem counts distinct roots of
-any nonzero polynomial.  Root isolation keeps every root strictly interior
-to its interval and every interval endpoint off the root set, which
-downstream threshold code relies on.
+The pencil's minors lie in Z[x], so their arithmetic runs on ints.  A
+polynomial can be evaluated at any exact point that supports ring
+operations (int, Fraction, QuadElem, Poly).  On top of the arithmetic this
+module provides squarefree parts, the Budan-Fourier count of the roots
+above a point (roots_above) for a real-rooted squarefree polynomial, which
+every polynomial the package isolates is, bisection-based isolation of the
+distinct real roots (root_intervals), and interval refinement to arbitrary
+width, all with signs taken in integers.  Root isolation keeps every root
+strictly interior to its interval and every interval endpoint off the root
+set, which downstream threshold code relies on.  Sturm chains
+(sturm_sequence, count_roots, isolate_real_roots), which need neither
+property, are kept only as the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd as int_gcd
 from typing import Iterator
 
@@ -341,16 +340,54 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-# -- Sturm machinery ------------------------------------------------------------
+# -- real-root counting ---------------------------------------------------------
+
+
+def _sign_at(p: Poly, x) -> int:
+    """Exact sign of p(x), x = a/b in lowest terms, from homogenized Horner:
+    b^deg p(a/b) = sum c_i a^i b^(deg - i), in integers for an integer p."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    power = 1
+    for c in reversed(p.coeffs):
+        acc = acc * a + c * power
+        power *= b
+    return (acc > 0) - (acc < 0)
+
+
+def roots_above(f: Poly, x) -> int:
+    """Roots of a real-rooted squarefree f above a rational x (Budan-Fourier).
+
+    The sign variations of f(x), f'(x), f''(x), ..., zeros skipped, exceed
+    that count by an even number, which is 0 for a real-rooted f (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+    Squarefree makes every derivative real-rooted with simple roots, so
+    where one vanishes its neighbours have opposite signs (Laguerre) and
+    skipping it keeps the count exact, at a root of f too.  For x = a/b the
+    Taylor shift of h(y) = b^deg f(y/b) by a has j-th coefficient
+    b^(deg - j) f^(j)(x) / j!, in integers when f's coefficients are.
+    """
+    a, b, n = x.numerator, x.denominator, len(f.coeffs) - 1
+    taylor = [c * b ** (n - i) for i, c in enumerate(f.coeffs)]
+    for i in range(n if a else 0):
+        for j in range(n - 1, i - 1, -1):
+            taylor[j] += a * taylor[j + 1]
+    return _sign_changes(taylor)
+
+
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+# -- Sturm chains, the tests' oracle for roots_above ----------------------------
 
 
 def sturm_sequence(f: Poly) -> list[Poly]:
-    """Sturm chain f, f', -rem, ... (primitive-rescaled, so in Z[x]).
-
-    For a non-squarefree f the chain ends in gcd(f, f'), which divides every
-    member and is nonzero off the roots of f, so sign variations at such
-    points are those of the squarefree part's chain.
-    """
+    """Sturm chain f, f', -rem, ... (primitive-rescaled, so in Z[x]).  For a
+    non-squarefree f it ends in gcd(f, f'), which divides every member and
+    is nonzero off f's roots, so the variations there are the squarefree part's."""
     if f.is_zero():
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
     seq = [f.primitive()]
@@ -365,47 +402,16 @@ def sturm_sequence(f: Poly) -> list[Poly]:
     return seq
 
 
-def _sign_at(p: Poly, x) -> int:
-    """Exact sign of p(x) at a rational x = a/b in lowest terms, b > 0.
-
-    b^deg * p(a/b) = sum c_i a^i b^(deg - i) has the sign of p(a/b), and
-    homogenized Horner computes it in integers when p's coefficients are
-    (as for primitive polynomials); Fraction coefficients stay exact too.
-    """
-    a, b = x.numerator, x.denominator
-    acc = 0
-    power = 1
-    for c in reversed(p.coeffs):
-        acc = acc * a + c * power
-        power *= b
-    return (acc > 0) - (acc < 0)
-
-
 def _variations(chain: list[Poly], x, direction: int = +1) -> int:
     """Sign variations of the chain at x; None means the infinity of that sign."""
-    out = 0
-    prev = 0
-    for p in chain:
-        if x is None:
-            s = 1 if p.coeffs[-1] > 0 else -1
-            if direction < 0 and p.degree % 2 == 1:
-                s = -s
-        else:
-            s = _sign_at(p, x)
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            out += 1
-        prev = s
-    return out
+    if x is None:
+        return _sign_changes([-p.leading if direction < 0 and p.degree % 2 else p.leading for p in chain])
+    return _sign_changes([_sign_at(p, x) for p in chain])
 
 
 def count_roots(chain: list[Poly], lo=None, hi=None) -> int:
-    """Distinct real roots of p on the open (lo, hi), chain = sturm_sequence(p).
-
-    None endpoints stand for the infinities; each root counts once whatever
-    its multiplicity.  A finite endpoint that is a root raises EndpointIsRoot.
-    """
+    """Distinct real roots of p on the open (lo, hi), chain = sturm_sequence(p);
+    None stands for an infinity, and a finite endpoint that is a root raises."""
     for x in (lo, hi):
         if x is not None and _sign_at(chain[0], x) == 0:
             raise EndpointIsRoot(f"endpoint {x} is a root")
@@ -437,44 +443,42 @@ def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     return point
 
 
-def root_intervals(chain: list[Poly], above: Fraction | None = None) -> Iterator[Interval]:
+def root_intervals(p: Poly, count_above=None, above: Fraction | None = None) -> Iterator[Interval]:
     """Isolating intervals for the distinct real roots of p, ascending, lazily.
 
-    Bisection of the Cauchy interval by Sturm counts, walked depth first
-    from the left, so intervals come out in ascending order and a caller
-    that needs only the first ones stops the walk there.  With `above`,
-    subtrees with hi <= above are not searched: the intervals are those of
-    isolate_real_roots(chain) with hi > above.  chain is sturm_sequence(p);
-    its first member, p's primitive part, has p's roots and Cauchy bound.
+    count_above(x) counts p's distinct roots above a rational non-root x,
+    by default roots_above(p, x) for a real-rooted squarefree p.  The walk
+    bisects the Cauchy interval depth first from the left, so a caller that
+    needs only the first intervals stops it there; with `above`, subtrees
+    with hi <= above are skipped.  Positive multiples of p give the same walk.
     """
-    bound = cauchy_root_bound(chain[0])
-    v_lo = _variations(chain, -bound)
-    # (lo, hi, roots inside, chain variations at lo)
-    stack = [(-bound, bound, v_lo - _variations(chain, bound), v_lo)]
+    count_above = count_above or partial(roots_above, p)
+    bound = cauchy_root_bound(p)
+    a_lo = count_above(-bound)
+    # (lo, hi, roots inside, roots above lo)
+    stack = [(-bound, bound, a_lo - count_above(bound), a_lo)]
     while stack:
-        lo, hi, count, v_lo = stack.pop()
+        lo, hi, count, a_lo = stack.pop()
         if count == 0 or (above is not None and hi <= above):
             continue
         if count == 1:
             yield Interval(lo, hi)
             continue
-        mid = _nonroot_point(chain[0], lo, hi)
-        v_mid = _variations(chain, mid)
-        left = v_lo - v_mid
+        mid = _nonroot_point(p, lo, hi)
+        a_mid = count_above(mid)
+        left = a_lo - a_mid
         # Right side first so the stack pops left-to-right.
-        stack.append((mid, hi, count - left, v_mid))
-        stack.append((lo, mid, left, v_lo))
+        stack.append((mid, hi, count - left, a_mid))
+        stack.append((lo, mid, left, a_lo))
 
 
 def isolate_real_roots(chain: list[Poly]) -> list[Interval]:
-    """Isolating intervals for the distinct real roots of p, ascending.
+    """root_intervals of p, chain = sturm_sequence(p), by Sturm counts, as a list.
 
-    chain is sturm_sequence(p).  Intervals are pairwise disjoint, endpoints
-    are never roots, and each contains exactly one distinct root of p
-    strictly inside.  The bisection depends on p itself, so callers that
-    want the intervals of a squarefree part pass that part's chain.
+    Intervals are pairwise disjoint, endpoints are never roots, and each
+    contains exactly one distinct root of p strictly inside.
     """
-    return list(root_intervals(chain))
+    return list(root_intervals(chain[0], partial(count_roots, chain)))
 
 
 def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> Interval:

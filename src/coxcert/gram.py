@@ -18,10 +18,10 @@ All n minor polynomials come from one pivot-free, fraction-free Bareiss
 pass over the integer matrix M_{2^bits}, with 2^bits past twice a Hadamard
 bound on their coefficients: its pivots are the minors at d = 2^bits, and
 their balanced base-2^bits digits are the coefficients (Kronecker
-substitution).  Distinct root locations come from Sturm counts and
-bisection, with signs taken in integers.  The final
-positive-definiteness and no-root checks are re-verified exactly before
-anything is returned.
+substitution).  Roots are located by Budan-Fourier counts and bisection
+on real-rooted squarefree polynomials, with signs in integers; epsilon
+counts on q(y) = det(I - y A_k^2), half the degree of p(d)p(-d).  The final
+checks are re-verified exactly before anything is returned.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ from .exactcore import (
     QuadElem,
     Signature,
     cauchy_root_bound,
-    count_roots,
-    isolate_real_roots,
     leading_principal_minors,
     poly_gcd,
     quad_sign,
     refine_root_interval,
     root_intervals,
-    sturm_sequence,
+    roots_above,
     squarefree_part,
 )
 from .exactcore.poly import poly_from_balanced_digits
@@ -113,21 +111,35 @@ def minor_polynomials(pencil: GramPencil) -> list[Poly]:
     return list(_minor_polynomials_cached(pencil))
 
 
-def _smallest_abs_root(p: Poly) -> tuple[Poly, Interval] | None:
-    """Isolate min |root| of p as the smallest positive root of p(d)p(-d).
+def _half_square(p: Poly) -> Poly:
+    """The primitive squarefree q with q(d^2) = 0 exactly where p(d) p(-d) = 0.
 
-    Returns (squarefree even polynomial, isolating interval) or None when p
-    has no real roots.  even(0) = p(0)^2 = 1 and the roots of even are
-    symmetric, so isolation splits its symmetric Cauchy interval first at 0
-    and no isolating interval straddles 0.  Only the bisection path to the
-    first interval right of 0 is walked; it is the first interval with
-    lo >= 0 that isolate_real_roots(even) returns.
+    For a minor p = det(I - d A_k), q(y) divides det(I - y A_k^2): it is
+    real-rooted, with roots 1/lambda^2 > 0 for A_k's eigenvalues lambda != 0.
     """
-    if p.degree < 1:
-        return None
     mirrored = Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
-    even = squarefree_part(p * mirrored)
-    for iv in root_intervals(sturm_sequence(even), above=0):
+    return squarefree_part(Poly((p * mirrored).coeffs[::2])).primitive()
+
+
+def _smallest_abs_root(q: Poly) -> tuple[Poly, Interval] | None:
+    """Isolate min |root| of a minor as the smallest positive root of q(d^2), q its _half_square.
+
+    Returns (q(d^2), the squarefree part of p(d)p(-d) up to a constant, and
+    its isolating interval) or None when p has no real roots.  With Q(y) =
+    roots_above(q, y) and R = Q(0), q(d^2) has Q(x^2) roots above x >= 0 and
+    2R - Q(x^2) above x < 0; those counts bisect its symmetric Cauchy
+    interval, first at 0, walking only the path to the first root right of 0.
+    """
+    if q.degree < 1:
+        return None
+    even = Poly(tuple(c for a in q.coeffs for c in (a, 0)))
+    twice_r = 2 * roots_above(q, Fraction(0))
+
+    def count_above(x: Fraction) -> int:
+        above_square = roots_above(q, x * x)
+        return above_square if x >= 0 else twice_r - above_square
+
+    for iv in root_intervals(even, count_above, above=0):
         if iv.lo >= 0:
             while iv.lo == 0:
                 iv = refine_root_interval(even, iv, iv.width / 4)
@@ -135,13 +147,12 @@ def _smallest_abs_root(p: Poly) -> tuple[Poly, Interval] | None:
     return None
 
 
-def _gcd_root_in_overlap(common: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """Does the (squarefree) gcd vanish somewhere on the closed [lo, hi]?"""
-    if common.degree < 1:
-        return False
-    if common(lo) == 0 or common(hi) == 0:
-        return True
-    return lo < hi and count_roots(sturm_sequence(common), lo, hi) > 0
+def _gcd_root_in_overlap(f: Poly, g: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """Do the even squarefree f, g share a root on the closed [lo, hi], 0 <= lo?
+
+    Their gcd is h(d^2), h the gcd of their halves: a real-rooted squarefree factor of a q."""
+    h = poly_gcd(Poly(f.coeffs[::2]), Poly(g.coeffs[::2])).primitive()
+    return h(lo * lo) == 0 or roots_above(h, lo * lo) != roots_above(h, hi * hi)
 
 
 def _minimum_of_algebraics(candidates: list[tuple[Poly, Interval]]) -> tuple[Poly, Interval]:
@@ -159,9 +170,8 @@ def _minimum_of_algebraics(candidates: list[tuple[Poly, Interval]]) -> tuple[Pol
         for f, iv in items[1:]:
             if iv.lo > best_iv.hi:
                 continue  # strictly above the best candidate's root
-            common = poly_gcd(best_poly, f)
             lo, hi = max(best_iv.lo, iv.lo), min(best_iv.hi, iv.hi)
-            if lo <= hi and _gcd_root_in_overlap(common, lo, hi):
+            if lo <= hi and _gcd_root_in_overlap(best_poly, f, lo, hi):
                 continue  # same algebraic number; best already covers it
             keep.append((f, iv))
         if len(keep) == 1:
@@ -181,11 +191,8 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
     exactly (VerificationFailed on any failure, which would indicate a bug).
     """
     minors = minor_polynomials(pencil)
-    candidates = []
-    for p in minors:
-        found = _smallest_abs_root(p)
-        if found is not None:
-            candidates.append(found)
+    halves = [_half_square(p) for p in minors]
+    candidates = [found for found in map(_smallest_abs_root, halves) if found is not None]
     if not candidates:
         rho_interval = None
         epsilon = _EPSILON_CAP
@@ -194,18 +201,19 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
         while rho_interval.lo <= 0 or rho_interval.width >= rho_interval.lo / 1024:
             rho_interval = refine_root_interval(even, rho_interval, rho_interval.width / 4)
         epsilon = rho_interval.lo if rho_interval.lo < 1 else _EPSILON_CAP
-    _verify_epsilon(minors, epsilon)
+    _verify_epsilon(minors, halves, epsilon)
     return epsilon, rho_interval
 
 
-def _verify_epsilon(minors: list[Poly], epsilon: Fraction) -> None:
+def _verify_epsilon(minors: list[Poly], halves: list[Poly], epsilon: Fraction) -> None:
     if not (0 < epsilon < 1):
         raise VerificationFailed(f"epsilon {epsilon} outside (0, 1)")
-    for k, p in enumerate(minors, start=1):
+    for k, (p, q) in enumerate(zip(minors, halves), start=1):
         for point in (epsilon, -epsilon):
             if quad_sign(p(point)) <= 0:
                 raise VerificationFailed(f"minor {k} not positive at d = {point}")
-        if p.degree > 0 and count_roots(sturm_sequence(p), -epsilon, epsilon) != 0:
+        # p(0) = 1, and q has a root on (0, epsilon^2] iff p has one on [-epsilon, epsilon]
+        if roots_above(q, Fraction(0)) != roots_above(q, epsilon * epsilon):
             raise VerificationFailed(f"minor {k} vanishes inside [-{epsilon}, {epsilon}]")
 
 
@@ -213,28 +221,20 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     """(D, largest-root interval): stable integer evaluation point.
 
     D = max(1, smallest integer strictly greater than every real root of
-    det M_d).  Certified by a Sturm count of zero on (L, infinity) for a
-    rational L strictly between the largest root and D.  Roots are isolated
-    and refined on the squarefree part, since det can have multiple roots
-    (cycle complements have double ones) and refinement follows a sign
-    change.  One Sturm chain of the squarefree part serves the isolation
-    and every count.
+    det M_d).  Certified by a count of zero roots above a rational L
+    strictly between the largest root and D.  det M_d = prod(1 - d lambda_i)
+    is real-rooted but can have multiple roots (cycle complements have
+    double ones), so roots_above counts, and refinement follows sign
+    changes, on its squarefree part.
     """
     det = minor_polynomials(pencil)[-1]
     if det.degree < 1:
         return 1, None
-    sf = squarefree_part(det)
-    chain = sturm_sequence(sf)
-    roots = isolate_real_roots(chain)
+    sf = squarefree_part(det).primitive()
+    roots = list(root_intervals(sf))
     limit = int(cauchy_root_bound(det)) + 2
-    chosen = None
-    for candidate in range(1, limit + 1):
-        point = Fraction(candidate)
-        if sf(point) == 0:
-            continue
-        if count_roots(chain, point) == 0:
-            chosen = candidate
-            break
+    points = (Fraction(c) for c in range(1, limit + 1))
+    chosen = next((int(x) for x in points if sf(x) != 0 and roots_above(sf, x) == 0), None)
     if chosen is None:
         raise VerificationFailed("no valid integer below the root bound")
     if not roots:
@@ -242,7 +242,7 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     largest = roots[-1]
     while largest.hi >= chosen:
         largest = refine_root_interval(sf, largest, largest.width / 4)
-    if count_roots(chain, largest.hi) != 0:
+    if roots_above(sf, largest.hi) != 0:
         raise VerificationFailed("roots remain above the refined largest-root interval")
     return chosen, largest
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
+import sys
 import time
 
 import pytest
@@ -97,8 +99,21 @@ _PINNED_CERTIFICATES = {
 }
 
 
-# sha256 of `analyze` stdout, computed at commit 61bb572: every interval it
-# prints comes out of the Sturm chains and the root isolation.
+def _thresholds_diagram(rng: random.Random, n: int) -> CoxeterDiagram:
+    """A random spanning tree plus a third of the other pairs, as the
+    benchmark's `thresholds` workload builds its inputs."""
+    edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    rest = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in edges]
+    edges.update(rng.sample(rest, round(len(rest) / 3)))
+    return CoxeterDiagram(n, frozenset(edges))
+
+
+_RNG = random.Random(1)
+_RAND14, _RAND16 = _thresholds_diagram(_RNG, 14), _thresholds_diagram(_RNG, 16)
+
+# sha256 of `analyze` stdout: every interval it prints comes out of the root
+# isolation and refinement.  K3 through cc20 were computed at commit 61bb572,
+# the rest at 13d636e, before root counting moved off the Sturm chains.
 _PINNED_ANALYSES = {
     "K3": (K3_TEXT, "92fe8b2b0f76e2b81ec5f5259ff24defb3e1d19a67e677cfab683a3873ce246b"),
     "P3": (P3_TEXT, "c3906dcd50a381c9339a193b32fae5466c1db3b51123a14a5ccc93a2c1b90ec6"),
@@ -108,6 +123,13 @@ _PINNED_ANALYSES = {
     "cc5": (cycle_complement(5), "008791d17b8fe2edbb311b32110ea349edc04244d1719b1ba7a960219806386f"),
     "cc12": (cycle_complement(12), "69f86ed01f301d5ba0efd73fb7bc651e39dca323673a8497433aa2b506be68db"),
     "cc20": (cycle_complement(20), "26fadd05a1ec5171ac381085a2bf4fb652ed48838de1e1f99b75e57c9eb81c22"),
+    "cc24": (cycle_complement(24), "53171db2b7c4beaac0eed6e04510f9a52cdf1964a4b8c44ef77b68c63af0bce8"),
+    "rand14": (_RAND14, "6df97a99107012db25e14e3e567e10705a6fbbe2421aeb6af32f58f2c69c1272"),
+    "rand16": (_RAND16, "5b07d0016df0989ffad2fe01099180f9c029a983a27af932ff294bddb82190c1"),
+    "two P3": (
+        "n 6\nedge 1 2\nedge 2 3\nedge 4 5\nedge 5 6\n",
+        "161cbcc9c6b2696693cdb25206852470e381472f98b2b9f2d6c2ac063b1dd8b9",
+    ),
 }
 
 
@@ -170,6 +192,21 @@ def test_density_and_words_bytes_are_pinned(name, tmp_path, capsys):
 def test_cycle_bytes_are_pinned(n, capsys):
     assert main(["cycle", "--n", str(n)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _PINNED_CYCLES[n]
+
+
+def test_the_commands_build_no_sturm_chain(tmp_path, monkeypatch, capsys):
+    # Sturm chains are only the tests' oracle: every root the commands count
+    # comes from Budan-Fourier on a real-rooted squarefree polynomial
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a command built a Sturm chain")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coxcert" and hasattr(module, "sturm_sequence"):
+            monkeypatch.setattr(module, "sturm_sequence", no_chain)
+    assert _stdout_digest("analyze", cycle_complement(12), [], tmp_path, capsys) == _PINNED_ANALYSES["cc12"][1]
+    assert _stdout_digest("embed", cycle_complement(7), [], tmp_path, capsys) == _PINNED_CERTIFICATES["cc7"][2]
+    assert main(["cycle", "--n", "7"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _PINNED_CYCLES[7]
 
 
 def test_embed_to_an_unwritable_path_is_usage_error(k3_file, tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from coxcert import (
     verify_cycle_example,
 )
 from coxcert.cyclecheck import predicted_char_poly
+from coxcert.exactcore import Poly
 from coxcert.exactcore.linalg import char_poly
 from coxcert.gram import d_threshold, pencil_char_poly
 
@@ -103,11 +104,16 @@ def test_predicted_char_poly_is_exact():
 
 
 def test_char_poly_read_off_det_matches_faddeev_leverrier():
-    # verify_cycle_example takes char_poly(M_t) from the cached det M_d
+    # verify_cycle_example takes char_poly(M_t) from the cached det M_d.
+    # Faddeev-LeVerrier runs on the integer matrix b M_t = b I - a A for
+    # t = a/b, and cp_M(x) = b^-n cp_bM(b x) scales back.
     for n in range(5, 21):
         pencil = gram_pencil(cycle_complement(n))
         for t in (F(d_threshold(pencil)[0] + 1), F(3, 2), F(7, 3)):
-            assert pencil_char_poly(pencil, t) == char_poly(evaluate_pencil(pencil, t)), (n, t)
+            b = t.denominator
+            scaled = tuple(tuple(int(b * e) for e in row) for row in evaluate_pencil(pencil, t))
+            cp = Poly(tuple(F(c * b**i, b**n) for i, c in enumerate(char_poly(scaled).coeffs)))
+            assert pencil_char_poly(pencil, t) == cp, (n, t)
 
 
 def test_predicted_char_poly_detects_a_wrong_point():

@@ -20,17 +20,20 @@ from coxcert.exactcore import (
     QuadElem,
     Signature,
     cauchy_root_bound,
-    count_roots,
-    isolate_real_roots,
     leading_principal_minors,
     quad_sign,
     refine_root_interval,
     squarefree_part,
-    sturm_sequence,
     transpose,
 )
 from coxcert.exactcore.linalg import bareiss_det, char_poly, mat_mul, signature_of
-from coxcert.exactcore.poly import poly_from_balanced_digits, squarefree_decomposition
+from coxcert.exactcore.poly import (
+    count_roots,
+    isolate_real_roots,
+    poly_from_balanced_digits,
+    squarefree_decomposition,
+    sturm_sequence,
+)
 
 F = Fraction
 

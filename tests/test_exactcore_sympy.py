@@ -3,8 +3,9 @@
 sympy is a test-only dependency: it computes block determinants, real roots
 with multiplicities, squarefree factorizations and characteristic
 polynomials by its own algorithms, and every comparison below is exact.
-The root kernels run here on polynomials with repeated roots, which their
-callers never pass, to pin that none of them needs a squarefree input.
+The Sturm root kernels run here on polynomials with repeated roots, to pin
+that none of them needs a squarefree input; they are the oracle that
+tests/test_roots.py holds the package's Budan-Fourier counts to.
 """
 
 from __future__ import annotations
@@ -28,19 +29,22 @@ from coxcert import (
 from coxcert.exactcore import (
     Poly,
     Signature,
-    count_roots,
-    isolate_real_roots,
     leading_principal_minors,
     quad_sign,
     refine_root_interval,
     root_intervals,
     squarefree_part,
-    sturm_sequence,
 )
 from coxcert.exactcore.linalg import bareiss_det, char_poly, signature_of
-from coxcert.exactcore.poly import _sign_at, squarefree_decomposition
-from coxcert.gram import _smallest_abs_root
+from coxcert.exactcore.poly import (
+    _sign_at,
+    count_roots,
+    isolate_real_roots,
+    squarefree_decomposition,
+    sturm_sequence,
+)
 
+from _gram_oracle import smallest_abs_root
 from _suite import acceptance_suite, suite_thresholds
 
 sp = pytest.importorskip("sympy")
@@ -254,7 +258,7 @@ def _mirror(p: Poly) -> Poly:
 
 
 def _first_interval_right_of_zero(p: Poly):
-    """What _smallest_abs_root returned before it followed one root."""
+    """What gram._smallest_abs_root returned before it followed one root."""
     even = squarefree_part(p * _mirror(p))
     for iv in isolate_real_roots(sturm_sequence(even)):
         if iv.lo >= 0:
@@ -265,7 +269,9 @@ def _first_interval_right_of_zero(p: Poly):
 
 
 def _check_follow_one(p: Poly):
-    found = _smallest_abs_root(p)
+    # the Sturm walk, valid for any p; the package's walk, valid for the
+    # real-rooted minors only, is pinned to it in test_gram.py
+    found = smallest_abs_root(p)
     assert found == _first_interval_right_of_zero(p)
     roots = [abs(r) for r, _mult in sp.real_roots(_to_sympy(p), multiple=False)]
     if found is None:
@@ -296,7 +302,7 @@ def test_follow_one_root_on_every_suite_minor():
 def test_root_intervals_above_is_a_suffix_of_isolation(p, above):
     assume(p.degree >= 1)
     chain = sturm_sequence(p)
-    assert list(root_intervals(chain, above=above)) == [
+    assert list(root_intervals(chain[0], lambda x: count_roots(chain, x), above=above)) == [
         iv for iv in isolate_real_roots(chain) if iv.hi > above
     ]
 
