@@ -213,14 +213,18 @@ class Poly:
         """Rescale by a positive rational to coprime integer coefficients.
 
         Preserves the sign pattern and root set exactly; used to keep Sturm
-        remainder chains from ballooning and to take signs in integers.
+        remainder chains from ballooning and to take signs in integers.  With
+        every coefficient an int, only the gcd of the coefficients is taken;
+        otherwise some coefficient is a Fraction and the lcm of the
+        denominators is taken too.
         """
         if not self.coeffs:
             return self
+        if all(c.__class__ is int for c in self.coeffs):
+            numer = int_gcd(*self.coeffs)
+            return self if numer == 1 else Poly(tuple(c // numer for c in self.coeffs))
         denom = reduce(_lcm, (c.denominator for c in self.coeffs), 1)
         numer = reduce(int_gcd, (c.numerator for c in self.coeffs), 0)
-        if denom == 1 and numer == 1:
-            return self
         return Poly(tuple(c.numerator * (denom // c.denominator) // numer for c in self.coeffs))
 
 

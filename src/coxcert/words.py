@@ -13,21 +13,26 @@ Both walks of the ball rest on right descent sets: Desc(w) is the set of
 letters s with l(ws) < l(w), a set of pairwise commuting letters.  Growing w
 by s lengthens it exactly when s is not in Desc(w), and then
 Desc(ws) = {s} + (Desc(w) & C(s)), where C(s) holds the letters other than s
-that commute with s.
+that commute with s.  Keeping only the growths after which s is the least
+descent (no letter of Desc(w) & C(s) lies below s) builds every element v
+exactly once, from v * min Desc(v) (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, 3.4), so each layer of a walk is the sphere of that radius, and an
+element with descent mask D has a fixed number of kept growths, its fanout.
+Both walks read one table of per-letter masks and one table of fanouts.
 
-`enumerate_by_length` counts the ball by deduplicating normal forms,
-independently of any matrix model.  Each normal form carries its descent
-mask and is grown only by the letters outside it, so `append_letter` never
-cancels on this path: every call lengthens the word by one letter, and an
-element reached from several shorter ones is kept once by its normal form.
+`enumerate_by_length` counts the ball by normal forms, independently of any
+matrix model.  Each layer maps a normal form to its descent mask and is
+grown by the kept growths only, so `append_letter` never cancels on this
+path: every call lengthens the word by one letter.  The last sphere needs
+no words at all: its size is the sum of the fanouts of the layer before it,
+so normal forms are built only to length max_len - 1, and the largest
+layer of the ball gets no tuple and no table entry.
 
-The faithfulness probe builds no words.  Keeping only the growths after
-which s is the least descent (no letter of Desc(w) & C(s) lies below s)
-builds every element v exactly once, from v * min Desc(v), so each layer of
-the walk is the sphere of that radius.  Each element is keyed by one scalar,
-key(w) = x * R_w * y, for a fixed row x and a fixed column y, instead of by
-its matrix R_w.  Right-multiplying by R_s negates entry s of the row x * R_w
-and adds 2t times that entry to each neighbour entry, so
+The faithfulness probe builds no words: it walks the same kept growths and
+keys each element by one scalar, key(w) = x * R_w * y, for a fixed row x
+and a fixed column y, instead of by its matrix R_w.  Right-multiplying by
+R_s negates entry s of the row x * R_w and adds 2t times that entry to each
+neighbour entry, so
 
     key(ws) = key(w) - c_s * (x * R_w)_s,  c_s = 2 y_s - 2t * sum_{j in N(s)} y_j,
 
@@ -42,6 +47,9 @@ whose keys coincide.  The counts are exact for every choice of x and y.
 Both walks stop at the first empty layer, which only a finite group has, and
 refuse a radius above MAX_BALL_ELEMENTS: past that, a ball of an infinite
 group, having an element of every length, holds too many elements anyway.
+While a walk builds a layer it also sums the fanouts of its elements, the
+size of the next sphere, so a ball over MAX_BALL_ELEMENTS is refused before
+that sphere is built.
 """
 
 from __future__ import annotations
@@ -104,35 +112,68 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     return nf[:pos] + (letter,) + nf[pos:]
 
 
+def _letter_masks(g: CoxeterDiagram) -> tuple:
+    """Per letter s: s, its bit, the mask of s and the letters below s that
+    commute with it (growth by s is kept only when Desc(w) misses it), and
+    the mask of the letters that commute with s."""
+    noncommuting = g.noncommuting_masks
+    return tuple(
+        (s, 1 << s, (1 << s) | (((1 << s) - 1) & ~noncommuting[s]), ~noncommuting[s]) for s in g.vertices
+    )
+
+
+class _Fanout(dict):
+    """Descent mask -> the number of kept growths of an element with that
+    mask, its children in the next sphere; filled on first use."""
+
+    def __init__(self, masks: tuple):
+        super().__init__()
+        self.blocked = tuple(blocked for _, _, blocked, _ in masks)
+
+    def __missing__(self, desc: int) -> int:
+        count = self[desc] = sum(not desc & blocked for blocked in self.blocked)
+        return count
+
+
 def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     """Count distinct group elements of each length 0..max_len.
 
-    Breadth-first over normal forms; deduplication uses the normal form
-    itself, never a matrix image.  Each layer maps a normal form to its
-    descent mask, and a word is grown only by the letters outside that mask
-    (see the module docstring), so every `append_letter` call lengthens its
-    word and none cancels.  Stops at the first empty layer and pads the
-    counts with zeros.  Raises BallTooLarge when max_len or the ball exceeds
-    MAX_BALL_ELEMENTS.
+    Breadth-first over normal forms, each layer mapping a normal form to its
+    descent mask; a word is grown only by its kept growths (see the module
+    docstring), so every `append_letter` call lengthens its word, none
+    cancels, and no element is built twice.  Normal forms are built only to
+    length max_len - 1: the sphere of radius max_len is counted as the sum
+    of the fanouts of the layer before it.  Stops at the first empty layer
+    and pads the counts with zeros.  Raises BallTooLarge when max_len or the
+    ball exceeds MAX_BALL_ELEMENTS, counting the next sphere, sized by the
+    fanouts, while a layer is built.
     """
     _check_radius(max_len)
-    noncommuting = g.noncommuting_masks
-    steps = tuple((s, 1 << s, ~noncommuting[s]) for s in g.vertices)
+    if not max_len:
+        return [1]
+    masks = _letter_masks(g)
+    fanout = _Fanout(masks)
     counts = [1]
     total = 1
     layer = {(): 0}
-    for _ in range(max_len):
-        if not layer:
+    ahead = fanout[0]  # the size of the sphere after `layer`
+    _check_ball_size(total + ahead)
+    for _ in range(max_len - 1):
+        if not ahead:
             break
         nxt: dict = {}
+        ahead = 0
         for word, desc in layer.items():
-            for s, bit, commuting in steps:
-                if not desc & bit:
-                    nxt[append_letter(word, s, g)] = bit | (desc & commuting)
-            _check_ball_size(total + len(nxt))
+            for s, bit, blocked, commuting in masks:
+                if not desc & blocked:
+                    child_desc = bit | (desc & commuting)
+                    nxt[append_letter(word, s, g)] = child_desc
+                    ahead += fanout[child_desc]
+            _check_ball_size(total + len(nxt) + ahead)
         counts.append(len(nxt))
         total += len(nxt)
         layer = nxt
+    counts.append(ahead)
     return counts + [0] * (max_len + 1 - len(counts))
 
 
@@ -180,7 +221,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     matrices; the matrices of elements sharing a key are rebuilt from their
     parent chains and compared exactly.  Stops at the first empty layer.
     Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS,
-    counting the next layer, sized by its descent masks, while rows are built.
+    counting the next layer, sized by the fanouts, while rows are built.
     """
     if isinstance(t, int):
         t = Fraction(t)
@@ -189,27 +230,20 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     _check_radius(max_len)
     n = g.n
     actions = reflection_actions(g, t)
-    noncommuting = g.noncommuting_masks
+    masks = _letter_masks(g)
+    fanout = _Fanout(masks)
     start = _start_vector(n)
     y = _key_vector(n)
-    # Per letter s: s, its action, its column, the key step c_s, the mask of
-    # s and the letters below s that commute with it (growth by s is skipped
-    # if desc meets it), and the mask of the letters that commute with s.
-    steps = tuple(
-        (
-            s,
-            action,
-            action[0],
-            2 * y[action[0]] - action[2] * sum(y[j] for j in action[1]),
-            (1 << s) | (((1 << s) - 1) & ~noncommuting[s]),
-            ~noncommuting[s],
-        )
-        for s, action in actions.items()
-    )
+    # Per letter s: s, its action, its column, the key step c_s, and the
+    # masks of `_letter_masks`.
+    steps = []
+    for s, bit, blocked, commuting in masks:
+        col, neighbour_cols, two_t = action = actions[s]
+        step = 2 * y[col] - two_t * sum(y[j] for j in neighbour_cols)
+        steps.append((s, action, col, step, bit, blocked, commuting))
     start_key = sum(a * b for a, b in zip(start, y))
     first = {start_key: 0}  # key -> index of the first element with that key
     shared: dict = {}  # key -> indices of every element with that key, if several
-    fanout: dict = {}  # descent mask -> children it has in the next layer
     parent = array("L", [0])
     letter_of = bytearray(1)
     layer_starts = [0]
@@ -223,7 +257,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
         nxt = []
         ahead = 0  # the part of the next layer's size counted so far
         for row, key, desc in layer:
-            for s, action, col, step, blocked, commuting in steps:
+            for s, action, col, step, bit, blocked, commuting in steps:
                 if desc & blocked:
                     continue
                 child_key = key - step * row[col]
@@ -231,9 +265,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
                 parent.append(index)
                 letter_of.append(s)
                 if grow_rows:
-                    child_desc = (1 << s) | (desc & commuting)
-                    if child_desc not in fanout:
-                        fanout[child_desc] = sum(not child_desc & b for _, _, _, _, b, _ in steps)
+                    child_desc = bit | (desc & commuting)
                     ahead += fanout[child_desc]
                     nxt.append((reflect_row(row, action), child_key, child_desc))
                 earlier = first.setdefault(child_key, child_index)

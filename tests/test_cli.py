@@ -150,6 +150,16 @@ _PINNED_OUTPUTS = {
         "words", cycle_complement(7), ["--max-len", "5"],
         "dceff05fcf9fc867d3139d5efb1e36d57576ab1b09476149dcbe0619ddfe5114",
     ),
+    # The `probe` benchmark's two commands, computed at commit 6d67502, while
+    # `enumerate_by_length` still built the normal forms of the last sphere.
+    "words cc7 8": (
+        "words", cycle_complement(7), ["--max-len", "8"],
+        "5f35843185bf7409a73ebe1c3a7a0205a72dcb3dcfc9683953b50ea34d095770",
+    ),
+    "words cc6 7 3/2": (
+        "words", cycle_complement(6), ["--max-len", "7", "--at-d", "3/2"],
+        "64e8e0fc9e238af02259e2c7b73e6664c81971574437e2e69cc61a9a7cfbccb2",
+    ),
 }
 _PINNED_CYCLES = {
     5: "7eaa5fc246ac3e3c023fdf4f28568f61acd14f657ccffd2310d5a54c6fbdf96f",

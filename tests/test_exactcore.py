@@ -175,6 +175,18 @@ def test_integer_poly_operations_stay_exact(p, q, k):
 
 
 @settings(max_examples=150, deadline=None)
+@given(nonzero_int_polys, st.integers(min_value=1, max_value=10**6))
+def test_primitive_takes_the_same_part_on_ints_and_on_fractions(p, a):
+    # All-int coefficients take the gcd-only path; scaled by a/b with b above
+    # every |a c|, every nonzero coefficient is a Fraction and the lcm path runs.
+    b = 2 * a * max(abs(c) for c in p.coeffs) + 1
+    scaled = Poly([Fraction(a * c, b) for c in p.coeffs])
+    assert all(type(c) is Fraction for c in scaled.coeffs if c)
+    content = gcd(*p.coeffs)
+    assert p.primitive() == scaled.primitive() == Poly([c // content for c in p.coeffs])
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=2, max_value=70).flatmap(
     lambda bits: st.tuples(
         st.just(bits),

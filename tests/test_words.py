@@ -175,6 +175,33 @@ def test_enumeration_never_cancels(monkeypatch):
         assert changes and set(changes) == {1}, g
 
 
+def test_enumeration_builds_no_word_of_the_last_length(monkeypatch):
+    # The sphere of radius L is counted from the fanouts of the layer before
+    # it, so no normal form of length L is ever built, and none at all for L = 1.
+    lengths = []
+    real = words.append_letter
+
+    def spy(nf, letter, g):
+        grown = real(nf, letter, g)
+        lengths.append(len(grown))
+        return grown
+
+    monkeypatch.setattr(words, "append_letter", spy)
+    for name, g in acceptance_suite():
+        for max_len in (1, 2, probe_length(g.n) or 4):
+            lengths.clear()
+            assert enumerate_by_length(g, max_len) == growth_series(g, max_len), (name, max_len)
+            assert max(lengths, default=0) == max_len - 1, (name, max_len)
+
+
+def test_cc7_counts_to_length_8():
+    # The `probe` benchmark's ball; its last sphere, 424,235 of 536,131
+    # elements, is the sum of the fanouts of length 7.
+    expected = [1, 7, 35, 168, 805, 3857, 18480, 88543, 424235]
+    assert growth_series(cycle_complement(7), 8) == expected
+    assert enumerate_by_length(cycle_complement(7), 8) == expected
+
+
 def test_counts_match_renormalising_walk():
     cases = [(name, g, probe_length(g.n) or 4) for name, g in acceptance_suite()]
     cases.append(("edgeless5", CoxeterDiagram(5, frozenset()), 7))
@@ -239,6 +266,26 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
     monkeypatch.setattr(words, "reflect_row", counting)
     with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
         faithfulness_probe(g, d_threshold(gram_pencil(g))[0], 5)
+
+
+def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypatch):
+    # The same cc32 ball: while length 4 is built, the fanouts of its words
+    # size the last sphere, so the refusal comes after 61,104 normal forms;
+    # counting only the words already made, it came after about 1,000,000.
+    g = cycle_complement(32)
+    real = words.append_letter
+    calls = 0
+
+    def counting(nf, letter, g):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise AssertionError("the enumeration built words for a ball it refuses")
+        return real(nf, letter, g)
+
+    monkeypatch.setattr(words, "append_letter", counting)
+    with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
+        enumerate_by_length(g, 5)
 
 
 def _probe_cases():
