@@ -272,7 +272,7 @@ def cmd_verify(args) -> int:
     stored_text = _read_text(args.certificate)
     try:
         payload = json.loads(stored_text)
-    except ValueError as exc:  # also an integer literal too long for int()
+    except (ValueError, RecursionError) as exc:  # also a too long integer literal or too deep nesting
         raise InputError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CERTIFICATE_FORMAT:
         raise InputError(f"not a {CERTIFICATE_FORMAT} certificate")
@@ -311,7 +311,7 @@ def cmd_density(args) -> int:
     if args.d is not None:
         t = _parse_fraction(args.d)
     else:
-        t = Fraction(d_threshold(gram_pencil(g))[0])
+        t = d_threshold(gram_pencil(g))[0]
     cert = bracket_closure_density(g, t)
     print(f"t: {_rat(cert.t)}")
     print(f"seed pairs: {' '.join(f'({i},{j})' for i, j in cert.seed_pairs)}")
@@ -332,7 +332,7 @@ def cmd_words(args) -> int:
     counts = enumerate_by_length(g, args.max_len)
     print("word counts: " + " ".join(str(c) for c in counts))
     if args.at_d is None:
-        t = Fraction(d_threshold(gram_pencil(g))[0])
+        t = d_threshold(gram_pencil(g))[0]
     report = faithfulness_probe(g, t, args.max_len)
     print("image counts: " + " ".join(str(c) for c in report.image_counts))
     print(f"t: {_rat(t)}")

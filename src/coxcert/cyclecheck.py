@@ -78,7 +78,7 @@ class CycleReport:
 
     n: int
     d_value: int
-    t_checked: Fraction
+    t_checked: int
     identity_ok: bool
     signature: Signature
     expected_signature: Signature
@@ -101,25 +101,30 @@ class CycleReport:
 
 def _observed_roots(cp: Poly) -> list:
     """The distinct real roots of cp, a real-rooted characteristic polynomial, as floats, ascending."""
-    sf = squarefree_part(cp).primitive()
+    sf = squarefree_part(cp)
     return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in root_intervals(sf)]
 
 
 def predicted_char_poly(n: int, t) -> Poly:
-    """(x - (1 - t(n-3))) * t^(n-1) * P((x-1-t)/t), exactly over Q.
+    """(x - (1 - t(n-3))) * t^(n-1) * P((x-1-t)/t) for a rational t.
 
     P(y) = (C_n(y) - 2)/(y - 2) with C_0 = 2, C_1 = y, C_{k+1} = y C_k - C_{k-1},
     so C_n(2 cos a) = 2 cos(n a) and P has the roots 2 cos(2 pi k / n),
     k = 1..n-1: this is the characteristic polynomial of M_t that the
-    closed-form spectrum predicts.
+    closed-form spectrum predicts.  P has degree n-1 and integer
+    coefficients c_k, and t^(n-1) P((x-1-t)/t) = sum_k c_k (x-1-t)^k t^(n-1-k)
+    is evaluated by Horner in x-1-t, so an integer t keeps it in Z[x].
     """
-    t = Fraction(t)
-    y = Poly((Fraction(0), Fraction(1)))
-    prev, cheb = Poly((Fraction(2),)), y
+    y = Poly((0, 1))
+    prev, cheb = Poly((2,)), y
     for _ in range(n - 1):
         prev, cheb = cheb, y * cheb - prev
-    p = (cheb - 2) / (y - 2)
-    return Poly((t * (n - 3) - 1, Fraction(1))) * p(Poly((-(1 + t) / t, 1 / t))) * t ** (n - 1)
+    shift = Poly((-1 - t, 1))
+    acc, power = Poly(), 1
+    for c in reversed(((cheb - 2) / (y - 2)).coeffs):
+        acc = acc * shift + c * power
+        power *= t
+    return Poly((t * (n - 3) - 1, 1)) * acc
 
 
 def verify_cycle_example(n: int) -> CycleReport:
@@ -127,7 +132,7 @@ def verify_cycle_example(n: int) -> CycleReport:
     g = cycle_complement(n)
     pencil = gram_pencil(g)
     d_value, _interval = d_threshold(pencil)
-    t = Fraction(d_value + 1)
+    t = d_value + 1
 
     identity_ok = circulant_identity_ok(n)
 

@@ -2,18 +2,21 @@
 
 Coefficients are exact rationals, kept as Python ints whenever they are
 integral and as Fractions only otherwise; no operation ever yields a float.
-The pencil's minors lie in Z[x], so their arithmetic runs on ints.  A
-polynomial can be evaluated at any exact point that supports ring
-operations (int, Fraction, QuadElem, Poly).  On top of the arithmetic this
-module provides squarefree parts, the Budan-Fourier count of the roots
-above a point (roots_above) for a real-rooted squarefree polynomial, which
-every polynomial the package isolates is, bisection-based isolation of the
-distinct real roots (root_intervals), and interval refinement to arbitrary
-width, all with signs taken in integers.  Root isolation keeps every root
-strictly interior to its interval and every interval endpoint off the root
-set, which downstream threshold code relies on.  Sturm chains
-(sturm_sequence, count_roots, isolate_real_roots), which need neither
-property, are kept only as the tests' oracle.
+Every polynomial the package computes with lies in Z[x]: gcds and
+squarefree parts come back primitive with a positive leading coefficient,
+and an integer polynomial divided exactly by a primitive one has an
+integer quotient (Gauss's lemma).  A polynomial can be evaluated at any
+exact point that supports ring operations (int, Fraction, QuadElem, Poly).
+On top of the arithmetic this module provides squarefree parts, the
+Budan-Fourier count of the roots above a point (roots_above) for a
+real-rooted squarefree polynomial, which every polynomial the package
+isolates is, bisection-based isolation of the distinct real roots
+(root_intervals), and interval refinement to arbitrary width, all with
+signs taken in integers.  Root isolation keeps every root strictly interior
+to its interval and every interval endpoint off the root set, which
+downstream threshold code relies on.  Sturm chains (sturm_sequence,
+count_roots, isolate_real_roots), which need neither property, are kept
+only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -201,14 +204,6 @@ class Poly:
 
     # -- normal forms ---------------------------------------------------------
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return self / lead
-
     def primitive(self) -> "Poly":
         """Rescale by a positive rational to coprime integer coefficients.
 
@@ -264,30 +259,32 @@ def _positive_remainder(a: Poly, b: Poly) -> Poly:
     return Poly(rem)
 
 
+def _normal_form(p: Poly) -> Poly:
+    """The primitive integer multiple of a nonzero p with a positive leading coefficient."""
+    p = p.primitive()
+    return -p if p.coeffs[-1] < 0 else p
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm with primitive rescaling."""
+    """Gcd by the Euclidean algorithm, primitive with a positive leading coefficient."""
     a, b = f, g
     while not b.is_zero():
         a, b = b, _positive_remainder(a, b).primitive()
     if a.is_zero():
         return a
-    return a.monic()
+    return _normal_form(a)
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'), monic."""
+    """p divided by gcd(p, p'), primitive with a positive leading coefficient."""
     if p.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
-    if p.degree == 0:
-        return Poly((1,))
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    return (p / g).monic()
+    return _normal_form(p / poly_gcd(p, p.derivative()))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: monic pairwise-coprime factors with multiplicities.
+    """Yun's algorithm: pairwise-coprime factors with multiplicities, each
+    primitive with a positive leading coefficient.
 
     The product of factor**multiplicity equals p up to a constant.
     """
@@ -295,7 +292,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         raise ZeroPolynomial("decomposition of the zero polynomial")
     if p.degree == 0:
         return []
-    f = p.monic()
+    f = _normal_form(p)
     df = f.derivative()
     a = poly_gcd(f, df)
     if a.degree == 0:
@@ -496,7 +493,6 @@ def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> In
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    p = p.primitive()
     lo, hi = interval.lo, interval.hi
     s_lo = _sign_at(p, lo)
     s_hi = _sign_at(p, hi)

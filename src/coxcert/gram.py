@@ -118,7 +118,7 @@ def _half_square(p: Poly) -> Poly:
     real-rooted, with roots 1/lambda^2 > 0 for A_k's eigenvalues lambda != 0.
     """
     mirrored = Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
-    return squarefree_part(Poly((p * mirrored).coeffs[::2])).primitive()
+    return squarefree_part(Poly((p * mirrored).coeffs[::2]))
 
 
 def _smallest_abs_root(q: Poly) -> tuple[Poly, Interval] | None:
@@ -151,7 +151,7 @@ def _gcd_root_in_overlap(f: Poly, g: Poly, lo: Fraction, hi: Fraction) -> bool:
     """Do the even squarefree f, g share a root on the closed [lo, hi], 0 <= lo?
 
     Their gcd is h(d^2), h the gcd of their halves: a real-rooted squarefree factor of a q."""
-    h = poly_gcd(Poly(f.coeffs[::2]), Poly(g.coeffs[::2])).primitive()
+    h = poly_gcd(Poly(f.coeffs[::2]), Poly(g.coeffs[::2]))
     return h(lo * lo) == 0 or roots_above(h, lo * lo) != roots_above(h, hi * hi)
 
 
@@ -230,11 +230,10 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     det = minor_polynomials(pencil)[-1]
     if det.degree < 1:
         return 1, None
-    sf = squarefree_part(det).primitive()
+    sf = squarefree_part(det)
     roots = list(root_intervals(sf))
     limit = int(cauchy_root_bound(det)) + 2
-    points = (Fraction(c) for c in range(1, limit + 1))
-    chosen = next((int(x) for x in points if sf(x) != 0 and roots_above(sf, x) == 0), None)
+    chosen = next((x for x in range(1, limit + 1) if sf(x) != 0 and roots_above(sf, x) == 0), None)
     if chosen is None:
         raise VerificationFailed("no valid integer below the root bound")
     if not roots:
@@ -273,7 +272,6 @@ def pencil_char_poly(pencil: GramPencil, t) -> Poly:
     det M_d's coefficients, scaled, reversed, padded to degree n and shifted
     by x -> x - 1.
     """
-    t = Fraction(t)
     scaled = [c * (-t) ** k for k, c in enumerate(minor_polynomials(pencil)[-1].coeffs)]
     scaled += [0] * (pencil.n + 1 - len(scaled))
     return Poly(tuple(reversed(scaled)))(Poly((-1, 1)))

@@ -183,9 +183,7 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
     """
     if not is_connected(g):
         raise NotConnected("density certification needs a connected diagram")
-    if isinstance(t, int):
-        t = Fraction(t)
-    if not isinstance(t, Fraction):
+    if not isinstance(t, (int, Fraction)):
         raise TypeError(f"density needs a rational parameter, got {type(t).__name__}")
     pencil = gram_pencil(g)
     if minor_polynomials(pencil)[-1](t) == 0:

@@ -264,7 +264,7 @@ def build_embedding_certificate(
     timings["thresholds"] = clock() - start
 
     start = clock()
-    bound = max(Fraction(1) / thresholds.epsilon, Fraction(thresholds.d_value))
+    bound = max(1 / thresholds.epsilon, thresholds.d_value)
     unit = choose_unit(m, bound)
     galois = galois_pair_check(unit, thresholds.epsilon)
     timings["unit"] = clock() - start
@@ -279,11 +279,11 @@ def build_embedding_certificate(
     timings["compactness"] = clock() - start
 
     start = clock()
-    density = bracket_closure_density(g, Fraction(thresholds.d_value))
+    density = bracket_closure_density(g, thresholds.d_value)
     timings["density"] = clock() - start
 
     start = clock()
-    probe = faithfulness_probe(g, Fraction(thresholds.d_value), probe_len)
+    probe = faithfulness_probe(g, thresholds.d_value, probe_len)
     timings["faithfulness"] = clock() - start
 
     start = clock()

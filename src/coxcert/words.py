@@ -57,7 +57,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import CoxeterDiagram
 from .errors import BallTooLarge, IndexOutOfRange
@@ -223,8 +222,6 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS,
     counting the next layer, sized by the fanouts, while rows are built.
     """
-    if isinstance(t, int):
-        t = Fraction(t)
     if quad_sign(t - 1) < 0:
         raise ValueError(f"probe needs t >= 1, got {t}")
     _check_radius(max_len)

@@ -13,6 +13,8 @@ import pytest
 
 from coxcert import CoxeterDiagram, cycle_complement, enumerate_by_length, faithfulness_probe, serialize_diagram
 from coxcert.cli import main
+from coxcert.exactcore import Poly
+from coxcert.gram import _minor_polynomials_cached, gram_pencil
 
 K3_TEXT = "n 3\nedge 1 2\nedge 1 3\nedge 2 3\n"
 P3_TEXT = "n 3\nedge 1 2\nedge 2 3\n"
@@ -219,6 +221,37 @@ def test_the_commands_build_no_sturm_chain(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _PINNED_CYCLES[7]
 
 
+def test_the_commands_build_only_integer_polynomials(tmp_path, monkeypatch, capsys):
+    # every polynomial a command computes with lies in Z[x]: gcds and
+    # squarefree parts come back primitive, and D is passed as an int
+    built = []
+    init = Poly.__init__
+
+    def recording_init(self, coeffs=()):
+        init(self, coeffs)
+        built.extend(c for c in self.coeffs if c.__class__ is not int)
+
+    monkeypatch.setattr(Poly, "__init__", recording_init)
+    gram_pencil.cache_clear()
+    _minor_polynomials_cached.cache_clear()
+    runs = [
+        ("analyze", cycle_complement(12), []),
+        ("analyze", _thresholds_diagram(random.Random(12), 12), []),
+        ("embed", K3_TEXT, []),
+        ("embed", cycle_complement(7), []),
+        ("embed", _thresholds_diagram(random.Random(8), 8), []),
+        ("density", cycle_complement(7), []),
+        ("density", cycle_complement(7), ["--d", "3/2"]),
+        ("words", cycle_complement(7), ["--max-len", "4"]),
+        ("words", cycle_complement(7), ["--max-len", "4", "--at-d", "3/2"]),
+    ]
+    for command, diagram, options in runs:
+        _stdout_digest(command, diagram, options, tmp_path, capsys)
+        assert not built, (command, options, built)
+    assert main(["cycle", "--n", "9"]) == 0
+    assert not built, ("cycle", built)
+
+
 def test_embed_to_an_unwritable_path_is_usage_error(k3_file, tmp_path, monkeypatch, capsys):
     def no_pipeline(*args, **kwargs):
         raise AssertionError("the pipeline ran before --out was checked")
@@ -415,6 +448,16 @@ def test_verify_rejects_non_certificate(k3_file, tmp_path, capsys):
     assert main(["verify", str(cert), k3_file]) == 2
     cert.write_text("not json at all")
     assert main(["verify", str(cert), k3_file]) == 2
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_verify_on_deeply_nested_json_is_usage_error(opener, k3_file, tmp_path, capsys):
+    cert = tmp_path / "nested.json"
+    cert.write_text(opener * 200_000)
+    assert main(["verify", str(cert), k3_file]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err
+    assert "Traceback" not in err
 
 
 def test_density_command(p3_file, capsys):

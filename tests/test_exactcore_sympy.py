@@ -11,6 +11,7 @@ tests/test_roots.py holds the package's Budan-Fourier counts to.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -30,6 +31,7 @@ from coxcert.exactcore import (
     Poly,
     Signature,
     leading_principal_minors,
+    poly_gcd,
     quad_sign,
     refine_root_interval,
     root_intervals,
@@ -56,6 +58,12 @@ F = Fraction
 def _from_sympy(expr) -> Poly:
     coeffs = sp.Poly(expr, X).all_coeffs()[::-1]
     return Poly(tuple(F(int(c.p), int(c.q)) for c in coeffs))
+
+
+def _sympy_normal_form(f) -> Poly:
+    """sympy's primitive part of f, negated if its leading coefficient is negative."""
+    _content, prim = sp.Poly(f, X).primitive()
+    return _from_sympy((-prim if prim.LC() < 0 else prim).as_expr())
 
 
 def _to_sympy(p: Poly):
@@ -212,9 +220,24 @@ def test_squarefree_decomposition_matches_sympy(p):
         assert squarefree_decomposition(p) == []
         return
     _const, factors = sp.sqf_list(_to_sympy(p))
-    expected = sorted((k, _from_sympy(f.as_expr()).monic().coeffs) for f, k in factors)
+    expected = sorted((k, _sympy_normal_form(f.as_expr()).coeffs) for f, k in factors)
     got = sorted((k, f.coeffs) for f, k in squarefree_decomposition(p))
     assert got == expected
+
+
+def _in_normal_form(p: Poly) -> bool:
+    return all(type(c) is int for c in p.coeffs) and gcd(*p.coeffs) == 1 and p.leading > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polys_with_repeated_roots(), polys_with_repeated_roots(), polys_with_repeated_roots())
+def test_gcds_and_squarefree_parts_are_primitive_and_match_sympy(a, b, common):
+    # integer polynomials with repeated factors, sharing the factors of `common`
+    p, q = a * common, b * common
+    sf, g = squarefree_part(p), poly_gcd(p, q)
+    assert _in_normal_form(sf) and _in_normal_form(g), (sf, g)
+    assert sf == _sympy_normal_form(sp.sqf_part(_to_sympy(p)).as_expr())
+    assert g == _sympy_normal_form(sp.gcd(_to_sympy(p), _to_sympy(q)).as_expr())
 
 
 @settings(max_examples=30, deadline=None)

@@ -25,6 +25,7 @@ from coxcert import (
     CoxeterDiagram,
     QuadElem,
     append_letter,
+    bracket_closure_density,
     cycle_complement,
     d_threshold,
     enumerate_by_length,
@@ -399,3 +400,11 @@ def test_probe_memory_stays_below_the_row_keyed_table():
         tracemalloc.stop()
     assert rep.injective and rep.total_words == sum(growth_series(g, 7))
     assert peak < 0.6 * 44_659_891, peak
+
+
+def test_an_int_d_gives_what_its_fraction_gives():
+    # the pipeline passes D as an int, which must act as the rational D
+    for name, g in acceptance_suite():
+        d_value = suite_thresholds(name, g).d_value
+        assert faithfulness_probe(g, d_value, 4) == faithfulness_probe(g, Fraction(d_value), 4), name
+        assert bracket_closure_density(g, d_value) == bracket_closure_density(g, Fraction(d_value)), name
