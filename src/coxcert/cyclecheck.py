@@ -24,8 +24,8 @@ polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import cycle_complement
 from .exactcore import (
@@ -40,8 +40,7 @@ from .gram import d_threshold, evaluate_pencil, gram_pencil, pencil_char_poly, s
 _REFINE_WIDTH = Fraction(1, 10**12)
 
 
-@dataclass(frozen=True)
-class SpectrumPrediction:
+class SpectrumPrediction(NamedTuple):
     """Closed-form eigenvalues of the cycle-complement pencil at one point."""
 
     n: int
@@ -72,8 +71,7 @@ def circulant_identity_ok(n: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Everything verified for one member of the cycle-complement family."""
 
     n: int

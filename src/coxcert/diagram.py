@@ -18,9 +18,6 @@ each following line adds one edge with 1 <= i < j <= n, in ASCII digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import (
     DiagramSyntaxError,
     DuplicateEdge,
@@ -36,46 +33,54 @@ from .errors import (
 MAX_VERTICES = 32
 
 
-@dataclass(frozen=True)
 class CoxeterDiagram:
-    """Immutable diagram on vertices 1..n; edges are (i, j) pairs with i < j."""
+    """Immutable diagram on vertices 1..n; edges are (i, j) pairs with i < j.
 
-    n: int
-    edges: frozenset
+    noncommuting_masks[i] has bit y set when generator y does NOT commute
+    with i (y == i or edge); index 0 is an unused 0, so a generator indexes
+    its own mask.
+    """
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise TooFewVertices(f"need at least 3 vertices, got {self.n}")
+    __slots__ = ("n", "edges", "_adjacency", "noncommuting_masks")
+
+    def __init__(self, n: int, edges):
+        if n < 3:
+            raise TooFewVertices(f"need at least 3 vertices, got {n}")
         normalized = set()
-        for e in self.edges:
+        for e in edges:
             i, j = e
             if not (isinstance(i, int) and isinstance(j, int)):
                 raise IndexOutOfRange(f"edge {e!r} has non-integer endpoints")
             if i == j:
                 raise IndexOutOfRange(f"edge ({i}, {j}) is a loop")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise IndexOutOfRange(f"edge ({i}, {j}) outside 1..{self.n}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise IndexOutOfRange(f"edge ({i}, {j}) outside 1..{n}")
             normalized.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(normalized))
-
-    @cached_property
-    def _adjacency(self) -> dict:
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    @cached_property
-    def noncommuting_masks(self) -> tuple:
-        """masks[i] has bit y set when generator y does NOT commute with i (y == i or edge).
-
-        Index 0 is an unused 0, so a generator indexes its own mask.
-        """
-        masks = [0] * (self.n + 1)
-        for i, adjacent in self._adjacency.items():
+        adjacency = {v: set() for v in range(1, n + 1)}
+        for i, j in normalized:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        masks = [0] * (n + 1)
+        for i, adjacent in adjacency.items():
             masks[i] = (1 << i) | sum(1 << j for j in adjacent)
-        return tuple(masks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "noncommuting_masks", tuple(masks))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoxeterDiagram is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not CoxeterDiagram:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"CoxeterDiagram(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def vertices(self) -> range:

@@ -13,9 +13,9 @@ is kept as its test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv, truediv
+from typing import NamedTuple
 
 from ..errors import MixedRadicands
 from .poly import Poly, count_roots, squarefree_decomposition, sturm_sequence
@@ -167,8 +167,7 @@ def char_poly(a: Matrix) -> Poly:
     return Poly(tuple(reversed(desc)))
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Inertia triple: positive, negative, and zero eigenvalue counts."""
 
     p: int
@@ -178,9 +177,6 @@ class Signature:
     @property
     def n(self) -> int:
         return self.p + self.q + self.z
-
-    def __iter__(self):
-        return iter((self.p, self.q, self.z))
 
     def __str__(self):
         return f"({self.p}, {self.q}, {self.z})"

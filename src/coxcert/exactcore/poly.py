@@ -21,7 +21,6 @@ only as the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import gcd as int_gcd
@@ -316,18 +315,31 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 # -- intervals ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed rational interval [lo, hi]."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Interval is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def width(self) -> Fraction:

@@ -26,10 +26,10 @@ checks are re-verified exactly before anything is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
 from .errors import VerificationFailed
@@ -54,8 +54,7 @@ from .exactcore.poly import poly_from_balanced_digits
 _EPSILON_CAP = Fraction(1023, 1024)
 
 
-@dataclass(frozen=True)
-class GramPencil:
+class GramPencil(NamedTuple):
     """The pencil M_d = I - dA, A the adjacency matrix of the diagram."""
 
     diagram: CoxeterDiagram
@@ -277,8 +276,7 @@ def pencil_char_poly(pencil: GramPencil, t) -> Poly:
     return Poly(tuple(reversed(scaled)))(Poly((-1, 1)))
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Everything cmd_analyze prints: both thresholds plus the stable inertia."""
 
     epsilon: Fraction

@@ -38,10 +38,10 @@ the reflection group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .diagram import CoxeterDiagram, is_connected
 from .errors import (
@@ -159,8 +159,7 @@ def _bracket(s: dict, t: dict, form: list) -> dict:
     return {pair: c for pair, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
+class DensityCertificate(NamedTuple):
     """Exact record of the bracket-closure computation at one point t."""
 
     t: object

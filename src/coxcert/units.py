@@ -10,9 +10,9 @@ epsilon, the inequality that makes the conjugate form positive-definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InequalityFailed, NotSquarefree, VerificationFailed
 from .exactcore import QuadElem, quad_sign
@@ -22,8 +22,7 @@ _MAX_CF_PERIOD = 10**7
 _MAX_UNIT_POWER = 10**6
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     """Fundamental solution of x^2 - m*y^2 = norm, norm in {+1, -1}."""
 
     m: int
@@ -35,8 +34,7 @@ class PellSolution:
         return QuadElem(self.x, self.y, self.m)
 
 
-@dataclass(frozen=True)
-class UnitValue:
+class UnitValue(NamedTuple):
     """alpha = base^k, the smallest power of the fundamental unit >= bound."""
 
     base: PellSolution
@@ -88,8 +86,7 @@ def choose_unit(m: int, bound) -> UnitValue:
     return UnitValue(pell, k, value)
 
 
-@dataclass(frozen=True)
-class GaloisReport:
+class GaloisReport(NamedTuple):
     """Verdicts of the conjugate-bound check."""
 
     alpha: QuadElem

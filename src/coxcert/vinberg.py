@@ -26,10 +26,9 @@ probe and, for a cycle complement, its closed-form checks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclecheck import CycleReport, verify_cycle_example
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
@@ -44,8 +43,7 @@ if TYPE_CHECKING:  # words imports this module
     from .words import FaithfulnessReport
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Reflection matrices for every vertex, plus the form they preserve."""
 
     diagram: CoxeterDiagram
@@ -93,8 +91,7 @@ def reflection_generators(g: CoxeterDiagram, t) -> GeneratorSet:
     return GeneratorSet(g, t, form, tuple(times_reflection(ident, actions[i]) for i in g.vertices))
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """Verdicts of the Z[d] identities, with each failing (kind, i, j)."""
 
     involutions_ok: bool
@@ -199,8 +196,7 @@ def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> bool:
     return all(quad_sign(p(tau)) > 0 for p in minor_polynomials(gram_pencil(g)))
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(NamedTuple):
     """The stage reports for one (diagram, m) pair, each kept as returned.
 
     cycle is None unless the diagram is cycle_complement(n) with n >= 5.

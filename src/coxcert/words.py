@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
 from .errors import BallTooLarge, IndexOutOfRange
@@ -176,8 +176,7 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     return counts + [0] * (max_len + 1 - len(counts))
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
+class FaithfulnessReport(NamedTuple):
     """Word counts versus matrix-image counts per length."""
 
     t: object

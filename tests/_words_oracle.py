@@ -6,7 +6,9 @@ descent, and keeps the words that got longer: it knows nothing of descent
 masks, so it checks `words.enumerate_by_length`.  `matrix_image_probe` is
 the reference for `words.faithfulness_probe`: it enumerates the ball the
 same way, carries every element's full matrix R_w at t, and counts distinct
-matrices per length and over the ball.  It shares no enumeration or keying
+matrices per length and over the ball, in packed integers for rational t
+(`_packed_integer_images`).  It skips each letter that shortens a word
+before renormalising (`_lengthens`).  It shares no enumeration or keying
 code with the production probe, which walks descent sets and keys elements
 by the scalar x * R_w * y.  `normal_form` folds a whole word with
 `append_letter`, checking its letters first.
@@ -51,13 +53,58 @@ def normal_form_layers(g, max_len: int) -> list[set]:
     return layers
 
 
+def _lengthens(word: tuple, letter: int, g) -> bool:
+    """Whether word * letter is longer than the reduced word: no copy of
+    letter in it commutes past every letter to its right (Tits)."""
+    for y in reversed(word):
+        if y == letter:
+            return False
+        if not g.commutes(y, letter):
+            return True
+    return True
+
+
+def _packed_integer_images(n: int, t: Fraction, max_len: int):
+    """The identity and the step A -> A * R_i for rational t, in integers.
+
+    With b = t's denominator, b^max_len * R_w is an integer matrix for
+    every word w of length at most max_len, so the ball is carried at that
+    common power and its images compare like the R_w.  An entry of R_w is
+    at most (1 + |2t|)^max_len in absolute value, so one of b^max_len * R_w
+    is below 2^(width - 1); each column is packed into one int with its
+    entries as balanced digits of `width` bits, equal packings are equal
+    matrices, and a step is a few big-integer operations.  The 2t * (old
+    column i) a step adds has integer entries, so its digits divide by b
+    exactly.
+    """
+    b = t.denominator
+    width = max_len * (b + abs(2 * t.numerator)).bit_length() + 1
+    ident = tuple(b**max_len << (width * i) for i in range(n))
+
+    def step(columns: tuple, action) -> tuple:
+        col, neighbor_cols, two_t = action
+        old = columns[col]
+        added = int(two_t * b) * old // b
+        out = list(columns)
+        out[col] = -old
+        for j in neighbor_cols:
+            out[j] += added
+        return tuple(out)
+
+    return ident, step
+
+
 def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
     if isinstance(t, int):
         t = Fraction(t)
     if quad_sign(t - 1) < 0:
         raise ValueError(f"probe needs t >= 1, got {t}")
     n = g.n
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    if isinstance(t, Fraction):
+        ident, step = _packed_integer_images(n, t, max_len)
+    else:
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        step = times_reflection
     actions = reflection_actions(g, t)
     layer = {(): ident}
     word_counts = [1]
@@ -68,9 +115,11 @@ def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
         nxt: dict = {}
         for word, image in layer.items():
             for letter in g.vertices:
+                if not _lengthens(word, letter, g):
+                    continue
                 grown = append_letter(word, letter, g)
                 if len(grown) == target and grown not in nxt:
-                    nxt[grown] = times_reflection(image, actions[letter])
+                    nxt[grown] = step(image, actions[letter])
         word_counts.append(len(nxt))
         images = set(nxt.values())
         image_counts.append(len(images))

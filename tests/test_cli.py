@@ -319,6 +319,19 @@ def test_verify_rechecks_the_galois_pair(path, value, message, k3_file, tmp_path
     assert message in err and "choose_unit" not in err
 
 
+def test_verify_names_a_stored_pell_solution_that_is_not_fundamental(k3_file, tmp_path, capsys):
+    # (3, 2) solves x^2 - 2y^2 = 1 but is (1 + sqrt 2)^2, not the fundamental unit.
+    cert = tmp_path / "k3.json"
+    main(["embed", k3_file, "--out", str(cert)])
+    payload = json.loads(cert.read_text())
+    payload["unit"]["pell"].update(x="3", y="2", norm=1)
+    cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(cert), k3_file]) == 1
+    err = capsys.readouterr().err
+    assert "stored Pell solution PellSolution(m=2, x=3, y=2, norm=1) is not fundamental for m=2" in err
+
+
 def test_verify_rejects_wrong_diagram(k3_file, p3_file, tmp_path, capsys):
     cert = tmp_path / "k3.json"
     main(["embed", k3_file, "--out", str(cert)])

@@ -6,7 +6,8 @@ for one.  A deletion that leaves an import behind fails here; package
 __init__ files are skipped by that check, since they import names to
 re-export them.  A top-level function or class, or a non-dunder method, that
 nothing in src/, tests/ or bench/ mentions outside its own definition fails
-here too, and so does an __all__ entry that does not resolve.
+here too, and so does an __all__ entry that does not resolve.  Last, the
+command line must start without `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -101,3 +104,14 @@ def test_every_package_definition_is_referenced():
 def test_every_export_resolves(module):
     package = importlib.import_module(module)
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
+def test_the_command_line_starts_without_dataclasses_or_inspect():
+    # Each benchmark command is a fresh interpreter, so whatever `python -m
+    # coxcert` imports is paid on every command; these two cost about 10 ms.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import coxcert.cli; print(*sys.modules, sep=chr(10))"
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "coxcert.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()

@@ -34,10 +34,10 @@ from coxcert import (
 )
 from coxcert import words
 from coxcert.errors import BallTooLarge, IndexOutOfRange
-from coxcert.vinberg import reflection_actions
+from coxcert.vinberg import reflection_actions, times_reflection
 
 from _suite import acceptance_suite, growth_series, probe_length, random_connected_diagram, suite_thresholds
-from _words_oracle import matrix_image_probe, normal_form, normal_form_layers
+from _words_oracle import _packed_integer_images, matrix_image_probe, normal_form, normal_form_layers
 
 F = Fraction
 
@@ -338,6 +338,40 @@ def test_probe_counts_colliding_images_like_the_oracle(monkeypatch):
         assert not rep.injective
         assert rep.total_images == 2**g.n
         assert rep.image_counts[:2] == (1, g.n)
+
+
+def _unpack(column: int, width: int, n: int) -> tuple:
+    """The n balanced digits of `width` bits of a packed column, lowest first."""
+    digits = []
+    for _ in range(n):
+        digit = column & ((1 << width) - 1)
+        if digit >> (width - 1):
+            digit -= 1 << width
+        digits.append(digit)
+        column = (column - digit) >> width
+    return tuple(digits)
+
+
+def test_packed_oracle_images_are_the_scaled_matrices():
+    # At t = 5/4, 2t is not an integer, so each step's division by b is
+    # exact only because the scaled images are integral; R_1 R_3 repeated
+    # drives the entries up, and decoding at the width the oracle documents
+    # checks that every entry of b^max_len * R_w fits its digit.
+    t, max_len, g = F(5, 4), 8, CC5
+    b = t.denominator
+    width = max_len * (b + 2 * t.numerator).bit_length() + 1
+    ident, step = _packed_integer_images(g.n, t, max_len)
+    actions = reflection_actions(g, t)
+    rng = random.Random(5)
+    words_ = [(1, 3) * (max_len // 2)] + [tuple(rng.choices(g.vertices, k=max_len)) for _ in range(40)]
+    for w in words_:
+        packed = ident
+        exact = tuple(tuple(F(int(i == j)) for j in range(g.n)) for i in range(g.n))
+        for k, letter in enumerate(w, start=1):
+            packed = step(packed, actions[letter])
+            exact = times_reflection(exact, actions[letter])
+            scaled_columns = tuple(zip(*((b**max_len * x for x in row) for row in exact)))
+            assert tuple(_unpack(c, width, g.n) for c in packed) == scaled_columns, w[:k]
 
 
 def test_counts_match_growth_series():
