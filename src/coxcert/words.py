@@ -18,7 +18,8 @@ descent (no letter of Desc(w) & C(s) lies below s) builds every element v
 exactly once, from v * min Desc(v) (Bjorner-Brenti, Combinatorics of Coxeter
 Groups, 3.4), so each layer of a walk is the sphere of that radius, and an
 element with descent mask D has a fixed number of kept growths, its fanout.
-Both walks read one table of per-letter masks and one table of fanouts.
+Both walks read one table, filled on first use, from a descent mask to its
+kept growths; a fanout is the length of that tuple.
 
 `enumerate_by_length` counts the ball by normal forms, independently of any
 matrix model.  Each layer maps a normal form to its descent mask and is
@@ -36,13 +37,18 @@ neighbour entry, so
 
     key(ws) = key(w) - c_s * (x * R_w)_s,  c_s = 2 y_s - 2t * sum_{j in N(s)} y_j,
 
-with c_s fixed per letter: a child's key costs O(1) from its parent's row
-and key.  The O(degree) row of a child is built only when the walk goes on
-to a further layer, so the last layer, most of the ball, holds keys, parent
-indices and letters and no rows.  Equal matrices give equal rows and so
-equal keys; hence distinct keys mean distinct matrices, and matrices are
-compared, after rebuilding them along the parent chain, only among elements
-whose keys coincide.  The counts are exact for every choice of x and y.
+with c_s fixed per letter.  The ball is one list of keys, layer after layer,
+each layer's elements coming parent by parent in the order of the growths.
+A child's O(degree) row, and its descent mask, are kept only when the walk
+goes on to a further layer: the last layer, most of the ball, costs one
+subtraction and one list entry per element and is appended in bulk.  Equal
+matrices give equal rows and so equal keys; hence distinct keys mean
+distinct matrices, and when the keys form a set of their own length, every
+element is its own image.  Otherwise only the elements sharing a key have
+their matrices rebuilt and compared, along parent chains that are
+recomputed, not stored: a bisect into the prefix sums of the fanouts of the
+layer before an element gives its parent, and an index into the parent's
+growths its letter.  The counts are exact for every choice of x and y.
 
 Both walks stop at the first empty layer, which only a finite group has, and
 refuse a radius above MAX_BALL_ELEMENTS: past that, a ball of an infinite
@@ -54,8 +60,8 @@ that sphere is built.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
@@ -111,27 +117,26 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     return nf[:pos] + (letter,) + nf[pos:]
 
 
-def _letter_masks(g: CoxeterDiagram) -> tuple:
-    """Per letter s: s, its bit, the mask of s and the letters below s that
-    commute with it (growth by s is kept only when Desc(w) misses it), and
-    the mask of the letters that commute with s."""
-    noncommuting = g.noncommuting_masks
-    return tuple(
-        (s, 1 << s, (1 << s) | (((1 << s) - 1) & ~noncommuting[s]), ~noncommuting[s]) for s in g.vertices
-    )
+class _Growths(dict):
+    """Descent mask -> its kept growths, filled on first use: per letter s that
+    the mask lets grow, s's entry of `entries` followed by the child's descent
+    mask.  The fanout of a mask is the length of its tuple."""
 
-
-class _Fanout(dict):
-    """Descent mask -> the number of kept growths of an element with that
-    mask, its children in the next sphere; filled on first use."""
-
-    def __init__(self, masks: tuple):
+    def __init__(self, g: CoxeterDiagram, entries):
         super().__init__()
-        self.blocked = tuple(blocked for _, _, blocked, _ in masks)
+        noncommuting = g.noncommuting_masks
+        # Per letter s: its entry, its bit, the mask of s and the letters below s
+        # commuting with it (a growth by s is kept when Desc(w) misses it), C(s).
+        self.rules = tuple(
+            (entry, 1 << s, (1 << s) | (((1 << s) - 1) & ~noncommuting[s]), ~noncommuting[s])
+            for s, entry in zip(g.vertices, entries)
+        )
 
-    def __missing__(self, desc: int) -> int:
-        count = self[desc] = sum(not desc & blocked for blocked in self.blocked)
-        return count
+    def __missing__(self, desc: int) -> tuple:
+        kept = self[desc] = tuple(
+            (*entry, bit | (desc & commuting)) for entry, bit, blocked, commuting in self.rules if not desc & blocked
+        )
+        return kept
 
 
 def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
@@ -150,12 +155,11 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     _check_radius(max_len)
     if not max_len:
         return [1]
-    masks = _letter_masks(g)
-    fanout = _Fanout(masks)
+    growths = _Growths(g, [(s,) for s in g.vertices])
     counts = [1]
     total = 1
     layer = {(): 0}
-    ahead = fanout[0]  # the size of the sphere after `layer`
+    ahead = len(growths[0])  # the size of the sphere after `layer`
     _check_ball_size(total + ahead)
     for _ in range(max_len - 1):
         if not ahead:
@@ -163,11 +167,9 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
         nxt: dict = {}
         ahead = 0
         for word, desc in layer.items():
-            for s, bit, blocked, commuting in masks:
-                if not desc & blocked:
-                    child_desc = bit | (desc & commuting)
-                    nxt[append_letter(word, s, g)] = child_desc
-                    ahead += fanout[child_desc]
+            for s, child_desc in growths[desc]:
+                nxt[append_letter(word, s, g)] = child_desc
+                ahead += len(growths[child_desc])
             _check_ball_size(total + len(nxt) + ahead)
         counts.append(len(nxt))
         total += len(nxt)
@@ -201,111 +203,109 @@ def _key_vector(n: int) -> tuple:
     return tuple((1 << (20 + 3 * j)) + 7 * j + 1 for j in range(n))
 
 
+def _parent(i: int, length: int, layer_starts: list, masks: list, offsets: list, growths: _Growths) -> tuple:
+    """The parent index of element i, of length >= 1, and the growth that made
+    it: a bisect into `offsets[length - 1]`, the index of each parent's first
+    child, then an index into the growths of the parent's descent mask."""
+    firsts = offsets[length - 1]
+    p = bisect_right(firsts, i) - 1
+    return layer_starts[length - 1] + p, growths[masks[length - 1][p]][i - firsts[p]]
+
+
 def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport:
     """Exact injectivity probe on the ball of radius max_len.
 
-    Walks the ball by descent sets (see the module docstring), so word
-    counts need no normal forms, and compares them with the number of
-    distinct matrices R_w at the evaluation point t (t >= 1), per length and
-    in total.  Each element gets the scalar key x * R_w * y, for the row x of
-    `_start_vector` and the column y of `_key_vector`; the ball-wide table
-    holds that key, one parent index and one letter per element.  Since R_s
-    negates entry s of a row and adds 2t times it to each neighbour entry,
-    key(ws) = key(w) - c_s * (x * R_w)_s with c_s = 2 y_s - 2t * (sum of y_j
-    over the neighbours j of s), so a child's key costs O(1) from its
-    parent's row.  Rows x * R_w are built, in O(degree), only for a layer
-    that will itself be grown: the last layer, most of the ball, keeps keys
-    alone.  Equal rows give equal keys, so distinct keys mean distinct
-    matrices; the matrices of elements sharing a key are rebuilt from their
-    parent chains and compared exactly.  Stops at the first empty layer.
+    Walks the ball by descent sets, so word counts need no normal forms, and
+    compares them with the number of distinct matrices R_w at the evaluation
+    point t (t >= 1), per length and in total.  Each element is keyed by the
+    scalar x * R_w * y, for the row x of `_start_vector` and the column y of
+    `_key_vector`; rows x * R_w are built only for layers grown further, and
+    the matrices only of elements sharing a key, along the chains `_parent`
+    recovers (see the module docstring).  Stops at the first empty layer.
     Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS,
-    counting the next layer, sized by the fanouts, while rows are built.
+    counting each layer, sized by the fanouts, before it is built.
     """
     if quad_sign(t - 1) < 0:
         raise ValueError(f"probe needs t >= 1, got {t}")
     _check_radius(max_len)
     n = g.n
     actions = reflection_actions(g, t)
-    masks = _letter_masks(g)
-    fanout = _Fanout(masks)
     start = _start_vector(n)
     y = _key_vector(n)
-    # Per letter s: s, its action, its column, the key step c_s, and the
-    # masks of `_letter_masks`.
-    steps = []
-    for s, bit, blocked, commuting in masks:
+    # Per letter s: s, its action, its column and the key step c_s.
+    entries = []
+    for s in g.vertices:
         col, neighbour_cols, two_t = action = actions[s]
-        step = 2 * y[col] - two_t * sum(y[j] for j in neighbour_cols)
-        steps.append((s, action, col, step, bit, blocked, commuting))
-    start_key = sum(a * b for a, b in zip(start, y))
-    first = {start_key: 0}  # key -> index of the first element with that key
-    shared: dict = {}  # key -> indices of every element with that key, if several
-    parent = array("L", [0])
-    letter_of = bytearray(1)
-    layer_starts = [0]
-    layer = [(start, start_key, 0)]
+        entries.append((s, action, col, 2 * y[col] - two_t * sum(y[j] for j in neighbour_cols)))
+    growths = _Growths(g, entries)
+    keys = [sum(a * b for a, b in zip(start, y))]
+    layer_starts = [0, 1]
+    masks = []  # the descent masks of every layer that was grown, layer by layer
+    rows, descs = [start], [0]
+    if max_len:
+        _check_ball_size(1 + len(growths[0]))
     for length in range(1, max_len + 1):
-        if not layer:
+        if not rows:
             break
-        index = layer_starts[-1]
-        layer_starts.append(len(letter_of))
-        grow_rows = length < max_len
-        nxt = []
-        ahead = 0  # the part of the next layer's size counted so far
-        for row, key, desc in layer:
-            for s, action, col, step, bit, blocked, commuting in steps:
-                if desc & blocked:
-                    continue
-                child_key = key - step * row[col]
-                child_index = len(letter_of)
-                parent.append(index)
-                letter_of.append(s)
-                if grow_rows:
-                    child_desc = bit | (desc & commuting)
-                    ahead += fanout[child_desc]
-                    nxt.append((reflect_row(row, action), child_key, child_desc))
-                earlier = first.setdefault(child_key, child_index)
-                if earlier != child_index:
-                    shared.setdefault(child_key, [earlier]).append(child_index)
-            _check_ball_size(len(letter_of) + ahead)
-            index += 1
-        layer = nxt
-    layer_starts.append(len(letter_of))
-    word_counts = [layer_starts[k + 1] - layer_starts[k] for k in range(len(layer_starts) - 1)]
+        # Exhausted, the iterator over `rows` lets the rows of that layer go.
+        layer = zip(rows, keys[layer_starts[-2] :], descs)
+        masks.append(descs)
+        rows, descs = [], []
+        if length == max_len:
+            keys += [key - step * row[col] for row, key, desc in layer for _, _, col, step, _ in growths[desc]]
+        else:
+            ahead = 0  # the part of the next layer's size counted so far
+            for row, key, desc in layer:
+                for _, action, col, step, child_desc in growths[desc]:
+                    keys.append(key - step * row[col])
+                    rows.append(reflect_row(row, action))
+                    descs.append(child_desc)
+                    ahead += len(growths[child_desc])
+                _check_ball_size(len(keys) + ahead)
+        layer_starts.append(len(keys))
+    word_counts = [b - a for a, b in zip(layer_starts, layer_starts[1:])]
     word_counts += [0] * (max_len + 1 - len(word_counts))
 
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    built = {0: ident}
-
-    def image(i: int):
-        chain = []
-        while i not in built:
-            chain.append(i)
-            i = parent[i]
-        mat = built[i]
-        for j in reversed(chain):
-            mat = times_reflection(mat, actions[letter_of[j]])
-            built[j] = mat
-        return mat
-
     image_counts = list(word_counts)
-    total_images = len(letter_of)
-    for members in shared.values():
-        lengths_by_image: dict = {}
-        for i in members:
-            length = bisect_right(layer_starts, i) - 1
-            lengths_by_image.setdefault(image(i), []).append(length)
-        total_images -= len(members) - len(lengths_by_image)
-        for lengths in lengths_by_image.values():
-            for length in lengths:
-                image_counts[length] -= 1
-            for length in set(lengths):
-                image_counts[length] += 1
+    total_images = len(keys)
+    if len(set(keys)) < len(keys):
+        offsets = [
+            list(accumulate((len(growths[d]) for d in layer_masks), initial=layer_starts[k + 1]))
+            for k, layer_masks in enumerate(masks)
+        ]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        built = {0: ident}
+
+        def image(i: int, length: int):
+            chain = []
+            while i not in built:
+                parent, growth = _parent(i, length, layer_starts, masks, offsets, growths)
+                chain.append((i, growth[1]))
+                i, length = parent, length - 1
+            mat = built[i]
+            for j, action in reversed(chain):
+                mat = built[j] = times_reflection(mat, action)
+            return mat
+
+        groups: dict = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        for members in groups.values():
+            if len(members) > 1:
+                lengths_by_image: dict = {}
+                for i in members:
+                    length = bisect_right(layer_starts, i) - 1
+                    image_counts[length] -= 1
+                    lengths_by_image.setdefault(image(i, length), set()).add(length)
+                total_images -= len(members) - len(lengths_by_image)
+                for lengths in lengths_by_image.values():
+                    for length in lengths:
+                        image_counts[length] += 1
     return FaithfulnessReport(
         t=t,
         max_len=max_len,
         word_counts=tuple(word_counts),
         image_counts=tuple(image_counts),
-        total_words=len(letter_of),
+        total_words=len(keys),
         total_images=total_images,
     )

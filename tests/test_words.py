@@ -247,6 +247,62 @@ def test_ball_cap_counts_every_element(monkeypatch):
         faithfulness_probe(K3, 2, 4)
 
 
+def test_a_radius_one_ball_is_sized_before_its_only_layer(monkeypatch):
+    # At radius 1 the first layer is also the last one, built in bulk, so the
+    # ball, the identity and its 3 children, is sized from the identity's
+    # fanout before that layer is built.
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 3)
+    with pytest.raises(BallTooLarge):
+        faithfulness_probe(K3, 2, 1)
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 4)
+    assert faithfulness_probe(K3, 2, 1).word_counts == (1, 3)
+
+
+def test_probe_builds_rows_only_for_layers_it_grows(monkeypatch):
+    # One row per element of lengths 1..max_len - 1; the last layer gets keys alone.
+    g = cycle_complement(7)
+    real = words.reflect_row
+    calls = 0
+
+    def counting(row, action):
+        nonlocal calls
+        calls += 1
+        return real(row, action)
+
+    monkeypatch.setattr(words, "reflect_row", counting)
+    rep = faithfulness_probe(g, 2, 6)
+    assert list(rep.word_counts) == growth_series(g, 6)
+    assert calls == sum(rep.word_counts[1:6])
+
+
+def test_recovered_parent_chains_spell_the_ball(monkeypatch):
+    # A zero start row keys every element alike, so every element but the
+    # identity has its parent and letter recomputed by `_parent`.  Spelled out
+    # along those chains, each layer holds words of its own length with
+    # pairwise distinct normal forms, as many as the growth series says.
+    recovered = {}
+    real = words._parent
+
+    def recording(i, *ball):
+        recovered[i] = real(i, *ball)
+        return recovered[i]
+
+    monkeypatch.setattr(words, "_start_vector", _zeros)
+    monkeypatch.setattr(words, "_parent", recording)
+    expected = growth_series(CC5, 5)
+    assert list(faithfulness_probe(CC5, 2, 5).word_counts) == expected
+    assert sorted(recovered) == list(range(1, sum(expected)))
+    spelled = [()]
+    for i in range(1, sum(expected)):
+        parent, growth = recovered[i]
+        spelled.append(spelled[parent] + (growth[0],))
+    start = 0
+    for length, count in enumerate(expected):
+        forms = {normal_form(w, CC5) for w in spelled[start : start + count]}
+        assert len(forms) == count and {len(f) for f in forms} == {length}, length
+        start += count
+
+
 def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
     # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements, most of
     # them on the last layer, which gets no rows.  The size of the next layer
@@ -424,7 +480,8 @@ def test_probe_is_injective_as_tits_vinberg_says(n, seed, t, max_len):
 def test_probe_memory_stays_below_the_row_keyed_table():
     # tracemalloc peak of the same call when every element kept its row in the
     # ball-wide table: 44,659,891 bytes (Python 3.11); keyed by one scalar it
-    # is about 21.1 MB, so the bound is 60 % of the row-keyed peak.
+    # was about 21.1 MB with a parent and a letter per element, and is about
+    # 11.6 MB with one list of keys, so the bound is 60 % of the row-keyed peak.
     g = cycle_complement(7)
     tracemalloc.start()
     try:
