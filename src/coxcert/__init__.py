@@ -6,9 +6,9 @@ symmetric matrices, computes exact thresholds epsilon and D, picks a unit
 alpha in Z[sqrt m] with alpha >= max(1/epsilon, D), and certifies the
 reflection representation at alpha: group relations, integrality,
 preservation of an indefinite form, compactness of the Galois-conjugate
-form, Zariski density via bracket closure, and a finite faithfulness
-probe.  All verdicts come from exact arithmetic over Q and Q(sqrt m);
-floats appear only in reports.
+form, Zariski density via the bracket-closure trace (vertex pairs counted
+by graph distance), and a finite faithfulness probe.  All verdicts come
+from exact arithmetic over Q and Q(sqrt m); floats appear only in reports.
 """
 
 from __future__ import annotations

@@ -49,10 +49,6 @@ class Disconnected(InputError):
     """The construction requires a connected diagram."""
 
 
-# The Lie-algebra module documents this name for the same condition.
-NotConnected = Disconnected
-
-
 class NotSquarefree(InputError):
     """Radicand m must be squarefree and >= 2."""
 

@@ -1,59 +1,77 @@
-"""Infinitesimal certificates: planar generators and bracket closure.
+"""Infinitesimal certificates: planar generators and the density trace.
 
 For a nondegenerate symmetric M, the matrices A with A^T M + M A = 0 form
 the Lie algebra so(M), of dimension n(n-1)/2.  That equation says exactly
 that A M^-1 is antisymmetric, so every element is S M for a unique
-antisymmetric S.  For a vertex pair (i, j) the rotation generator fixing
-the M-orthocomplement of the plane <e_i, e_j> pointwise is, up to scale,
+antisymmetric S, and S -> S M is injective.  For a vertex pair (i, j) the
+rotation generator fixing the M-orthocomplement of the plane <e_i, e_j>
+pointwise is, up to scale,
 
     X_ij = E_ij M,   E_ij = e_i e_j^T - e_j e_i^T:
 
 row i of X_ij is row j of M, row j is minus row i of M, and every other
 row is zero.  planar_generator returns it in primitive integer coordinates.
 
-bracket_closure_density stores S M by the nonzero coordinates S_ab
-(a < b) of S, as a dict in which X_ij is {(i-1, j-1): 1}.  The bracket is
-[S M, T M] = (S M T - T M S) M, and T M S = (S M T)^T, so the bracket of S
-and T is Q - Q^T with Q = S M T.  For two coordinate matrices that is the
-closed form
+Zariski density asks whether the edge generators bracket-generate so(M_t).
+Let V_0 be the span of the E_ab over the edges, V_(k+1) = V_k + [V_k, V_k],
+where [S, T] stands for the S' with [S M, T M] = S' M, and d(a, b) the
+distance in the diagram.  Theorem: for t != 0 with M_t nonsingular, V_k is
+the span of the E_ab with d(a, b) <= r_k, where r_0 = 1 and
+r_(k+1) = 2 r_k + 1; at t = 0, where M_t = I, the same holds with
+r_(k+1) = 2 r_k.  So dim V_k counts vertex pairs by distance, and for a
+connected diagram the trace reaches n(n-1)/2 once r_k passes the diameter.
+
+Proof.  [S M, T M] = (S M T - T M S) M, and T M S = (S M T)^T, so the
+bracket of S and T is Q - Q^T with Q = S M T.  For coordinate matrices
 
     [E_ab, E_cd] = M_bc E_ad - M_bd E_ac - M_ac E_bd + M_ad E_bc,
 
-with E_qp = -E_pq and E_pp = 0, and by bilinearity the bracket of S and T
-sums it over their entries: a bracket of two seeds costs O(1).
-
-Starting from the edge generators, round k brackets every pair of the
-current basis and adjoins what falls outside the span.  By bilinearity and
-antisymmetry the new span is V_(k+1) = V_k + [V_k, V_k], whichever basis
-represents V_k, so the dimension trace dim V_0, dim V_1, ... is fixed by
-the diagram and t alone; stopping a round once the span is full appends
-nothing.  Every span contains V_0, the span of the edge unit vectors, so a
-bracket lies in the span exactly when its coordinates at the commuting
-pairs lie in the span of the basis's coordinates there, and the echelon
-runs on those short vectors (32 at cc32 rather than 496).  The closure
-certifies that the span reaches all of so(M); a full span contains every
-X_ij.  That is the exact, finite computation backing Zariski density of
-the reflection group.
+with E_qp = -E_pq and E_pp = 0.  M_xy is nonzero only when x = y or x, y
+are adjacent (M_xx = 1, M_xy = -t on an edge), and induct on k with
+L = r_k.
+  Upper bound.  Each term carries an M entry joining an index of the first
+pair to one of the second, so a bracket of two pairs within distance L
+lies within distance L + 1 + L = 2L + 1; by bilinearity V_(k+1) lies in
+the span of the E_ad with d(a, d) <= 2L + 1.
+  Lower bound.  Take a pair at L < d(a, d) <= 2L + 1 and a geodesic
+a ... b c ... d with b ~ c and d(a, b) = ceil((d(a, d) - 1)/2), so both
+halves lie within L.  If d(a, d) >= 3, then a != b and c != d, and no
+other two of a, b, c, d are equal or adjacent, because they lie on a
+geodesic: [E_ab, E_cd] = -t E_ad.  If d(a, d) = 2 (so L = 1), with middle
+vertex b, then [E_ab, E_bd] = E_ad + t E_ab + t E_bd, and the two seeds
+lie in V_k.  Either way E_ad lies in V_(k+1).
+  t = 0.  M = I, so only the terms whose M entry has equal indices
+survive: [E_ab, E_bd] = E_ad for a != d, and a bracket of two pairs
+within L lies within 2L.  Splitting a geodesic of length in (L, 2L] at a
+vertex b with d(a, b) = ceil(d(a, d)/2) gives every such E_ad, so the
+radius is 2L.
+  Dimensions.  Distinct E_ab are independent, and S -> S M_t is
+injective for nonsingular M_t, so dim V_k in so(M_t) is the pair count.
+The trace depends on the diagram alone; every connected diagram is dense
+at every nonsingular rational t (compare Benoist and de la Harpe,
+"Adherence de Zariski des groupes de Coxeter", Compositio Math. 140,
+2004).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram, is_connected
 from .errors import (
     DegenerateForm,
+    Disconnected,
     IndexOutOfRange,
-    NotConnected,
     SameVertex,
     UnexpectedDimension,
 )
 from .exactcore import Matrix, QuadElem, quad_sign
 from .exactcore.linalg import bareiss_det
-from .gram import evaluate_pencil, gram_pencil, minor_polynomials
+from .gram import gram_pencil, minor_polynomials
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -108,59 +126,15 @@ def planar_generator(m: Matrix, i: int, j: int) -> Matrix:
     return _normalize_primitive(tuple(rows))
 
 
-# -- bracket closure -----------------------------------------------------------
-
-
-class _Echelon:
-    """Incremental fraction-free echelon over integer vectors."""
-
-    def __init__(self):
-        # (pivot, primitive row); each row is zero at the pivots of the rows
-        # before it, so reducing in this order clears every pivot.
-        self.rows: list = []
-
-    def insert(self, vec) -> bool:
-        """Add vec to the span; True when the dimension grew."""
-        v = list(vec)
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if c:
-                lead = row[pivot]
-                v = [lead * x - c * y for x, y in zip(v, row)]
-                content = gcd(*v)
-                if content > 1:
-                    v = [x // content for x in v]
-        for pivot, x in enumerate(v):
-            if x:
-                self.rows.append((pivot, v))
-                return True
-        return False
-
-
-def _bracket(s: dict, t: dict, form: list) -> dict:
-    """Nonzero coordinates {(p, q): c} (p < q) of [S M, T M], for S and T
-    given the same way: the closed form for [E_ab, E_cd], summed."""
-    out: dict = {}
-    for (a, b), x in s.items():
-        row_a, row_b = form[a], form[b]
-        for (c, d), y in t.items():
-            xy = x * y
-            for p, q, v in (
-                (a, d, row_b[c]),
-                (a, c, -row_b[d]),
-                (b, d, -row_a[c]),
-                (b, c, row_a[d]),
-            ):
-                if v and p != q:
-                    if p < q:
-                        out[p, q] = out.get((p, q), 0) + xy * v
-                    else:
-                        out[q, p] = out.get((q, p), 0) - xy * v
-    return {pair: c for pair, c in out.items() if c}
+# -- density trace -------------------------------------------------------------
 
 
 class DensityCertificate(NamedTuple):
-    """Exact record of the bracket-closure computation at one point t."""
+    """The dimension trace of the bracket closure at one point t.
+
+    dimension_trace[k] is dim V_k, the number of vertex pairs within
+    distance r_k; the verdict is whether the last entry is n(n-1)/2.
+    """
 
     t: object
     seed_pairs: tuple
@@ -170,57 +144,48 @@ class DensityCertificate(NamedTuple):
     verdict: bool
 
 
+def _spread(balls: list, reach) -> list:
+    """balls[v] grown by the union of reach[u] over its members u (bit u)."""
+    return [
+        reduce(or_, (reach[u] for u in range(1, len(balls)) if ball >> u & 1), 0)
+        for ball in balls
+    ]
+
+
 def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
     """Certify the edge X_ij bracket-generate the full orthogonal Lie algebra.
 
-    Seeds are the planar generators of the edges (sorted); each round
-    brackets all pairs of the current basis and adjoins what falls outside
-    the span.  t must be rational, and M_t nondegenerate: det M_d, cached
-    with the pencil's minors, must not vanish at t.  M_t is scaled by the
-    denominator of t to an integer matrix, which changes no span, and
-    everything is exact integer linear algebra.
+    The trace comes from the theorem above: dim V_k counts the pairs
+    a < b with d(a, b) <= r_k, where r_0 = 1 and r_(k+1) = 2 r_k + 1, or
+    2 r_k at t = 0, and it stops at the first full entry.  The balls of
+    radius r_k start as the diagram's closed neighbourhoods
+    (noncommuting_masks); a ball of radius 2r + 1 is the union of the
+    radius r + 1 balls of its radius r members, and of radius 2r, of their
+    radius r balls.  The diagram is connected, so the balls fill.
+    t must be rational, and M_t nondegenerate: det M_d, cached with the
+    pencil's minors, must not vanish at t.
     """
     if not is_connected(g):
-        raise NotConnected("density certification needs a connected diagram")
+        raise Disconnected("density certification needs a connected diagram")
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"density needs a rational parameter, got {type(t).__name__}")
-    pencil = gram_pencil(g)
-    if minor_polynomials(pencil)[-1](t) == 0:
+    if minor_polynomials(gram_pencil(g))[-1](t) == 0:
         raise DegenerateForm(f"the form is singular at t = {t}")
-    m = evaluate_pencil(pencil, t)
-    form = [[int(x * t.denominator) for x in row] for row in m]
     n = g.n
     full_dim = n * (n - 1) // 2
-    seed_pairs = tuple(g.sorted_edges())
-    commuting = [(a, b) for a, b in combinations(range(n), 2) if g.commutes(a + 1, b + 1)]
-    slot = {pair: k for k, pair in enumerate(commuting)}
-    basis = [{(i - 1, j - 1): 1} for i, j in seed_pairs]
-    # The seeds span the edge coordinates, so only the commuting ones decide
-    # whether a bracket is new; the span has dimension len(basis).
-    echelon = _Echelon()
-    trace = [len(basis)]
-    while len(basis) < full_dim:
-        snapshot = len(basis)
-        added = False
-        for a, b in combinations(range(snapshot), 2):
-            c = _bracket(basis[a], basis[b], form)
-            v = [0] * len(slot)
-            for pair, x in c.items():
-                if pair in slot:
-                    v[slot[pair]] = x
-            if any(v) and echelon.insert(v):
-                basis.append(c)
-                added = True
-                if len(basis) == full_dim:
-                    break  # a full span takes no more; the round's trace entry is the same
-        if not added:
+    balls = masks = g.noncommuting_masks
+    trace = []
+    while True:
+        # Each ball holds its own centre, and each pair is seen from both ends.
+        trace.append((sum(ball.bit_count() for ball in balls) - n) // 2)
+        if trace[-1] == full_dim:
             break
-        trace.append(len(basis))
+        balls = _spread(balls, _spread(balls, masks) if t else balls)
     return DensityCertificate(
         t=t,
-        seed_pairs=seed_pairs,
+        seed_pairs=tuple(g.sorted_edges()),
         dimension_trace=tuple(trace),
-        final_dimension=len(basis),
+        final_dimension=trace[-1],
         full_dimension=full_dim,
-        verdict=len(basis) == full_dim,
+        verdict=trace[-1] == full_dim,
     )

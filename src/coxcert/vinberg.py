@@ -19,8 +19,9 @@ pencil's minor polynomials at tau).
 The embedding certificate keeps the report of every stage for one diagram
 and one quadratic ring: thresholds, the chosen unit alpha with its Galois
 checks, the Z[d] identities, integrality at alpha, compactness of the
-conjugate form, a Lie bracket density check at t = D, a short faithfulness
-probe and, for a cycle complement, its closed-form checks.
+conjugate form, the Lie bracket density trace at t = D (read off graph
+distances), a short faithfulness probe and, for a cycle complement, its
+closed-form checks.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def build_embedding_certificate(
 
     Stages: thresholds -> unit choice -> Galois bound -> relations,
     orthogonality and traces over Z[d], integrality at alpha -> positive
-    definiteness at tau -> bracket closure density at D -> faithfulness
+    definiteness at tau -> density trace at D -> faithfulness
     probe.
     Deterministic: same (g, m) always yields an identical certificate.
     """

@@ -4,10 +4,14 @@ solve_planar_generator finds X_ij without the closed form: it solves
 {A^T M + M A = 0, A v = 0 for v in E_ij} by exact nullspaces, where E_ij is
 the M-orthogonal complement of the coordinate plane, all v with
 (Mv)_i = (Mv)_j = 0, demands a one-dimensional solution space and checks
-its own output.  oracle_density_trace runs the bracket-closure rounds of
-coxcert.liealg on n-by-n matrices, with brackets AB - BA by mat_mul and a
-Fraction echelon, seeded by the solver's generators.  hyperbolic_plane_check
-looks at the rank-2 action of one edge product R_i R_j.
+its own output.  Two closures check the closed-form density trace of
+coxcert.liealg by running the bracket rounds V_(k+1) = V_k + [V_k, V_k]:
+oracle_density_trace on n-by-n matrices, with brackets AB - BA by mat_mul
+and a Fraction echelon, seeded by the solver's generators, and
+sparse_density_trace on the coordinates S_ab of S M, with the closed-form
+bracket of coordinate matrices and an integer echelon, fast enough for
+sampled diagrams.  hyperbolic_plane_check looks at the rank-2 action of
+one edge product R_i R_j.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ class _FractionEchelon:
         return len(self.rows)
 
 
-def _bracket(a: Matrix, b: Matrix) -> Matrix:
+def _commutator(a: Matrix, b: Matrix) -> Matrix:
     ab = mat_mul(a, b)
     ba = mat_mul(b, a)
     return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
@@ -218,7 +222,7 @@ def oracle_density_trace(g, t) -> tuple:
         snapshot = len(mats)
         added = False
         for a, b in combinations(range(snapshot), 2):
-            c = _bracket(mats[a], mats[b])
+            c = _commutator(mats[a], mats[b])
             if echelon.insert(_flatten(c)):
                 mats.append(c)
                 added = True
@@ -227,6 +231,91 @@ def oracle_density_trace(g, t) -> tuple:
         if not added:
             break
         trace.append(echelon.dimension)
+    return tuple(trace)
+
+
+class _Echelon:
+    """Incremental fraction-free echelon over integer vectors."""
+
+    def __init__(self):
+        # (pivot, primitive row); each row is zero at the pivots of the rows
+        # before it, so reducing in this order clears every pivot.
+        self.rows: list = []
+
+    def insert(self, vec) -> bool:
+        """Add vec to the span; True when the dimension grew."""
+        v = list(vec)
+        for pivot, row in self.rows:
+            c = v[pivot]
+            if c:
+                lead = row[pivot]
+                v = [lead * x - c * y for x, y in zip(v, row)]
+                content = gcd(*v)
+                if content > 1:
+                    v = [x // content for x in v]
+        for pivot, x in enumerate(v):
+            if x:
+                self.rows.append((pivot, v))
+                return True
+        return False
+
+
+def _bracket(s: dict, t: dict, form: list) -> dict:
+    """Nonzero coordinates {(p, q): c} (p < q) of [S M, T M], for S and T
+    given the same way: the closed form for [E_ab, E_cd], summed."""
+    out: dict = {}
+    for (a, b), x in s.items():
+        row_a, row_b = form[a], form[b]
+        for (c, d), y in t.items():
+            xy = x * y
+            for p, q, v in (
+                (a, d, row_b[c]),
+                (a, c, -row_b[d]),
+                (b, d, -row_a[c]),
+                (b, c, row_a[d]),
+            ):
+                if v and p != q:
+                    if p < q:
+                        out[p, q] = out.get((p, q), 0) + xy * v
+                    else:
+                        out[q, p] = out.get((q, p), 0) - xy * v
+    return {pair: c for pair, c in out.items() if c}
+
+
+def sparse_density_trace(g, t) -> tuple:
+    """The same rounds on the coordinates S_ab of S M, at rational t.
+
+    M_t is scaled by the denominator of t to an integer matrix, which
+    changes no span.  Every span contains the edge unit vectors, so a
+    bracket is new exactly when its coordinates at the commuting pairs lie
+    outside the span of the basis's coordinates there.
+    """
+    t = Fraction(t)
+    form = [[int(x * t.denominator) for x in row] for row in evaluate_pencil(gram_pencil(g), t)]
+    n = g.n
+    full_dim = n * (n - 1) // 2
+    commuting = [(a, b) for a, b in combinations(range(n), 2) if g.commutes(a + 1, b + 1)]
+    slot = {pair: k for k, pair in enumerate(commuting)}
+    basis = [{(i - 1, j - 1): 1} for i, j in g.sorted_edges()]
+    echelon = _Echelon()
+    trace = [len(basis)]
+    while len(basis) < full_dim:
+        snapshot = len(basis)
+        added = False
+        for a, b in combinations(range(snapshot), 2):
+            c = _bracket(basis[a], basis[b], form)
+            v = [0] * len(slot)
+            for pair, x in c.items():
+                if pair in slot:
+                    v[slot[pair]] = x
+            if any(v) and echelon.insert(v):
+                basis.append(c)
+                added = True
+                if len(basis) == full_dim:
+                    break  # nothing more fits; the round's entry is the same
+        if not added:
+            break
+        trace.append(len(basis))
     return tuple(trace)
 
 

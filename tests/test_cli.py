@@ -135,6 +135,10 @@ _PINNED_ANALYSES = {
 }
 
 
+def _path(n):
+    return CoxeterDiagram(n, frozenset((i, i + 1) for i in range(1, n)))
+
+
 # sha256 of `density`, `words` and `cycle` stdout, computed at commit d35fb66,
 # before the pencil's minors and identities moved to integer evaluation.
 _PINNED_OUTPUTS = {
@@ -147,6 +151,17 @@ _PINNED_OUTPUTS = {
     ),
     "density P3 3/2": (
         "density", P3_TEXT, ["--d", "3/2"], "4330d0aa8f7adfe56c6ba39648654bb3e8b053c059e945cfaddbea6383d3455a"
+    ),
+    # Multi-round traces, computed at commit b3fcf15, while the trace came
+    # from bracket rounds over an integer echelon.
+    "density P9": (
+        "density", _path(9), [], "6e80ed8e5722ebd3bed5084e93e6e797f3378f38c52f650f7816258e1579b1e6"
+    ),
+    "density P9 0": (
+        "density", _path(9), ["--d", "0"], "42a59af89c2c782f02d2630cbe59d94551afec1838767f1bf95791987b286492"
+    ),
+    "density P20": (
+        "density", _path(20), [], "9891feef0d6ff3f4ee318925e4609db8a97be0a51c5bffe11be41aef77aa3c09"
     ),
     "words cc7 5": (
         "words", cycle_complement(7), ["--max-len", "5"],
@@ -484,6 +499,13 @@ def test_density_command(p3_file, capsys):
 def test_density_degenerate_point_fails(k3_file, capsys):
     assert main(["density", k3_file, "--d", "1/2"]) == 1
     assert "failed:" in capsys.readouterr().err
+
+
+def test_density_disconnected_diagram_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "two_edges.diagram"
+    path.write_text("n 4\nedge 1 2\nedge 3 4\n")
+    assert main(["density", str(path)]) == 2
+    assert "connected" in capsys.readouterr().err
 
 
 def test_density_bad_parameter_is_usage_error(k3_file, capsys):

@@ -1,8 +1,9 @@
-"""Planar Lie-algebra generators, bracket closure, and edge-plane dynamics.
+"""Planar Lie-algebra generators, the density trace, and edge-plane dynamics.
 
-The closed-form generators and the closure in antisymmetric coordinates
-are pinned against the nullspace solver and the n-by-n matrix closure of
-_liealg_oracle.
+The closed-form generators are pinned against the nullspace solver of
+_liealg_oracle, and the closed-form density trace (pairs counted by graph
+distance) against its two bracket closures: the n-by-n matrix closure and
+the sparse closure in antisymmetric coordinates.
 """
 
 from __future__ import annotations
@@ -25,21 +26,24 @@ from coxcert import (
     gram_pencil,
     minor_polynomials,
 )
-from coxcert.errors import DegenerateForm, NotAnEdge, NotConnected, SameVertex
+from coxcert.errors import DegenerateForm, Disconnected, NotAnEdge, SameVertex
 from coxcert.exactcore.linalg import bareiss_det, mat_mul, rref
-from coxcert.liealg import _bracket, _Echelon, planar_generator
+from coxcert.liealg import planar_generator
 from coxcert.vinberg import reflection_generators
 
 from _liealg_oracle import (
+    _bracket,
+    _Echelon,
     full_basis_check,
     hyperbolic_plane_check,
     mat_vec,
     oracle_density_trace,
     orthocomplement_basis,
     solve_planar_generator,
+    sparse_density_trace,
     verify_planar,
 )
-from _suite import acceptance_suite
+from _suite import acceptance_suite, random_connected_diagram
 
 F = Fraction
 
@@ -226,25 +230,49 @@ def _cycle(n):
 
 
 # No suite member needs more than one bracket round, so these pin brackets
-# of two non-seed elements; the traces are the same at D and at 7/3.
+# of two non-seed elements.  The traces are the same at D and at 7/3 (radii
+# 1, 3, 7, ...); at t = 0 the radii are 1, 2, 4, 8, ...
 MULTI_ROUND = [
-    ("P5", _path(5), (4, 9, 10)),
-    ("P7", _path(7), (6, 15, 21)),
-    ("C8", _cycle(8), (8, 24, 28)),
-    ("P9", _path(9), (8, 21, 35, 36)),
+    ("P5", _path(5), ("D", F(7, 3)), (4, 9, 10)),
+    ("P7", _path(7), ("D", F(7, 3)), (6, 15, 21)),
+    ("C8", _cycle(8), ("D", F(7, 3)), (8, 24, 28)),
+    ("P9", _path(9), ("D", F(7, 3)), (8, 21, 35, 36)),
+    ("P5", _path(5), (0,), (4, 7, 10)),
+    ("P7", _path(7), (0,), (6, 11, 18, 21)),
+    ("C8", _cycle(8), (0,), (8, 16, 28)),
+    ("P9", _path(9), (0,), (8, 15, 26, 36)),
 ]
 
 
 def test_density_trace_matches_matrix_oracle():
     for name, g in SUITE:
         t = _d_value(g)
-        assert bracket_closure_density(g, t).dimension_trace == oracle_density_trace(g, t), name
-    for name, g, trace in MULTI_ROUND:
-        for t in (_d_value(g), F(7, 3)):
+        trace = bracket_closure_density(g, t).dimension_trace
+        assert trace == oracle_density_trace(g, t) == sparse_density_trace(g, t), name
+    for name, g, points, trace in MULTI_ROUND:
+        for t in points:
+            t = _d_value(g) if t == "D" else t
             if bareiss_det(evaluate_pencil(gram_pencil(g), t)) == 0:
                 continue
             assert bracket_closure_density(g, t).dimension_trace == trace, (name, t)
             assert oracle_density_trace(g, t) == trace, (name, t)
+            assert sparse_density_trace(g, t) == trace, (name, t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from((0.0, 0.1, 0.3, 0.6)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+def test_density_trace_matches_sparse_closure(n, seed, rate, t):
+    # Sparse diagrams need several rounds; t = 0 (M_t = I, never singular)
+    # is checked on every drawn diagram beside the drawn t.
+    g = random_connected_diagram(random.Random(seed), n, rate)
+    assume(minor_polynomials(gram_pencil(g))[-1](t) != 0)
+    for point in (t, F(0)):
+        assert bracket_closure_density(g, point).dimension_trace == sparse_density_trace(g, point), point
 
 
 def _diameter_at_most_two(n, edges) -> CoxeterDiagram:
@@ -274,7 +302,7 @@ def test_diameter_two_closes_in_one_round(n, seed, t):
 
 
 def test_density_rejects_disconnected_and_degenerate():
-    with pytest.raises(NotConnected):
+    with pytest.raises(Disconnected):
         bracket_closure_density(CoxeterDiagram(4, frozenset({(1, 2), (3, 4)})), 2)
     with pytest.raises(DegenerateForm):
         bracket_closure_density(K3, F(1, 2))
