@@ -18,44 +18,45 @@ descent (no letter of Desc(w) & C(s) lies below s) builds every element v
 exactly once, from v * min Desc(v) (Bjorner-Brenti, Combinatorics of Coxeter
 Groups, 3.4), so each layer of a walk is the sphere of that radius, and an
 element with descent mask D has a fixed number of kept growths, its fanout.
-Both walks read one table, filled on first use, from a descent mask to its
-kept growths; a fanout is the length of that tuple.
+Both walks read two tables, filled on first use, from a descent mask to its
+kept growths and to its two-step growths (each kept growth by s, then each
+kept growth by u of the child's mask); summed over layer max_len - 2, their
+lengths, the fanouts, size the last two layers, which neither walk builds.
 
 `enumerate_by_length` counts the ball by normal forms, independently of any
 matrix model.  Each layer maps a normal form to its descent mask and is
 grown by the kept growths only, so `append_letter` never cancels on this
-path: every call lengthens the word by one letter.  The last sphere needs
-no words at all: its size is the sum of the fanouts of the layer before it,
-so normal forms are built only to length max_len - 1, and the largest
-layer of the ball gets no tuple and no table entry.
+path: every call lengthens the word by one letter, up to length max_len - 2.
 
 The faithfulness probe builds no words: it walks the same kept growths and
 keys each element by one scalar, key(w) = x * R_w * y, for a fixed row x
 and a fixed column y, instead of by its matrix R_w.  Right-multiplying by
-R_s negates entry s of the row x * R_w and adds 2t times that entry to each
-neighbour entry, so
+R_s negates entry s of the row r = x * R_w and adds 2t times that entry to
+each neighbour entry, so, for u != s,
 
-    key(ws) = key(w) - c_s * (x * R_w)_s,  c_s = 2 y_s - 2t * sum_{j in N(s)} y_j,
+    key(ws) = key(w) - c_s * r_s,  c_s = 2 y_s - 2t * sum_{j in N(s)} y_j,
+    key(wsu) = key(w) - e_su * r_s - c_u * r_u,  e_su = c_s + [u in N(s)] 2t c_u,
 
-with c_s fixed per letter.  The ball is one list of keys, layer after layer,
-each layer's elements coming parent by parent in the order of the growths.
-A child's O(degree) row, and its descent mask, are kept only when the walk
-goes on to a further layer: the last layer, most of the ball, costs one
-subtraction and one list entry per element and is appended in bulk.  Equal
-matrices give equal rows and so equal keys; hence distinct keys mean
-distinct matrices, and when the keys form a set of their own length, every
-element is its own image.  Otherwise only the elements sharing a key have
-their matrices rebuilt and compared, along parent chains that are
-recomputed, not stored: a bisect into the prefix sums of the fanouts of the
-layer before an element gives its parent, and an index into the parent's
-growths its letter.  The counts are exact for every choice of x and y.
+with c_s fixed per letter and e_su per two-step growth.  The ball is one
+list of keys, layer after layer, each layer's elements coming parent by
+parent in the order of the growths.  O(degree) rows x * R_w are built only
+for lengths 1..max_len - 2; on one of length max_len - 2, q_j = key(w) -
+c_j * r_j gives key(ws) = q_s and key(wsu) = q_u - e_su * r_s, so the last
+two layers, most of the ball, cost at most one product and one list entry
+per element, appended in bulk.  Equal matrices give equal rows and so
+equal keys, so when the keys form a set of their own length, every element
+is its own image.  Otherwise only the elements sharing a key have their
+matrices rebuilt and compared, along parent chains recomputed, not stored:
+a bisect into the prefix sums of the fanouts of the layer before an
+element gives its parent, and an index into its growths its letter.  The
+counts are exact for every choice of x and y.
 
 Both walks stop at the first empty layer, which only a finite group has, and
 refuse a radius above MAX_BALL_ELEMENTS: past that, a ball of an infinite
 group, having an element of every length, holds too many elements anyway.
 While a walk builds a layer it also sums the fanouts of its elements, the
-size of the next sphere, so a ball over MAX_BALL_ELEMENTS is refused before
-that sphere is built.
+size of the next sphere, and the last two are sized before anything more is
+built, so a ball over MAX_BALL_ELEMENTS is refused before it is built.
 """
 
 from __future__ import annotations
@@ -139,6 +140,20 @@ class _Growths(dict):
         return kept
 
 
+class _TwoSteps(dict):
+    """Descent mask -> its two-step growths, filled on first use: per kept
+    growth, `pair` of it and the kept growths of its child's mask, in order."""
+
+    def __init__(self, growths: _Growths, pair):
+        super().__init__()
+        self.growths, self.pair = growths, pair
+
+    def __missing__(self, desc: int) -> tuple:
+        growths, pair = self.growths, self.pair
+        kept = self[desc] = tuple(x for first in growths[desc] for x in pair(first, growths[first[-1]]))
+        return kept
+
+
 def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     """Count distinct group elements of each length 0..max_len.
 
@@ -146,11 +161,11 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     descent mask; a word is grown only by its kept growths (see the module
     docstring), so every `append_letter` call lengthens its word, none
     cancels, and no element is built twice.  Normal forms are built only to
-    length max_len - 1: the sphere of radius max_len is counted as the sum
-    of the fanouts of the layer before it.  Stops at the first empty layer
-    and pads the counts with zeros.  Raises BallTooLarge when max_len or the
-    ball exceeds MAX_BALL_ELEMENTS, counting the next sphere, sized by the
-    fanouts, while a layer is built.
+    length max_len - 2; the last two spheres are the sums of their fanouts
+    and of their two-step fanouts.  Stops at the first empty layer and pads
+    the counts with zeros.  Raises BallTooLarge when max_len or the ball
+    exceeds MAX_BALL_ELEMENTS, counting each sphere, sized by the fanouts,
+    before its words would be built.
     """
     _check_radius(max_len)
     if not max_len:
@@ -161,7 +176,7 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     layer = {(): 0}
     ahead = len(growths[0])  # the size of the sphere after `layer`
     _check_ball_size(total + ahead)
-    for _ in range(max_len - 1):
+    for _ in range(max_len - 2):
         if not ahead:
             break
         nxt: dict = {}
@@ -175,6 +190,10 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
         total += len(nxt)
         layer = nxt
     counts.append(ahead)
+    if max_len > 1:
+        two_steps = _TwoSteps(growths, lambda first, seconds: seconds)
+        counts.append(sum(len(two_steps[desc]) for desc in layer.values()))
+        _check_ball_size(total + ahead + counts[-1])
     return counts + [0] * (max_len + 1 - len(counts))
 
 
@@ -219,9 +238,10 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     compares them with the number of distinct matrices R_w at the evaluation
     point t (t >= 1), per length and in total.  Each element is keyed by the
     scalar x * R_w * y, for the row x of `_start_vector` and the column y of
-    `_key_vector`; rows x * R_w are built only for layers grown further, and
-    the matrices only of elements sharing a key, along the chains `_parent`
-    recovers (see the module docstring).  Stops at the first empty layer.
+    `_key_vector`.  It builds rows x * R_w only for lengths 1..max_len - 2,
+    whose last layer gives the keys of the next two in bulk, and matrices
+    only for elements sharing a key, along the chains `_parent` recovers
+    (see the module docstring).  Stops at the first empty layer.
     Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS,
     counting each layer, sized by the fanouts, before it is built.
     """
@@ -232,37 +252,52 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     actions = reflection_actions(g, t)
     start = _start_vector(n)
     y = _key_vector(n)
-    # Per letter s: s, its action, its column and the key step c_s.
-    entries = []
-    for s in g.vertices:
-        col, neighbour_cols, two_t = action = actions[s]
-        entries.append((s, action, col, 2 * y[col] - two_t * sum(y[j] for j in neighbour_cols)))
+    # The key step c_j per column j (letter j + 1); per letter s: s, its action, its column, c_s.
+    steps = [2 * y[col] - two_t * sum(y[j] for j in near) for col, near, two_t in map(actions.get, g.vertices)]
+    entries = [(s, actions[s], s - 1, steps[s - 1]) for s in g.vertices]
     growths = _Growths(g, entries)
+
+    def grandchildren(first, seconds) -> list:  # col_s, e_su, col_u: see the module docstring
+        _, (col_s, neighbour_cols, two_t), _, c_s, _ = first
+        near = frozenset(neighbour_cols)
+        return [(col_s, c_s + two_t * c_u if col_u in near else c_s, col_u) for _, _, col_u, c_u, _ in seconds]
+
+    two_steps = _TwoSteps(growths, grandchildren)
     keys = [sum(a * b for a, b in zip(start, y))]
     layer_starts = [0, 1]
     masks = []  # the descent masks of every layer that was grown, layer by layer
     rows, descs = [start], [0]
     if max_len:
         _check_ball_size(1 + len(growths[0]))
-    for length in range(1, max_len + 1):
+    for _ in range(max_len - 2):
         if not rows:
             break
         # Exhausted, the iterator over `rows` lets the rows of that layer go.
         layer = zip(rows, keys[layer_starts[-2] :], descs)
         masks.append(descs)
         rows, descs = [], []
-        if length == max_len:
-            keys += [key - step * row[col] for row, key, desc in layer for _, _, col, step, _ in growths[desc]]
-        else:
-            ahead = 0  # the part of the next layer's size counted so far
-            for row, key, desc in layer:
-                for _, action, col, step, child_desc in growths[desc]:
-                    keys.append(key - step * row[col])
-                    rows.append(reflect_row(row, action))
-                    descs.append(child_desc)
-                    ahead += len(growths[child_desc])
-                _check_ball_size(len(keys) + ahead)
+        ahead = 0  # the part of the next layer's size counted so far
+        for row, key, desc in layer:
+            for _, action, col, step, child_desc in growths[desc]:
+                keys.append(key - step * row[col])
+                rows.append(reflect_row(row, action))
+                descs.append(child_desc)
+                ahead += len(growths[child_desc])
+            _check_ball_size(len(keys) + ahead)
         layer_starts.append(len(keys))
+    if max_len and rows:
+        # The last two layers (one at radius 1) in bulk, sized from the masks first.
+        if max_len > 1:
+            _check_ball_size(len(keys) + sum(len(growths[d]) + len(two_steps[d]) for d in descs))
+        layer = zip(rows, keys[layer_starts[-2] :], descs)
+        last = [(row, [key - c * v for c, v in zip(steps, row)], d) for row, key, d in layer]
+        masks.append(descs)
+        keys += [q[col] for _, q, d in last for _, _, col, _, _ in growths[d]]
+        layer_starts.append(len(keys))
+        if max_len > 1:
+            masks.append([child for d in descs for *_, child in growths[d]])
+            keys += [q[u] - e_su * row[s] for row, q, d in last for s, e_su, u in two_steps[d]]
+            layer_starts.append(len(keys))
     word_counts = [b - a for a, b in zip(layer_starts, layer_starts[1:])]
     word_counts += [0] * (max_len + 1 - len(word_counts))
 

@@ -3,15 +3,15 @@
 `normal_form_layers` grows every normal form by every letter with
 `append_letter`, which cancels and renormalises whenever the letter is a
 descent, and keeps the words that got longer: it knows nothing of descent
-masks, so it checks `words.enumerate_by_length`.  `matrix_image_probe` is
-the reference for `words.faithfulness_probe`: it enumerates the ball the
-same way, carries every element's full matrix R_w at t, and counts distinct
-matrices per length and over the ball, in packed integers for rational t
-(`_packed_integer_images`).  It skips each letter that shortens a word
-before renormalising (`_lengthens`).  It shares no enumeration or keying
-code with the production probe, which walks descent sets and keys elements
-by the scalar x * R_w * y.  `normal_form` folds a whole word with
-`append_letter`, checking its letters first.
+masks, so it checks `words.enumerate_by_length`.  `image_layers`
+enumerates the ball the same way and carries every element's full matrix
+R_w at t, in packed integers for rational t (`_packed_integer_images`);
+`matrix_image_probe`, the reference for `words.faithfulness_probe`, counts
+its distinct matrices per length and over the ball.  It skips each letter
+that shortens a word before renormalising (`_lengthens`).  It shares no
+enumeration or keying code with the production probe, which walks descent
+sets and keys elements by the scalar x * R_w * y.  `normal_form` folds a
+whole word with `append_letter`, checking its letters first.
 """
 
 from __future__ import annotations
@@ -94,23 +94,21 @@ def _packed_integer_images(n: int, t: Fraction, max_len: int):
     return ident, step
 
 
-def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
-    if isinstance(t, int):
-        t = Fraction(t)
-    if quad_sign(t - 1) < 0:
-        raise ValueError(f"probe needs t >= 1, got {t}")
+def image_layers(g, t, max_len: int, packed: bool = True):
+    """The spheres of radius 0..max_len, each a dict from normal form to image.
+
+    The image is R_w at t, or, for rational t when `packed`, b^max_len * R_w
+    packed by column as `_packed_integer_images` says.
+    """
     n = g.n
-    if isinstance(t, Fraction):
+    if packed and isinstance(t, Fraction):
         ident, step = _packed_integer_images(n, t, max_len)
     else:
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         step = times_reflection
     actions = reflection_actions(g, t)
     layer = {(): ident}
-    word_counts = [1]
-    image_counts = [1]
-    seen_images = {ident}
-    total_words = 1
+    yield layer
     for target in range(1, max_len + 1):
         nxt: dict = {}
         for word, image in layer.items():
@@ -120,12 +118,24 @@ def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
                 grown = append_letter(word, letter, g)
                 if len(grown) == target and grown not in nxt:
                     nxt[grown] = step(image, actions[letter])
-        word_counts.append(len(nxt))
-        images = set(nxt.values())
+        yield nxt
+        layer = nxt
+
+
+def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
+    if isinstance(t, int):
+        t = Fraction(t)
+    if quad_sign(t - 1) < 0:
+        raise ValueError(f"probe needs t >= 1, got {t}")
+    word_counts = []
+    image_counts = []
+    seen_images = set()
+    for layer in image_layers(g, t, max_len):
+        word_counts.append(len(layer))
+        images = set(layer.values())
         image_counts.append(len(images))
         seen_images.update(images)
-        total_words += len(nxt)
-        layer = nxt
+    total_words = sum(word_counts)
     return FaithfulnessReport(
         t=t,
         max_len=max_len,

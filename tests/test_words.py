@@ -12,10 +12,13 @@ normal-form, whole-matrix probe.
 
 from __future__ import annotations
 
+import builtins
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +40,7 @@ from coxcert.errors import BallTooLarge, IndexOutOfRange
 from coxcert.vinberg import reflection_actions, times_reflection
 
 from _suite import acceptance_suite, growth_series, probe_length, random_connected_diagram, suite_thresholds
-from _words_oracle import _packed_integer_images, matrix_image_probe, normal_form, normal_form_layers
+from _words_oracle import _packed_integer_images, image_layers, matrix_image_probe, normal_form, normal_form_layers
 
 F = Fraction
 
@@ -177,8 +180,9 @@ def test_enumeration_never_cancels(monkeypatch):
 
 
 def test_enumeration_builds_no_word_of_the_last_length(monkeypatch):
-    # The sphere of radius L is counted from the fanouts of the layer before
-    # it, so no normal form of length L is ever built, and none at all for L = 1.
+    # The spheres of radius L - 1 and L are counted from the fanouts and the
+    # two-step fanouts of length L - 2, so no normal form longer than L - 2 is
+    # ever built, and none at all for L <= 2.
     lengths = []
     real = words.append_letter
 
@@ -192,7 +196,7 @@ def test_enumeration_builds_no_word_of_the_last_length(monkeypatch):
         for max_len in (1, 2, probe_length(g.n) or 4):
             lengths.clear()
             assert enumerate_by_length(g, max_len) == growth_series(g, max_len), (name, max_len)
-            assert max(lengths, default=0) == max_len - 1, (name, max_len)
+            assert max(lengths, default=0) == max(max_len - 2, 0), (name, max_len)
 
 
 def test_cc7_counts_to_length_8():
@@ -258,8 +262,27 @@ def test_a_radius_one_ball_is_sized_before_its_only_layer(monkeypatch):
     assert faithfulness_probe(K3, 2, 1).word_counts == (1, 3)
 
 
+def test_a_radius_two_ball_is_sized_from_the_identity(monkeypatch):
+    # At radius 2 both walks take their last two layers straight from the
+    # identity: the ball, 1 + 3 + 6 elements, is sized from its masks, and
+    # neither a row nor a normal form is built, under the cap or over it.
+    built = []
+    real_row, real_letter = words.reflect_row, words.append_letter
+    monkeypatch.setattr(words, "reflect_row", lambda *a: built.append(a) or real_row(*a))
+    monkeypatch.setattr(words, "append_letter", lambda *a: built.append(a) or real_letter(*a))
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 10)
+    assert enumerate_by_length(K3, 2) == [1, 3, 6]
+    assert faithfulness_probe(K3, 2, 2).word_counts == (1, 3, 6)
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 9)
+    with pytest.raises(BallTooLarge):
+        enumerate_by_length(K3, 2)
+    with pytest.raises(BallTooLarge):
+        faithfulness_probe(K3, 2, 2)
+    assert built == []
+
+
 def test_probe_builds_rows_only_for_layers_it_grows(monkeypatch):
-    # One row per element of lengths 1..max_len - 1; the last layer gets keys alone.
+    # One row per element of lengths 1..max_len - 2; the last two layers get keys alone.
     g = cycle_complement(7)
     real = words.reflect_row
     calls = 0
@@ -272,7 +295,7 @@ def test_probe_builds_rows_only_for_layers_it_grows(monkeypatch):
     monkeypatch.setattr(words, "reflect_row", counting)
     rep = faithfulness_probe(g, 2, 6)
     assert list(rep.word_counts) == growth_series(g, 6)
-    assert calls == sum(rep.word_counts[1:6])
+    assert calls == sum(rep.word_counts[1:5])
 
 
 def test_recovered_parent_chains_spell_the_ball(monkeypatch):
@@ -305,10 +328,10 @@ def test_recovered_parent_chains_spell_the_ball(monkeypatch):
 
 def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
     # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements, most of
-    # them on the last layer, which gets no rows.  The size of the next layer
-    # is known from the descent masks while a layer's rows are built, so the
-    # refusal comes after 61,104 rows; counting only the elements already
-    # made, it came after 891,840 rows and about 1.3 GB.
+    # them on the last two layers, which get no rows.  Their sizes are known
+    # from the descent masks of length 3, so the refusal comes after 29,760
+    # rows; counting only the elements already made, it came after 891,840
+    # rows and about 1.3 GB.
     g = cycle_complement(32)
     real = words.reflect_row
     calls = 0
@@ -316,7 +339,7 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
     def counting(row, action):
         nonlocal calls
         calls += 1
-        if calls > 100_000:
+        if calls > 30_000:
             raise AssertionError("the probe built rows for a ball it refuses")
         return real(row, action)
 
@@ -326,9 +349,10 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
 
 
 def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypatch):
-    # The same cc32 ball: while length 4 is built, the fanouts of its words
-    # size the last sphere, so the refusal comes after 61,104 normal forms;
-    # counting only the words already made, it came after about 1,000,000.
+    # The same cc32 ball: the fanouts and two-step fanouts of the words of
+    # length 3 size the last two spheres, so the refusal comes after 29,760
+    # normal forms; counting only the words already made, it came after about
+    # 1,000,000.
     g = cycle_complement(32)
     real = words.append_letter
     calls = 0
@@ -336,7 +360,7 @@ def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypa
     def counting(nf, letter, g):
         nonlocal calls
         calls += 1
-        if calls > 100_000:
+        if calls > 30_000:
             raise AssertionError("the enumeration built words for a ball it refuses")
         return real(nf, letter, g)
 
@@ -352,10 +376,12 @@ def _probe_cases():
             for t in (suite_thresholds(name, g).d_value, F(3, 2)):
                 yield name, g, t, max_len
     yield "P3", P3, QuadElem(1, 1, 2), 8
-    # (Z/2)^4 ends at length 4: radius 5 makes the row-free last layer empty,
-    # radius 7 stops at the first empty layer before reaching it.
+    # (Z/2)^4 ends at length 4, so the last two layers, taken in bulk from
+    # length max_len - 2, are: at radius 4, the last one holding the longest
+    # element; at radius 5, the last non-empty one and an empty one; at radius
+    # 6, both empty; radius 7 stops at the first empty layer before them.
     edgeless = CoxeterDiagram(4, frozenset())
-    for max_len in (5, 7):
+    for max_len in (4, 5, 6, 7):
         yield "edgeless4", edgeless, F(3, 2), max_len
 
 
@@ -378,6 +404,30 @@ def test_probe_matches_matrix_image_oracle(monkeypatch):
             monkeypatch.setattr(words, "_start_vector", start)
             monkeypatch.setattr(words, "_key_vector", key)
             assert faithfulness_probe(g, t, max_len) == expected, (name, t, start(g.n), key(g.n))
+
+
+def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
+    # Every key of the ball, from a built row or from the bulk steps over the
+    # last two layers (key(ws) and key(wsu) by c_s and e_su), is x * R_w * y
+    # for the oracle's matrix R_w of an element of its length: layer by layer
+    # the keys and those products agree as multisets.  The keys are taken
+    # from the probe's one `set(keys)` call.
+    captured = []
+
+    def capturing(*args):
+        captured.extend(args)
+        return builtins.set(*args)
+
+    monkeypatch.setattr(words, "set", capturing, raising=False)
+    for name, g, t, max_len in _probe_cases():
+        captured.clear()
+        rep = faithfulness_probe(g, t, max_len)
+        (keys,) = captured
+        x, y = words._start_vector(g.n), words._key_vector(g.n)
+        starts = list(accumulate(rep.word_counts, initial=0))
+        for length, layer in enumerate(image_layers(g, t, max_len, packed=False)):
+            expected = Counter(sum(map(mul, x, [sum(map(mul, row, y)) for row in m])) for m in layer.values())
+            assert Counter(keys[starts[length] : starts[length + 1]]) == expected, (name, t, max_len, length)
 
 
 def test_probe_counts_colliding_images_like_the_oracle(monkeypatch):
