@@ -7,16 +7,21 @@ masks, so it checks `words.enumerate_by_length`.  `image_layers`
 enumerates the ball the same way and carries every element's full matrix
 R_w at t, in packed integers for rational t (`_packed_integer_images`);
 `matrix_image_probe`, the reference for `words.faithfulness_probe`, counts
-its distinct matrices per length and over the ball.  It skips each letter
-that shortens a word before renormalising (`_lengthens`).  It shares no
-enumeration or keying code with the production probe, which walks descent
-sets and keys elements by the scalar x * R_w * y.  `normal_form` folds a
-whole word with `append_letter`, checking its letters first.
+its distinct matrices per length and over the ball; `exact_ball` counts
+them once per ball over exact matrices, with the scalars x * R_w * y
+besides, and keeps both for every test that asks.  `image_layers` skips
+each letter that shortens a word before renormalising (`_lengthens`).  It
+shares no enumeration or keying code with the production probe, which
+walks descent sets and keys elements by the scalar x * R_w * y.
+`normal_form` folds a whole word with `append_letter`, checking its
+letters first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 from coxcert import append_letter
 from coxcert.errors import IndexOutOfRange
@@ -122,15 +127,12 @@ def image_layers(g, t, max_len: int, packed: bool = True):
         layer = nxt
 
 
-def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
-    if isinstance(t, int):
-        t = Fraction(t)
-    if quad_sign(t - 1) < 0:
-        raise ValueError(f"probe needs t >= 1, got {t}")
+def _image_report(t, max_len: int, layers) -> FaithfulnessReport:
+    """The word and distinct-image counts of the spheres `layers`, per length and in total."""
     word_counts = []
     image_counts = []
     seen_images = set()
-    for layer in image_layers(g, t, max_len):
+    for layer in layers:
         word_counts.append(len(layer))
         images = set(layer.values())
         image_counts.append(len(images))
@@ -144,3 +146,32 @@ def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
         total_words=total_words,
         total_images=len(seen_images),
     )
+
+
+def matrix_image_probe(g, t, max_len: int) -> FaithfulnessReport:
+    if isinstance(t, int):
+        t = Fraction(t)
+    if quad_sign(t - 1) < 0:
+        raise ValueError(f"probe needs t >= 1, got {t}")
+    return _image_report(t, max_len, image_layers(g, t, max_len))
+
+
+_EXACT_BALLS: dict = {}
+
+
+def exact_ball(g, t, max_len: int, x: tuple, y: tuple) -> tuple:
+    """One pass of `image_layers` over exact matrices R_w, kept for the test
+    session: the `matrix_image_probe` report of the ball (t >= 1), and per
+    sphere the Counter of the scalars x * R_w * y."""
+    case = (g, t, max_len, x, y)
+    if case not in _EXACT_BALLS:
+        products = []
+
+        def recording(layers):
+            for layer in layers:
+                products.append(Counter(sum(map(mul, x, [sum(map(mul, row, y)) for row in m])) for m in layer.values()))
+                yield layer
+
+        report = _image_report(t, max_len, recording(image_layers(g, t, max_len, packed=False)))
+        _EXACT_BALLS[case] = report, products
+    return _EXACT_BALLS[case]

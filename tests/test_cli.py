@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from coxcert import CoxeterDiagram, cycle_complement, enumerate_by_length, faithfulness_probe, serialize_diagram
+from coxcert import CoxeterDiagram, cycle_complement, enumerate_by_length, faithfulness_probe, serialize_diagram, words
 from coxcert.cli import main
+from coxcert.errors import VerificationFailed
 from coxcert.exactcore import Poly
 from coxcert.gram import _minor_polynomials_cached, gram_pencil
 
@@ -558,6 +559,24 @@ def test_words_command(p3_file, capsys):
     assert f"word counts: {' '.join(map(str, counts))}\n" in out
     # The probe counts the same words, so the CLI could print its counts.
     assert list(faithfulness_probe(p3, 2, 3).word_counts) == list(counts)
+
+
+def test_normal_forms_that_merge_fail_the_word_count(k3_file, monkeypatch, capsys):
+    # Were the walk to give two elements of length 2 one normal form, it would
+    # hold fewer forms than the descent masks count: a bug, so the count
+    # raises VerificationFailed and `words` exits 1.
+    real = words.append_letter
+
+    def merging(nf, letter, g):
+        return real(nf, 2 if (nf, letter) == ((1,), 3) else letter, g)
+
+    monkeypatch.setattr(words, "append_letter", merging)
+    with pytest.raises(VerificationFailed, match="5 normal forms of length 2, counted 6"):
+        enumerate_by_length(CoxeterDiagram(3, frozenset({(1, 2), (1, 3), (2, 3)})), 4)
+    assert main(["words", k3_file, "--max-len", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "failed: 5 normal forms of length 2" in err
+    assert "Traceback" not in err
 
 
 def test_words_at_d_below_one_is_usage_error(p3_file, capsys):

@@ -18,7 +18,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,7 @@ from coxcert.errors import BallTooLarge, IndexOutOfRange
 from coxcert.vinberg import reflection_actions, times_reflection
 
 from _suite import acceptance_suite, growth_series, probe_length, random_connected_diagram, suite_thresholds
-from _words_oracle import _packed_integer_images, image_layers, matrix_image_probe, normal_form, normal_form_layers
+from _words_oracle import _packed_integer_images, exact_ball, matrix_image_probe, normal_form, normal_form_layers
 
 F = Fraction
 
@@ -327,11 +326,11 @@ def test_recovered_parent_chains_spell_the_ball(monkeypatch):
 
 
 def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
-    # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements, most of
-    # them on the last two layers, which get no rows.  Their sizes are known
-    # from the descent masks of length 3, so the refusal comes after 29,760
-    # rows; counting only the elements already made, it came after 891,840
-    # rows and about 1.3 GB.
+    # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements.  The
+    # sphere sizes are counted from the descent masks before the walk starts,
+    # so the refusal comes before any row is built; sized from the masks of
+    # length 3 it came after 29,760 rows, and counting only the elements
+    # already made, after 891,840 rows and about 1.3 GB.
     g = cycle_complement(32)
     real = words.reflect_row
     calls = 0
@@ -339,7 +338,7 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
     def counting(row, action):
         nonlocal calls
         calls += 1
-        if calls > 30_000:
+        if calls > 0:
             raise AssertionError("the probe built rows for a ball it refuses")
         return real(row, action)
 
@@ -349,10 +348,10 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
 
 
 def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypatch):
-    # The same cc32 ball: the fanouts and two-step fanouts of the words of
-    # length 3 size the last two spheres, so the refusal comes after 29,760
-    # normal forms; counting only the words already made, it came after about
-    # 1,000,000.
+    # The same cc32 ball: its sphere sizes come from the descent masks alone,
+    # so the refusal comes before any normal form is built; sized from the
+    # words of length 3 it came after 29,760 normal forms, and counting only
+    # the words already made, after about 1,000,000.
     g = cycle_complement(32)
     real = words.append_letter
     calls = 0
@@ -360,7 +359,7 @@ def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypa
     def counting(nf, letter, g):
         nonlocal calls
         calls += 1
-        if calls > 30_000:
+        if calls > 0:
             raise AssertionError("the enumeration built words for a ball it refuses")
         return real(nf, letter, g)
 
@@ -399,7 +398,7 @@ def test_probe_matches_matrix_image_oracle(monkeypatch):
     default = (words._start_vector, words._key_vector)
     vectors = (default, (_zeros, default[1]), (_e1, default[1]), (default[0], _zeros), (default[0], _e1))
     for name, g, t, max_len in _probe_cases():
-        expected = matrix_image_probe(g, t, max_len)
+        expected, _ = exact_ball(g, t, max_len, default[0](g.n), default[1](g.n))
         for start, key in vectors:
             monkeypatch.setattr(words, "_start_vector", start)
             monkeypatch.setattr(words, "_key_vector", key)
@@ -423,10 +422,9 @@ def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
         captured.clear()
         rep = faithfulness_probe(g, t, max_len)
         (keys,) = captured
-        x, y = words._start_vector(g.n), words._key_vector(g.n)
+        _, products = exact_ball(g, t, max_len, words._start_vector(g.n), words._key_vector(g.n))
         starts = list(accumulate(rep.word_counts, initial=0))
-        for length, layer in enumerate(image_layers(g, t, max_len, packed=False)):
-            expected = Counter(sum(map(mul, x, [sum(map(mul, row, y)) for row in m])) for m in layer.values())
+        for length, expected in enumerate(products):
             assert Counter(keys[starts[length] : starts[length + 1]]) == expected, (name, t, max_len, length)
 
 
