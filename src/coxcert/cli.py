@@ -19,7 +19,6 @@ to stderr only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -107,6 +106,8 @@ def certificate_payload(cert: EmbeddingCertificate) -> dict:
 
 
 def canonical_json(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -267,6 +268,8 @@ def _recheck_unit_block(payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from .errors import VerificationFailed
 
     stored_text = _read_text(args.certificate)

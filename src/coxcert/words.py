@@ -49,18 +49,21 @@ so, for u != s,
 
 with c_s fixed per letter and e_su per two-step growth (each kept growth by
 s, then each kept growth by u of the child's mask), kept in a second table
-filled on first use.  The ball is one list of keys, layer after layer, each
-layer's elements coming parent by parent in the order of the growths.
-O(degree) rows x * R_w are built only for lengths 1..max_len - 2; on one of
-length max_len - 2, q_j = key(w) - c_j * r_j gives key(ws) = q_s and
-key(wsu) = q_u - e_su * r_s, so the last two layers, most of the ball, cost
-at most one product and one list entry per element, appended in bulk.
-Equal matrices give equal rows and so equal keys, so when the keys form a
-set of their own length, every element is its own image.  Otherwise only
-the elements sharing a key have their matrices rebuilt and compared, along
-parent chains recomputed, not stored: a bisect into the prefix sums of the
-fanouts of the layer before an element gives its parent, and an index into
-its growths its letter.  The counts are exact for every choice of x and y.
+filled on first use.  One walk, `_key_chunks`, streams the keys in ball
+order, layer after layer, each layer's elements parent by parent in the
+order of the growths.  O(degree) rows x * R_w are built only for lengths
+1..max_len - 2; on one of length max_len - 2, q_j = key(w) - c_j * r_j gives
+key(ws) = q_s and key(wsu) = q_u - e_su * r_s, so the last two layers, most
+of the ball, cost at most one product per element, made a chunk of parent
+rows at a time.  The probe feeds the pieces to one set and checks their
+counts per length against the sphere sizes.  Equal matrices give equal rows
+and so equal keys, so when the set holds one key per element, every element
+is its own image, and no list of the ball's keys is made.  Otherwise the
+walk runs again for that list, and only the elements sharing a key have
+their matrices rebuilt and compared, along parent chains recomputed, not
+stored: a bisect into the prefix sums of the fanouts of the layer before an
+element gives its parent, and an index into its growths its letter.  The
+counts are exact for every choice of x and y.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ Word = tuple
 
 # Most group elements a ball enumeration may hold; cc7 to length 8 has 536,131.
 MAX_BALL_ELEMENTS = 1_000_000
+_CHUNK_ROWS = 1024  # parent rows per piece of the faithfulness probe's last two layers
 
 
 def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
@@ -237,18 +241,47 @@ def _parent(i: int, length: int, layer_starts: list, masks: list, offsets: list,
     return layer_starts[length - 1] + p, growths[masks[length - 1][p]][i - firsts[p]]
 
 
+def _key_chunks(start, y, steps, growths: _Growths, two_steps: _TwoSteps, max_len: int, masks: list):
+    """The ball's keys as (length, keys) pieces in ball order: each walked
+    layer, then per _CHUNK_ROWS rows of the last one, their children's keys
+    and their grandchildren's.  Appends each grown layer's masks to `masks`."""
+    keys, rows, descs, length = [sum(a * b for a, b in zip(start, y))], [start], [0], 0
+    yield length, keys
+    while length < max_len - 2 and rows:
+        layer = zip(rows, keys, descs)
+        masks.append(descs)
+        keys, rows, descs, length = [], [], [], length + 1
+        for row, key, desc in layer:
+            for _, action, col, step, child_desc in growths[desc]:
+                keys.append(key - step * row[col])
+                rows.append(reflect_row(row, action))
+                descs.append(child_desc)
+        yield length, keys
+    if max_len and rows:
+        # The last two layers (one at radius 1) in bulk, _CHUNK_ROWS parents at a time.
+        masks.append(descs)
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            part = slice(lo, lo + _CHUNK_ROWS)
+            layer = zip(rows[part], keys[part], descs[part])
+            last = [(row, [key - c * v for c, v in zip(steps, row)], d) for row, key, d in layer]
+            yield length + 1, [q[col] for _, q, d in last for _, _, col, _, _ in growths[d]]
+            if length + 2 <= max_len:
+                yield length + 2, [q[u] - e_su * row[s] for row, q, d in last for s, e_su, u in two_steps[d]]
+
+
 def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport:
     """Exact injectivity probe on the ball of radius max_len.
 
     Its word counts are `_sphere_sizes`, so an over-cap ball is refused
     before any row is built, and they are compared with the number of
     distinct matrices R_w at the evaluation point t (t >= 1), per length and
-    in total.  Walks the ball by descent sets, keying each element by the
-    scalar x * R_w * y, for the row x of `_start_vector` and the column y of
-    `_key_vector`.  It builds rows x * R_w only for lengths 1..max_len - 2,
-    whose last layer gives the keys of the next two in bulk, and matrices
-    only for elements sharing a key, along the chains `_parent` recovers
-    (see the module docstring).  Stops at the first empty layer.
+    in total.  Keys each element by the scalar x * R_w * y, for the row x of
+    `_start_vector` and the column y of `_key_vector`, streaming the pieces
+    of `_key_chunks` into one set; other key counts per length than the
+    sphere sizes raise VerificationFailed.  Only when keys collide does it
+    walk again for the ball's key list, and build matrices for the elements
+    sharing a key, along the chains `_parent` recovers (see the module
+    docstring).  Stops at the first empty layer.
     """
     if quad_sign(t - 1) < 0:
         raise ValueError(f"probe needs t >= 1, got {t}")
@@ -262,33 +295,20 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     growths = _Growths(g, entries)
     word_counts = _sphere_sizes(growths, max_len)
     two_steps = _TwoSteps(growths)
-    keys = [sum(a * b for a, b in zip(start, y))]
-    masks = []  # the descent masks of every layer that was grown, layer by layer
-    rows, descs = [start], [0]
-    for _ in range(max_len - 2):
-        if not rows:
-            break
-        # The keys end with the layer of `rows`; exhausted, the iterator lets its rows go.
-        layer = zip(rows, keys[-len(rows) :], descs)
-        masks.append(descs)
-        rows, descs = [], []
-        for row, key, desc in layer:
-            for _, action, col, step, child_desc in growths[desc]:
-                keys.append(key - step * row[col])
-                rows.append(reflect_row(row, action))
-                descs.append(child_desc)
-    if max_len and rows:
-        # The last two layers (one at radius 1) in bulk.
-        layer = zip(rows, keys[-len(rows) :], descs)
-        last = [(row, [key - c * v for c, v in zip(steps, row)], d) for row, key, d in layer]
-        masks.append(descs)
-        keys += [q[col] for _, q, d in last for _, _, col, _, _ in growths[d]]
-        if max_len > 1:
-            keys += [q[u] - e_su * row[s] for row, q, d in last for s, e_su, u in two_steps[d]]
-
+    walk = (start, y, steps, growths, two_steps, max_len)
+    seen, sizes = set(), [0] * (max_len + 1)
+    for length, piece in _key_chunks(*walk, []):
+        seen.update(piece)
+        sizes[length] += len(piece)
+    if sizes != word_counts:
+        raise VerificationFailed(f"the walk gave {sizes} keys per length, the descent masks {word_counts}")
     image_counts = list(word_counts)
-    total_images = len(keys)
-    if len(set(keys)) < len(keys):
+    total_words = total_images = sum(word_counts)
+    if len(seen) < total_words:
+        del seen
+        masks: list = []  # the descent masks of every layer that was grown, layer by layer
+        # The ball's keys in one list, in ball order: the pieces stably sorted by length.
+        keys = [key for _, piece in sorted(_key_chunks(*walk, masks), key=lambda p: p[0]) for key in piece]
         layer_starts = list(accumulate(word_counts, initial=0))
         # `_parent` reads the masks of every parent layer; the last one's are made only here.
         masks.append([child for d in masks[-1] for *_, child in growths[d]])
@@ -329,6 +349,6 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
         max_len=max_len,
         word_counts=tuple(word_counts),
         image_counts=tuple(image_counts),
-        total_words=len(keys),
+        total_words=total_words,
         total_images=total_images,
     )

@@ -108,10 +108,21 @@ def test_every_export_resolves(module):
 
 def test_the_command_line_starts_without_dataclasses_or_inspect():
     # Each benchmark command is a fresh interpreter, so whatever `python -m
-    # coxcert` imports is paid on every command; these two cost about 10 ms.
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import coxcert.cli; print(*sys.modules, sep=chr(10))"
-    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    loaded = set(run.stdout.split())
-    assert "coxcert.cli" in loaded
-    assert loaded & {"dataclasses", "inspect"} == set()
+    # coxcert` imports is paid on every command; the first two cost about
+    # 10 ms, and `json`, which only `embed` and `verify` need, 2-3 ms.
+    code = (
+        "import atexit, sys; sys.path.insert(0, sys.argv[1]); import coxcert.cli;"
+        " atexit.register(lambda: print('modules:', *sys.modules, sep=chr(10)));"
+        " argv = sys.argv[2:]; argv and coxcert.cli.main(argv)"
+    )
+    for argv in ([], ["--help"], ["analyze", "-"]):
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(ROOT / "src"), *argv],
+            input="n 5\n1 2\n2 3\n3 4\n4 5\n",
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, (argv, run.stderr)
+        loaded = set(run.stdout.split("modules:\n")[-1].split())
+        assert "coxcert.cli" in loaded, argv
+        assert loaded & {"dataclasses", "inspect", "json"} == set(), argv

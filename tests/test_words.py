@@ -12,12 +12,11 @@ normal-form, whole-matrix probe.
 
 from __future__ import annotations
 
-import builtins
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +34,9 @@ from coxcert import (
     gram_pencil,
 )
 from coxcert import words
-from coxcert.errors import BallTooLarge, IndexOutOfRange
+from coxcert.cli import main
+from coxcert.diagram import serialize_diagram
+from coxcert.errors import BallTooLarge, IndexOutOfRange, VerificationFailed
 from coxcert.vinberg import reflection_actions, times_reflection
 
 from _suite import acceptance_suite, growth_series, probe_length, random_connected_diagram, suite_thresholds
@@ -410,22 +411,55 @@ def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
     # last two layers (key(ws) and key(wsu) by c_s and e_su), is x * R_w * y
     # for the oracle's matrix R_w of an element of its length: layer by layer
     # the keys and those products agree as multisets.  The keys are taken
-    # from the probe's one `set(keys)` call.
-    captured = []
+    # from the pieces each walk of the probe streams, per length.
+    walks = []
+    real = words._key_chunks
 
     def capturing(*args):
-        captured.extend(args)
-        return builtins.set(*args)
+        walks.append(layers := {})
+        for length, piece in real(*args):
+            layers.setdefault(length, []).extend(piece)
+            yield length, piece
 
-    monkeypatch.setattr(words, "set", capturing, raising=False)
+    monkeypatch.setattr(words, "_key_chunks", capturing)
     for name, g, t, max_len in _probe_cases():
-        captured.clear()
-        rep = faithfulness_probe(g, t, max_len)
-        (keys,) = captured
+        walks.clear()
+        faithfulness_probe(g, t, max_len)
         _, products = exact_ball(g, t, max_len, words._start_vector(g.n), words._key_vector(g.n))
-        starts = list(accumulate(rep.word_counts, initial=0))
-        for length, expected in enumerate(products):
-            assert Counter(keys[starts[length] : starts[length + 1]]) == expected, (name, t, max_len, length)
+        assert walks
+        for layers in walks:
+            assert set(layers) <= set(range(len(products))), (name, t, max_len)
+            for length, expected in enumerate(products):
+                assert Counter(layers.get(length, [])) == expected, (name, t, max_len, length)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_probe_in_small_chunks_matches_the_oracle(monkeypatch, chunk_rows):
+    # The last two layers come a few parent rows at a time; the counts do not
+    # depend on the chunk size, with distinct keys or with keys forced to collide.
+    monkeypatch.setattr(words, "_CHUNK_ROWS", chunk_rows)
+    default = (words._start_vector, words._key_vector)
+    for name, g, t, max_len in _probe_cases():
+        expected, _ = exact_ball(g, t, max_len, default[0](g.n), default[1](g.n))
+        for start in (default[0], _zeros):
+            monkeypatch.setattr(words, "_start_vector", start)
+            assert faithfulness_probe(g, t, max_len) == expected, (name, t, max_len, start(g.n))
+
+
+def test_a_dropped_piece_of_keys_fails_the_probe(monkeypatch, tmp_path):
+    # The keys per length are checked against the sphere sizes, so a walk
+    # that loses a piece, here its last one, cannot pass.
+    real = words._key_chunks
+
+    def dropping(*args):
+        yield from list(real(*args))[:-1]
+
+    monkeypatch.setattr(words, "_key_chunks", dropping)
+    with pytest.raises(VerificationFailed, match="keys per length"):
+        faithfulness_probe(CC5, 2, 4)
+    path = tmp_path / "cc5.diagram"
+    path.write_text(serialize_diagram(CC5))
+    assert main(["words", str(path), "--max-len", "4"]) == 1
 
 
 def test_probe_counts_colliding_images_like_the_oracle(monkeypatch):
@@ -528,8 +562,9 @@ def test_probe_is_injective_as_tits_vinberg_says(n, seed, t, max_len):
 def test_probe_memory_stays_below_the_row_keyed_table():
     # tracemalloc peak of the same call when every element kept its row in the
     # ball-wide table: 44,659,891 bytes (Python 3.11); keyed by one scalar it
-    # was about 21.1 MB with a parent and a letter per element, and is about
-    # 11.6 MB with one list of keys, so the bound is 60 % of the row-keyed peak.
+    # was about 21.1 MB with a parent and a letter per element, 13.5 MB with
+    # one list of keys, and is about 11.3 MB with the keys streamed into one
+    # set, so the bound is 60 % of the row-keyed peak.
     g = cycle_complement(7)
     tracemalloc.start()
     try:
@@ -539,6 +574,21 @@ def test_probe_memory_stays_below_the_row_keyed_table():
         tracemalloc.stop()
     assert rep.injective and rep.total_words == sum(growth_series(g, 7))
     assert peak < 0.6 * 44_659_891, peak
+
+
+def test_probe_memory_streams_the_keys_into_one_set():
+    # tracemalloc peak of the same call with every key in one list beside the
+    # set and one q-list per row of length 6: 59,079,472 bytes (Python 3.11);
+    # with the keys streamed into the set in chunks it is about 43.4 MB.
+    g = cycle_complement(7)
+    tracemalloc.start()
+    try:
+        rep = faithfulness_probe(g, 2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.injective and rep.total_words == 536_131
+    assert peak < 0.8 * 59_079_472, peak
 
 
 def test_an_int_d_gives_what_its_fraction_gives():
