@@ -264,14 +264,32 @@ def _normal_form(p: Poly) -> Poly:
     return -p if p.coeffs[-1] < 0 else p
 
 
+def _coprime_mod_p(f: Poly, g: Poly) -> bool:
+    """True proves gcd(f, g) = 1 in Z[x]; False gives no verdict.  When the prime p = 2^61 - 1
+    divides neither leading coefficient, gcd(f, g) keeps its degree mod p and divides both reductions."""
+    p = (1 << 61) - 1
+    a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
+    if not (a and b and a[-1] and b[-1] and all(c.__class__ is int for c in a + b)):
+        return False
+    while b:
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            top, shift = a[-1] * inverse % p, len(a) - len(b)
+            a[shift:] = [(x - top * y) % p for x, y in zip(a[shift:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Gcd by the Euclidean algorithm, primitive with a positive leading coefficient."""
+    """Gcd, primitive with a positive leading coefficient: 1 when _coprime_mod_p says so, else by Euclid."""
+    if _coprime_mod_p(f, g):
+        return Poly((1,))
     a, b = f, g
     while not b.is_zero():
         a, b = b, _positive_remainder(a, b).primitive()
-    if a.is_zero():
-        return a
-    return _normal_form(a)
+    return a if a.is_zero() else _normal_form(a)
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -356,31 +374,29 @@ class Interval:
 # -- real-root counting ---------------------------------------------------------
 
 
-def _sign_at(p: Poly, x) -> int:
-    """Exact sign of p(x), x = a/b in lowest terms, from homogenized Horner:
-    b^deg p(a/b) = sum c_i a^i b^(deg - i), in integers for an integer p."""
-    a, b = x.numerator, x.denominator
-    acc = 0
-    power = 1
+def _sign_at(p: Poly, x, b: int = 1) -> int:
+    """Exact sign of p(x/b), x rational and b > 0 an int, from homogenized Horner at
+    x/b = a/b': b'^deg p(a/b') = sum c_i a^i b'^(deg - i), in integers for an integer p."""
+    a, b, acc, power = x.numerator, x.denominator * b, 0, 1
     for c in reversed(p.coeffs):
         acc = acc * a + c * power
         power *= b
     return (acc > 0) - (acc < 0)
 
 
-def roots_above(f: Poly, x) -> int:
-    """Roots of a real-rooted squarefree f above a rational x (Budan-Fourier).
+def roots_above(f: Poly, x, b: int = 1) -> int:
+    """Roots of a real-rooted squarefree f above x/b, x rational, b > 0 an int (Budan-Fourier).
 
     The sign variations of f(x), f'(x), f''(x), ..., zeros skipped, exceed
     that count by an even number, which is 0 for a real-rooted f (Basu,
     Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
     Squarefree makes every derivative real-rooted with simple roots, so
     where one vanishes its neighbours have opposite signs (Laguerre) and
-    skipping it keeps the count exact, at a root of f too.  For x = a/b the
-    Taylor shift of h(y) = b^deg f(y/b) by a has j-th coefficient
-    b^(deg - j) f^(j)(x) / j!, in integers when f's coefficients are.
+    skipping it keeps the count exact, at a root of f too.  For the point a/b,
+    coprime or not, the Taylor shift of h(y) = b^deg f(y/b) by a has j-th
+    coefficient b^(deg - j) f^(j)(a/b) / j!, in integers when f's are.
     """
-    a, b, n = x.numerator, x.denominator, len(f.coeffs) - 1
+    a, b, n = x.numerator, x.denominator * b, len(f.coeffs) - 1
     taylor = [c * b ** (n - i) for i, c in enumerate(f.coeffs)]
     for i in range(n if a else 0):
         for j in range(n - 1, i - 1, -1):

@@ -19,16 +19,16 @@ pass over the integer matrix M_{2^bits}, with 2^bits past twice a Hadamard
 bound on their coefficients: its pivots are the minors at d = 2^bits, and
 their balanced base-2^bits digits are the coefficients (Kronecker
 substitution).  Roots are located by Budan-Fourier counts and bisection
-on real-rooted squarefree polynomials, with signs in integers; epsilon
-counts on q(y) = det(I - y A_k^2), half the degree of p(d)p(-d).  The final
-checks are re-verified exactly before anything is returned.
+on real-rooted squarefree polynomials, with signs in integers; epsilon walks
+(0, B) on q(y) = det(I - y A_k^2), counting nowhere past Fujiwara's bound, and
+screens gcds modulo 2^61 - 1.  Final checks are re-verified exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
@@ -42,13 +42,12 @@ from .exactcore import (
     cauchy_root_bound,
     leading_principal_minors,
     poly_gcd,
-    quad_sign,
     refine_root_interval,
     root_intervals,
     roots_above,
     squarefree_part,
 )
-from .exactcore.poly import poly_from_balanced_digits
+from .exactcore.poly import _sign_at, poly_from_balanced_digits
 
 # epsilon when the cap at 1 binds (pencils whose minors have no root in (0, 1)).
 _EPSILON_CAP = Fraction(1023, 1024)
@@ -120,30 +119,56 @@ def _half_square(p: Poly) -> Poly:
     return squarefree_part(Poly((p * mirrored).coeffs[::2]))
 
 
+def _root_power_bound(q: Poly) -> Fraction:
+    """U, the least power of two at or above Fujiwara's bound (Tohoku Math. J. 10, 1916)
+    2 max(|a_(n-i)/a_n|^(1/i) for i < n, |a_0/(2 a_n)|^(1/n)) on q = sum a_i y^i's roots."""
+    n, lead, exponents = q.degree, abs(q.leading), []
+    for j, c in enumerate(map(abs, q.coeffs[:-1])):
+        a = lead if j else 2 * lead
+        if c:  # L, the least with 2^L >= c/a, then the least m with m i >= L, i = n - j
+            log = ((c + a - 1) // a - 1).bit_length() if c > a else 1 - (a // c).bit_length()
+            exponents.append(-(-log // (n - j)))
+    return Fraction(2) ** (1 + max(exponents))
+
+
 def _smallest_abs_root(q: Poly) -> tuple[Poly, Interval] | None:
     """Isolate min |root| of a minor as the smallest positive root of q(d^2), q its _half_square.
 
     Returns (q(d^2), the squarefree part of p(d)p(-d) up to a constant, and
-    its isolating interval) or None when p has no real roots.  With Q(y) =
-    roots_above(q, y) and R = Q(0), q(d^2) has Q(x^2) roots above x >= 0 and
-    2R - Q(x^2) above x < 0; those counts bisect its symmetric Cauchy
-    interval, first at 0, walking only the path to the first root right of 0.
+    its isolating interval) or None when p has no real roots.  The walk is
+    root_intervals(q(d^2))'s right of its split at 0, then refine_root_interval's
+    while lo = 0, on integers over one denominator, counting by roots_above(q, x^2);
+    where x^2 > U = _root_power_bound(q), past all q's roots, the count is 0, the sign q's leading one.
     """
-    if q.degree < 1:
+    if not (count := roots_above(q, 0)):
         return None
-    even = Poly(tuple(c for a in q.coeffs for c in (a, 0)))
-    twice_r = 2 * roots_above(q, Fraction(0))
+    even, top = Poly(tuple(c for a in q.coeffs for c in (a, 0))), _root_power_bound(q)
+    if roots_above(q, top) != 0:
+        raise VerificationFailed(f"{q} has a root above Fujiwara's bound {top}")
 
-    def count_above(x: Fraction) -> int:
-        above_square = roots_above(q, x * x)
-        return above_square if x >= 0 else twice_r - above_square
-
-    for iv in root_intervals(even, count_above, above=0):
-        if iv.lo >= 0:
-            while iv.lo == 0:
-                iv = refine_root_interval(even, iv, iv.width / 4)
-            return even, iv
-    return None
+    def at(f, u: int, den: int, beyond: int) -> int:  # f(q, (u/den)^2), or beyond where (u/den)^2 > U
+        return beyond if u * u * top.denominator > top.numerator * den * den else f(q, u * u, den * den)
+    lo, (hi, den), a_lo = 0, cauchy_root_bound(even).as_integer_ratio(), count
+    while count > 1 or lo == 0:
+        if count > 1:  # root_intervals' step, at _nonroot_point's point over 4 den, 8 den, ...
+            scale, mid = 4, 2 * (lo + hi)
+            while at(_sign_at, mid, scale * den, 1) == 0:
+                scale, mid = 2 * scale, 2 * (mid + hi - lo)
+            lo, hi, den = lo * scale, hi * scale, den * scale
+            a_mid = at(roots_above, mid, den, 0)
+            # the first root lies in (lo, mid) if a_lo > a_mid, else in (mid, hi)
+            lo, hi, count, a_lo = (lo, mid, a_lo - a_mid, a_lo) if a_lo > a_mid else (mid, hi, count, a_mid)
+        else:  # refine_root_interval(q(d^2), iv, iv.width / 4) from lo = 0
+            lo, hi, den, radius = 0, 8 * hi, 8 * den, hi  # a root hit dead on gets width / 8 each side
+            for _ in range(2):
+                mid = (lo + hi) // 2
+                if not (s_mid := at(_sign_at, mid, den, 1)):
+                    lo, hi = mid - radius, mid + radius
+                    break
+                lo, hi = (mid, hi) if s_mid * q.coeffs[0] > 0 else (lo, mid)
+        common = gcd(lo, hi, den)
+        lo, hi, den = lo // common, hi // common, den // common
+    return even, Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 def _gcd_root_in_overlap(f: Poly, g: Poly, lo: Fraction, hi: Fraction) -> bool:
@@ -151,7 +176,7 @@ def _gcd_root_in_overlap(f: Poly, g: Poly, lo: Fraction, hi: Fraction) -> bool:
 
     Their gcd is h(d^2), h the gcd of their halves: a real-rooted squarefree factor of a q."""
     h = poly_gcd(Poly(f.coeffs[::2]), Poly(g.coeffs[::2]))
-    return h(lo * lo) == 0 or roots_above(h, lo * lo) != roots_above(h, hi * hi)
+    return _sign_at(h, lo * lo) == 0 or roots_above(h, lo * lo) != roots_above(h, hi * hi)
 
 
 def _minimum_of_algebraics(candidates: list[tuple[Poly, Interval]]) -> tuple[Poly, Interval]:
@@ -193,8 +218,7 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
     halves = [_half_square(p) for p in minors]
     candidates = [found for found in map(_smallest_abs_root, halves) if found is not None]
     if not candidates:
-        rho_interval = None
-        epsilon = _EPSILON_CAP
+        rho_interval, epsilon = None, _EPSILON_CAP
     else:
         even, rho_interval = _minimum_of_algebraics(candidates)
         while rho_interval.lo <= 0 or rho_interval.width >= rho_interval.lo / 1024:
@@ -209,7 +233,7 @@ def _verify_epsilon(minors: list[Poly], halves: list[Poly], epsilon: Fraction) -
         raise VerificationFailed(f"epsilon {epsilon} outside (0, 1)")
     for k, (p, q) in enumerate(zip(minors, halves), start=1):
         for point in (epsilon, -epsilon):
-            if quad_sign(p(point)) <= 0:
+            if _sign_at(p, point) <= 0:
                 raise VerificationFailed(f"minor {k} not positive at d = {point}")
         # p(0) = 1, and q has a root on (0, epsilon^2] iff p has one on [-epsilon, epsilon]
         if roots_above(q, Fraction(0)) != roots_above(q, epsilon * epsilon):

@@ -6,7 +6,10 @@ package's counts, which hold only on real-rooted squarefree polynomials.
 smallest_abs_root isolates on the squarefree part of p(d)p(-d) itself;
 epsilon_threshold, d_threshold and observed_roots repeat the package's
 functions of those names step for step with Sturm counts in place of
-roots_above, so their results must agree exactly.
+roots_above, so their results must agree exactly.  generic_smallest_abs_root
+is the walk gram._smallest_abs_root replaced: the generic root_intervals
+on q(d^2) with Fraction points, Budan-Fourier counts at every point and its
+symmetric Cauchy interval split at 0.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from coxcert.errors import VerificationFailed
 from coxcert.exactcore import Poly, cauchy_root_bound, poly_gcd, quad_sign, refine_root_interval, squarefree_part
-from coxcert.exactcore.poly import count_roots, isolate_real_roots, root_intervals, sturm_sequence
+from coxcert.exactcore.poly import count_roots, isolate_real_roots, root_intervals, roots_above, sturm_sequence
 from coxcert.gram import _EPSILON_CAP, minor_polynomials
 
 _REFINE_WIDTH = Fraction(1, 10**12)
@@ -29,6 +32,30 @@ def smallest_abs_root(p: Poly):
     even = squarefree_part(p * mirrored)
     chain = sturm_sequence(even)
     for iv in root_intervals(chain[0], lambda x: count_roots(chain, x), above=0):
+        if iv.lo >= 0:
+            while iv.lo == 0:
+                iv = refine_root_interval(even, iv, iv.width / 4)
+            return even, iv
+    return None
+
+
+def generic_smallest_abs_root(q: Poly):
+    """(q(d^2), first isolating interval right of 0) by root_intervals, or None.
+
+    With Q(y) = roots_above(q, y) and R = Q(0), q(d^2) has Q(x^2) roots above
+    x >= 0 and 2R - Q(x^2) above x < 0; those counts bisect its symmetric
+    Cauchy interval, first at 0, walking only the path to the first root
+    right of 0."""
+    if q.degree < 1:
+        return None
+    even = Poly(tuple(c for a in q.coeffs for c in (a, 0)))
+    twice_r = 2 * roots_above(q, Fraction(0))
+
+    def count_above(x: Fraction) -> int:
+        above_square = roots_above(q, x * x)
+        return above_square if x >= 0 else twice_r - above_square
+
+    for iv in root_intervals(even, count_above, above=0):
         if iv.lo >= 0:
             while iv.lo == 0:
                 iv = refine_root_interval(even, iv, iv.width / 4)

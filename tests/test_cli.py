@@ -17,6 +17,8 @@ from coxcert.errors import VerificationFailed
 from coxcert.exactcore import Poly
 from coxcert.gram import _minor_polynomials_cached, gram_pencil
 
+from _suite import random_connected_diagram
+
 K3_TEXT = "n 3\nedge 1 2\nedge 1 3\nedge 2 3\n"
 P3_TEXT = "n 3\nedge 1 2\nedge 2 3\n"
 
@@ -132,6 +134,22 @@ _PINNED_ANALYSES = {
     "two P3": (
         "n 6\nedge 1 2\nedge 2 3\nedge 4 5\nedge 5 6\n",
         "161cbcc9c6b2696693cdb25206852470e381472f98b2b9f2d6c2ac063b1dd8b9",
+    ),
+    # The n = 32 ladder, computed at 87a3fef, before the epsilon walk moved
+    # to integer points on the positive half: a spanning tree plus each other
+    # pair at rate 0.05 (random.Random(3)) and 0.7 (random.Random(2)).
+    "cc32": (cycle_complement(32), "895fe4dd5262dd8b2d60154a628eb5063dece084eebf9738c98b030e7934bd96"),
+    "P32": (
+        CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32))),
+        "ea889448319b8be061cec2d5fc3f38c572bdfc72455f7012c522c063aeb60120",
+    ),
+    "rand32/0.05": (
+        random_connected_diagram(random.Random(3), 32, 0.05),
+        "71fb4432a791bce58c3187ebc09851fba0a71912c171378cc0f06d172d2ae1ea",
+    ),
+    "rand32/0.7": (
+        random_connected_diagram(random.Random(2), 32, 0.7),
+        "eed87ed85bad0fd0f27efda58c5510a2e02614fc9a8c134b8dd783952e808a68",
     ),
 }
 

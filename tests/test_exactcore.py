@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +29,13 @@ from coxcert.exactcore import (
     transpose,
 )
 from coxcert.exactcore.linalg import bareiss_det, char_poly, mat_mul, signature_of
+from coxcert.exactcore import poly as poly_module
 from coxcert.exactcore.poly import (
+    _coprime_mod_p,
     count_roots,
     isolate_real_roots,
     poly_from_balanced_digits,
+    poly_gcd,
     squarefree_decomposition,
     sturm_sequence,
 )
@@ -275,6 +280,68 @@ def test_squarefree_decomposition_multiplicity():
     mults = sorted(m for _f, m in decomp)
     assert mults == [1, 3]
     assert squarefree_part(p).degree == 2
+
+
+# -- the gcd screen modulo 2^61 - 1 ---------------------------------------------
+
+SCREEN_PRIME = (1 << 61) - 1
+
+
+def _euclid_gcd(f: Poly, g: Poly) -> Poly:
+    """poly_gcd with the modular screen off: the Euclidean algorithm alone."""
+    with patch.object(poly_module, "_coprime_mod_p", lambda f, g: False):
+        return poly_gcd(f, g)
+
+
+def test_gcd_screen_pinned_cases():
+    x = Poly((0, 1))
+    shared = SCREEN_PRIME * x + 1  # vanishes to the constant 1 modulo p
+    # p divides a leading coefficient: the reductions x + 1 and x + 2 are
+    # coprime although f and g share p x + 1, so the screen must not decide
+    f, g = shared * (x + 1), shared * (x + 2)
+    assert not _coprime_mod_p(f, g) and not _coprime_mod_p(g, f)
+    assert poly_gcd(f, g) == shared
+    assert _coprime_mod_p(x + 1, x + 2) and poly_gcd(x + 1, x + 2) == Poly((1,))
+    assert not _coprime_mod_p((x + 1) * (x + 3), (x + 1) * (x + 2))
+    # coprime over Z, equal modulo p: no verdict, and Euclid finds gcd 1
+    assert not _coprime_mod_p(x + 1 + SCREEN_PRIME, x + 1)
+    assert poly_gcd(x + 1 + SCREEN_PRIME, x + 1) == Poly((1,))
+    assert _coprime_mod_p(Poly((3,)), Poly((6,))) and poly_gcd(Poly((3,)), Poly((6,))) == Poly((1,))
+    assert not _coprime_mod_p(Poly(()), x) and poly_gcd(Poly(()), 2 * x) == x
+    assert not _coprime_mod_p(Poly((F(1, 2), 1)), x)  # Fraction coefficients go to Euclid
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nonzero_int_polys, nonzero_int_polys, nonzero_int_polys, st.sampled_from(["coprime?", "shared", "p | lead"]))
+def test_gcd_screen_matches_euclid(a, b, common, kind):
+    # random pairs, pairs sharing a factor, and pairs whose leading coefficient p divides
+    f, g = (a, b) if kind == "coprime?" else (a * common, b * common)
+    if kind == "p | lead":
+        f = f + Poly((0,) * len(f.coeffs) + (SCREEN_PRIME * (common.degree + 1),))
+    verdict, expected = _coprime_mod_p(f, g), _euclid_gcd(f, g)
+    if verdict:
+        assert expected == Poly((1,)), (f, g)
+    if kind == "p | lead":
+        assert not verdict and not _coprime_mod_p(g, f), (f, g)
+    if kind == "shared" and common.degree >= 1:
+        assert not verdict, (f, g)
+    assert poly_gcd(f, g) == expected
+
+
+def test_gcd_screen_settles_coprime_integer_pairs():
+    # the screen is not idle: on coprime pairs from Z[x] without p in a
+    # leading coefficient it decides every one
+    rng = random.Random(61)
+    decided = 0
+    for _ in range(200):
+        f = Poly([rng.randrange(-10**30, 10**30) for _ in range(rng.randrange(2, 12))])
+        g = Poly([rng.randrange(-10**30, 10**30) for _ in range(rng.randrange(2, 12))])
+        if _euclid_gcd(f, g) == Poly((1,)):
+            decided += _coprime_mod_p(f, g)
+            assert poly_gcd(f, g) == Poly((1,))
+        else:
+            decided += 1
+    assert decided == 200
 
 
 @settings(max_examples=120, deadline=None)

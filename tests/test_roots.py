@@ -7,7 +7,10 @@ chains count the distinct roots of any polynomial, so they are the oracle
 here: the counts are pinned to count_roots(sturm_sequence(f), x) on
 products of distinct rational linear factors, whose roots are also known
 exactly, and on the squarefree parts of det(I - y A^2) for random diagrams.
-The hypothesis tests are derandomized, so every run sees the same cases.
+epsilon's own walk, on integer points of the positive half, is pinned to
+the generic root_intervals walk it replaced, and its power-of-two bound U
+to Fujiwara's; it must make no count above U.  The hypothesis tests are
+derandomized, so every run sees the same cases.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from coxcert import d_threshold, epsilon_threshold, gram_pencil, minor_polynomia
 from coxcert.cyclecheck import _observed_roots
 from coxcert.exactcore import Poly, cauchy_root_bound, roots_above, squarefree_part
 from coxcert.exactcore.poly import count_roots, isolate_real_roots, sturm_sequence
-from coxcert.gram import _half_square, _smallest_abs_root, pencil_char_poly
+from coxcert.gram import _half_square, _root_power_bound, _smallest_abs_root, pencil_char_poly
 
 import _gram_oracle as oracle
 from _suite import acceptance_suite, random_connected_diagram
@@ -123,13 +126,56 @@ def _real_rooted_minor(inverse_roots) -> Poly:
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool), min_size=1, max_size=6))
 @example([F(2), F(-1), F(-1)])  # K3's det (1 - 2d)(1 + d)^2: q = (1 - 4y)(1 - y)^2 is not squarefree
+@example([F(1)])  # q = y - 1: its root is U = 2^0, and the walk's first refinement point hits it
+@example([F(1, 2), F(-1, 2), F(1, 2)])  # q = y - 4, repeated: the root is U = 2^2
+@example([F(1), F(1, 2), F(1)])  # q = (y - 1)(y - 4): roots at 2^0 and 2^2, below U = 2^4
+@example([F(-5, 3), F(1), F(-1), F(5)])  # a bisection point is a root of q(d^2), so the walk moves off it
 def test_smallest_abs_root_matches_the_sturm_walk(inverse_roots):
     # p = prod(1 - r d) is real-rooted with p(0) = 1, like a minor, and may
     # repeat roots or hold both r and -r
     p = _real_rooted_minor(inverse_roots)
-    even, iv = _smallest_abs_root(_half_square(p))
+    q = _half_square(p)
+    even, iv = _smallest_abs_root(q)
     expected_even, expected_iv = oracle.smallest_abs_root(p)
     assert (even, iv) == (expected_even, expected_iv)
+    assert (even, iv) == oracle.generic_smallest_abs_root(q)
+    _check_root_power_bound(q)
+
+
+def _check_root_power_bound(q: Poly) -> None:
+    """U = _root_power_bound(q) is the least power of two at or above Fujiwara's
+    bound F = 2 max(|a_(n-i)/a_n|^(1/i), i < n, |a_0/(2 a_n)|^(1/n)), and no root of q exceeds it."""
+    top, n = _root_power_bound(q), q.degree
+    assert top.numerator == 1 or top.denominator == 1
+    assert (top.numerator * top.denominator).bit_count() == 1  # a power of two
+    terms = [(F(abs(q.coeffs[n - i]), abs(q.leading) * (2 if i == n else 1)), i) for i in range(1, n + 1)]
+    # x >= F iff (x/2)^i >= each ratio; U >= F and U/2 < F
+    assert all((top / 2) ** i >= ratio for ratio, i in terms), q
+    assert not all((top / 4) ** i >= ratio for ratio, i in terms), q
+    assert roots_above(q, top) == 0
+
+
+def test_the_walk_counts_no_roots_above_the_power_bound(monkeypatch):
+    # every roots_above call the walk makes on q is at a point at most U;
+    # above U the walk answers 0 itself
+    calls = []
+
+    def spy(f, x, b=1):
+        calls.append((f, F(x) / b))
+        return roots_above(f, x, b)
+
+    monkeypatch.setattr("coxcert.gram.roots_above", spy)
+    for name, g in acceptance_suite():
+        for p in minor_polynomials(gram_pencil(g)):
+            q = _half_square(p)
+            calls.clear()
+            found = _smallest_abs_root(q)
+            if q.degree < 1:
+                continue
+            top = _root_power_bound(q)
+            assert all(f == q for f, _ in calls), name
+            assert all(point <= top for _, point in calls), (name, q, top)
+            assert (q, top) in calls and found == oracle.generic_smallest_abs_root(q), name
 
 
 def _oracle_diagrams():
@@ -147,6 +193,7 @@ def test_thresholds_match_the_sturm_oracle():
             q = _half_square(p)
             assert squarefree_part(q) == q, name  # else a multiple root never isolates
             assert _smallest_abs_root(q) == oracle.smallest_abs_root(p), name
+            assert _smallest_abs_root(q) == oracle.generic_smallest_abs_root(q), name
         assert epsilon_threshold(pencil) == oracle.epsilon_threshold(pencil), name
         d_value, largest = d_threshold(pencil)
         assert (d_value, largest) == oracle.d_threshold(pencil), name
