@@ -7,7 +7,7 @@ alpha in Z[sqrt m] with alpha >= max(1/epsilon, D), and certifies the
 reflection representation at alpha: group relations, integrality,
 preservation of an indefinite form, compactness of the Galois-conjugate
 form, Zariski density via the bracket-closure trace (vertex pairs counted
-by graph distance), and a finite faithfulness probe.  All verdicts come
+by graph distance), and faithfulness by Vinberg's theorem.  All verdicts come
 from exact arithmetic over Q and Q(sqrt m); floats appear only in reports.
 """
 

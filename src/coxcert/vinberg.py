@@ -20,8 +20,8 @@ The embedding certificate keeps the report of every stage for one diagram
 and one quadratic ring: thresholds, the chosen unit alpha with its Galois
 checks, the Z[d] identities, integrality at alpha, compactness of the
 conjugate form, the Lie bracket density trace at t = D (read off graph
-distances), a short faithfulness probe and, for a cycle complement, its
-closed-form checks.
+distances), the faithfulness probe (sphere sizes, faithful by Vinberg's
+theorem at t = D >= 1) and, for a cycle complement, its closed-form checks.
 """
 
 from __future__ import annotations

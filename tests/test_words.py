@@ -6,8 +6,11 @@ commuting pair): it finds the true shortest length and the lexicographically
 least shortest word with no shortcuts, so any disagreement indicts the
 incremental algorithm.  Growth counts are checked against the clique
 polynomial's growth series and against the renormalising normal-form walk
-in `_words_oracle`, and the descent-set probe against that module's
-normal-form, whole-matrix probe.
+in `_words_oracle`.  The probe's verdict rests on Vinberg's theorem, so its
+report is pinned against that module's normal-form, whole-matrix ball, and
+the theorem itself is checked by the module's key walk, `key_walk_probe`,
+whose own tests (chunking, dropped pieces, forced collisions, memory, key
+formulas) patch that module, not `words`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,16 @@ from coxcert.diagram import serialize_diagram
 from coxcert.errors import BallTooLarge, IndexOutOfRange, VerificationFailed
 from coxcert.vinberg import reflection_actions, times_reflection
 
+import _words_oracle as oracle
 from _suite import acceptance_suite, growth_series, probe_length, random_connected_diagram, suite_thresholds
-from _words_oracle import _packed_integer_images, exact_ball, matrix_image_probe, normal_form, normal_form_layers
+from _words_oracle import (
+    _packed_integer_images,
+    exact_ball,
+    key_walk_probe,
+    matrix_image_probe,
+    normal_form,
+    normal_form_layers,
+)
 
 F = Fraction
 
@@ -263,28 +274,33 @@ def test_a_radius_one_ball_is_sized_before_its_only_layer(monkeypatch):
 
 
 def test_a_radius_two_ball_is_sized_from_the_identity(monkeypatch):
-    # At radius 2 both walks take their last two layers straight from the
-    # identity: the ball, 1 + 3 + 6 elements, is sized from its masks, and
-    # neither a row nor a normal form is built, under the cap or over it.
+    # At radius 2 both walks, the enumeration and the oracle's key walk, take
+    # their last two layers straight from the identity: the ball, 1 + 3 + 6
+    # elements, is sized from its masks, and neither a row nor a normal form
+    # is built, under the cap or over it.
     built = []
-    real_row, real_letter = words.reflect_row, words.append_letter
-    monkeypatch.setattr(words, "reflect_row", lambda *a: built.append(a) or real_row(*a))
+    real_row, real_letter = oracle.reflect_row, words.append_letter
+    monkeypatch.setattr(oracle, "reflect_row", lambda *a: built.append(a) or real_row(*a))
     monkeypatch.setattr(words, "append_letter", lambda *a: built.append(a) or real_letter(*a))
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 10)
     assert enumerate_by_length(K3, 2) == [1, 3, 6]
     assert faithfulness_probe(K3, 2, 2).word_counts == (1, 3, 6)
+    assert key_walk_probe(K3, 2, 2).word_counts == (1, 3, 6)
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 9)
     with pytest.raises(BallTooLarge):
         enumerate_by_length(K3, 2)
     with pytest.raises(BallTooLarge):
         faithfulness_probe(K3, 2, 2)
+    with pytest.raises(BallTooLarge):
+        key_walk_probe(K3, 2, 2)
     assert built == []
 
 
 def test_probe_builds_rows_only_for_layers_it_grows(monkeypatch):
-    # One row per element of lengths 1..max_len - 2; the last two layers get keys alone.
+    # The oracle's key walk builds one row per element of lengths
+    # 1..max_len - 2; the last two layers get keys alone.
     g = cycle_complement(7)
-    real = words.reflect_row
+    real = oracle.reflect_row
     calls = 0
 
     def counting(row, action):
@@ -292,28 +308,29 @@ def test_probe_builds_rows_only_for_layers_it_grows(monkeypatch):
         calls += 1
         return real(row, action)
 
-    monkeypatch.setattr(words, "reflect_row", counting)
-    rep = faithfulness_probe(g, 2, 6)
+    monkeypatch.setattr(oracle, "reflect_row", counting)
+    rep = key_walk_probe(g, 2, 6)
     assert list(rep.word_counts) == growth_series(g, 6)
     assert calls == sum(rep.word_counts[1:5])
 
 
 def test_recovered_parent_chains_spell_the_ball(monkeypatch):
     # A zero start row keys every element alike, so every element but the
-    # identity has its parent and letter recomputed by `_parent`.  Spelled out
-    # along those chains, each layer holds words of its own length with
-    # pairwise distinct normal forms, as many as the growth series says.
+    # identity has its parent and letter recomputed by the key walk's
+    # `_parent`.  Spelled out along those chains, each layer holds words of
+    # its own length with pairwise distinct normal forms, as many as the
+    # growth series says.
     recovered = {}
-    real = words._parent
+    real = oracle._parent
 
     def recording(i, *ball):
         recovered[i] = real(i, *ball)
         return recovered[i]
 
-    monkeypatch.setattr(words, "_start_vector", _zeros)
-    monkeypatch.setattr(words, "_parent", recording)
+    monkeypatch.setattr(oracle, "_start_vector", _zeros)
+    monkeypatch.setattr(oracle, "_parent", recording)
     expected = growth_series(CC5, 5)
-    assert list(faithfulness_probe(CC5, 2, 5).word_counts) == expected
+    assert list(key_walk_probe(CC5, 2, 5).word_counts) == expected
     assert sorted(recovered) == list(range(1, sum(expected)))
     spelled = [()]
     for i in range(1, sum(expected)):
@@ -331,9 +348,10 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
     # sphere sizes are counted from the descent masks before the walk starts,
     # so the refusal comes before any row is built; sized from the masks of
     # length 3 it came after 29,760 rows, and counting only the elements
-    # already made, after 891,840 rows and about 1.3 GB.
+    # already made, after 891,840 rows and about 1.3 GB.  The production
+    # probe builds no row at all; the oracle's key walk refuses as early.
     g = cycle_complement(32)
-    real = words.reflect_row
+    real = oracle.reflect_row
     calls = 0
 
     def counting(row, action):
@@ -343,9 +361,12 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
             raise AssertionError("the probe built rows for a ball it refuses")
         return real(row, action)
 
-    monkeypatch.setattr(words, "reflect_row", counting)
+    monkeypatch.setattr(oracle, "reflect_row", counting)
+    d = d_threshold(gram_pencil(g))[0]
     with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
-        faithfulness_probe(g, d_threshold(gram_pencil(g))[0], 5)
+        faithfulness_probe(g, d, 5)
+    with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
+        key_walk_probe(g, d, 5)
 
 
 def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypatch):
@@ -393,17 +414,48 @@ def _e1(n):
     return (1,) + (0,) * (n - 1)
 
 
+def _pin_mismatches() -> list:
+    """The `_probe_cases` on which the production report differs from the
+    whole-matrix report of `exact_ball`."""
+    mismatches = []
+    for name, g, t, max_len in _probe_cases():
+        expected, _ = exact_ball(g, t, max_len, oracle._start_vector(g.n), oracle._key_vector(g.n))
+        if faithfulness_probe(g, t, max_len) != expected:
+            mismatches.append((name, t, max_len))
+    return mismatches
+
+
+def test_probe_report_is_the_exact_ball_report():
+    # The production report, the sphere sizes twice, is the whole-matrix
+    # oracle's on every case, the edgeless radii and the quadratic point included.
+    assert _pin_mismatches() == []
+
+
+def test_an_off_by_one_sphere_fails_the_exact_ball_pin(monkeypatch):
+    # The pin sees a sphere size one too large, even the padding past the
+    # longest element of (Z/2)^4.
+    real = words._sphere_sizes
+
+    def off_by_one(growths, max_len):
+        sizes = real(growths, max_len)
+        return sizes[:-1] + [sizes[-1] + 1]
+
+    monkeypatch.setattr(words, "_sphere_sizes", off_by_one)
+    assert len(_pin_mismatches()) == len(list(_probe_cases()))
+
+
 def test_probe_matches_matrix_image_oracle(monkeypatch):
-    # A zero start row or key column keys every element alike, and e1 keys
-    # many alike, so those runs count every image through the rebuilt matrices.
-    default = (words._start_vector, words._key_vector)
+    # The oracle's key walk: a zero start row or key column keys every element
+    # alike, and e1 keys many alike, so those runs count every image through
+    # the rebuilt matrices.
+    default = (oracle._start_vector, oracle._key_vector)
     vectors = (default, (_zeros, default[1]), (_e1, default[1]), (default[0], _zeros), (default[0], _e1))
     for name, g, t, max_len in _probe_cases():
         expected, _ = exact_ball(g, t, max_len, default[0](g.n), default[1](g.n))
         for start, key in vectors:
-            monkeypatch.setattr(words, "_start_vector", start)
-            monkeypatch.setattr(words, "_key_vector", key)
-            assert faithfulness_probe(g, t, max_len) == expected, (name, t, start(g.n), key(g.n))
+            monkeypatch.setattr(oracle, "_start_vector", start)
+            monkeypatch.setattr(oracle, "_key_vector", key)
+            assert key_walk_probe(g, t, max_len) == expected, (name, t, start(g.n), key(g.n))
 
 
 def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
@@ -411,9 +463,9 @@ def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
     # last two layers (key(ws) and key(wsu) by c_s and e_su), is x * R_w * y
     # for the oracle's matrix R_w of an element of its length: layer by layer
     # the keys and those products agree as multisets.  The keys are taken
-    # from the pieces each walk of the probe streams, per length.
+    # from the pieces each walk of the oracle's key walk streams, per length.
     walks = []
-    real = words._key_chunks
+    real = oracle._key_chunks
 
     def capturing(*args):
         walks.append(layers := {})
@@ -421,11 +473,11 @@ def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
             layers.setdefault(length, []).extend(piece)
             yield length, piece
 
-    monkeypatch.setattr(words, "_key_chunks", capturing)
+    monkeypatch.setattr(oracle, "_key_chunks", capturing)
     for name, g, t, max_len in _probe_cases():
         walks.clear()
-        faithfulness_probe(g, t, max_len)
-        _, products = exact_ball(g, t, max_len, words._start_vector(g.n), words._key_vector(g.n))
+        key_walk_probe(g, t, max_len)
+        _, products = exact_ball(g, t, max_len, oracle._start_vector(g.n), oracle._key_vector(g.n))
         assert walks
         for layers in walks:
             assert set(layers) <= set(range(len(products))), (name, t, max_len)
@@ -435,28 +487,31 @@ def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
 
 @pytest.mark.parametrize("chunk_rows", [1, 3])
 def test_probe_in_small_chunks_matches_the_oracle(monkeypatch, chunk_rows):
-    # The last two layers come a few parent rows at a time; the counts do not
-    # depend on the chunk size, with distinct keys or with keys forced to collide.
-    monkeypatch.setattr(words, "_CHUNK_ROWS", chunk_rows)
-    default = (words._start_vector, words._key_vector)
+    # The key walk's last two layers come a few parent rows at a time; the
+    # counts do not depend on the chunk size, with distinct keys or with keys
+    # forced to collide.
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk_rows)
+    default = (oracle._start_vector, oracle._key_vector)
     for name, g, t, max_len in _probe_cases():
         expected, _ = exact_ball(g, t, max_len, default[0](g.n), default[1](g.n))
         for start in (default[0], _zeros):
-            monkeypatch.setattr(words, "_start_vector", start)
-            assert faithfulness_probe(g, t, max_len) == expected, (name, t, max_len, start(g.n))
+            monkeypatch.setattr(oracle, "_start_vector", start)
+            assert key_walk_probe(g, t, max_len) == expected, (name, t, max_len, start(g.n))
 
 
 def test_a_dropped_piece_of_keys_fails_the_probe(monkeypatch, tmp_path):
-    # The keys per length are checked against the sphere sizes, so a walk
-    # that loses a piece, here its last one, cannot pass.
-    real = words._key_chunks
+    # The key walk checks its keys per length against the sphere sizes, so a
+    # walk that loses a piece, here its last one, cannot pass; run in place of
+    # the probe, it makes the command line exit 1.
+    real = oracle._key_chunks
 
     def dropping(*args):
         yield from list(real(*args))[:-1]
 
-    monkeypatch.setattr(words, "_key_chunks", dropping)
+    monkeypatch.setattr(oracle, "_key_chunks", dropping)
     with pytest.raises(VerificationFailed, match="keys per length"):
-        faithfulness_probe(CC5, 2, 4)
+        key_walk_probe(CC5, 2, 4)
+    monkeypatch.setattr("coxcert.cli.faithfulness_probe", key_walk_probe)
     path = tmp_path / "cc5.diagram"
     path.write_text(serialize_diagram(CC5))
     assert main(["words", str(path), "--max-len", "4"]) == 1
@@ -468,10 +523,9 @@ def test_probe_counts_colliding_images_like_the_oracle(monkeypatch):
     def commuting_actions(g, t):
         return reflection_actions(CoxeterDiagram(g.n, frozenset()), t)
 
-    monkeypatch.setattr(words, "reflection_actions", commuting_actions)
-    monkeypatch.setattr("_words_oracle.reflection_actions", commuting_actions)
+    monkeypatch.setattr(oracle, "reflection_actions", commuting_actions)
     for g in (K3, P3, CC5):
-        rep = faithfulness_probe(g, 2, 5)
+        rep = key_walk_probe(g, 2, 5)
         assert rep == matrix_image_probe(g, 2, 5)
         assert not rep.injective
         assert rep.total_images == 2**g.n
@@ -553,22 +607,25 @@ def test_probe_is_injective_as_tits_vinberg_says(n, seed, t, max_len):
     # B = -t <= -1 on the others, so by Vinberg's theorem (Humphreys, Reflection
     # Groups and Coxeter Groups, 5.3-5.4) the representation is faithful; the
     # word counts come from the clique polynomial, independently of any walk.
+    # The production report takes the theorem for granted, and the oracle's
+    # key walk, counting distinct keys and matrices, checks it.
     g = random_connected_diagram(random.Random(seed), n)
     rep = faithfulness_probe(g, t, max_len)
     assert rep.injective
     assert list(rep.word_counts) == growth_series(g, max_len)
+    assert key_walk_probe(g, t, max_len) == rep
 
 
 def test_probe_memory_stays_below_the_row_keyed_table():
-    # tracemalloc peak of the same call when every element kept its row in the
-    # ball-wide table: 44,659,891 bytes (Python 3.11); keyed by one scalar it
-    # was about 21.1 MB with a parent and a letter per element, 13.5 MB with
+    # tracemalloc peak of the same key walk when every element kept its row in
+    # the ball-wide table: 44,659,891 bytes (Python 3.11); keyed by one scalar
+    # it was about 21.1 MB with a parent and a letter per element, 13.5 MB with
     # one list of keys, and is about 11.3 MB with the keys streamed into one
     # set, so the bound is 60 % of the row-keyed peak.
     g = cycle_complement(7)
     tracemalloc.start()
     try:
-        rep = faithfulness_probe(g, 2, 7)
+        rep = key_walk_probe(g, 2, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -577,9 +634,23 @@ def test_probe_memory_stays_below_the_row_keyed_table():
 
 
 def test_probe_memory_streams_the_keys_into_one_set():
-    # tracemalloc peak of the same call with every key in one list beside the
-    # set and one q-list per row of length 6: 59,079,472 bytes (Python 3.11);
-    # with the keys streamed into the set in chunks it is about 43.4 MB.
+    # tracemalloc peak of the same key walk with every key in one list beside
+    # the set and one q-list per row of length 6: 59,079,472 bytes (Python
+    # 3.11); with the keys streamed into the set in chunks it is about 43.4 MB.
+    g = cycle_complement(7)
+    tracemalloc.start()
+    try:
+        rep = key_walk_probe(g, 2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.injective and rep.total_words == 536_131
+    assert peak < 0.8 * 59_079_472, peak
+
+
+def test_probe_memory_holds_nothing_of_the_ball():
+    # The production probe counts descent masks only: its tracemalloc peak on
+    # the 536,131-element ball is about 5 KB, where the key walk's is 43.4 MB.
     g = cycle_complement(7)
     tracemalloc.start()
     try:
@@ -588,7 +659,7 @@ def test_probe_memory_streams_the_keys_into_one_set():
     finally:
         tracemalloc.stop()
     assert rep.injective and rep.total_words == 536_131
-    assert peak < 0.8 * 59_079_472, peak
+    assert peak < 1_000_000, peak
 
 
 def test_an_int_d_gives_what_its_fraction_gives():
