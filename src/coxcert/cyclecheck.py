@@ -35,7 +35,7 @@ from .exactcore import (
     root_intervals,
     squarefree_part,
 )
-from .gram import d_threshold, evaluate_pencil, gram_pencil, pencil_char_poly, stable_signature
+from .gram import d_threshold, gram_pencil, pencil_char_poly, stable_signature
 
 _REFINE_WIDTH = Fraction(1, 10**12)
 
@@ -61,11 +61,13 @@ def predicted_spectrum(n: int, t) -> SpectrumPrediction:
 
 
 def circulant_identity_ok(n: int) -> bool:
-    """Check M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones), exactly in Q[d]."""
-    d = Poly((0, 1))
-    m_d = evaluate_pencil(gram_pencil(cycle_complement(n)), d)
+    """Check M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones) in Q[d] by one evaluation at d = 2^64.
+
+    Both sides' entries are affine in d with integer coefficients of magnitude at most 2, so an entry
+    of the difference is a + b d with |a|, |b| <= 4, and a + b 2^64 = 0 forces a = b = 0."""
+    m_big = gram_pencil(cycle_complement(n)).at(big := 1 << 64)
     return all(
-        m_d[i][j] == (1 + d) * (i == j) + d * ((i - j) % n in (1, n - 1)) - d
+        m_big[i][j] == (1 + big) * (i == j) + big * ((i - j) % n in (1, n - 1)) - big
         for i in range(n)
         for j in range(n)
     )

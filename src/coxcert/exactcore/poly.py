@@ -10,13 +10,13 @@ exact point that supports ring operations (int, Fraction, QuadElem, Poly).
 On top of the arithmetic this module provides squarefree parts, the
 Budan-Fourier count of the roots above a point (roots_above) for a
 real-rooted squarefree polynomial, which every polynomial the package
-isolates is, bisection-based isolation of the distinct real roots
-(root_intervals), and interval refinement to arbitrary width, all with
-signs taken in integers.  Root isolation keeps every root strictly interior
-to its interval and every interval endpoint off the root set, which
-downstream threshold code relies on.  Sturm chains (sturm_sequence,
-count_roots, isolate_real_roots), which need neither property, are kept
-only as the tests' oracle.
+isolates is, and one bisection walk on integer numerators over a shared
+denominator, with counts and signs from callbacks at (u, den): root_intervals
+isolates the distinct real roots and refine_root_interval narrows one
+interval, and only the intervals they return are Fractions.  Isolation keeps
+every root strictly inside its interval and every endpoint off the root set,
+which the thresholds rely on.  Sturm chains (sturm_sequence, count_roots,
+isolate_real_roots), which need neither, are kept only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo = lo if lo.__class__ is Fraction else Fraction(lo)
+        hi = hi if hi.__class__ is Fraction else Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
@@ -376,9 +377,9 @@ class Interval:
 
 def _sign_at(p: Poly, x, b: int = 1) -> int:
     """Exact sign of p(x/b), x rational and b > 0 an int, from homogenized Horner at
-    x/b = a/b': b'^deg p(a/b') = sum c_i a^i b'^(deg - i), in integers for an integer p."""
+    x/b = a/b': b'^deg p(a/b') = sum c_i a^i b'^(deg - i), in integers for an integer p (c_0 alone at a = 0)."""
     a, b, acc, power = x.numerator, x.denominator * b, 0, 1
-    for c in reversed(p.coeffs):
+    for c in reversed(p.coeffs) if a else p.coeffs[:1]:
         acc = acc * a + c * power
         power *= b
     return (acc > 0) - (acc < 0)
@@ -394,13 +395,18 @@ def roots_above(f: Poly, x, b: int = 1) -> int:
     where one vanishes its neighbours have opposite signs (Laguerre) and
     skipping it keeps the count exact, at a root of f too.  For the point a/b,
     coprime or not, the Taylor shift of h(y) = b^deg f(y/b) by a has j-th
-    coefficient b^(deg - j) f^(j)(a/b) / j!, in integers when f's are.
+    coefficient b^(deg - j) f^(j)(a/b) / j!, in integers when f's are; the
+    shift runs as repeated synthetic division on the descending coefficients.
     """
-    a, b, n = x.numerator, x.denominator * b, len(f.coeffs) - 1
-    taylor = [c * b ** (n - i) for i, c in enumerate(f.coeffs)]
+    a, b, taylor, power = x.numerator, x.denominator * b, [], 1
+    for c in reversed(f.coeffs):
+        taylor.append(c * power)
+        power *= b
+    n = len(taylor) - 1
     for i in range(n if a else 0):
-        for j in range(n - 1, i - 1, -1):
-            taylor[j] += a * taylor[j + 1]
+        acc = taylor[0]
+        for j in range(1, n + 1 - i):
+            taylor[j] = acc = taylor[j] + a * acc
     return _sign_changes(taylor)
 
 
@@ -431,112 +437,108 @@ def sturm_sequence(f: Poly) -> list[Poly]:
     return seq
 
 
-def _variations(chain: list[Poly], x, direction: int = +1) -> int:
-    """Sign variations of the chain at x; None means the infinity of that sign."""
+def _variations(chain: list[Poly], x, direction: int = +1, b: int = 1) -> int:
+    """Sign variations of the chain at x/b; None means the infinity of that sign."""
     if x is None:
         return _sign_changes([-p.leading if direction < 0 and p.degree % 2 else p.leading for p in chain])
-    return _sign_changes([_sign_at(p, x) for p in chain])
+    return _sign_changes([_sign_at(p, x, b) for p in chain])
 
 
-def count_roots(chain: list[Poly], lo=None, hi=None) -> int:
-    """Distinct real roots of p on the open (lo, hi), chain = sturm_sequence(p);
+def count_roots(chain: list[Poly], lo=None, hi=None, b: int = 1) -> int:
+    """Distinct real roots of p on the open (lo/b, hi/b), chain = sturm_sequence(p), b > 0 an int;
     None stands for an infinity, and a finite endpoint that is a root raises."""
     for x in (lo, hi):
-        if x is not None and _sign_at(chain[0], x) == 0:
-            raise EndpointIsRoot(f"endpoint {x} is a root")
-    return _variations(chain, lo, -1) - _variations(chain, hi)
+        if x is not None and _sign_at(chain[0], x, b) == 0:
+            raise EndpointIsRoot(f"endpoint {x}/{b} is a root")
+    return _variations(chain, lo, -1, b) - _variations(chain, hi, +1, b)
 
 
 # -- root isolation ----------------------------------------------------------
 
 
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """B with every real root of p strictly inside (-B, B)."""
+def cauchy_root_bound(p: Poly) -> tuple[int, int]:
+    """(u, den) with every real root of p strictly inside (-u/den, u/den): 1 + max |c_i| / |lead|."""
     if p.is_zero():
         raise ZeroPolynomial("root bound of the zero polynomial")
     lead = abs(p.coeffs[-1])
-    if p.degree == 0:
-        return Fraction(1)
-    biggest = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + Fraction(biggest) / lead
+    return lead + max(map(abs, p.coeffs[:-1]), default=0), lead
 
 
-def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point near the middle of (lo, hi) that is not a root of p."""
-    width = hi - lo
-    point = lo + width / 2
-    step = width / 4
-    while _sign_at(p, point) == 0:
-        point = point + step
-        step = step / 2
-    return point
+def root_intervals(p: Poly, count_above=None, above=None, sign_at=None) -> Iterator[Interval]:
+    """Isolating intervals for the distinct real roots of p in Z[x], ascending, lazily.
 
-
-def root_intervals(p: Poly, count_above=None, above: Fraction | None = None) -> Iterator[Interval]:
-    """Isolating intervals for the distinct real roots of p, ascending, lazily.
-
-    count_above(x) counts p's distinct roots above a rational non-root x,
-    by default roots_above(p, x) for a real-rooted squarefree p.  The walk
-    bisects the Cauchy interval depth first from the left, so a caller that
-    needs only the first intervals stops it there; with `above`, subtrees
-    with hi <= above are skipped.  Positive multiples of p give the same walk.
+    Points are integers u over a denominator den > 0 shared by an interval's
+    ends and reduced with them.  count_above(u, den) counts p's distinct
+    roots above a non-root u/den, by default roots_above(p, u, den) for a
+    real-rooted squarefree p; sign_at(u, den) is p's sign there, by default
+    _sign_at(p, u, den).  The walk bisects the Cauchy interval depth first
+    from the left, so a caller that needs only the first intervals stops it
+    there; with `above`, subtrees with hi <= above are skipped.  A midpoint
+    that is a root moves right by a quarter, an eighth, ... of the width.
+    Only the yielded intervals are Fractions.
     """
     count_above = count_above or partial(roots_above, p)
-    bound = cauchy_root_bound(p)
-    a_lo = count_above(-bound)
-    # (lo, hi, roots inside, roots above lo)
-    stack = [(-bound, bound, a_lo - count_above(bound), a_lo)]
+    sign_at = sign_at or partial(_sign_at, p)
+    limit = None if above is None else above.as_integer_ratio()
+    bound, den = cauchy_root_bound(p)
+    a_lo = count_above(-bound, den)
+    # (lo, hi, den, roots inside, roots above lo)
+    stack = [(-bound, bound, den, a_lo - count_above(bound, den), a_lo)]
     while stack:
-        lo, hi, count, a_lo = stack.pop()
-        if count == 0 or (above is not None and hi <= above):
+        lo, hi, den, count, a_lo = stack.pop()
+        if count == 0 or (limit is not None and hi * limit[1] <= limit[0] * den):
             continue
         if count == 1:
-            yield Interval(lo, hi)
+            yield Interval(Fraction(lo, den), Fraction(hi, den))
             continue
-        mid = _nonroot_point(p, lo, hi)
-        a_mid = count_above(mid)
-        left = a_lo - a_mid
+        common = int_gcd(lo, hi, den)
+        lo, hi, den = lo // common, hi // common, den // common
+        scale, mid = 4, 2 * (lo + hi)  # the midpoint, over 4 den; then (mid + width/scale) over 2 scale den
+        while sign_at(mid, scale * den) == 0:
+            scale, mid = 2 * scale, 2 * (mid + hi - lo)
+        lo, hi, den = lo * scale, hi * scale, den * scale
+        a_mid = count_above(mid, den)
         # Right side first so the stack pops left-to-right.
-        stack.append((mid, hi, count - left, a_mid))
-        stack.append((lo, mid, left, a_lo))
+        stack.append((mid, hi, den, count - a_lo + a_mid, a_mid))
+        stack.append((lo, mid, den, a_lo - a_mid, a_lo))
 
 
 def isolate_real_roots(chain: list[Poly]) -> list[Interval]:
-    """root_intervals of p, chain = sturm_sequence(p), by Sturm counts, as a list.
-
-    Intervals are pairwise disjoint, endpoints are never roots, and each
-    contains exactly one distinct root of p strictly inside.
-    """
-    return list(root_intervals(chain[0], partial(count_roots, chain)))
+    """root_intervals of p by the Sturm counts of chain = sturm_sequence(p), as a list: disjoint
+    intervals, endpoints never roots, each with exactly one distinct root of p strictly inside."""
+    return list(root_intervals(chain[0], lambda u, den: count_roots(chain, u, b=den)))
 
 
-def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> Interval:
+def refine_root_interval(p: Poly, interval: Interval, max_width, sign_at=None) -> Interval:
     """Shrink an isolating interval below max_width, root kept strictly inside.
 
-    The interval must isolate exactly one root of p, of odd multiplicity, with
-    non-root endpoints (as isolate_real_roots produces for a squarefree p):
-    bisection follows the sign change of p.  If bisection lands on the root
-    exactly, a tight interval straddling it is returned instead of a point.
+    The interval must isolate exactly one root of p in Z[x], of odd
+    multiplicity, with non-root endpoints (as root_intervals produces for a
+    squarefree p): bisection follows the sign change of p, by sign_at as in
+    root_intervals, on the endpoints over their common denominator.  If it
+    lands on the root exactly, a tight interval straddling it is returned.
     """
-    max_width = Fraction(max_width)
-    if max_width <= 0:
+    width, width_den = max_width.as_integer_ratio()
+    if width <= 0:
         raise ValueError("max_width must be positive")
-    lo, hi = interval.lo, interval.hi
-    s_lo = _sign_at(p, lo)
-    s_hi = _sign_at(p, hi)
+    sign_at = sign_at or partial(_sign_at, p)
+    (lo, lo_den), (hi, hi_den) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+    den = _lcm(lo_den, hi_den)
+    lo, hi = lo * (den // lo_den), hi * (den // hi_den)
+    s_lo, s_hi = sign_at(lo, den), sign_at(hi, den)
     if s_lo == 0 or s_hi == 0:
         raise EndpointIsRoot("refinement endpoints must not be roots")
     if s_lo == s_hi:
         raise ValueError("p does not change sign on the interval")
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        s_mid = _sign_at(p, mid)
+    while (hi - lo) * width_den > width * den:
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        s_mid = sign_at(mid, den)
         if s_mid == 0:
-            # Rational root hit dead on; return a snug interval around it.
-            radius = min(max_width / 2, (mid - lo) / 2, (hi - mid) / 2)
-            return Interval(mid - radius, mid + radius)
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
+            # Rational root hit dead on; return a snug interval around it, of
+            # radius min(max_width, the last width / 2) / 2, over 2 den width_den.
+            centre, radius, den = 2 * mid * width_den, min(width * den, (mid - lo) * width_den), 2 * den * width_den
+            return Interval(Fraction(centre - radius, den), Fraction(centre + radius, den))
+        lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
+        common = int_gcd(lo, hi, den)
+        lo, hi, den = lo // common, hi // common, den // common
+    return Interval(Fraction(lo, den), Fraction(hi, den))

@@ -18,17 +18,18 @@ All n minor polynomials come from one pivot-free, fraction-free Bareiss
 pass over the integer matrix M_{2^bits}, with 2^bits past twice a Hadamard
 bound on their coefficients: its pivots are the minors at d = 2^bits, and
 their balanced base-2^bits digits are the coefficients (Kronecker
-substitution).  Roots are located by Budan-Fourier counts and bisection
-on real-rooted squarefree polynomials, with signs in integers; epsilon walks
-(0, B) on q(y) = det(I - y A_k^2), counting nowhere past Fujiwara's bound, and
-screens gcds modulo 2^61 - 1.  Final checks are re-verified exactly.
+substitution).  Roots are located by Budan-Fourier counts and exactcore's
+one integer-grid bisection walk on real-rooted squarefree polynomials;
+epsilon walks q(d^2) and supplies the counts and signs itself, on
+q(y) = det(I - y A_k^2) at y = x^2, none past Fujiwara's bound, and screens
+gcds modulo 2^61 - 1.  Final checks are re-verified exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, isqrt
+from functools import lru_cache, partial
+from math import comb, isqrt
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
@@ -134,41 +135,30 @@ def _root_power_bound(q: Poly) -> Fraction:
 def _smallest_abs_root(q: Poly) -> tuple[Poly, Interval] | None:
     """Isolate min |root| of a minor as the smallest positive root of q(d^2), q its _half_square.
 
-    Returns (q(d^2), the squarefree part of p(d)p(-d) up to a constant, and
-    its isolating interval) or None when p has no real roots.  The walk is
-    root_intervals(q(d^2))'s right of its split at 0, then refine_root_interval's
-    while lo = 0, on integers over one denominator, counting by roots_above(q, x^2);
-    where x^2 > U = _root_power_bound(q), past all q's roots, the count is 0, the sign q's leading one.
+    Returns (q(d^2), the squarefree part of p(d)p(-d) up to a constant, and its isolating
+    interval) or None when p has no real roots: root_intervals(q(d^2)) right of its split at 0,
+    then refine_root_interval while lo = 0, counting and taking signs on q at x^2.  With Q(y) =
+    roots_above(q, y) and R = Q(0), q(d^2) has Q(x^2) roots above x >= 0 and 2R - Q(x^2) above
+    x < 0; past U = _root_power_bound(q), above all q's roots, Q is 0 and the sign q's leading one.
     """
     if not (count := roots_above(q, 0)):
         return None
     even, top = Poly(tuple(c for a in q.coeffs for c in (a, 0))), _root_power_bound(q)
     if roots_above(q, top) != 0:
         raise VerificationFailed(f"{q} has a root above Fujiwara's bound {top}")
+    top_u, top_den = top.as_integer_ratio()
 
     def at(f, u: int, den: int, beyond: int) -> int:  # f(q, (u/den)^2), or beyond where (u/den)^2 > U
-        return beyond if u * u * top.denominator > top.numerator * den * den else f(q, u * u, den * den)
-    lo, (hi, den), a_lo = 0, cauchy_root_bound(even).as_integer_ratio(), count
-    while count > 1 or lo == 0:
-        if count > 1:  # root_intervals' step, at _nonroot_point's point over 4 den, 8 den, ...
-            scale, mid = 4, 2 * (lo + hi)
-            while at(_sign_at, mid, scale * den, 1) == 0:
-                scale, mid = 2 * scale, 2 * (mid + hi - lo)
-            lo, hi, den = lo * scale, hi * scale, den * scale
-            a_mid = at(roots_above, mid, den, 0)
-            # the first root lies in (lo, mid) if a_lo > a_mid, else in (mid, hi)
-            lo, hi, count, a_lo = (lo, mid, a_lo - a_mid, a_lo) if a_lo > a_mid else (mid, hi, count, a_mid)
-        else:  # refine_root_interval(q(d^2), iv, iv.width / 4) from lo = 0
-            lo, hi, den, radius = 0, 8 * hi, 8 * den, hi  # a root hit dead on gets width / 8 each side
-            for _ in range(2):
-                mid = (lo + hi) // 2
-                if not (s_mid := at(_sign_at, mid, den, 1)):
-                    lo, hi = mid - radius, mid + radius
-                    break
-                lo, hi = (mid, hi) if s_mid * q.coeffs[0] > 0 else (lo, mid)
-        common = gcd(lo, hi, den)
-        lo, hi, den = lo // common, hi // common, den // common
-    return even, Interval(Fraction(lo, den), Fraction(hi, den))
+        return beyond if u * u * top_den > top_u * den * den else f(q, u * u, den * den)
+
+    def count_above(u: int, den: int) -> int:
+        return count if not u else at(roots_above, u, den, 0) if u > 0 else 2 * count - at(roots_above, u, den, 0)
+
+    sign_at = partial(at, _sign_at, beyond=1)
+    interval = next(root_intervals(even, count_above, 0, sign_at))
+    while interval.lo == 0:
+        interval = refine_root_interval(even, interval, interval.width / 4, sign_at)
+    return even, interval
 
 
 def _gcd_root_in_overlap(f: Poly, g: Poly, lo: Fraction, hi: Fraction) -> bool:
@@ -255,7 +245,8 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
         return 1, None
     sf = squarefree_part(det)
     roots = list(root_intervals(sf))
-    limit = int(cauchy_root_bound(det)) + 2
+    bound, den = cauchy_root_bound(det)
+    limit = bound // den + 2
     chosen = next((x for x in range(1, limit + 1) if sf(x) != 0 and roots_above(sf, x) == 0), None)
     if chosen is None:
         raise VerificationFailed("no valid integer below the root bound")

@@ -104,23 +104,25 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
 
 class _Growths(dict):
     """Descent mask -> its kept growths, filled on first use: per letter s that
-    the mask lets grow, s's entry of `entries` followed by the child's descent
-    mask.  The fanout of a mask is the length of its tuple."""
+    the mask lets grow, ascending, s's entry of `entries` followed by the
+    child's descent mask.  The fanout of a mask is the length of its tuple."""
 
     def __init__(self, g: CoxeterDiagram, entries):
         super().__init__()
-        noncommuting = g.noncommuting_masks
-        # Per letter s: its entry, its bit, the mask of s and the letters below s
-        # commuting with it (a growth by s is kept when Desc(w) misses it), C(s).
-        self.rules = tuple(
-            (entry, 1 << s, (1 << s) | (((1 << s) - 1) & ~noncommuting[s]), ~noncommuting[s])
-            for s, entry in zip(g.vertices, entries)
-        )
+        noncommuting, self.letters = g.noncommuting_masks, (1 << (g.n + 1)) - 2
+        # Per letter s: its bit, its entry and C(s); a descent d blocks d and the
+        # letters above d commuting with it, and a growth by s is kept unless blocked.
+        self.rules = [(1 << s, entry, self.letters & ~noncommuting[s]) for s, entry in zip(g.vertices, entries)]
+        self.blocks = {1 << d: (1 << d) | (self.letters & -(2 << d) & ~noncommuting[d]) for d in g.vertices}
 
     def __missing__(self, desc: int) -> tuple:
-        kept = self[desc] = tuple(
-            (*entry, bit | (desc & commuting)) for entry, bit, blocked, commuting in self.rules if not desc & blocked
-        )
+        blocked, rest = 0, desc
+        while rest:
+            low = rest & -rest
+            blocked, rest = blocked | self.blocks[low], rest ^ low
+        free = self.letters ^ blocked  # visited up to its highest letter
+        rules = self.rules[: free.bit_length() - 1]
+        kept = self[desc] = tuple([(*entry, bit | (desc & commuting)) for bit, entry, commuting in rules if free & bit])
         return kept
 
 

@@ -9,19 +9,85 @@ functions of those names step for step with Sturm counts in place of
 roots_above, so their results must agree exactly.  generic_smallest_abs_root
 is the walk gram._smallest_abs_root replaced: the generic root_intervals
 on q(d^2) with Fraction points, Budan-Fourier counts at every point and its
-symmetric Cauchy interval split at 0.
+symmetric Cauchy interval split at 0.  root_intervals and
+refine_root_interval are the package's walks as they were before they took
+integer numerators over one denominator: the same points as Fractions, so
+every walk here yields the same intervals, and the tests pin the integer
+walks to them.  circulant_identity_in_q_d is the cycle-complement identity
+compared in Q[d], entry by entry, as cyclecheck did before one integer
+evaluation decided it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from coxcert.errors import VerificationFailed
-from coxcert.exactcore import Poly, cauchy_root_bound, poly_gcd, quad_sign, refine_root_interval, squarefree_part
-from coxcert.exactcore.poly import count_roots, isolate_real_roots, root_intervals, roots_above, sturm_sequence
+from coxcert.errors import EndpointIsRoot, VerificationFailed
+from coxcert.exactcore import Interval, Poly, cauchy_root_bound, poly_gcd, quad_sign, squarefree_part
+from coxcert.exactcore.poly import _sign_at, count_roots, roots_above, sturm_sequence
 from coxcert.gram import _EPSILON_CAP, minor_polynomials
 
 _REFINE_WIDTH = Fraction(1, 10**12)
+
+
+def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    """A point near the middle of (lo, hi) that is not a root of p."""
+    width = hi - lo
+    point = lo + width / 2
+    step = width / 4
+    while _sign_at(p, point) == 0:
+        point = point + step
+        step = step / 2
+    return point
+
+
+def root_intervals(p: Poly, count_above=None, above: Fraction | None = None):
+    """exactcore's root_intervals on Fraction points; count_above(x) takes one rational x."""
+    count_above = count_above or partial(roots_above, p)
+    bound = Fraction(*cauchy_root_bound(p))
+    a_lo = count_above(-bound)
+    stack = [(-bound, bound, a_lo - count_above(bound), a_lo)]
+    while stack:
+        lo, hi, count, a_lo = stack.pop()
+        if count == 0 or (above is not None and hi <= above):
+            continue
+        if count == 1:
+            yield Interval(lo, hi)
+            continue
+        mid = _nonroot_point(p, lo, hi)
+        a_mid = count_above(mid)
+        left = a_lo - a_mid
+        stack.append((mid, hi, count - left, a_mid))
+        stack.append((lo, mid, left, a_lo))
+
+
+def isolate_real_roots(chain: list[Poly]) -> list[Interval]:
+    return list(root_intervals(chain[0], partial(count_roots, chain)))
+
+
+def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> Interval:
+    """exactcore's refine_root_interval on Fraction points."""
+    max_width = Fraction(max_width)
+    if max_width <= 0:
+        raise ValueError("max_width must be positive")
+    lo, hi = interval.lo, interval.hi
+    s_lo, s_hi = _sign_at(p, lo), _sign_at(p, hi)
+    if s_lo == 0 or s_hi == 0:
+        raise EndpointIsRoot("refinement endpoints must not be roots")
+    if s_lo == s_hi:
+        raise ValueError("p does not change sign on the interval")
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        s_mid = _sign_at(p, mid)
+        if s_mid == 0:
+            radius = min(max_width / 2, (mid - lo) / 2, (hi - mid) / 2)
+            return Interval(mid - radius, mid + radius)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)
 
 
 def smallest_abs_root(p: Poly):
@@ -116,7 +182,7 @@ def d_threshold(pencil):
     sf = squarefree_part(det)
     chain = sturm_sequence(sf)
     roots = isolate_real_roots(chain)
-    limit = int(cauchy_root_bound(det)) + 2
+    limit = int(Fraction(*cauchy_root_bound(det))) + 2
     chosen = next(c for c in range(1, limit + 1) if sf(c) != 0 and count_roots(chain, Fraction(c)) == 0)
     if not roots:
         return chosen, None
@@ -125,6 +191,15 @@ def d_threshold(pencil):
         largest = refine_root_interval(sf, largest, largest.width / 4)
     assert count_roots(chain, largest.hi) == 0
     return chosen, largest
+
+
+def circulant_identity_in_q_d(pencil, n: int) -> bool:
+    """M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones) in Q[d], M_d = pencil.at(d)."""
+    d = Poly((0, 1))
+    m_d = pencil.at(d)
+    return all(
+        m_d[i][j] == (1 + d) * (i == j) + d * ((i - j) % n in (1, n - 1)) - d for i in range(n) for j in range(n)
+    )
 
 
 def observed_roots(cp: Poly) -> list:

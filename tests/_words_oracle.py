@@ -11,7 +11,9 @@ R_w at t, in packed integers for rational t (`_packed_integer_images`);
 ball; `exact_ball` counts them once per ball over exact matrices, with the
 scalars x * R_w * y besides, and keeps both for every test that asks.
 `image_layers` skips each letter that shortens a word before renormalising
-(`_lengthens`).  `normal_form` folds a whole word with `append_letter`,
+(`_lengthens`).  `letter_rule_growths` fills one descent mask's kept growths
+by testing every letter's rule, as `words._Growths` did before it took the
+union of the letters the mask's descents block.  `normal_form` folds a whole word with `append_letter`,
 checking its letters first.
 
 `words.faithfulness_probe` takes its verdict from Vinberg's theorem and
@@ -60,6 +62,16 @@ from coxcert.vinberg import reflect_row, reflection_actions, times_reflection
 from coxcert.words import FaithfulnessReport, _Growths, _sphere_sizes
 
 _CHUNK_ROWS = 1024  # parent rows per piece of the key walk's last two layers
+
+
+def letter_rule_growths(g, entries, desc: int) -> tuple:
+    """Kept growths of descent mask desc: s grows it when desc holds neither s nor a letter below s commuting with s."""
+    kept = []
+    for s, entry in zip(g.vertices, entries):
+        commuting = ~g.noncommuting_masks[s]
+        if not desc & ((1 << s) | (((1 << s) - 1) & commuting)):
+            kept.append((*entry, (1 << s) | (desc & commuting)))
+    return tuple(kept)
 
 
 def _check_letters(w, n: int) -> None:

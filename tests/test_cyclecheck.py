@@ -20,6 +20,8 @@ from coxcert.exactcore import Poly
 from coxcert.exactcore.linalg import char_poly
 from coxcert.gram import d_threshold, pencil_char_poly
 
+from _gram_oracle import circulant_identity_in_q_d
+
 F = Fraction
 
 # Bound on the printed float deviation of the refined roots from the cosines;
@@ -64,6 +66,38 @@ def test_predicted_eigenvalue_sum_is_trace():
 def test_circulant_identity():
     for n in range(5, 9):
         assert circulant_identity_ok(n)
+
+
+def test_the_integer_identity_check_matches_the_q_d_one():
+    for n in range(5, 33):
+        assert circulant_identity_ok(n) and circulant_identity_in_q_d(gram_pencil(cycle_complement(n)), n), n
+
+
+class _OneEntryChanged:
+    """A pencil whose entry (i, j) of M_t is off by change(t)."""
+
+    def __init__(self, pencil, i: int, j: int, change):
+        self.pencil, self.i, self.j, self.change = pencil, i, j, change
+
+    def at(self, t):
+        rows = [list(row) for row in self.pencil.at(t)]
+        rows[self.i][self.j] += self.change(t)
+        return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda t: 1, lambda t: t, lambda t: -2 * t, lambda t: t - 1, lambda t: 2 - 2 * t],
+    ids=["+1", "+d", "-2d", "+d-1", "+2-2d"],
+)
+def test_one_changed_circulant_entry_fails_the_identity(monkeypatch, change):
+    # off-diagonal and diagonal, on an edge and on a cycle pair: every affine
+    # change within the docstring's bound is seen by the evaluation at 2^64
+    for n, i, j in ((5, 0, 2), (8, 3, 3), (12, 4, 5), (32, 31, 0)):
+        mutated = _OneEntryChanged(gram_pencil(cycle_complement(n)), i, j, change)
+        monkeypatch.setattr("coxcert.cyclecheck.gram_pencil", lambda g: mutated)
+        assert not circulant_identity_ok(n), (n, i, j)
+        assert not circulant_identity_in_q_d(mutated, n), (n, i, j)
 
 
 def test_verify_cycle_n5_pinned():

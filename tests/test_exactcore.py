@@ -207,8 +207,9 @@ def test_balanced_digits_invert_evaluation_at_a_power_of_two(case):
 @settings(max_examples=150, deadline=None)
 @given(nonzero_int_polys)
 def test_cauchy_root_bound_is_an_exact_fraction(p):
-    bound = cauchy_root_bound(p)
-    assert type(bound) is Fraction  # biggest / lead on ints would be a float
+    numerator, denominator = cauchy_root_bound(p)
+    assert type(numerator) is int and type(denominator) is int  # biggest / lead on ints would be a float
+    bound = F(numerator, denominator)
     if p.degree == 0:
         assert bound == 1
         return

@@ -11,6 +11,7 @@ tests/test_roots.py holds the package's Budan-Fourier counts to.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -46,6 +47,7 @@ from coxcert.exactcore.poly import (
     sturm_sequence,
 )
 
+import _gram_oracle as oracle
 from _gram_oracle import smallest_abs_root
 from _suite import acceptance_suite, suite_thresholds
 
@@ -320,14 +322,34 @@ def test_follow_one_root_on_every_suite_minor():
                 _check_follow_one(p)
 
 
+def _sturm_count(chain):
+    """count_above(u, den) for root_intervals, by Sturm, valid for any p."""
+    return lambda u, den: count_roots(chain, u, b=den)
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys_with_repeated_roots(), rationals)
 def test_root_intervals_above_is_a_suffix_of_isolation(p, above):
     assume(p.degree >= 1)
     chain = sturm_sequence(p)
-    assert list(root_intervals(chain[0], lambda x: count_roots(chain, x), above=above)) == [
-        iv for iv in isolate_real_roots(chain) if iv.hi > above
+    assert list(root_intervals(chain[0], _sturm_count(chain), above=above)) == [
+        iv for iv in oracle.isolate_real_roots(chain) if iv.hi > above
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys_with_repeated_roots(), st.sampled_from([None, 0]))
+def test_integer_walks_match_the_fraction_walks_on_any_polynomial(p, above):
+    # Sturm counts, so p need not be real-rooted or squarefree; refinement
+    # runs on the squarefree part, where every root changes sign
+    assume(p.degree >= 1 and (above is None or p(0) != 0))
+    chain = sturm_sequence(p)
+    got = list(root_intervals(chain[0], _sturm_count(chain), above))
+    assert got == list(oracle.root_intervals(chain[0], partial(count_roots, chain), above))
+    sf = squarefree_part(p)
+    for iv in isolate_real_roots(sturm_sequence(sf)):
+        for width in (iv.width / 8, F(1, 1000)):
+            assert refine_root_interval(sf, iv, width) == oracle.refine_root_interval(sf, iv, width), (iv, width)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,15 +7,20 @@ chains count the distinct roots of any polynomial, so they are the oracle
 here: the counts are pinned to count_roots(sturm_sequence(f), x) on
 products of distinct rational linear factors, whose roots are also known
 exactly, and on the squarefree parts of det(I - y A^2) for random diagrams.
-epsilon's own walk, on integer points of the positive half, is pinned to
-the generic root_intervals walk it replaced, and its power-of-two bound U
-to Fujiwara's; it must make no count above U.  The hypothesis tests are
-derandomized, so every run sees the same cases.
+The walks root_intervals and refine_root_interval, on integer numerators
+over one denominator, are pinned interval for interval to their Fraction
+forms in tests/_gram_oracle.py, on those products, whose roots often land
+on bisection points.  epsilon's walk, counting and taking signs on q at
+x^2, is pinned to the generic walk on q(d^2), and its power-of-two bound U
+to Fujiwara's; it must count and take no sign above U.  The hypothesis
+tests are derandomized, so every run sees the same cases.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -23,8 +28,9 @@ from hypothesis import strategies as st
 
 from coxcert import d_threshold, epsilon_threshold, gram_pencil, minor_polynomials
 from coxcert.cyclecheck import _observed_roots
-from coxcert.exactcore import Poly, cauchy_root_bound, roots_above, squarefree_part
-from coxcert.exactcore.poly import count_roots, isolate_real_roots, sturm_sequence
+from coxcert.exactcore import Interval, Poly, cauchy_root_bound, refine_root_interval, root_intervals, roots_above
+from coxcert.exactcore import squarefree_part
+from coxcert.exactcore.poly import _sign_at, count_roots, isolate_real_roots, sturm_sequence
 from coxcert.gram import _half_square, _root_power_bound, _smallest_abs_root, pencil_char_poly
 
 import _gram_oracle as oracle
@@ -95,6 +101,88 @@ def test_the_examples_reach_laguerre_s_case():
         _check_count(f, x, roots)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_rational_roots, st.booleans())
+@example([F(-1), F(0), F(1)], False)  # x^3 - x: the first midpoint 0 is a root, and so is its first nudge 1
+def test_integer_walks_match_the_fraction_walks(roots, mirrored):
+    if mirrored:
+        roots = sorted({r for s in roots for r in (s, -s) if s != 0} or {F(1), F(-1)})
+    f = _product(roots)
+    for above in (None, 0) if f(0) else (None,):
+        assert list(root_intervals(f, above=above)) == list(oracle.root_intervals(f, above=above)), above
+    for iv in root_intervals(f):
+        for width in (iv.width / 4, F(1, 3), F(1, 1000)):
+            assert refine_root_interval(f, iv, width) == oracle.refine_root_interval(f, iv, width), (iv, width)
+
+
+def test_a_root_at_a_bisection_point_moves_the_split():
+    # x^3 - x on (-2, 2): the midpoint 0 is a root, and so is 0 + 4/4; the
+    # split lands at 1 + 4/8
+    f = Poly((0, -1, 0, 1))
+    expected = [Interval(-2, F(-1, 4)), Interval(F(-1, 4), F(5, 8)), Interval(F(5, 8), F(3, 2))]
+    assert list(root_intervals(f)) == list(oracle.root_intervals(f)) == expected
+
+
+def test_refinement_landing_on_a_root_returns_a_snug_interval():
+    f, iv = Poly((-1, 4)), Interval(0, 1)  # the second midpoint is the root 1/4
+    for width, expected in ((F(1, 8), Interval(F(3, 16), F(5, 16))), (F(1, 3), Interval(F(1, 8), F(3, 8)))):
+        assert refine_root_interval(f, iv, width) == oracle.refine_root_interval(f, iv, width) == expected
+
+
+def test_refinement_from_endpoints_over_different_denominators():
+    # 12x - 1 has its root 1/12 at the first midpoint of (-1/2, 2/3)
+    for f, iv, root in (
+        (Poly((-1, 2)), Interval(F(1, 3), F(5, 7)), F(1, 2)),
+        (Poly((-1, 12)), Interval(F(-1, 2), F(2, 3)), F(1, 12)),
+    ):
+        for width in (F(1, 100), iv.width / 2):
+            tight = refine_root_interval(f, iv, width)
+            assert tight == oracle.refine_root_interval(f, iv, width), (f, width)
+            assert tight.lo < root < tight.hi and tight.width <= width, (f, width)
+
+
+def test_the_walks_build_fractions_only_for_what_they_return(monkeypatch):
+    made = Counter()
+
+    class CountedFraction(F):
+        def __new__(cls, *args):
+            made[sys._getframe(1).f_code.co_name] += 1
+            return super().__new__(cls, *args)
+
+    f, line, start = Poly((0, -1, 0, 1)) * Poly((-1, 4)), Poly((-1, 4)), Interval(0, 1)
+    monkeypatch.setattr("coxcert.exactcore.poly.Fraction", CountedFraction)
+    intervals = list(root_intervals(f))
+    # each interval's two endpoints
+    assert len(intervals) == 4 and made == {"root_intervals": 8}
+    for args in ((f, intervals[2], F(1, 10**9)), (line, start, F(1, 8))):  # the second lands on the root
+        made.clear()
+        refine_root_interval(*args)
+        assert made == {"refine_root_interval": 2}, args
+
+
+def test_the_walks_keep_their_points_reduced():
+    # A split takes its point over 4 den, with den reduced by the gcd of its
+    # interval's numerators, so a point's denominator at most doubles per
+    # sign taken; unreduced it would grow fourfold per split.  Refinement
+    # from the integers 0 and 64 stays over 2 until the width drops below 1.
+    square = Poly((-2, 0, 1))
+    f = square * Poly((-1414, 1000))  # roots -sqrt(2), 1.414 and sqrt(2)
+    dens = []
+
+    def spy(p: Poly):
+        def sign_at(u: int, den: int) -> int:
+            dens.append(den)
+            return _sign_at(p, u, den)
+
+        return sign_at
+
+    assert list(root_intervals(f, sign_at=spy(f))) == list(oracle.root_intervals(f))
+    assert len(dens) > 8 and all(den <= 4 * 1000 << k for k, den in enumerate(dens)), dens
+    dens.clear()
+    assert refine_root_interval(square, Interval(0, 64), 1, spy(square)) == Interval(1, 2)
+    assert dens == [1, 1, 2, 2, 2, 2, 2, 2]
+
+
 def _half_squares(seed: int):
     """Squarefree parts of det(I - y A_k^2), one per leading block of a random diagram."""
     rng = random.Random(seed)
@@ -108,7 +196,7 @@ def _half_squares(seed: int):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_roots_above_on_pencil_half_squares(seed):
     for q, rng in _half_squares(seed):
-        bound = cauchy_root_bound(q)
+        bound = F(*cauchy_root_bound(q))
         points = [F(0), -bound, bound, F(rng.randrange(-1000, 1000), rng.randrange(1, 1000))]
         for iv in isolate_real_roots(sturm_sequence(q)):
             points += [iv.lo, iv.hi, iv.mid]
@@ -156,25 +244,33 @@ def _check_root_power_bound(q: Poly) -> None:
 
 
 def test_the_walk_counts_no_roots_above_the_power_bound(monkeypatch):
-    # every roots_above call the walk makes on q is at a point at most U;
-    # above U the walk answers 0 itself
-    calls = []
+    # every roots_above and _sign_at call the walk makes is on q at a point
+    # at most U; above U the walk answers 0 and q's leading sign itself, and
+    # no sign is taken on q(d^2)
+    calls, signs = [], []
 
     def spy(f, x, b=1):
         calls.append((f, F(x) / b))
         return roots_above(f, x, b)
 
+    def sign_spy(f, x, b=1):
+        signs.append((f, F(x) / b))
+        return _sign_at(f, x, b)
+
     monkeypatch.setattr("coxcert.gram.roots_above", spy)
+    monkeypatch.setattr("coxcert.gram._sign_at", sign_spy)
+    monkeypatch.setattr("coxcert.exactcore.poly._sign_at", sign_spy)
     for name, g in acceptance_suite():
         for p in minor_polynomials(gram_pencil(g)):
             q = _half_square(p)
             calls.clear()
+            signs.clear()
             found = _smallest_abs_root(q)
             if q.degree < 1:
                 continue
             top = _root_power_bound(q)
-            assert all(f == q for f, _ in calls), name
-            assert all(point <= top for _, point in calls), (name, q, top)
+            assert all(f == q for f, _ in calls + signs), name
+            assert all(point <= top for _, point in calls + signs), (name, q, top)
             assert (q, top) in calls and found == oracle.generic_smallest_abs_root(q), name
 
 

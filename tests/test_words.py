@@ -566,6 +566,21 @@ def test_packed_oracle_images_are_the_scaled_matrices():
             assert tuple(_unpack(c, width, g.n) for c in packed) == scaled_columns, w[:k]
 
 
+def test_growths_match_the_letter_rules():
+    # every mask a radius-4 ball reaches, with two-field entries as the key
+    # walk passes them, on the suite and on sparse, nearly free and dense
+    # 32-vertex diagrams
+    rng = random.Random(3)
+    path = CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32)))
+    big = [("P32", path), ("rand32/0.05", random_connected_diagram(rng, 32, 0.05)), ("cc32", cycle_complement(32))]
+    for name, g in [*acceptance_suite(), *big]:
+        entries = [(s, -s) for s in g.vertices]
+        growths = words._Growths(g, entries)
+        words._sphere_sizes(growths, 4)
+        assert len(growths) > 1, name
+        assert all(kept == oracle.letter_rule_growths(g, entries, desc) for desc, kept in growths.items()), name
+
+
 def test_counts_match_growth_series():
     for name, g in acceptance_suite():
         max_len = probe_length(g.n) or 4
