@@ -15,10 +15,10 @@ identity as an exact polynomial-matrix identity, the stable signature
 (2 floor(n/3), n - 2 floor(n/3), 0), and the spectrum at the first integer
 past the threshold as an exact identity of characteristic polynomials
 (see predicted_char_poly; the observed side is read off the cached det M_d
-by gram.pencil_char_poly).  Floats appear only in the printed report of
-how far the refined roots lie from the closed-form cosines, isolated by
-roots_above on the squarefree part of the real-rooted characteristic
-polynomial.
+by gram.pencil_char_poly).  No verdict reads a float.  spectrum_deviation
+reports, for `coxcert cycle` alone, how far the roots of the real-rooted
+characteristic polynomial, isolated on its squarefree part and refined to
+width 1e-12, lie from the closed-form cosines.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ class CycleReport(NamedTuple):
     signature_ok: bool
     special_eigenvalue: Fraction
     special_is_root: bool
-    matched_pairs: tuple  # (predicted float, observed float, multiplicity)
-    max_deviation: float
     spectrum_ok: bool
 
     @property
@@ -97,12 +95,6 @@ class CycleReport(NamedTuple):
             and self.special_is_root
             and self.spectrum_ok
         )
-
-
-def _observed_roots(cp: Poly) -> list:
-    """The distinct real roots of cp, a real-rooted characteristic polynomial, as floats, ascending."""
-    sf = squarefree_part(cp)
-    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in root_intervals(sf)]
 
 
 def predicted_char_poly(n: int, t) -> Poly:
@@ -146,16 +138,6 @@ def verify_cycle_example(n: int) -> CycleReport:
     special_is_root = cp(prediction.special) == 0
     spectrum_ok = cp == predicted_char_poly(n, t)
 
-    # The predicted values are distinct for n >= 5, as are the observed roots.
-    family = [(value, mult) for _k, mult, value in prediction.family]
-    predicted = sorted([(float(prediction.special), 1)] + family)
-    observed = _observed_roots(cp)
-    pairs = ()
-    max_dev = 0.0
-    if len(predicted) == len(observed):
-        pairs = tuple((pv, ov, pm) for (pv, pm), ov in zip(predicted, observed))
-        max_dev = max(abs(pv - ov) for pv, ov, _pm in pairs)
-
     return CycleReport(
         n=n,
         d_value=d_value,
@@ -166,7 +148,27 @@ def verify_cycle_example(n: int) -> CycleReport:
         signature_ok=signature_ok,
         special_eigenvalue=prediction.special,
         special_is_root=special_is_root,
-        matched_pairs=pairs,
-        max_deviation=max_dev,
         spectrum_ok=spectrum_ok,
     )
+
+
+def _observed_roots(cp: Poly) -> list:
+    """The distinct real roots of cp, a real-rooted characteristic polynomial, as floats, ascending."""
+    sf = squarefree_part(cp)
+    return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in root_intervals(sf)]
+
+
+def spectrum_deviation(n: int, t) -> tuple[tuple, float]:
+    """(pairs, max deviation): the closed-form eigenvalues of cycle_complement(n)'s M_t, ascending,
+    each paired as (predicted float, observed float, multiplicity) with a refined root of det(x I - M_t).
+
+    The predicted values are distinct for n >= 5, as are the observed roots; when their counts
+    differ, no pair is made and the deviation reads 0.
+    """
+    prediction = predicted_spectrum(n, t)
+    predicted = sorted([(float(prediction.special), 1)] + [(value, mult) for _k, mult, value in prediction.family])
+    observed = _observed_roots(pencil_char_poly(gram_pencil(cycle_complement(n)), t))
+    if len(predicted) != len(observed):
+        return (), 0.0
+    pairs = tuple((pv, ov, pm) for (pv, pm), ov in zip(predicted, observed))
+    return pairs, max(abs(pv - ov) for pv, ov, _pm in pairs)

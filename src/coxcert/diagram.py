@@ -41,7 +41,7 @@ class CoxeterDiagram:
     its own mask.
     """
 
-    __slots__ = ("n", "edges", "_adjacency", "noncommuting_masks")
+    __slots__ = ("n", "edges", "noncommuting_masks")
 
     def __init__(self, n: int, edges):
         if n < 3:
@@ -56,16 +56,12 @@ class CoxeterDiagram:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise IndexOutOfRange(f"edge ({i}, {j}) outside 1..{n}")
             normalized.add((min(i, j), max(i, j)))
-        adjacency = {v: set() for v in range(1, n + 1)}
+        masks = [0] + [1 << v for v in range(1, n + 1)]
         for i, j in normalized:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        masks = [0] * (n + 1)
-        for i, adjacent in adjacency.items():
-            masks[i] = (1 << i) | sum(1 << j for j in adjacent)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
-        object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "noncommuting_masks", tuple(masks))
 
     def __setattr__(self, name, value):
@@ -92,21 +88,21 @@ class CoxeterDiagram:
     def adjacent(self, i: int, j: int) -> bool:
         self._check_vertex(i)
         self._check_vertex(j)
-        return j in self._adjacency[i]
+        return i != j and bool(self.noncommuting_masks[i] >> j & 1)
 
     def commutes(self, i: int, j: int) -> bool:
         """Generators i and j commute exactly when i != j and {i, j} is NOT an edge."""
         self._check_vertex(i)
         self._check_vertex(j)
-        return i != j and j not in self._adjacency[i]
+        return not self.noncommuting_masks[i] >> j & 1
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         self._check_vertex(i)
-        return tuple(sorted(self._adjacency[i]))
+        return tuple(j for j in self.vertices if j != i and self.noncommuting_masks[i] >> j & 1)
 
     def degree(self, i: int) -> int:
         self._check_vertex(i)
-        return len(self._adjacency[i])
+        return self.noncommuting_masks[i].bit_count() - 1
 
     def _check_vertex(self, i: int) -> None:
         if not (1 <= i <= self.n):

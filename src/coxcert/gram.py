@@ -238,21 +238,20 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     strictly between the largest root and D.  det M_d = prod(1 - d lambda_i)
     is real-rooted but can have multiple roots (cycle complements have
     double ones), so roots_above counts, and refinement follows sign
-    changes, on its squarefree part.
+    changes, on its squarefree part.  Only the largest root is isolated:
+    the walk skips every subtree at or below D - 1, and one root lies above
+    it, since D is minimal and, for D = 1, A != 0 has an eigenvalue > 0.
     """
     det = minor_polynomials(pencil)[-1]
     if det.degree < 1:
         return 1, None
     sf = squarefree_part(det)
-    roots = list(root_intervals(sf))
     bound, den = cauchy_root_bound(det)
     limit = bound // den + 2
     chosen = next((x for x in range(1, limit + 1) if sf(x) != 0 and roots_above(sf, x) == 0), None)
     if chosen is None:
         raise VerificationFailed("no valid integer below the root bound")
-    if not roots:
-        return chosen, None
-    largest = roots[-1]
+    *_, largest = root_intervals(sf, above=chosen - 1)
     while largest.hi >= chosen:
         largest = refine_root_interval(sf, largest, largest.width / 4)
     if roots_above(sf, largest.hi) != 0:

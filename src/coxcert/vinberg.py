@@ -246,7 +246,7 @@ def build_embedding_certificate(
     Stages: thresholds -> unit choice -> Galois bound -> relations,
     orthogonality and traces over Z[d], integrality at alpha -> positive
     definiteness at tau -> density trace at D -> faithfulness
-    probe.
+    probe -> the exact cycle-complement checks (no float spectrum).
     Deterministic: same (g, m) always yields an identical certificate.
     """
     from .words import faithfulness_probe

@@ -49,13 +49,10 @@ these reflections generate the right-angled Coxeter group of the diagram,
 acting faithfully, and w -> R_w, which is w -> (R_(w^-1))^T, has the same
 kernel.  So distinct elements have distinct matrices, and
 `faithfulness_probe` returns the sphere sizes as both the word counts and
-the image counts, building no row, key or set.  The finite walk the verdict
-once rested on, which keys every ball element by the scalar x * R_w * y and
-compares the keys, is the test oracle `key_walk_probe` in
-tests/_words_oracle.py; the tests check the theorem with it.  Without the
-walk, the benchmark's `probe` workload (`words` on cc7 to length 8 and on
-cc6 to length 7) went from 0.40 to 0.20 s wall time and from 61.6 to
-31.1 MB peak RSS (medians of 10 alternated pairs, shared 2-vCPU VM).
+the image counts, building no row, key or set.  A finite walk that keys
+every ball element by the scalar x * R_w * y and compares the keys is the
+test oracle `key_walk_probe` in tests/_words_oracle.py; the tests check the
+theorem with it.
 """
 
 from __future__ import annotations
@@ -201,10 +198,9 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     `enumerate_by_length`.  The image counts equal the word counts by
     Vinberg's theorem: at t >= 1 the Cartan matrix 2 M_t has 2 on the
     diagonal, 0 on non-edges and a_st * a_ts = 4t^2 >= 4 on edges, so
-    w -> R_w is faithful (see the module docstring).  The key walk that once
-    checked this on the ball is the test oracle `key_walk_probe` in
-    tests/_words_oracle.py.  Dropping it took the benchmark's `probe`
-    workload from 0.40 to 0.20 s wall time and from 61.6 to 31.1 MB peak RSS.
+    w -> R_w is faithful (see the module docstring).  The key walk that
+    checks this on the ball is the test oracle `key_walk_probe` in
+    tests/_words_oracle.py.
     """
     if quad_sign(t - 1) < 0:
         raise ValueError(f"probe needs t >= 1, got {t}")

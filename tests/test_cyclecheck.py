@@ -8,14 +8,17 @@ from fractions import Fraction
 import pytest
 
 from coxcert import (
+    build_embedding_certificate,
     circulant_identity_ok,
     cycle_complement,
     evaluate_pencil,
     gram_pencil,
     predicted_spectrum,
+    serialize_diagram,
     verify_cycle_example,
 )
-from coxcert.cyclecheck import predicted_char_poly
+from coxcert.cli import main
+from coxcert.cyclecheck import predicted_char_poly, spectrum_deviation
 from coxcert.exactcore import Poly
 from coxcert.exactcore.linalg import char_poly
 from coxcert.gram import d_threshold, pencil_char_poly
@@ -110,7 +113,7 @@ def test_verify_cycle_n5_pinned():
     assert rep.special_eigenvalue == F(-5)
     assert rep.special_is_root
     assert rep.spectrum_ok
-    assert rep.max_deviation <= DEVIATION_BOUND
+    assert spectrum_deviation(5, rep.t_checked)[1] <= DEVIATION_BOUND
     assert rep.ok
 
 
@@ -118,14 +121,31 @@ def test_verify_cycle_small_range():
     for n in (6, 7):
         rep = verify_cycle_example(n)
         assert rep.ok, (n, rep)
-        assert len(rep.matched_pairs) == 1 + n // 2
+        pairs, _max_deviation = spectrum_deviation(n, rep.t_checked)
+        assert len(pairs) == 1 + n // 2
         # distinct observed roots, paired with the predicted multiplicities
-        observed = [ov for _pv, ov, _mult in rep.matched_pairs]
+        observed = [ov for _pv, ov, _mult in pairs]
         assert observed == sorted(set(observed))
-        assert sum(mult for _pv, _ov, mult in rep.matched_pairs) == n
+        assert sum(mult for _pv, _ov, mult in pairs) == n
         third = 2 * (n // 3)
         assert rep.expected_signature.p == third
         assert rep.expected_signature.q == n - third
+
+
+def test_embed_and_verify_never_compute_the_float_report(tmp_path, monkeypatch, capsys):
+    # the verdicts are exact; only `coxcert cycle` refines roots for its printed deviation
+    def no_report(*args, **kwargs):
+        raise AssertionError("the float spectrum report was computed")
+
+    monkeypatch.setattr("coxcert.cyclecheck.spectrum_deviation", no_report)
+    monkeypatch.setattr("coxcert.cyclecheck._observed_roots", no_report)
+    for n in range(5, 13):
+        assert build_embedding_certificate(cycle_complement(n)).cycle.ok, n
+    diagram, cert = tmp_path / "cc8.diagram", tmp_path / "cc8.json"
+    diagram.write_text(serialize_diagram(cycle_complement(8)))
+    assert main(["embed", str(diagram), "--out", str(cert)]) == 0
+    assert main(["verify", str(cert), str(diagram)]) == 0
+    assert "certificate verified" in capsys.readouterr().out
 
 
 def test_predicted_char_poly_is_exact():

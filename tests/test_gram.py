@@ -28,7 +28,7 @@ from coxcert import (
     stable_signature,
     threshold_report,
 )
-from coxcert.exactcore import leading_principal_minors
+from coxcert.exactcore import leading_principal_minors, root_intervals
 from coxcert.exactcore.linalg import signature_of
 
 from _suite import acceptance_suite, random_connected_diagram
@@ -149,6 +149,28 @@ def test_d_thresholds_pinned():
     phi_poly = Poly((-1, -1, 1))
     assert phi_poly(largest.lo) * phi_poly(largest.hi) < 0
     assert largest.hi < 2
+
+
+def test_d_threshold_isolates_only_roots_above_d_minus_one(monkeypatch):
+    # the walk skips every subtree at or below D - 1 and yields the largest
+    # root last; (1 - d^2)^2 has its largest root at D - 1 = 1 exactly
+    yielded = []
+
+    def spy(*args, **kwargs):
+        for interval in root_intervals(*args, **kwargs):
+            yielded.append(interval)
+            yield interval
+
+    monkeypatch.setattr("coxcert.gram.root_intervals", spy)
+    rng = random.Random(28)
+    two_edges = CoxeterDiagram(4, frozenset({(1, 2), (3, 4)}))
+    diagrams = [K3, P3, K13, two_edges] + [cycle_complement(n) for n in range(5, 13)]
+    diagrams += [random_connected_diagram(rng, rng.randrange(6, 17), rng.choice((0.2, 0.5, 0.8))) for _ in range(20)]
+    for g in diagrams:
+        yielded.clear()
+        d_value, largest = d_threshold(gram_pencil(g))
+        assert yielded and all(interval.hi > d_value - 1 for interval in yielded), g
+        assert yielded[-1].lo <= largest.lo < largest.hi <= yielded[-1].hi, g
 
 
 def test_stable_signatures_pinned():
