@@ -346,8 +346,9 @@ def cmd_words(args) -> int:
 def cmd_cycle(args) -> int:
     if args.n > MAX_VERTICES:
         raise TooManyVertices(f"--n must be at most {MAX_VERTICES}, got {args.n}")
-    report = verify_cycle_example(args.n)
-    print(serialize_diagram(cycle_complement(args.n)), end="")
+    g = cycle_complement(args.n)
+    report = verify_cycle_example(args.n, d_threshold(gram_pencil(g))[0])
+    print(serialize_diagram(g), end="")
     print(f"D: {report.d_value}")
     print(f"circulant identity: {'pass' if report.identity_ok else 'FAIL'}")
     print(

@@ -10,10 +10,12 @@ with J the cyclic shift.  Its eigenvalues are therefore explicit:
     1 - d (n - 3)                   once (frequency 0),
     1 + d (1 + 2 cos(2 pi k / n))   for k = 1..n-1 (k and n-k agree).
 
-verify_cycle_example certifies three things for one n: the circulant
-identity as an exact polynomial-matrix identity, the stable signature
-(2 floor(n/3), n - 2 floor(n/3), 0), and the spectrum at the first integer
-past the threshold as an exact identity of characteristic polynomials
+verify_cycle_example certifies three things for one n, given the
+threshold D its caller holds: the circulant identity as an exact
+polynomial-matrix identity, the stable signature
+(2 floor(n/3), n - 2 floor(n/3), 0), and the spectrum at t = D + 1, the
+first integer past the threshold, as an exact identity of characteristic
+polynomials
 (see predicted_char_poly; the observed side is read off the cached det M_d
 by gram.pencil_char_poly).  No verdict reads a float.  spectrum_deviation
 reports, for `coxcert cycle` alone, how far the roots of the real-rooted
@@ -35,7 +37,7 @@ from .exactcore import (
     root_intervals,
     squarefree_part,
 )
-from .gram import d_threshold, gram_pencil, pencil_char_poly, stable_signature
+from .gram import gram_pencil, pencil_char_poly, stable_signature
 
 _REFINE_WIDTH = Fraction(1, 10**12)
 
@@ -119,11 +121,9 @@ def predicted_char_poly(n: int, t) -> Poly:
     return Poly((t * (n - 3) - 1, 1)) * acc
 
 
-def verify_cycle_example(n: int) -> CycleReport:
-    """Run the full battery for cycle_complement(n); see the module docstring."""
-    g = cycle_complement(n)
-    pencil = gram_pencil(g)
-    d_value, _interval = d_threshold(pencil)
+def verify_cycle_example(n: int, d_value: int) -> CycleReport:
+    """Run the full battery for cycle_complement(n), whose threshold is d_value; see the module docstring."""
+    pencil = gram_pencil(cycle_complement(n))
     t = d_value + 1
 
     identity_ok = circulant_identity_ok(n)

@@ -284,7 +284,7 @@ def build_embedding_certificate(
     timings["faithfulness"] = clock() - start
 
     start = clock()
-    cycle = verify_cycle_example(g.n) if g.n >= 5 and g == cycle_complement(g.n) else None
+    cycle = verify_cycle_example(g.n, thresholds.d_value) if g.n >= 5 and g == cycle_complement(g.n) else None
     timings["cycle"] = clock() - start
 
     return EmbeddingCertificate(

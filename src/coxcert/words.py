@@ -49,10 +49,9 @@ these reflections generate the right-angled Coxeter group of the diagram,
 acting faithfully, and w -> R_w, which is w -> (R_(w^-1))^T, has the same
 kernel.  So distinct elements have distinct matrices, and
 `faithfulness_probe` returns the sphere sizes as both the word counts and
-the image counts, building no row, key or set.  A finite walk that keys
-every ball element by the scalar x * R_w * y and compares the keys is the
-test oracle `key_walk_probe` in tests/_words_oracle.py; the tests check the
-theorem with it.
+the image counts, building no matrix or set.  The tests check the theorem
+on finite balls against `matrix_image_probe` in tests/_words_oracle.py,
+which counts the distinct matrices R_w of every ball element.
 """
 
 from __future__ import annotations
@@ -101,15 +100,15 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
 
 class _Growths(dict):
     """Descent mask -> its kept growths, filled on first use: per letter s that
-    the mask lets grow, ascending, s's entry of `entries` followed by the
-    child's descent mask.  The fanout of a mask is the length of its tuple."""
+    the mask lets grow, ascending, the pair (s, the child's descent mask).
+    The fanout of a mask is the length of its tuple."""
 
-    def __init__(self, g: CoxeterDiagram, entries):
+    def __init__(self, g: CoxeterDiagram):
         super().__init__()
         noncommuting, self.letters = g.noncommuting_masks, (1 << (g.n + 1)) - 2
-        # Per letter s: its bit, its entry and C(s); a descent d blocks d and the
-        # letters above d commuting with it, and a growth by s is kept unless blocked.
-        self.rules = [(1 << s, entry, self.letters & ~noncommuting[s]) for s, entry in zip(g.vertices, entries)]
+        # Per letter s: s, its bit and C(s); a descent d blocks d and the letters
+        # above d commuting with it, and a growth by s is kept unless blocked.
+        self.rules = [(s, 1 << s, self.letters & ~noncommuting[s]) for s in g.vertices]
         self.blocks = {1 << d: (1 << d) | (self.letters & -(2 << d) & ~noncommuting[d]) for d in g.vertices}
 
     def __missing__(self, desc: int) -> tuple:
@@ -119,7 +118,7 @@ class _Growths(dict):
             blocked, rest = blocked | self.blocks[low], rest ^ low
         free = self.letters ^ blocked  # visited up to its highest letter
         rules = self.rules[: free.bit_length() - 1]
-        kept = self[desc] = tuple([(*entry, bit | (desc & commuting)) for bit, entry, commuting in rules if free & bit])
+        kept = self[desc] = tuple([(s, bit | (desc & commuting)) for s, bit, commuting in rules if free & bit])
         return kept
 
 
@@ -146,7 +145,7 @@ def _sphere_sizes(growths: _Growths, max_len: int) -> list[int]:
         if len(sizes) <= max_len:  # the last sphere's masks are never read
             nxt: dict = {}
             for desc, count in counts.items():
-                for *_, child in growths[desc]:
+                for _, child in growths[desc]:
                     nxt[child] = nxt.get(child, 0) + count
             counts = nxt
     return sizes + [0] * (max_len + 1 - len(sizes))
@@ -163,7 +162,7 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     layer up to length max_len - 2 must hold as many distinct normal forms
     as counted, else VerificationFailed.
     """
-    growths = _Growths(g, [(s,) for s in g.vertices])
+    growths = _Growths(g)
     counts = _sphere_sizes(growths, max_len)
     layer = {(): 0}
     for length in range(1, max_len - 1):
@@ -198,12 +197,10 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     `enumerate_by_length`.  The image counts equal the word counts by
     Vinberg's theorem: at t >= 1 the Cartan matrix 2 M_t has 2 on the
     diagonal, 0 on non-edges and a_st * a_ts = 4t^2 >= 4 on edges, so
-    w -> R_w is faithful (see the module docstring).  The key walk that
-    checks this on the ball is the test oracle `key_walk_probe` in
-    tests/_words_oracle.py.
+    w -> R_w is faithful (see the module docstring).
     """
     if quad_sign(t - 1) < 0:
         raise ValueError(f"probe needs t >= 1, got {t}")
-    counts = tuple(_sphere_sizes(_Growths(g, [(s,) for s in g.vertices]), max_len))
+    counts = tuple(_sphere_sizes(_Growths(g), max_len))
     total = sum(counts)
     return FaithfulnessReport(t, max_len, counts, counts, total, total)

@@ -15,6 +15,8 @@ from coxcert import (
     bracket_closure_density,
     build_embedding_certificate,
     compact_conjugate_check,
+    cycle_complement,
+    d_threshold,
     enumerate_by_length,
     evaluate_pencil,
     expected_trace,
@@ -109,7 +111,7 @@ def test_criterion_5_indefiniteness():
 def test_criterion_6_cycle_example():
     failures = []
     for n in range(5, 13):
-        rep = verify_cycle_example(n)
+        rep = verify_cycle_example(n, d_threshold(gram_pencil(cycle_complement(n)))[0])
         third = 2 * (n // 3)
         if (rep.signature.p, rep.signature.q, rep.signature.z) != (third, n - third, 0):
             failures.append((n, "signature", rep.signature))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,7 +105,7 @@ def test_one_changed_circulant_entry_fails_the_identity(monkeypatch, change):
 
 
 def test_verify_cycle_n5_pinned():
-    rep = verify_cycle_example(5)
+    rep = verify_cycle_example(5, d_threshold(gram_pencil(cycle_complement(5)))[0])
     assert rep.d_value == 2
     assert rep.t_checked == F(3)
     assert rep.identity_ok
@@ -119,7 +120,7 @@ def test_verify_cycle_n5_pinned():
 
 def test_verify_cycle_small_range():
     for n in (6, 7):
-        rep = verify_cycle_example(n)
+        rep = verify_cycle_example(n, d_threshold(gram_pencil(cycle_complement(n)))[0])
         assert rep.ok, (n, rep)
         pairs, _max_deviation = spectrum_deviation(n, rep.t_checked)
         assert len(pairs) == 1 + n // 2
@@ -130,6 +131,24 @@ def test_verify_cycle_small_range():
         third = 2 * (n // 3)
         assert rep.expected_signature.p == third
         assert rep.expected_signature.q == n - third
+
+
+def test_a_cycle_certificate_computes_d_once(monkeypatch):
+    # The cycle stage takes D from the thresholds stage.  Every coxcert module
+    # that binds d_threshold gets the spy, so a copy imported by name counts too.
+    calls = []
+
+    def spy(pencil):
+        calls.append(pencil)
+        return d_threshold(pencil)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("coxcert")]:
+        if getattr(module, "d_threshold", None) is d_threshold:
+            monkeypatch.setattr(module, "d_threshold", spy)
+    for n in range(5, 13):
+        calls.clear()
+        assert build_embedding_certificate(cycle_complement(n)).cycle.ok, n
+        assert len(calls) == 1, n
 
 
 def test_embed_and_verify_never_compute_the_float_report(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,5 @@
-"""Every package module uses each name it imports, and every name it defines
-is used somewhere.
+"""Every package and test module uses each name it imports, and every name
+the package defines is used somewhere.
 
 No linter ships with the test dependencies, so these stdlib checks stand in
 for one.  A deletion that leaves an import behind fails here; package
@@ -25,6 +25,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coxcert"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 CORPUS = sorted(p for top in ("src", "tests", "bench") for p in (ROOT / top).rglob("*.py"))
 WORD = re.compile(r"\w+")
 
@@ -50,6 +51,11 @@ def test_the_check_sees_an_unused_import():
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_import(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", TESTS, ids=lambda p: p.name)
+def test_no_unused_import_in_tests(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
@@ -113,12 +119,12 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
     code = (
         "import atexit, sys; sys.path.insert(0, sys.argv[1]); import coxcert.cli;"
         " atexit.register(lambda: print('modules:', *sys.modules, sep=chr(10)));"
-        " argv = sys.argv[2:]; argv and coxcert.cli.main(argv)"
+        " argv = sys.argv[2:]; argv and sys.exit(coxcert.cli.main(argv))"
     )
     for argv in ([], ["--help"], ["analyze", "-"]):
         run = subprocess.run(
             [sys.executable, "-S", "-c", code, str(ROOT / "src"), *argv],
-            input="n 5\n1 2\n2 3\n3 4\n4 5\n",
+            input="n 5\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\n",
             capture_output=True,
             text=True,
         )

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 from coxcert import QuadElem, choose_unit, fundamental_pell, galois_pair_check, quad_sign
-from coxcert.errors import InequalityFailed, NotSquarefree, VerificationFailed
+from coxcert.errors import InequalityFailed, NotSquarefree
 
 F = Fraction
 

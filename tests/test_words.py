@@ -7,17 +7,16 @@ least shortest word with no shortcuts, so any disagreement indicts the
 incremental algorithm.  Growth counts are checked against the clique
 polynomial's growth series and against the renormalising normal-form walk
 in `_words_oracle`.  The probe's verdict rests on Vinberg's theorem, so its
-report is pinned against that module's normal-form, whole-matrix ball, and
-the theorem itself is checked by the module's key walk, `key_walk_probe`,
-whose own tests (chunking, dropped pieces, forced collisions, memory, key
-formulas) patch that module, not `words`.
+report is pinned against that module's normal-form, whole-matrix ball,
+`matrix_image_probe`, which also checks the theorem itself on random
+diagrams and counts colliding images when the reflections are swapped for
+commuting ones.
 """
 
 from __future__ import annotations
 
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -37,9 +36,7 @@ from coxcert import (
     gram_pencil,
 )
 from coxcert import words
-from coxcert.cli import main
-from coxcert.diagram import serialize_diagram
-from coxcert.errors import BallTooLarge, IndexOutOfRange, VerificationFailed
+from coxcert.errors import BallTooLarge, IndexOutOfRange
 from coxcert.vinberg import reflection_actions, times_reflection
 
 import _words_oracle as oracle
@@ -47,7 +44,6 @@ from _suite import acceptance_suite, growth_series, probe_length, random_connect
 from _words_oracle import (
     _packed_integer_images,
     exact_ball,
-    key_walk_probe,
     matrix_image_probe,
     normal_form,
     normal_form_layers,
@@ -274,99 +270,30 @@ def test_a_radius_one_ball_is_sized_before_its_only_layer(monkeypatch):
 
 
 def test_a_radius_two_ball_is_sized_from_the_identity(monkeypatch):
-    # At radius 2 both walks, the enumeration and the oracle's key walk, take
-    # their last two layers straight from the identity: the ball, 1 + 3 + 6
-    # elements, is sized from its masks, and neither a row nor a normal form
-    # is built, under the cap or over it.
+    # At radius 2 the enumeration takes its last two layers straight from the
+    # identity: the ball, 1 + 3 + 6 elements, is sized from its masks, and no
+    # normal form is built, under the cap or over it.
     built = []
-    real_row, real_letter = oracle.reflect_row, words.append_letter
-    monkeypatch.setattr(oracle, "reflect_row", lambda *a: built.append(a) or real_row(*a))
+    real_letter = words.append_letter
     monkeypatch.setattr(words, "append_letter", lambda *a: built.append(a) or real_letter(*a))
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 10)
     assert enumerate_by_length(K3, 2) == [1, 3, 6]
     assert faithfulness_probe(K3, 2, 2).word_counts == (1, 3, 6)
-    assert key_walk_probe(K3, 2, 2).word_counts == (1, 3, 6)
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 9)
     with pytest.raises(BallTooLarge):
         enumerate_by_length(K3, 2)
     with pytest.raises(BallTooLarge):
         faithfulness_probe(K3, 2, 2)
-    with pytest.raises(BallTooLarge):
-        key_walk_probe(K3, 2, 2)
     assert built == []
 
 
-def test_probe_builds_rows_only_for_layers_it_grows(monkeypatch):
-    # The oracle's key walk builds one row per element of lengths
-    # 1..max_len - 2; the last two layers get keys alone.
-    g = cycle_complement(7)
-    real = oracle.reflect_row
-    calls = 0
-
-    def counting(row, action):
-        nonlocal calls
-        calls += 1
-        return real(row, action)
-
-    monkeypatch.setattr(oracle, "reflect_row", counting)
-    rep = key_walk_probe(g, 2, 6)
-    assert list(rep.word_counts) == growth_series(g, 6)
-    assert calls == sum(rep.word_counts[1:5])
-
-
-def test_recovered_parent_chains_spell_the_ball(monkeypatch):
-    # A zero start row keys every element alike, so every element but the
-    # identity has its parent and letter recomputed by the key walk's
-    # `_parent`.  Spelled out along those chains, each layer holds words of
-    # its own length with pairwise distinct normal forms, as many as the
-    # growth series says.
-    recovered = {}
-    real = oracle._parent
-
-    def recording(i, *ball):
-        recovered[i] = real(i, *ball)
-        return recovered[i]
-
-    monkeypatch.setattr(oracle, "_start_vector", _zeros)
-    monkeypatch.setattr(oracle, "_parent", recording)
-    expected = growth_series(CC5, 5)
-    assert list(key_walk_probe(CC5, 2, 5).word_counts) == expected
-    assert sorted(recovered) == list(range(1, sum(expected)))
-    spelled = [()]
-    for i in range(1, sum(expected)):
-        parent, growth = recovered[i]
-        spelled.append(spelled[parent] + (growth[0],))
-    start = 0
-    for length, count in enumerate(expected):
-        forms = {normal_form(w, CC5) for w in spelled[start : start + count]}
-        assert len(forms) == count and {len(f) for f in forms} == {length}, length
-        start += count
-
-
-def test_probe_refuses_an_over_cap_ball_before_building_its_rows(monkeypatch):
-    # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements.  The
-    # sphere sizes are counted from the descent masks before the walk starts,
-    # so the refusal comes before any row is built; sized from the masks of
-    # length 3 it came after 29,760 rows, and counting only the elements
-    # already made, after 891,840 rows and about 1.3 GB.  The production
-    # probe builds no row at all; the oracle's key walk refuses as early.
+def test_probe_refuses_an_over_cap_ball_before_building_its_rows():
+    # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements; the
+    # sphere sizes, counted from the descent masks, refuse it.
     g = cycle_complement(32)
-    real = oracle.reflect_row
-    calls = 0
-
-    def counting(row, action):
-        nonlocal calls
-        calls += 1
-        if calls > 0:
-            raise AssertionError("the probe built rows for a ball it refuses")
-        return real(row, action)
-
-    monkeypatch.setattr(oracle, "reflect_row", counting)
     d = d_threshold(gram_pencil(g))[0]
     with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
         faithfulness_probe(g, d, 5)
-    with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
-        key_walk_probe(g, d, 5)
 
 
 def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypatch):
@@ -397,21 +324,11 @@ def _probe_cases():
             for t in (suite_thresholds(name, g).d_value, F(3, 2)):
                 yield name, g, t, max_len
     yield "P3", P3, QuadElem(1, 1, 2), 8
-    # (Z/2)^4 ends at length 4, so the last two layers, taken in bulk from
-    # length max_len - 2, are: at radius 4, the last one holding the longest
-    # element; at radius 5, the last non-empty one and an empty one; at radius
-    # 6, both empty; radius 7 stops at the first empty layer before them.
+    # (Z/2)^4 ends at length 4 with its longest element, so the balls of
+    # radius 5, 6 and 7 pad one, two and three empty spheres.
     edgeless = CoxeterDiagram(4, frozenset())
     for max_len in (4, 5, 6, 7):
         yield "edgeless4", edgeless, F(3, 2), max_len
-
-
-def _zeros(n):
-    return (0,) * n
-
-
-def _e1(n):
-    return (1,) + (0,) * (n - 1)
 
 
 def _pin_mismatches() -> list:
@@ -419,8 +336,7 @@ def _pin_mismatches() -> list:
     whole-matrix report of `exact_ball`."""
     mismatches = []
     for name, g, t, max_len in _probe_cases():
-        expected, _ = exact_ball(g, t, max_len, oracle._start_vector(g.n), oracle._key_vector(g.n))
-        if faithfulness_probe(g, t, max_len) != expected:
+        if faithfulness_probe(g, t, max_len) != exact_ball(g, t, max_len):
             mismatches.append((name, t, max_len))
     return mismatches
 
@@ -444,89 +360,16 @@ def test_an_off_by_one_sphere_fails_the_exact_ball_pin(monkeypatch):
     assert len(_pin_mismatches()) == len(list(_probe_cases()))
 
 
-def test_probe_matches_matrix_image_oracle(monkeypatch):
-    # The oracle's key walk: a zero start row or key column keys every element
-    # alike, and e1 keys many alike, so those runs count every image through
-    # the rebuilt matrices.
-    default = (oracle._start_vector, oracle._key_vector)
-    vectors = (default, (_zeros, default[1]), (_e1, default[1]), (default[0], _zeros), (default[0], _e1))
-    for name, g, t, max_len in _probe_cases():
-        expected, _ = exact_ball(g, t, max_len, default[0](g.n), default[1](g.n))
-        for start, key in vectors:
-            monkeypatch.setattr(oracle, "_start_vector", start)
-            monkeypatch.setattr(oracle, "_key_vector", key)
-            assert key_walk_probe(g, t, max_len) == expected, (name, t, start(g.n), key(g.n))
-
-
-def test_probe_keys_are_x_r_w_y_of_the_oracle_matrices(monkeypatch):
-    # Every key of the ball, from a built row or from the bulk steps over the
-    # last two layers (key(ws) and key(wsu) by c_s and e_su), is x * R_w * y
-    # for the oracle's matrix R_w of an element of its length: layer by layer
-    # the keys and those products agree as multisets.  The keys are taken
-    # from the pieces each walk of the oracle's key walk streams, per length.
-    walks = []
-    real = oracle._key_chunks
-
-    def capturing(*args):
-        walks.append(layers := {})
-        for length, piece in real(*args):
-            layers.setdefault(length, []).extend(piece)
-            yield length, piece
-
-    monkeypatch.setattr(oracle, "_key_chunks", capturing)
-    for name, g, t, max_len in _probe_cases():
-        walks.clear()
-        key_walk_probe(g, t, max_len)
-        _, products = exact_ball(g, t, max_len, oracle._start_vector(g.n), oracle._key_vector(g.n))
-        assert walks
-        for layers in walks:
-            assert set(layers) <= set(range(len(products))), (name, t, max_len)
-            for length, expected in enumerate(products):
-                assert Counter(layers.get(length, [])) == expected, (name, t, max_len, length)
-
-
-@pytest.mark.parametrize("chunk_rows", [1, 3])
-def test_probe_in_small_chunks_matches_the_oracle(monkeypatch, chunk_rows):
-    # The key walk's last two layers come a few parent rows at a time; the
-    # counts do not depend on the chunk size, with distinct keys or with keys
-    # forced to collide.
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk_rows)
-    default = (oracle._start_vector, oracle._key_vector)
-    for name, g, t, max_len in _probe_cases():
-        expected, _ = exact_ball(g, t, max_len, default[0](g.n), default[1](g.n))
-        for start in (default[0], _zeros):
-            monkeypatch.setattr(oracle, "_start_vector", start)
-            assert key_walk_probe(g, t, max_len) == expected, (name, t, max_len, start(g.n))
-
-
-def test_a_dropped_piece_of_keys_fails_the_probe(monkeypatch, tmp_path):
-    # The key walk checks its keys per length against the sphere sizes, so a
-    # walk that loses a piece, here its last one, cannot pass; run in place of
-    # the probe, it makes the command line exit 1.
-    real = oracle._key_chunks
-
-    def dropping(*args):
-        yield from list(real(*args))[:-1]
-
-    monkeypatch.setattr(oracle, "_key_chunks", dropping)
-    with pytest.raises(VerificationFailed, match="keys per length"):
-        key_walk_probe(CC5, 2, 4)
-    monkeypatch.setattr("coxcert.cli.faithfulness_probe", key_walk_probe)
-    path = tmp_path / "cc5.diagram"
-    path.write_text(serialize_diagram(CC5))
-    assert main(["words", str(path), "--max-len", "4"]) == 1
-
-
 def test_probe_counts_colliding_images_like_the_oracle(monkeypatch):
     # Act with the commuting reflections of the edgeless diagram, whose images
-    # form (Z/2)^n: equal matrices then arise within a length and across lengths.
+    # form (Z/2)^n: equal matrices then arise within a length and across
+    # lengths, and the whole-matrix oracle counts the 2^n of them.
     def commuting_actions(g, t):
         return reflection_actions(CoxeterDiagram(g.n, frozenset()), t)
 
     monkeypatch.setattr(oracle, "reflection_actions", commuting_actions)
     for g in (K3, P3, CC5):
-        rep = key_walk_probe(g, 2, 5)
-        assert rep == matrix_image_probe(g, 2, 5)
+        rep = matrix_image_probe(g, 2, 5)
         assert not rep.injective
         assert rep.total_images == 2**g.n
         assert rep.image_counts[:2] == (1, g.n)
@@ -567,18 +410,16 @@ def test_packed_oracle_images_are_the_scaled_matrices():
 
 
 def test_growths_match_the_letter_rules():
-    # every mask a radius-4 ball reaches, with two-field entries as the key
-    # walk passes them, on the suite and on sparse, nearly free and dense
-    # 32-vertex diagrams
+    # every mask a radius-4 ball reaches, on the suite and on sparse, nearly
+    # free and dense 32-vertex diagrams
     rng = random.Random(3)
     path = CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32)))
     big = [("P32", path), ("rand32/0.05", random_connected_diagram(rng, 32, 0.05)), ("cc32", cycle_complement(32))]
     for name, g in [*acceptance_suite(), *big]:
-        entries = [(s, -s) for s in g.vertices]
-        growths = words._Growths(g, entries)
+        growths = words._Growths(g)
         words._sphere_sizes(growths, 4)
         assert len(growths) > 1, name
-        assert all(kept == oracle.letter_rule_growths(g, entries, desc) for desc, kept in growths.items()), name
+        assert all(kept == oracle.letter_rule_growths(g, desc) for desc, kept in growths.items()), name
 
 
 def test_counts_match_growth_series():
@@ -622,50 +463,18 @@ def test_probe_is_injective_as_tits_vinberg_says(n, seed, t, max_len):
     # B = -t <= -1 on the others, so by Vinberg's theorem (Humphreys, Reflection
     # Groups and Coxeter Groups, 5.3-5.4) the representation is faithful; the
     # word counts come from the clique polynomial, independently of any walk.
-    # The production report takes the theorem for granted, and the oracle's
-    # key walk, counting distinct keys and matrices, checks it.
+    # The production report takes the theorem for granted, and the oracle,
+    # counting distinct matrices, checks it.
     g = random_connected_diagram(random.Random(seed), n)
     rep = faithfulness_probe(g, t, max_len)
     assert rep.injective
     assert list(rep.word_counts) == growth_series(g, max_len)
-    assert key_walk_probe(g, t, max_len) == rep
-
-
-def test_probe_memory_stays_below_the_row_keyed_table():
-    # tracemalloc peak of the same key walk when every element kept its row in
-    # the ball-wide table: 44,659,891 bytes (Python 3.11); keyed by one scalar
-    # it was about 21.1 MB with a parent and a letter per element, 13.5 MB with
-    # one list of keys, and is about 11.3 MB with the keys streamed into one
-    # set, so the bound is 60 % of the row-keyed peak.
-    g = cycle_complement(7)
-    tracemalloc.start()
-    try:
-        rep = key_walk_probe(g, 2, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.injective and rep.total_words == sum(growth_series(g, 7))
-    assert peak < 0.6 * 44_659_891, peak
-
-
-def test_probe_memory_streams_the_keys_into_one_set():
-    # tracemalloc peak of the same key walk with every key in one list beside
-    # the set and one q-list per row of length 6: 59,079,472 bytes (Python
-    # 3.11); with the keys streamed into the set in chunks it is about 43.4 MB.
-    g = cycle_complement(7)
-    tracemalloc.start()
-    try:
-        rep = key_walk_probe(g, 2, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.injective and rep.total_words == 536_131
-    assert peak < 0.8 * 59_079_472, peak
+    assert matrix_image_probe(g, t, max_len) == rep
 
 
 def test_probe_memory_holds_nothing_of_the_ball():
     # The production probe counts descent masks only: its tracemalloc peak on
-    # the 536,131-element ball is about 5 KB, where the key walk's is 43.4 MB.
+    # the 536,131-element ball is about 5 KB.
     g = cycle_complement(7)
     tracemalloc.start()
     try:
