@@ -6,9 +6,10 @@ whose divisions are exact over any integral domain, so an int or
 integer-Poly matrix stays in integers throughout.  Characteristic
 polynomials of rational matrices come from the Faddeev-LeVerrier recursion
 (divisions by 1..n, exact in characteristic zero), and inertia signatures
-from Sturm counts on the characteristic polynomial.  The package reads the
-stable signature off det M_d instead (gram.stable_signature); signature_of
-is kept as its test oracle.
+from Descartes' rule on the characteristic polynomial, which is real-rooted
+for a symmetric matrix.  The package reads the stable signature off det M_d
+by the same rule instead (gram.stable_signature); signature_of is kept as
+its test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import floordiv, truediv
 from typing import NamedTuple
 
 from ..errors import MixedRadicands
-from .poly import Poly, count_roots, squarefree_decomposition, sturm_sequence
+from .poly import Poly, _sign_changes
 from .quadratic import QuadElem
 
 Matrix = tuple
@@ -183,26 +184,20 @@ class Signature(NamedTuple):
 
 
 def signature_of(a: Matrix) -> Signature:
-    """Exact inertia of a symmetric rational matrix via Sturm counts.
+    """Exact inertia of a symmetric rational matrix by Descartes' rule.
 
-    Eigenvalues of a symmetric matrix are real, so p = number of roots of
-    the characteristic polynomial in (0, inf) counted with multiplicity,
-    z = multiplicity of the root 0, q = n - p - z.
+    Eigenvalues of a symmetric matrix are real, so its characteristic
+    polynomial is real-rooted and the sign changes of its coefficients count
+    its positive roots with multiplicity, exactly: p is that count, z the
+    multiplicity of the root 0 (the zero coefficients at the low end) and
+    q = n - p - z.
     """
     if not is_symmetric(a):
         raise ValueError("signature needs a symmetric matrix")
-    n = len(a)
-    cp = char_poly(a)
-    coeffs = cp.coeffs
-    z = 0
-    while coeffs[z] == 0:
-        z += 1
-    reduced = Poly(coeffs[z:])
-    positive = 0
-    if reduced.degree > 0:
-        for factor, mult in squarefree_decomposition(reduced):
-            positive += mult * count_roots(sturm_sequence(factor), 0)
-    return Signature(positive, n - positive - z, z)
+    coeffs = char_poly(a).coeffs
+    z = next(i for i, c in enumerate(coeffs) if c != 0)
+    p = _sign_changes(coeffs)
+    return Signature(p, len(a) - p - z, z)
 
 
 # -- row reduction ------------------------------------------------------------

@@ -10,10 +10,13 @@ exact point that supports ring operations (int, Fraction, QuadElem, Poly).
 On top of the arithmetic this module provides squarefree parts, the
 Budan-Fourier count of the roots above a point (roots_above) for a
 real-rooted squarefree polynomial, which every polynomial the package
-isolates is, and one bisection walk on integer numerators over a shared
-denominator, with counts and signs from callbacks at (u, den): root_intervals
-isolates the distinct real roots and refine_root_interval narrows one
-interval, and only the intervals they return are Fractions.  Isolation keeps
+isolates is, Descartes' count of the positive roots by coefficient sign
+changes (_sign_changes), exact for a real-rooted polynomial, from which
+linalg and gram read inertia, and one bisection walk on integer numerators
+over a shared denominator, with counts and signs from callbacks at
+(u, den): root_intervals isolates the distinct real roots and
+refine_root_interval narrows one interval, and only the intervals they
+return are Fractions.  Isolation keeps
 every root strictly inside its interval and every endpoint off the root set,
 which the thresholds rely on.  Sturm chains (sturm_sequence, count_roots,
 isolate_real_roots), which need neither, are kept only as the tests' oracle.
@@ -299,37 +302,6 @@ def squarefree_part(p: Poly) -> Poly:
     return _normal_form(p / poly_gcd(p, p.derivative()))
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: pairwise-coprime factors with multiplicities, each
-    primitive with a positive leading coefficient.
-
-    The product of factor**multiplicity equals p up to a constant.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("decomposition of the zero polynomial")
-    if p.degree == 0:
-        return []
-    f = _normal_form(p)
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    if a.degree == 0:
-        return [(f, 1)]
-    b = f / a
-    c = df / a
-    d = c - b.derivative()
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while b.degree > 0:
-        ai = poly_gcd(b, d)
-        if ai.degree > 0:
-            out.append((ai, i))
-        b = b / ai
-        c = d / ai
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
 # -- intervals ----------------------------------------------------------------
 
 
@@ -411,7 +383,11 @@ def roots_above(f: Poly, x, b: int = 1) -> int:
 
 
 def _sign_changes(values) -> int:
-    """Sign changes along a sequence of numbers, zeros skipped."""
+    """Sign changes along a sequence of numbers, zeros skipped.
+
+    On a polynomial's coefficients this is Descartes' bound on its positive
+    roots counted with multiplicity, which is exact for a real-rooted one.
+    """
     signs = [v > 0 for v in values if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 

@@ -1,10 +1,11 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(m)).
 
 A QuadElem stores a + b*sqrt(m) with Fraction coordinates and a squarefree
-integer radicand m >= 2.  Signs and comparisons are decided exactly by case
-analysis on the coordinates (comparing a^2 against m*b^2 when they disagree
-in sign), so no floating point ever enters a verdict.  Floats appear only in
-__float__, which exists for human-readable reporting.
+integer radicand m >= 2; operands with two radicands raise MixedRadicands.
+Signs are decided exactly by case analysis on the coordinates (comparing
+a^2 against m*b^2 when they disagree in sign), and x < y reads
+quad_sign(x - y) < 0, so no floating point ever enters a verdict.  Floats
+appear only in __float__, which exists for human-readable reporting.
 """
 
 from __future__ import annotations
@@ -61,15 +62,9 @@ class QuadElem:
 
     def _coerce(self, other) -> "QuadElem | None":
         if isinstance(other, QuadElem):
-            if other.m == self.m:
-                return other
-            # A coordinate pair with b == 0 is an ordinary rational and may
-            # adopt the other operand's radicand.
-            if other.b == 0:
-                return QuadElem(other.a, 0, self.m)
-            if self.b == 0:
-                return other
-            raise MixedRadicands(f"cannot combine sqrt({self.m}) with sqrt({other.m})")
+            if other.m != self.m:
+                raise MixedRadicands(f"cannot combine sqrt({self.m}) with sqrt({other.m})")
+            return other
         if isinstance(other, (int, Fraction)):
             return QuadElem(other, 0, self.m)
         return None
@@ -80,8 +75,7 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = o.m if self.b == 0 else self.m
-        return QuadElem(self.a + o.a, self.b + o.b, m)
+        return QuadElem(self.a + o.a, self.b + o.b, self.m)
 
     __radd__ = __add__
 
@@ -89,15 +83,13 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = o.m if self.b == 0 else self.m
-        return QuadElem(self.a - o.a, self.b - o.b, m)
+        return QuadElem(self.a - o.a, self.b - o.b, self.m)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = o.m if self.b == 0 else self.m
-        return QuadElem(o.a - self.a, o.b - self.b, m)
+        return QuadElem(o.a - self.a, o.b - self.b, self.m)
 
     def __neg__(self):
         return QuadElem(-self.a, -self.b, self.m)
@@ -106,11 +98,10 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = o.m if self.b == 0 else self.m
         return QuadElem(
-            self.a * o.a + m * self.b * o.b,
+            self.a * o.a + self.m * self.b * o.b,
             self.a * o.b + self.b * o.a,
-            m,
+            self.m,
         )
 
     __rmul__ = __mul__
@@ -134,12 +125,9 @@ class QuadElem:
         return o * self.inverse()
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         base = self
-        if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
         result = QuadElem(1, 0, self.m)
         while exponent:
             if exponent & 1:
@@ -180,19 +168,11 @@ class QuadElem:
             return 1 if bigger_rational else -1
         return -1 if bigger_rational else 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
-
     def is_integral(self) -> bool:
         """True when both coordinates are integers, i.e. self lies in Z[sqrt(m)]."""
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    # -- comparisons --------------------------------------------------------
+    # -- equality and sign --------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
@@ -210,24 +190,6 @@ class QuadElem:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
-
-    def _cmp_sign(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, QuadElem):
-            return diff.sign()
-        raise TypeError(f"cannot compare QuadElem with {other!r}")
-
-    def __lt__(self, other):
-        return self._cmp_sign(other) < 0
-
-    def __le__(self, other):
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_sign(other) >= 0
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self

@@ -48,7 +48,7 @@ from .exactcore import (
     roots_above,
     squarefree_part,
 )
-from .exactcore.poly import _sign_at, poly_from_balanced_digits
+from .exactcore.poly import _sign_at, _sign_changes, poly_from_balanced_digits
 
 # epsilon when the cap at 1 binds (pencils whose minors have no root in (0, 1)).
 _EPSILON_CAP = Fraction(1023, 1024)
@@ -272,9 +272,7 @@ def stable_signature(pencil: GramPencil) -> Signature:
     sign changes of the coefficient sequence, with an even deficit that
     vanishes for real-rooted polynomials, so q is exactly that count.
     """
-    det = minor_polynomials(pencil)[-1]
-    signs = [c > 0 for c in det.coeffs if c != 0]
-    q = sum(a != b for a, b in zip(signs, signs[1:]))
+    q = _sign_changes(minor_polynomials(pencil)[-1].coeffs)
     return Signature(pencil.n - q, q, 0)
 
 

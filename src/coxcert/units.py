@@ -107,7 +107,7 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
     alpha = u.value
     tau = alpha.conjugate()
     product = alpha * tau
-    product_is_unit = product.is_rational() and product.as_fraction() in (1, -1)
+    product_is_unit = product in (1, -1)
     if not product_is_unit:
         raise VerificationFailed(f"alpha * tau(alpha) = {product} is not a unit")
     conj_bounded = quad_sign(abs(tau) - epsilon) <= 0
@@ -115,4 +115,4 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
         raise InequalityFailed(
             f"|tau(alpha)| exceeds epsilon = {epsilon}: alpha lies below 1/epsilon"
         )
-    return GaloisReport(alpha, tau, product.as_fraction(), product_is_unit, conj_bounded)
+    return GaloisReport(alpha, tau, product.a, product_is_unit, conj_bounded)

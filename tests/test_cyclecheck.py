@@ -157,6 +157,7 @@ def test_embed_and_verify_never_compute_the_float_report(tmp_path, monkeypatch, 
         raise AssertionError("the float spectrum report was computed")
 
     monkeypatch.setattr("coxcert.cyclecheck.spectrum_deviation", no_report)
+    monkeypatch.setattr("coxcert.cyclecheck.predicted_spectrum", no_report)
     monkeypatch.setattr("coxcert.cyclecheck._observed_roots", no_report)
     for n in range(5, 13):
         assert build_embedding_certificate(cycle_complement(n)).cycle.ok, n

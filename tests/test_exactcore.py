@@ -36,7 +36,6 @@ from coxcert.exactcore.poly import (
     isolate_real_roots,
     poly_from_balanced_digits,
     poly_gcd,
-    squarefree_decomposition,
     sturm_sequence,
 )
 
@@ -65,7 +64,7 @@ def test_quad_arithmetic_and_conjugate():
     inv = 1 / u
     assert inv * u == 1
     assert u + F(1, 2) == QuadElem(F(3, 2), 1, 2)
-    assert QuadElem(4, 0, 3).as_fraction() == 4
+    assert QuadElem(4, 0, 3) == 4
 
 
 def test_quad_norm_and_integrality():
@@ -80,8 +79,9 @@ def test_mixed_radicands_rejected():
         QuadElem(1, 1, 2) + QuadElem(1, 1, 3)
     with pytest.raises(MixedRadicands):
         QuadElem(0, 1, 2) * QuadElem(0, 1, 5)
-    # rational-valued elements combine across radicands
-    assert QuadElem(2, 0, 2) + QuadElem(3, 0, 5) == 5
+    # rational-valued elements do not combine across radicands either
+    with pytest.raises(MixedRadicands):
+        QuadElem(2, 0, 2) + QuadElem(3, 0, 5)
 
 
 def test_quad_rejects_non_squarefree_radicand():
@@ -93,7 +93,7 @@ def test_quad_ordering_against_floats():
     xs = [QuadElem(a, b, 3) for a in range(-2, 3) for b in range(-2, 3)]
     for x in xs:
         for y in xs:
-            assert (x < y) == (float(x) < float(y))
+            assert (quad_sign(x - y) < 0) == (float(x) < float(y))
 
 
 def test_quad_hash_consistent_with_fraction():
@@ -136,6 +136,8 @@ def test_poly_exact_division():
     assert p / q == Poly((-1, 1))
     with pytest.raises(ValueError):
         Poly((1, 1, 1)) / q
+    # the squarefree part divides out a repeated factor: (d + 1)^3 (d - 2)
+    assert squarefree_part(q**3 * Poly((-2, 1))) == Poly((-2, -1, 1))
 
 
 # -- integer representation ----------------------------------------------------
@@ -265,24 +267,6 @@ def test_refine_keeps_exact_rational_root_interior():
     assert tight.width <= F(1, 1000)
 
 
-def test_squarefree_decomposition_pinned():
-    # the multiplicities that root isolation used to report
-    assert squarefree_decomposition(Poly((-2, 0, 1))) == [(Poly((-2, 0, 1)), 1)]
-    assert squarefree_decomposition(Poly((1, 0, -3, -2))) == [
-        (Poly((-1, 2)), 1),
-        (Poly((1, 1)), 2),
-    ]
-    assert squarefree_decomposition(Poly((-3, 1))) == [(Poly((-3, 1)), 1)]
-
-
-def test_squarefree_decomposition_multiplicity():
-    p = Poly((1, 1)) ** 3 * Poly((-2, 1))
-    decomp = squarefree_decomposition(p)
-    mults = sorted(m for _f, m in decomp)
-    assert mults == [1, 3]
-    assert squarefree_part(p).degree == 2
-
-
 # -- the gcd screen modulo 2^61 - 1 ---------------------------------------------
 
 SCREEN_PRIME = (1 << 61) - 1
@@ -390,6 +374,9 @@ def test_signature_pinned():
         (F(-1), F(-1), F(1)),
     )
     assert signature_of(k3_at_1) == Signature(2, 1, 0)
+    # repeated and zero eigenvalues, counted with multiplicity
+    diag = tuple(tuple(F(d * (i == j)) for j in range(5)) for i, d in enumerate((2, 2, 0, 0, -1)))
+    assert signature_of(diag) == Signature(2, 1, 2)
 
 
 def test_signature_components_sum_to_n():

@@ -1,7 +1,7 @@
 """The exact kernels against sympy, an independent implementation.
 
 sympy is a test-only dependency: it computes block determinants, real roots
-with multiplicities, squarefree factorizations and characteristic
+with multiplicities, squarefree parts, gcds and characteristic
 polynomials by its own algorithms, and every comparison below is exact.
 The Sturm root kernels run here on polynomials with repeated roots, to pin
 that none of them needs a squarefree input; they are the oracle that
@@ -43,7 +43,6 @@ from coxcert.exactcore.poly import (
     _sign_at,
     count_roots,
     isolate_real_roots,
-    squarefree_decomposition,
     sturm_sequence,
 )
 
@@ -213,18 +212,6 @@ def test_refinement_needs_an_odd_multiplicity(p):
         tight = refine_root_interval(p, iv, iv.width / 8)
         assert tight.width <= iv.width / 8
         assert bool(_rational(tight.lo) < root) and bool(root < _rational(tight.hi))
-
-
-@settings(max_examples=30, deadline=None)
-@given(polys_with_repeated_roots())
-def test_squarefree_decomposition_matches_sympy(p):
-    if p.degree < 1:
-        assert squarefree_decomposition(p) == []
-        return
-    _const, factors = sp.sqf_list(_to_sympy(p))
-    expected = sorted((k, _sympy_normal_form(f.as_expr()).coeffs) for f, k in factors)
-    got = sorted((k, f.coeffs) for f, k in squarefree_decomposition(p))
-    assert got == expected
 
 
 def _in_normal_form(p: Poly) -> bool:

@@ -5,16 +5,16 @@ No linter ships with the test dependencies, so these stdlib checks stand in
 for one.  A deletion that leaves an import behind fails here; package
 __init__ files are skipped by that check, since they import names to
 re-export them.  A top-level function or class, or a non-dunder method, that
-nothing in src/, tests/ or bench/ mentions outside its own definition fails
-here too, and so does an __all__ entry that does not resolve.  Last, the
-command line must start without `dataclasses` or `inspect`.
+no code in src/, tests/ or bench/ refers to outside its own definition
+fails here too (a mention in a comment or docstring is no reference), and
+so does an __all__ entry that does not resolve.  Last, the command line
+must start without `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -27,7 +27,6 @@ PACKAGE = ROOT / "src" / "coxcert"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 CORPUS = sorted(p for top in ("src", "tests", "bench") for p in (ROOT / top).rglob("*.py"))
-WORD = re.compile(r"\w+")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,36 +70,51 @@ def _definitions(tree: ast.Module):
                     yield item
 
 
-def unreferenced(source: str, corpus_words: Counter) -> list[str]:
-    """Names defined in source that occur in corpus_words only inside their definitions.
+def references(tree: ast.AST) -> Counter:
+    """The names tree reads: names, attributes, imported names and aliases,
+    and string constants that are identifiers (such as a name the benchmark
+    tracer looks up).  Comments and prose in docstrings do not count."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split(".") + ([node.asname] if node.asname else []))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            refs[node.value] += 1
+    return refs
 
-    corpus_words counts the whole words of every file searched, source
-    included; a name is matched as a whole word, so a mention in a string
-    (such as a name the benchmark tracer looks up) counts.
+
+def unreferenced(source: str, corpus_refs: Counter) -> list[str]:
+    """Names defined in source that corpus_refs counts only inside their definitions.
+
+    corpus_refs holds the references of every file searched, source included.
     """
-    lines = source.splitlines()
-    out = []
-    for node in _definitions(ast.parse(source)):
-        own = WORD.findall("\n".join(lines[node.lineno - 1 : node.end_lineno])).count(node.name)
-        if corpus_words[node.name] <= own:
-            out.append(f"{node.name} (line {node.lineno})")
-    return out
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in _definitions(ast.parse(source))
+        if corpus_refs[node.name] <= references(node)[node.name]
+    ]
 
 
 def test_the_check_sees_an_unreferenced_name():
     source = (
-        "def used():\n    return used()\n\n"
+        "def used():\n    \"\"\"Calls told() in prose only.\"\"\"\n    return used()\n\n"
         "def dead():\n    return dead()\n\n"
+        "def told():\n    return 0\n\n"
+        "def looked_up():\n    return 0\n\n"
         "class C:\n    def m(self):\n        return self.m\n\n    def __len__(self):\n        return 0\n"
     )
-    words = Counter(WORD.findall(source + "used(); C()\n"))
-    assert unreferenced(source, words) == ["dead (line 4)", "m (line 8)"]
+    refs = references(ast.parse(source + "used(); C()  # told\ngetattr(C, 'looked_up')\n"))
+    assert unreferenced(source, refs) == ["dead (line 5)", "told (line 8)", "m (line 15)"]
 
 
 def test_every_package_definition_is_referenced():
-    words = Counter(w for path in CORPUS for w in WORD.findall(path.read_text(encoding="utf-8")))
+    refs = sum((references(ast.parse(path.read_text(encoding="utf-8"))) for path in CORPUS), Counter())
     found = {
-        str(path.relative_to(PACKAGE)): unreferenced(path.read_text(encoding="utf-8"), words)
+        str(path.relative_to(PACKAGE)): unreferenced(path.read_text(encoding="utf-8"), refs)
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert {name: dead for name, dead in found.items() if dead} == {}
