@@ -1,9 +1,9 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(m)).
 
 A QuadElem stores a + b*sqrt(m) with Fraction coordinates and a squarefree
-integer radicand m >= 2; operands with two radicands raise MixedRadicands.
-Signs are decided exactly by case analysis on the coordinates (comparing
-a^2 against m*b^2 when they disagree in sign), and x < y reads
+integer radicand m >= 2; operands with two radicands raise MixedRadicands
+and compare unequal.  Signs are decided exactly by case analysis (comparing
+a^2 against m*b^2 when the coordinates disagree in sign), and x < y reads
 quad_sign(x - y) < 0, so no floating point ever enters a verdict.  Floats
 appear only in __float__, which exists for human-readable reporting.
 """
@@ -176,12 +176,7 @@ class QuadElem:
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
-            if self.m == other.m:
-                return self.a == other.a and self.b == other.b
-            # Distinct squarefree radicands never produce equal irrationals.
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return False
+            return self.m == other.m and self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         return NotImplemented

@@ -14,22 +14,21 @@ construction:
   of M_d is constant ("stable signature"); it is read off the signs of
   det(M_d)'s coefficients.
 
-All n minor polynomials come from one pivot-free, fraction-free Bareiss
-pass over the integer matrix M_{2^bits}, with 2^bits past twice a Hadamard
-bound on their coefficients: its pivots are the minors at d = 2^bits, and
-their balanced base-2^bits digits are the coefficients (Kronecker
-substitution).  Roots are located by Budan-Fourier counts and exactcore's
-one integer-grid bisection walk on real-rooted squarefree polynomials;
-epsilon walks q(d^2) and supplies the counts and signs itself, on
-q(y) = det(I - y A_k^2) at y = x^2, none past Fujiwara's bound, and screens
-gcds modulo 2^61 - 1.  Final checks are re-verified exactly.
+All n minor polynomials come from the bordering recurrence (Samuelson,
+Ann. Math. Statist. 13, 1942; Berkowitz, Inform. Process. Lett. 18, 1984)
+in integers, with no division and no bound on the coefficients.  Roots are
+located by Budan-Fourier counts and exactcore's one integer-grid bisection
+walk on real-rooted squarefree polynomials; epsilon walks q(d^2) and
+supplies the counts and signs itself, on q(y) = det(I - y A_k^2) at
+y = x^2, none past Fujiwara's bound, and screens gcds modulo 2^61 - 1.
+Final checks are re-verified exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, isqrt
+from operator import mul
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
@@ -41,14 +40,13 @@ from .exactcore import (
     QuadElem,
     Signature,
     cauchy_root_bound,
-    leading_principal_minors,
     poly_gcd,
     refine_root_interval,
     root_intervals,
     roots_above,
     squarefree_part,
 )
-from .exactcore.poly import _sign_at, _sign_changes, poly_from_balanced_digits
+from .exactcore.poly import _sign_at, _sign_changes
 
 # epsilon when the cap at 1 binds (pencils whose minors have no root in (0, 1)).
 _EPSILON_CAP = Fraction(1023, 1024)
@@ -88,17 +86,20 @@ def evaluate_pencil(pencil: GramPencil, t):
 
 @lru_cache(maxsize=256)
 def _minor_polynomials_cached(pencil: GramPencil) -> tuple[Poly, ...]:
-    # Every Bareiss entry is a minor of I - dA (Sylvester).  Its d^j coefficient
-    # sums at most C(n, j) determinants with j columns from the 0/1 matrix A,
-    # each at most n^(j/2) by Hadamard.  Past twice that bound, d = 2^bits keeps
-    # each coefficient as one balanced digit; evaluation is a ring map and each
-    # Z[d] quotient is exact, so the integer pass divides exactly.
-    n = pencil.n
-    bits = (2 * max(comb(n, j) * (isqrt(n**j) + 1) for j in range(n + 1))).bit_length()
-    minors = [poly_from_balanced_digits(v, bits) for v in leading_principal_minors(pencil.at(1 << bits))]
-    for k, p in enumerate(minors, start=1):
-        if not (p(Fraction(0)) == 1):
-            raise VerificationFailed(f"minor {k} has constant term {p(Fraction(0))}, expected 1")
+    # p_0..p_k: det(I - d A_k)'s coefficients from d^0 up, det(x I - A_k)'s from x^k down.  Bordering A_k
+    # by c, vertex k + 1's neighbours in it, gives p_j -= sum_(i <= j-2) p_i s_(j-2-i), s_j = c^T A_k^j c.
+    g, p, minors = pencil.diagram, [1], []
+    neighbours = [[j - 1 for j in g.neighbors(i)] for i in g.vertices]  # neighbours[i]: vertex i + 1's, 0-based
+    for k, column in enumerate(neighbours):
+        adjacent = [[j for j in row if j < k] for row in neighbours[:k]]  # A_k's rows
+        v, s = [int(i in column) for i in range(k)], []  # v = c
+        while len(s) < k:  # s_2t = |A^t c|^2, s_(2t+1) = (A^t c)^T A (A^t c)
+            w = [sum(map(v.__getitem__, row)) for row in adjacent]
+            s, v = s + [sum(map(mul, v, v)), sum(map(mul, v, w))], w
+        p.append(0)
+        for j in range(k + 1, 1, -1):
+            p[j] -= sum(map(mul, p[: j - 1], reversed(s[: j - 1])))
+        minors.append(Poly(p))
     return tuple(minors)
 
 

@@ -24,18 +24,19 @@ So the sphere sizes depend on the masks alone: sphere k + 1 has
 sum_D count_k(D) * fanout(D) elements, where count_k(D) is the number of
 elements of sphere k with mask D, and the children's masks give count_(k+1).
 `_sphere_sizes` counts the masks so, layer by layer, before anything is
-built.  It stops at the first empty layer, which only a finite group has,
-and refuses a radius above MAX_BALL_ELEMENTS (past that, a ball of an
-infinite group, having an element of every length, holds too many elements
-anyway) and, as soon as the running total passes it, a ball over
+built, and fills in every later sphere at once when count_(k+1) = count_k.
+It stops at the first empty layer, which only a finite group has, and
+refuses a radius above MAX_BALL_ELEMENTS (past that, a ball of an infinite
+group, having an element of every length, holds too many elements anyway)
+and, as soon as the running total passes it, a ball over
 MAX_BALL_ELEMENTS, so a refused ball is never built.
 
 `enumerate_by_length` returns those sizes and checks them against normal
 forms, independently of any matrix model.  Each layer maps a normal form to
 its descent mask and is grown by the kept growths only, so `append_letter`
 never cancels on this path: every call lengthens the word by one letter, up
-to length max_len - 2, and each layer must hold as many distinct normal
-forms as the count says.
+to length max_len - 2 and MAX_BALL_ELEMENTS letters built in all, and each
+layer must hold as many distinct normal forms as the count says.
 
 The faithfulness verdict rests on a theorem, not on a walk.  The probe runs
 only at t >= 1.  There the transposed action R_s^T x = x - x_s * (2 M_t e_s)
@@ -131,8 +132,7 @@ def _sphere_sizes(growths: _Growths, max_len: int) -> list[int]:
         raise ValueError("max_len must be >= 0")
     if max_len > MAX_BALL_ELEMENTS:
         raise BallTooLarge(f"radius {max_len} is above the cap of {MAX_BALL_ELEMENTS} ball elements")
-    sizes = [1]
-    total = 1
+    sizes, total = [1], 1
     counts = {0: 1}  # descent mask -> its number of elements in the last sphere counted
     while len(sizes) <= max_len:
         size = sum(count * len(growths[desc]) for desc, count in counts.items())
@@ -147,6 +147,9 @@ def _sphere_sizes(growths: _Growths, max_len: int) -> list[int]:
             for desc, count in counts.items():
                 for _, child in growths[desc]:
                     nxt[child] = nxt.get(child, 0) + count
+            if nxt == counts:  # a fixed point: every later sphere repeats this one; add those the cap allows
+                repeats = min(max_len + 1 - len(sizes), (MAX_BALL_ELEMENTS - total) // size)
+                sizes, total = sizes + [size] * repeats, total + size * repeats
             counts = nxt
     return sizes + [0] * (max_len + 1 - len(sizes))
 
@@ -159,14 +162,15 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     normal forms, each layer mapping a normal form to its descent mask: a
     word is grown only by its kept growths (see the module docstring), so
     every `append_letter` call lengthens its word, none cancels, and each
-    layer up to length max_len - 2 must hold as many distinct normal forms
-    as counted, else VerificationFailed.
+    layer up to length max_len - 2 and MAX_BALL_ELEMENTS letters in all
+    must hold as many distinct normal forms as counted, else VerificationFailed.
     """
     growths = _Growths(g)
     counts = _sphere_sizes(growths, max_len)
-    layer = {(): 0}
+    layer, letters = {(): 0}, 0
     for length in range(1, max_len - 1):
-        if not counts[length]:
+        letters += length * counts[length]
+        if not counts[length] or letters > MAX_BALL_ELEMENTS:
             break
         layer = {append_letter(word, s, g): child for word, desc in layer.items() for s, child in growths[desc]}
         if len(layer) != counts[length]:

@@ -15,20 +15,46 @@ integer numerators over one denominator: the same points as Fractions, so
 every walk here yields the same intervals, and the tests pin the integer
 walks to them.  circulant_identity_in_q_d is the cycle-complement identity
 compared in Q[d], entry by entry, as cyclecheck did before one integer
-evaluation decided it.
+evaluation decided it.  kronecker_minors is how gram found the leading
+minors before the bordering recurrence: one fraction-free Bareiss pass over
+M_d at d = 2^bits, past twice a Hadamard bound on every coefficient, and
+the balanced base-2^bits digits of its pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import comb, isqrt
 
 from coxcert.errors import EndpointIsRoot, VerificationFailed
-from coxcert.exactcore import Interval, Poly, cauchy_root_bound, poly_gcd, quad_sign, squarefree_part
-from coxcert.exactcore.poly import _sign_at, count_roots, roots_above, sturm_sequence
+from coxcert.exactcore import (
+    Interval,
+    Poly,
+    cauchy_root_bound,
+    leading_principal_minors,
+    poly_gcd,
+    quad_sign,
+    squarefree_part,
+)
+from coxcert.exactcore.poly import _sign_at, count_roots, poly_from_balanced_digits, roots_above, sturm_sequence
 from coxcert.gram import _EPSILON_CAP, minor_polynomials
 
 _REFINE_WIDTH = Fraction(1, 10**12)
+
+
+def kronecker_minors(pencil) -> list[Poly]:
+    """The leading principal minors of M_d, decoded from one integer Bareiss pass at d = 2^bits.
+
+    Every Bareiss entry is a minor of I - dA (Sylvester).  Its d^j coefficient
+    sums at most C(n, j) determinants with j columns from the 0/1 matrix A,
+    each at most n^(j/2) by Hadamard.  Past twice that bound, d = 2^bits keeps
+    each coefficient as one balanced digit; evaluation is a ring map and each
+    Z[d] quotient is exact, so the integer pass divides exactly.
+    """
+    n = pencil.n
+    bits = (2 * max(comb(n, j) * (isqrt(n**j) + 1) for j in range(n + 1))).bit_length()
+    return [poly_from_balanced_digits(v, bits) for v in leading_principal_minors(pencil.at(1 << bits))]
 
 
 def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:

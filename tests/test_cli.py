@@ -606,6 +606,19 @@ def test_words_negative_length_is_usage_error(p3_file, capsys):
     assert main(["words", p3_file, "--max-len", "-1"]) == 2
 
 
+def test_words_on_a_long_thin_ball_is_quick(tmp_path, capsys):
+    # One edge and an isolated vertex: spheres of 4 elements out to radius
+    # 249,990, a ball inside the cap.  Cross-checking every layer would build
+    # about 10^11 letters; only the layers within MAX_BALL_ELEMENTS letters
+    # are built.
+    path = tmp_path / "edge.diagram"
+    path.write_text("n 3\nedge 1 2\n")
+    start = time.perf_counter()
+    assert main(["words", str(path), "--max-len", "249990", "--at-d", "1"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.startswith("word counts: 1 3 4 4 4 ")
+
+
 @pytest.mark.parametrize("command", ["verify", "embed", "words"])
 def test_ball_past_the_cap_is_usage_error(command, k3_file, tmp_path, monkeypatch, capsys):
     cert = tmp_path / "k3.json"

@@ -82,6 +82,9 @@ def test_mixed_radicands_rejected():
     # rational-valued elements do not combine across radicands either
     with pytest.raises(MixedRadicands):
         QuadElem(2, 0, 2) + QuadElem(3, 0, 5)
+    # and elements of two fields compare unequal, even where both are rational
+    assert QuadElem(2, 0, 2) != QuadElem(2, 0, 5)
+    assert QuadElem(2, 0, 2) == 2 and QuadElem(2, 0, 5) == 2
 
 
 def test_quad_rejects_non_squarefree_radicand():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from coxcert import (
 from coxcert.exactcore import leading_principal_minors, root_intervals
 from coxcert.exactcore.linalg import signature_of
 
+import _gram_oracle as oracle
 from _suite import acceptance_suite, random_connected_diagram
 
 F = Fraction
@@ -81,10 +83,37 @@ _TOP_OF_RANGE = _top_of_range()
 
 @pytest.mark.parametrize("name", _TOP_OF_RANGE)
 def test_integer_minors_equal_the_elimination_over_z_d(name):
-    # The production minors come from one integer pass at d = 2^bits; the
-    # oracle eliminates the Poly-entry pencil over Z[d] itself.
+    # The production minors come from the bordering recurrence on integers;
+    # the oracle eliminates the Poly-entry pencil over Z[d] itself.
     pencil = gram_pencil(_TOP_OF_RANGE[name])
     assert minor_polynomials(pencil) == leading_principal_minors(evaluate_pencil(pencil, Poly((0, 1))))
+
+
+def _pin_set():
+    """cc5-cc32, the paths P3-P32 and 300 seeded random diagrams with n = 3..32."""
+    for n in range(5, 33):
+        yield f"cc{n}", cycle_complement(n)
+    for n in range(3, 33):
+        yield f"P{n}", CoxeterDiagram(n, frozenset((i, i + 1) for i in range(1, n)))
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(3, 33)
+        yield f"rand{seed}", random_connected_diagram(rng, n, rng.choice((0.05, 0.15, 1 / 3, 0.6, 0.9)))
+
+
+def test_minors_equal_the_kronecker_oracle():
+    for name, g in _pin_set():
+        pencil = gram_pencil(g)
+        minors = minor_polynomials(pencil)
+        assert minors == oracle.kronecker_minors(pencil), name
+        assert all(p(0) == 1 for p in minors), name
+
+
+def test_threshold_reports_pinned_on_the_pin_set():
+    # sha256 of the reports' reprs, one "name repr" line each, as computed from
+    # the minors of the Kronecker pass
+    lines = "\n".join(f"{name} {threshold_report(gram_pencil(g))!r}" for name, g in _pin_set())
+    assert sha256(lines.encode()).hexdigest() == "d976d140447435b42c0975b8ce7153f608efbd5a0e59a27ac490fb64203c74ca"
 
 
 def test_evaluate_pencil_types():

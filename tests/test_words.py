@@ -206,12 +206,46 @@ def test_enumeration_builds_no_word_of_the_last_length(monkeypatch):
             assert max(lengths, default=0) == max(max_len - 2, 0), (name, max_len)
 
 
-def test_cc7_counts_to_length_8():
+def test_cc7_counts_to_length_8(monkeypatch):
     # The `probe` benchmark's ball; its last sphere, 424,235 of 536,131
-    # elements, is the sum of the fanouts of length 7.
+    # elements, is the sum of the fanouts of length 7.  Its layers up to
+    # length 6 hold 133,966 letters, within MAX_BALL_ELEMENTS, so every one
+    # is cross-checked against normal forms.
+    lengths = []
+    real = words.append_letter
+    monkeypatch.setattr(words, "append_letter", lambda nf, s, g: lengths.append(len(nf) + 1) or real(nf, s, g))
     expected = [1, 7, 35, 168, 805, 3857, 18480, 88543, 424235]
     assert growth_series(cycle_complement(7), 8) == expected
     assert enumerate_by_length(cycle_complement(7), 8) == expected
+    assert max(lengths) == 6
+
+
+def test_cross_check_stops_at_the_letter_cap(monkeypatch):
+    # K3's spheres hold 3 * 2^(k-1) elements, so its layers of length 1..5
+    # hold 3, 15, 51, 147 and 387 letters in all; the radius-7 ball has 382
+    # elements.  The layer that would pass the cap is not built, and the
+    # counts are the sphere sizes all the same.
+    lengths = []
+    real = words.append_letter
+    monkeypatch.setattr(words, "append_letter", lambda nf, s, g: lengths.append(len(nf) + 1) or real(nf, s, g))
+    for cap, longest in ((382, 4), (386, 4), (387, 5)):
+        monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", cap)
+        lengths.clear()
+        assert enumerate_by_length(K3, 7) == growth_series(K3, 7), cap
+        assert max(lengths) == longest, cap
+
+
+def test_repeating_spheres_are_filled_in_up_to_the_cap(monkeypatch):
+    # One edge and an isolated vertex: from radius 2 on every sphere has the
+    # same descent-mask counts, so the rest of the ball is filled in at once,
+    # still refused where the running total passes the cap: the radius-300
+    # ball has 1 + 3 + 4 * 299 = 1200 elements.
+    g = CoxeterDiagram(3, frozenset({(1, 2)}))
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 1200)
+    assert list(faithfulness_probe(g, 1, 300).word_counts) == growth_series(g, 300)
+    monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 1199)
+    with pytest.raises(BallTooLarge, match="more than 1199 elements"):
+        faithfulness_probe(g, 1, 300)
 
 
 def test_counts_match_renormalising_walk():
