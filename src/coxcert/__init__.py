@@ -9,117 +9,89 @@ preservation of an indefinite form, compactness of the Galois-conjugate
 form, Zariski density via the bracket-closure trace (vertex pairs counted
 by graph distance), and faithfulness by Vinberg's theorem.  All verdicts come
 from exact arithmetic over Q and Q(sqrt m); floats appear only in reports.
+
+The six stage modules load on first attribute access, so each command
+compiles and runs only the stages it calls.
 """
 
 from __future__ import annotations
 
-from .cyclecheck import (
-    CycleReport,
-    SpectrumPrediction,
-    circulant_identity_ok,
-    predicted_spectrum,
-    verify_cycle_example,
+import importlib
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """Register coxcert.<name> in sys.modules; its source runs on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+cyclecheck, gram, liealg, units, vinberg, words = map(
+    _lazy, ("cyclecheck", "gram", "liealg", "units", "vinberg", "words")
 )
-from .diagram import (
-    CoxeterDiagram,
-    cycle_complement,
-    is_connected,
-    parse_diagram,
-    serialize_diagram,
-)
-from .exactcore import (
-    Interval,
-    Matrix,
-    Poly,
-    QuadElem,
-    Signature,
-    quad_sign,
-)
-from .gram import (
-    GramPencil,
-    ThresholdReport,
-    d_threshold,
-    epsilon_threshold,
-    evaluate_pencil,
-    gram_pencil,
-    minor_polynomials,
-    stable_signature,
-    threshold_report,
-)
-from .liealg import (
-    DensityCertificate,
-    bracket_closure_density,
-)
-from .units import (
-    GaloisReport,
-    PellSolution,
-    UnitValue,
-    choose_unit,
-    fundamental_pell,
-    galois_pair_check,
-)
-from .vinberg import (
-    EmbeddingCertificate,
-    RelationReport,
-    build_embedding_certificate,
-    compact_conjugate_check,
-    expected_trace,
-    generators_integral,
-    verify_relations,
-)
-from .words import (
-    FaithfulnessReport,
-    append_letter,
-    enumerate_by_length,
-    faithfulness_probe,
-)
+
+# The public names of each submodule.  __getattr__ serves these, and the
+# submodules diagram, errors and exactcore, imported plainly on first use.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "cyclecheck": (
+            "CycleReport",
+            "SpectrumPrediction",
+            "circulant_identity_ok",
+            "predicted_spectrum",
+            "verify_cycle_example",
+        ),
+        "diagram": ("CoxeterDiagram", "cycle_complement", "is_connected", "parse_diagram", "serialize_diagram"),
+        "exactcore": ("Interval", "Matrix", "Poly", "QuadElem", "Signature", "quad_sign"),
+        "gram": (
+            "GramPencil",
+            "ThresholdReport",
+            "d_threshold",
+            "epsilon_threshold",
+            "evaluate_pencil",
+            "gram_pencil",
+            "minor_polynomials",
+            "stable_signature",
+            "threshold_report",
+        ),
+        "liealg": ("DensityCertificate", "bracket_closure_density"),
+        "units": (
+            "GaloisReport",
+            "PellSolution",
+            "UnitValue",
+            "choose_unit",
+            "fundamental_pell",
+            "galois_pair_check",
+        ),
+        "vinberg": (
+            "EmbeddingCertificate",
+            "RelationReport",
+            "build_embedding_certificate",
+            "compact_conjugate_check",
+            "expected_trace",
+            "generators_integral",
+            "verify_relations",
+        ),
+        "words": ("FaithfulnessReport", "append_letter", "enumerate_by_length", "faithfulness_probe"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name in ("diagram", "errors", "exactcore"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoxeterDiagram",
-    "CycleReport",
-    "DensityCertificate",
-    "EmbeddingCertificate",
-    "FaithfulnessReport",
-    "GaloisReport",
-    "GramPencil",
-    "Interval",
-    "Matrix",
-    "PellSolution",
-    "Poly",
-    "QuadElem",
-    "RelationReport",
-    "Signature",
-    "SpectrumPrediction",
-    "ThresholdReport",
-    "UnitValue",
-    "append_letter",
-    "bracket_closure_density",
-    "build_embedding_certificate",
-    "choose_unit",
-    "circulant_identity_ok",
-    "compact_conjugate_check",
-    "cycle_complement",
-    "d_threshold",
-    "enumerate_by_length",
-    "epsilon_threshold",
-    "evaluate_pencil",
-    "expected_trace",
-    "faithfulness_probe",
-    "fundamental_pell",
-    "galois_pair_check",
-    "generators_integral",
-    "gram_pencil",
-    "is_connected",
-    "minor_polynomials",
-    "parse_diagram",
-    "predicted_spectrum",
-    "quad_sign",
-    "serialize_diagram",
-    "stable_signature",
-    "threshold_report",
-    "verify_cycle_example",
-    "verify_relations",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]

@@ -24,15 +24,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .cyclecheck import spectrum_deviation, verify_cycle_example
+from . import cyclecheck, gram, liealg, units, vinberg, words
 from .diagram import MAX_VERTICES, cycle_complement, parse_diagram, serialize_diagram
 from .errors import CoxcertError, InputError, TooManyVertices
-from .exactcore import Interval, QuadElem
-from .gram import d_threshold, gram_pencil, threshold_report
-from .liealg import bracket_closure_density
-from .units import PellSolution, UnitValue, fundamental_pell, galois_pair_check
-from .vinberg import EmbeddingCertificate, build_embedding_certificate
-from .words import enumerate_by_length, faithfulness_probe
 
 CERTIFICATE_FORMAT = "coxcert-embedding/1"
 # The certificate sections verify reads, each checked to be an object first;
@@ -55,17 +49,17 @@ def _rat(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _quad(x: QuadElem) -> dict:
+def _quad(x) -> dict:
     return {"a": _rat(x.a), "b": _rat(x.b), "m": x.m}
 
 
-def _interval(iv: Interval | None):
+def _interval(iv):
     if iv is None:
         return None
     return [_rat(iv.lo), _rat(iv.hi)]
 
 
-def certificate_payload(cert: EmbeddingCertificate) -> dict:
+def certificate_payload(cert) -> dict:
     """The deterministic JSON body; everything exact, nothing environmental."""
     thresholds, pell = cert.thresholds, cert.unit.base
     return {
@@ -150,7 +144,7 @@ def _emit_timings(timings: dict) -> None:
 
 def cmd_analyze(args) -> int:
     g = _load_diagram(args.diagram)
-    report = threshold_report(gram_pencil(g))
+    report = gram.threshold_report(gram.gram_pencil(g))
     print(f"vertices: {g.n}")
     print(f"edges: {len(g.edges)}")
     eps = report.epsilon
@@ -176,7 +170,7 @@ def cmd_embed(args) -> int:
     g = _load_diagram(args.diagram)
     if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
         raise InputError(f"cannot write {args.out}: not a file in an existing directory")
-    cert = build_embedding_certificate(g, m=args.m, probe_len=args.probe_len)
+    cert = vinberg.build_embedding_certificate(g, m=args.m, probe_len=args.probe_len)
     text = canonical_json(certificate_payload(cert))
     if args.out:
         try:
@@ -235,15 +229,16 @@ def _recheck_unit_block(payload: dict) -> None:
     is a verification failure.
     """
     from .errors import VerificationFailed
+    from .exactcore import QuadElem
 
     unit = payload["unit"]
     pell_data = unit["pell"]
     m = _stored_int(pell_data["m"], "unit.pell.m")
     x, y = (_stored_digits(pell_data[c], f"unit.pell.{c}") for c in "xy")
-    stated = PellSolution(m, x, y, _stored_int(pell_data["norm"], "unit.pell.norm"))
+    stated = units.PellSolution(m, x, y, _stored_int(pell_data["norm"], "unit.pell.norm"))
     power = _stored_int(unit["power"], "unit.power")
 
-    def stored_quad(key: str) -> QuadElem:
+    def stored_quad(key: str):
         a, b = (_stored_rational(unit[key][c], f"unit.{key}.{c}") for c in "ab")
         return QuadElem(a, b, m)
 
@@ -252,7 +247,7 @@ def _recheck_unit_block(payload: dict) -> None:
     product = _stored_rational(unit["product"], "unit.product")
     epsilon = _stored_rational(payload["thresholds"]["epsilon"], "thresholds.epsilon")
 
-    pell = fundamental_pell(m)
+    pell = units.fundamental_pell(m)
     if stated != pell:
         raise VerificationFailed(f"stored Pell solution {stated} is not fundamental for m={m}")
     # Every unit > 1 of Z[sqrt(m)] is at least 1 + sqrt(2) > 2, so the k-th
@@ -260,7 +255,7 @@ def _recheck_unit_block(payload: dict) -> None:
     # and rejecting it first bounds the work by the certificate's size.
     if not 1 <= power <= int(alpha.a).bit_length() or alpha != pell.unit() ** power:
         raise VerificationFailed("stored alpha is not the stated power of the fundamental unit")
-    galois = galois_pair_check(UnitValue(pell, power, alpha), epsilon)
+    galois = units.galois_pair_check(units.UnitValue(pell, power, alpha), epsilon)
     if galois.tau != tau:
         raise VerificationFailed("stored tau(alpha) is not the conjugate of alpha")
     if galois.product != product:
@@ -296,7 +291,7 @@ def cmd_verify(args) -> int:
     if probe_len < 0:
         raise InputError(f"certificate is malformed: faithfulness_probe.max_len is {probe_len} < 0")
 
-    cert = build_embedding_certificate(g, m=m, probe_len=probe_len)
+    cert = vinberg.build_embedding_certificate(g, m=m, probe_len=probe_len)
     fresh_text = canonical_json(certificate_payload(cert))
     _emit_timings(cert.timings)
     if fresh_text != stored_text:
@@ -314,8 +309,8 @@ def cmd_density(args) -> int:
     if args.d is not None:
         t = _parse_fraction(args.d)
     else:
-        t = d_threshold(gram_pencil(g))[0]
-    cert = bracket_closure_density(g, t)
+        t = gram.d_threshold(gram.gram_pencil(g))[0]
+    cert = liealg.bracket_closure_density(g, t)
     print(f"t: {_rat(cert.t)}")
     print(f"seed pairs: {' '.join(f'({i},{j})' for i, j in cert.seed_pairs)}")
     print("dimension trace: " + " -> ".join(str(k) for k in cert.dimension_trace))
@@ -332,11 +327,11 @@ def cmd_words(args) -> int:
         t = _parse_fraction(args.at_d)
         if t < 1:
             raise InputError(f"--at-d must be at least 1, got {args.at_d}")
-    counts = enumerate_by_length(g, args.max_len)
+    counts = words.enumerate_by_length(g, args.max_len)
     print("word counts: " + " ".join(str(c) for c in counts))
     if args.at_d is None:
-        t = d_threshold(gram_pencil(g))[0]
-    report = faithfulness_probe(g, t, args.max_len)
+        t = gram.d_threshold(gram.gram_pencil(g))[0]
+    report = words.faithfulness_probe(g, t, args.max_len)
     print("image counts: " + " ".join(str(c) for c in report.image_counts))
     print(f"t: {_rat(t)}")
     print(f"faithfulness probe: {'PASS' if report.injective else 'FAIL'}")
@@ -347,7 +342,7 @@ def cmd_cycle(args) -> int:
     if args.n > MAX_VERTICES:
         raise TooManyVertices(f"--n must be at most {MAX_VERTICES}, got {args.n}")
     g = cycle_complement(args.n)
-    report = verify_cycle_example(args.n, d_threshold(gram_pencil(g))[0])
+    report = cyclecheck.verify_cycle_example(args.n, gram.d_threshold(gram.gram_pencil(g))[0])
     print(serialize_diagram(g), end="")
     print(f"D: {report.d_value}")
     print(f"circulant identity: {'pass' if report.identity_ok else 'FAIL'}")
@@ -359,7 +354,7 @@ def cmd_cycle(args) -> int:
         f"special eigenvalue {_rat(report.special_eigenvalue)} at t={_rat(report.t_checked)}: "
         f"{'exact root' if report.special_is_root else 'FAIL'}"
     )
-    _pairs, max_deviation = spectrum_deviation(report.n, report.t_checked)
+    _pairs, max_deviation = cyclecheck.spectrum_deviation(report.n, report.t_checked)
     print(
         f"spectrum at t={_rat(report.t_checked)}: max deviation {max_deviation:.3g}: "
         f"{'pass' if report.spectrum_ok else 'FAIL'}"

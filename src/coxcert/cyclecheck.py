@@ -51,9 +51,14 @@ class SpectrumPrediction(NamedTuple):
     family: tuple  # (k, multiplicity, float value) for k = 1..floor(n/2)
 
 
+def _special_eigenvalue(n: int, t):
+    """1 - t(n - 3), the frequency-0 eigenvalue of M_t; an int for an integer t."""
+    return 1 - t * (n - 3)
+
+
 def predicted_spectrum(n: int, t) -> SpectrumPrediction:
     t = Fraction(t)
-    special = 1 - t * (n - 3)
+    special = _special_eigenvalue(n, t)
     family = []
     for k in range(1, n // 2 + 1):
         mult = 1 if 2 * k == n else 2
@@ -118,7 +123,7 @@ def predicted_char_poly(n: int, t) -> Poly:
     for c in reversed(((cheb - 2) / (y - 2)).coeffs):
         acc = acc * shift + c * power
         power *= t
-    return Poly((t * (n - 3) - 1, 1)) * acc
+    return Poly((-_special_eigenvalue(n, t), 1)) * acc
 
 
 def verify_cycle_example(n: int, d_value: int) -> CycleReport:
@@ -133,7 +138,7 @@ def verify_cycle_example(n: int, d_value: int) -> CycleReport:
     expected = Signature(third, n - third, 0)
     signature_ok = signature == expected
 
-    special = 1 - t * (n - 3)
+    special = _special_eigenvalue(n, t)
     cp = pencil_char_poly(pencil, t)
     special_is_root = cp(special) == 0
     spectrum_ok = cp == predicted_char_poly(n, t)

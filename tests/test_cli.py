@@ -290,7 +290,7 @@ def test_embed_to_an_unwritable_path_is_usage_error(k3_file, tmp_path, monkeypat
     def no_pipeline(*args, **kwargs):
         raise AssertionError("the pipeline ran before --out was checked")
 
-    monkeypatch.setattr("coxcert.cli.build_embedding_certificate", no_pipeline)
+    monkeypatch.setattr("coxcert.vinberg.build_embedding_certificate", no_pipeline)
     for out in (tmp_path / "missing" / "k3.json", tmp_path):
         assert main(["embed", k3_file, "--out", str(out)]) == 2
         assert "error: cannot write" in capsys.readouterr().err

@@ -8,7 +8,8 @@ re-export them.  A top-level function or class, or a non-dunder method, that
 no code in src/, tests/ or bench/ refers to outside its own definition
 fails here too (a mention in a comment or docstring is no reference), and
 so does an __all__ entry that does not resolve.  Last, the command line
-must start without `dataclasses` or `inspect`.
+must start without `dataclasses` or `inspect`, and each command must run
+only the stage modules it calls.
 """
 
 from __future__ import annotations
@@ -59,10 +60,13 @@ def test_no_unused_import_in_tests(module):
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the non-dunder methods of the classes."""
+    """Top-level functions and classes, and the non-dunder methods of the classes.
+
+    A module-level __getattr__ is skipped too: the interpreter calls that
+    hook (PEP 562), as it calls dunder methods."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, (*defs, ast.ClassDef)):
+        if isinstance(node, (*defs, ast.ClassDef)) and node.name != "__getattr__":
             yield node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -126,16 +130,44 @@ def test_every_export_resolves(module):
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
+def test_a_fresh_import_serves_every_submodule_as_an_attribute():
+    # In a fresh interpreter `import coxcert` has run none of them: the stage
+    # modules are bound lazily, and __getattr__ imports the other three.  Those
+    # come first, since running a stage module imports them.
+    names = ("diagram", "errors", "exactcore", "cyclecheck", "gram", "liealg", "units", "vinberg", "words")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import coxcert;"
+        " print(*(getattr(coxcert, n).__name__ for n in sys.argv[2:]))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), *names], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [f"coxcert.{name}" for name in names]
+
+
+STAGE_MODULES = {f"coxcert.{name}" for name in ("cyclecheck", "gram", "liealg", "units", "vinberg", "words")}
+
+
 def test_the_command_line_starts_without_dataclasses_or_inspect():
     # Each benchmark command is a fresh interpreter, so whatever `python -m
     # coxcert` imports is paid on every command; the first two cost about
-    # 10 ms, and `json`, which only `embed` and `verify` need, 2-3 ms.
+    # 10 ms, and `json`, which only `embed` and `verify` need, 2-3 ms.  The
+    # stage modules sit in sys.modules from the start but run on first use;
+    # a module that ran is a plain module again, and reading its type does
+    # not run it.  Each case names modules that must not run and ones that must.
     code = (
         "import atexit, sys; sys.path.insert(0, sys.argv[1]); import coxcert.cli;"
-        " atexit.register(lambda: print('modules:', *sys.modules, sep=chr(10)));"
+        " ran = lambda: [name for name, m in list(sys.modules.items()) if type(m) is type(sys)];"
+        " atexit.register(lambda: print('modules:', *ran(), sep=chr(10)));"
         " argv = sys.argv[2:]; argv and sys.exit(coxcert.cli.main(argv))"
     )
-    for argv in ([], ["--help"], ["analyze", "-"]):
+    idle = STAGE_MODULES | {"coxcert.exactcore"}
+    cases = [
+        ([], idle, {"coxcert.diagram"}),
+        (["--help"], idle, {"coxcert.diagram"}),
+        (["analyze", "-"], STAGE_MODULES - {"coxcert.gram"}, {"coxcert.gram", "coxcert.exactcore"}),
+        (["words", "-", "--at-d", "3/2"], STAGE_MODULES - {"coxcert.words"}, {"coxcert.words"}),
+    ]
+    for argv, not_run, run_too in cases:
         run = subprocess.run(
             [sys.executable, "-S", "-c", code, str(ROOT / "src"), *argv],
             input="n 5\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\n",
@@ -144,5 +176,5 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
         )
         assert run.returncode == 0, (argv, run.stderr)
         loaded = set(run.stdout.split("modules:\n")[-1].split())
-        assert "coxcert.cli" in loaded, argv
-        assert loaded & {"dataclasses", "inspect", "json"} == set(), argv
+        assert {"coxcert.cli"} | run_too <= loaded, argv
+        assert loaded & ({"dataclasses", "inspect", "json"} | not_run) == set(), argv

@@ -115,7 +115,7 @@ def test_normal_form_matches_closure_oracle_random_longer():
             assert normal_form(w, g) == _closure_canonical(w, g)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.integers(min_value=1, max_value=5), max_size=10))
 def test_append_letter_agrees_with_refold(word):
     # folding letter by letter equals normalizing the whole word at once
