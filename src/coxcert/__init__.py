@@ -22,8 +22,8 @@ import sys
 
 
 def _lazy(name: str):
-    """Register coxcert.<name> in sys.modules; its source runs on first attribute access."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    """Register the dotted module `name` in sys.modules; its source runs on first attribute access."""
+    spec = importlib.util.find_spec(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
@@ -31,8 +31,8 @@ def _lazy(name: str):
     return module
 
 
-cyclecheck, gram, liealg, units, vinberg, words = map(
-    _lazy, ("cyclecheck", "gram", "liealg", "units", "vinberg", "words")
+cyclecheck, gram, liealg, units, vinberg, words = (
+    _lazy(f"{__name__}.{name}") for name in ("cyclecheck", "gram", "liealg", "units", "vinberg", "words")
 )
 
 # The public names of each submodule.  __getattr__ serves these, and the

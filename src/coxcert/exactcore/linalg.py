@@ -9,27 +9,22 @@ polynomials of rational matrices come from the Faddeev-LeVerrier recursion
 from Descartes' rule on the characteristic polynomial, which is real-rooted
 for a symmetric matrix.  The package reads the stable signature off det M_d
 by the same rule instead (gram.stable_signature); signature_of is kept as
-its test oracle.
+its test oracle, and no command imports this module: only the tests, the
+benchmark and liealg.planar_generator, which only they call, use it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import floordiv, truediv
-from typing import NamedTuple
-
 from ..errors import MixedRadicands
-from .poly import Poly, _sign_changes
+from .poly import Poly, Signature, _sign_changes
 from .quadratic import QuadElem
 
 Matrix = tuple
 
 def mat(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -47,18 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not (x == y):
-                return False
-    return True
 
 
 def is_symmetric(a: Matrix) -> bool:
@@ -166,21 +149,6 @@ def char_poly(a: Matrix) -> Poly:
         ck = -divide(trace(mk), k)
         desc.append(ck)
     return Poly(tuple(reversed(desc)))
-
-
-class Signature(NamedTuple):
-    """Inertia triple: positive, negative, and zero eigenvalue counts."""
-
-    p: int
-    q: int
-    z: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.p + self.q + self.z
-
-    def __str__(self):
-        return f"({self.p}, {self.q}, {self.z})"
 
 
 def signature_of(a: Matrix) -> Signature:

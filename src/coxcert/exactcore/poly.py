@@ -12,14 +12,14 @@ Budan-Fourier count of the roots above a point (roots_above) for a
 real-rooted squarefree polynomial, which every polynomial the package
 isolates is, Descartes' count of the positive roots by coefficient sign
 changes (_sign_changes), exact for a real-rooted polynomial, from which
-linalg and gram read inertia, and one bisection walk on integer numerators
-over a shared denominator, with counts and signs from callbacks at
-(u, den): root_intervals isolates the distinct real roots and
+linalg and gram read inertia as a Signature, and one bisection walk on
+integer numerators over a shared denominator, with counts and signs from
+callbacks at (u, den): root_intervals isolates the distinct real roots and
 refine_root_interval narrows one interval, and only the intervals they
-return are Fractions.  Isolation keeps
-every root strictly inside its interval and every endpoint off the root set,
-which the thresholds rely on.  Sturm chains (sturm_sequence, count_roots,
-isolate_real_roots), which need neither, are kept only as the tests' oracle.
+return are Fractions.  Isolation keeps every root strictly inside its
+interval and every endpoint off the root set, which the thresholds rely on.
+Sturm chains (sturm_sequence, count_roots, isolate_real_roots), which need
+neither, are kept only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial, reduce
 from math import gcd as int_gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from ..errors import EndpointIsRoot, ZeroPolynomial
+from ..errors import EndpointIsRoot, VerificationFailed, ZeroPolynomial
 
 
 def _lcm(a: int, b: int) -> int:
@@ -392,6 +392,21 @@ def _sign_changes(values) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+class Signature(NamedTuple):
+    """Inertia triple: positive, negative, and zero eigenvalue counts."""
+
+    p: int
+    q: int
+    z: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.p + self.q + self.z
+
+    def __str__(self):
+        return f"({self.p}, {self.q}, {self.z})"
+
+
 # -- Sturm chains, the tests' oracle for roots_above ----------------------------
 
 
@@ -440,6 +455,20 @@ def cauchy_root_bound(p: Poly) -> tuple[int, int]:
     return lead + max(map(abs, p.coeffs[:-1]), default=0), lead
 
 
+def _separation_bits(p: Poly) -> int:
+    """k with 2^-k below the distance between any two distinct real roots of p.
+
+    Mignotte's bound (Mahler, Michigan Math. J. 11, 1964) puts that distance
+    above sqrt(3) n^(-(n+2)/2) ||f||_2^(1-n) for a squarefree f in Z[x] of
+    degree n; the squarefree part of p's primitive part has degree and
+    Mahler measure at most p's, and the bound falls with both, so p's degree
+    and 2-norm serve.  Taken in integers: n < 2^n.bit_length() and
+    ||p||_2^2 < 2^s, s the bit length of the sum of squared coefficients.
+    """
+    n, coeffs = p.degree, p.primitive().coeffs
+    return (n.bit_length() * (n + 2) + sum(c * c for c in coeffs).bit_length() * (n - 1) + 1) // 2
+
+
 def root_intervals(p: Poly, count_above=None, above=None, sign_at=None) -> Iterator[Interval]:
     """Isolating intervals for the distinct real roots of p in Z[x], ascending, lazily.
 
@@ -451,12 +480,16 @@ def root_intervals(p: Poly, count_above=None, above=None, sign_at=None) -> Itera
     from the left, so a caller that needs only the first intervals stops it
     there; with `above`, subtrees with hi <= above are skipped.  A midpoint
     that is a root moves right by a quarter, an eighth, ... of the width.
-    Only the yielded intervals are Fractions.
+    Only the yielded intervals are Fractions.  An interval narrower than
+    the separation of p's roots that still counts two or more cannot hold
+    them, so the counts are wrong (p not real-rooted, for the default):
+    VerificationFailed, where the walk would otherwise split forever.
     """
     count_above = count_above or partial(roots_above, p)
     sign_at = sign_at or partial(_sign_at, p)
     limit = None if above is None else above.as_integer_ratio()
     bound, den = cauchy_root_bound(p)
+    separation = _separation_bits(p)
     a_lo = count_above(-bound, den)
     # (lo, hi, den, roots inside, roots above lo)
     stack = [(-bound, bound, den, a_lo - count_above(bound, den), a_lo)]
@@ -467,6 +500,8 @@ def root_intervals(p: Poly, count_above=None, above=None, sign_at=None) -> Itera
         if count == 1:
             yield Interval(Fraction(lo, den), Fraction(hi, den))
             continue
+        if (hi - lo) << separation <= den:
+            raise VerificationFailed(f"{count} roots of {p} counted closer together than their separation")
         common = int_gcd(lo, hi, den)
         lo, hi, den = lo // common, hi // common, den // common
         scale, mid = 4, 2 * (lo + hi)  # the midpoint, over 4 den; then (mid + width/scale) over 2 scale den

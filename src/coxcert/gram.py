@@ -35,9 +35,7 @@ from .diagram import CoxeterDiagram
 from .errors import VerificationFailed
 from .exactcore import (
     Interval,
-    Matrix,
     Poly,
-    QuadElem,
     Signature,
     cauchy_root_bound,
     poly_gcd,
@@ -61,7 +59,7 @@ class GramPencil(NamedTuple):
     def n(self) -> int:
         return self.diagram.n
 
-    def at(self, t) -> Matrix:
+    def at(self, t) -> tuple:
         """M_t in t's own ring: 1 on the diagonal, -t at each edge, 0 elsewhere."""
         g, zero = self.diagram, t * 0
         one = zero + 1
@@ -77,6 +75,8 @@ def gram_pencil(g: CoxeterDiagram) -> GramPencil:
 
 def evaluate_pencil(pencil: GramPencil, t):
     """M_t as an exact matrix; t may be int, Fraction, QuadElem or Poly (an int reads as a Fraction)."""
+    from .exactcore import QuadElem
+
     if isinstance(t, int):
         t = Fraction(t)
     if not isinstance(t, (Fraction, QuadElem, Poly)):

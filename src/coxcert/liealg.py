@@ -69,8 +69,7 @@ from .errors import (
     SameVertex,
     UnexpectedDimension,
 )
-from .exactcore import Matrix, QuadElem, quad_sign
-from .exactcore.linalg import bareiss_det
+from .exactcore import QuadElem, quad_sign
 from .gram import gram_pencil, minor_polynomials
 
 
@@ -87,7 +86,7 @@ def _entry_fractions(x) -> tuple:
     return (Fraction(x),)
 
 
-def _normalize_primitive(a: Matrix) -> Matrix:
+def _normalize_primitive(a: tuple) -> tuple:
     """Scale by a positive rational to primitive integer coordinates, then
     fix the sign so the first nonzero entry (row-major) is positive."""
     fracs = [f for row in a for x in row for f in _entry_fractions(x)]
@@ -106,7 +105,7 @@ def _normalize_primitive(a: Matrix) -> Matrix:
     raise UnexpectedDimension("cannot normalize the zero matrix")
 
 
-def planar_generator(m: Matrix, i: int, j: int) -> Matrix:
+def planar_generator(m: tuple, i: int, j: int) -> tuple:
     """The generator X_ij = E_ij M of the rotations in the (e_i, e_j) plane.
 
     It satisfies X^T M + M X = 0 and annihilates every v with
@@ -116,6 +115,8 @@ def planar_generator(m: Matrix, i: int, j: int) -> Matrix:
     rational M; for M over Q(sqrt m) it is fixed only up to a factor in
     Q(sqrt m), so it may differ from another generator of the same line.
     """
+    from .exactcore.linalg import bareiss_det
+
     n = len(m)
     _check_pair(n, i, j)
     if bareiss_det(m) == 0:

@@ -31,16 +31,16 @@ from itertools import combinations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclecheck import CycleReport, verify_cycle_example
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
 from .errors import Disconnected, SameVertex
-from .exactcore import Matrix, Poly, QuadElem, mat_eq, quad_sign, trace, transpose
+from .exactcore import Poly, QuadElem, quad_sign
 from .exactcore.poly import poly_from_balanced_digits
 from .gram import ThresholdReport, evaluate_pencil, gram_pencil, minor_polynomials, threshold_report
 from .liealg import DensityCertificate, bracket_closure_density
 from .units import GaloisReport, UnitValue, choose_unit, galois_pair_check
 
-if TYPE_CHECKING:  # words imports this module
+if TYPE_CHECKING:  # words imports this module; cyclecheck loads only for a cycle complement
+    from .cyclecheck import CycleReport
     from .words import FaithfulnessReport
 
 
@@ -49,7 +49,7 @@ class GeneratorSet(NamedTuple):
 
     diagram: CoxeterDiagram
     t: object
-    form: Matrix
+    form: tuple
     matrices: tuple
 
 
@@ -120,7 +120,7 @@ def _pencil_generators(g: CoxeterDiagram) -> tuple[dict, tuple]:
 def _pair_product(actions: dict, generators: tuple, i: int, j: int) -> tuple:
     """R_i R_j (R_j's action on the matrix R_i) and its trace."""
     product = times_reflection(generators[i - 1], actions[j])
-    return product, trace(product)
+    return product, sum(row[k] for k, row in enumerate(product))
 
 
 def verify_relations(g: CoxeterDiagram) -> RelationReport:
@@ -133,16 +133,16 @@ def verify_relations(g: CoxeterDiagram) -> RelationReport:
     form, ident = gram_pencil(g).at(_POINT), gram_pencil(g).at(0)  # M_0 = I
     failures = []
     for i in g.vertices:
-        if not mat_eq(times_reflection(generators[i - 1], actions[i]), ident):
+        if times_reflection(generators[i - 1], actions[i]) != ident:
             failures.append(("involution", i, i))
         # (M R_i)^T R_i = R_i^T M R_i, as M is symmetric
-        if not mat_eq(times_reflection(transpose(times_reflection(form, actions[i])), actions[i]), form):
+        if times_reflection(tuple(zip(*times_reflection(form, actions[i]))), actions[i]) != form:
             failures.append(("orthogonality", i, i))
     for i, j in combinations(g.vertices, 2):
         product, tr = _pair_product(actions, generators, i, j)
         if g.commutes(i, j):
             square = times_reflection(times_reflection(product, actions[i]), actions[j])
-            if not mat_eq(square, ident):
+            if square != ident:
                 failures.append(("commutation", i, j))
         if tr != expected_trace(g, i, j)(_POINT):
             failures.append(("trace", i, j))
@@ -284,7 +284,11 @@ def build_embedding_certificate(
     timings["faithfulness"] = clock() - start
 
     start = clock()
-    cycle = verify_cycle_example(g.n, thresholds.d_value) if g.n >= 5 and g == cycle_complement(g.n) else None
+    cycle = None
+    if g.n >= 5 and g == cycle_complement(g.n):
+        from .cyclecheck import verify_cycle_example
+
+        cycle = verify_cycle_example(g.n, thresholds.d_value)
     timings["cycle"] = clock() - start
 
     return EmbeddingCertificate(

@@ -30,9 +30,11 @@ from coxcert.errors import (
     UnexpectedDimension,
     VerificationFailed,
 )
-from coxcert.exactcore import Matrix, QuadElem, quad_sign, transpose
+from coxcert.exactcore import Matrix, QuadElem, quad_sign
 from coxcert.exactcore.linalg import bareiss_det, mat_mul, nullspace, rref
 from coxcert.gram import evaluate_pencil, gram_pencil
+
+from _relations_oracle import transpose
 
 
 def mat_vec(a: Matrix, v) -> tuple:

@@ -8,7 +8,9 @@ stored matrix is first compared with the rank-one action at t applied to I
 and the products then run through that action.  `conjugates_to_tau` is the
 Galois-map comparison: conjugating R_i(alpha) coordinate-wise gives R_i(tau).
 `integral_at` reads integrality entry by entry off the stored matrices; the
-package reads it off the actions' 2t alone.
+package reads it off the actions' 2t alone.  `mat_eq` and `transpose` are
+the entry-by-entry comparison and the transpose these checks use; the
+package compares its tuple matrices with == and transposes by zip.
 """
 
 from __future__ import annotations
@@ -17,8 +19,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from coxcert.exactcore import QuadElem, mat_eq, transpose
+from coxcert.exactcore import QuadElem
 from coxcert.vinberg import GeneratorSet, reflection_actions, reflection_generators, times_reflection
+
+
+def transpose(a: tuple) -> tuple:
+    return tuple(zip(*a))
+
+
+def mat_eq(a: tuple, b: tuple) -> bool:
+    """Same shape and equal entries, compared with == one by one."""
+    if len(a) != len(b):
+        return False
+    for ra, rb in zip(a, b):
+        if len(ra) != len(rb):
+            return False
+        for x, y in zip(ra, rb):
+            if not (x == y):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from coxcert.exactcore import (
     quad_sign,
     refine_root_interval,
     squarefree_part,
-    transpose,
 )
 from coxcert.exactcore.linalg import bareiss_det, char_poly, mat_mul, signature_of
 from coxcert.exactcore import poly as poly_module
@@ -38,6 +37,8 @@ from coxcert.exactcore.poly import (
     poly_gcd,
     sturm_sequence,
 )
+
+from _relations_oracle import transpose
 
 F = Fraction
 

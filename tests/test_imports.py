@@ -9,7 +9,8 @@ no code in src/, tests/ or bench/ refers to outside its own definition
 fails here too (a mention in a comment or docstring is no reference), and
 so does an __all__ entry that does not resolve.  Last, the command line
 must start without `dataclasses` or `inspect`, and each command must run
-only the stage modules it calls.
+only the stage modules and exactcore submodules it calls: no command runs
+exactcore.linalg, and only a cycle complement's embed runs cyclecheck.
 """
 
 from __future__ import annotations
@@ -144,37 +145,69 @@ def test_a_fresh_import_serves_every_submodule_as_an_attribute():
     assert run.stdout.split() == [f"coxcert.{name}" for name in names]
 
 
+def test_a_fresh_exactcore_runs_its_submodules_only_when_a_name_is_read():
+    # The submodules sit in sys.modules from the start, registered lazily;
+    # a module that ran is a plain module again.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import coxcert.exactcore as core;"
+        " ran = lambda: sorted(n for n, m in list(sys.modules.items()) if n.startswith('coxcert.exactcore.')"
+        " and type(m) is type(sys)); print(*ran());"
+        " missing = [name for name in core.__all__ if not hasattr(core, name)]; print(*missing); print(*ran())"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    before, missing, after = run.stdout.split("\n")[:3]
+    assert (before, missing) == ("", "")
+    assert after.split() == [f"coxcert.exactcore.{name}" for name in ("linalg", "poly", "quadratic")]
+
+
 STAGE_MODULES = {f"coxcert.{name}" for name in ("cyclecheck", "gram", "liealg", "units", "vinberg", "words")}
+LINALG, POLY, QUADRATIC = (f"coxcert.exactcore.{name}" for name in ("linalg", "poly", "quadratic"))
+PATH5 = "n 5\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\n"
+CC5 = "n 5\nedge 1 3\nedge 1 4\nedge 2 4\nedge 2 5\nedge 3 5\n"
 
 
 def test_the_command_line_starts_without_dataclasses_or_inspect():
     # Each benchmark command is a fresh interpreter, so whatever `python -m
     # coxcert` imports is paid on every command; the first two cost about
     # 10 ms, and `json`, which only `embed` and `verify` need, 2-3 ms.  The
-    # stage modules sit in sys.modules from the start but run on first use;
-    # a module that ran is a plain module again, and reading its type does
-    # not run it.  Each case names modules that must not run and ones that must.
+    # stage modules and exactcore's submodules sit in sys.modules from the
+    # start but run on first use; a module that ran is a plain module again,
+    # and reading its type does not run it.  Each case gives the command's
+    # input and names modules that must not run and ones that must.
     code = (
         "import atexit, sys; sys.path.insert(0, sys.argv[1]); import coxcert.cli;"
         " ran = lambda: [name for name, m in list(sys.modules.items()) if type(m) is type(sys)];"
         " atexit.register(lambda: print('modules:', *ran(), sep=chr(10)));"
         " argv = sys.argv[2:]; argv and sys.exit(coxcert.cli.main(argv))"
     )
-    idle = STAGE_MODULES | {"coxcert.exactcore"}
+    idle = STAGE_MODULES | {"coxcert.exactcore", "json"}
     cases = [
-        ([], idle, {"coxcert.diagram"}),
-        (["--help"], idle, {"coxcert.diagram"}),
-        (["analyze", "-"], STAGE_MODULES - {"coxcert.gram"}, {"coxcert.gram", "coxcert.exactcore"}),
-        (["words", "-", "--at-d", "3/2"], STAGE_MODULES - {"coxcert.words"}, {"coxcert.words"}),
+        ([], PATH5, idle, {"coxcert.diagram"}),
+        (["--help"], PATH5, idle, {"coxcert.diagram"}),
+        (
+            ["analyze", "-"],
+            PATH5,
+            STAGE_MODULES - {"coxcert.gram"} | {LINALG, QUADRATIC, "json"},
+            {"coxcert.gram", POLY},
+        ),
+        (
+            ["words", "-", "--at-d", "3/2"],
+            PATH5,
+            STAGE_MODULES - {"coxcert.words"} | {LINALG, POLY, "json"},
+            {"coxcert.words", QUADRATIC},
+        ),
+        (["embed", "-"], PATH5, {"coxcert.cyclecheck", LINALG}, STAGE_MODULES - {"coxcert.cyclecheck"}),
+        (["embed", "-"], CC5, {LINALG}, STAGE_MODULES),
     ]
-    for argv, not_run, run_too in cases:
+    for argv, diagram, not_run, run_too in cases:
         run = subprocess.run(
             [sys.executable, "-S", "-c", code, str(ROOT / "src"), *argv],
-            input="n 5\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\n",
+            input=diagram,
             capture_output=True,
             text=True,
         )
         assert run.returncode == 0, (argv, run.stderr)
         loaded = set(run.stdout.split("modules:\n")[-1].split())
         assert {"coxcert.cli"} | run_too <= loaded, argv
-        assert loaded & ({"dataclasses", "inspect", "json"} | not_run) == set(), argv
+        assert loaded & ({"dataclasses", "inspect"} | not_run) == set(), argv

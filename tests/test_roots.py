@@ -13,21 +13,28 @@ forms in tests/_gram_oracle.py, on those products, whose roots often land
 on bisection points.  epsilon's walk, counting and taking signs on q at
 x^2, is pinned to the generic walk on q(d^2), and its power-of-two bound U
 to Fujiwara's; it must count and take no sign above U.  The hypothesis
-tests are derandomized, so every run sees the same cases.
+tests are derandomized, so every run sees the same cases.  A walk whose
+counts are wrong (a polynomial that is not real-rooted) must fail fast,
+not split forever.
 """
 
 from __future__ import annotations
 
 import random
+import signal
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxcert import d_threshold, epsilon_threshold, gram_pencil, minor_polynomials
+from coxcert import cycle_complement, d_threshold, epsilon_threshold, gram, gram_pencil, minor_polynomials
 from coxcert.cyclecheck import _observed_roots
+from coxcert.errors import VerificationFailed
 from coxcert.exactcore import Interval, Poly, cauchy_root_bound, refine_root_interval, root_intervals, roots_above
 from coxcert.exactcore import squarefree_part
 from coxcert.exactcore.poly import _sign_at, count_roots, isolate_real_roots, sturm_sequence
@@ -181,6 +188,60 @@ def test_the_walks_keep_their_points_reduced():
     dens.clear()
     assert refine_root_interval(square, Interval(0, 64), 1, spy(square)) == Interval(1, 2)
     assert dens == [1, 1, 2, 2, 2, 2, 2, 2]
+
+
+@contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError, instead of hanging, once the body runs past `seconds`."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_polynomial_without_real_roots_fails_the_walk():
+    # Budan-Fourier counts the complex pair of x^2 + 1 on every (-w, w)
+    with _within(1), pytest.raises(VerificationFailed, match="separation"):
+        list(root_intervals(Poly((1, 0, 1))))
+
+
+def test_roots_closer_than_the_guard_allows_do_not_exist():
+    # the separation bound for 2^40 x^2 - x is 2^-45, below the roots' 2^-40
+    f = _product([F(0), F(1, 2**40)])
+    assert [iv.lo < r < iv.hi for iv, r in zip(root_intervals(f), (0, F(1, 2**40)))] == [True, True]
+
+
+def _wrong_column_minors(pencil):
+    """gram's bordering recurrence with one bug: A_k is bordered by the next vertex's column."""
+    g, p, minors = pencil.diagram, [1], []
+    neighbours = [[j - 1 for j in g.neighbors(i)] for i in g.vertices]
+    for k in range(g.n):
+        column = neighbours[(k + 1) % g.n]
+        adjacent = [[j for j in row if j < k] for row in neighbours[:k]]
+        v, s = [int(i in column) for i in range(k)], []
+        while len(s) < k:
+            w = [sum(map(v.__getitem__, row)) for row in adjacent]
+            s, v = s + [sum(map(mul, v, v)), sum(map(mul, v, w))], w
+        p.append(0)
+        for j in range(k + 1, 1, -1):
+            p[j] -= sum(map(mul, p[: j - 1], reversed(s[: j - 1])))
+        minors.append(Poly(p))
+    return minors
+
+
+def test_minors_that_are_not_real_rooted_fail_epsilon(monkeypatch):
+    # The mutant's cc8 minors include one with complex roots; epsilon's walk
+    # on it used to split without end.
+    monkeypatch.setattr(gram, "minor_polynomials", _wrong_column_minors)
+    with _within(1), pytest.raises(VerificationFailed, match="separation"):
+        epsilon_threshold(gram_pencil(cycle_complement(8)))
 
 
 def _half_squares(seed: int):

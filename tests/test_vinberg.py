@@ -28,7 +28,7 @@ from coxcert import (
 )
 from coxcert import vinberg
 from coxcert.errors import Disconnected, SameVertex
-from coxcert.exactcore import leading_principal_minors, mat_eq, quad_sign, transpose
+from coxcert.exactcore import leading_principal_minors, quad_sign
 from coxcert.exactcore.linalg import bareiss_det, mat_mul
 from coxcert.vinberg import (
     GeneratorSet,
@@ -38,7 +38,7 @@ from coxcert.vinberg import (
     trace_polynomial,
 )
 
-from _relations_oracle import conjugate_matrix, conjugates_to_tau, integral_at, relations_at
+from _relations_oracle import conjugate_matrix, conjugates_to_tau, integral_at, mat_eq, relations_at, transpose
 from _suite import acceptance_suite, suite_thresholds, suite_unit
 
 F = Fraction
