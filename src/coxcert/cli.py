@@ -251,9 +251,11 @@ def _recheck_unit_block(payload: dict) -> None:
     if stated != pell:
         raise VerificationFailed(f"stored Pell solution {stated} is not fundamental for m={m}")
     # Every unit > 1 of Z[sqrt(m)] is at least 1 + sqrt(2) > 2, so the k-th
-    # power has rational part >= 2^(k-1): a larger power cannot match alpha,
-    # and rejecting it first bounds the work by the certificate's size.
-    if not 1 <= power <= int(alpha.a).bit_length() or alpha != pell.unit() ** power:
+    # power has rational part >= 2^(k-1), and >= x^k for the unit x + y sqrt(m):
+    # a larger power cannot match alpha, and rejecting it first bounds the
+    # work by the certificate's size.
+    bits = int(alpha.a).bit_length()
+    if not 1 <= power <= bits or power * (pell.x.bit_length() - 1) >= bits or alpha != pell.unit() ** power:
         raise VerificationFailed("stored alpha is not the stated power of the fundamental unit")
     galois = units.galois_pair_check(units.UnitValue(pell, power, alpha), epsilon)
     if galois.tau != tau:

@@ -43,11 +43,11 @@ _REFINE_WIDTH = Fraction(1, 10**12)
 
 
 class SpectrumPrediction(NamedTuple):
-    """Closed-form eigenvalues of the cycle-complement pencil at one point."""
+    """Closed-form eigenvalues of the cycle-complement pencil at one point, but
+    the frequency-0 one, which is `_special_eigenvalue`."""
 
     n: int
     t: Fraction
-    special: Fraction  # the frequency-0 eigenvalue, always rational
     family: tuple  # (k, multiplicity, float value) for k = 1..floor(n/2)
 
 
@@ -58,13 +58,12 @@ def _special_eigenvalue(n: int, t):
 
 def predicted_spectrum(n: int, t) -> SpectrumPrediction:
     t = Fraction(t)
-    special = _special_eigenvalue(n, t)
     family = []
     for k in range(1, n // 2 + 1):
         mult = 1 if 2 * k == n else 2
         value = float(1 + t) + float(2 * t) * math.cos(2.0 * math.pi * k / n)
         family.append((k, mult, value))
-    return SpectrumPrediction(n=n, t=t, special=special, family=tuple(family))
+    return SpectrumPrediction(n=n, t=t, family=tuple(family))
 
 
 def circulant_identity_ok(n: int) -> bool:
@@ -171,7 +170,8 @@ def spectrum_deviation(n: int, t) -> tuple[tuple, float]:
     differ, no pair is made and the deviation reads 0.
     """
     prediction = predicted_spectrum(n, t)
-    predicted = sorted([(float(prediction.special), 1)] + [(value, mult) for _k, mult, value in prediction.family])
+    special = float(_special_eigenvalue(n, prediction.t))
+    predicted = sorted([(special, 1)] + [(value, mult) for _k, mult, value in prediction.family])
     observed = _observed_roots(pencil_char_poly(gram_pencil(cycle_complement(n)), t))
     if len(predicted) != len(observed):
         return (), 0.0

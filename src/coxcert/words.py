@@ -4,10 +4,12 @@ An element is represented by the lexicographically least word among the
 shortest words for it.  Two rewriting moves generate the equivalence:
 deleting an equal pair of letters once everything strictly between commutes
 with them, and swapping adjacent commuting letters.  The normal form is
-computed incrementally: appending one letter to a normal word either cancels
-exactly one earlier occurrence (the letters after it all commute with it;
-the exchange condition rules out deeper cascades) or gets inserted at its
-lexicographically best slot by sliding left past larger commuting letters.
+computed incrementally, by one scan of the normal word from the right over
+the letters that commute with the appended one: the scan stops at the first
+letter that does not, and the appended letter either cancels it, when it is
+the same letter (the exchange condition rules out deeper cascades), or goes
+in at its lexicographically best slot: right before the leftmost larger
+letter the scan passed, or at the end if it passed none.
 
 The ball counts rest on right descent sets: Desc(w) is the set of letters s
 with l(ws) < l(w), a set of pairwise commuting letters.  Growing w by s
@@ -70,32 +72,31 @@ MAX_BALL_ELEMENTS = 1_000_000
 
 
 def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
-    """Normal form of (normal word nf) * generator letter, in O(len(nf))."""
+    """Normal form of (normal word nf) * generator letter, in one scan of nf
+    from the right, O(len(nf)).
+
+    The scan walks the maximal suffix of letters commuting with `letter` and
+    stops at the first letter that does not.  If that letter is `letter`
+    itself the pair cancels; otherwise `letter` goes right before the
+    leftmost larger letter of the suffix, remembered on the way, or at the end.
+    """
     if not isinstance(letter, int) or not (1 <= letter <= g.n):
         raise IndexOutOfRange(f"letter {letter!r} outside 1..{g.n}")
-    mask = g.noncommuting_masks[letter]
-    suffix_start = 0
-    for q in range(len(nf) - 1, -1, -1):
-        y = nf[q]
-        if y == letter:
-            # Everything right of q commutes with `letter`, so the pair
-            # cancels; the remaining word is renormalized because deleting
-            # a letter can unlock lex-improving swaps among the survivors.
-            shorter = nf[:q] + nf[q + 1 :]
-            renorm: Word = ()
-            for x in shorter:
-                renorm = append_letter(renorm, x, g)
-            return renorm
-        if (mask >> y) & 1:
-            suffix_start = q + 1
+    mask = g.noncommuting_masks[letter]  # has letter's own bit
+    pos = q = len(nf)
+    for y in reversed(nf):
+        q -= 1  # y is nf[q]
+        if mask >> y & 1:
+            if y == letter:
+                # Everything right of q commutes with `letter`, so the pair
+                # cancels, and the survivors are refolded letter by letter.
+                renorm: Word = ()
+                for x in nf[:q] + nf[q + 1 :]:
+                    renorm = append_letter(renorm, x, g)
+                return renorm
             break
-    # `letter` may sit anywhere inside the maximal commuting suffix; the
-    # lexicographically least choice is right before the first larger letter.
-    pos = len(nf)
-    for p in range(suffix_start, len(nf)):
-        if letter < nf[p]:
-            pos = p
-            break
+        if letter < y:
+            pos = q
     return nf[:pos] + (letter,) + nf[pos:]
 
 

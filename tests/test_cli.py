@@ -10,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxcert import CoxeterDiagram, cycle_complement, enumerate_by_length, faithfulness_probe, serialize_diagram, words
 from coxcert.cli import main
@@ -450,19 +452,26 @@ def test_verify_rejects_huge_unit_power_without_exponentiating(k3_file, tmp_path
     import subprocess
     import sys
 
-    cert = tmp_path / "k3.json"
-    main(["embed", k3_file, "--out", str(cert)])
-    payload = json.loads(cert.read_text())
-    payload["unit"]["power"] = 10_000_000
-    cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "coxcert", "verify", str(cert), k3_file],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert proc.returncode == 1
-    assert "not the stated power" in proc.stderr
+    # A huge power at m = 2, and at m = 992566, whose fundamental x has 1,296
+    # digits, a power of 14,000 with alpha's rational part 4,290 nines: that
+    # is below alpha's bit length (14,251) but its power is about 18 million bits.
+    cases = ((2, 10_000_000, None), (992566, 14_000, "9" * 4290 + "/1"))
+    for m, power, alpha_a in cases:
+        cert = tmp_path / f"k3_m{m}.json"
+        main(["embed", k3_file, "--m", str(m), "--out", str(cert)])
+        payload = json.loads(cert.read_text())
+        payload["unit"]["power"] = power
+        if alpha_a is not None:
+            payload["unit"]["alpha"]["a"] = alpha_a
+        cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxcert", "verify", str(cert), k3_file],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 1, m
+        assert "not the stated power" in proc.stderr, m
 
 
 @pytest.mark.parametrize("path", [("thresholds", "epsilon"), ("unit", "alpha", "a")])
@@ -770,3 +779,37 @@ def test_options_survive_any_value(options, k3_file, tmp_path, capsys):
         text = json.dumps(value) if isinstance(value, (list, dict)) else str(value)
         assert _run_bounded(argv + [text]) in (0, 1, 2), (argv, text[:20])
     capsys.readouterr()
+
+
+_VERTEX = st.integers(min_value=0, max_value=9).map(str)
+# Zero-padded, and runs past the 4300 digits Python parses by default.
+_NUMBERS = st.one_of(_VERTEX, _VERTEX.map("000".__add__), st.text("0123456789", min_size=20, max_size=5000))
+_HEADER = st.one_of(st.integers(min_value=3, max_value=9), st.integers(min_value=0, max_value=40)).map("n {}".format)
+_LINES = st.one_of(
+    _HEADER,
+    st.builds("n {}".format, _NUMBERS),
+    st.builds("edge {} {}".format, _VERTEX, _VERTEX),
+    st.builds("edge {} {}".format, _VERTEX, _VERTEX),
+    st.builds("edge {} {}".format, _NUMBERS, _NUMBERS),
+    st.builds("edge {} {} # {}".format, _VERTEX, _VERTEX, st.text(max_size=8)),
+    st.just("# comment"),
+    st.text(max_size=12),
+).map(str.encode)
+_NOT_UTF8 = st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3", b"n \xff3"])
+# Mostly led by a small `n` line, so that some mixes are diagrams.
+_LINE_MIXES = st.builds(
+    lambda head, lines: b"\n".join([head, *lines]),
+    st.one_of(_HEADER.map(str.encode), st.just(b"")),
+    st.lists(st.one_of(_LINES, _NOT_UTF8), max_size=16),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(st.binary(max_size=64), _LINE_MIXES))
+def test_any_diagram_file_exits_cleanly(tmp_path_factory, data):
+    # Arbitrary bytes and near-valid line mixes, read from a file by the
+    # commands: each exits 0, 1 or 2 within a second and raises nothing.
+    path = tmp_path_factory.mktemp("fuzz") / "g.diagram"
+    path.write_bytes(data)
+    assert _run_bounded(["analyze", str(path)]) in (0, 1, 2)
+    assert _run_bounded(["words", str(path), "--max-len", "2", "--at-d", "1"]) in (0, 1, 2)

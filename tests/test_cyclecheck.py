@@ -19,7 +19,7 @@ from coxcert import (
     verify_cycle_example,
 )
 from coxcert.cli import main
-from coxcert.cyclecheck import predicted_char_poly, spectrum_deviation
+from coxcert.cyclecheck import _special_eigenvalue, predicted_char_poly, spectrum_deviation
 from coxcert.exactcore import Poly
 from coxcert.exactcore.linalg import char_poly
 from coxcert.gram import d_threshold, pencil_char_poly
@@ -35,7 +35,7 @@ DEVIATION_BOUND = 1e-9
 
 def test_predicted_spectrum_n6_t1():
     pred = predicted_spectrum(6, 1)
-    assert pred.special == F(-2)
+    assert _special_eigenvalue(6, 1) == F(-2)
     # 1 + t + 2 t cos(2 pi k / 6) for k = 1, 2, 3
     values = {k: (mult, value) for k, mult, value in pred.family}
     assert values[1][0] == 2 and abs(values[1][1] - 3.0) < 1e-12
@@ -45,7 +45,7 @@ def test_predicted_spectrum_n6_t1():
 
 def test_predicted_spectrum_n5_t2_golden_ratio():
     pred = predicted_spectrum(5, 2)
-    assert pred.special == F(-3)
+    assert _special_eigenvalue(5, 2) == F(-3)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     values = {k: value for k, _mult, value in pred.family}
     assert abs(values[1] - (1.0 + 2.0 * phi)) < 1e-12
@@ -63,7 +63,7 @@ def test_predicted_eigenvalue_sum_is_trace():
     for n in (5, 6, 7, 9):
         for t in (F(1), F(3, 2), F(4)):
             pred = predicted_spectrum(n, t)
-            total = float(pred.special) + sum(m * v for _k, m, v in pred.family)
+            total = float(_special_eigenvalue(n, t)) + sum(m * v for _k, m, v in pred.family)
             assert abs(total - n) < 1e-9
 
 

@@ -109,7 +109,8 @@ def test_normal_form_matches_closure_oracle_exhaustive():
 def test_normal_form_matches_closure_oracle_random_longer():
     rng = random.Random(11)
     star = CoxeterDiagram(4, frozenset({(1, 2), (1, 3), (1, 4)}))
-    for g in (K3, P3, CC5, star):
+    randoms = [random_connected_diagram(random.Random(seed), n) for seed, n in enumerate(range(4, 8))]
+    for g in (K3, P3, CC5, star, *randoms):
         for _ in range(200):
             w = tuple(rng.randint(1, g.n) for _ in range(rng.randint(5, 9)))
             assert normal_form(w, g) == _closure_canonical(w, g)
@@ -218,6 +219,7 @@ def test_cc7_counts_to_length_8(monkeypatch):
     assert growth_series(cycle_complement(7), 8) == expected
     assert enumerate_by_length(cycle_complement(7), 8) == expected
     assert max(lengths) == 6
+    assert len(lengths) == sum(expected[1:7]) == 23_352  # one call per word built
 
 
 def test_cross_check_stops_at_the_letter_cap(monkeypatch):
