@@ -8,7 +8,15 @@ construction:
   every d in [-epsilon, epsilon].  It is taken just below rho, the smallest
   absolute value of a real root of any leading principal minor of M_d
   (by Sylvester's criterion all minors are +1 at d = 0 and stay positive
-  until the first root).
+  until the first root).  For a connected diagram rho = 1/lambda_max(A) is
+  det's smallest positive root (Perron-Frobenius, and interlacing: Horn and
+  Johnson, Matrix Analysis, ch. 4 and 8), so det alone gives rho's interval
+  whenever the other minors are positive at a point that proves their roots
+  too far to change it; otherwise, and for a disconnected diagram, every
+  minor's smallest |root| is isolated and they race.  epsilon is checked by
+  the minors' signs at +-epsilon alone: they make M at +-epsilon positive
+  definite (Sylvester), and M_d is affine in d, so it is positive definite
+  on all of [-epsilon, epsilon] (a convex combination).
 * D: the smallest integer >= 1 strictly greater than every real root of
   det(M_d).  For d >= D the determinant no longer vanishes and the inertia
   of M_d is constant ("stable signature"); it is read off the signs of
@@ -31,7 +39,7 @@ from functools import lru_cache, partial
 from operator import mul
 from typing import NamedTuple
 
-from .diagram import CoxeterDiagram
+from .diagram import CoxeterDiagram, is_connected
 from .errors import VerificationFailed
 from .exactcore import (
     Interval,
@@ -201,34 +209,86 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
     rho is the smallest absolute value of any real root of any leading
     principal minor; its isolating interval is refined until the width drops
     below rho_lower/1024.  epsilon is the interval's lower endpoint, capped
-    below 1.  Before returning, positive-definiteness of M at +-epsilon and
-    emptiness of the minors' root set on (-epsilon, epsilon) are re-verified
-    exactly (VerificationFailed on any failure, which would indicate a bug).
+    below 1.  For a connected diagram rho is det's smallest positive root
+    (Perron-Frobenius and interlacing), and _perron_interval takes it from det
+    alone whenever that provably gives the full race's interval; otherwise
+    _candidate_race isolates every minor's smallest |root| and races them.
+    Before returning, every minor is re-verified positive at +-epsilon
+    (VerificationFailed on any failure, which would indicate a bug).
     """
     minors = minor_polynomials(pencil)
-    halves = [_half_square(p) for p in minors]
-    candidates = [found for found in map(_smallest_abs_root, halves) if found is not None]
-    if not candidates:
-        rho_interval, epsilon = None, _EPSILON_CAP
-    else:
-        even, rho_interval = _minimum_of_algebraics(candidates)
-        while rho_interval.lo <= 0 or rho_interval.width >= rho_interval.lo / 1024:
-            rho_interval = refine_root_interval(even, rho_interval, rho_interval.width / 4)
-        epsilon = rho_interval.lo if rho_interval.lo < 1 else _EPSILON_CAP
-    _verify_epsilon(minors, halves, epsilon)
+    det_half = _half_square(minors[-1])
+    det_found = _smallest_abs_root(det_half)
+    rho_interval = _perron_interval(pencil.diagram, minors, det_half, *det_found) if det_found else None
+    if rho_interval is None:
+        rho_interval = _candidate_race(minors[:-1], det_found)
+    epsilon = _EPSILON_CAP if rho_interval is None or rho_interval.lo >= 1 else rho_interval.lo
+    _verify_epsilon(minors, epsilon)
     return epsilon, rho_interval
 
 
-def _verify_epsilon(minors: list[Poly], halves: list[Poly], epsilon: Fraction) -> None:
+def _perron_interval(
+    g: CoxeterDiagram, minors: list[Poly], det_half: Poly, even: Poly, first: Interval
+) -> Interval | None:
+    """det's interval under the 1024 rule when it is provably the race's, else None.
+
+    det's refinement from its first interval takes H0 halvings, two per
+    quarter.  A candidate's first interval is never wider than its smallest
+    root r_k (a walk interval with lo > 0 has lo >= hi/2), and each race
+    round quarters it twice; so with J = H0 // 4, rho+ the refined hi and
+    x = rho+ (1 + 16^-J) / (1 - 16^-J), every candidate with r_k > x lies
+    above det's interval by round J, the race ends with det by then, and its
+    interval has H0 halvings.  r_k > x for every k < n exactly when
+    p_1..p_(n-1) are positive at x and -x: then M_(n-1) is positive definite
+    at +-x (Sylvester), so on [-x, x] (M_d is affine in d).  An exact hit on
+    det's root makes the refinement depend on the target width: it returns
+    a quarter-wide interval centred on the root, never one of the four
+    quarters.  The shortcut is tried on connected diagrams only, where
+    Perron-Frobenius puts det's root strictly below every other minor's;
+    on a disconnected one several minors can share rho, and the race decides.
+    """
+    if not is_connected(g):
+        return None
+    interval, halvings = first, 0
+    while interval.width >= interval.lo / 1024:
+        quarter = interval.width / 4
+        refined = refine_root_interval(even, interval, quarter)
+        if (refined.lo - interval.lo) % quarter:
+            return None  # det's root hit exactly
+        interval, halvings = refined, halvings + 2
+    if not (j := halvings // 4):
+        return None
+    x = interval.hi * (16**j + 1) / (16**j - 1)
+    if any(_sign_at(p, point) <= 0 for p in minors[:-1] for point in (x, -x)):
+        return None
+    # det_half divides det(I - y A^2), so it is real-rooted, and only then are the
+    # walk's Budan-Fourier counts exact; a det that is not fails here, as in the race.
+    if sum(1 for _ in root_intervals(det_half)) != det_half.degree:
+        raise VerificationFailed(f"det's half-square {det_half} is not real-rooted")
+    return interval
+
+
+def _candidate_race(lower: list[Poly], det_found: tuple[Poly, Interval] | None) -> Interval | None:
+    """rho's interval under the 1024 rule from every minor's candidate, det's given; None without roots."""
+    candidates = [found for found in map(_smallest_abs_root, map(_half_square, lower)) if found is not None]
+    candidates += [det_found] if det_found else []
+    if not candidates:
+        return None
+    even, rho_interval = _minimum_of_algebraics(candidates)
+    while rho_interval.lo <= 0 or rho_interval.width >= rho_interval.lo / 1024:
+        rho_interval = refine_root_interval(even, rho_interval, rho_interval.width / 4)
+    return rho_interval
+
+
+def _verify_epsilon(minors: list[Poly], epsilon: Fraction) -> None:
+    """Every minor positive at +-epsilon makes M_(+-epsilon) positive definite (Sylvester), so
+    M_d, affine in d, is positive definite on all of [-epsilon, epsilon] and no minor vanishes there."""
     if not (0 < epsilon < 1):
         raise VerificationFailed(f"epsilon {epsilon} outside (0, 1)")
-    for k, (p, q) in enumerate(zip(minors, halves), start=1):
+    for k, p in enumerate(minors, start=1):
         for point in (epsilon, -epsilon):
             if _sign_at(p, point) <= 0:
                 raise VerificationFailed(f"minor {k} not positive at d = {point}")
-        # p(0) = 1, and q has a root on (0, epsilon^2] iff p has one on [-epsilon, epsilon]
-        if roots_above(q, Fraction(0)) != roots_above(q, epsilon * epsilon):
-            raise VerificationFailed(f"minor {k} vanishes inside [-{epsilon}, {epsilon}]")
 
 
 def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:

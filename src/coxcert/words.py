@@ -7,8 +7,8 @@ with them, and swapping adjacent commuting letters.  The normal form is
 computed incrementally, by one scan of the normal word from the right over
 the letters that commute with the appended one: the scan stops at the first
 letter that does not, and the appended letter either cancels it, when it is
-the same letter (the exchange condition rules out deeper cascades), or goes
-in at its lexicographically best slot: right before the leftmost larger
+the same letter (the exchange condition rules out deeper cascades, and the
+survivors stay in normal form), or goes in at its lexicographically best slot: right before the leftmost larger
 letter the scan passed, or at the end if it passed none.
 
 The ball counts rest on right descent sets: Desc(w) is the set of letters s
@@ -77,8 +77,13 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
 
     The scan walks the maximal suffix of letters commuting with `letter` and
     stops at the first letter that does not.  If that letter is `letter`
-    itself the pair cancels; otherwise `letter` goes right before the
-    leftmost larger letter of the suffix, remembered on the way, or at the end.
+    itself the pair cancels, and nf without it is the normal form: it is
+    reduced, being one letter shorter, and a lex-smaller reduced word u for
+    the product would give one for nf's element, u + (letter,) if u departs
+    from nf before that slot, else u with `letter` put back there (u's tail
+    then has the letters of nf's, which all commute with `letter`).
+    Otherwise `letter` goes right before the leftmost larger letter of the
+    suffix, remembered on the way, or at the end.
     """
     if not isinstance(letter, int) or not (1 <= letter <= g.n):
         raise IndexOutOfRange(f"letter {letter!r} outside 1..{g.n}")
@@ -89,11 +94,8 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
         if mask >> y & 1:
             if y == letter:
                 # Everything right of q commutes with `letter`, so the pair
-                # cancels, and the survivors are refolded letter by letter.
-                renorm: Word = ()
-                for x in nf[:q] + nf[q + 1 :]:
-                    renorm = append_letter(renorm, x, g)
-                return renorm
+                # cancels, and the survivors are already in normal form.
+                return nf[:q] + nf[q + 1 :]
             break
         if letter < y:
             pos = q

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import pytest
 
+from coxcert import gram
 from coxcert import (
     CoxeterDiagram,
     Poly,
@@ -29,7 +30,8 @@ from coxcert import (
     stable_signature,
     threshold_report,
 )
-from coxcert.exactcore import leading_principal_minors, root_intervals
+from coxcert.diagram import is_connected
+from coxcert.exactcore import Interval, leading_principal_minors, root_intervals
 from coxcert.exactcore.linalg import signature_of
 
 import _gram_oracle as oracle
@@ -296,3 +298,98 @@ def test_threshold_bytes_pinned(name):
     rep = threshold_report(gram_pencil(g))
     got = f"{rep.epsilon} {rep.rho_interval} {rep.d_value} {rep.largest_root_interval} {rep.signature}"
     assert got == expected
+
+
+class _FellBack(Exception):
+    pass
+
+
+def test_the_perron_shortcut_decides_most_of_the_pin_set(monkeypatch):
+    # det alone gives rho's interval on every cycle complement and short path
+    # of the pin set, and on exactly 306 of its 358 diagrams; the race raises
+    # here, so only the shortcut's own work runs
+    def race(lower, det_found):
+        raise _FellBack
+
+    monkeypatch.setattr(gram, "_candidate_race", race)
+    took = set()
+    for name, g in _pin_set():
+        try:
+            epsilon_threshold(gram_pencil(g))
+        except _FellBack:
+            continue
+        took.add(name)
+    assert len(took) == 306
+    assert {f"cc{n}" for n in range(5, 33)} | {f"P{n}" for n in range(3, 11)} <= took
+
+
+def _full_race(monkeypatch, pencil):
+    """epsilon_threshold with the shortcut declined, so by the candidate race alone."""
+    with monkeypatch.context() as patched:
+        patched.setattr(gram, "_perron_interval", lambda *args: None)
+        return epsilon_threshold(pencil)
+
+
+def _past_the_cap():
+    """cc33, cc40, cc48, P33, P40 and four random diagrams with n = 33..48."""
+    yield from (cycle_complement(n) for n in (33, 40, 48))
+    yield from (CoxeterDiagram(n, frozenset((i, i + 1) for i in range(1, n))) for n in (33, 40))
+    rng = random.Random(48)
+    for rate in (0.05, 0.15, 1 / 3, 0.6):
+        yield random_connected_diagram(rng, rng.randrange(33, 49), rate)
+
+
+def test_the_shortcut_gives_the_race_s_interval_past_the_cap(monkeypatch):
+    # the vertex cap guards parsing only; the thresholds take any n
+    for g in _past_the_cap():
+        pencil = gram_pencil(g)
+        assert epsilon_threshold(pencil) == _full_race(monkeypatch, pencil), g
+
+
+def _disconnected():
+    yield CoxeterDiagram(4, frozenset({(1, 2), (3, 4)}))
+    yield TIE6
+    yield TIE7
+    yield CoxeterDiagram(7, frozenset({(2, 3), (2, 4), (3, 4), (5, 6), (6, 7)}))  # K3, P3 and a point
+    rng = random.Random(7)
+    for _ in range(12):
+        n = rng.randrange(4, 13)
+        edges = frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.2)
+        g = CoxeterDiagram(n, edges)
+        if g.edges and not is_connected(g):
+            yield g
+
+
+def _count_races(monkeypatch) -> list:
+    raced, race = [], gram._candidate_race
+    monkeypatch.setattr(gram, "_candidate_race", lambda *args: raced.append(args) or race(*args))
+    return raced
+
+
+def test_disconnected_diagrams_race_every_minor(monkeypatch):
+    # minors can tie across components, so these never take the shortcut
+    raced = _count_races(monkeypatch)
+    diagrams = list(_disconnected())
+    for g in diagrams:
+        pencil = gram_pencil(g)
+        assert epsilon_threshold(pencil) == oracle.epsilon_threshold(pencil), g
+    assert len(raced) == len(diagrams) >= 10
+
+
+def test_an_exact_hit_on_det_s_root_falls_back_to_the_race(monkeypatch):
+    # the refinement returns a quarter-wide interval centred on a root it lands
+    # on; faked on the shortcut's first refinement, the race must decide
+    pencil = gram_pencil(cycle_complement(12))
+    expected = epsilon_threshold(pencil)
+    first = gram._smallest_abs_root(gram._half_square(minor_polynomials(pencil)[-1]))[1]
+    refine = gram.refine_root_interval
+
+    def snug_on_first(p, interval, max_width, *sign_at):
+        if interval == first and max_width == first.width / 4:
+            return Interval(first.mid - max_width / 2, first.mid + max_width / 2)
+        return refine(p, interval, max_width, *sign_at)
+
+    monkeypatch.setattr(gram, "refine_root_interval", snug_on_first)
+    raced = _count_races(monkeypatch)
+    assert epsilon_threshold(pencil) == expected
+    assert len(raced) == 1

@@ -116,6 +116,23 @@ def test_normal_form_matches_closure_oracle_random_longer():
             assert normal_form(w, g) == _closure_canonical(w, g)
 
 
+def test_cancelling_appends_match_closure_oracle():
+    # every ball element times every letter of its right descent set: the
+    # pair cancels, and dropping the cancelled letter leaves the normal form
+    star = CoxeterDiagram(4, frozenset({(1, 2), (1, 3), (1, 4)}))
+    randoms = [random_connected_diagram(random.Random(seed), n) for seed, n in enumerate(range(4, 8))]
+    cancelled = 0
+    for g in (K3, P3, CC5, star, *randoms):
+        for layer in normal_form_layers(g, 5 if g.n < 6 else 4):
+            for w in layer:
+                for s in g.vertices:
+                    expected = _closure_canonical(w + (s,), g)
+                    if len(expected) < len(w):
+                        cancelled += 1
+                        assert append_letter(w, s, g) == expected, (g, w, s)
+    assert cancelled == 3410
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.integers(min_value=1, max_value=5), max_size=10))
 def test_append_letter_agrees_with_refold(word):
