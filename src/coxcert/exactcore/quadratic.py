@@ -11,6 +11,7 @@ appear only in __float__, which exists for human-readable reporting.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 from ..errors import MixedRadicands, NotSquarefree
 
@@ -45,8 +46,9 @@ def _check_radicand(m: int) -> int:
     return m
 
 
+@total_ordering
 class QuadElem:
-    """a + b*sqrt(m) with exact Fraction coordinates."""
+    """a + b*sqrt(m) with exact Fraction coordinates, ordered as reals."""
 
     __slots__ = ("a", "b", "m")
 
@@ -172,7 +174,13 @@ class QuadElem:
         """True when both coordinates are integers, i.e. self lies in Z[sqrt(m)]."""
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    # -- equality and sign --------------------------------------------------
+    # -- equality, order and sign -------------------------------------------
+
+    def __lt__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return quad_sign(self - o) < 0
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):

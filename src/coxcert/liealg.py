@@ -69,7 +69,6 @@ from .errors import (
     SameVertex,
     UnexpectedDimension,
 )
-from .exactcore import QuadElem, quad_sign
 from .gram import gram_pencil, minor_polynomials
 
 
@@ -81,6 +80,8 @@ def _check_pair(n: int, i: int, j: int) -> None:
 
 
 def _entry_fractions(x) -> tuple:
+    from .exactcore import QuadElem
+
     if isinstance(x, QuadElem):
         return (x.a, x.b)
     return (Fraction(x),)
@@ -97,10 +98,9 @@ def _normalize_primitive(a: tuple) -> tuple:
     scaled = tuple(tuple(x * scale for x in row) for row in a)
     for row in scaled:
         for x in row:
-            s = quad_sign(x)
-            if s > 0:
+            if x > 0:
                 return scaled
-            if s < 0:
+            if x < 0:
                 return tuple(tuple(-y for y in r) for r in scaled)
     raise UnexpectedDimension("cannot normalize the zero matrix")
 

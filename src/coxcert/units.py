@@ -15,7 +15,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import InequalityFailed, NotSquarefree, VerificationFailed
-from .exactcore import QuadElem, quad_sign
+from .exactcore import QuadElem
 from .exactcore.quadratic import RADICAND_LIMIT, is_squarefree
 
 _MAX_CF_PERIOD = 10**7
@@ -78,7 +78,7 @@ def choose_unit(m: int, bound) -> UnitValue:
     base = pell.unit()
     value = base
     k = 1
-    while quad_sign(value - bound) < 0:
+    while value < bound:
         value = value * base
         k += 1
         if k > _MAX_UNIT_POWER:
@@ -110,7 +110,7 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
     product_is_unit = product in (1, -1)
     if not product_is_unit:
         raise VerificationFailed(f"alpha * tau(alpha) = {product} is not a unit")
-    conj_bounded = quad_sign(abs(tau) - epsilon) <= 0
+    conj_bounded = abs(tau) <= epsilon
     if not conj_bounded:
         raise InequalityFailed(
             f"|tau(alpha)| exceeds epsilon = {epsilon}: alpha lies below 1/epsilon"

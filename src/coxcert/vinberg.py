@@ -12,16 +12,16 @@ tr(R_i R_j) = n - 4 + 4 M_ij(d)^2 are identities in Z[d].  verify_relations
 checks each once, from one product R_i R_j per pair, in integers at
 d = 2^64, which separates every polynomial that arises there; holding in
 Z[d], they hold at alpha and at its Galois conjugate tau alike.  R_i(t) has
-entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Only M_tau's
-positive definiteness is decided at tau (its leading minors are the
-pencil's minor polynomials at tau).
+entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Nothing is
+decided at tau: M_d is affine in d, epsilon's check makes M_(+-epsilon)
+positive definite and |tau| <= epsilon, so M_tau is positive definite too.
 
 The embedding certificate keeps the report of every stage for one diagram
 and one quadratic ring: thresholds, the chosen unit alpha with its Galois
-checks, the Z[d] identities, integrality at alpha, compactness of the
-conjugate form, the Lie bracket density trace at t = D (read off graph
-distances), the faithfulness probe (sphere sizes, faithful by Vinberg's
-theorem at t = D >= 1) and, for a cycle complement, its closed-form checks.
+checks, the Z[d] identities, integrality at alpha, the Lie bracket density
+trace at t = D (read off graph distances), the faithfulness probe (sphere
+sizes, faithful by Vinberg's theorem at t = D >= 1) and, for a cycle
+complement, its closed-form checks.
 """
 
 from __future__ import annotations
@@ -188,10 +188,11 @@ def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:
 def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> bool:
     """True when M_tau is positive-definite, tau the Galois conjugate of alpha.
 
-    Its leading principal minors are the minor polynomials of the pencil
-    evaluated at tau, each of whose signs is decided exactly in Q(sqrt(m)).
-    That the conjugate generators preserve M_tau is the Z[d] orthogonality
-    of verify_relations.
+    This is the exact oracle; production reads the verdict off epsilon's
+    check and the Galois bound.  The leading principal minors of M_tau are
+    the pencil's minor polynomials evaluated at tau, each of whose signs is
+    decided exactly in Q(sqrt(m)).  That the conjugate generators preserve
+    M_tau is the Z[d] orthogonality of verify_relations.
     """
     tau = u.value.conjugate()
     return all(quad_sign(p(tau)) > 0 for p in minor_polynomials(gram_pencil(g)))
@@ -210,7 +211,6 @@ class EmbeddingCertificate(NamedTuple):
     galois: GaloisReport
     relations: RelationReport
     integrality_ok: bool
-    positive_definite: bool
     density: DensityCertificate
     probe: FaithfulnessReport
     cycle: CycleReport | None
@@ -224,7 +224,7 @@ class EmbeddingCertificate(NamedTuple):
             "integrality_ok": self.integrality_ok,
             "galois_product_unit": self.galois.product_is_unit,
             "galois_conj_bounded": self.galois.conj_bounded,
-            "conj_form_positive_definite": relations.orthogonality_ok and self.positive_definite,
+            "conj_form_positive_definite": relations.orthogonality_ok and self.galois.conj_bounded,
             "trace_identity_ok": relations.traces_ok,
             "density_ok": self.density.verdict,
             "faithfulness_probe": self.probe.injective,
@@ -243,10 +243,10 @@ def build_embedding_certificate(
 ) -> EmbeddingCertificate:
     """Run the whole pipeline for one diagram and one quadratic ring.
 
-    Stages: thresholds -> unit choice -> Galois bound -> relations,
-    orthogonality and traces over Z[d], integrality at alpha -> positive
-    definiteness at tau -> density trace at D -> faithfulness
-    probe -> the exact cycle-complement checks (no float spectrum).
+    Stages: thresholds -> unit choice -> Galois bound (with epsilon's check,
+    M_tau positive definite) -> relations, orthogonality and traces over
+    Z[d], integrality at alpha -> density trace at D -> faithfulness probe
+    -> the exact cycle-complement checks (no float spectrum).
     Deterministic: same (g, m) always yields an identical certificate.
     """
     from .words import faithfulness_probe
@@ -272,10 +272,6 @@ def build_embedding_certificate(
     timings["relations"] = clock() - start
 
     start = clock()
-    positive_definite = compact_conjugate_check(g, unit)
-    timings["compactness"] = clock() - start
-
-    start = clock()
     density = bracket_closure_density(g, thresholds.d_value)
     timings["density"] = clock() - start
 
@@ -291,7 +287,4 @@ def build_embedding_certificate(
         cycle = verify_cycle_example(g.n, thresholds.d_value)
     timings["cycle"] = clock() - start
 
-    return EmbeddingCertificate(
-        g, m, thresholds, unit, galois, relations, integrality_ok, positive_definite, density, probe, cycle,
-        timings,
-    )
+    return EmbeddingCertificate(g, m, thresholds, unit, galois, relations, integrality_ok, density, probe, cycle, timings)

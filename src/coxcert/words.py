@@ -63,7 +63,6 @@ from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
 from .errors import BallTooLarge, IndexOutOfRange, VerificationFailed
-from .exactcore import quad_sign
 
 Word = tuple
 
@@ -198,7 +197,7 @@ class FaithfulnessReport(NamedTuple):
 
 def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport:
     """Word counts and matrix-image counts of the ball of radius max_len, at
-    the evaluation point t (t >= 1, else ValueError).
+    the evaluation point t, an exact real number (t >= 1, else ValueError).
 
     Both are `_sphere_sizes`, so an over-cap ball is refused as by
     `enumerate_by_length`.  The image counts equal the word counts by
@@ -206,7 +205,7 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     diagonal, 0 on non-edges and a_st * a_ts = 4t^2 >= 4 on edges, so
     w -> R_w is faithful (see the module docstring).
     """
-    if quad_sign(t - 1) < 0:
+    if t < 1:
         raise ValueError(f"probe needs t >= 1, got {t}")
     counts = tuple(_sphere_sizes(_Growths(g), max_len))
     total = sum(counts)

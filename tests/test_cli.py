@@ -257,6 +257,18 @@ def test_the_commands_build_no_sturm_chain(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _PINNED_CYCLES[7]
 
 
+def test_embed_decides_no_minor_at_tau(tmp_path, monkeypatch, capsys):
+    # M_tau's definiteness is read off epsilon's check and the Galois bound, so
+    # embed never calls the oracle; the digest is cc8's certificate at commit
+    # 2c5b953, which still called it
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("embed evaluated the minors at tau")
+
+    monkeypatch.setattr("coxcert.vinberg.compact_conjugate_check", no_oracle)
+    digest = "1d2ad45c019e1dd973026b1233e5f80e51ab66dfcc64be1c89be788fffdcf4cf"
+    assert _stdout_digest("embed", cycle_complement(8), [], tmp_path, capsys) == digest
+
+
 def test_the_commands_build_only_integer_polynomials(tmp_path, monkeypatch, capsys):
     # every polynomial a command computes with lies in Z[x]: gcds and
     # squarefree parts come back primitive, and D is passed as an int

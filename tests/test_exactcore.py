@@ -98,6 +98,23 @@ def test_quad_ordering_against_floats():
     for x in xs:
         for y in xs:
             assert (quad_sign(x - y) < 0) == (float(x) < float(y))
+            assert (x < y, x <= y, x > y) == (float(x) < float(y), float(x) <= float(y), float(x) > float(y))
+
+
+def test_quad_orders_against_rationals_both_ways():
+    half, root = F(1, 2), QuadElem(0, 1, 2)
+    assert half < root and root > half and not root < half
+    assert 1 < root < 2 and 2 > root > 1 and root >= 1 and root <= 2
+    assert -1 <= QuadElem(-1, 0, 2) <= -1 and QuadElem(1, -1, 2) < 0 < QuadElem(-1, 1, 2)
+    assert F(7, 5) < root < F(3, 2) and not F(3, 2) <= root
+    with pytest.raises(MixedRadicands):
+        QuadElem(0, 1, 2) < QuadElem(0, 1, 3)
+
+
+def test_quad_does_not_order_against_floats():
+    for compare in (lambda x: x < 1.5, lambda x: 1.5 < x, lambda x: x >= 0.5, lambda x: 0.5 >= x):
+        with pytest.raises(TypeError):
+            compare(QuadElem(1, 1, 2))
 
 
 def test_quad_hash_consistent_with_fraction():

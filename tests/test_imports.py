@@ -10,7 +10,9 @@ fails here too (a mention in a comment or docstring is no reference), and
 so does an __all__ entry that does not resolve.  Last, the command line
 must start without `dataclasses` or `inspect`, and each command must run
 only the stage modules and exactcore submodules it calls: no command runs
-exactcore.linalg, and only a cycle complement's embed runs cyclecheck.
+exactcore.linalg, analyze, words and density run no exactcore.quadratic
+(words --at-d no exactcore module at all), and only a cycle complement's
+embed runs cyclecheck.
 """
 
 from __future__ import annotations
@@ -194,8 +196,20 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
         (
             ["words", "-", "--at-d", "3/2"],
             PATH5,
-            STAGE_MODULES - {"coxcert.words"} | {LINALG, POLY, "json"},
-            {"coxcert.words", QUADRATIC},
+            STAGE_MODULES - {"coxcert.words"} | {"coxcert.exactcore", LINALG, POLY, QUADRATIC, "json"},
+            {"coxcert.words"},
+        ),
+        (
+            ["words", "-"],
+            PATH5,
+            STAGE_MODULES - {"coxcert.gram", "coxcert.words"} | {LINALG, QUADRATIC, "json"},
+            {"coxcert.gram", "coxcert.words", POLY},
+        ),
+        (
+            ["density", "-"],
+            PATH5,
+            STAGE_MODULES - {"coxcert.gram", "coxcert.liealg"} | {LINALG, QUADRATIC, "json"},
+            {"coxcert.gram", "coxcert.liealg", POLY},
         ),
         (["embed", "-"], PATH5, {"coxcert.cyclecheck", LINALG}, STAGE_MODULES - {"coxcert.cyclecheck"}),
         (["embed", "-"], CC5, {LINALG}, STAGE_MODULES),

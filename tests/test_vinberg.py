@@ -3,6 +3,7 @@ and the end-to-end embedding certificate."""
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from coxcert.vinberg import (
 )
 
 from _relations_oracle import conjugate_matrix, conjugates_to_tau, integral_at, mat_eq, relations_at, transpose
-from _suite import acceptance_suite, suite_thresholds, suite_unit
+from _suite import acceptance_suite, random_connected_diagram, suite_thresholds, suite_unit
 
 F = Fraction
 
@@ -287,6 +288,18 @@ def test_conjugate_form_indefinite_above_epsilon():
     assert blocks[6] == 0
     with pytest.raises(ValueError, match="leading minor 7 vanishes"):
         leading_principal_minors(form)
+
+
+def test_the_read_off_definiteness_matches_the_oracle():
+    # The certificate reads M_tau's definiteness off epsilon's check and the
+    # Galois bound; the oracle decides it from the minors at tau in Q(sqrt(m)).
+    path32 = CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32)))
+    wide = [cycle_complement(32), path32] + [
+        random_connected_diagram(random.Random(s), 32, p) for s, p in ((3, 0.05), (2, 0.7))
+    ]
+    for g, m in [(g, m) for m in (2, 3, 5) for _, g in acceptance_suite()] + [(g, 2) for g in wide]:
+        cert = build_embedding_certificate(g, m=m, probe_len=0)
+        assert cert.verdicts()["conj_form_positive_definite"] == compact_conjugate_check(g, cert.unit), (g, m)
 
 
 def test_certificate_end_to_end_k3():

@@ -297,6 +297,8 @@ def test_faithfulness_probe_rational_point():
 def test_faithfulness_probe_rejects_small_t():
     with pytest.raises(ValueError):
         faithfulness_probe(K3, F(1, 2), 3)
+    with pytest.raises(ValueError):
+        faithfulness_probe(P3, QuadElem(1, -1, 2), 2)  # sqrt(2) - 1 < 1
 
 
 def test_ball_cap_counts_every_element(monkeypatch):
