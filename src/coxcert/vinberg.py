@@ -9,10 +9,10 @@ that action applied to I.
 Every entry of R_i(d) is an integer polynomial in d of degree at most 1, so
 R_i^2 = I, (R_i R_j)^2 = I on commuting pairs, R_i^T M_d R_i = M_d and
 tr(R_i R_j) = n - 4 + 4 M_ij(d)^2 are identities in Z[d].  verify_relations
-checks each once, from one product R_i R_j per pair, in integers at
-d = 2^64, which separates every polynomial that arises there; holding in
-Z[d], they hold at alpha and at its Galois conjugate tau alike.  R_i(t) has
-entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Nothing is
+reads each off the rank-one form R_i = I + e_c u^T in O(n), building no
+matrix, in integers at d = 2^64, which separates every polynomial that
+arises there; holding in Z[d], they hold at alpha and at tau alike.  R_i(t)
+has entries 0, +-1 and 2t, so it is integral exactly when 2t is.  Nothing is
 decided at tau: M_d is affine in d, epsilon's check makes M_(+-epsilon)
 positive definite and |tau| <= epsilon, so M_tau is positive definite too.
 
@@ -111,56 +111,60 @@ _BITS = 64
 _POINT = 1 << _BITS
 
 
-def _pencil_generators(g: CoxeterDiagram) -> tuple[dict, tuple]:
-    """The actions of R_i(d) and the matrices R_i(d) at d = 2^64, one per vertex."""
-    actions, ident = reflection_actions(g, _POINT), gram_pencil(g).at(0)  # M_0 = I
-    return actions, tuple(times_reflection(ident, actions[i]) for i in g.vertices)
+def _rank_one_forms(g: CoxeterDiagram) -> dict:
+    """Per vertex i: (c, u) with R_i(2^64) = I + e_c u^T, c the action's column, u = e_c R_i - e_c."""
+    forms = {}
+    for i, action in reflection_actions(g, _POINT).items():
+        e_c = tuple(int(k == action[0]) for k in range(g.n))
+        forms[i] = action[0], tuple(r - e for r, e in zip(reflect_row(e_c, action), e_c))
+    return forms
 
 
-def _pair_product(actions: dict, generators: tuple, i: int, j: int) -> tuple:
-    """R_i R_j (R_j's action on the matrix R_i) and its trace."""
-    product = times_reflection(generators[i - 1], actions[j])
-    return product, sum(row[k] for k, row in enumerate(product))
+def _pair_trace(n: int, first: tuple, second: tuple) -> int:
+    """tr R_i R_j = n + u_a + w_b + u_b w_a, for R_i = I + e_a u^T and R_j = I + e_b w^T."""
+    (a, u), (b, w) = first, second
+    return n + u[a] + w[b] + u[b] * w[a]
+
+
+def _pair_squares_to_identity(first: tuple, second: tuple) -> bool:
+    """(R_i R_j)^2 = I.  R_i R_j = I + e_a x^T + e_b w^T with x = u + u_b w, so
+    (R_i R_j)^2 - I = e_a ((2 + x_a) x + x_b w)^T + e_b (w_a x + (2 + w_b) w)^T."""
+    (a, u), (b, w) = first, second
+    x = tuple(p + u[b] * q for p, q in zip(u, w))
+    row_a = tuple((2 + x[a]) * p + x[b] * q for p, q in zip(x, w))
+    row_b = tuple(w[a] * p + (2 + w[b]) * q for p, q in zip(x, w))
+    if a == b:  # both rows land in row a
+        return not any(p + q for p, q in zip(row_a, row_b))
+    return not any(row_a + row_b)
 
 
 def verify_relations(g: CoxeterDiagram) -> RelationReport:
     """Check R_i^2 = I, R_i^T M_d R_i = M_d, and per pair P = R_i R_j.
 
-    Every check is an identity in Z[d], decided at d = 2^64: P^2 = I on
-    commuting pairs, and tr P = expected_trace(g, i, j) on all pairs i < j.
+    Each is an identity in Z[d], decided at d = 2^64 on R_i = I + e_c u^T:
+    R_i^2 = I + (2 + u_c) e_c u^T, and R_i^T M R_i = M + u m^T + m u^T + M_cc u u^T
+    (m column c of M) is M iff u = 0 or 2m + M_cc u = 0.  Per pair i < j, P^2 = I
+    on commuting pairs, and tr P = expected_trace(g, i, j) on all pairs.
     """
-    actions, generators = _pencil_generators(g)
-    form, ident = gram_pencil(g).at(_POINT), gram_pencil(g).at(0)  # M_0 = I
+    forms, form = _rank_one_forms(g), gram_pencil(g).at(_POINT)
     failures = []
-    for i in g.vertices:
-        if times_reflection(generators[i - 1], actions[i]) != ident:
+    for i, (c, u) in forms.items():
+        if any(u) and u[c] != -2:
             failures.append(("involution", i, i))
-        # (M R_i)^T R_i = R_i^T M R_i, as M is symmetric
-        if times_reflection(tuple(zip(*times_reflection(form, actions[i]))), actions[i]) != form:
+        if any(u) and any(2 * row[c] + form[c][c] * v for row, v in zip(form, u)):
             failures.append(("orthogonality", i, i))
     for i, j in combinations(g.vertices, 2):
-        product, tr = _pair_product(actions, generators, i, j)
-        if g.commutes(i, j):
-            square = times_reflection(times_reflection(product, actions[i]), actions[j])
-            if square != ident:
-                failures.append(("commutation", i, j))
-        if tr != expected_trace(g, i, j)(_POINT):
+        if g.commutes(i, j) and not _pair_squares_to_identity(forms[i], forms[j]):
+            failures.append(("commutation", i, j))
+        if _pair_trace(g.n, forms[i], forms[j]) != expected_trace(g, i, j)(_POINT):
             failures.append(("trace", i, j))
     kinds = {kind for kind, _, _ in failures}
-    return RelationReport(
-        "involution" not in kinds,
-        "commutation" not in kinds,
-        "orthogonality" not in kinds,
-        "trace" not in kinds,
-        tuple(failures),
-    )
+    verdicts = (kind not in kinds for kind in ("involution", "commutation", "orthogonality", "trace"))
+    return RelationReport(*verdicts, tuple(failures))
 
 
 def generators_integral(g: CoxeterDiagram, t) -> bool:
-    """True when every R_i(t) has entries in Z[sqrt(m)] (or Z over Q).
-
-    R_i(t), the action applied to I, has entries 0, +-1 and the action's 2t.
-    """
+    """True when every R_i(t) (entries 0, +-1 and the action's 2t) is integral: over Z[sqrt(m)], or Z over Q."""
     return all(
         two_t.is_integral() if isinstance(two_t, QuadElem) else Fraction(two_t).denominator == 1
         for _, neighbor_cols, two_t in reflection_actions(g, t).values()
@@ -170,19 +174,16 @@ def generators_integral(g: CoxeterDiagram, t) -> bool:
 
 def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
     """tr(R_i R_j) as an integer polynomial in d."""
-    if i == j:
-        raise SameVertex(f"need two distinct vertices, got {i} twice")
-    return poly_from_balanced_digits(_pair_product(*_pencil_generators(g), i, j)[1], _BITS)
+    expected_trace(g, i, j)  # SameVertex or IndexOutOfRange, as the closed form checks i and j
+    forms = _rank_one_forms(g)
+    return poly_from_balanced_digits(_pair_trace(g.n, forms[i], forms[j]), _BITS)
 
 
 def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:
     """n - 4 + 4 M_ij(d)^2: the closed form the trace must equal."""
     if i == j:
         raise SameVertex(f"need two distinct vertices, got {i} twice")
-    n = g.n
-    if g.adjacent(i, j):
-        return Poly((n - 4, 0, 4))
-    return Poly((n - 4,))
+    return Poly((g.n - 4, 0, 4) if g.adjacent(i, j) else (g.n - 4,))
 
 
 def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> bool:
@@ -261,8 +262,7 @@ def build_embedding_certificate(
     timings["thresholds"] = clock() - start
 
     start = clock()
-    bound = max(1 / thresholds.epsilon, thresholds.d_value)
-    unit = choose_unit(m, bound)
+    unit = choose_unit(m, max(1 / thresholds.epsilon, thresholds.d_value))
     galois = galois_pair_check(unit, thresholds.epsilon)
     timings["unit"] = clock() - start
 

@@ -9,8 +9,12 @@ and the products then run through that action.  `conjugates_to_tau` is the
 Galois-map comparison: conjugating R_i(alpha) coordinate-wise gives R_i(tau).
 `integral_at` reads integrality entry by entry off the stored matrices; the
 package reads it off the actions' 2t alone.  `mat_eq` and `transpose` are
-the entry-by-entry comparison and the transpose these checks use; the
-package compares its tuple matrices with == and transposes by zip.
+the entry-by-entry comparison and the transpose these checks use.
+`dense_relations` is the package's Z[d] check by matrix products at
+d = 2^64, one product R_i R_j per pair; the package reads the same verdicts
+off the rank-one forms R_i = I + e_c u^T.  It calls
+`vinberg.reflection_actions` through the module, so a test that patches the
+actions there patches them for both.
 """
 
 from __future__ import annotations
@@ -19,8 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from coxcert import vinberg
 from coxcert.exactcore import QuadElem
-from coxcert.vinberg import GeneratorSet, reflection_actions, reflection_generators, times_reflection
+from coxcert.gram import gram_pencil
+from coxcert.vinberg import (
+    _POINT,
+    GeneratorSet,
+    RelationReport,
+    expected_trace,
+    reflection_actions,
+    reflection_generators,
+    times_reflection,
+)
 
 
 def transpose(a: tuple) -> tuple:
@@ -113,3 +127,44 @@ def integral_at(gs: GeneratorSet) -> bool:
                 elif Fraction(x).denominator != 1:
                     return False
     return True
+
+
+def _pencil_generators(g) -> tuple[dict, tuple]:
+    """The actions of R_i(d) and the matrices R_i(d) at d = 2^64, one per vertex."""
+    actions, ident = vinberg.reflection_actions(g, _POINT), gram_pencil(g).at(0)  # M_0 = I
+    return actions, tuple(times_reflection(ident, actions[i]) for i in g.vertices)
+
+
+def _pair_product(actions: dict, generators: tuple, i: int, j: int) -> tuple:
+    """R_i R_j (R_j's action on the matrix R_i) and its trace."""
+    product = times_reflection(generators[i - 1], actions[j])
+    return product, sum(row[k] for k, row in enumerate(product))
+
+
+def dense_relations(g) -> RelationReport:
+    """verify_relations by matrix products at d = 2^64, failures in the same order."""
+    actions, generators = _pencil_generators(g)
+    form, ident = gram_pencil(g).at(_POINT), gram_pencil(g).at(0)  # M_0 = I
+    failures = []
+    for i in g.vertices:
+        if times_reflection(generators[i - 1], actions[i]) != ident:
+            failures.append(("involution", i, i))
+        # (M R_i)^T R_i = R_i^T M R_i, as M is symmetric
+        if times_reflection(tuple(zip(*times_reflection(form, actions[i]))), actions[i]) != form:
+            failures.append(("orthogonality", i, i))
+    for i, j in combinations(g.vertices, 2):
+        product, tr = _pair_product(actions, generators, i, j)
+        if g.commutes(i, j):
+            square = times_reflection(times_reflection(product, actions[i]), actions[j])
+            if square != ident:
+                failures.append(("commutation", i, j))
+        if tr != expected_trace(g, i, j)(_POINT):
+            failures.append(("trace", i, j))
+    kinds = {kind for kind, _, _ in failures}
+    return RelationReport(
+        "involution" not in kinds,
+        "commutation" not in kinds,
+        "orthogonality" not in kinds,
+        "trace" not in kinds,
+        tuple(failures),
+    )

@@ -28,18 +28,27 @@ from coxcert import (
     verify_relations,
 )
 from coxcert import vinberg
-from coxcert.errors import Disconnected, SameVertex
+from coxcert.errors import Disconnected, IndexOutOfRange, SameVertex
 from coxcert.exactcore import leading_principal_minors, quad_sign
 from coxcert.exactcore.linalg import bareiss_det, mat_mul
 from coxcert.vinberg import (
     GeneratorSet,
+    RelationReport,
     reflection_actions,
     reflection_generators,
     times_reflection,
     trace_polynomial,
 )
 
-from _relations_oracle import conjugate_matrix, conjugates_to_tau, integral_at, mat_eq, relations_at, transpose
+from _relations_oracle import (
+    conjugate_matrix,
+    conjugates_to_tau,
+    dense_relations,
+    integral_at,
+    mat_eq,
+    relations_at,
+    transpose,
+)
 from _suite import acceptance_suite, random_connected_diagram, suite_thresholds, suite_unit
 
 F = Fraction
@@ -119,6 +128,76 @@ def test_a_wrong_neighbour_coefficient_flips_the_verdicts(monkeypatch):
     cert = build_embedding_certificate(g)
     assert not (cert.verdicts()["relations_ok"] and cert.verdicts()["orthogonality_ok"])
     assert not cert.passed
+
+
+# cc32, P32, rand32/0.05 and rand32/0.7
+WIDE = [cycle_complement(32), CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32)))] + [
+    random_connected_diagram(random.Random(s), 32, p) for s, p in ((3, 0.05), (2, 0.7))
+]
+
+
+def test_rank_one_relations_match_the_dense_products():
+    for g in [g for _, g in acceptance_suite()] + WIDE:
+        assert verify_relations(g) == dense_relations(g), g
+
+
+def _mutated_actions(original, vertex, kind):
+    """reflection_actions with vertex's action changed one way."""
+
+    def mutated(g, t):
+        actions = original(g, t)
+        col, neighbor_cols, two_t = actions[vertex]
+        others = [k for k in range(g.n) if k != col and k not in neighbor_cols]
+        actions[vertex] = {
+            "2t+1": (col, neighbor_cols, two_t + 1),
+            "-2t": (col, neighbor_cols, -two_t),
+            "0": (col, neighbor_cols, 0),
+            "drop a neighbour": (col, neighbor_cols[1:], two_t),
+            "add a column": (col, neighbor_cols + tuple(others[:1]), two_t),
+            "add its own column": (col, neighbor_cols + (col,), two_t),
+            "move the column": ((col + 1) % g.n, neighbor_cols, two_t),
+            "the identity": (col, (col,), 2),  # -e_c + 2 e_c: R_i = I, u = 0
+        }[kind]
+        return actions
+
+    return mutated
+
+
+def test_rank_one_relations_match_the_dense_products_on_mutants(monkeypatch):
+    kinds = (
+        "2t+1",
+        "-2t",
+        "0",
+        "drop a neighbour",
+        "add a column",
+        "add its own column",
+        "move the column",
+        "the identity",
+    )
+    diagrams = [K3, P3, cycle_complement(6), cycle_complement(8), random_connected_diagram(random.Random(5), 7, 0.3)]
+    original = vinberg.reflection_actions
+    broken = set()
+    for g in diagrams:
+        for vertex in g.vertices:
+            for kind in kinds:
+                monkeypatch.setattr(vinberg, "reflection_actions", _mutated_actions(original, vertex, kind))
+                rel = verify_relations(g)
+                assert rel == dense_relations(g), (g, vertex, kind)
+                broken.add(frozenset(k for k, _, _ in rel.failures) - {"trace"})
+    # one mutant breaks an involution, one a commutation, one orthogonality alone
+    assert any("involution" in failed for failed in broken)
+    assert any("commutation" in failed for failed in broken)
+    assert frozenset({"orthogonality"}) in broken
+
+
+def test_relations_and_traces_multiply_no_matrix(monkeypatch):
+    def refusing(a, action):
+        raise AssertionError("times_reflection called")
+
+    g = cycle_complement(8)
+    monkeypatch.setattr(vinberg, "times_reflection", refusing)
+    assert verify_relations(g) == RelationReport(True, True, True, True, ())
+    assert trace_polynomial(g, 1, 3) == Poly((4, 0, 4))  # an edge: 4d^2 - 4 + 8
 
 
 def test_rank_one_action_matches_dense_products():
@@ -255,6 +334,14 @@ def test_trace_polynomial_rejects_equal_vertices():
         trace_polynomial(K3, 2, 2)
 
 
+def test_trace_polynomial_rejects_vertices_outside_the_diagram():
+    for i, j in ((0, 1), (-1, 2), (1, 4), (4, 1)):
+        with pytest.raises(IndexOutOfRange):
+            expected_trace(K3, i, j)
+        with pytest.raises(IndexOutOfRange):
+            trace_polynomial(K3, i, j)
+
+
 def test_compact_conjugate_check():
     u = choose_unit(2, 3)
     tau = u.value.conjugate()
@@ -293,11 +380,7 @@ def test_conjugate_form_indefinite_above_epsilon():
 def test_the_read_off_definiteness_matches_the_oracle():
     # The certificate reads M_tau's definiteness off epsilon's check and the
     # Galois bound; the oracle decides it from the minors at tau in Q(sqrt(m)).
-    path32 = CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32)))
-    wide = [cycle_complement(32), path32] + [
-        random_connected_diagram(random.Random(s), 32, p) for s, p in ((3, 0.05), (2, 0.7))
-    ]
-    for g, m in [(g, m) for m in (2, 3, 5) for _, g in acceptance_suite()] + [(g, 2) for g in wide]:
+    for g, m in [(g, m) for m in (2, 3, 5) for _, g in acceptance_suite()] + [(g, 2) for g in WIDE]:
         cert = build_embedding_certificate(g, m=m, probe_len=0)
         assert cert.verdicts()["conj_form_positive_definite"] == compact_conjugate_check(g, cert.unit), (g, m)
 
