@@ -18,11 +18,11 @@ to stderr only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import cyclecheck, gram, liealg, units, vinberg, words
 from .diagram import MAX_VERTICES, cycle_complement, parse_diagram, serialize_diagram
@@ -32,13 +32,14 @@ CERTIFICATE_FORMAT = "coxcert-embedding/1"
 # The certificate sections verify reads, each checked to be an object first;
 # a parent comes before its children.
 _SECTIONS = ("diagram", "thresholds", "unit", "unit.pell", "unit.alpha", "unit.tau_alpha", "faithfulness_probe")
+# Patterns stay strings, compiled on first use: most commands read none.
 # The only form _rat writes; Fraction() alone would also take "1e20000000"
 # and spend minutes computing 10**20000000.
-_STORED_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+_STORED_RATIONAL = r"-?[0-9]+/[0-9]+"
 # The form the Pell coordinates x and y are written in.
-_STORED_DIGITS = re.compile(r"[0-9]+")
+_STORED_DIGITS = r"[0-9]+"
 # The forms --d and --at-d accept: an integer or p/q, optionally signed.
-_USER_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_USER_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
 
 
 # -- canonical rendering ---------------------------------------------------
@@ -126,7 +127,7 @@ def _load_diagram(path: str):
 
 def _parse_fraction(text: str) -> Fraction:
     """An integer or p/q; a decimal or exponent form is refused unexpanded."""
-    if _USER_RATIONAL.fullmatch(text):
+    if re.fullmatch(_USER_RATIONAL, text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -197,7 +198,7 @@ def _check_sections(payload: dict) -> None:
 
 def _stored_rational(text, name: str) -> Fraction:
     """A rational of the certificate, accepted only in the form _rat writes."""
-    if isinstance(text, str) and _STORED_RATIONAL.fullmatch(text):
+    if isinstance(text, str) and re.fullmatch(_STORED_RATIONAL, text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -214,7 +215,7 @@ def _stored_int(value, name: str) -> int:
 
 def _stored_digits(text, name: str) -> int:
     """A nonnegative integer the certificate writes as a string of digits."""
-    if not (isinstance(text, str) and _STORED_DIGITS.fullmatch(text)):
+    if not (isinstance(text, str) and re.fullmatch(_STORED_DIGITS, text)):
         raise InputError(f"certificate is malformed: {name} must be a string of digits")
     return int(text)
 
@@ -365,55 +366,196 @@ def cmd_cycle(args) -> int:
     return 0 if report.ok else 1
 
 
-# -- parser ------------------------------------------------------------------
+# -- command table -----------------------------------------------------------
+
+# name: (handler, positionals, options, summary).  An option is (name, type,
+# default, help); a default of ... marks one that must be given.  parse_args
+# reads nothing else, and help text comes from nowhere else.
+COMMANDS = {
+    "analyze": (cmd_analyze, ("diagram",), (), "thresholds epsilon and D for a diagram"),
+    "embed": (
+        cmd_embed,
+        ("diagram",),
+        (
+            ("m", int, 2, "squarefree radicand of the ring (default 2)"),
+            ("probe-len", int, 4, "faithfulness probe depth (default 4)"),
+            ("out", str, None, "write the certificate here instead of stdout"),
+        ),
+        "full pipeline, canonical JSON certificate",
+    ),
+    "verify": (cmd_verify, ("certificate", "diagram"), (), "re-derive a certificate and compare bytes"),
+    "density": (
+        cmd_density,
+        ("diagram",),
+        (("d", str, None, "rational parameter value (default: the threshold D)"),),
+        "bracket-closure dimension trace",
+    ),
+    "words": (
+        cmd_words,
+        ("diagram",),
+        (
+            ("max-len", int, 8, "maximum word length (default 8)"),
+            ("at-d", str, None, "probe parameter (default: the threshold D)"),
+        ),
+        "word counts and the faithfulness probe",
+    ),
+    "cycle": (
+        cmd_cycle,
+        (),
+        (("n", int, ..., f"number of vertices (5 to {MAX_VERTICES})"),),
+        "closed-form checks for cycle_complement(n)",
+    ),
+}
+_POSITIONALS = {"diagram": "diagram file ('-' for stdin)", "certificate": "certificate JSON file"}
+_HELP = ("-h", "--help")
+# A token like -1 or -.5 is a value, not an option (argparse's rule, as no option looks like a number).
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxcert",
-        description="Exact certification of reflection-group embeddings over real quadratic rings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(InputError):
+    """A command line the table does not parse; its args are (command or None, message)."""
 
-    p = sub.add_parser("analyze", help="thresholds epsilon and D for a diagram")
-    p.add_argument("diagram", help="diagram file ('-' for stdin)")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("embed", help="full pipeline, canonical JSON certificate")
-    p.add_argument("diagram", help="diagram file ('-' for stdin)")
-    p.add_argument("--m", type=int, default=2, help="squarefree radicand of the ring (default 2)")
-    p.add_argument("--probe-len", type=int, default=4, help="faithfulness probe depth (default 4)")
-    p.add_argument("--out", help="write the certificate here instead of stdout")
-    p.set_defaults(func=cmd_embed)
+def _flag(name: str) -> str:
+    return f"--{name} {name.upper().replace('-', '_')}"
 
-    p = sub.add_parser("verify", help="re-derive a certificate and compare bytes")
-    p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("diagram", help="diagram file ('-' for stdin)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("density", help="bracket-closure dimension trace")
-    p.add_argument("diagram", help="diagram file ('-' for stdin)")
-    p.add_argument("--d", help="rational parameter value (default: the threshold D)")
-    p.set_defaults(func=cmd_density)
+def _usage(command) -> str:
+    if command is None:
+        return "coxcert [-h] {" + ",".join(COMMANDS) + "} ..."
+    _, positionals, options, _ = COMMANDS[command]
+    flags = [_flag(name) if default is ... else f"[{_flag(name)}]" for name, _, default, _ in options]
+    return " ".join(["coxcert", command, "[-h]", *flags, *positionals])
 
-    p = sub.add_parser("words", help="word counts and the faithfulness probe")
-    p.add_argument("diagram", help="diagram file ('-' for stdin)")
-    p.add_argument("--max-len", type=int, default=8, help="maximum word length (default 8)")
-    p.add_argument("--at-d", help="probe parameter (default: the threshold D)")
-    p.set_defaults(func=cmd_words)
 
-    p = sub.add_parser("cycle", help="closed-form checks for cycle_complement(n)")
-    p.add_argument("--n", type=int, required=True, help=f"number of vertices (5 to {MAX_VERTICES})")
-    p.set_defaults(func=cmd_cycle)
+def _show_help(args) -> int:
+    """argparse's help at 80 columns: each help text starts in one column, at most 24."""
+    if args.command is None:
+        head = "\n\nExact certification of reflection-group embeddings over real quadratic rings."
+        positionals = [(2, "{" + ",".join(COMMANDS) + "}", None)]
+        positionals += [(4, name, spec[3]) for name, spec in COMMANDS.items()]
+        options = []
+    else:
+        head, (_, names, options, _) = "", COMMANDS[args.command]
+        positionals = [(2, name, _POSITIONALS[name]) for name in names]
+        options = [(2, _flag(name), text) for name, _, _, text in options]
+    options.insert(0, (2, "-h, --help", "show this help message and exit"))
+    column = min(max(indent + len(left) for indent, left, _ in positionals + options) + 2, 24)
+    lines = [f"usage: {_usage(args.command)}{head}"]
+    for title, rows in (("positional arguments", positionals), ("options", options)):
+        lines += [f"\n{title}:"] if rows else []
+        for indent, left, text in rows:
+            if text is None or indent + len(left) + 2 > column:  # the text goes on the next line
+                lines.append(" " * indent + left)
+                left = ""
+            if text:
+                lines.append(" " * indent + left.ljust(column - indent - 2) + "  " + text)
+    print("\n".join(lines))
+    return 0
 
-    return parser
+
+def _classify(token: str, names: tuple, command):
+    """One token before `--`: None for a value, else (option, its =value or None), the option None
+    when names lacks it.  An option is named in full or by a unique prefix; -h may run on, as -hh."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    if head in names:
+        return head, value if eq else None
+    if token[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise UsageError(command, f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    return None if re.match(_NEGATIVE_NUMBER, token) or " " in token else (None, None)
+
+
+def _help(command, kind) -> SimpleNamespace:
+    option, value = kind
+    if value is None or option == "-h" and value and not value.strip("h"):
+        return SimpleNamespace(command=command, func=_show_help)
+    raise UsageError(command, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command's arguments with func its handler, or func _show_help for -h/--help; a
+    command line outside the grammar raises UsageError.
+
+    The grammar is the one argparse gave these commands.  The top level reads -h and unknown
+    options up to the command, which takes the rest.  Each level classifies its tokens before
+    acting on any.  An option takes the token after it unless that is an option too, and the last
+    of a repeated option wins.  The first `--` makes every later token a value; a positional
+    beside it must take it.  Unknown options are refused once the command has parsed without help.
+    """
+    argv, extras, command = list(argv), [], None
+    for at, token in enumerate(argv):
+        kind = None if token == "--" else _classify(token, _HELP, None)
+        if kind is None:
+            command = token
+            break
+        if kind[0]:
+            return _help(None, kind)
+        extras.append(token)
+    if command == "--" and at == len(argv) - 1:
+        command = None  # argparse drops a lone last `--`
+    if command not in COMMANDS:
+        invalid = f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})"
+        raise UsageError(None, invalid if command is not None else "the following arguments are required: command")
+    handler, wanted, options, _ = COMMANDS[command]
+    table = {f"--{name}": (name.replace("-", "_"), convert) for name, convert, _, _ in options}
+    args = {name.replace("-", "_"): default for name, _, default, _ in options}
+    tokens, wanted, taken = argv[at + 1 :], list(wanted), set()
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    # One kind per token and one past the end: "--" for the first "--" and the end, None for a value.
+    kinds = [_classify(token, (*_HELP, *table), command) for token in tokens[:cut]] + ["--"]
+    kinds += [None] * (len(tokens) - cut)
+    at = 0
+    while at < len(tokens):
+        token, kind = tokens[at], kinds[at]
+        at += 1
+        if kind == "--":
+            before = len(extras)
+            continue
+        if kind is None and wanted:
+            args[wanted.pop(0)] = token
+            taken.add(at - 1)
+        elif kind is None or kind[0] is None:
+            extras.append(token)
+        elif kind[0] in _HELP:
+            return _help(command, kind)
+        else:
+            option, value = kind
+            if value is None:
+                if kinds[at] is not None:
+                    raise UsageError(command, f"argument {option}: expected one argument")
+                value, at = tokens[at], at + 1
+            dest, convert = table[option]
+            try:
+                args[dest] = convert(value)
+            except ValueError:
+                raise UsageError(command, f"argument {option}: invalid {convert.__name__} value: {value!r}") from None
+    if cut < len(tokens) and not taken & {cut - 1, cut + 1}:
+        extras.insert(before, "--")  # only a positional beside it takes the first "--"
+    missing = wanted + [option for option, (dest, _) in table.items() if args[dest] is ...]
+    if missing:
+        raise UsageError(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise UsageError(None, "unrecognized arguments: " + " ".join(extras))  # the top level reports them
+    return SimpleNamespace(command=command, func=handler, **args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except UsageError as exc:
+        command, message = exc.args
+        prog = "coxcert" if command is None else f"coxcert {command}"
+        print(f"usage: {_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,9 +70,10 @@ class GramPencil(NamedTuple):
     def at(self, t) -> tuple:
         """M_t in t's own ring: 1 on the diagonal, -t at each edge, 0 elsewhere."""
         g, zero = self.diagram, t * 0
-        one = zero + 1
+        one, minus_t = zero + 1, -t
         return tuple(
-            tuple(one if i == j else -t if g.adjacent(i, j) else zero for j in g.vertices) for i in g.vertices
+            tuple(one if i == j else minus_t if mask >> j & 1 else zero for j in g.vertices)
+            for i, mask in zip(g.vertices, g.noncommuting_masks[1:])
         )
 
 

@@ -744,12 +744,9 @@ def _node_paths(node, path=()):
 
 
 def _run_bounded(argv) -> int:
-    """main's exit code, argparse's usage exits included, within 1 s."""
+    """main's exit code, usage errors included, within 1 s."""
     start = time.perf_counter()
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     assert time.perf_counter() - start < 1, argv
     return code
 

@@ -8,11 +8,11 @@ re-export them.  A top-level function or class, or a non-dunder method, that
 no code in src/, tests/ or bench/ refers to outside its own definition
 fails here too (a mention in a comment or docstring is no reference), and
 so does an __all__ entry that does not resolve.  Last, the command line
-must start without `dataclasses` or `inspect`, and each command must run
-only the stage modules and exactcore submodules it calls: no command runs
-exactcore.linalg, analyze, words and density run no exactcore.quadratic
-(words --at-d no exactcore module at all), and only a cycle complement's
-embed runs cyclecheck.
+must start without `dataclasses`, `inspect`, `argparse`, `gettext` or
+`locale`, and each command must run only the stage modules and exactcore
+submodules it calls: no command runs exactcore.linalg, analyze, words and
+density run no exactcore.quadratic (words --at-d no exactcore module at
+all), and only a cycle complement's embed runs cyclecheck.
 """
 
 from __future__ import annotations
@@ -172,16 +172,18 @@ CC5 = "n 5\nedge 1 3\nedge 1 4\nedge 2 4\nedge 2 5\nedge 3 5\n"
 def test_the_command_line_starts_without_dataclasses_or_inspect():
     # Each benchmark command is a fresh interpreter, so whatever `python -m
     # coxcert` imports is paid on every command; the first two cost about
-    # 10 ms, and `json`, which only `embed` and `verify` need, 2-3 ms.  The
-    # stage modules and exactcore's submodules sit in sys.modules from the
-    # start but run on first use; a module that ran is a plain module again,
-    # and reading its type does not run it.  Each case gives the command's
-    # input and names modules that must not run and ones that must.
+    # 10 ms, argparse with `gettext` and `locale` about 5 ms, and `json`,
+    # which only `embed` and `verify` need, 2-3 ms.  The stage modules and
+    # exactcore's submodules sit in sys.modules from the start but run on
+    # first use; a module that ran is a plain module again, and reading its
+    # type does not run it.  Each case gives the command's input and names
+    # modules that must not run and ones that must.  No arguments is a usage
+    # error, which main returns as 2.
     code = (
         "import atexit, sys; sys.path.insert(0, sys.argv[1]); import coxcert.cli;"
         " ran = lambda: [name for name, m in list(sys.modules.items()) if type(m) is type(sys)];"
         " atexit.register(lambda: print('modules:', *ran(), sep=chr(10)));"
-        " argv = sys.argv[2:]; argv and sys.exit(coxcert.cli.main(argv))"
+        " sys.exit(coxcert.cli.main(sys.argv[2:]))"
     )
     idle = STAGE_MODULES | {"coxcert.exactcore", "json"}
     cases = [
@@ -221,7 +223,15 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
             capture_output=True,
             text=True,
         )
-        assert run.returncode == 0, (argv, run.stderr)
+        assert run.returncode == (0 if argv else 2), (argv, run.stderr)
         loaded = set(run.stdout.split("modules:\n")[-1].split())
         assert {"coxcert.cli"} | run_too <= loaded, argv
-        assert loaded & ({"dataclasses", "inspect"} | not_run) == set(), argv
+        assert loaded & ({"dataclasses", "inspect", "argparse", "gettext", "locale"} | not_run) == set(), argv
+
+
+def test_help_prints_the_usage_line_on_stdout_alone():
+    # The benchmark's start-up launches check for this line.
+    run = subprocess.run([sys.executable, "-m", "coxcert", "--help"], capture_output=True, text=True, cwd=ROOT / "src")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: coxcert")
+
