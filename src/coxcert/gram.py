@@ -8,12 +8,12 @@ construction:
   every d in [-epsilon, epsilon].  It is taken just below rho, the smallest
   absolute value of a real root of any leading principal minor of M_d
   (by Sylvester's criterion all minors are +1 at d = 0 and stay positive
-  until the first root).  For a connected diagram rho = 1/lambda_max(A) is
+  until the first root).  Every minor's smallest |root| is isolated and
+  they race, with one cut: for a connected diagram rho = 1/lambda_max(A) is
   det's smallest positive root (Perron-Frobenius, and interlacing: Horn and
-  Johnson, Matrix Analysis, ch. 4 and 8), so det alone gives rho's interval
-  whenever the other minors are positive at a point that proves their roots
-  too far to change it; otherwise, and for a disconnected diagram, every
-  minor's smallest |root| is isolated and they race.  epsilon is checked by
+  Johnson, Matrix Analysis, ch. 4 and 8), and the longest prefix of minors
+  positive at a point past det's refined root, which puts their roots too
+  far to change the race (Sylvester), is never walked.  epsilon is checked by
   the minors' signs at +-epsilon alone: they make M at +-epsilon positive
   definite (Sylvester), and M_d is affine in d, so it is positive definite
   on all of [-epsilon, epsilon] (a convex combination).
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import dropwhile
 from operator import mul
 from typing import NamedTuple
 
@@ -208,69 +209,62 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
     """(epsilon, rho interval): exact PD radius under-approximation.
 
     rho is the smallest absolute value of any real root of any leading
-    principal minor; its isolating interval is refined until the width drops
-    below rho_lower/1024.  epsilon is the interval's lower endpoint, capped
-    below 1.  For a connected diagram rho is det's smallest positive root
-    (Perron-Frobenius and interlacing), and _perron_interval takes it from det
-    alone whenever that provably gives the full race's interval; otherwise
-    _candidate_race isolates every minor's smallest |root| and races them.
-    Before returning, every minor is re-verified positive at +-epsilon
-    (VerificationFailed on any failure, which would indicate a bug).
+    principal minor; _candidate_race isolates it and refines its interval
+    until the width drops below rho_lower/1024.  epsilon is the interval's
+    lower endpoint, capped below 1.  det's half-square must first isolate
+    as many real roots as its degree, since the race may walk no other
+    minor.  Before returning, every minor is re-verified positive at
+    +-epsilon (VerificationFailed on any failure, which would indicate a bug).
     """
     minors = minor_polynomials(pencil)
     det_half = _half_square(minors[-1])
-    det_found = _smallest_abs_root(det_half)
-    rho_interval = _perron_interval(pencil.diagram, minors, det_half, *det_found) if det_found else None
-    if rho_interval is None:
-        rho_interval = _candidate_race(minors[:-1], det_found)
+    # det_half divides det(I - y A^2), so it is real-rooted, and only then are the
+    # walks' Budan-Fourier counts exact; a det that is not fails here.
+    if sum(1 for _ in root_intervals(det_half)) != det_half.degree:
+        raise VerificationFailed(f"det's half-square {det_half} is not real-rooted")
+    rho_interval = _candidate_race(pencil.diagram, minors, _smallest_abs_root(det_half))
     epsilon = _EPSILON_CAP if rho_interval is None or rho_interval.lo >= 1 else rho_interval.lo
     _verify_epsilon(minors, epsilon)
     return epsilon, rho_interval
 
 
-def _perron_interval(
-    g: CoxeterDiagram, minors: list[Poly], det_half: Poly, even: Poly, first: Interval
+def _candidate_race(
+    g: CoxeterDiagram, minors: list[Poly], det_found: tuple[Poly, Interval] | None
 ) -> Interval | None:
-    """det's interval under the 1024 rule when it is provably the race's, else None.
+    """rho's interval under the 1024 rule: the minors' smallest |roots| raced, det's as
+    found, after the Sylvester cut; None without roots.
 
-    det's refinement from its first interval takes H0 halvings, two per
-    quarter.  A candidate's first interval is never wider than its smallest
-    root r_k (a walk interval with lo > 0 has lo >= hi/2), and each race
-    round quarters it twice; so with J = H0 // 4, rho+ the refined hi and
-    x = rho+ (1 + 16^-J) / (1 - 16^-J), every candidate with r_k > x lies
-    above det's interval by round J, the race ends with det by then, and its
-    interval has H0 halvings.  r_k > x for every k < n exactly when
-    p_1..p_(n-1) are positive at x and -x: then M_(n-1) is positive definite
-    at +-x (Sylvester), so on [-x, x] (M_d is affine in d).  An exact hit on
-    det's root makes the refinement depend on the target width: it returns
-    a quarter-wide interval centred on the root, never one of the four
-    quarters.  The shortcut is tried on connected diagrams only, where
-    Perron-Frobenius puts det's root strictly below every other minor's;
-    on a disconnected one several minors can share rho, and the race decides.
+    On a connected diagram det's root is strictly below every other minor's
+    (Perron-Frobenius and interlacing), so the race ends with det's interval
+    after max(H0, 4r) halvings: r rounds of four, H0 what det alone takes
+    under the 1024 rule, two per quarter.  A candidate's first interval is
+    never wider than its smallest root r_k (a walk interval with lo > 0 has
+    lo >= hi/2), and each round quarters it twice; so with J = H0 // 4, rho+
+    the refined hi and x = rho+ (1 + 16^-J) / (1 - 16^-J), a candidate with
+    r_k > x lies above det's interval by round J and cannot change the
+    race's bytes.  The cut drops the longest prefix p_1..p_k positive at x
+    and -x unwalked: M_k is then positive definite at +-x (Sylvester), so on
+    [-x, x] (M_d is affine in d), and r_1..r_k > x.  With none left, det's
+    refined interval is the race's.  There is no cut on a disconnected
+    diagram, where several minors can share rho, nor after an exact hit on
+    det's root, where the refinement returns a quarter-wide interval centred
+    on the root and so depends on the target width.
     """
-    if not is_connected(g):
-        return None
-    interval, halvings = first, 0
-    while interval.width >= interval.lo / 1024:
-        quarter = interval.width / 4
-        refined = refine_root_interval(even, interval, quarter)
-        if (refined.lo - interval.lo) % quarter:
-            return None  # det's root hit exactly
-        interval, halvings = refined, halvings + 2
-    if not (j := halvings // 4):
-        return None
-    x = interval.hi * (16**j + 1) / (16**j - 1)
-    if any(_sign_at(p, point) <= 0 for p in minors[:-1] for point in (x, -x)):
-        return None
-    # det_half divides det(I - y A^2), so it is real-rooted, and only then are the
-    # walk's Budan-Fourier counts exact; a det that is not fails here, as in the race.
-    if sum(1 for _ in root_intervals(det_half)) != det_half.degree:
-        raise VerificationFailed(f"det's half-square {det_half} is not real-rooted")
-    return interval
-
-
-def _candidate_race(lower: list[Poly], det_found: tuple[Poly, Interval] | None) -> Interval | None:
-    """rho's interval under the 1024 rule from every minor's candidate, det's given; None without roots."""
+    lower = minors[:-1]
+    if det_found and is_connected(g):
+        (even, interval), halvings = det_found, 0
+        while interval.width >= interval.lo / 1024:
+            quarter = interval.width / 4
+            refined = refine_root_interval(even, interval, quarter)
+            if (refined.lo - interval.lo) % quarter:
+                break  # det's root hit exactly
+            interval, halvings = refined, halvings + 2
+        else:
+            if j := halvings // 4:
+                x = interval.hi * (16**j + 1) / (16**j - 1)
+                lower = list(dropwhile(lambda p: _sign_at(p, x) > 0 and _sign_at(p, -x) > 0, lower))
+                if not lower:
+                    return interval
     candidates = [found for found in map(_smallest_abs_root, map(_half_square, lower)) if found is not None]
     candidates += [det_found] if det_found else []
     if not candidates:

@@ -300,33 +300,32 @@ def test_threshold_bytes_pinned(name):
     assert got == expected
 
 
-class _FellBack(Exception):
-    pass
+def _walks(monkeypatch) -> list:
+    """The half-squares _smallest_abs_root is handed, det's first on every epsilon."""
+    walked, walk = [], gram._smallest_abs_root
+    monkeypatch.setattr(gram, "_smallest_abs_root", lambda q: walked.append(q) or walk(q))
+    return walked
 
 
-def test_the_perron_shortcut_decides_most_of_the_pin_set(monkeypatch):
-    # det alone gives rho's interval on every cycle complement and short path
-    # of the pin set, and on exactly 306 of its 358 diagrams; the race raises
-    # here, so only the shortcut's own work runs
-    def race(lower, det_found):
-        raise _FellBack
-
-    monkeypatch.setattr(gram, "_candidate_race", race)
-    took = set()
+def test_the_sylvester_cut_walks_det_alone_on_most_of_the_pin_set(monkeypatch):
+    # det's walk alone decides 306 of the 358 diagrams, every cycle complement
+    # and short path among them; the other 52 walk 344 of their 1072 lower minors
+    walked, lower = _walks(monkeypatch), {}
     for name, g in _pin_set():
-        try:
-            epsilon_threshold(gram_pencil(g))
-        except _FellBack:
-            continue
-        took.add(name)
-    assert len(took) == 306
-    assert {f"cc{n}" for n in range(5, 33)} | {f"P{n}" for n in range(3, 11)} <= took
+        walked.clear()
+        epsilon_threshold(gram_pencil(g))
+        lower[name] = (len(walked) - 1, g.n - 1)  # (lower minors walked, lower minors)
+    alone = {name for name, (k, _) in lower.items() if k == 0}
+    assert len(alone) == 306
+    assert {f"cc{n}" for n in range(5, 33)} | {f"P{n}" for n in range(3, 11)} <= alone
+    raced = [lower[name] for name in lower.keys() - alone]
+    assert [sum(k for k, _ in raced), sum(n for _, n in raced)] == [344, 1072]
 
 
 def _full_race(monkeypatch, pencil):
-    """epsilon_threshold with the shortcut declined, so by the candidate race alone."""
+    """epsilon_threshold with the Sylvester cut declined at its connectivity gate, so every minor races."""
     with monkeypatch.context() as patched:
-        patched.setattr(gram, "_perron_interval", lambda *args: None)
+        patched.setattr(gram, "is_connected", lambda g: False)
         return epsilon_threshold(pencil)
 
 
@@ -360,25 +359,27 @@ def _disconnected():
             yield g
 
 
-def _count_races(monkeypatch) -> list:
-    raced, race = [], gram._candidate_race
-    monkeypatch.setattr(gram, "_candidate_race", lambda *args: raced.append(args) or race(*args))
-    return raced
+def _every_minor(pencil) -> list:
+    """The half-squares a race of every minor walks: det's, then the n - 1 lower minors' in order."""
+    minors = minor_polynomials(pencil)
+    return [gram._half_square(p) for p in minors[-1:] + minors[:-1]]
 
 
 def test_disconnected_diagrams_race_every_minor(monkeypatch):
-    # minors can tie across components, so these never take the shortcut
-    raced = _count_races(monkeypatch)
+    # minors can tie across components, so these are never cut
+    walked = _walks(monkeypatch)
     diagrams = list(_disconnected())
     for g in diagrams:
         pencil = gram_pencil(g)
+        walked.clear()
         assert epsilon_threshold(pencil) == oracle.epsilon_threshold(pencil), g
-    assert len(raced) == len(diagrams) >= 10
+        assert walked == _every_minor(pencil), g
+    assert len(diagrams) >= 10
 
 
 def test_an_exact_hit_on_det_s_root_falls_back_to_the_race(monkeypatch):
     # the refinement returns a quarter-wide interval centred on a root it lands
-    # on; faked on the shortcut's first refinement, the race must decide
+    # on; faked on the cut's first refinement of det, every minor must race
     pencil = gram_pencil(cycle_complement(12))
     expected = epsilon_threshold(pencil)
     first = gram._smallest_abs_root(gram._half_square(minor_polynomials(pencil)[-1]))[1]
@@ -390,6 +391,6 @@ def test_an_exact_hit_on_det_s_root_falls_back_to_the_race(monkeypatch):
         return refine(p, interval, max_width, *sign_at)
 
     monkeypatch.setattr(gram, "refine_root_interval", snug_on_first)
-    raced = _count_races(monkeypatch)
+    walked = _walks(monkeypatch)
     assert epsilon_threshold(pencil) == expected
-    assert len(raced) == 1
+    assert walked == _every_minor(pencil)

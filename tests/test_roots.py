@@ -32,6 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxcert import CoxeterDiagram, is_connected
 from coxcert import cycle_complement, d_threshold, epsilon_threshold, gram, gram_pencil, minor_polynomials
 from coxcert.cyclecheck import _observed_roots
 from coxcert.errors import VerificationFailed
@@ -242,6 +243,17 @@ def test_minors_that_are_not_real_rooted_fail_epsilon(monkeypatch):
     monkeypatch.setattr(gram, "minor_polynomials", _wrong_column_minors)
     with _within(1), pytest.raises(VerificationFailed, match="separation"):
         epsilon_threshold(gram_pencil(cycle_complement(8)))
+
+
+def test_a_disconnected_mutant_fails_epsilon_at_det_s_guard(monkeypatch):
+    # The race walks every minor of a disconnected diagram, and on this one
+    # every walk ends; only the guard on det's half-square, which runs on
+    # every diagram, sees that the mutant det is not real-rooted.
+    g = CoxeterDiagram(7, frozenset({(1, 3), (1, 4), (2, 3), (6, 7)}))
+    assert not is_connected(g)
+    monkeypatch.setattr(gram, "minor_polynomials", _wrong_column_minors)
+    with _within(1), pytest.raises(VerificationFailed):
+        epsilon_threshold(gram_pencil(g))
 
 
 def _half_squares(seed: int):
