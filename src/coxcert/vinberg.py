@@ -38,10 +38,10 @@ from .exactcore.poly import poly_from_balanced_digits
 from .gram import ThresholdReport, evaluate_pencil, gram_pencil, minor_polynomials, threshold_report
 from .liealg import DensityCertificate, bracket_closure_density
 from .units import GaloisReport, UnitValue, choose_unit, galois_pair_check
+from .words import FaithfulnessReport, faithfulness_probe
 
-if TYPE_CHECKING:  # words imports this module; cyclecheck loads only for a cycle complement
+if TYPE_CHECKING:  # cyclecheck loads only for a cycle complement
     from .cyclecheck import CycleReport
-    from .words import FaithfulnessReport
 
 
 class GeneratorSet(NamedTuple):
@@ -250,8 +250,6 @@ def build_embedding_certificate(
     -> the exact cycle-complement checks (no float spectrum).
     Deterministic: same (g, m) always yields an identical certificate.
     """
-    from .words import faithfulness_probe
-
     if not is_connected(g):
         raise Disconnected("the embedding pipeline needs a connected diagram")
     timings: dict[str, float] = {}

@@ -11,34 +11,33 @@ the same letter (the exchange condition rules out deeper cascades, and the
 survivors stay in normal form), or goes in at its lexicographically best slot: right before the leftmost larger
 letter the scan passed, or at the end if it passed none.
 
-The ball counts rest on right descent sets: Desc(w) is the set of letters s
-with l(ws) < l(w), a set of pairwise commuting letters.  Growing w by s
-lengthens it exactly when s is not in Desc(w), and then
-Desc(ws) = {s} + (Desc(w) & C(s)), where C(s) holds the letters other than s
-that commute with s.  Keeping only the growths after which s is the least
-descent (no letter of Desc(w) & C(s) lies below s) builds every element v
-exactly once, from v * min Desc(v) (Bjorner-Brenti, Combinatorics of Coxeter
-Groups, 3.4), so each layer of a walk is the sphere of that radius, and an
-element with descent mask D has a fixed number of kept growths, its fanout.
-A table filled on first use maps a descent mask to its kept growths.
-
-So the sphere sizes depend on the masks alone: sphere k + 1 has
-sum_D count_k(D) * fanout(D) elements, where count_k(D) is the number of
-elements of sphere k with mask D, and the children's masks give count_(k+1).
-`_sphere_sizes` counts the masks so, layer by layer, before anything is
-built, and fills in every later sphere at once when count_(k+1) = count_k.
-It stops at the first empty layer, which only a finite group has, and
-refuses a radius above MAX_BALL_ELEMENTS (past that, a ball of an infinite
-group, having an element of every length, holds too many elements anyway)
-and, as soon as the running total passes it, a ball over
-MAX_BALL_ELEMENTS, so a refused ball is never built.
+The sphere sizes come from the growth series of a right-angled Coxeter
+group, W(t) = 1 / f(-t / (1 + t)), where f(x) = sum_k c_k x^k and c_k counts
+the sets of k pairwise commuting letters (Chiswell, "The growth series of a
+graph product", Bull. London Math. Soc. 26, 1994; Davis, The Geometry and
+Topology of Coxeter Groups, ch. 17).  Multiplied through by (1 + t)^n it is
+W = (1 + t)^n / Q(t), with Q(t) = sum_k c_k (-t)^k (1 + t)^(n - k), a
+polynomial of degree n with Q_0 = 1, so sphere j is
+C(n, j) - sum_(i = 1..min(j, n)) Q_i * a_(j - i), a recurrence of order n.
+Q_j needs only c_0..c_j, so `_sphere_sizes` counts the commuting sets one
+size at a time, just before the sphere that needs them.  Past sphere n the
+recurrence is homogeneous, so once n + 1 spheres in a row are equal every
+later one is too, and those are filled in at once.  It stops at the first
+empty sphere, which only a finite group has, and refuses a radius above
+MAX_BALL_ELEMENTS (past that, a ball of an infinite group, having an
+element of every length, holds too many elements anyway) and, as soon as
+the running total passes it, a ball over MAX_BALL_ELEMENTS, so a refused
+ball is never built.
 
 `enumerate_by_length` returns those sizes and checks them against normal
-forms, independently of any matrix model.  Each layer maps a normal form to
-its descent mask and is grown by the kept growths only, so `append_letter`
-never cancels on this path: every call lengthens the word by one letter, up
-to length max_len - 2 and MAX_BALL_ELEMENTS letters built in all, and each
-layer must hold as many distinct normal forms as the count says.
+forms, independently of any matrix model and of the count.  A prefix of a
+normal form is a normal form, so the normal forms of length k + 1 are
+those of length k grown by one letter at the end.  A letter s can follow
+the last letter y only if s != y (else the pair cancels) and s > y whenever
+s and y commute (else swapping them gives a smaller word); of those
+candidates it keeps the ones where `append_letter` puts s last.  Layers are
+built up to length max_len - 2 and MAX_BALL_ELEMENTS letters built in all,
+and each must hold as many normal forms as the count says.
 
 The faithfulness verdict rests on a theorem, not on a walk.  The probe runs
 only at t >= 1.  There the transposed action R_s^T x = x - x_s * (2 M_t e_s)
@@ -59,6 +58,7 @@ which counts the distinct matrices R_w of every ball element.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
@@ -101,58 +101,45 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     return nf[:pos] + (letter,) + nf[pos:]
 
 
-class _Growths(dict):
-    """Descent mask -> its kept growths, filled on first use: per letter s that
-    the mask lets grow, ascending, the pair (s, the child's descent mask).
-    The fanout of a mask is the length of its tuple."""
-
-    def __init__(self, g: CoxeterDiagram):
-        super().__init__()
-        noncommuting, self.letters = g.noncommuting_masks, (1 << (g.n + 1)) - 2
-        # Per letter s: s, its bit and C(s); a descent d blocks d and the letters
-        # above d commuting with it, and a growth by s is kept unless blocked.
-        self.rules = [(s, 1 << s, self.letters & ~noncommuting[s]) for s in g.vertices]
-        self.blocks = {1 << d: (1 << d) | (self.letters & -(2 << d) & ~noncommuting[d]) for d in g.vertices}
-
-    def __missing__(self, desc: int) -> tuple:
-        blocked, rest = 0, desc
-        while rest:
-            low = rest & -rest
-            blocked, rest = blocked | self.blocks[low], rest ^ low
-        free = self.letters ^ blocked  # visited up to its highest letter
-        rules = self.rules[: free.bit_length() - 1]
-        kept = self[desc] = tuple([(s, bit | (desc & commuting)) for s, bit, commuting in rules if free & bit])
-        return kept
-
-
-def _sphere_sizes(growths: _Growths, max_len: int) -> list[int]:
-    """The sizes of the spheres of radius 0..max_len, from the descent masks
-    alone (see the module docstring), padded with zeros past the first empty
-    one.  Raises BallTooLarge when max_len or the ball exceeds
-    MAX_BALL_ELEMENTS, each sphere counted before the next is."""
+def _sphere_sizes(g: CoxeterDiagram, max_len: int) -> list[int]:
+    """The sizes of the spheres of radius 0..max_len, from the growth series
+    (see the module docstring), padded with zeros past the first empty one.
+    Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS,
+    each sphere counted before the next is."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if max_len > MAX_BALL_ELEMENTS:
         raise BallTooLarge(f"radius {max_len} is above the cap of {MAX_BALL_ELEMENTS} ball elements")
-    sizes, total = [1], 1
-    counts = {0: 1}  # descent mask -> its number of elements in the last sphere counted
+    n = g.n
+    # A commuting set grows by a free letter v above its largest, which then
+    # leaves free the free letters above v that commute with v.
+    later = {1 << v: ~g.noncommuting_masks[v] & -(2 << v) for v in g.vertices}
+    free_counts = {(1 << (n + 1)) - 2: 1}  # free letters -> commuting sets of the last size counted
+    cliques, q, sizes, total = [1], [1], [1], 1
     while len(sizes) <= max_len:
-        size = sum(count * len(growths[desc]) for desc, count in counts.items())
+        j = len(sizes)
+        if j <= n:
+            grown: dict = {}
+            for free, count in free_counts.items():
+                rest = free
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    child = free & later[low]
+                    grown[child] = grown.get(child, 0) + count
+            free_counts = grown
+            cliques.append(sum(grown.values()))
+            q.append(sum((-1) ** k * c * comb(n - k, j - k) for k, c in enumerate(cliques)))
+        size = comb(n, j) - sum(q[i] * sizes[j - i] for i in range(1, min(j, n) + 1))
         total += size
         if total > MAX_BALL_ELEMENTS:
             raise BallTooLarge(f"the ball has more than {MAX_BALL_ELEMENTS} elements")
         if not size:
             break
         sizes.append(size)
-        if len(sizes) <= max_len:  # the last sphere's masks are never read
-            nxt: dict = {}
-            for desc, count in counts.items():
-                for _, child in growths[desc]:
-                    nxt[child] = nxt.get(child, 0) + count
-            if nxt == counts:  # a fixed point: every later sphere repeats this one; add those the cap allows
-                repeats = min(max_len + 1 - len(sizes), (MAX_BALL_ELEMENTS - total) // size)
-                sizes, total = sizes + [size] * repeats, total + size * repeats
-            counts = nxt
+        if j > n and sizes[-n - 1 :].count(size) == n + 1:  # every later sphere repeats; add those the cap allows
+            repeats = min(max_len + 1 - len(sizes), (MAX_BALL_ELEMENTS - total) // size)
+            sizes, total = sizes + [size] * repeats, total + size * repeats
     return sizes + [0] * (max_len + 1 - len(sizes))
 
 
@@ -161,20 +148,28 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
 
     The counts are `_sphere_sizes`, so an over-cap ball is refused before
     any normal form is built.  They are then checked breadth-first over
-    normal forms, each layer mapping a normal form to its descent mask: a
-    word is grown only by its kept growths (see the module docstring), so
-    every `append_letter` call lengthens its word, none cancels, and each
-    layer up to length max_len - 2 and MAX_BALL_ELEMENTS letters in all
-    must hold as many distinct normal forms as counted, else VerificationFailed.
+    normal forms: each layer is the last one grown at its end by the letters
+    that may follow its last letter, kept where `append_letter` puts the
+    letter last (see the module docstring), and each layer up to length
+    max_len - 2 and MAX_BALL_ELEMENTS letters in all must hold as many
+    normal forms as counted, else VerificationFailed.
     """
-    growths = _Growths(g)
-    counts = _sphere_sizes(growths, max_len)
-    layer, letters = {(): 0}, 0
+    counts = _sphere_sizes(g, max_len)
+    # follow[y]: the letters that may follow y; follow[0], every letter, starts a word
+    follow = [g.vertices] + [
+        tuple(s for s in g.vertices if s != y and (s > y or not g.commutes(s, y))) for y in g.vertices
+    ]
+    layer, letters = [()], 0
     for length in range(1, max_len - 1):
         letters += length * counts[length]
         if not counts[length] or letters > MAX_BALL_ELEMENTS:
             break
-        layer = {append_letter(word, s, g): child for word, desc in layer.items() for s, child in growths[desc]}
+        layer = [
+            grown
+            for word in layer
+            for s in follow[word[-1] if word else 0]
+            if (grown := append_letter(word, s, g))[-1] == s
+        ]
         if len(layer) != counts[length]:
             raise VerificationFailed(f"{len(layer)} normal forms of length {length}, counted {counts[length]}")
     return counts
@@ -207,6 +202,6 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     """
     if t < 1:
         raise ValueError(f"probe needs t >= 1, got {t}")
-    counts = tuple(_sphere_sizes(_Growths(g), max_len))
+    counts = tuple(_sphere_sizes(g, max_len))
     total = sum(counts)
     return FaithfulnessReport(t, max_len, counts, counts, total, total)

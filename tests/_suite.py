@@ -84,8 +84,9 @@ def suite_unit(name, g, m) -> UnitValue:
     return _UNITS[key]
 
 
-def clique_counts(g: CoxeterDiagram) -> list[int]:
-    """c[k] = number of k-sets of pairwise commuting (non-adjacent) generators."""
+def clique_counts(g: CoxeterDiagram, max_size: int | None = None) -> list[int]:
+    """c[k] = number of k-sets of pairwise commuting (non-adjacent) generators,
+    for k up to max_size (all k by default) and 0 above it."""
     adjacent = [0] * (g.n + 1)
     for i, j in g.edges:
         adjacent[i] |= 1 << j
@@ -94,6 +95,8 @@ def clique_counts(g: CoxeterDiagram) -> list[int]:
 
     def grow(start: int, size: int, blocked: int) -> None:
         counts[size] += 1
+        if size == max_size:
+            return
         for v in range(start, g.n + 1):
             if not (blocked >> v) & 1:
                 grow(v + 1, size + 1, blocked | adjacent[v])
@@ -107,9 +110,10 @@ def growth_series(g: CoxeterDiagram, max_len: int) -> list[int]:
 
     The growth series of a right-angled Coxeter group is 1 / sum_k c_k
     (-t / (1 + t))^k over the commuting cliques; invert that power series.
+    Cliques above max_len elements do not reach t^max_len, so none is counted.
     """
     denom = [0] * (max_len + 1)
-    for k, ck in enumerate(clique_counts(g)):
+    for k, ck in enumerate(clique_counts(g, max_len)):
         if ck == 0 or k > max_len:
             continue
         # (-t)^k (1+t)^(-k) = sum_j (-1)^(k+j) C(k+j-1, j) t^(k+j)

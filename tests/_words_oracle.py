@@ -3,19 +3,16 @@ and by whole matrices.
 
 `normal_form_layers` grows every normal form by every letter with
 `append_letter`, which cancels and renormalises whenever the letter is a
-descent, and keeps the words that got longer: it knows nothing of descent
-masks, so it checks `words.enumerate_by_length`.  `image_layers`
+descent, and keeps the words that got longer: it knows nothing of the
+follow rule, so it checks `words.enumerate_by_length`.  `image_layers`
 enumerates the ball the same way and carries every element's full matrix
 R_w at t: in packed integers for rational t (`_packed_integer_images`), and
 as exact matrices for t in Q(sqrt m).  `matrix_image_probe` counts its
 distinct images per length and over the ball, so it checks the theorem
 `words.faithfulness_probe` takes its verdict from; `exact_ball` keeps that
 report for the test session.  `image_layers` skips each letter that
-shortens a word before renormalising (`_lengthens`).  `letter_rule_growths`
-fills one descent mask's kept growths by testing every letter's rule, as
-`words._Growths` did before it took the union of the letters the mask's
-descents block.  `normal_form` folds a whole word with `append_letter`,
-checking its letters first.
+shortens a word before renormalising (`_lengthens`).  `normal_form` folds a
+whole word with `append_letter`, checking its letters first.
 """
 
 from __future__ import annotations
@@ -27,16 +24,6 @@ from coxcert.errors import IndexOutOfRange
 from coxcert.exactcore import quad_sign
 from coxcert.vinberg import reflection_actions, times_reflection
 from coxcert.words import FaithfulnessReport
-
-
-def letter_rule_growths(g, desc: int) -> tuple:
-    """Kept growths of descent mask desc: s grows it when desc holds neither s nor a letter below s commuting with s."""
-    kept = []
-    for s in g.vertices:
-        commuting = ~g.noncommuting_masks[s]
-        if not desc & ((1 << s) | (((1 << s) - 1) & commuting)):
-            kept.append((s, (1 << s) | (desc & commuting)))
-    return tuple(kept)
 
 
 def _check_letters(w, n: int) -> None:

@@ -172,7 +172,7 @@ def test_counts_match_brute_force_distinct_elements():
 
 def test_descent_mask_of_a_grown_normal_form():
     # Desc(ws) = {s} + (Desc(w) & C(s)) for s outside Desc(w), on every normal
-    # form of length at most 5; both ball walks rest on this rule.
+    # form of length at most 5: `append_letter` cancels exactly at descents.
     for name, g in acceptance_suite():
 
         def descents(w):
@@ -186,28 +186,45 @@ def test_descent_mask_of_a_grown_normal_form():
                     assert descents(append_letter(w, s, g)) == expected, (name, w, s)
 
 
-def test_enumeration_never_cancels(monkeypatch):
-    # Grown only past its descent set, a normal form always gets longer, so
-    # `append_letter` never takes its cancelling, renormalising branch.
-    changes = []
+def test_enumeration_layers_are_the_normal_forms(monkeypatch):
+    # Each layer the check builds, the words `append_letter` lengthened by
+    # their last letter, is the sphere of the renormalising walk, which
+    # grows every normal form by every letter.
+    built = []
     real = words.append_letter
 
     def spy(nf, letter, g):
         grown = real(nf, letter, g)
-        changes.append(len(grown) - len(nf))
+        if grown == nf + (letter,):
+            built.append(grown)
         return grown
 
     monkeypatch.setattr(words, "append_letter", spy)
     for g in (CC5, P3, K3):
-        changes.clear()
+        built.clear()
         enumerate_by_length(g, 6)
-        assert changes and set(changes) == {1}, g
+        layers = normal_form_layers(g, 4)[1:]
+        assert len(built) == sum(map(len, layers)), g
+        for length, layer in enumerate(layers, start=1):
+            assert {w for w in built if len(w) == length} == layer, (g, length)
+
+
+def test_normal_forms_obey_the_follow_rule():
+    # In a normal form a letter s never follows itself, and never follows a
+    # larger letter it commutes with: the check grows words only so.
+    for name, g in acceptance_suite():
+        pairs = 0
+        for layer in normal_form_layers(g, 5 if g.n < 6 else 4):
+            for w in layer:
+                for y, s in zip(w, w[1:]):
+                    pairs += 1
+                    assert s != y and (s > y or not g.commutes(s, y)), (name, w)
+        assert pairs, name
 
 
 def test_enumeration_builds_no_word_of_the_last_length(monkeypatch):
-    # The spheres of radius L - 1 and L are counted from the fanouts and the
-    # two-step fanouts of length L - 2, so no normal form longer than L - 2 is
-    # ever built, and none at all for L <= 2.
+    # The spheres of radius L - 1 and L are counted, not built, so no normal
+    # form longer than L - 2 is ever built, and none at all for L <= 2.
     lengths = []
     real = words.append_letter
 
@@ -225,10 +242,11 @@ def test_enumeration_builds_no_word_of_the_last_length(monkeypatch):
 
 
 def test_cc7_counts_to_length_8(monkeypatch):
-    # The `probe` benchmark's ball; its last sphere, 424,235 of 536,131
-    # elements, is the sum of the fanouts of length 7.  Its layers up to
-    # length 6 hold 133,966 letters, within MAX_BALL_ELEMENTS, so every one
-    # is cross-checked against normal forms.
+    # The `probe` benchmark's ball; its last sphere holds 424,235 of its
+    # 536,131 elements.  Its layers up to length 6 hold 133,966 letters,
+    # within MAX_BALL_ELEMENTS, so every one is cross-checked against normal
+    # forms.  Each word of length 0..5 is grown by every letter that may
+    # follow its last one, 24,102 calls for 23,352 normal forms.
     lengths = []
     real = words.append_letter
     monkeypatch.setattr(words, "append_letter", lambda nf, s, g: lengths.append(len(nf) + 1) or real(nf, s, g))
@@ -236,7 +254,8 @@ def test_cc7_counts_to_length_8(monkeypatch):
     assert growth_series(cycle_complement(7), 8) == expected
     assert enumerate_by_length(cycle_complement(7), 8) == expected
     assert max(lengths) == 6
-    assert len(lengths) == sum(expected[1:7]) == 23_352  # one call per word built
+    assert sum(expected[1:7]) == 23_352
+    assert len(lengths) == 24_102  # one call per candidate
 
 
 def test_cross_check_stops_at_the_letter_cap(monkeypatch):
@@ -314,9 +333,8 @@ def test_ball_cap_counts_every_element(monkeypatch):
 
 
 def test_a_radius_one_ball_is_sized_before_its_only_layer(monkeypatch):
-    # At radius 1 the first layer is also the last one, built in bulk, so the
-    # ball, the identity and its 3 children, is sized from the identity's
-    # fanout before that layer is built.
+    # At radius 1 the ball, the identity and its 3 children, is sized
+    # before anything is built.
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 3)
     with pytest.raises(BallTooLarge):
         faithfulness_probe(K3, 2, 1)
@@ -325,9 +343,9 @@ def test_a_radius_one_ball_is_sized_before_its_only_layer(monkeypatch):
 
 
 def test_a_radius_two_ball_is_sized_from_the_identity(monkeypatch):
-    # At radius 2 the enumeration takes its last two layers straight from the
-    # identity: the ball, 1 + 3 + 6 elements, is sized from its masks, and no
-    # normal form is built, under the cap or over it.
+    # At radius 2 the enumeration checks no layer: the ball, 1 + 3 + 6
+    # elements, is counted, and no normal form is built, under the cap or
+    # over it.
     built = []
     real_letter = words.append_letter
     monkeypatch.setattr(words, "append_letter", lambda *a: built.append(a) or real_letter(*a))
@@ -344,7 +362,7 @@ def test_a_radius_two_ball_is_sized_from_the_identity(monkeypatch):
 
 def test_probe_refuses_an_over_cap_ball_before_building_its_rows():
     # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements; the
-    # sphere sizes, counted from the descent masks, refuse it.
+    # sphere sizes, counted from the growth series, refuse it.
     g = cycle_complement(32)
     d = d_threshold(gram_pencil(g))[0]
     with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
@@ -352,7 +370,7 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows():
 
 
 def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypatch):
-    # The same cc32 ball: its sphere sizes come from the descent masks alone,
+    # The same cc32 ball: its sphere sizes come from the growth series alone,
     # so the refusal comes before any normal form is built; sized from the
     # words of length 3 it came after 29,760 normal forms, and counting only
     # the words already made, after about 1,000,000.
@@ -464,25 +482,29 @@ def test_packed_oracle_images_are_the_scaled_matrices():
             assert tuple(_unpack(c, width, g.n) for c in packed) == scaled_columns, w[:k]
 
 
-def test_growths_match_the_letter_rules():
-    # every mask a radius-4 ball reaches, on the suite and on sparse, nearly
-    # free and dense 32-vertex diagrams
-    rng = random.Random(3)
-    path = CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32)))
-    big = [("P32", path), ("rand32/0.05", random_connected_diagram(rng, 32, 0.05)), ("cc32", cycle_complement(32))]
-    for name, g in [*acceptance_suite(), *big]:
-        growths = words._Growths(g)
-        words._sphere_sizes(growths, 4)
-        assert len(growths) > 1, name
-        assert all(kept == oracle.letter_rule_growths(g, desc) for desc, kept in growths.items()), name
-
-
 def test_counts_match_growth_series():
     for name, g in acceptance_suite():
         max_len = probe_length(g.n) or 4
         expected = growth_series(g, max_len)
         assert enumerate_by_length(g, max_len) == expected, name
         assert list(faithfulness_probe(g, 2, max_len).word_counts) == expected, name
+
+
+def test_counts_on_the_worst_32_vertex_families():
+    # The nearly free diagrams, whose radius-5 balls come closest to the cap:
+    # the edgeless one, the path and a spanning tree with few more edges.
+    # Each ball fits to radius 5 and is refused at radius 6, sphere 6 being
+    # the one whose running total passes MAX_BALL_ELEMENTS.
+    path = CoxeterDiagram(32, frozenset((i, i + 1) for i in range(1, 32)))
+    sparse = random_connected_diagram(random.Random(9), 32, 0.02)
+    for name, g in (("edgeless32", CoxeterDiagram(32, frozenset())), ("P32", path), ("rand32/0.02", sparse)):
+        expected = growth_series(g, 5)
+        assert sum(expected) <= words.MAX_BALL_ELEMENTS, name
+        assert list(faithfulness_probe(g, 1, 5).word_counts) == expected, name
+        with pytest.raises(BallTooLarge, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
+            faithfulness_probe(g, 1, 6)
+        with pytest.raises(BallTooLarge, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
+            enumerate_by_length(g, 40)
 
 
 def test_counts_of_the_finite_group_stop_at_its_longest_element(monkeypatch):
@@ -528,8 +550,8 @@ def test_probe_is_injective_as_tits_vinberg_says(n, seed, t, max_len):
 
 
 def test_probe_memory_holds_nothing_of_the_ball():
-    # The production probe counts descent masks only: its tracemalloc peak on
-    # the 536,131-element ball is about 5 KB.
+    # The production probe counts commuting sets only: its tracemalloc peak
+    # on the 536,131-element ball is about 2 KB.
     g = cycle_complement(7)
     tracemalloc.start()
     try:
