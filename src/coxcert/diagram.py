@@ -28,8 +28,8 @@ from .errors import (
     TooManyVertices,
 )
 
-# Cap on n for untrusted input: the exact pipeline needs tens of seconds at
-# n = 32, and its cost grows far faster than n beyond that.
+# Cap on n for untrusted input, a bound on what a diagram file may ask of the
+# exact pipeline, not on the mathematics; raising it is left to the owner.
 MAX_VERTICES = 32
 
 

@@ -69,10 +69,6 @@ class SameVertex(CoxcertError):
     """A vertex pair operation needs two distinct vertices."""
 
 
-class NotAnEdge(CoxcertError):
-    """The requested pair is not an edge of the diagram."""
-
-
 class DegenerateForm(CoxcertError):
     """The symmetric form is singular where a nondegenerate one is required."""
 

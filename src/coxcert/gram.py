@@ -46,7 +46,6 @@ from .exactcore import (
     Interval,
     Poly,
     Signature,
-    cauchy_root_bound,
     poly_gcd,
     refine_root_interval,
     root_intervals,
@@ -270,7 +269,7 @@ def _candidate_race(
     if not candidates:
         return None
     even, rho_interval = _minimum_of_algebraics(candidates)
-    while rho_interval.lo <= 0 or rho_interval.width >= rho_interval.lo / 1024:
+    while rho_interval.width >= rho_interval.lo / 1024:
         rho_interval = refine_root_interval(even, rho_interval, rho_interval.width / 4)
     return rho_interval
 
@@ -289,30 +288,29 @@ def _verify_epsilon(minors: list[Poly], epsilon: Fraction) -> None:
 def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     """(D, largest-root interval): stable integer evaluation point.
 
-    D = max(1, smallest integer strictly greater than every real root of
-    det M_d).  Certified by a count of zero roots above a rational L
-    strictly between the largest root and D.  det M_d = prod(1 - d lambda_i)
-    is real-rooted but can have multiple roots (cycle complements have
-    double ones), so roots_above counts, and refinement follows sign
-    changes, on its squarefree part.  Only the largest root is isolated:
-    the walk skips every subtree at or below D - 1, and one root lies above
-    it, since D is minimal and, for D = 1, A != 0 has an eigenvalue > 0.
+    D, the smallest integer >= 1 strictly greater than every real root of
+    det M_d, is read off the largest root r's interval, and certified by no
+    root above its refined hi.  det = prod(1 - d lambda_i) is real-rooted,
+    with double roots on cycle complements, so counts and signs are taken
+    on its squarefree part.  r > 0 (A != 0 has zero trace), and doubling x
+    from 1 while roots lie above it brackets r in (x/2, x] in about log2 D
+    counts.  The walk skips subtrees at or below x // 2; its node for r is
+    the same under any bound below r.  Quarters refine it while k =
+    floor(hi) > r, i.e. k > lo and sf(k), sf(lo) have opposite signs; then
+    k <= r < k + 1 = D.
     """
     det = minor_polynomials(pencil)[-1]
     if det.degree < 1:
         return 1, None
-    sf = squarefree_part(det)
-    bound, den = cauchy_root_bound(det)
-    limit = bound // den + 2
-    chosen = next((x for x in range(1, limit + 1) if sf(x) != 0 and roots_above(sf, x) == 0), None)
-    if chosen is None:
-        raise VerificationFailed("no valid integer below the root bound")
-    *_, largest = root_intervals(sf, above=chosen - 1)
-    while largest.hi >= chosen:
+    sf, x = squarefree_part(det), 1
+    while roots_above(sf, x):
+        x *= 2
+    *_, largest = root_intervals(sf, above=x // 2)
+    while (k := largest.hi // 1) > largest.lo and _sign_at(sf, k) * _sign_at(sf, largest.lo) < 0:
         largest = refine_root_interval(sf, largest, largest.width / 4)
     if roots_above(sf, largest.hi) != 0:
         raise VerificationFailed("roots remain above the refined largest-root interval")
-    return chosen, largest
+    return k + 1, largest
 
 
 def stable_signature(pencil: GramPencil) -> Signature:

@@ -23,9 +23,9 @@ from itertools import combinations
 from math import gcd
 
 from coxcert.errors import (
+    CoxcertError,
     DegenerateForm,
     IndexOutOfRange,
-    NotAnEdge,
     SameVertex,
     UnexpectedDimension,
     VerificationFailed,
@@ -35,6 +35,10 @@ from coxcert.exactcore.linalg import bareiss_det, mat_mul, nullspace, rref
 from coxcert.gram import evaluate_pencil, gram_pencil
 
 from _relations_oracle import transpose
+
+
+class NotAnEdge(CoxcertError):
+    """The requested pair is not an edge of the diagram."""
 
 
 def mat_vec(a: Matrix, v) -> tuple:

@@ -30,7 +30,8 @@ from coxcert import (
     stable_signature,
     threshold_report,
 )
-from coxcert.diagram import is_connected
+from coxcert.cli import main
+from coxcert.diagram import is_connected, serialize_diagram
 from coxcert.exactcore import Interval, leading_principal_minors, root_intervals
 from coxcert.exactcore.linalg import signature_of
 
@@ -182,9 +183,10 @@ def test_d_thresholds_pinned():
     assert largest.hi < 2
 
 
-def test_d_threshold_isolates_only_roots_above_d_minus_one(monkeypatch):
-    # the walk skips every subtree at or below D - 1 and yields the largest
-    # root last; (1 - d^2)^2 has its largest root at D - 1 = 1 exactly
+def test_d_threshold_isolates_only_roots_above_half_of_d_minus_one(monkeypatch):
+    # the walk skips every subtree at or below x // 2, x the least power of two
+    # with no root above it, and yields the largest root last; x >= D - 1, so
+    # x // 2 >= (D - 1) // 2; (1 - d^2)^2 has its largest root at D - 1 = 1 = x
     yielded = []
 
     def spy(*args, **kwargs):
@@ -200,8 +202,38 @@ def test_d_threshold_isolates_only_roots_above_d_minus_one(monkeypatch):
     for g in diagrams:
         yielded.clear()
         d_value, largest = d_threshold(gram_pencil(g))
-        assert yielded and all(interval.hi > d_value - 1 for interval in yielded), g
+        assert yielded and all(interval.hi > (d_value - 1) // 2 for interval in yielded), g
         assert yielded[-1].lo <= largest.lo < largest.hi <= yielded[-1].hi, g
+
+
+# (D, largest-root interval) and the sha256 of `analyze` stdout for n = 32
+# diagrams whose D is large, as the linear integer scan found them.
+LARGE_D = {
+    (15, 0.3): (
+        "(28664, Interval(lo=Fraction(30776372396847, 1073741824), hi=Fraction(1231095444454113, 42949672960)))",
+        "ea6d9288d2206663c8885e67f86c287dfb1e47d6293cb13b85f3bdba25e31428",
+    ),
+    (1012, 0.35): (
+        "(11194, Interval(lo=Fraction(68053267415079, 6079643648), hi=Fraction(21777289491346481, 1945485967360)))",
+        "fb406932656c226cd023ef6a876532c4340046d086dfde049ba1792c023fbd73",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, rate", LARGE_D)
+def test_a_large_d_takes_logarithmically_many_counts(seed, rate, monkeypatch, tmp_path, capsys):
+    # a scan over 1, 2, 3, ... makes D + 1 counts here; doubling makes at most ceil(log2 D) + 2
+    expected, digest = LARGE_D[seed, rate]
+    g = random_connected_diagram(random.Random(seed), 32, rate)
+    calls, count = [], gram.roots_above
+    monkeypatch.setattr(gram, "roots_above", lambda *args: calls.append(args) or count(*args))
+    found = d_threshold(gram_pencil(g))
+    assert repr(found) == expected
+    assert len(calls) <= (found[0] - 1).bit_length() + 2
+    path = tmp_path / "g.diagram"
+    path.write_text(serialize_diagram(g))
+    assert main(["analyze", str(path)]) == 0
+    assert sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_stable_signatures_pinned():

@@ -26,7 +26,7 @@ from coxcert import (
     gram_pencil,
     minor_polynomials,
 )
-from coxcert.errors import DegenerateForm, Disconnected, NotAnEdge, SameVertex
+from coxcert.errors import DegenerateForm, Disconnected, SameVertex
 from coxcert.exactcore.linalg import bareiss_det, mat_mul, rref
 from coxcert.liealg import planar_generator
 from coxcert.vinberg import reflection_generators
@@ -37,6 +37,7 @@ from _liealg_oracle import (
     full_basis_check,
     hyperbolic_plane_check,
     mat_vec,
+    NotAnEdge,
     oracle_density_trace,
     orthocomplement_basis,
     solve_planar_generator,

@@ -274,9 +274,9 @@ def test_cross_check_stops_at_the_letter_cap(monkeypatch):
 
 
 def test_repeating_spheres_are_filled_in_up_to_the_cap(monkeypatch):
-    # One edge and an isolated vertex: from radius 2 on every sphere has the
-    # same descent-mask counts, so the rest of the ball is filled in at once,
-    # still refused where the running total passes the cap: the radius-300
+    # One edge and an isolated vertex: from radius 2 on every sphere has four
+    # elements, so after n + 1 equal spheres the rest of the ball is filled in
+    # at once, still refused where the running total passes the cap: the radius-300
     # ball has 1 + 3 + 4 * 299 = 1200 elements.
     g = CoxeterDiagram(3, frozenset({(1, 2)}))
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 1200)
@@ -425,8 +425,8 @@ def test_an_off_by_one_sphere_fails_the_exact_ball_pin(monkeypatch):
     # longest element of (Z/2)^4.
     real = words._sphere_sizes
 
-    def off_by_one(growths, max_len):
-        sizes = real(growths, max_len)
+    def off_by_one(g, max_len):
+        sizes = real(g, max_len)
         return sizes[:-1] + [sizes[-1] + 1]
 
     monkeypatch.setattr(words, "_sphere_sizes", off_by_one)
