@@ -144,9 +144,12 @@ def verify_relations(g: CoxeterDiagram) -> RelationReport:
     Each is an identity in Z[d], decided at d = 2^64 on R_i = I + e_c u^T:
     R_i^2 = I + (2 + u_c) e_c u^T, and R_i^T M R_i = M + u m^T + m u^T + M_cc u u^T
     (m column c of M) is M iff u = 0 or 2m + M_cc u = 0.  Per pair i < j, P^2 = I
-    on commuting pairs, and tr P = expected_trace(g, i, j) on all pairs.
+    on commuting pairs, and tr P = expected_trace(g, i, j) on all pairs.  The
+    closed form depends on the pair only through whether it commutes, so it
+    is evaluated once for each of the two kinds of pair.
     """
     forms, form = _rank_one_forms(g), gram_pencil(g).at(_POINT)
+    traces: dict = {}  # g.commutes(i, j) -> expected_trace(g, i, j)(2^64)
     failures = []
     for i, (c, u) in forms.items():
         if any(u) and u[c] != -2:
@@ -154,9 +157,12 @@ def verify_relations(g: CoxeterDiagram) -> RelationReport:
         if any(u) and any(2 * row[c] + form[c][c] * v for row, v in zip(form, u)):
             failures.append(("orthogonality", i, i))
     for i, j in combinations(g.vertices, 2):
-        if g.commutes(i, j) and not _pair_squares_to_identity(forms[i], forms[j]):
+        commute = g.commutes(i, j)
+        if commute and not _pair_squares_to_identity(forms[i], forms[j]):
             failures.append(("commutation", i, j))
-        if _pair_trace(g.n, forms[i], forms[j]) != expected_trace(g, i, j)(_POINT):
+        if commute not in traces:
+            traces[commute] = expected_trace(g, i, j)(_POINT)
+        if _pair_trace(g.n, forms[i], forms[j]) != traces[commute]:
             failures.append(("trace", i, j))
     kinds = {kind for kind, _, _ in failures}
     verdicts = (kind not in kinds for kind in ("involution", "commutation", "orthogonality", "trace"))

@@ -82,7 +82,8 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     from nf before that slot, else u with `letter` put back there (u's tail
     then has the letters of nf's, which all commute with `letter`).
     Otherwise `letter` goes right before the leftmost larger letter of the
-    suffix, remembered on the way, or at the end.
+    suffix, remembered on the way, or at the end, where one concatenation
+    appends it: the common case when the word is grown at its end.
     """
     if not isinstance(letter, int) or not (1 <= letter <= g.n):
         raise IndexOutOfRange(f"letter {letter!r} outside 1..{g.n}")
@@ -98,6 +99,8 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
             break
         if letter < y:
             pos = q
+    if pos == len(nf):
+        return nf + (letter,)
     return nf[:pos] + (letter,) + nf[pos:]
 
 

@@ -4,9 +4,11 @@ Sturm's theorem counts the distinct roots of any nonzero polynomial, with
 no real-rootedness assumed, so these walks are an independent check of the
 package's counts, which hold only on real-rooted squarefree polynomials.
 smallest_abs_root isolates on the squarefree part of p(d)p(-d) itself;
-epsilon_threshold, d_threshold and observed_roots repeat the package's
-functions of those names step for step with Sturm counts in place of
-roots_above, so their results must agree exactly.  generic_smallest_abs_root
+epsilon_threshold, d_threshold and observed_roots find what the package's
+functions of those names find with Sturm counts in place of roots_above,
+so their results must agree exactly; d_threshold bisects for D where the
+package doubles, and isolates every root where the package walks only
+above half its bracket.  generic_smallest_abs_root
 is the walk gram._smallest_abs_root replaced: the generic root_intervals
 on q(d^2) with Fraction points, Budan-Fourier counts at every point and its
 symmetric Cauchy interval split at 0.  root_intervals and
@@ -208,8 +210,16 @@ def d_threshold(pencil):
     sf = squarefree_part(det)
     chain = sturm_sequence(sf)
     roots = isolate_real_roots(chain)
-    limit = int(Fraction(*cauchy_root_bound(det))) + 2
-    chosen = next(c for c in range(1, limit + 1) if sf(c) != 0 and count_roots(chain, Fraction(c)) == 0)
+    # c >= 1 qualifies when it is no root and has none above it, i.e. when it
+    # is above the largest root, so the qualifying integers are upward closed:
+    # bisect between 0 and a bound past every root for the least of them
+    below, chosen = 0, int(Fraction(*cauchy_root_bound(det))) + 2
+    while chosen - below > 1:
+        c = (below + chosen) // 2
+        if sf(c) != 0 and count_roots(chain, Fraction(c)) == 0:
+            chosen = c
+        else:
+            below = c
     if not roots:
         return chosen, None
     largest = roots[-1]

@@ -370,3 +370,9 @@ def test_thresholds_match_the_sturm_oracle():
             cp = pencil_char_poly(pencil, t)
             assert _observed_roots(cp) == oracle.observed_roots(cp), (name, t)
 
+
+@pytest.mark.parametrize("seed, rate", [(15, 0.3), (1012, 0.35)])
+def test_a_large_d_matches_the_sturm_oracle(seed, rate):
+    # D = 28,664 and 11,194; the oracle bisects for D on its own Sturm counts
+    pencil = gram_pencil(random_connected_diagram(random.Random(seed), 32, rate))
+    assert d_threshold(pencil) == oracle.d_threshold(pencil)

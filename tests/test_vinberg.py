@@ -200,6 +200,14 @@ def test_relations_and_traces_multiply_no_matrix(monkeypatch):
     assert trace_polynomial(g, 1, 3) == Poly((4, 0, 4))  # an edge: 4d^2 - 4 + 8
 
 
+def test_relations_evaluate_the_trace_closed_form_once_per_kind_of_pair(monkeypatch):
+    # cc8 has 28 pairs, commuting and not; the closed form depends only on which
+    calls, closed_form = [], vinberg.expected_trace
+    monkeypatch.setattr(vinberg, "expected_trace", lambda g, i, j: calls.append((i, j)) or closed_form(g, i, j))
+    assert verify_relations(cycle_complement(8)) == RelationReport(True, True, True, True, ())
+    assert len(calls) <= 2
+
+
 def test_rank_one_action_matches_dense_products():
     for name, g in acceptance_suite():
         d_value = suite_thresholds(name, g).d_value
