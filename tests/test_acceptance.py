@@ -197,7 +197,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     if cli_main(["verify", str(out1), str(diagram)]) != 0:
         failures.append("verify round trip")
     # independently: two in-process builds render identical payloads
-    from coxcert.cli import canonical_json, certificate_payload
+    from coxcert.certificate import canonical_json, certificate_payload
 
     first = canonical_json(certificate_payload(build_embedding_certificate(K3, m=2, probe_len=4)))
     second = canonical_json(certificate_payload(build_embedding_certificate(K3, m=2, probe_len=4)))

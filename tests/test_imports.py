@@ -12,7 +12,8 @@ must start without `dataclasses`, `inspect`, `argparse`, `gettext` or
 `locale`, and each command must run only the stage modules and exactcore
 submodules it calls: no command runs exactcore.linalg, analyze, words and
 density run no exactcore.quadratic (words --at-d no exactcore module at
-all), and only a cycle complement's embed runs cyclecheck.
+all), only a cycle complement's embed runs cyclecheck, only embed and
+verify run coxcert.certificate, and --help runs no fractions.
 """
 
 from __future__ import annotations
@@ -173,7 +174,9 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
     # Each benchmark command is a fresh interpreter, so whatever `python -m
     # coxcert` imports is paid on every command; the first two cost about
     # 10 ms, argparse with `gettext` and `locale` about 5 ms, and `json`,
-    # which only `embed` and `verify` need, 2-3 ms.  The stage modules and
+    # which only `embed` and `verify` need, 2-3 ms.  Only those two run
+    # `coxcert.certificate`, and a command line that runs no command (no
+    # arguments, `--help`) runs no `fractions` either.  The stage modules and
     # exactcore's submodules sit in sys.modules from the start but run on
     # first use; a module that ran is a plain module again, and reading its
     # type does not run it.  Each case gives the command's input and names
@@ -185,36 +188,37 @@ def test_the_command_line_starts_without_dataclasses_or_inspect():
         " atexit.register(lambda: print('modules:', *ran(), sep=chr(10)));"
         " sys.exit(coxcert.cli.main(sys.argv[2:]))"
     )
-    idle = STAGE_MODULES | {"coxcert.exactcore", "json"}
+    idle = STAGE_MODULES | {"coxcert.exactcore", "coxcert.certificate", "fractions", "json"}
+    certificate = "coxcert.certificate"
     cases = [
         ([], PATH5, idle, {"coxcert.diagram"}),
         (["--help"], PATH5, idle, {"coxcert.diagram"}),
         (
             ["analyze", "-"],
             PATH5,
-            STAGE_MODULES - {"coxcert.gram"} | {LINALG, QUADRATIC, "json"},
+            STAGE_MODULES - {"coxcert.gram"} | {LINALG, QUADRATIC, certificate, "json"},
             {"coxcert.gram", POLY},
         ),
         (
             ["words", "-", "--at-d", "3/2"],
             PATH5,
-            STAGE_MODULES - {"coxcert.words"} | {"coxcert.exactcore", LINALG, POLY, QUADRATIC, "json"},
+            STAGE_MODULES - {"coxcert.words"} | {"coxcert.exactcore", LINALG, POLY, QUADRATIC, certificate, "json"},
             {"coxcert.words"},
         ),
         (
             ["words", "-"],
             PATH5,
-            STAGE_MODULES - {"coxcert.gram", "coxcert.words"} | {LINALG, QUADRATIC, "json"},
+            STAGE_MODULES - {"coxcert.gram", "coxcert.words"} | {LINALG, QUADRATIC, certificate, "json"},
             {"coxcert.gram", "coxcert.words", POLY},
         ),
         (
             ["density", "-"],
             PATH5,
-            STAGE_MODULES - {"coxcert.gram", "coxcert.liealg"} | {LINALG, QUADRATIC, "json"},
+            STAGE_MODULES - {"coxcert.gram", "coxcert.liealg"} | {LINALG, QUADRATIC, certificate, "json"},
             {"coxcert.gram", "coxcert.liealg", POLY},
         ),
-        (["embed", "-"], PATH5, {"coxcert.cyclecheck", LINALG}, STAGE_MODULES - {"coxcert.cyclecheck"}),
-        (["embed", "-"], CC5, {LINALG}, STAGE_MODULES),
+        (["embed", "-"], PATH5, {"coxcert.cyclecheck", LINALG}, STAGE_MODULES - {"coxcert.cyclecheck"} | {certificate}),
+        (["embed", "-"], CC5, {LINALG}, STAGE_MODULES | {certificate}),
     ]
     for argv, diagram, not_run, run_too in cases:
         run = subprocess.run(

@@ -55,3 +55,10 @@ def test_a_traced_embed_writes_the_untraced_certificate(tmp_path):
     # the wrappers reached the lazily loaded exactcore modules
     calls = {line["name"]: line["calls"] for line in lines if line["type"] == "count"}
     assert all(calls[name] > 0 for name in ("exactcore.poly_gcd", "exactcore.quad_sign", "exactcore.quad_mul"))
+    # The renderers the tracer looks up in cli, which serves them from
+    # certificate, are the ones embed calls: certificate_payload and
+    # canonical_json each open a top-level render span, and _rat's spans nest
+    # in the first.
+    assert calls["cli.render"] > 0
+    renders = [line for line in lines if line["type"] == "span" and line["name"] == "cli.render"]
+    assert sum(span["parent"] is None for span in renders) == 2 < len(renders)
