@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import units, vinberg
-from .cli import _emit_timings, _load_diagram, _rat, _read_text
+from .cli import _load_diagram, _rat, _read_text
 from .errors import InputError, VerificationFailed
 from .exactcore import QuadElem
 
@@ -90,6 +90,11 @@ def canonical_json(payload: dict) -> str:
 
 
 # -- embed -------------------------------------------------------------------
+
+
+def _emit_timings(timings: dict) -> None:
+    for stage, seconds in timings.items():
+        print(f"# {stage}: {seconds:.3f}s", file=sys.stderr)
 
 
 def embed(args) -> int:

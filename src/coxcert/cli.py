@@ -69,11 +69,6 @@ def _parse_fraction(text: str):
     raise InputError(f"not a rational number: {text!r} (give an integer or p/q)")
 
 
-def _emit_timings(timings: dict) -> None:
-    for stage, seconds in timings.items():
-        print(f"# {stage}: {seconds:.3f}s", file=sys.stderr)
-
-
 # -- subcommands -------------------------------------------------------------
 
 

@@ -13,11 +13,13 @@ real-rooted squarefree polynomial, which every polynomial the package
 isolates is, Descartes' count of the positive roots by coefficient sign
 changes (_sign_changes), exact for a real-rooted polynomial, from which
 linalg and gram read inertia as a Signature, and one bisection walk on
-integer numerators over a shared denominator, with counts and signs from
-callbacks at (u, den): root_intervals isolates the distinct real roots and
-refine_root_interval narrows one interval, and only the intervals they
-return are Fractions.  Isolation keeps every root strictly inside its
-interval and every endpoint off the root set, which the thresholds rely on.
+integer numerators over a shared denominator, with counts from a callback
+at (u, den) and signs on the walked polynomial itself: root_intervals
+isolates the distinct real roots and refine_root_interval narrows one
+interval, midpoints the rational root theorem rules out are not
+evaluated, and only the intervals the walks return are Fractions.
+Isolation keeps every root strictly inside its interval and every
+endpoint off the root set, which the thresholds rely on.
 Sturm chains (sturm_sequence, count_roots, isolate_real_roots), which need
 neither, are kept only as the tests' oracle.
 """
@@ -469,24 +471,32 @@ def _separation_bits(p: Poly) -> int:
     return (n.bit_length() * (n + 2) + sum(c * c for c in coeffs).bit_length() * (n - 1) + 1) // 2
 
 
-def root_intervals(p: Poly, count_above=None, above=None, sign_at=None) -> Iterator[Interval]:
+def _is_root(p: Poly, u: int, den: int) -> bool:
+    """Is u/den, den > 0, a root of p in Z[x]?  A root a/b in lowest terms has b | lead(p) and
+    a | p(0) (the rational root theorem), so p is evaluated only at such points."""
+    common = int_gcd(u, den)
+    possible = not u or not (p.coeffs[-1] % (den // common) or p.coeffs[0] % (u // common))
+    return possible and _sign_at(p, u, den) == 0
+
+
+def root_intervals(p: Poly, count_above=None, above=None) -> Iterator[Interval]:
     """Isolating intervals for the distinct real roots of p in Z[x], ascending, lazily.
 
     Points are integers u over a denominator den > 0 shared by an interval's
     ends and reduced with them.  count_above(u, den) counts p's distinct
     roots above a non-root u/den, by default roots_above(p, u, den) for a
-    real-rooted squarefree p; sign_at(u, den) is p's sign there, by default
-    _sign_at(p, u, den).  The walk bisects the Cauchy interval depth first
-    from the left, so a caller that needs only the first intervals stops it
-    there; with `above`, subtrees with hi <= above are skipped.  A midpoint
-    that is a root moves right by a quarter, an eighth, ... of the width.
-    Only the yielded intervals are Fractions.  An interval narrower than
-    the separation of p's roots that still counts two or more cannot hold
-    them, so the counts are wrong (p not real-rooted, for the default):
-    VerificationFailed, where the walk would otherwise split forever.
+    real-rooted squarefree p.  Its one sign test, _is_root, is on p itself,
+    at the midpoints the rational root theorem leaves possible.  The walk
+    bisects the Cauchy interval depth first from the left, so a caller that
+    needs only the first intervals stops it there; with `above`, subtrees
+    with hi <= above are skipped.  A midpoint that is a root moves right by
+    a quarter, an eighth, ... of the width.  Only the yielded intervals are
+    Fractions.  An interval narrower than the separation of p's roots that
+    still counts two or more cannot hold them, so the counts are wrong (p
+    not real-rooted, for the default): VerificationFailed, where the walk
+    would otherwise split forever.
     """
     count_above = count_above or partial(roots_above, p)
-    sign_at = sign_at or partial(_sign_at, p)
     limit = None if above is None else above.as_integer_ratio()
     bound, den = cauchy_root_bound(p)
     separation = _separation_bits(p)
@@ -505,7 +515,7 @@ def root_intervals(p: Poly, count_above=None, above=None, sign_at=None) -> Itera
         common = int_gcd(lo, hi, den)
         lo, hi, den = lo // common, hi // common, den // common
         scale, mid = 4, 2 * (lo + hi)  # the midpoint, over 4 den; then (mid + width/scale) over 2 scale den
-        while sign_at(mid, scale * den) == 0:
+        while _is_root(p, mid, scale * den):
             scale, mid = 2 * scale, 2 * (mid + hi - lo)
         lo, hi, den = lo * scale, hi * scale, den * scale
         a_mid = count_above(mid, den)
@@ -520,30 +530,29 @@ def isolate_real_roots(chain: list[Poly]) -> list[Interval]:
     return list(root_intervals(chain[0], lambda u, den: count_roots(chain, u, b=den)))
 
 
-def refine_root_interval(p: Poly, interval: Interval, max_width, sign_at=None) -> Interval:
+def refine_root_interval(p: Poly, interval: Interval, max_width) -> Interval:
     """Shrink an isolating interval below max_width, root kept strictly inside.
 
     The interval must isolate exactly one root of p in Z[x], of odd
     multiplicity, with non-root endpoints (as root_intervals produces for a
-    squarefree p): bisection follows the sign change of p, by sign_at as in
-    root_intervals, on the endpoints over their common denominator.  If it
-    lands on the root exactly, a tight interval straddling it is returned.
+    squarefree p): bisection follows the sign change of p on the endpoints
+    over their common denominator.  If it lands on the root exactly, a
+    tight interval straddling it is returned.
     """
     width, width_den = max_width.as_integer_ratio()
     if width <= 0:
         raise ValueError("max_width must be positive")
-    sign_at = sign_at or partial(_sign_at, p)
     (lo, lo_den), (hi, hi_den) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
     den = _lcm(lo_den, hi_den)
     lo, hi = lo * (den // lo_den), hi * (den // hi_den)
-    s_lo, s_hi = sign_at(lo, den), sign_at(hi, den)
+    s_lo, s_hi = _sign_at(p, lo, den), _sign_at(p, hi, den)
     if s_lo == 0 or s_hi == 0:
         raise EndpointIsRoot("refinement endpoints must not be roots")
     if s_lo == s_hi:
         raise ValueError("p does not change sign on the interval")
     while (hi - lo) * width_den > width * den:
         mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-        s_mid = sign_at(mid, den)
+        s_mid = _sign_at(p, mid, den)
         if s_mid == 0:
             # Rational root hit dead on; return a snug interval around it, of
             # radius min(max_width, the last width / 2) / 2, over 2 den width_den.

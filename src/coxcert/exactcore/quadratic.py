@@ -159,16 +159,10 @@ class QuadElem:
             return 1
         if a < 0 and b < 0:
             return -1
-        # Opposite signs: compare a^2 with m*b^2. Equality would force
-        # sqrt(m) rational, impossible for squarefree m >= 2, but the
-        # comparison stays honest anyway.
-        lhs, rhs = a * a, self.m * b * b
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        if a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+        # Opposite signs: a^2 = m*b^2 would make sqrt(m) rational, impossible
+        # for squarefree m >= 2, so a's sign wins exactly when a^2 > m*b^2.
+        a_sign = 1 if a > 0 else -1
+        return a_sign if a * a > self.m * b * b else -a_sign
 
     def is_integral(self) -> bool:
         """True when both coordinates are integers, i.e. self lies in Z[sqrt(m)]."""

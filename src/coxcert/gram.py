@@ -26,16 +26,18 @@ All n minor polynomials come from the bordering recurrence (Samuelson,
 Ann. Math. Statist. 13, 1942; Berkowitz, Inform. Process. Lett. 18, 1984)
 in integers, with no division and no bound on the coefficients.  Roots are
 located by Budan-Fourier counts and exactcore's one integer-grid bisection
-walk on real-rooted squarefree polynomials; epsilon walks q(d^2) and
-supplies the counts and signs itself, on q(y) = det(I - y A_k^2) at
-y = x^2, none past Fujiwara's bound, and screens gcds modulo 2^61 - 1.
+walk on real-rooted squarefree polynomials, which takes its signs on the
+walked polynomial and skips the midpoints the rational root theorem rules
+out; epsilon walks q(d^2) and supplies the counts itself, on
+q(y) = det(I - y A_k^2) at y = x^2, none past Fujiwara's bound, and
+screens gcds modulo 2^61 - 1.
 Final checks are re-verified exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import dropwhile
 from operator import mul
 from typing import NamedTuple
@@ -77,7 +79,6 @@ class GramPencil(NamedTuple):
         )
 
 
-@lru_cache(maxsize=256)
 def gram_pencil(g: CoxeterDiagram) -> GramPencil:
     return GramPencil(g)
 
@@ -94,7 +95,11 @@ def evaluate_pencil(pencil: GramPencil, t):
 
 
 @lru_cache(maxsize=256)
-def _minor_polynomials_cached(pencil: GramPencil) -> tuple[Poly, ...]:
+def minor_polynomials(pencil: GramPencil) -> tuple[Poly, ...]:
+    """Leading principal minors of M_d as polynomials in d (k = 1..n), cached on pencil equality.
+
+    Every minor has constant term 1 because M_0 = I.
+    """
     # p_0..p_k: det(I - d A_k)'s coefficients from d^0 up, det(x I - A_k)'s from x^k down.  Bordering A_k
     # by c, vertex k + 1's neighbours in it, gives p_j -= sum_(i <= j-2) p_i s_(j-2-i), s_j = c^T A_k^j c.
     g, p, minors = pencil.diagram, [1], []
@@ -110,14 +115,6 @@ def _minor_polynomials_cached(pencil: GramPencil) -> tuple[Poly, ...]:
             p[j] -= sum(map(mul, p[: j - 1], reversed(s[: j - 1])))
         minors.append(Poly(p))
     return tuple(minors)
-
-
-def minor_polynomials(pencil: GramPencil) -> list[Poly]:
-    """Leading principal minors of M_d as polynomials in d (k = 1..n).
-
-    Every minor has constant term 1 because M_0 = I.
-    """
-    return list(_minor_polynomials_cached(pencil))
 
 
 def _half_square(p: Poly) -> Poly:
@@ -147,9 +144,9 @@ def _smallest_abs_root(q: Poly) -> tuple[Poly, Interval] | None:
 
     Returns (q(d^2), the squarefree part of p(d)p(-d) up to a constant, and its isolating
     interval) or None when p has no real roots: root_intervals(q(d^2)) right of its split at 0,
-    then refine_root_interval while lo = 0, counting and taking signs on q at x^2.  With Q(y) =
-    roots_above(q, y) and R = Q(0), q(d^2) has Q(x^2) roots above x >= 0 and 2R - Q(x^2) above
-    x < 0; past U = _root_power_bound(q), above all q's roots, Q is 0 and the sign q's leading one.
+    then refine_root_interval while lo = 0, counting on q at x^2; signs are q(d^2)'s own.  With
+    Q(y) = roots_above(q, y) and R = Q(0), q(d^2) has R roots above 0, Q(x^2) above x > 0 and
+    2R - Q(x^2) above x < 0; past U = _root_power_bound(q), above all q's roots, Q is 0.
     """
     if not (count := roots_above(q, 0)):
         return None
@@ -158,16 +155,15 @@ def _smallest_abs_root(q: Poly) -> tuple[Poly, Interval] | None:
         raise VerificationFailed(f"{q} has a root above Fujiwara's bound {top}")
     top_u, top_den = top.as_integer_ratio()
 
-    def at(f, u: int, den: int, beyond: int) -> int:  # f(q, (u/den)^2), or beyond where (u/den)^2 > U
-        return beyond if u * u * top_den > top_u * den * den else f(q, u * u, den * den)
-
     def count_above(u: int, den: int) -> int:
-        return count if not u else at(roots_above, u, den, 0) if u > 0 else 2 * count - at(roots_above, u, den, 0)
+        if not u:
+            return count
+        above = 0 if u * u * top_den > top_u * den * den else roots_above(q, u * u, den * den)
+        return above if u > 0 else 2 * count - above
 
-    sign_at = partial(at, _sign_at, beyond=1)
-    interval = next(root_intervals(even, count_above, 0, sign_at))
+    interval = next(root_intervals(even, count_above, 0))
     while interval.lo == 0:
-        interval = refine_root_interval(even, interval, interval.width / 4, sign_at)
+        interval = refine_root_interval(even, interval, interval.width / 4)
     return even, interval
 
 
@@ -228,7 +224,7 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
 
 
 def _candidate_race(
-    g: CoxeterDiagram, minors: list[Poly], det_found: tuple[Poly, Interval] | None
+    g: CoxeterDiagram, minors: tuple[Poly, ...], det_found: tuple[Poly, Interval] | None
 ) -> Interval | None:
     """rho's interval under the 1024 rule: the minors' smallest |roots| raced, det's as
     found, after the Sylvester cut; None without roots.
@@ -274,7 +270,7 @@ def _candidate_race(
     return rho_interval
 
 
-def _verify_epsilon(minors: list[Poly], epsilon: Fraction) -> None:
+def _verify_epsilon(minors: tuple[Poly, ...], epsilon: Fraction) -> None:
     """Every minor positive at +-epsilon makes M_(+-epsilon) positive definite (Sylvester), so
     M_d, affine in d, is positive definite on all of [-epsilon, epsilon] and no minor vanishes there."""
     if not (0 < epsilon < 1):

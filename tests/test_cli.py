@@ -17,7 +17,7 @@ from coxcert import CoxeterDiagram, cycle_complement, enumerate_by_length, faith
 from coxcert.cli import main
 from coxcert.errors import VerificationFailed
 from coxcert.exactcore import Poly
-from coxcert.gram import _minor_polynomials_cached, gram_pencil
+from coxcert.gram import minor_polynomials
 
 from _suite import random_connected_diagram
 
@@ -280,8 +280,7 @@ def test_the_commands_build_only_integer_polynomials(tmp_path, monkeypatch, caps
         built.extend(c for c in self.coeffs if c.__class__ is not int)
 
     monkeypatch.setattr(Poly, "__init__", recording_init)
-    gram_pencil.cache_clear()
-    _minor_polynomials_cached.cache_clear()
+    minor_polynomials.cache_clear()
     runs = [
         ("analyze", cycle_complement(12), []),
         ("analyze", _thresholds_diagram(random.Random(12), 12), []),

@@ -15,7 +15,7 @@ import pytest
 from coxcert import CoxeterDiagram
 from coxcert.cyclecheck import CycleReport, SpectrumPrediction
 from coxcert.exactcore import Interval, Signature
-from coxcert.gram import GramPencil, ThresholdReport, _minor_polynomials_cached
+from coxcert.gram import GramPencil, ThresholdReport, minor_polynomials
 from coxcert.liealg import DensityCertificate
 from coxcert.units import GaloisReport, PellSolution, UnitValue
 from coxcert.vinberg import EmbeddingCertificate, GeneratorSet, RelationReport
@@ -47,10 +47,10 @@ def test_diagrams_compare_and_hash_by_normalized_edges():
 
 def test_an_equal_diagram_built_apart_hits_the_minor_cache():
     edges = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)}
-    first = _minor_polynomials_cached(GramPencil(CoxeterDiagram(6, edges)))
-    hits = _minor_polynomials_cached.cache_info().hits
-    again = _minor_polynomials_cached(GramPencil(CoxeterDiagram(6, {(j, i) for i, j in edges})))
-    assert _minor_polynomials_cached.cache_info().hits == hits + 1
+    first = minor_polynomials(GramPencil(CoxeterDiagram(6, edges)))
+    hits = minor_polynomials.cache_info().hits
+    again = minor_polynomials(GramPencil(CoxeterDiagram(6, {(j, i) for i, j in edges})))
+    assert minor_polynomials.cache_info().hits == hits + 1
     assert again is first
 
 

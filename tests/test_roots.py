@@ -10,9 +10,11 @@ exactly, and on the squarefree parts of det(I - y A^2) for random diagrams.
 The walks root_intervals and refine_root_interval, on integer numerators
 over one denominator, are pinned interval for interval to their Fraction
 forms in tests/_gram_oracle.py, on those products, whose roots often land
-on bisection points.  epsilon's walk, counting and taking signs on q at
-x^2, is pinned to the generic walk on q(d^2), and its power-of-two bound U
-to Fujiwara's; it must count and take no sign above U.  The hypothesis
+on bisection points.  The walk's root test at a midpoint, which skips the
+points the rational root theorem rules out, is pinned to the sign itself.
+epsilon's walk, counting on q at x^2 and taking signs on q(d^2) itself, is
+pinned to the generic walk on q(d^2), and its power-of-two bound U to
+Fujiwara's; it must count nothing above U.  The hypothesis
 tests are derandomized, so every run sees the same cases.  A walk whose
 counts are wrong (a polynomial that is not real-rooted) must fail fast,
 not split forever.
@@ -37,7 +39,7 @@ from coxcert import cycle_complement, d_threshold, epsilon_threshold, gram, gram
 from coxcert.cyclecheck import _observed_roots
 from coxcert.errors import VerificationFailed
 from coxcert.exactcore import Interval, Poly, cauchy_root_bound, refine_root_interval, root_intervals, roots_above
-from coxcert.exactcore import squarefree_part
+from coxcert.exactcore import poly, squarefree_part
 from coxcert.exactcore.poly import _sign_at, count_roots, isolate_real_roots, sturm_sequence
 from coxcert.gram import _half_square, _root_power_bound, _smallest_abs_root, pencil_char_poly
 
@@ -168,27 +170,55 @@ def test_the_walks_build_fractions_only_for_what_they_return(monkeypatch):
         assert made == {"refine_root_interval": 2}, args
 
 
-def test_the_walks_keep_their_points_reduced():
+def test_the_walks_keep_their_points_reduced(monkeypatch):
     # A split takes its point over 4 den, with den reduced by the gcd of its
     # interval's numerators, so a point's denominator at most doubles per
-    # sign taken; unreduced it would grow fourfold per split.  Refinement
+    # root test; unreduced it would grow fourfold per split.  Refinement
     # from the integers 0 and 64 stays over 2 until the width drops below 1.
     square = Poly((-2, 0, 1))
     f = square * Poly((-1414, 1000))  # roots -sqrt(2), 1.414 and sqrt(2)
     dens = []
 
-    def spy(p: Poly):
-        def sign_at(u: int, den: int) -> int:
+    def spy(name: str, test):
+        def spied(p: Poly, u: int, den: int = 1):
             dens.append(den)
-            return _sign_at(p, u, den)
+            return test(p, u, den)
 
-        return sign_at
+        monkeypatch.setattr(f"coxcert.exactcore.poly.{name}", spied)
 
-    assert list(root_intervals(f, sign_at=spy(f))) == list(oracle.root_intervals(f))
+    spy("_is_root", poly._is_root)
+    assert list(root_intervals(f)) == list(oracle.root_intervals(f))
     assert len(dens) > 8 and all(den <= 4 * 1000 << k for k, den in enumerate(dens)), dens
+    monkeypatch.undo()
     dens.clear()
-    assert refine_root_interval(square, Interval(0, 64), 1, spy(square)) == Interval(1, 2)
+    spy("_sign_at", _sign_at)
+    assert refine_root_interval(square, Interval(0, 64), 1) == Interval(1, 2)
     assert dens == [1, 1, 2, 2, 2, 2, 2, 2]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4), max_size=2),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 24)), max_size=6),
+    st.integers(2, 6),
+)
+@example([(0, 1), (-3, 2)], [], [(-9, 4)], 2)  # p(0) = 0
+@example([(3, 2), (-5, 3)], [[7, 0, 1]], [(0, 5), (-7, 1)], 3)  # p(0) != 0
+def test_the_root_test_is_the_sign_test(roots, extras, points, scale):
+    # p = prod(b x - a) times random extra factors in Z[x]; _is_root skips the
+    # points the rational root theorem rules out, and so must agree with the
+    # sign at the planted roots, at 0, at random points and at all of them
+    # taken unreduced, over scale * den
+    p = Poly((1,))
+    for a, b in roots:
+        p = p * Poly((-a, b))
+    for coeffs in extras:
+        p = p * Poly(coeffs) if any(coeffs) else p
+    for u, den in roots + points + [(0, 1)]:
+        for k in (1, scale):
+            assert poly._is_root(p, k * u, k * den) == (_sign_at(p, k * u, k * den) == 0), (p, u, den, k)
+    assert all(poly._is_root(p, a, b) for a, b in roots), p
 
 
 @contextmanager
@@ -317,9 +347,9 @@ def _check_root_power_bound(q: Poly) -> None:
 
 
 def test_the_walk_counts_no_roots_above_the_power_bound(monkeypatch):
-    # every roots_above and _sign_at call the walk makes is on q at a point
-    # at most U; above U the walk answers 0 and q's leading sign itself, and
-    # no sign is taken on q(d^2)
+    # every roots_above call the walk makes is on q at a point at most U,
+    # above which the walk answers 0 itself, and every sign is taken on
+    # q(d^2), the polynomial walked
     calls, signs = [], []
 
     def spy(f, x, b=1):
@@ -342,8 +372,9 @@ def test_the_walk_counts_no_roots_above_the_power_bound(monkeypatch):
             if q.degree < 1:
                 continue
             top = _root_power_bound(q)
-            assert all(f == q for f, _ in calls + signs), name
-            assert all(point <= top for _, point in calls + signs), (name, q, top)
+            assert all(f == q for f, _ in calls), name
+            assert all(point <= top for _, point in calls), (name, q, top)
+            assert all(f == q(X * X) for f, _ in signs), name
             assert (q, top) in calls and found == oracle.generic_smallest_abs_root(q), name
 
 
