@@ -42,15 +42,12 @@ _EXPORTS = {
     for module, names in {
         "cyclecheck": (
             "CycleReport",
-            "SpectrumPrediction",
             "circulant_identity_ok",
-            "predicted_spectrum",
             "verify_cycle_example",
         ),
         "diagram": ("CoxeterDiagram", "cycle_complement", "is_connected", "parse_diagram", "serialize_diagram"),
         "exactcore": ("Interval", "Matrix", "Poly", "QuadElem", "Signature", "quad_sign"),
         "gram": (
-            "GramPencil",
             "ThresholdReport",
             "d_threshold",
             "epsilon_threshold",

@@ -74,7 +74,7 @@ def _parse_fraction(text: str):
 
 def cmd_analyze(args) -> int:
     g = _load_diagram(args.diagram)
-    report = gram.threshold_report(gram.gram_pencil(g))
+    report = gram.threshold_report(g)
     print(f"vertices: {g.n}")
     print(f"edges: {len(g.edges)}")
     eps = report.epsilon
@@ -111,12 +111,12 @@ def cmd_density(args) -> int:
     if args.d is not None:
         t = _parse_fraction(args.d)
     else:
-        t = gram.d_threshold(gram.gram_pencil(g))[0]
+        t = gram.d_threshold(g)[0]
     cert = liealg.bracket_closure_density(g, t)
     print(f"t: {_rat(cert.t)}")
-    print(f"seed pairs: {' '.join(f'({i},{j})' for i, j in cert.seed_pairs)}")
+    print(f"seed pairs: {' '.join(f'({i},{j})' for i, j in g.sorted_edges())}")
     print("dimension trace: " + " -> ".join(str(k) for k in cert.dimension_trace))
-    print(f"final dimension: {cert.final_dimension} of {cert.full_dimension}")
+    print(f"final dimension: {cert.dimension_trace[-1]} of {cert.full_dimension}")
     print("PASS" if cert.verdict else "FAIL")
     return 0 if cert.verdict else 1
 
@@ -132,7 +132,7 @@ def cmd_words(args) -> int:
     counts = words.enumerate_by_length(g, args.max_len)
     print("word counts: " + " ".join(str(c) for c in counts))
     if args.at_d is None:
-        t = gram.d_threshold(gram.gram_pencil(g))[0]
+        t = gram.d_threshold(g)[0]
     report = words.faithfulness_probe(g, t, args.max_len)
     print("image counts: " + " ".join(str(c) for c in report.image_counts))
     print(f"t: {_rat(t)}")
@@ -144,7 +144,7 @@ def cmd_cycle(args) -> int:
     if args.n > MAX_VERTICES:
         raise TooManyVertices(f"--n must be at most {MAX_VERTICES}, got {args.n}")
     g = cycle_complement(args.n)
-    report = cyclecheck.verify_cycle_example(args.n, gram.d_threshold(gram.gram_pencil(g))[0])
+    report = cyclecheck.verify_cycle_example(args.n, gram.d_threshold(g)[0])
     print(serialize_diagram(g), end="")
     print(f"D: {report.d_value}")
     print(f"circulant identity: {'pass' if report.identity_ok else 'FAIL'}")

@@ -20,7 +20,7 @@ polynomials
 by gram.pencil_char_poly).  No verdict reads a float.  spectrum_deviation
 reports, for `coxcert cycle` alone, how far the roots of the real-rooted
 characteristic polynomial, isolated on its squarefree part and refined to
-width 1e-12, lie from the closed-form cosines.
+width 1e-12, lie from the closed-form eigenvalues as floats.
 """
 
 from __future__ import annotations
@@ -37,18 +37,9 @@ from .exactcore import (
     root_intervals,
     squarefree_part,
 )
-from .gram import gram_pencil, pencil_char_poly, stable_signature
+from .gram import pencil_at, pencil_char_poly, stable_signature
 
 _REFINE_WIDTH = Fraction(1, 10**12)
-
-
-class SpectrumPrediction(NamedTuple):
-    """Closed-form eigenvalues of the cycle-complement pencil at one point, but
-    the frequency-0 one, which is `_special_eigenvalue`."""
-
-    n: int
-    t: Fraction
-    family: tuple  # (k, multiplicity, float value) for k = 1..floor(n/2)
 
 
 def _special_eigenvalue(n: int, t):
@@ -56,22 +47,12 @@ def _special_eigenvalue(n: int, t):
     return 1 - t * (n - 3)
 
 
-def predicted_spectrum(n: int, t) -> SpectrumPrediction:
-    t = Fraction(t)
-    family = []
-    for k in range(1, n // 2 + 1):
-        mult = 1 if 2 * k == n else 2
-        value = float(1 + t) + float(2 * t) * math.cos(2.0 * math.pi * k / n)
-        family.append((k, mult, value))
-    return SpectrumPrediction(n=n, t=t, family=tuple(family))
-
-
 def circulant_identity_ok(n: int) -> bool:
     """Check M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones) in Q[d] by one evaluation at d = 2^64.
 
     Both sides' entries are affine in d with integer coefficients of magnitude at most 2, so an entry
     of the difference is a + b d with |a|, |b| <= 4, and a + b 2^64 = 0 forces a = b = 0."""
-    m_big = gram_pencil(cycle_complement(n)).at(big := 1 << 64)
+    m_big = pencil_at(cycle_complement(n), big := 1 << 64)
     return all(
         m_big[i][j] == (1 + big) * (i == j) + big * ((i - j) % n in (1, n - 1)) - big
         for i in range(n)
@@ -127,18 +108,18 @@ def predicted_char_poly(n: int, t) -> Poly:
 
 def verify_cycle_example(n: int, d_value: int) -> CycleReport:
     """Run the full battery for cycle_complement(n), whose threshold is d_value; see the module docstring."""
-    pencil = gram_pencil(cycle_complement(n))
+    g = cycle_complement(n)
     t = d_value + 1
 
     identity_ok = circulant_identity_ok(n)
 
-    signature = stable_signature(pencil)
+    signature = stable_signature(g)
     third = 2 * (n // 3)
     expected = Signature(third, n - third, 0)
     signature_ok = signature == expected
 
     special = _special_eigenvalue(n, t)
-    cp = pencil_char_poly(pencil, t)
+    cp = pencil_char_poly(g, t)
     special_is_root = cp(special) == 0
     spectrum_ok = cp == predicted_char_poly(n, t)
 
@@ -166,13 +147,19 @@ def spectrum_deviation(n: int, t) -> tuple[tuple, float]:
     """(pairs, max deviation): the closed-form eigenvalues of cycle_complement(n)'s M_t, ascending,
     each paired as (predicted float, observed float, multiplicity) with a refined root of det(x I - M_t).
 
-    The predicted values are distinct for n >= 5, as are the observed roots; when their counts
+    The predicted values are _special_eigenvalue, once, and 1 + t + 2t cos(2 pi k / n) for k = 1..floor(n/2),
+    twice but once at k = n/2.  They are distinct for n >= 5, as are the observed roots; when their counts
     differ, no pair is made and the deviation reads 0.
     """
-    prediction = predicted_spectrum(n, t)
-    special = float(_special_eigenvalue(n, prediction.t))
-    predicted = sorted([(special, 1)] + [(value, mult) for _k, mult, value in prediction.family])
-    observed = _observed_roots(pencil_char_poly(gram_pencil(cycle_complement(n)), t))
+    observed = _observed_roots(pencil_char_poly(cycle_complement(n), t))
+    t = Fraction(t)
+    predicted = sorted(
+        [(float(_special_eigenvalue(n, t)), 1)]
+        + [
+            (float(1 + t) + float(2 * t) * math.cos(2.0 * math.pi * k / n), 1 if 2 * k == n else 2)
+            for k in range(1, n // 2 + 1)
+        ]
+    )
     if len(predicted) != len(observed):
         return (), 0.0
     pairs = tuple((pv, ov, pm) for (pv, pm), ov in zip(predicted, observed))

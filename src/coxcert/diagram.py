@@ -100,10 +100,6 @@ class CoxeterDiagram:
         self._check_vertex(i)
         return tuple(j for j in self.vertices if j != i and self.noncommuting_masks[i] >> j & 1)
 
-    def degree(self, i: int) -> int:
-        self._check_vertex(i)
-        return self.noncommuting_masks[i].bit_count() - 1
-
     def _check_vertex(self, i: int) -> None:
         if not (1 <= i <= self.n):
             raise IndexOutOfRange(f"vertex {i} outside 1..{self.n}")

@@ -60,30 +60,22 @@ from .exactcore.poly import _sign_at, _sign_changes
 _EPSILON_CAP = Fraction(1023, 1024)
 
 
-class GramPencil(NamedTuple):
-    """The pencil M_d = I - dA, A the adjacency matrix of the diagram."""
-
-    diagram: CoxeterDiagram
-
-    @property
-    def n(self) -> int:
-        return self.diagram.n
-
-    def at(self, t) -> tuple:
-        """M_t in t's own ring: 1 on the diagonal, -t at each edge, 0 elsewhere."""
-        g, zero = self.diagram, t * 0
-        one, minus_t = zero + 1, -t
-        return tuple(
-            tuple(one if i == j else minus_t if mask >> j & 1 else zero for j in g.vertices)
-            for i, mask in zip(g.vertices, g.noncommuting_masks[1:])
-        )
+def pencil_at(g: CoxeterDiagram, t) -> tuple:
+    """M_t in t's own ring: 1 on the diagonal, -t at each edge, 0 elsewhere."""
+    zero = t * 0
+    one, minus_t = zero + 1, -t
+    return tuple(
+        tuple(one if i == j else minus_t if mask >> j & 1 else zero for j in g.vertices)
+        for i, mask in zip(g.vertices, g.noncommuting_masks[1:])
+    )
 
 
-def gram_pencil(g: CoxeterDiagram) -> GramPencil:
-    return GramPencil(g)
+def gram_pencil(g: CoxeterDiagram) -> CoxeterDiagram:
+    """g itself: every pencil function takes the diagram."""
+    return g
 
 
-def evaluate_pencil(pencil: GramPencil, t):
+def evaluate_pencil(g: CoxeterDiagram, t):
     """M_t as an exact matrix; t may be int, Fraction, QuadElem or Poly (an int reads as a Fraction)."""
     from .exactcore import QuadElem
 
@@ -91,18 +83,18 @@ def evaluate_pencil(pencil: GramPencil, t):
         t = Fraction(t)
     if not isinstance(t, (Fraction, QuadElem, Poly)):
         raise TypeError(f"evaluation point must be exact, got {type(t).__name__}")
-    return pencil.at(t)
+    return pencil_at(g, t)
 
 
 @lru_cache(maxsize=256)
-def minor_polynomials(pencil: GramPencil) -> tuple[Poly, ...]:
-    """Leading principal minors of M_d as polynomials in d (k = 1..n), cached on pencil equality.
+def minor_polynomials(g: CoxeterDiagram) -> tuple[Poly, ...]:
+    """Leading principal minors of M_d as polynomials in d (k = 1..n), cached on diagram equality.
 
     Every minor has constant term 1 because M_0 = I.
     """
     # p_0..p_k: det(I - d A_k)'s coefficients from d^0 up, det(x I - A_k)'s from x^k down.  Bordering A_k
     # by c, vertex k + 1's neighbours in it, gives p_j -= sum_(i <= j-2) p_i s_(j-2-i), s_j = c^T A_k^j c.
-    g, p, minors = pencil.diagram, [1], []
+    p, minors = [1], []
     neighbours = [[j - 1 for j in g.neighbors(i)] for i in g.vertices]  # neighbours[i]: vertex i + 1's, 0-based
     for k, column in enumerate(neighbours):
         adjacent = [[j for j in row if j < k] for row in neighbours[:k]]  # A_k's rows
@@ -200,7 +192,7 @@ def _minimum_of_algebraics(candidates: list[tuple[Poly, Interval]]) -> tuple[Pol
     raise VerificationFailed("could not separate candidate minima")
 
 
-def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
+def epsilon_threshold(g: CoxeterDiagram) -> tuple[Fraction, Interval | None]:
     """(epsilon, rho interval): exact PD radius under-approximation.
 
     rho is the smallest absolute value of any real root of any leading
@@ -211,13 +203,13 @@ def epsilon_threshold(pencil: GramPencil) -> tuple[Fraction, Interval | None]:
     minor.  Before returning, every minor is re-verified positive at
     +-epsilon (VerificationFailed on any failure, which would indicate a bug).
     """
-    minors = minor_polynomials(pencil)
+    minors = minor_polynomials(g)
     det_half = _half_square(minors[-1])
     # det_half divides det(I - y A^2), so it is real-rooted, and only then are the
     # walks' Budan-Fourier counts exact; a det that is not fails here.
     if sum(1 for _ in root_intervals(det_half)) != det_half.degree:
         raise VerificationFailed(f"det's half-square {det_half} is not real-rooted")
-    rho_interval = _candidate_race(pencil.diagram, minors, _smallest_abs_root(det_half))
+    rho_interval = _candidate_race(g, minors, _smallest_abs_root(det_half))
     epsilon = _EPSILON_CAP if rho_interval is None or rho_interval.lo >= 1 else rho_interval.lo
     _verify_epsilon(minors, epsilon)
     return epsilon, rho_interval
@@ -281,7 +273,7 @@ def _verify_epsilon(minors: tuple[Poly, ...], epsilon: Fraction) -> None:
                 raise VerificationFailed(f"minor {k} not positive at d = {point}")
 
 
-def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
+def d_threshold(g: CoxeterDiagram) -> tuple[int, Interval | None]:
     """(D, largest-root interval): stable integer evaluation point.
 
     D, the smallest integer >= 1 strictly greater than every real root of
@@ -295,7 +287,7 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     floor(hi) > r, i.e. k > lo and sf(k), sf(lo) have opposite signs; then
     k <= r < k + 1 = D.
     """
-    det = minor_polynomials(pencil)[-1]
+    det = minor_polynomials(g)[-1]
     if det.degree < 1:
         return 1, None
     sf, x = squarefree_part(det), 1
@@ -309,7 +301,7 @@ def d_threshold(pencil: GramPencil) -> tuple[int, Interval | None]:
     return k + 1, largest
 
 
-def stable_signature(pencil: GramPencil) -> Signature:
+def stable_signature(g: CoxeterDiagram) -> Signature:
     """Exact inertia of M_d for every d >= D, by Descartes' rule on det M_d.
 
     M_d = I - d*A with A the symmetric adjacency matrix, so
@@ -322,19 +314,19 @@ def stable_signature(pencil: GramPencil) -> Signature:
     sign changes of the coefficient sequence, with an even deficit that
     vanishes for real-rooted polynomials, so q is exactly that count.
     """
-    q = _sign_changes(minor_polynomials(pencil)[-1].coeffs)
-    return Signature(pencil.n - q, q, 0)
+    q = _sign_changes(minor_polynomials(g)[-1].coeffs)
+    return Signature(g.n - q, q, 0)
 
 
-def pencil_char_poly(pencil: GramPencil, t) -> Poly:
+def pencil_char_poly(g: CoxeterDiagram, t) -> Poly:
     """det(x I - M_t) for a rational t, read off det M_d = sum_k c_k d^k.
 
     M_t = I - t*A, so det((x - 1) I + t*A) = sum_k c_k (-t)^k (x - 1)^(n - k):
     det M_d's coefficients, scaled, reversed, padded to degree n and shifted
     by x -> x - 1.
     """
-    scaled = [c * (-t) ** k for k, c in enumerate(minor_polynomials(pencil)[-1].coeffs)]
-    scaled += [0] * (pencil.n + 1 - len(scaled))
+    scaled = [c * (-t) ** k for k, c in enumerate(minor_polynomials(g)[-1].coeffs)]
+    scaled += [0] * (g.n + 1 - len(scaled))
     return Poly(tuple(reversed(scaled)))(Poly((-1, 1)))
 
 
@@ -348,8 +340,8 @@ class ThresholdReport(NamedTuple):
     signature: Signature
 
 
-def threshold_report(pencil: GramPencil) -> ThresholdReport:
-    epsilon, rho_interval = epsilon_threshold(pencil)
-    d_value, largest = d_threshold(pencil)
-    sig = stable_signature(pencil)
+def threshold_report(g: CoxeterDiagram) -> ThresholdReport:
+    epsilon, rho_interval = epsilon_threshold(g)
+    d_value, largest = d_threshold(g)
+    sig = stable_signature(g)
     return ThresholdReport(epsilon, rho_interval, d_value, largest, sig)

@@ -69,7 +69,7 @@ from .errors import (
     SameVertex,
     UnexpectedDimension,
 )
-from .gram import gram_pencil, minor_polynomials
+from .gram import minor_polynomials
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -138,11 +138,12 @@ class DensityCertificate(NamedTuple):
     """
 
     t: object
-    seed_pairs: tuple
     dimension_trace: tuple
-    final_dimension: int
     full_dimension: int
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return self.dimension_trace[-1] == self.full_dimension
 
 
 def _spread(balls: list, reach) -> list:
@@ -170,7 +171,7 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
         raise Disconnected("density certification needs a connected diagram")
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"density needs a rational parameter, got {type(t).__name__}")
-    if minor_polynomials(gram_pencil(g))[-1](t) == 0:
+    if minor_polynomials(g)[-1](t) == 0:
         raise DegenerateForm(f"the form is singular at t = {t}")
     n = g.n
     full_dim = n * (n - 1) // 2
@@ -182,11 +183,4 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
         if trace[-1] == full_dim:
             break
         balls = _spread(balls, _spread(balls, masks) if t else balls)
-    return DensityCertificate(
-        t=t,
-        seed_pairs=tuple(g.sorted_edges()),
-        dimension_trace=tuple(trace),
-        final_dimension=trace[-1],
-        full_dimension=full_dim,
-        verdict=trace[-1] == full_dim,
-    )
+    return DensityCertificate(t, tuple(trace), full_dim)

@@ -89,7 +89,6 @@ def choose_unit(m: int, bound) -> UnitValue:
 class GaloisReport(NamedTuple):
     """Verdicts of the conjugate-bound check."""
 
-    alpha: QuadElem
     tau: QuadElem
     product: Fraction
     product_is_unit: bool
@@ -115,4 +114,4 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
         raise InequalityFailed(
             f"|tau(alpha)| exceeds epsilon = {epsilon}: alpha lies below 1/epsilon"
         )
-    return GaloisReport(alpha, tau, product.a, product_is_unit, conj_bounded)
+    return GaloisReport(tau, product.a, product_is_unit, conj_bounded)

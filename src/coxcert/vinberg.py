@@ -35,7 +35,7 @@ from .diagram import CoxeterDiagram, cycle_complement, is_connected
 from .errors import Disconnected, SameVertex
 from .exactcore import Poly, QuadElem, quad_sign
 from .exactcore.poly import poly_from_balanced_digits
-from .gram import ThresholdReport, evaluate_pencil, gram_pencil, minor_polynomials, threshold_report
+from .gram import ThresholdReport, evaluate_pencil, minor_polynomials, threshold_report
 from .liealg import DensityCertificate, bracket_closure_density
 from .units import GaloisReport, UnitValue, choose_unit, galois_pair_check
 from .words import FaithfulnessReport, faithfulness_probe
@@ -86,8 +86,8 @@ def times_reflection(a, action):
 
 def reflection_generators(g: CoxeterDiagram, t) -> GeneratorSet:
     """One reflection per vertex at the exact evaluation point t."""
-    form = evaluate_pencil(gram_pencil(g), t)
-    ident = evaluate_pencil(gram_pencil(g), t * 0)  # M_0 = I, in t's ring
+    form = evaluate_pencil(g, t)
+    ident = evaluate_pencil(g, t * 0)  # M_0 = I, in t's ring
     actions = reflection_actions(g, t)
     return GeneratorSet(g, t, form, tuple(times_reflection(ident, actions[i]) for i in g.vertices))
 
@@ -143,18 +143,23 @@ def verify_relations(g: CoxeterDiagram) -> RelationReport:
 
     Each is an identity in Z[d], decided at d = 2^64 on R_i = I + e_c u^T:
     R_i^2 = I + (2 + u_c) e_c u^T, and R_i^T M R_i = M + u m^T + m u^T + M_cc u u^T
-    (m column c of M) is M iff u = 0 or 2m + M_cc u = 0.  Per pair i < j, P^2 = I
-    on commuting pairs, and tr P = expected_trace(g, i, j) on all pairs.  The
-    closed form depends on the pair only through whether it commutes, so it
-    is evaluated once for each of the two kinds of pair.
+    is M iff u = 0 or 2m + u = 0, as M_cc = 1; m, column c of M, is read off c's
+    mask.  Per pair i < j, P^2 = I on commuting pairs, and tr P =
+    expected_trace(g, i, j) on all pairs.  The closed form depends on the pair
+    only through whether it commutes, so it is evaluated once for each of the
+    two kinds of pair.
     """
-    forms, form = _rank_one_forms(g), gram_pencil(g).at(_POINT)
+    forms = _rank_one_forms(g)
     traces: dict = {}  # g.commutes(i, j) -> expected_trace(g, i, j)(2^64)
     failures = []
     for i, (c, u) in forms.items():
-        if any(u) and u[c] != -2:
+        if not any(u):
+            continue
+        if u[c] != -2:
             failures.append(("involution", i, i))
-        if any(u) and any(2 * row[c] + form[c][c] * v for row, v in zip(form, u)):
+        mask = g.noncommuting_masks[c + 1]
+        column = (1 if r == c else -_POINT * (mask >> r + 1 & 1) for r in range(g.n))  # m, at 2^64
+        if any(2 * x + v for x, v in zip(column, u)):
             failures.append(("orthogonality", i, i))
     for i, j in combinations(g.vertices, 2):
         commute = g.commutes(i, j)
@@ -202,7 +207,7 @@ def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> bool:
     M_tau is the Z[d] orthogonality of verify_relations.
     """
     tau = u.value.conjugate()
-    return all(quad_sign(p(tau)) > 0 for p in minor_polynomials(gram_pencil(g)))
+    return all(quad_sign(p(tau)) > 0 for p in minor_polynomials(g))
 
 
 class EmbeddingCertificate(NamedTuple):
@@ -262,7 +267,7 @@ def build_embedding_certificate(
     clock = time.perf_counter
 
     start = clock()
-    thresholds = threshold_report(gram_pencil(g))
+    thresholds = threshold_report(g)
     timings["thresholds"] = clock() - start
 
     start = clock()
@@ -285,7 +290,7 @@ def build_embedding_certificate(
 
     start = clock()
     cycle = None
-    if g.n >= 5 and g == cycle_complement(g.n):
+    if g.n >= 5 and len(g.edges) == g.n * (g.n - 3) // 2 and g == cycle_complement(g.n):
         from .cyclecheck import verify_cycle_example
 
         cycle = verify_cycle_example(g.n, thresholds.d_value)

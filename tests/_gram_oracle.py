@@ -40,12 +40,12 @@ from coxcert.exactcore import (
     squarefree_part,
 )
 from coxcert.exactcore.poly import _sign_at, count_roots, poly_from_balanced_digits, roots_above, sturm_sequence
-from coxcert.gram import _EPSILON_CAP, minor_polynomials
+from coxcert.gram import _EPSILON_CAP, minor_polynomials, pencil_at
 
 _REFINE_WIDTH = Fraction(1, 10**12)
 
 
-def kronecker_minors(pencil) -> list[Poly]:
+def kronecker_minors(g) -> list[Poly]:
     """The leading principal minors of M_d, decoded from one integer Bareiss pass at d = 2^bits.
 
     Every Bareiss entry is a minor of I - dA (Sylvester).  Its d^j coefficient
@@ -54,9 +54,9 @@ def kronecker_minors(pencil) -> list[Poly]:
     each coefficient as one balanced digit; evaluation is a ring map and each
     Z[d] quotient is exact, so the integer pass divides exactly.
     """
-    n = pencil.n
+    n = g.n
     bits = (2 * max(comb(n, j) * (isqrt(n**j) + 1) for j in range(n + 1))).bit_length()
-    return [poly_from_balanced_digits(v, bits) for v in leading_principal_minors(pencil.at(1 << bits))]
+    return [poly_from_balanced_digits(v, bits) for v in leading_principal_minors(pencil_at(g, 1 << bits))]
 
 
 def _nonroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -185,8 +185,8 @@ def _minimum_of_algebraics(candidates):
     raise VerificationFailed("could not separate candidate minima")
 
 
-def epsilon_threshold(pencil):
-    minors = minor_polynomials(pencil)
+def epsilon_threshold(g):
+    minors = minor_polynomials(g)
     candidates = [found for found in map(smallest_abs_root, minors) if found is not None]
     if not candidates:
         rho_interval = None
@@ -203,8 +203,8 @@ def epsilon_threshold(pencil):
     return epsilon, rho_interval
 
 
-def d_threshold(pencil):
-    det = minor_polynomials(pencil)[-1]
+def d_threshold(g):
+    det = minor_polynomials(g)[-1]
     if det.degree < 1:
         return 1, None
     sf = squarefree_part(det)
@@ -229,10 +229,10 @@ def d_threshold(pencil):
     return chosen, largest
 
 
-def circulant_identity_in_q_d(pencil, n: int) -> bool:
-    """M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones) in Q[d], M_d = pencil.at(d)."""
+def circulant_identity_in_q_d(at, n: int) -> bool:
+    """M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones) in Q[d], M_d = at(d)."""
     d = Poly((0, 1))
-    m_d = pencil.at(d)
+    m_d = at(d)
     return all(
         m_d[i][j] == (1 + d) * (i == j) + d * ((i - j) % n in (1, n - 1)) - d for i in range(n) for j in range(n)
     )

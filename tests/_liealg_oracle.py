@@ -32,7 +32,7 @@ from coxcert.errors import (
 )
 from coxcert.exactcore import Matrix, QuadElem, quad_sign
 from coxcert.exactcore.linalg import bareiss_det, mat_mul, nullspace, rref
-from coxcert.gram import evaluate_pencil, gram_pencil
+from coxcert.gram import evaluate_pencil
 
 from _relations_oracle import transpose
 
@@ -214,7 +214,7 @@ def _commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def oracle_density_trace(g, t) -> tuple:
     """Span dimension after the seeds and after each bracket round, at rational t."""
-    m = evaluate_pencil(gram_pencil(g), t)
+    m = evaluate_pencil(g, t)
     full_dim = g.n * (g.n - 1) // 2
     echelon = _FractionEchelon()
     mats = []
@@ -297,7 +297,7 @@ def sparse_density_trace(g, t) -> tuple:
     outside the span of the basis's coordinates there.
     """
     t = Fraction(t)
-    form = [[int(x * t.denominator) for x in row] for row in evaluate_pencil(gram_pencil(g), t)]
+    form = [[int(x * t.denominator) for x in row] for row in evaluate_pencil(g, t)]
     n = g.n
     full_dim = n * (n - 1) // 2
     commuting = [(a, b) for a, b in combinations(range(n), 2) if g.commutes(a + 1, b + 1)]

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from coxcert import vinberg
 from coxcert.exactcore import QuadElem
-from coxcert.gram import gram_pencil
+from coxcert.gram import pencil_at
 from coxcert.vinberg import (
     _POINT,
     GeneratorSet,
@@ -131,7 +131,7 @@ def integral_at(gs: GeneratorSet) -> bool:
 
 def _pencil_generators(g) -> tuple[dict, tuple]:
     """The actions of R_i(d) and the matrices R_i(d) at d = 2^64, one per vertex."""
-    actions, ident = vinberg.reflection_actions(g, _POINT), gram_pencil(g).at(0)  # M_0 = I
+    actions, ident = vinberg.reflection_actions(g, _POINT), pencil_at(g, 0)  # M_0 = I
     return actions, tuple(times_reflection(ident, actions[i]) for i in g.vertices)
 
 
@@ -144,7 +144,7 @@ def _pair_product(actions: dict, generators: tuple, i: int, j: int) -> tuple:
 def dense_relations(g) -> RelationReport:
     """verify_relations by matrix products at d = 2^64, failures in the same order."""
     actions, generators = _pencil_generators(g)
-    form, ident = gram_pencil(g).at(_POINT), gram_pencil(g).at(0)  # M_0 = I
+    form, ident = pencil_at(g, _POINT), pencil_at(g, 0)  # M_0 = I
     failures = []
     for i in g.vertices:
         if times_reflection(generators[i - 1], actions[i]) != ident:

@@ -21,7 +21,6 @@ from coxcert import (
     UnitValue,
     choose_unit,
     cycle_complement,
-    gram_pencil,
     threshold_report,
 )
 
@@ -70,7 +69,7 @@ def probe_length(n: int) -> int | None:
 def suite_thresholds(name, g):
     """threshold_report of a suite member, computed once per test session."""
     if name not in _THRESHOLDS:
-        _THRESHOLDS[name] = threshold_report(gram_pencil(g))
+        _THRESHOLDS[name] = threshold_report(g)
     return _THRESHOLDS[name]
 
 

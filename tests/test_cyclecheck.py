@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,8 +14,6 @@ from coxcert import (
     circulant_identity_ok,
     cycle_complement,
     evaluate_pencil,
-    gram_pencil,
-    predicted_spectrum,
     serialize_diagram,
     verify_cycle_example,
 )
@@ -22,7 +21,7 @@ from coxcert.cli import main
 from coxcert.cyclecheck import _special_eigenvalue, predicted_char_poly, spectrum_deviation
 from coxcert.exactcore import Poly
 from coxcert.exactcore.linalg import char_poly
-from coxcert.gram import d_threshold, pencil_char_poly
+from coxcert.gram import d_threshold, pencil_at, pencil_char_poly
 
 from _gram_oracle import circulant_identity_in_q_d
 
@@ -33,38 +32,42 @@ F = Fraction
 DEVIATION_BOUND = 1e-9
 
 
+def _predicted(n: int, t) -> list:
+    """The predicted side of spectrum_deviation's pairs: (value, multiplicity), ascending."""
+    return [(pv, pm) for pv, _ov, pm in spectrum_deviation(n, t)[0]]
+
+
 def test_predicted_spectrum_n6_t1():
-    pred = predicted_spectrum(6, 1)
     assert _special_eigenvalue(6, 1) == F(-2)
-    # 1 + t + 2 t cos(2 pi k / 6) for k = 1, 2, 3
-    values = {k: (mult, value) for k, mult, value in pred.family}
-    assert values[1][0] == 2 and abs(values[1][1] - 3.0) < 1e-12
-    assert values[2][0] == 2 and abs(values[2][1] - 1.0) < 1e-12
-    assert values[3][0] == 1 and abs(values[3][1] - 0.0) < 1e-12
+    # 1 - 3t once and 1 + t + 2 t cos(2 pi k / 6) for k = 3, 2, 1, ascending
+    predicted = _predicted(6, 1)
+    assert [pm for _pv, pm in predicted] == [1, 1, 2, 2]
+    assert all(abs(pv - value) < 1e-12 for (pv, _pm), value in zip(predicted, (-2.0, 0.0, 1.0, 3.0)))
 
 
 def test_predicted_spectrum_n5_t2_golden_ratio():
-    pred = predicted_spectrum(5, 2)
     assert _special_eigenvalue(5, 2) == F(-3)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    values = {k: value for k, _mult, value in pred.family}
-    assert abs(values[1] - (1.0 + 2.0 * phi)) < 1e-12
-    assert abs(values[2] - (2.0 - math.sqrt(5.0))) < 1e-12
+    predicted = _predicted(5, 2)
+    assert [pm for _pv, pm in predicted] == [1, 2, 2]
+    values = (-3.0, 2.0 - math.sqrt(5.0), 1.0 + 2.0 * phi)  # k = 2, then k = 1
+    assert all(abs(pv - value) < 1e-12 for (pv, _pm), value in zip(predicted, values))
 
 
 def test_predicted_multiplicities_sum_to_n():
     for n in range(5, 13):
-        pred = predicted_spectrum(n, 1)
-        assert 1 + sum(mult for _k, mult, _v in pred.family) == n
+        predicted = _predicted(n, 1)
+        assert len(predicted) == 1 + n // 2
+        assert sum(pm for _pv, pm in predicted) == n
 
 
 def test_predicted_eigenvalue_sum_is_trace():
     # the pencil has unit diagonal, so the eigenvalues sum to n at every t
     for n in (5, 6, 7, 9):
         for t in (F(1), F(3, 2), F(4)):
-            pred = predicted_spectrum(n, t)
-            total = float(_special_eigenvalue(n, t)) + sum(m * v for _k, m, v in pred.family)
-            assert abs(total - n) < 1e-9
+            predicted = _predicted(n, t)
+            assert predicted
+            assert abs(sum(pm * pv for pv, pm in predicted) - n) < 1e-9
 
 
 def test_circulant_identity():
@@ -74,19 +77,18 @@ def test_circulant_identity():
 
 def test_the_integer_identity_check_matches_the_q_d_one():
     for n in range(5, 33):
-        assert circulant_identity_ok(n) and circulant_identity_in_q_d(gram_pencil(cycle_complement(n)), n), n
+        assert circulant_identity_ok(n) and circulant_identity_in_q_d(partial(pencil_at, cycle_complement(n)), n), n
 
 
-class _OneEntryChanged:
-    """A pencil whose entry (i, j) of M_t is off by change(t)."""
+def _one_entry_changed(g, i: int, j: int, change):
+    """t -> M_t of g, with entry (i, j) off by change(t)."""
 
-    def __init__(self, pencil, i: int, j: int, change):
-        self.pencil, self.i, self.j, self.change = pencil, i, j, change
-
-    def at(self, t):
-        rows = [list(row) for row in self.pencil.at(t)]
-        rows[self.i][self.j] += self.change(t)
+    def at(t):
+        rows = [list(row) for row in pencil_at(g, t)]
+        rows[i][j] += change(t)
         return tuple(map(tuple, rows))
+
+    return at
 
 
 @pytest.mark.parametrize(
@@ -98,14 +100,14 @@ def test_one_changed_circulant_entry_fails_the_identity(monkeypatch, change):
     # off-diagonal and diagonal, on an edge and on a cycle pair: every affine
     # change within the docstring's bound is seen by the evaluation at 2^64
     for n, i, j in ((5, 0, 2), (8, 3, 3), (12, 4, 5), (32, 31, 0)):
-        mutated = _OneEntryChanged(gram_pencil(cycle_complement(n)), i, j, change)
-        monkeypatch.setattr("coxcert.cyclecheck.gram_pencil", lambda g: mutated)
+        mutated = _one_entry_changed(cycle_complement(n), i, j, change)
+        monkeypatch.setattr("coxcert.cyclecheck.pencil_at", lambda g, t: mutated(t))
         assert not circulant_identity_ok(n), (n, i, j)
         assert not circulant_identity_in_q_d(mutated, n), (n, i, j)
 
 
 def test_verify_cycle_n5_pinned():
-    rep = verify_cycle_example(5, d_threshold(gram_pencil(cycle_complement(5)))[0])
+    rep = verify_cycle_example(5, d_threshold(cycle_complement(5))[0])
     assert rep.d_value == 2
     assert rep.t_checked == F(3)
     assert rep.identity_ok
@@ -120,7 +122,7 @@ def test_verify_cycle_n5_pinned():
 
 def test_verify_cycle_small_range():
     for n in (6, 7):
-        rep = verify_cycle_example(n, d_threshold(gram_pencil(cycle_complement(n)))[0])
+        rep = verify_cycle_example(n, d_threshold(cycle_complement(n))[0])
         assert rep.ok, (n, rep)
         pairs, _max_deviation = spectrum_deviation(n, rep.t_checked)
         assert len(pairs) == 1 + n // 2
@@ -138,9 +140,9 @@ def test_a_cycle_certificate_computes_d_once(monkeypatch):
     # that binds d_threshold gets the spy, so a copy imported by name counts too.
     calls = []
 
-    def spy(pencil):
-        calls.append(pencil)
-        return d_threshold(pencil)
+    def spy(g):
+        calls.append(g)
+        return d_threshold(g)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("coxcert")]:
         if getattr(module, "d_threshold", None) is d_threshold:
@@ -157,7 +159,6 @@ def test_embed_and_verify_never_compute_the_float_report(tmp_path, monkeypatch, 
         raise AssertionError("the float spectrum report was computed")
 
     monkeypatch.setattr("coxcert.cyclecheck.spectrum_deviation", no_report)
-    monkeypatch.setattr("coxcert.cyclecheck.predicted_spectrum", no_report)
     monkeypatch.setattr("coxcert.cyclecheck._observed_roots", no_report)
     for n in range(5, 13):
         assert build_embedding_certificate(cycle_complement(n)).cycle.ok, n
@@ -173,7 +174,7 @@ def test_predicted_char_poly_is_exact():
     # checks it at D + 1 (test_acceptance criterion 6 covers n = 5..12)
     cases = [(n, t) for n in range(5, 13) for t in (F(3, 2), F(7, 3))] + [(20, F(3, 2))]
     for n, t in cases:
-        cp = char_poly(evaluate_pencil(gram_pencil(cycle_complement(n)), t))
+        cp = char_poly(evaluate_pencil(cycle_complement(n), t))
         assert cp == predicted_char_poly(n, t), (n, t)
 
 
@@ -182,17 +183,17 @@ def test_char_poly_read_off_det_matches_faddeev_leverrier():
     # Faddeev-LeVerrier runs on the integer matrix b M_t = b I - a A for
     # t = a/b, and cp_M(x) = b^-n cp_bM(b x) scales back.
     for n in range(5, 21):
-        pencil = gram_pencil(cycle_complement(n))
-        for t in (F(d_threshold(pencil)[0] + 1), F(3, 2), F(7, 3)):
+        g = cycle_complement(n)
+        for t in (F(d_threshold(g)[0] + 1), F(3, 2), F(7, 3)):
             b = t.denominator
-            scaled = tuple(tuple(int(b * e) for e in row) for row in evaluate_pencil(pencil, t))
+            scaled = tuple(tuple(int(b * e) for e in row) for row in evaluate_pencil(g, t))
             cp = Poly(tuple(F(c * b**i, b**n) for i, c in enumerate(char_poly(scaled).coeffs)))
-            assert pencil_char_poly(pencil, t) == cp, (n, t)
+            assert pencil_char_poly(g, t) == cp, (n, t)
 
 
 def test_predicted_char_poly_detects_a_wrong_point():
     # the matrix at 3/2 does not satisfy the identity predicted at 7/3
-    cp = char_poly(evaluate_pencil(gram_pencil(cycle_complement(7)), F(3, 2)))
+    cp = char_poly(evaluate_pencil(cycle_complement(7), F(3, 2)))
     assert cp != predicted_char_poly(7, F(7, 3))
 
 

@@ -81,7 +81,6 @@ def test_neighbors_and_degree():
     g = parse_diagram("n 4\nedge 1 2\nedge 1 3\nedge 1 4\n")
     assert g.neighbors(1) == (2, 3, 4)
     assert g.neighbors(2) == (1,)
-    assert g.degree(1) == 3
 
 
 def test_parse_errors():

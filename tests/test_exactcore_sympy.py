@@ -23,7 +23,6 @@ from coxcert import (
     cycle_complement,
     d_threshold,
     evaluate_pencil,
-    gram_pencil,
     is_connected,
     minor_polynomials,
     stable_signature,
@@ -126,14 +125,13 @@ def symmetric_matrices(draw, max_n=5, entry=st.fractions(min_value=-4, max_value
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(diagrams())
 def test_pencil_minors_match_sympy_block_determinants(g):
-    pencil = gram_pencil(g)
     m = sp.Matrix(
         g.n,
         g.n,
         lambda i, j: 1 if i == j else (-X if g.adjacent(i + 1, j + 1) else 0),
     )
     expected = [_from_sympy(m[:k, :k].det(method="berkowitz")) for k in range(1, g.n + 1)]
-    assert minor_polynomials(pencil) == tuple(expected)
+    assert minor_polynomials(g) == tuple(expected)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -255,9 +253,8 @@ def test_stable_signature_is_the_inertia_at_d(g):
     # includes disconnected, edgeless and singular-adjacency diagrams, where
     # det M_d has degree below n; the two examples give det M_d a double
     # positive root, which a count of distinct roots would miss
-    pencil = gram_pencil(g)
-    at_d = evaluate_pencil(pencil, d_threshold(pencil)[0])
-    sig = stable_signature(pencil)
+    at_d = evaluate_pencil(g, d_threshold(g)[0])
+    sig = stable_signature(g)
     assert sig == signature_of(at_d)
     assert sig == _sympy_inertia(at_d)
 
@@ -304,7 +301,7 @@ def test_follow_one_root_matches_full_isolation(coeffs):
 
 def test_follow_one_root_on_every_suite_minor():
     for name, g in acceptance_suite():
-        for p in minor_polynomials(gram_pencil(g)):
+        for p in minor_polynomials(g):
             if p.degree >= 1:
                 _check_follow_one(p)
 
@@ -363,6 +360,6 @@ def test_rho_is_the_perron_root_of_det():
     for name, g in acceptance_suite():
         assert is_connected(g)
         rho = suite_thresholds(name, g).rho_interval
-        det = minor_polynomials(gram_pencil(g))[-1]
+        det = minor_polynomials(g)[-1]
         root = min(r for r in sp.real_roots(_to_sympy(det)) if bool(r > 0))
         assert bool(_rational(rho.lo) <= root) and bool(root <= _rational(rho.hi)), name

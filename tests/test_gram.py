@@ -47,7 +47,7 @@ K13 = CoxeterDiagram(4, frozenset({(1, 2), (1, 3), (1, 4)}))
 
 def test_pencil_entries():
     d = Poly((0, 1))
-    m_d = evaluate_pencil(gram_pencil(P3), d)
+    m_d = evaluate_pencil(P3, d)
     one = Poly((1,))
     assert m_d[0][0] == one
     assert m_d[0][1] == -d  # edge (1,2)
@@ -58,10 +58,9 @@ def test_pencil_entries():
 def test_pencil_and_minors_have_int_coefficients():
     # M_d lies in Z[d], so the Bareiss pass must never leave the integers
     for _name, g in acceptance_suite() + [("cc12", cycle_complement(12))]:
-        pencil = gram_pencil(g)
-        m_d = evaluate_pencil(pencil, Poly((0, 1)))
+        m_d = evaluate_pencil(g, Poly((0, 1)))
         assert all(type(c) is int for row in m_d for e in row for c in e.coeffs)
-        for p in minor_polynomials(pencil):
+        for p in minor_polynomials(g):
             assert all(type(c) is int for c in p.coeffs), p
 
 
@@ -88,8 +87,8 @@ _TOP_OF_RANGE = _top_of_range()
 def test_integer_minors_equal_the_elimination_over_z_d(name):
     # The production minors come from the bordering recurrence on integers;
     # the oracle eliminates the Poly-entry pencil over Z[d] itself.
-    pencil = gram_pencil(_TOP_OF_RANGE[name])
-    assert minor_polynomials(pencil) == tuple(leading_principal_minors(evaluate_pencil(pencil, Poly((0, 1)))))
+    g = _TOP_OF_RANGE[name]
+    assert minor_polynomials(g) == tuple(leading_principal_minors(evaluate_pencil(g, Poly((0, 1)))))
 
 
 def _pin_set():
@@ -106,9 +105,8 @@ def _pin_set():
 
 def test_minors_equal_the_kronecker_oracle():
     for name, g in _pin_set():
-        pencil = gram_pencil(g)
-        minors = minor_polynomials(pencil)
-        assert minors == tuple(oracle.kronecker_minors(pencil)), name
+        minors = minor_polynomials(g)
+        assert minors == tuple(oracle.kronecker_minors(g)), name
         assert all(p(0) == 1 for p in minors), name
 
 
@@ -120,62 +118,60 @@ def test_threshold_reports_pinned_on_the_pin_set():
 
 
 def test_evaluate_pencil_types():
-    pencil = gram_pencil(K3)
-    m_int = evaluate_pencil(pencil, 2)
+    m_int = evaluate_pencil(K3, 2)
     assert m_int[0][1] == F(-2)
-    m_frac = evaluate_pencil(pencil, F(1, 2))
+    m_frac = evaluate_pencil(K3, F(1, 2))
     assert m_frac[0][1] == F(-1, 2)
     alpha = QuadElem(1, 1, 2)
-    m_quad = evaluate_pencil(pencil, alpha)
+    m_quad = evaluate_pencil(K3, alpha)
     assert m_quad[0][1] == -alpha
     assert m_quad[0][0] == 1
 
 
 def test_minor_polynomials_pinned():
-    assert minor_polynomials(gram_pencil(K3)) == (
+    assert minor_polynomials(K3) == (
         Poly((1,)),
         Poly((1, 0, -1)),
         Poly((1, 0, -3, -2)),
     )
-    assert minor_polynomials(gram_pencil(P3)) == (
+    assert minor_polynomials(P3) == (
         Poly((1,)),
         Poly((1, 0, -1)),
         Poly((1, 0, -2)),
     )
     # K13 determinant: 1 - 3 d^2
-    assert minor_polynomials(gram_pencil(K13))[3] == Poly((1, 0, -3))
+    assert minor_polynomials(K13)[3] == Poly((1, 0, -3))
 
 
 def test_epsilon_thresholds_pinned():
-    eps3, rho3 = epsilon_threshold(gram_pencil(K3))
+    eps3, rho3 = epsilon_threshold(K3)
     assert F(1, 4) <= eps3 < F(1, 2)
     assert rho3.lo <= F(1, 2) <= rho3.hi  # rho(K3) = 1/2 exactly
 
-    eps_p, rho_p = epsilon_threshold(gram_pencil(P3))
+    eps_p, rho_p = epsilon_threshold(P3)
     assert eps_p ** 2 < F(1, 2)  # eps < 1/sqrt2
     assert rho_p.lo ** 2 <= F(1, 2) <= rho_p.hi ** 2
 
-    eps_s, rho_s = epsilon_threshold(gram_pencil(K13))
+    eps_s, rho_s = epsilon_threshold(K13)
     assert eps_s ** 2 < F(1, 3)
     assert rho_s.lo ** 2 <= F(1, 3) <= rho_s.hi ** 2
 
 
 def test_epsilon_certified_properties():
     for g in (K3, P3, K13, cycle_complement(5), cycle_complement(6)):
-        pencil = gram_pencil(g)
-        eps, rho = epsilon_threshold(pencil)
+        eps, rho = epsilon_threshold(g)
         assert 0 < eps < 1
         assert rho.width < rho.lo / 1024
         # every leading principal minor is strictly positive at both ends
-        for p in minor_polynomials(pencil):
+        for p in minor_polynomials(g):
             assert p(eps) > 0
             assert p(-eps) > 0
 
 
 def test_d_thresholds_pinned():
-    assert d_threshold(gram_pencil(K3))[0] == 1
-    assert d_threshold(gram_pencil(P3))[0] == 1
-    D5, largest = d_threshold(gram_pencil(cycle_complement(5)))
+    assert d_threshold(K3)[0] == 1
+    assert d_threshold(P3)[0] == 1
+    D5, largest = d_threshold(cycle_complement(5))
     assert D5 == 2
     # the largest root is the golden ratio: a root of d^2 - d - 1
     phi_poly = Poly((-1, -1, 1))
@@ -201,7 +197,7 @@ def test_d_threshold_isolates_only_roots_above_half_of_d_minus_one(monkeypatch):
     diagrams += [random_connected_diagram(rng, rng.randrange(6, 17), rng.choice((0.2, 0.5, 0.8))) for _ in range(20)]
     for g in diagrams:
         yielded.clear()
-        d_value, largest = d_threshold(gram_pencil(g))
+        d_value, largest = d_threshold(g)
         assert yielded and all(interval.hi > (d_value - 1) // 2 for interval in yielded), g
         assert yielded[-1].lo <= largest.lo < largest.hi <= yielded[-1].hi, g
 
@@ -227,7 +223,7 @@ def test_a_large_d_takes_logarithmically_many_counts(seed, rate, monkeypatch, tm
     g = random_connected_diagram(random.Random(seed), 32, rate)
     calls, count = [], gram.roots_above
     monkeypatch.setattr(gram, "roots_above", lambda *args: calls.append(args) or count(*args))
-    found = d_threshold(gram_pencil(g))
+    found = d_threshold(g)
     assert repr(found) == expected
     assert len(calls) <= (found[0] - 1).bit_length() + 2
     path = tmp_path / "g.diagram"
@@ -237,51 +233,50 @@ def test_a_large_d_takes_logarithmically_many_counts(seed, rate, monkeypatch, tm
 
 
 def test_stable_signatures_pinned():
-    assert stable_signature(gram_pencil(K3)) == Signature(2, 1, 0)
-    assert stable_signature(gram_pencil(cycle_complement(5))) == Signature(2, 3, 0)
-    assert stable_signature(gram_pencil(cycle_complement(6))) == Signature(4, 2, 0)
+    assert stable_signature(K3) == Signature(2, 1, 0)
+    assert stable_signature(cycle_complement(5)) == Signature(2, 3, 0)
+    assert stable_signature(cycle_complement(6)) == Signature(4, 2, 0)
 
 
 def test_signature_constant_beyond_d():
     for g in (K3, P3, K13, cycle_complement(5)):
-        pencil = gram_pencil(g)
-        D, _ = d_threshold(pencil)
-        base = stable_signature(pencil)
+        D, _ = d_threshold(g)
+        base = stable_signature(g)
         for t in (F(D), F(D) + F(1, 3), F(2 * D), F(10 * D)):
-            assert signature_of(evaluate_pencil(pencil, t)) == base
+            assert signature_of(evaluate_pencil(g, t)) == base
 
 
 def test_shared_root_across_minors():
     # two disjoint edges: minors 1, 1, 1-d^2, (1-d^2)^2 all share the root 1,
     # exercising the exact tie-breaking in the minimum-of-algebraics step
     g = CoxeterDiagram(4, frozenset({(1, 2), (3, 4)}))
-    eps, rho = epsilon_threshold(gram_pencil(g))
+    eps, rho = epsilon_threshold(g)
     assert rho.lo <= 1 <= rho.hi
     assert eps < 1
 
 
 def test_edgeless_pencil_has_no_roots():
     g = CoxeterDiagram(3, frozenset())
-    eps, rho = epsilon_threshold(gram_pencil(g))
+    eps, rho = epsilon_threshold(g)
     assert rho is None
     assert eps == F(1023, 1024)
-    D, largest = d_threshold(gram_pencil(g))
+    D, largest = d_threshold(g)
     assert D == 1 and largest is None
 
 
 def test_threshold_report_bundles_everything():
-    rep = threshold_report(gram_pencil(K3))
-    assert rep.epsilon == epsilon_threshold(gram_pencil(K3))[0]
+    rep = threshold_report(K3)
+    assert rep.epsilon == epsilon_threshold(K3)[0]
     assert rep.d_value == 1
     assert rep.signature == Signature(2, 1, 0)
 
 
 def test_positive_definite_inside_epsilon_band():
     # sample points strictly inside (-eps, eps): all minors positive
-    pencil = gram_pencil(cycle_complement(5))
-    eps, _ = epsilon_threshold(pencil)
+    g = cycle_complement(5)
+    eps, _ = epsilon_threshold(g)
     for t in (F(0), eps / 2, -eps / 2, eps * F(99, 100)):
-        minors = [p(t) for p in minor_polynomials(pencil)]
+        minors = [p(t) for p in minor_polynomials(g)]
         assert all(v > 0 for v in minors)
 
 
@@ -327,7 +322,7 @@ PINNED_THRESHOLDS = {
 @pytest.mark.parametrize("name", sorted(PINNED_THRESHOLDS))
 def test_threshold_bytes_pinned(name):
     g, expected = PINNED_THRESHOLDS[name]
-    rep = threshold_report(gram_pencil(g))
+    rep = threshold_report(g)
     got = f"{rep.epsilon} {rep.rho_interval} {rep.d_value} {rep.largest_root_interval} {rep.signature}"
     assert got == expected
 
@@ -345,7 +340,7 @@ def test_the_sylvester_cut_walks_det_alone_on_most_of_the_pin_set(monkeypatch):
     walked, lower = _walks(monkeypatch), {}
     for name, g in _pin_set():
         walked.clear()
-        epsilon_threshold(gram_pencil(g))
+        epsilon_threshold(g)
         lower[name] = (len(walked) - 1, g.n - 1)  # (lower minors walked, lower minors)
     alone = {name for name, (k, _) in lower.items() if k == 0}
     assert len(alone) == 306
@@ -354,11 +349,11 @@ def test_the_sylvester_cut_walks_det_alone_on_most_of_the_pin_set(monkeypatch):
     assert [sum(k for k, _ in raced), sum(n for _, n in raced)] == [344, 1072]
 
 
-def _full_race(monkeypatch, pencil):
+def _full_race(monkeypatch, g):
     """epsilon_threshold with the Sylvester cut declined at its connectivity gate, so every minor races."""
     with monkeypatch.context() as patched:
         patched.setattr(gram, "is_connected", lambda g: False)
-        return epsilon_threshold(pencil)
+        return epsilon_threshold(g)
 
 
 def _past_the_cap():
@@ -373,8 +368,7 @@ def _past_the_cap():
 def test_the_shortcut_gives_the_race_s_interval_past_the_cap(monkeypatch):
     # the vertex cap guards parsing only; the thresholds take any n
     for g in _past_the_cap():
-        pencil = gram_pencil(g)
-        assert epsilon_threshold(pencil) == _full_race(monkeypatch, pencil), g
+        assert epsilon_threshold(g) == _full_race(monkeypatch, g), g
 
 
 def _disconnected():
@@ -391,9 +385,9 @@ def _disconnected():
             yield g
 
 
-def _every_minor(pencil) -> list:
+def _every_minor(g) -> list:
     """The half-squares a race of every minor walks: det's, then the n - 1 lower minors' in order."""
-    minors = minor_polynomials(pencil)
+    minors = minor_polynomials(g)
     return [gram._half_square(p) for p in minors[-1:] + minors[:-1]]
 
 
@@ -402,19 +396,18 @@ def test_disconnected_diagrams_race_every_minor(monkeypatch):
     walked = _walks(monkeypatch)
     diagrams = list(_disconnected())
     for g in diagrams:
-        pencil = gram_pencil(g)
         walked.clear()
-        assert epsilon_threshold(pencil) == oracle.epsilon_threshold(pencil), g
-        assert walked == _every_minor(pencil), g
+        assert epsilon_threshold(g) == oracle.epsilon_threshold(g), g
+        assert walked == _every_minor(g), g
     assert len(diagrams) >= 10
 
 
 def test_an_exact_hit_on_det_s_root_falls_back_to_the_race(monkeypatch):
     # the refinement returns a quarter-wide interval centred on a root it lands
     # on; faked on the cut's first refinement of det, every minor must race
-    pencil = gram_pencil(cycle_complement(12))
-    expected = epsilon_threshold(pencil)
-    first = gram._smallest_abs_root(gram._half_square(minor_polynomials(pencil)[-1]))[1]
+    g = cycle_complement(12)
+    expected = epsilon_threshold(g)
+    first = gram._smallest_abs_root(gram._half_square(minor_polynomials(g)[-1]))[1]
     refine = gram.refine_root_interval
 
     def snug_on_first(p, interval, max_width):
@@ -424,5 +417,5 @@ def test_an_exact_hit_on_det_s_root_falls_back_to_the_race(monkeypatch):
 
     monkeypatch.setattr(gram, "refine_root_interval", snug_on_first)
     walked = _walks(monkeypatch)
-    assert epsilon_threshold(pencil) == expected
-    assert walked == _every_minor(pencil)
+    assert epsilon_threshold(g) == expected
+    assert walked == _every_minor(g)

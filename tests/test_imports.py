@@ -7,7 +7,8 @@ __init__ files are skipped by that check, since they import names to
 re-export them.  A top-level function or class, or a non-dunder method, that
 no code in src/, tests/ or bench/ refers to outside its own definition
 fails here too (a mention in a comment or docstring is no reference), and
-so does an __all__ entry that does not resolve.  Last, the command line
+so do a field of a package NamedTuple that no code there reads as an
+attribute and an __all__ entry that does not resolve.  Last, the command line
 must start without `dataclasses`, `inspect`, `argparse`, `gettext` or
 `locale`, and each command must run only the stage modules and exactcore
 submodules it calls: no command runs exactcore.linalg, analyze, words and
@@ -126,6 +127,45 @@ def test_every_package_definition_is_referenced():
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def record_fields(tree: ast.Module):
+    """(class, field, line) for each field of each top-level NamedTuple class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def attribute_reads(tree: ast.AST) -> Counter:
+    """The attribute names tree reads as `x.name`; a store, an unpacking or a string does not count."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def unread_fields(source: str, reads: Counter) -> list[str]:
+    """Fields of the records source defines that reads never reads as an attribute."""
+    return [f"{cls}.{field} (line {line})" for cls, field, line in record_fields(ast.parse(source)) if not reads[field]]
+
+
+def test_the_check_sees_an_unread_field():
+    source = (
+        "from typing import NamedTuple\n\n"
+        "class R(NamedTuple):\n    read: int\n    unpacked: int\n    stored: int\n\n"
+        "class Plain:\n    kept: int\n"
+    )
+    reads = attribute_reads(ast.parse(source + "r = R(1, 2, 3)\nprint(r.read)\n_, u, _ = r\nr.stored = getattr(r, 'kept')\n"))
+    assert unread_fields(source, reads) == ["R.unpacked (line 5)", "R.stored (line 6)"]
+
+
+def test_every_record_field_is_read():
+    # A field that no code reads copies what its reader already holds, or nothing.
+    reads = sum((attribute_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in CORPUS), Counter())
+    found = {
+        str(path.relative_to(PACKAGE)): unread_fields(path.read_text(encoding="utf-8"), reads)
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: unread for name, unread in found.items() if unread} == {}
 
 
 @pytest.mark.parametrize("module", ["coxcert", "coxcert.exactcore"])

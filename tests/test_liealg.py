@@ -23,9 +23,10 @@ from coxcert import (
     cycle_complement,
     d_threshold,
     evaluate_pencil,
-    gram_pencil,
     minor_polynomials,
+    serialize_diagram,
 )
+from coxcert.cli import main
 from coxcert.errors import DegenerateForm, Disconnected, SameVertex
 from coxcert.exactcore.linalg import bareiss_det, mat_mul, rref
 from coxcert.liealg import planar_generator
@@ -58,7 +59,7 @@ def _identity(n):
 
 
 def _d_value(g):
-    return F(d_threshold(gram_pencil(g))[0])
+    return F(d_threshold(g)[0])
 
 
 def _pairs(n):
@@ -82,7 +83,7 @@ def test_elementary_skew_for_identity_form():
 
 
 def test_planar_generator_satisfies_defining_equations():
-    m = evaluate_pencil(gram_pencil(K3), 1)
+    m = evaluate_pencil(K3, 1)
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
         verify_planar(m, planar_generator(m, i, j), orthocomplement_basis(m, i, j))
 
@@ -91,7 +92,7 @@ def test_planar_generator_satisfies_defining_equations():
 def test_planar_generator_matches_solver(point):
     for name, g in SUITE:
         t = _d_value(g) if point == "D" else point
-        m = evaluate_pencil(gram_pencil(g), t)
+        m = evaluate_pencil(g, t)
         for i, j in _pairs(g.n):
             assert planar_generator(m, i, j) == solve_planar_generator(m, i, j), (name, i, j)
 
@@ -103,7 +104,7 @@ def test_planar_generator_proportional_to_solver_at_quadratic_point():
     for name, g in SUITE:
         if g.n > 4:
             continue
-        m = evaluate_pencil(gram_pencil(g), t)
+        m = evaluate_pencil(g, t)
         for i, j in _pairs(g.n):
             x = [v for row in planar_generator(m, i, j) for v in row]
             y = [v for row in solve_planar_generator(m, i, j) for v in row]
@@ -113,7 +114,7 @@ def test_planar_generator_proportional_to_solver_at_quadratic_point():
 
 
 def test_planar_generator_primitive_and_canonical():
-    m = evaluate_pencil(gram_pencil(cycle_complement(5)), 2)
+    m = evaluate_pencil(cycle_complement(5), 2)
     x = planar_generator(m, 2, 5)
     flat = [v for row in x for v in row]
     from math import gcd
@@ -131,7 +132,7 @@ def test_planar_generator_primitive_and_canonical():
 
 def test_planar_generator_rejects_degenerate_form():
     # K3 pencil determinant vanishes at d = 1/2
-    m = evaluate_pencil(gram_pencil(K3), F(1, 2))
+    m = evaluate_pencil(K3, F(1, 2))
     with pytest.raises(DegenerateForm):
         planar_generator(m, 1, 2)
 
@@ -142,7 +143,7 @@ def test_planar_generator_rejects_same_vertex():
 
 
 def test_orthocomplement_dimension():
-    m = evaluate_pencil(gram_pencil(cycle_complement(5)), 3)
+    m = evaluate_pencil(cycle_complement(5), 3)
     basis = orthocomplement_basis(m, 1, 4)
     assert len(basis) == 3
     for v in basis:
@@ -152,7 +153,7 @@ def test_orthocomplement_dimension():
 
 def test_full_basis_check():
     for g, t in ((K3, 1), (P3, 2), (cycle_complement(5), 2)):
-        m = evaluate_pencil(gram_pencil(g), t)
+        m = evaluate_pencil(g, t)
         rep = full_basis_check(m)
         assert rep.ok
         assert rep.expected == g.n * (g.n - 1) // 2
@@ -169,13 +170,16 @@ def test_density_pinned_traces():
 
     cert = bracket_closure_density(cycle_complement(5), 2)
     assert cert.dimension_trace == (5, 10)
-    assert cert.final_dimension == cert.full_dimension == 10
+    assert cert.dimension_trace[-1] == cert.full_dimension == 10
     assert cert.verdict
 
 
-def test_density_seed_pairs_are_edges():
-    cert = bracket_closure_density(P3, 2)
-    assert cert.seed_pairs == ((1, 2), (2, 3))
+def test_density_seed_pairs_are_edges(tmp_path, capsys):
+    # `coxcert density` prints the seed pairs off the diagram it read
+    path = tmp_path / "p3.diagram"
+    path.write_text(serialize_diagram(P3))
+    assert main(["density", str(path), "--d", "2"]) == 0
+    assert "seed pairs: (1,2) (2,3)\n" in capsys.readouterr().out
 
 
 def test_bracket_coordinates_match_matrix_commutator():
@@ -183,7 +187,7 @@ def test_bracket_coordinates_match_matrix_commutator():
     rng = random.Random(7)
     for name, g in SUITE[:8]:
         n = g.n
-        form = [[int(x) for x in row] for row in evaluate_pencil(gram_pencil(g), 3)]
+        form = [[int(x) for x in row] for row in evaluate_pencil(g, 3)]
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 
         def dense(coords):
@@ -253,7 +257,7 @@ def test_density_trace_matches_matrix_oracle():
     for name, g, points, trace in MULTI_ROUND:
         for t in points:
             t = _d_value(g) if t == "D" else t
-            if bareiss_det(evaluate_pencil(gram_pencil(g), t)) == 0:
+            if bareiss_det(evaluate_pencil(g, t)) == 0:
                 continue
             assert bracket_closure_density(g, t).dimension_trace == trace, (name, t)
             assert oracle_density_trace(g, t) == trace, (name, t)
@@ -271,7 +275,7 @@ def test_density_trace_matches_sparse_closure(n, seed, rate, t):
     # Sparse diagrams need several rounds; t = 0 (M_t = I, never singular)
     # is checked on every drawn diagram beside the drawn t.
     g = random_connected_diagram(random.Random(seed), n, rate)
-    assume(minor_polynomials(gram_pencil(g))[-1](t) != 0)
+    assume(minor_polynomials(g)[-1](t) != 0)
     for point in (t, F(0)):
         assert bracket_closure_density(g, point).dimension_trace == sparse_density_trace(g, point), point
 
@@ -296,7 +300,7 @@ def test_diameter_two_closes_in_one_round(n, seed, t):
     # reaches every commuting pair, whatever the nonsingular t.
     rng = random.Random(seed)
     g = _diameter_at_most_two(n, {p for p in combinations(range(1, n + 1), 2) if rng.random() < 0.4})
-    assume(minor_polynomials(gram_pencil(g))[-1](t) != 0)
+    assume(minor_polynomials(g)[-1](t) != 0)
     full = n * (n - 1) // 2
     expected = (full,) if len(g.edges) == full else (len(g.edges), full)
     assert bracket_closure_density(g, t).dimension_trace == expected

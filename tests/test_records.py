@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from coxcert import CoxeterDiagram
-from coxcert.cyclecheck import CycleReport, SpectrumPrediction
+from coxcert.cyclecheck import CycleReport
 from coxcert.exactcore import Interval, Signature
-from coxcert.gram import GramPencil, ThresholdReport, minor_polynomials
+from coxcert.gram import ThresholdReport, minor_polynomials
 from coxcert.liealg import DensityCertificate
 from coxcert.units import GaloisReport, PellSolution, UnitValue
 from coxcert.vinberg import EmbeddingCertificate, GeneratorSet, RelationReport
@@ -28,11 +28,9 @@ RECORDS = [
     FaithfulnessReport,
     GaloisReport,
     GeneratorSet,
-    GramPencil,
     PellSolution,
     RelationReport,
     Signature,
-    SpectrumPrediction,
     ThresholdReport,
     UnitValue,
 ]
@@ -47,9 +45,9 @@ def test_diagrams_compare_and_hash_by_normalized_edges():
 
 def test_an_equal_diagram_built_apart_hits_the_minor_cache():
     edges = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)}
-    first = minor_polynomials(GramPencil(CoxeterDiagram(6, edges)))
+    first = minor_polynomials(CoxeterDiagram(6, edges))
     hits = minor_polynomials.cache_info().hits
-    again = minor_polynomials(GramPencil(CoxeterDiagram(6, {(j, i) for i, j in edges})))
+    again = minor_polynomials(CoxeterDiagram(6, {(j, i) for i, j in edges}))
     assert minor_polynomials.cache_info().hits == hits + 1
     assert again is first
 

@@ -35,7 +35,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxcert import CoxeterDiagram, is_connected
-from coxcert import cycle_complement, d_threshold, epsilon_threshold, gram, gram_pencil, minor_polynomials
+from coxcert import cycle_complement, d_threshold, epsilon_threshold, gram, minor_polynomials
 from coxcert.cyclecheck import _observed_roots
 from coxcert.errors import VerificationFailed
 from coxcert.exactcore import Interval, Poly, cauchy_root_bound, refine_root_interval, root_intervals, roots_above
@@ -249,9 +249,9 @@ def test_roots_closer_than_the_guard_allows_do_not_exist():
     assert [iv.lo < r < iv.hi for iv, r in zip(root_intervals(f), (0, F(1, 2**40)))] == [True, True]
 
 
-def _wrong_column_minors(pencil):
+def _wrong_column_minors(g):
     """gram's bordering recurrence with one bug: A_k is bordered by the next vertex's column."""
-    g, p, minors = pencil.diagram, [1], []
+    p, minors = [1], []
     neighbours = [[j - 1 for j in g.neighbors(i)] for i in g.vertices]
     for k in range(g.n):
         column = neighbours[(k + 1) % g.n]
@@ -272,7 +272,7 @@ def test_minors_that_are_not_real_rooted_fail_epsilon(monkeypatch):
     # on it used to split without end.
     monkeypatch.setattr(gram, "minor_polynomials", _wrong_column_minors)
     with _within(1), pytest.raises(VerificationFailed, match="separation"):
-        epsilon_threshold(gram_pencil(cycle_complement(8)))
+        epsilon_threshold(cycle_complement(8))
 
 
 def test_a_disconnected_mutant_fails_epsilon_at_det_s_guard(monkeypatch):
@@ -283,14 +283,14 @@ def test_a_disconnected_mutant_fails_epsilon_at_det_s_guard(monkeypatch):
     assert not is_connected(g)
     monkeypatch.setattr(gram, "minor_polynomials", _wrong_column_minors)
     with _within(1), pytest.raises(VerificationFailed):
-        epsilon_threshold(gram_pencil(g))
+        epsilon_threshold(g)
 
 
 def _half_squares(seed: int):
     """Squarefree parts of det(I - y A_k^2), one per leading block of a random diagram."""
     rng = random.Random(seed)
     g = random_connected_diagram(rng, rng.randrange(3, 13), rng.choice((0.2, 1 / 3, 0.6)))
-    for p in minor_polynomials(gram_pencil(g)):
+    for p in minor_polynomials(g):
         if p.degree >= 1:
             yield squarefree_part(Poly((p * _mirror(p)).coeffs[::2])).primitive(), rng
 
@@ -364,7 +364,7 @@ def test_the_walk_counts_no_roots_above_the_power_bound(monkeypatch):
     monkeypatch.setattr("coxcert.gram._sign_at", sign_spy)
     monkeypatch.setattr("coxcert.exactcore.poly._sign_at", sign_spy)
     for name, g in acceptance_suite():
-        for p in minor_polynomials(gram_pencil(g)):
+        for p in minor_polynomials(g):
             q = _half_square(p)
             calls.clear()
             signs.clear()
@@ -388,22 +388,21 @@ def _oracle_diagrams():
 
 def test_thresholds_match_the_sturm_oracle():
     for name, g in _oracle_diagrams():
-        pencil = gram_pencil(g)
-        for p in minor_polynomials(pencil):
+        for p in minor_polynomials(g):
             q = _half_square(p)
             assert squarefree_part(q) == q, name  # else a multiple root never isolates
             assert _smallest_abs_root(q) == oracle.smallest_abs_root(p), name
             assert _smallest_abs_root(q) == oracle.generic_smallest_abs_root(q), name
-        assert epsilon_threshold(pencil) == oracle.epsilon_threshold(pencil), name
-        d_value, largest = d_threshold(pencil)
-        assert (d_value, largest) == oracle.d_threshold(pencil), name
+        assert epsilon_threshold(g) == oracle.epsilon_threshold(g), name
+        d_value, largest = d_threshold(g)
+        assert (d_value, largest) == oracle.d_threshold(g), name
         for t in (F(d_value + 1), F(3, 2)):
-            cp = pencil_char_poly(pencil, t)
+            cp = pencil_char_poly(g, t)
             assert _observed_roots(cp) == oracle.observed_roots(cp), (name, t)
 
 
 @pytest.mark.parametrize("seed, rate", [(15, 0.3), (1012, 0.35)])
 def test_a_large_d_matches_the_sturm_oracle(seed, rate):
     # D = 28,664 and 11,194; the oracle bisects for D on its own Sturm counts
-    pencil = gram_pencil(random_connected_diagram(random.Random(seed), 32, rate))
-    assert d_threshold(pencil) == oracle.d_threshold(pencil)
+    g = random_connected_diagram(random.Random(seed), 32, rate)
+    assert d_threshold(g) == oracle.d_threshold(g)

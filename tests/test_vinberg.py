@@ -11,7 +11,6 @@ import pytest
 
 from coxcert import (
     CoxeterDiagram,
-    GramPencil,
     Poly,
     QuadElem,
     UnitValue,
@@ -23,7 +22,6 @@ from coxcert import (
     expected_trace,
     fundamental_pell,
     generators_integral,
-    gram_pencil,
     minor_polynomials,
     verify_relations,
 )
@@ -31,6 +29,7 @@ from coxcert import vinberg
 from coxcert.errors import Disconnected, IndexOutOfRange, SameVertex
 from coxcert.exactcore import leading_principal_minors, quad_sign
 from coxcert.exactcore.linalg import bareiss_det, mat_mul
+from coxcert.gram import pencil_at
 from coxcert.vinberg import (
     GeneratorSet,
     RelationReport,
@@ -190,6 +189,26 @@ def test_rank_one_relations_match_the_dense_products_on_mutants(monkeypatch):
     assert frozenset({"orthogonality"}) in broken
 
 
+def test_relations_read_the_form_off_the_diagram(monkeypatch):
+    # verify_relations reads column c of M at 2^64 off c's mask: with the one
+    # M_t function refusing, it returns the dense products' report, failures
+    # included, on the true actions and on four mutants at vertex 5, which
+    # between them fail every kind of relation
+    def refusing(g, t):
+        raise AssertionError("pencil_at called")
+
+    original = vinberg.reflection_actions
+    for g in (WIDE[1], WIDE[2], cycle_complement(8)):  # P32, rand32/0.05, cc8
+        for kind in (None, "-2t", "add a column", "move the column", "the identity"):
+            if kind is not None:
+                monkeypatch.setattr(vinberg, "reflection_actions", _mutated_actions(original, 5, kind))
+            expected = dense_relations(g)
+            with monkeypatch.context() as refused:
+                refused.setattr("coxcert.gram.pencil_at", refusing)
+                assert verify_relations(g) == expected, (g, kind)
+        monkeypatch.setattr(vinberg, "reflection_actions", original)
+
+
 def test_relations_and_traces_multiply_no_matrix(monkeypatch):
     def refusing(a, action):
         raise AssertionError("times_reflection called")
@@ -292,7 +311,7 @@ def test_a_non_integral_coefficient_at_alpha_flips_integrality(monkeypatch):
 def test_the_pipeline_evaluates_no_matrix_over_the_quadratic_field(monkeypatch):
     """Only the scalars alpha and tau are quadratic: no M_alpha, no R_i(alpha)."""
     originals = {"reflection_generators": reflection_generators, "evaluate_pencil": evaluate_pencil}
-    originals["at"] = GramPencil.at  # the one definition of M_t, which evaluate_pencil calls
+    originals["pencil_at"] = pencil_at  # the one definition of M_t, which evaluate_pencil calls
 
     def refusing(name):
         def at_rational_points_only(first, t, *rest):
@@ -309,14 +328,15 @@ def test_the_pipeline_evaluates_no_matrix_over_the_quadratic_field(monkeypatch):
                 if vars(module).get(name) is original:
                     monkeypatch.setattr(module, name, refusing(name))
                     patched.add((mod_name, name))
-    # The defining modules and their one user; the package namespace binds
-    # neither name, its __getattr__ reads them from coxcert.gram and coxcert.vinberg.
+    # The defining modules and their users; the package namespace binds no
+    # such name, its __getattr__ reads them from coxcert.gram and coxcert.vinberg.
     assert patched == {
         ("coxcert.gram", "evaluate_pencil"),
+        ("coxcert.gram", "pencil_at"),
+        ("coxcert.cyclecheck", "pencil_at"),
         ("coxcert.vinberg", "evaluate_pencil"),
         ("coxcert.vinberg", "reflection_generators"),
     }
-    monkeypatch.setattr(GramPencil, "at", refusing("at"))
     for name, g in acceptance_suite():
         cert = build_embedding_certificate(g)
         assert cert.passed and cert.integrality_ok, name
@@ -358,16 +378,16 @@ def test_compact_conjugate_check():
     # the conjugate generators preserve M_tau, and the conjugated form is the
     # pencil evaluated at tau(alpha)
     assert relations_at(reflection_generators(K3, tau)).orthogonality_ok
-    conj_form = conjugate_matrix(evaluate_pencil(gram_pencil(K3), u.value))
-    assert mat_eq(conj_form, evaluate_pencil(gram_pencil(K3), tau))
+    conj_form = conjugate_matrix(evaluate_pencil(K3, u.value))
+    assert mat_eq(conj_form, evaluate_pencil(K3, tau))
 
 
 def test_minors_at_tau_are_the_minor_polynomials_evaluated():
     for m in (2, 3, 5):
         for name, g in acceptance_suite():
             tau = suite_unit(name, g, m).value.conjugate()
-            conj_form = evaluate_pencil(gram_pencil(g), tau)
-            at_tau = [p(tau) for p in minor_polynomials(gram_pencil(g))]
+            conj_form = evaluate_pencil(g, tau)
+            at_tau = [p(tau) for p in minor_polynomials(g)]
             assert at_tau == leading_principal_minors(conj_form), (name, m)
 
 
@@ -377,7 +397,7 @@ def test_conjugate_form_indefinite_above_epsilon():
     assert not compact_conjugate_check(g, UnitValue(fundamental_pell(2), 1, QuadElem(1, 1, 2)))
     # Bareiss oracle, one block at a time: the 7th leading minor vanishes at
     # this tau, so the one-pass elimination of leading_principal_minors stops
-    form = evaluate_pencil(gram_pencil(g), QuadElem(1, -1, 2))
+    form = evaluate_pencil(g, QuadElem(1, -1, 2))
     blocks = [bareiss_det(tuple(row[:k] for row in form[:k])) for k in range(1, len(form) + 1)]
     assert not all(quad_sign(p) > 0 for p in blocks)
     assert blocks[6] == 0
@@ -410,6 +430,20 @@ def test_certificate_cycle_member_includes_cycle_check():
     assert cert.passed
     assert cert.verdicts()["cycle_example_ok"] is True
     assert cert.unit.base.m == 5
+
+
+def test_only_cycle_complements_get_a_cycle_report(monkeypatch):
+    # The edge count n(n - 3)/2 is compared first; K3,3 has cc6's 9 edges and
+    # is not cc6 (it is bipartite, and cc6 holds triangles), and P6 has 5.
+    built, build = [], vinberg.cycle_complement
+    monkeypatch.setattr(vinberg, "cycle_complement", lambda n: built.append(n) or build(n))
+    k33 = CoxeterDiagram(6, frozenset((i, j) for i in (1, 2, 3) for j in (4, 5, 6)))
+    assert len(k33.edges) == 9 and k33 != build(6)
+    assert build_embedding_certificate(k33).cycle is None
+    assert build_embedding_certificate(CoxeterDiagram(6, frozenset((i, i + 1) for i in range(1, 6)))).cycle is None
+    assert built == [6]
+    for n in range(5, 13):
+        assert build_embedding_certificate(build(n)).cycle.n == n
 
 
 def test_certificate_deterministic():

@@ -33,7 +33,6 @@ from coxcert import (
     d_threshold,
     enumerate_by_length,
     faithfulness_probe,
-    gram_pencil,
 )
 from coxcert import words
 from coxcert.errors import BallTooLarge, IndexOutOfRange
@@ -364,7 +363,7 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows():
     # cc32 at D to radius 5 has more than MAX_BALL_ELEMENTS elements; the
     # sphere sizes, counted from the growth series, refuse it.
     g = cycle_complement(32)
-    d = d_threshold(gram_pencil(g))[0]
+    d = d_threshold(g)[0]
     with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
         faithfulness_probe(g, d, 5)
 
