@@ -113,7 +113,7 @@ def cmd_density(args) -> int:
     else:
         t = gram.d_threshold(g)[0]
     cert = liealg.bracket_closure_density(g, t)
-    print(f"t: {_rat(cert.t)}")
+    print(f"t: {_rat(t)}")
     print(f"seed pairs: {' '.join(f'({i},{j})' for i, j in g.sorted_edges())}")
     print("dimension trace: " + " -> ".join(str(k) for k in cert.dimension_trace))
     print(f"final dimension: {cert.dimension_trace[-1]} of {cert.full_dimension}")
@@ -144,9 +144,10 @@ def cmd_cycle(args) -> int:
     if args.n > MAX_VERTICES:
         raise TooManyVertices(f"--n must be at most {MAX_VERTICES}, got {args.n}")
     g = cycle_complement(args.n)
-    report = cyclecheck.verify_cycle_example(args.n, gram.d_threshold(g)[0])
+    d_value = gram.d_threshold(g)[0]
+    report = cyclecheck.verify_cycle_example(args.n, d_value)
     print(serialize_diagram(g), end="")
-    print(f"D: {report.d_value}")
+    print(f"D: {d_value}")
     print(f"circulant identity: {'pass' if report.identity_ok else 'FAIL'}")
     print(
         f"stable signature: {report.signature} expected {report.expected_signature}: "
@@ -156,7 +157,7 @@ def cmd_cycle(args) -> int:
         f"special eigenvalue {_rat(report.special_eigenvalue)} at t={_rat(report.t_checked)}: "
         f"{'exact root' if report.special_is_root else 'FAIL'}"
     )
-    _pairs, max_deviation = cyclecheck.spectrum_deviation(report.n, report.t_checked)
+    _pairs, max_deviation = cyclecheck.spectrum_deviation(args.n, report.t_checked)
     print(
         f"spectrum at t={_rat(report.t_checked)}: max deviation {max_deviation:.3g}: "
         f"{'pass' if report.spectrum_ok else 'FAIL'}"

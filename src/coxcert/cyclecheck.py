@@ -63,8 +63,6 @@ def circulant_identity_ok(n: int) -> bool:
 class CycleReport(NamedTuple):
     """Everything verified for one member of the cycle-complement family."""
 
-    n: int
-    d_value: int
     t_checked: int
     identity_ok: bool
     signature: Signature
@@ -124,8 +122,6 @@ def verify_cycle_example(n: int, d_value: int) -> CycleReport:
     spectrum_ok = cp == predicted_char_poly(n, t)
 
     return CycleReport(
-        n=n,
-        d_value=d_value,
         t_checked=t,
         identity_ok=identity_ok,
         signature=signature,

@@ -114,7 +114,11 @@ def _half_square(p: Poly) -> Poly:
 
     For a minor p = det(I - d A_k), q(y) divides det(I - y A_k^2): it is
     real-rooted, with roots 1/lambda^2 > 0 for A_k's eigenvalues lambda != 0.
+    A p with only even powers, p(d) = r(d^2), has p(d) p(-d) = r(d^2)^2, so q
+    is r's squarefree part, found at half the degree.
     """
+    if not any(p.coeffs[1::2]):
+        return squarefree_part(Poly(p.coeffs[::2]))
     mirrored = Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)))
     return squarefree_part(Poly((p * mirrored).coeffs[::2]))
 

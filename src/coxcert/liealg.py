@@ -137,7 +137,6 @@ class DensityCertificate(NamedTuple):
     distance r_k; the verdict is whether the last entry is n(n-1)/2.
     """
 
-    t: object
     dimension_trace: tuple
     full_dimension: int
 
@@ -183,4 +182,4 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
         if trace[-1] == full_dim:
             break
         balls = _spread(balls, _spread(balls, masks) if t else balls)
-    return DensityCertificate(t, tuple(trace), full_dim)
+    return DensityCertificate(tuple(trace), full_dim)

@@ -30,14 +30,16 @@ the running total passes it, a ball over MAX_BALL_ELEMENTS, so a refused
 ball is never built.
 
 `enumerate_by_length` returns those sizes and checks them against normal
-forms, independently of any matrix model and of the count.  A prefix of a
-normal form is a normal form, so the normal forms of length k + 1 are
-those of length k grown by one letter at the end.  A letter s can follow
-the last letter y only if s != y (else the pair cancels) and s > y whenever
-s and y commute (else swapping them gives a smaller word); of those
-candidates it keeps the ones where `append_letter` puts s last.  Layers are
-built up to length max_len - 2 and MAX_BALL_ELEMENTS letters built in all,
-and each must hold as many normal forms as the count says.
+forms, independently of any matrix model and of the count.  Let F(w), the
+follow state of a normal form w, be the letters s that `append_letter(w, s)`
+puts last; a prefix of a normal form is one, so the normal forms of length
+k + 1 are the w + (s,), |w| = k, s in F(w).  For x in F(w), F(w + (x,)) =
+(N[x] - {x}) | (F(w) & C(x) & {s > x}), N[x] the letters not commuting with
+x (x among them), C(x) the rest: the scan for s stops at x if s is in N[x],
+cancelling if s = x, and else passes x, leaving s last only if x < s, and
+scans w as for w alone.  So F(w) decides every later append, and each
+layer up to length max_len - 2 and MAX_BALL_ELEMENTS letters in all is
+counted by state, from one representative word and multiplicity each.
 
 The faithfulness verdict rests on a theorem, not on a walk.  The probe runs
 only at t >= 1.  There the transposed action R_s^T x = x - x_s * (2 M_t e_s)
@@ -150,31 +152,31 @@ def enumerate_by_length(g: CoxeterDiagram, max_len: int) -> list[int]:
     """Count distinct group elements of each length 0..max_len.
 
     The counts are `_sphere_sizes`, so an over-cap ball is refused before
-    any normal form is built.  They are then checked breadth-first over
-    normal forms: each layer is the last one grown at its end by the letters
-    that may follow its last letter, kept where `append_letter` puts the
-    letter last (see the module docstring), and each layer up to length
-    max_len - 2 and MAX_BALL_ELEMENTS letters in all must hold as many
-    normal forms as counted, else VerificationFailed.
+    any normal form is built.  Each checked layer (see the module
+    docstring) must then hold the sum of |F| times multiplicity over the
+    states of the layer before, each (state, letter) move read once with
+    `append_letter`, else VerificationFailed; the identity's state is read
+    only once a layer is checked.
     """
     counts = _sphere_sizes(g, max_len)
-    # follow[y]: the letters that may follow y; follow[0], every letter, starts a word
-    follow = [g.vertices] + [
-        tuple(s for s in g.vertices if s != y and (s > y or not g.commutes(s, y))) for y in g.vertices
-    ]
-    layer, letters = [()], 0
+
+    def follow(w):  # F(w)
+        return tuple(s for s in g.vertices if append_letter(w, s, g) == w + (s,))
+
+    layer, moves, letters = {}, {}, 0  # F -> [representative, multiplicity]; (F, s) -> F(rep + (s,))
     for length in range(1, max_len - 1):
         letters += length * counts[length]
         if not counts[length] or letters > MAX_BALL_ELEMENTS:
             break
-        layer = [
-            grown
-            for word in layer
-            for s in follow[word[-1] if word else 0]
-            if (grown := append_letter(word, s, g))[-1] == s
-        ]
-        if len(layer) != counts[length]:
-            raise VerificationFailed(f"{len(layer)} normal forms of length {length}, counted {counts[length]}")
+        grown: dict = {}
+        for state, (word, mult) in layer.items():
+            for s in state:
+                if (state, s) not in moves:
+                    moves[state, s] = follow(word + (s,))
+                grown.setdefault(moves[state, s], [word + (s,), 0])[1] += mult
+        layer = grown or {follow(()): [(), 1]}  # empty only before the first layer
+        if (total := sum(len(state) * mult for state, (_, mult) in layer.items())) != counts[length]:
+            raise VerificationFailed(f"{total} normal forms of length {length}, counted {counts[length]}")
     return counts
 
 
@@ -198,10 +200,8 @@ def faithfulness_probe(g: CoxeterDiagram, t, max_len: int) -> FaithfulnessReport
     the evaluation point t, an exact real number (t >= 1, else ValueError).
 
     Both are `_sphere_sizes`, so an over-cap ball is refused as by
-    `enumerate_by_length`.  The image counts equal the word counts by
-    Vinberg's theorem: at t >= 1 the Cartan matrix 2 M_t has 2 on the
-    diagonal, 0 on non-edges and a_st * a_ts = 4t^2 >= 4 on edges, so
-    w -> R_w is faithful (see the module docstring).
+    `enumerate_by_length`; they are the image counts as well, w -> R_w
+    being faithful at t >= 1 by Vinberg's theorem (see the module docstring).
     """
     if t < 1:
         raise ValueError(f"probe needs t >= 1, got {t}")

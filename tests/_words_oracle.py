@@ -3,8 +3,8 @@ and by whole matrices.
 
 `normal_form_layers` grows every normal form by every letter with
 `append_letter`, which cancels and renormalises whenever the letter is a
-descent, and keeps the words that got longer: it knows nothing of the
-follow rule, so it checks `words.enumerate_by_length`.  `image_layers`
+descent, and keeps the words that got longer: it knows nothing of
+follow states, so it checks `words.enumerate_by_length`.  `image_layers`
 enumerates the ball the same way and carries every element's full matrix
 R_w at t: in packed integers for rational t (`_packed_integer_images`), and
 as exact matrices for t in Q(sqrt m).  `matrix_image_probe` counts its

@@ -107,9 +107,10 @@ def test_one_changed_circulant_entry_fails_the_identity(monkeypatch, change):
 
 
 def test_verify_cycle_n5_pinned():
-    rep = verify_cycle_example(5, d_threshold(cycle_complement(5))[0])
-    assert rep.d_value == 2
-    assert rep.t_checked == F(3)
+    d_value = d_threshold(cycle_complement(5))[0]
+    assert d_value == 2
+    rep = verify_cycle_example(5, d_value)
+    assert rep.t_checked == F(3) == d_value + 1
     assert rep.identity_ok
     assert (rep.signature.p, rep.signature.q, rep.signature.z) == (2, 3, 0)
     assert rep.signature_ok

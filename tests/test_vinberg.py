@@ -443,7 +443,8 @@ def test_only_cycle_complements_get_a_cycle_report(monkeypatch):
     assert build_embedding_certificate(CoxeterDiagram(6, frozenset((i, i + 1) for i in range(1, 6)))).cycle is None
     assert built == [6]
     for n in range(5, 13):
-        assert build_embedding_certificate(build(n)).cycle.n == n
+        cert = build_embedding_certificate(build(n))
+        assert cert.cycle.t_checked == cert.thresholds.d_value + 1, n
 
 
 def test_certificate_deterministic():

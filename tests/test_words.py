@@ -16,6 +16,7 @@ commuting ones.
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -35,7 +36,7 @@ from coxcert import (
     faithfulness_probe,
 )
 from coxcert import words
-from coxcert.errors import BallTooLarge, IndexOutOfRange
+from coxcert.errors import BallTooLarge, IndexOutOfRange, VerificationFailed
 from coxcert.vinberg import reflection_actions, times_reflection
 
 import _words_oracle as oracle
@@ -185,32 +186,65 @@ def test_descent_mask_of_a_grown_normal_form():
                     assert descents(append_letter(w, s, g)) == expected, (name, w, s)
 
 
+def _follow(w, g):
+    """F(w): the letters `append_letter` puts last after w."""
+    return tuple(s for s in g.vertices if append_letter(w, s, g) == w + (s,))
+
+
+def test_follow_state_decides_every_later_append():
+    # The module docstring's lemma, against `append_letter` itself: normal
+    # forms of length at most 4 with one follow state F have, for each s in
+    # F, one state after s, namely (N[s] - {s}) | (F & C(s) & {t > s}).
+    for name, g in acceptance_suite():
+        after = {}
+        for layer in normal_form_layers(g, 4):
+            for w in layer:
+                state = _follow(w, g)
+                for s in state:
+                    expected = tuple(
+                        t for t in g.vertices if t != s and (not g.commutes(s, t) or t > s and t in state)
+                    )
+                    assert after.setdefault((state, s), _follow(w + (s,), g)) == expected, (name, w, s)
+        assert len(after) < sum(map(len, normal_form_layers(g, 4))), name
+
+
+def _checked_total(monkeypatch, g, max_len, sizes, length, change):
+    """The normal forms `enumerate_by_length` counts at `length`, read off
+    the VerificationFailed it raises when the count there is moved by
+    `change`, or None when it checks no layer of that length."""
+    sizes = list(sizes)
+    sizes[length] += change
+    monkeypatch.setattr(words, "_sphere_sizes", lambda _g, _max_len: list(sizes))
+    try:
+        enumerate_by_length(g, max_len)
+    except VerificationFailed as exc:
+        total, checked, counted = re.fullmatch(r"(\d+) normal forms of length (\d+), counted (\d+)", str(exc)).groups()
+        assert (int(checked), int(counted)) == (length, sizes[length])
+        return int(total)
+    return None
+
+
+def _walk_cases():
+    cases = [(name, g, probe_length(g.n) or 4) for name, g in acceptance_suite()]
+    cases.append(("edgeless5", CoxeterDiagram(5, frozenset()), 7))
+    assert ("cc7", cycle_complement(7), 6) in cases
+    return cases
+
+
 def test_enumeration_layers_are_the_normal_forms(monkeypatch):
-    # Each layer the check builds, the words `append_letter` lengthened by
-    # their last letter, is the sphere of the renormalising walk, which
-    # grows every normal form by every letter.
-    built = []
-    real = words.append_letter
-
-    def spy(nf, letter, g):
-        grown = real(nf, letter, g)
-        if grown == nf + (letter,):
-            built.append(grown)
-        return grown
-
-    monkeypatch.setattr(words, "append_letter", spy)
-    for g in (CC5, P3, K3):
-        built.clear()
-        enumerate_by_length(g, 6)
-        layers = normal_form_layers(g, 4)[1:]
-        assert len(built) == sum(map(len, layers)), g
-        for length, layer in enumerate(layers, start=1):
-            assert {w for w in built if len(w) == length} == layer, (g, length)
+    # Every layer total the follow states give, up to length max_len - 2,
+    # is the sphere of the renormalising walk, which grows every normal
+    # form by every letter.
+    for name, g, max_len in _walk_cases():
+        sizes = [len(layer) for layer in normal_form_layers(g, max_len)]
+        for length in range(1, max_len - 1):
+            assert _checked_total(monkeypatch, g, max_len, sizes, length, 1) == sizes[length], (name, length)
+        assert _checked_total(monkeypatch, g, max_len, sizes, max_len - 1, 1) is None, name
 
 
 def test_normal_forms_obey_the_follow_rule():
     # In a normal form a letter s never follows itself, and never follows a
-    # larger letter it commutes with: the check grows words only so.
+    # larger letter it commutes with: F(w + (x,)) holds no such letter.
     for name, g in acceptance_suite():
         pairs = 0
         for layer in normal_form_layers(g, 5 if g.n < 6 else 4):
@@ -222,54 +256,72 @@ def test_normal_forms_obey_the_follow_rule():
 
 
 def test_enumeration_builds_no_word_of_the_last_length(monkeypatch):
-    # The spheres of radius L - 1 and L are counted, not built, so no normal
-    # form longer than L - 2 is ever built, and none at all for L <= 2.
-    lengths = []
+    # The spheres of radius L - 1 and L are counted, not built: each move is
+    # read from a representative of the layer before the last one checked,
+    # so no representative is longer than L - 3 and no word built longer
+    # than L - 2, and none at all is built for L <= 2.
+    built, grown = [], []
     real = words.append_letter
 
     def spy(nf, letter, g):
-        grown = real(nf, letter, g)
-        lengths.append(len(grown))
-        return grown
+        built.append(len(nf))
+        grown.append(len(word := real(nf, letter, g)))
+        return word
 
     monkeypatch.setattr(words, "append_letter", spy)
     for name, g in acceptance_suite():
-        for max_len in (1, 2, probe_length(g.n) or 4):
-            lengths.clear()
+        for max_len in (1, 2, 3, probe_length(g.n) or 4):
+            built.clear()
+            grown.clear()
             assert enumerate_by_length(g, max_len) == growth_series(g, max_len), (name, max_len)
-            assert max(lengths, default=0) == max(max_len - 2, 0), (name, max_len)
+            assert (max_len <= 2) == (built == []), (name, max_len)
+            assert max(built, default=0) <= max(max_len - 3, 0), (name, max_len)
+            assert max(grown, default=0) <= max(max_len - 2, 0), (name, max_len)
 
 
 def test_cc7_counts_to_length_8(monkeypatch):
     # The `probe` benchmark's ball; its last sphere holds 424,235 of its
     # 536,131 elements.  Its layers up to length 6 hold 133,966 letters,
-    # within MAX_BALL_ELEMENTS, so every one is cross-checked against normal
-    # forms.  Each word of length 0..5 is grown by every letter that may
-    # follow its last one, 24,102 calls for 23,352 normal forms.
+    # within MAX_BALL_ELEMENTS, so all six are checked: the identity's
+    # state and each of 58 (state, letter) moves read once, 7 calls each,
+    # 413 calls where growing each of the 23,352 normal forms took 24,102.
     lengths = []
     real = words.append_letter
     monkeypatch.setattr(words, "append_letter", lambda nf, s, g: lengths.append(len(nf) + 1) or real(nf, s, g))
     expected = [1, 7, 35, 168, 805, 3857, 18480, 88543, 424235]
     assert growth_series(cycle_complement(7), 8) == expected
     assert enumerate_by_length(cycle_complement(7), 8) == expected
-    assert max(lengths) == 6
-    assert sum(expected[1:7]) == 23_352
-    assert len(lengths) == 24_102  # one call per candidate
+    assert max(lengths) <= 6
+    assert len(lengths) == 7 + 7 * 58 == 413
 
 
 def test_cross_check_stops_at_the_letter_cap(monkeypatch):
     # K3's spheres hold 3 * 2^(k-1) elements, so its layers of length 1..5
     # hold 3, 15, 51, 147 and 387 letters in all; the radius-7 ball has 382
-    # elements.  The layer that would pass the cap is not built, and the
-    # counts are the sphere sizes all the same.
-    lengths = []
-    real = words.append_letter
-    monkeypatch.setattr(words, "append_letter", lambda nf, s, g: lengths.append(len(nf) + 1) or real(nf, s, g))
+    # elements.  The layer that would pass the cap is not checked, and the
+    # counts are the sphere sizes all the same.  A count made one smaller
+    # keeps its layer within the cap, and one larger keeps it past the cap,
+    # so they show which layers are checked.
+    sizes = growth_series(K3, 7)
     for cap, longest in ((382, 4), (386, 4), (387, 5)):
         monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", cap)
-        lengths.clear()
-        assert enumerate_by_length(K3, 7) == growth_series(K3, 7), cap
-        assert max(lengths) == longest, cap
+        assert enumerate_by_length(K3, 7) == sizes, cap
+        assert _checked_total(monkeypatch, K3, 7, sizes, longest, -1) == sizes[longest], cap
+        assert _checked_total(monkeypatch, K3, 7, sizes, longest + 1, 1) is None, cap
+        monkeypatch.undo()
+
+
+def test_the_long_thin_ball_reads_each_move_once(monkeypatch):
+    # One edge and an isolated vertex, to radius 249,990: about 706 layers
+    # fit MAX_BALL_ELEMENTS letters, and their four follow states have seven
+    # moves, so the check reads the identity's state and each move once,
+    # 3 + 7 * 3 calls, where growing every word took 2,823.
+    calls = []
+    real = words.append_letter
+    monkeypatch.setattr(words, "append_letter", lambda nf, s, g: calls.append(len(nf)) or real(nf, s, g))
+    counts = enumerate_by_length(CoxeterDiagram(3, frozenset({(1, 2)})), 249_990)
+    assert counts[:3] == [1, 3, 4] and counts.count(4) == 249_989
+    assert len(calls) == 24 and max(calls) <= 2
 
 
 def test_repeating_spheres_are_filled_in_up_to_the_cap(monkeypatch):
@@ -286,10 +338,7 @@ def test_repeating_spheres_are_filled_in_up_to_the_cap(monkeypatch):
 
 
 def test_counts_match_renormalising_walk():
-    cases = [(name, g, probe_length(g.n) or 4) for name, g in acceptance_suite()]
-    cases.append(("edgeless5", CoxeterDiagram(5, frozenset()), 7))
-    assert ("cc7", cycle_complement(7), 6) in cases
-    for name, g, max_len in cases:
+    for name, g, max_len in _walk_cases():
         expected = [len(layer) for layer in normal_form_layers(g, max_len)]
         assert enumerate_by_length(g, max_len) == expected, name
 
