@@ -150,9 +150,12 @@ def _stored_int(value, name: str) -> int:
 
 def _stored_digits(text, name: str) -> int:
     """A nonnegative integer the certificate writes as a string of digits."""
-    if not (isinstance(text, str) and re.fullmatch(_STORED_DIGITS, text)):
-        raise InputError(f"certificate is malformed: {name} must be a string of digits")
-    return int(text)
+    if isinstance(text, str) and re.fullmatch(_STORED_DIGITS, text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise InputError(f"certificate is malformed: {name} must be a string of digits")
 
 
 def _recheck_unit_block(payload: dict) -> None:

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from . import cyclecheck, gram, liealg, words
 from .diagram import MAX_VERTICES, cycle_complement, parse_diagram, serialize_diagram
-from .errors import CoxcertError, InputError, TooManyVertices
+from .errors import CoxcertError, InputError
 
 # Patterns stay strings, compiled on first use: most commands read none.
 # The forms --d and --at-d accept: an integer or p/q, optionally signed.
@@ -142,7 +142,7 @@ def cmd_words(args) -> int:
 
 def cmd_cycle(args) -> int:
     if args.n > MAX_VERTICES:
-        raise TooManyVertices(f"--n must be at most {MAX_VERTICES}, got {args.n}")
+        raise InputError(f"--n must be at most {MAX_VERTICES}, got {args.n}")
     g = cycle_complement(args.n)
     d_value = gram.d_threshold(g)[0]
     report = cyclecheck.verify_cycle_example(args.n, d_value)

@@ -18,15 +18,7 @@ each following line adds one edge with 1 <= i < j <= n, in ASCII digits.
 
 from __future__ import annotations
 
-from .errors import (
-    DiagramSyntaxError,
-    DuplicateEdge,
-    IndexOutOfRange,
-    InputError,
-    NTooSmall,
-    TooFewVertices,
-    TooManyVertices,
-)
+from .errors import InputError
 
 # Cap on n for untrusted input, a bound on what a diagram file may ask of the
 # exact pipeline, not on the mathematics; raising it is left to the owner.
@@ -45,16 +37,16 @@ class CoxeterDiagram:
 
     def __init__(self, n: int, edges):
         if n < 3:
-            raise TooFewVertices(f"need at least 3 vertices, got {n}")
+            raise InputError(f"need at least 3 vertices, got {n}")
         normalized = set()
         for e in edges:
             i, j = e
             if not (isinstance(i, int) and isinstance(j, int)):
-                raise IndexOutOfRange(f"edge {e!r} has non-integer endpoints")
+                raise InputError(f"edge {e!r} has non-integer endpoints")
             if i == j:
-                raise IndexOutOfRange(f"edge ({i}, {j}) is a loop")
+                raise InputError(f"edge ({i}, {j}) is a loop")
             if not (1 <= i <= n and 1 <= j <= n):
-                raise IndexOutOfRange(f"edge ({i}, {j}) outside 1..{n}")
+                raise InputError(f"edge ({i}, {j}) outside 1..{n}")
             normalized.add((min(i, j), max(i, j)))
         masks = [0] + [1 << v for v in range(1, n + 1)]
         for i, j in normalized:
@@ -102,7 +94,7 @@ class CoxeterDiagram:
 
     def _check_vertex(self, i: int) -> None:
         if not (1 <= i <= self.n):
-            raise IndexOutOfRange(f"vertex {i} outside 1..{self.n}")
+            raise InputError(f"vertex {i} outside 1..{self.n}")
 
 
 def is_connected(g: CoxeterDiagram) -> bool:
@@ -121,13 +113,13 @@ def is_connected(g: CoxeterDiagram) -> bool:
 
 
 def _digits(token: str, lineno: int, message: str) -> int:
-    """The value of a string of ASCII digits [0-9]+, else DiagramSyntaxError(message)."""
+    """The value of a string of ASCII digits [0-9]+, else InputError naming lineno and message."""
     try:
         if token.isascii() and token.isdigit():
             return int(token)
     except ValueError:  # more digits than int() reads
         pass
-    raise DiagramSyntaxError(lineno, message)
+    raise InputError(f"line {lineno}: {message}")
 
 
 def parse_diagram(text) -> CoxeterDiagram:
@@ -146,25 +138,25 @@ def parse_diagram(text) -> CoxeterDiagram:
         parts = line.split()
         if n is None:
             if parts[0] != "n" or len(parts) != 2:
-                raise DiagramSyntaxError(lineno, f"expected 'n <INT>', got {line!r}")
+                raise InputError(f"line {lineno}: expected 'n <INT>', got {line!r}")
             n = _digits(parts[1], lineno, f"bad vertex count {parts[1]!r}")
             if n < 3:
-                raise TooFewVertices(f"line {lineno}: need at least 3 vertices, got {n}")
+                raise InputError(f"line {lineno}: need at least 3 vertices, got {n}")
             if n > MAX_VERTICES:
-                raise TooManyVertices(f"line {lineno}: at most {MAX_VERTICES} vertices, got {n}")
+                raise InputError(f"line {lineno}: at most {MAX_VERTICES} vertices, got {n}")
             continue
         if parts[0] != "edge" or len(parts) != 3:
-            raise DiagramSyntaxError(lineno, f"expected 'edge <i> <j>', got {line!r}")
+            raise InputError(f"line {lineno}: expected 'edge <i> <j>', got {line!r}")
         i, j = (_digits(part, lineno, f"bad edge endpoints in {line!r}") for part in parts[1:])
         if i >= j:
-            raise DiagramSyntaxError(lineno, f"edge endpoints must satisfy i < j, got {i} {j}")
+            raise InputError(f"line {lineno}: edge endpoints must satisfy i < j, got {i} {j}")
         if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"line {lineno}: edge ({i}, {j}) outside 1..{n}")
+            raise InputError(f"line {lineno}: edge ({i}, {j}) outside 1..{n}")
         if (i, j) in edges:
-            raise DuplicateEdge(f"line {lineno}: edge ({i}, {j}) listed twice")
+            raise InputError(f"line {lineno}: edge ({i}, {j}) listed twice")
         edges.add((i, j))
     if n is None:
-        raise DiagramSyntaxError(1, "missing 'n <INT>' line")
+        raise InputError("line 1: missing 'n <INT>' line")
     return CoxeterDiagram(n, frozenset(edges))
 
 
@@ -183,7 +175,7 @@ def cycle_complement(n: int) -> CoxeterDiagram:
     that the edge set is empty or the complement degenerates.
     """
     if n < 5:
-        raise NTooSmall(f"cycle complement needs n >= 5, got {n}")
+        raise InputError(f"cycle complement needs n >= 5, got {n}")
     cycle = {(i, i + 1) for i in range(1, n)} | {(1, n)}
     edges = {
         (i, j)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import floordiv, truediv
-from ..errors import MixedRadicands
+from ..errors import VerificationFailed
 from .poly import Poly, Signature, _sign_changes
 from .quadratic import QuadElem
 
@@ -59,7 +59,7 @@ def trace(a: Matrix):
 def _check_single_radicand(a: Matrix) -> None:
     radicands = {x.m for row in a for x in row if isinstance(x, QuadElem)}
     if len(radicands) > 1:
-        raise MixedRadicands(f"matrix mixes radicands {sorted(radicands)}")
+        raise VerificationFailed(f"matrix mixes radicands {sorted(radicands)}")
 
 
 def _exact_division(a: Matrix):

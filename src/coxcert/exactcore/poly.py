@@ -31,7 +31,7 @@ from functools import partial, reduce
 from math import gcd as int_gcd
 from typing import Iterator, NamedTuple
 
-from ..errors import EndpointIsRoot, VerificationFailed, ZeroPolynomial
+from ..errors import VerificationFailed
 
 
 def _lcm(a: int, b: int) -> int:
@@ -76,7 +76,7 @@ class Poly:
     @property
     def leading(self):
         if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+            raise VerificationFailed("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other):
@@ -300,7 +300,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'), primitive with a positive leading coefficient."""
     if p.is_zero():
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
+        raise VerificationFailed("squarefree part of the zero polynomial")
     return _normal_form(p / poly_gcd(p, p.derivative()))
 
 
@@ -417,7 +417,7 @@ def sturm_sequence(f: Poly) -> list[Poly]:
     non-squarefree f it ends in gcd(f, f'), which divides every member and
     is nonzero off f's roots, so the variations there are the squarefree part's."""
     if f.is_zero():
-        raise ZeroPolynomial("Sturm chain of the zero polynomial")
+        raise VerificationFailed("Sturm chain of the zero polynomial")
     seq = [f.primitive()]
     d = f.derivative()
     if not d.is_zero():
@@ -442,7 +442,7 @@ def count_roots(chain: list[Poly], lo=None, hi=None, b: int = 1) -> int:
     None stands for an infinity, and a finite endpoint that is a root raises."""
     for x in (lo, hi):
         if x is not None and _sign_at(chain[0], x, b) == 0:
-            raise EndpointIsRoot(f"endpoint {x}/{b} is a root")
+            raise VerificationFailed(f"endpoint {x}/{b} is a root")
     return _variations(chain, lo, -1, b) - _variations(chain, hi, +1, b)
 
 
@@ -452,7 +452,7 @@ def count_roots(chain: list[Poly], lo=None, hi=None, b: int = 1) -> int:
 def cauchy_root_bound(p: Poly) -> tuple[int, int]:
     """(u, den) with every real root of p strictly inside (-u/den, u/den): 1 + max |c_i| / |lead|."""
     if p.is_zero():
-        raise ZeroPolynomial("root bound of the zero polynomial")
+        raise VerificationFailed("root bound of the zero polynomial")
     lead = abs(p.coeffs[-1])
     return lead + max(map(abs, p.coeffs[:-1]), default=0), lead
 
@@ -547,7 +547,7 @@ def refine_root_interval(p: Poly, interval: Interval, max_width) -> Interval:
     lo, hi = lo * (den // lo_den), hi * (den // hi_den)
     s_lo, s_hi = _sign_at(p, lo, den), _sign_at(p, hi, den)
     if s_lo == 0 or s_hi == 0:
-        raise EndpointIsRoot("refinement endpoints must not be roots")
+        raise VerificationFailed("refinement endpoints must not be roots")
     if s_lo == s_hi:
         raise ValueError("p does not change sign on the interval")
     while (hi - lo) * width_den > width * den:

@@ -1,7 +1,7 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(m)).
 
 A QuadElem stores a + b*sqrt(m) with Fraction coordinates and a squarefree
-integer radicand m >= 2; operands with two radicands raise MixedRadicands
+integer radicand m >= 2; operands with two radicands raise VerificationFailed
 and compare unequal.  Signs are decided exactly by case analysis (comparing
 a^2 against m*b^2 when the coordinates disagree in sign), and x < y reads
 quad_sign(x - y) < 0, so no floating point ever enters a verdict.  Floats
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 
-from ..errors import MixedRadicands, NotSquarefree
+from ..errors import InputError, VerificationFailed
 
 _SQUAREFREE_CACHE: dict[int, bool] = {}
 
@@ -40,9 +40,9 @@ def is_squarefree(m: int) -> bool:
 
 def _check_radicand(m: int) -> int:
     if not isinstance(m, int) or isinstance(m, bool):
-        raise NotSquarefree(f"radicand must be an int, got {m!r}")
+        raise InputError(f"radicand must be an int, got {m!r}")
     if m < 2 or m > RADICAND_LIMIT or not is_squarefree(m):
-        raise NotSquarefree(f"radicand must be squarefree with 2 <= m <= {RADICAND_LIMIT}, got {m}")
+        raise InputError(f"radicand must be squarefree with 2 <= m <= {RADICAND_LIMIT}, got {m}")
     return m
 
 
@@ -65,7 +65,7 @@ class QuadElem:
     def _coerce(self, other) -> "QuadElem | None":
         if isinstance(other, QuadElem):
             if other.m != self.m:
-                raise MixedRadicands(f"cannot combine sqrt({self.m}) with sqrt({other.m})")
+                raise VerificationFailed(f"cannot combine sqrt({self.m}) with sqrt({other.m})")
             return other
         if isinstance(other, (int, Fraction)):
             return QuadElem(other, 0, self.m)

@@ -62,21 +62,15 @@ from operator import or_
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram, is_connected
-from .errors import (
-    DegenerateForm,
-    Disconnected,
-    IndexOutOfRange,
-    SameVertex,
-    UnexpectedDimension,
-)
+from .errors import InputError, VerificationFailed
 from .gram import minor_polynomials
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
     if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRange(f"pair ({i}, {j}) outside 1..{n}")
+        raise InputError(f"pair ({i}, {j}) outside 1..{n}")
     if i == j:
-        raise SameVertex(f"need two distinct vertices, got {i} twice")
+        raise VerificationFailed(f"need two distinct vertices, got {i} twice")
 
 
 def _entry_fractions(x) -> tuple:
@@ -93,7 +87,7 @@ def _normalize_primitive(a: tuple) -> tuple:
     fracs = [f for row in a for x in row for f in _entry_fractions(x)]
     numer = gcd(*(f.numerator for f in fracs))
     if numer == 0:
-        raise UnexpectedDimension("cannot normalize the zero matrix")
+        raise VerificationFailed("cannot normalize the zero matrix")
     scale = Fraction(lcm(*(f.denominator for f in fracs)), numer)
     scaled = tuple(tuple(x * scale for x in row) for row in a)
     for row in scaled:
@@ -102,7 +96,7 @@ def _normalize_primitive(a: tuple) -> tuple:
                 return scaled
             if x < 0:
                 return tuple(tuple(-y for y in r) for r in scaled)
-    raise UnexpectedDimension("cannot normalize the zero matrix")
+    raise VerificationFailed("cannot normalize the zero matrix")
 
 
 def planar_generator(m: tuple, i: int, j: int) -> tuple:
@@ -120,7 +114,7 @@ def planar_generator(m: tuple, i: int, j: int) -> tuple:
     n = len(m)
     _check_pair(n, i, j)
     if bareiss_det(m) == 0:
-        raise DegenerateForm("the symmetric form is singular")
+        raise VerificationFailed("the symmetric form is singular")
     rows = [tuple(x * 0 for x in m[0])] * n
     rows[i - 1] = tuple(m[j - 1])
     rows[j - 1] = tuple(-x for x in m[i - 1])
@@ -167,11 +161,11 @@ def bracket_closure_density(g: CoxeterDiagram, t) -> DensityCertificate:
     pencil's minors, must not vanish at t.
     """
     if not is_connected(g):
-        raise Disconnected("density certification needs a connected diagram")
+        raise InputError("density certification needs a connected diagram")
     if not isinstance(t, (int, Fraction)):
         raise TypeError(f"density needs a rational parameter, got {type(t).__name__}")
     if minor_polynomials(g)[-1](t) == 0:
-        raise DegenerateForm(f"the form is singular at t = {t}")
+        raise VerificationFailed(f"the form is singular at t = {t}")
     n = g.n
     full_dim = n * (n - 1) // 2
     balls = masks = g.noncommuting_masks

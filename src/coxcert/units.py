@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import InequalityFailed, NotSquarefree, VerificationFailed
+from .errors import InputError, VerificationFailed
 from .exactcore import QuadElem
 from .exactcore.quadratic import RADICAND_LIMIT, is_squarefree
 
@@ -45,7 +45,7 @@ class UnitValue(NamedTuple):
 def fundamental_pell(m: int) -> PellSolution:
     """Continued-fraction solution of the Pell equation for squarefree m >= 2."""
     if not isinstance(m, int) or m < 2 or m > RADICAND_LIMIT or not is_squarefree(m):
-        raise NotSquarefree(f"need squarefree 2 <= m <= {RADICAND_LIMIT}, got {m}")
+        raise InputError(f"need squarefree 2 <= m <= {RADICAND_LIMIT}, got {m}")
     a0 = isqrt(m)
     # Convergents h/k of sqrt(m) = [a0; a1, a2, ...].
     h_prev, h_cur = 1, a0
@@ -100,7 +100,7 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
 
     Since alpha >= 1/epsilon forces |tau(alpha)| = 1/alpha <= epsilon, a
     failed inequality means alpha lies below 1/epsilon; that is reported as
-    InequalityFailed.
+    VerificationFailed.
     """
     epsilon = Fraction(epsilon)
     alpha = u.value
@@ -111,7 +111,5 @@ def galois_pair_check(u: UnitValue, epsilon) -> GaloisReport:
         raise VerificationFailed(f"alpha * tau(alpha) = {product} is not a unit")
     conj_bounded = abs(tau) <= epsilon
     if not conj_bounded:
-        raise InequalityFailed(
-            f"|tau(alpha)| exceeds epsilon = {epsilon}: alpha lies below 1/epsilon"
-        )
+        raise VerificationFailed(f"|tau(alpha)| exceeds epsilon = {epsilon}: alpha lies below 1/epsilon")
     return GaloisReport(tau, product.a, product_is_unit, conj_bounded)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
-from .errors import Disconnected, SameVertex
+from .errors import InputError, VerificationFailed
 from .exactcore import Poly, QuadElem, quad_sign
 from .exactcore.poly import poly_from_balanced_digits
 from .gram import ThresholdReport, evaluate_pencil, minor_polynomials, threshold_report
@@ -185,7 +185,7 @@ def generators_integral(g: CoxeterDiagram, t) -> bool:
 
 def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
     """tr(R_i R_j) as an integer polynomial in d."""
-    expected_trace(g, i, j)  # SameVertex or IndexOutOfRange, as the closed form checks i and j
+    expected_trace(g, i, j)  # raises on i == j or an index outside 1..n, as the closed form does
     forms = _rank_one_forms(g)
     return poly_from_balanced_digits(_pair_trace(g.n, forms[i], forms[j]), _BITS)
 
@@ -193,7 +193,7 @@ def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
 def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:
     """n - 4 + 4 M_ij(d)^2: the closed form the trace must equal."""
     if i == j:
-        raise SameVertex(f"need two distinct vertices, got {i} twice")
+        raise VerificationFailed(f"need two distinct vertices, got {i} twice")
     return Poly((g.n - 4, 0, 4) if g.adjacent(i, j) else (g.n - 4,))
 
 
@@ -262,7 +262,7 @@ def build_embedding_certificate(
     Deterministic: same (g, m) always yields an identical certificate.
     """
     if not is_connected(g):
-        raise Disconnected("the embedding pipeline needs a connected diagram")
+        raise InputError("the embedding pipeline needs a connected diagram")
     timings: dict[str, float] = {}
     clock = time.perf_counter
 

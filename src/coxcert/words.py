@@ -64,7 +64,7 @@ from math import comb
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram
-from .errors import BallTooLarge, IndexOutOfRange, VerificationFailed
+from .errors import InputError, VerificationFailed
 
 Word = tuple
 
@@ -88,7 +88,7 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     appends it: the common case when the word is grown at its end.
     """
     if not isinstance(letter, int) or not (1 <= letter <= g.n):
-        raise IndexOutOfRange(f"letter {letter!r} outside 1..{g.n}")
+        raise InputError(f"letter {letter!r} outside 1..{g.n}")
     mask = g.noncommuting_masks[letter]  # has letter's own bit
     pos = q = len(nf)
     for y in reversed(nf):
@@ -109,12 +109,12 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
 def _sphere_sizes(g: CoxeterDiagram, max_len: int) -> list[int]:
     """The sizes of the spheres of radius 0..max_len, from the growth series
     (see the module docstring), padded with zeros past the first empty one.
-    Raises BallTooLarge when max_len or the ball exceeds MAX_BALL_ELEMENTS,
+    Raises InputError when max_len or the ball exceeds MAX_BALL_ELEMENTS,
     each sphere counted before the next is."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if max_len > MAX_BALL_ELEMENTS:
-        raise BallTooLarge(f"radius {max_len} is above the cap of {MAX_BALL_ELEMENTS} ball elements")
+        raise InputError(f"radius {max_len} is above the cap of {MAX_BALL_ELEMENTS} ball elements")
     n = g.n
     # A commuting set grows by a free letter v above its largest, which then
     # leaves free the free letters above v that commute with v.
@@ -138,7 +138,7 @@ def _sphere_sizes(g: CoxeterDiagram, max_len: int) -> list[int]:
         size = comb(n, j) - sum(q[i] * sizes[j - i] for i in range(1, min(j, n) + 1))
         total += size
         if total > MAX_BALL_ELEMENTS:
-            raise BallTooLarge(f"the ball has more than {MAX_BALL_ELEMENTS} elements")
+            raise InputError(f"the ball has more than {MAX_BALL_ELEMENTS} elements")
         if not size:
             break
         sizes.append(size)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb, isqrt
 
-from coxcert.errors import EndpointIsRoot, VerificationFailed
+from coxcert.errors import VerificationFailed
 from coxcert.exactcore import (
     Interval,
     Poly,
@@ -102,7 +102,7 @@ def refine_root_interval(p: Poly, interval: Interval, max_width: Fraction) -> In
     lo, hi = interval.lo, interval.hi
     s_lo, s_hi = _sign_at(p, lo), _sign_at(p, hi)
     if s_lo == 0 or s_hi == 0:
-        raise EndpointIsRoot("refinement endpoints must not be roots")
+        raise VerificationFailed("refinement endpoints must not be roots")
     if s_lo == s_hi:
         raise ValueError("p does not change sign on the interval")
     while hi - lo > max_width:

@@ -22,14 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from coxcert.errors import (
-    CoxcertError,
-    DegenerateForm,
-    IndexOutOfRange,
-    SameVertex,
-    UnexpectedDimension,
-    VerificationFailed,
-)
+from coxcert.errors import CoxcertError, InputError, VerificationFailed
 from coxcert.exactcore import Matrix, QuadElem, quad_sign
 from coxcert.exactcore.linalg import bareiss_det, mat_mul, nullspace, rref
 from coxcert.gram import evaluate_pencil
@@ -58,9 +51,9 @@ def mat_vec(a: Matrix, v) -> tuple:
 
 def _check_pair(n: int, i: int, j: int) -> None:
     if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRange(f"pair ({i}, {j}) outside 1..{n}")
+        raise InputError(f"pair ({i}, {j}) outside 1..{n}")
     if i == j:
-        raise SameVertex(f"need two distinct vertices, got {i} twice")
+        raise VerificationFailed(f"need two distinct vertices, got {i} twice")
 
 
 def _normalize_primitive(a: Matrix) -> Matrix:
@@ -73,7 +66,7 @@ def _normalize_primitive(a: Matrix) -> Matrix:
                 denom = denom * f.denominator // gcd(denom, f.denominator)
                 numer = gcd(numer, abs(f.numerator))
     if numer == 0:
-        raise UnexpectedDimension("cannot normalize the zero matrix")
+        raise VerificationFailed("cannot normalize the zero matrix")
     scale = Fraction(denom, numer)
     scaled = tuple(tuple(x * scale for x in row) for row in a)
     for row in scaled:
@@ -83,7 +76,7 @@ def _normalize_primitive(a: Matrix) -> Matrix:
                 return scaled
             if s < 0:
                 return tuple(tuple(-y for y in r) for r in scaled)
-    raise UnexpectedDimension("cannot normalize the zero matrix")
+    raise VerificationFailed("cannot normalize the zero matrix")
 
 
 def orthocomplement_basis(m: Matrix, i: int, j: int) -> list:
@@ -112,13 +105,13 @@ def solve_planar_generator(m: Matrix, i: int, j: int) -> Matrix:
     n = len(m)
     _check_pair(n, i, j)
     if bareiss_det(m) == 0:
-        raise DegenerateForm("the symmetric form is singular")
+        raise VerificationFailed("the symmetric form is singular")
     e_basis = orthocomplement_basis(m, i, j)
     if len(e_basis) != n - 2:
-        raise UnexpectedDimension(f"E_{i}{j} has dimension {len(e_basis)}, expected {n - 2}")
+        raise VerificationFailed(f"E_{i}{j} has dimension {len(e_basis)}, expected {n - 2}")
     kernel = nullspace([list(v) for v in e_basis], n)
     if len(kernel) != 2:
-        raise UnexpectedDimension(f"row space for X_{i}{j} has dimension {len(kernel)}, expected 2")
+        raise VerificationFailed(f"row space for X_{i}{j} has dimension {len(kernel)}, expected 2")
     u1, u2 = kernel
     # Unknowns: rows A[k] = x_k u1 + y_k u2.  Equations: (A^T M + M A)_{rs} = 0.
     equations = []
@@ -132,7 +125,7 @@ def solve_planar_generator(m: Matrix, i: int, j: int) -> Matrix:
             equations.append(row)
     solutions = nullspace(equations, 2 * n)
     if len(solutions) != 1:
-        raise UnexpectedDimension(
+        raise VerificationFailed(
             f"solution space for X_{i}{j} has dimension {len(solutions)}, expected 1"
         )
     sol = solutions[0]

@@ -78,6 +78,64 @@ def test_malformed_diagram_is_usage_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+DISCONNECTED_TEXT = "n 4\nedge 1 2\nedge 3 4\n"
+
+# One command line per kind of failure the program can stop with, with its
+# exit code and whole stderr: bad input exits 2, a failed check 1.  A case
+# whose argv names no file reads the diagram from stdin; `verify` gets K3's
+# certificate with thresholds.epsilon replaced by "0/1".
+_FAILURE_KINDS = [
+    (["analyze", "-"], "n 3\nedge 1 2\nedge 2 x\n", 2, "error: line 3: bad edge endpoints in 'edge 2 x'\n"),
+    (["analyze", "-"], "n 3\nedge 1 4\n", 2, "error: line 2: edge (1, 4) outside 1..3\n"),
+    (["analyze", "-"], "n 3\nedge 1 2\nedge 1 2\n", 2, "error: line 3: edge (1, 2) listed twice\n"),
+    (["analyze", "-"], "n 2\n", 2, "error: line 1: need at least 3 vertices, got 2\n"),
+    (["analyze", "-"], "n 33\n", 2, "error: line 1: at most 32 vertices, got 33\n"),
+    (["cycle", "--n", "4"], "", 2, "error: cycle complement needs n >= 5, got 4\n"),
+    (["embed", "-"], DISCONNECTED_TEXT, 2, "error: the embedding pipeline needs a connected diagram\n"),
+    (["density", "-"], DISCONNECTED_TEXT, 2, "error: density certification needs a connected diagram\n"),
+    (["embed", "-", "--m", "4"], K3_TEXT, 2, "error: need squarefree 2 <= m <= 1000000, got 4\n"),
+    (
+        ["words", "-", "--max-len", "999999999"],
+        K3_TEXT,
+        2,
+        "error: radius 999999999 is above the cap of 1000000 ball elements\n",
+    ),
+    (["density", "-", "--d", "1/2"], K3_TEXT, 1, "failed: the form is singular at t = 1/2\n"),
+    (["verify"], K3_TEXT, 1, "failed: |tau(alpha)| exceeds epsilon = 0: alpha lies below 1/epsilon\n"),
+]
+_FAILURE_IDS = [
+    "syntax",
+    "edge-outside",
+    "duplicate-edge",
+    "n-2",
+    "n-33",
+    "cycle-n-4",
+    "embed-disconnected",
+    "density-disconnected",
+    "embed-m-4",
+    "words-huge-radius",
+    "density-singular",
+    "verify-epsilon-zero",
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, stderr", _FAILURE_KINDS, ids=_FAILURE_IDS)
+def test_each_failure_kind_keeps_its_exit_code_and_message(
+    argv, stdin, code, stderr, k3_file, tmp_path, monkeypatch, capsys
+):
+    if argv == ["verify"]:
+        cert = tmp_path / "k3.json"
+        main(["embed", k3_file, "--out", str(cert)])
+        payload = json.loads(cert.read_text())
+        payload["thresholds"]["epsilon"] = "0/1"
+        cert.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        argv = ["verify", str(cert), k3_file]
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == stderr
+
+
 def test_embed_deterministic(k3_file, capsys):
     assert main(["embed", k3_file]) == 0
     first = capsys.readouterr().out
@@ -419,6 +477,10 @@ def _float_pell_x(payload):
     payload["unit"]["pell"]["x"] = float(payload["unit"]["pell"]["x"])
 
 
+def _huge_pell_x(payload):
+    payload["unit"]["pell"]["x"] = "9" * 5000  # past int()'s default digit limit
+
+
 def _signed_pell_y(payload):
     payload["unit"]["pell"]["y"] = "+" + payload["unit"]["pell"]["y"]
 
@@ -441,6 +503,7 @@ _MALFORMED = [
     (_bool_radicand, "unit.pell.m"),
     (_string_norm, "unit.pell.norm"),
     (_float_pell_x, "unit.pell.x"),
+    (_huge_pell_x, "unit.pell.x"),
     (_signed_pell_y, "unit.pell.y"),
     (_diagram_not_an_object, "diagram"),
     (_zero_denominator, "unit.product"),

@@ -8,7 +8,10 @@ re-export them.  A top-level function or class, or a non-dunder method, that
 no code in src/, tests/ or bench/ refers to outside its own definition
 fails here too (a mention in a comment or docstring is no reference), and
 so do a field of a package NamedTuple that no code there reads as an
-attribute and an __all__ entry that does not resolve.  Last, the command line
+attribute and an __all__ entry that does not resolve.  The package defines
+one exception class per exit code, CoxcertError's InputError (2) and
+VerificationFailed (1), plus the command line's UsageError; any other class
+that derives from an exception fails here.  Last, the command line
 must start without `dataclasses`, `inspect`, `argparse`, `gettext` or
 `locale`, and each command must run only the stage modules and exactcore
 submodules it calls: no command runs exactcore.linalg, analyze, words and
@@ -166,6 +169,45 @@ def test_every_record_field_is_read():
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert {name: unread for name, unread in found.items() if unread} == {}
+
+
+def exception_classes(trees: dict[str, ast.Module]) -> list[str]:
+    """"file: class" for each class the trees define that derives from a
+    built-in exception, directly or through other classes of theirs."""
+    import builtins
+
+    bases = {name for name, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    classes = {
+        (path, node.name): {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    found = set()
+    while new := {key for key, names in classes.items() if key not in found and names & bases}:
+        found |= new
+        bases |= {name for _, name in new}
+    return sorted(f"{path}: {name}" for path, name in found)
+
+
+def test_the_check_sees_an_exception_class():
+    trees = {
+        "a.py": ast.parse("class Root(Exception):\n    pass\n\nclass Plain:\n    pass\n"),
+        "b.py": ast.parse("class Leaf(a.Root):\n    pass\n\nclass Bad(KeyError, Plain):\n    pass\n"),
+    }
+    assert exception_classes(trees) == ["a.py: Root", "b.py: Bad", "b.py: Leaf"]
+
+
+def test_one_exception_class_per_exit_code():
+    # cli.main tells apart only bad input (exit 2) and a failed check (exit
+    # 1), so a subclass that nothing catches adds a name and no behaviour.
+    trees = {str(p.relative_to(PACKAGE)): ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.rglob("*.py")}
+    assert exception_classes(trees) == [
+        "cli.py: UsageError",
+        "errors.py: CoxcertError",
+        "errors.py: InputError",
+        "errors.py: VerificationFailed",
+    ]
 
 
 @pytest.mark.parametrize("module", ["coxcert", "coxcert.exactcore"])

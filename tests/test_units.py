@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 from coxcert import QuadElem, choose_unit, fundamental_pell, galois_pair_check, quad_sign
-from coxcert.errors import InequalityFailed, NotSquarefree
+from coxcert.errors import InputError, VerificationFailed
 
 F = Fraction
 
@@ -50,12 +50,9 @@ def test_fundamental_pell_matches_brute_force_small():
 
 
 def test_fundamental_pell_rejects_bad_radicand():
-    with pytest.raises(NotSquarefree):
-        fundamental_pell(4)
-    with pytest.raises(NotSquarefree):
-        fundamental_pell(18)
-    with pytest.raises(NotSquarefree):
-        fundamental_pell(1)
+    for m in (4, 18, 1):
+        with pytest.raises(InputError, match=rf"^need squarefree 2 <= m <= 1000000, got {m}$"):
+            fundamental_pell(m)
 
 
 def test_unit_has_unit_norm():
@@ -99,7 +96,8 @@ def test_galois_pair_check_passes():
 def test_galois_pair_check_rejects_small_bound():
     # alpha = 1 + sqrt2 has |tau| = sqrt2 - 1 = 0.414 > 1/100
     u = choose_unit(2, F(21, 10))
-    with pytest.raises(InequalityFailed):
+    below = r"^\|tau\(alpha\)\| exceeds epsilon = 1/100: alpha lies below 1/epsilon$"
+    with pytest.raises(VerificationFailed, match=below):
         galois_pair_check(u, F(1, 100))
 
 

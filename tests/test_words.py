@@ -36,7 +36,7 @@ from coxcert import (
     faithfulness_probe,
 )
 from coxcert import words
-from coxcert.errors import BallTooLarge, IndexOutOfRange, VerificationFailed
+from coxcert.errors import InputError, VerificationFailed
 from coxcert.vinberg import reflection_actions, times_reflection
 
 import _words_oracle as oracle
@@ -93,9 +93,9 @@ def test_normal_form_idempotent_and_letter_checked():
     w = (1, 2, 3, 2, 1)
     nf = normal_form(w, K3)
     assert normal_form(nf, K3) == nf
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InputError, match=r"^letter 4 outside 1\.\.3$"):
         normal_form((1, 4), K3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InputError, match=r"^letter 0 outside 1\.\.3$"):
         append_letter((), 0, K3)
 
 
@@ -333,7 +333,7 @@ def test_repeating_spheres_are_filled_in_up_to_the_cap(monkeypatch):
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 1200)
     assert list(faithfulness_probe(g, 1, 300).word_counts) == growth_series(g, 300)
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 1199)
-    with pytest.raises(BallTooLarge, match="more than 1199 elements"):
+    with pytest.raises(InputError, match="^the ball has more than 1199 elements$"):
         faithfulness_probe(g, 1, 300)
 
 
@@ -374,9 +374,9 @@ def test_ball_cap_counts_every_element(monkeypatch):
     assert sum(enumerate_by_length(K3, 4)) == 46
     assert faithfulness_probe(K3, 2, 4).total_words == 46
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 45)
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(InputError, match="^the ball has more than 45 elements$"):
         enumerate_by_length(K3, 4)
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(InputError, match="^the ball has more than 45 elements$"):
         faithfulness_probe(K3, 2, 4)
 
 
@@ -384,7 +384,7 @@ def test_a_radius_one_ball_is_sized_before_its_only_layer(monkeypatch):
     # At radius 1 the ball, the identity and its 3 children, is sized
     # before anything is built.
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 3)
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(InputError, match="^the ball has more than 3 elements$"):
         faithfulness_probe(K3, 2, 1)
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 4)
     assert faithfulness_probe(K3, 2, 1).word_counts == (1, 3)
@@ -401,9 +401,9 @@ def test_a_radius_two_ball_is_sized_from_the_identity(monkeypatch):
     assert enumerate_by_length(K3, 2) == [1, 3, 6]
     assert faithfulness_probe(K3, 2, 2).word_counts == (1, 3, 6)
     monkeypatch.setattr("coxcert.words.MAX_BALL_ELEMENTS", 9)
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(InputError, match="^the ball has more than 9 elements$"):
         enumerate_by_length(K3, 2)
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(InputError, match="^the ball has more than 9 elements$"):
         faithfulness_probe(K3, 2, 2)
     assert built == []
 
@@ -413,7 +413,7 @@ def test_probe_refuses_an_over_cap_ball_before_building_its_rows():
     # sphere sizes, counted from the growth series, refuse it.
     g = cycle_complement(32)
     d = d_threshold(g)[0]
-    with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
+    with pytest.raises(InputError, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
         faithfulness_probe(g, d, 5)
 
 
@@ -434,7 +434,7 @@ def test_enumeration_refuses_an_over_cap_ball_before_building_its_words(monkeypa
         return real(nf, letter, g)
 
     monkeypatch.setattr(words, "append_letter", counting)
-    with pytest.raises(BallTooLarge, match=f"more than {words.MAX_BALL_ELEMENTS} elements"):
+    with pytest.raises(InputError, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
         enumerate_by_length(g, 5)
 
 
@@ -549,9 +549,9 @@ def test_counts_on_the_worst_32_vertex_families():
         expected = growth_series(g, 5)
         assert sum(expected) <= words.MAX_BALL_ELEMENTS, name
         assert list(faithfulness_probe(g, 1, 5).word_counts) == expected, name
-        with pytest.raises(BallTooLarge, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
+        with pytest.raises(InputError, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
             faithfulness_probe(g, 1, 6)
-        with pytest.raises(BallTooLarge, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
+        with pytest.raises(InputError, match=f"^the ball has more than {words.MAX_BALL_ELEMENTS} elements$"):
             enumerate_by_length(g, 40)
 
 
@@ -570,9 +570,9 @@ def test_counts_of_the_finite_group_stop_at_its_longest_element(monkeypatch):
     padded = expected + [0] * 33
     assert enumerate_by_length(free, 40) == padded
     assert list(faithfulness_probe(free, 2, 40).image_counts) == padded
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(InputError, match="^radius 41 is above the cap of 40 ball elements$"):
         enumerate_by_length(free, 41)
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(InputError, match="^radius 41 is above the cap of 40 ball elements$"):
         faithfulness_probe(free, 2, 41)
 
 
