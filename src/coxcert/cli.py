@@ -145,7 +145,7 @@ def cmd_cycle(args) -> int:
         raise InputError(f"--n must be at most {MAX_VERTICES}, got {args.n}")
     g = cycle_complement(args.n)
     d_value = gram.d_threshold(g)[0]
-    report = cyclecheck.verify_cycle_example(args.n, d_value)
+    report = cyclecheck.verify_cycle_example(g, d_value)
     print(serialize_diagram(g), end="")
     print(f"D: {d_value}")
     print(f"circulant identity: {'pass' if report.identity_ok else 'FAIL'}")
@@ -157,7 +157,7 @@ def cmd_cycle(args) -> int:
         f"special eigenvalue {_rat(report.special_eigenvalue)} at t={_rat(report.t_checked)}: "
         f"{'exact root' if report.special_is_root else 'FAIL'}"
     )
-    _pairs, max_deviation = cyclecheck.spectrum_deviation(args.n, report.t_checked)
+    _pairs, max_deviation = cyclecheck.spectrum_deviation(g, report.t_checked)
     print(
         f"spectrum at t={_rat(report.t_checked)}: max deviation {max_deviation:.3g}: "
         f"{'pass' if report.spectrum_ok else 'FAIL'}"

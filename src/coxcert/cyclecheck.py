@@ -10,9 +10,10 @@ with J the cyclic shift.  Its eigenvalues are therefore explicit:
     1 - d (n - 3)                   once (frequency 0),
     1 + d (1 + 2 cos(2 pi k / n))   for k = 1..n-1 (k and n-k agree).
 
-verify_cycle_example certifies three things for one n, given the
-threshold D its caller holds: the circulant identity as an exact
-polynomial-matrix identity, the stable signature
+verify_cycle_example certifies three things for the diagram and threshold
+D its caller holds: the circulant identity of that diagram's pencil, in
+1..n vertex order, as an exact polynomial-matrix identity (a cycle
+complement relabelled out of cyclic order fails it), the stable signature
 (2 floor(n/3), n - 2 floor(n/3), 0), and the spectrum at t = D + 1, the
 first integer past the threshold, as an exact identity of characteristic
 polynomials
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagram import cycle_complement
+from .diagram import CoxeterDiagram
 from .exactcore import (
     Poly,
     Signature,
@@ -47,12 +48,13 @@ def _special_eigenvalue(n: int, t):
     return 1 - t * (n - 3)
 
 
-def circulant_identity_ok(n: int) -> bool:
-    """Check M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones) in Q[d] by one evaluation at d = 2^64.
+def circulant_identity_ok(g: CoxeterDiagram) -> bool:
+    """Check g's M_d == (1+d) I + d (J + J^{n-1}) - d * (all-ones) in Q[d] by one evaluation at d = 2^64.
 
     Both sides' entries are affine in d with integer coefficients of magnitude at most 2, so an entry
     of the difference is a + b d with |a|, |b| <= 4, and a + b 2^64 = 0 forces a = b = 0."""
-    m_big = pencil_at(cycle_complement(n), big := 1 << 64)
+    n = g.n
+    m_big = pencil_at(g, big := 1 << 64)
     return all(
         m_big[i][j] == (1 + big) * (i == j) + big * ((i - j) % n in (1, n - 1)) - big
         for i in range(n)
@@ -104,12 +106,12 @@ def predicted_char_poly(n: int, t) -> Poly:
     return Poly((-_special_eigenvalue(n, t), 1)) * acc
 
 
-def verify_cycle_example(n: int, d_value: int) -> CycleReport:
-    """Run the full battery for cycle_complement(n), whose threshold is d_value; see the module docstring."""
-    g = cycle_complement(n)
+def verify_cycle_example(g: CoxeterDiagram, d_value: int) -> CycleReport:
+    """Run the full battery for g, whose threshold is d_value; see the module docstring."""
+    n = g.n
     t = d_value + 1
 
-    identity_ok = circulant_identity_ok(n)
+    identity_ok = circulant_identity_ok(g)
 
     signature = stable_signature(g)
     third = 2 * (n // 3)
@@ -139,15 +141,16 @@ def _observed_roots(cp: Poly) -> list:
     return [float(refine_root_interval(sf, iv, _REFINE_WIDTH).mid) for iv in root_intervals(sf)]
 
 
-def spectrum_deviation(n: int, t) -> tuple[tuple, float]:
-    """(pairs, max deviation): the closed-form eigenvalues of cycle_complement(n)'s M_t, ascending,
-    each paired as (predicted float, observed float, multiplicity) with a refined root of det(x I - M_t).
+def spectrum_deviation(g: CoxeterDiagram, t) -> tuple[tuple, float]:
+    """(pairs, max deviation): the closed-form eigenvalues of the n-vertex cycle complement's M_t, ascending,
+    each paired as (predicted float, observed float, multiplicity) with a refined root of g's det(x I - M_t).
 
     The predicted values are _special_eigenvalue, once, and 1 + t + 2t cos(2 pi k / n) for k = 1..floor(n/2),
     twice but once at k = n/2.  They are distinct for n >= 5, as are the observed roots; when their counts
     differ, no pair is made and the deviation reads 0.
     """
-    observed = _observed_roots(pencil_char_poly(cycle_complement(n), t))
+    n = g.n
+    observed = _observed_roots(pencil_char_poly(g, t))
     t = Fraction(t)
     predicted = sorted(
         [(float(_special_eigenvalue(n, t)), 1)]

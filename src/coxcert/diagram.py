@@ -2,8 +2,10 @@
 
 Convention (inverted relative to the usual Coxeter graph): an EDGE means the
 two generators satisfy no relation beyond being involutions, while a NON-edge
-means they commute.  All group-theoretic code consumes adjacency through
-``commutes`` so the convention lives in exactly one place.
+means they commute.  ``noncommuting_masks`` is the representation, which
+the pencil, trace, word and density loops read directly; ``commutes`` and
+``neighbors`` are the queries over it, so the convention lives in this
+class alone.
 
 The text format accepted by ``parse_diagram`` is the CLI's diagram format:
 
@@ -77,11 +79,6 @@ class CoxeterDiagram:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        self._check_vertex(i)
-        self._check_vertex(j)
-        return i != j and bool(self.noncommuting_masks[i] >> j & 1)
-
     def commutes(self, i: int, j: int) -> bool:
         """Generators i and j commute exactly when i != j and {i, j} is NOT an edge."""
         self._check_vertex(i)
@@ -94,7 +91,7 @@ class CoxeterDiagram:
 
     def _check_vertex(self, i: int) -> None:
         if not (1 <= i <= self.n):
-            raise InputError(f"vertex {i} outside 1..{self.n}")
+            raise ValueError(f"vertex {i} outside 1..{self.n}")
 
 
 def is_connected(g: CoxeterDiagram) -> bool:

@@ -70,9 +70,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     @property
     def leading(self):
         if not self.coeffs:

@@ -11,31 +11,24 @@ appear only in __float__, which exists for human-readable reporting.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from ..errors import InputError, VerificationFailed
-
-_SQUAREFREE_CACHE: dict[int, bool] = {}
 
 RADICAND_LIMIT = 10**6
 
 
+@lru_cache(maxsize=256)
 def is_squarefree(m: int) -> bool:
     """True when no prime square divides m (m >= 1)."""
     if m < 1:
         return False
-    cached = _SQUAREFREE_CACHE.get(m)
-    if cached is not None:
-        return cached
-    ok = True
     k = 2
     while k * k <= m:
         if m % (k * k) == 0:
-            ok = False
-            break
+            return False
         k += 1
-    _SQUAREFREE_CACHE[m] = ok
-    return ok
+    return True
 
 
 def _check_radicand(m: int) -> int:

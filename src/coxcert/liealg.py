@@ -68,9 +68,9 @@ from .gram import minor_polynomials
 
 def _check_pair(n: int, i: int, j: int) -> None:
     if not (1 <= i <= n and 1 <= j <= n):
-        raise InputError(f"pair ({i}, {j}) outside 1..{n}")
+        raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
     if i == j:
-        raise VerificationFailed(f"need two distinct vertices, got {i} twice")
+        raise ValueError(f"need two distinct vertices, got {i} twice")
 
 
 def _entry_fractions(x) -> tuple:

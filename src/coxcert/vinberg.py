@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diagram import CoxeterDiagram, cycle_complement, is_connected
-from .errors import InputError, VerificationFailed
+from .errors import InputError
 from .exactcore import Poly, QuadElem, quad_sign
 from .exactcore.poly import poly_from_balanced_digits
 from .gram import ThresholdReport, evaluate_pencil, minor_polynomials, threshold_report
@@ -193,8 +193,8 @@ def trace_polynomial(g: CoxeterDiagram, i: int, j: int) -> Poly:
 def expected_trace(g: CoxeterDiagram, i: int, j: int) -> Poly:
     """n - 4 + 4 M_ij(d)^2: the closed form the trace must equal."""
     if i == j:
-        raise VerificationFailed(f"need two distinct vertices, got {i} twice")
-    return Poly((g.n - 4, 0, 4) if g.adjacent(i, j) else (g.n - 4,))
+        raise ValueError(f"need two distinct vertices, got {i} twice")
+    return Poly((g.n - 4,) if g.commutes(i, j) else (g.n - 4, 0, 4))
 
 
 def compact_conjugate_check(g: CoxeterDiagram, u: UnitValue) -> bool:
@@ -293,7 +293,7 @@ def build_embedding_certificate(
     if g.n >= 5 and len(g.edges) == g.n * (g.n - 3) // 2 and g == cycle_complement(g.n):
         from .cyclecheck import verify_cycle_example
 
-        cycle = verify_cycle_example(g.n, thresholds.d_value)
+        cycle = verify_cycle_example(g, thresholds.d_value)
     timings["cycle"] = clock() - start
 
     return EmbeddingCertificate(g, m, thresholds, unit, galois, relations, integrality_ok, density, probe, cycle, timings)

@@ -88,7 +88,7 @@ def append_letter(nf: Word, letter: int, g: CoxeterDiagram) -> Word:
     appends it: the common case when the word is grown at its end.
     """
     if not isinstance(letter, int) or not (1 <= letter <= g.n):
-        raise InputError(f"letter {letter!r} outside 1..{g.n}")
+        raise ValueError(f"letter {letter!r} outside 1..{g.n}")
     mask = g.noncommuting_masks[letter]  # has letter's own bit
     pos = q = len(nf)
     for y in reversed(nf):

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
-from coxcert.errors import CoxcertError, InputError, VerificationFailed
+from coxcert.errors import CoxcertError, VerificationFailed
 from coxcert.exactcore import Matrix, QuadElem, quad_sign
 from coxcert.exactcore.linalg import bareiss_det, mat_mul, nullspace, rref
 from coxcert.gram import evaluate_pencil
@@ -51,9 +51,9 @@ def mat_vec(a: Matrix, v) -> tuple:
 
 def _check_pair(n: int, i: int, j: int) -> None:
     if not (1 <= i <= n and 1 <= j <= n):
-        raise InputError(f"pair ({i}, {j}) outside 1..{n}")
+        raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
     if i == j:
-        raise VerificationFailed(f"need two distinct vertices, got {i} twice")
+        raise ValueError(f"need two distinct vertices, got {i} twice")
 
 
 def _normalize_primitive(a: Matrix) -> Matrix:
@@ -334,7 +334,7 @@ def hyperbolic_plane_check(gs, i: int, j: int) -> PlaneReport:
     trace 4t^2 - 2: hyperbolic for trace > 2, parabolic at t = 1 (trace 2)."""
     g = gs.diagram
     _check_pair(g.n, i, j)
-    if not g.adjacent(i, j):
+    if g.commutes(i, j):
         raise NotAnEdge(f"({i}, {j}) is not an edge")
     product = mat_mul(gs.matrices[i - 1], gs.matrices[j - 1])
     e_basis = orthocomplement_basis(gs.form, i, j)

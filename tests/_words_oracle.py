@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from coxcert import append_letter
-from coxcert.errors import InputError
 from coxcert.exactcore import quad_sign
 from coxcert.vinberg import reflection_actions, times_reflection
 from coxcert.words import FaithfulnessReport
@@ -29,7 +28,7 @@ from coxcert.words import FaithfulnessReport
 def _check_letters(w, n: int) -> None:
     for x in w:
         if not isinstance(x, int) or not (1 <= x <= n):
-            raise InputError(f"letter {x!r} outside 1..{n}")
+            raise ValueError(f"letter {x!r} outside 1..{n}")
 
 
 def normal_form(w, g) -> tuple:

@@ -110,7 +110,8 @@ def test_criterion_5_indefiniteness():
 def test_criterion_6_cycle_example():
     failures = []
     for n in range(5, 13):
-        rep = verify_cycle_example(n, d_threshold(cycle_complement(n))[0])
+        g = cycle_complement(n)
+        rep = verify_cycle_example(g, d_threshold(g)[0])
         third = 2 * (n // 3)
         if (rep.signature.p, rep.signature.q, rep.signature.z) != (third, n - third, 0):
             failures.append((n, "signature", rep.signature))
@@ -118,7 +119,7 @@ def test_criterion_6_cycle_example():
             failures.append((n, "circulant identity"))
         if not rep.special_is_root:
             failures.append((n, "special eigenvalue"))
-        max_deviation = spectrum_deviation(n, rep.t_checked)[1]
+        max_deviation = spectrum_deviation(g, rep.t_checked)[1]
         if not (rep.spectrum_ok and max_deviation <= DEVIATION_BOUND):
             failures.append((n, "spectrum", max_deviation))
     _verdict(6, "cycle example", failures)

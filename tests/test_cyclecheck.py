@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 from coxcert import (
+    CoxeterDiagram,
     build_embedding_certificate,
     circulant_identity_ok,
     cycle_complement,
@@ -34,7 +35,7 @@ DEVIATION_BOUND = 1e-9
 
 def _predicted(n: int, t) -> list:
     """The predicted side of spectrum_deviation's pairs: (value, multiplicity), ascending."""
-    return [(pv, pm) for pv, _ov, pm in spectrum_deviation(n, t)[0]]
+    return [(pv, pm) for pv, _ov, pm in spectrum_deviation(cycle_complement(n), t)[0]]
 
 
 def test_predicted_spectrum_n6_t1():
@@ -72,12 +73,13 @@ def test_predicted_eigenvalue_sum_is_trace():
 
 def test_circulant_identity():
     for n in range(5, 9):
-        assert circulant_identity_ok(n)
+        assert circulant_identity_ok(cycle_complement(n))
 
 
 def test_the_integer_identity_check_matches_the_q_d_one():
     for n in range(5, 33):
-        assert circulant_identity_ok(n) and circulant_identity_in_q_d(partial(pencil_at, cycle_complement(n)), n), n
+        g = cycle_complement(n)
+        assert circulant_identity_ok(g) and circulant_identity_in_q_d(partial(pencil_at, g), n), n
 
 
 def _one_entry_changed(g, i: int, j: int, change):
@@ -100,16 +102,32 @@ def test_one_changed_circulant_entry_fails_the_identity(monkeypatch, change):
     # off-diagonal and diagonal, on an edge and on a cycle pair: every affine
     # change within the docstring's bound is seen by the evaluation at 2^64
     for n, i, j in ((5, 0, 2), (8, 3, 3), (12, 4, 5), (32, 31, 0)):
-        mutated = _one_entry_changed(cycle_complement(n), i, j, change)
+        g = cycle_complement(n)
+        mutated = _one_entry_changed(g, i, j, change)
         monkeypatch.setattr("coxcert.cyclecheck.pencil_at", lambda g, t: mutated(t))
-        assert not circulant_identity_ok(n), (n, i, j)
+        assert not circulant_identity_ok(g), (n, i, j)
         assert not circulant_identity_in_q_d(mutated, n), (n, i, j)
 
 
+def test_the_checks_read_the_diagram_they_are_handed():
+    # cc7 with vertices 2 and 3 swapped: same n and edge count, isomorphic,
+    # but {1, 2} is an edge, so M_d is not circulant in 1..n order.
+    cc7 = cycle_complement(7)
+    swap = {2: 3, 3: 2}
+    g = CoxeterDiagram(7, frozenset((swap.get(i, i), swap.get(j, j)) for i, j in cc7.edges))
+    assert len(g.edges) == len(cc7.edges) and g != cc7
+    assert not circulant_identity_ok(g)
+    rep = verify_cycle_example(g, d_threshold(g)[0])
+    assert not rep.identity_ok and not rep.ok
+    assert rep.signature_ok and rep.spectrum_ok  # relabelling keeps the spectrum
+    assert build_embedding_certificate(g).cycle is None
+
+
 def test_verify_cycle_n5_pinned():
-    d_value = d_threshold(cycle_complement(5))[0]
+    cc5 = cycle_complement(5)
+    d_value = d_threshold(cc5)[0]
     assert d_value == 2
-    rep = verify_cycle_example(5, d_value)
+    rep = verify_cycle_example(cc5, d_value)
     assert rep.t_checked == F(3) == d_value + 1
     assert rep.identity_ok
     assert (rep.signature.p, rep.signature.q, rep.signature.z) == (2, 3, 0)
@@ -117,15 +135,16 @@ def test_verify_cycle_n5_pinned():
     assert rep.special_eigenvalue == F(-5)
     assert rep.special_is_root
     assert rep.spectrum_ok
-    assert spectrum_deviation(5, rep.t_checked)[1] <= DEVIATION_BOUND
+    assert spectrum_deviation(cc5, rep.t_checked)[1] <= DEVIATION_BOUND
     assert rep.ok
 
 
 def test_verify_cycle_small_range():
     for n in (6, 7):
-        rep = verify_cycle_example(n, d_threshold(cycle_complement(n))[0])
+        g = cycle_complement(n)
+        rep = verify_cycle_example(g, d_threshold(g)[0])
         assert rep.ok, (n, rep)
-        pairs, _max_deviation = spectrum_deviation(n, rep.t_checked)
+        pairs, _max_deviation = spectrum_deviation(g, rep.t_checked)
         assert len(pairs) == 1 + n // 2
         # distinct observed roots, paired with the predicted multiplicities
         observed = [ov for _pv, ov, _mult in pairs]
@@ -152,6 +171,26 @@ def test_a_cycle_certificate_computes_d_once(monkeypatch):
         calls.clear()
         assert build_embedding_certificate(cycle_complement(n)).cycle.ok, n
         assert len(calls) == 1, n
+
+
+def test_the_cycle_complement_is_built_once(monkeypatch, capsys):
+    # embed builds it for its membership test and `coxcert cycle` for its
+    # input; the checks read the diagram handed to them.
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return cycle_complement(n)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("coxcert")]:
+        if getattr(module, "cycle_complement", None) is cycle_complement:
+            monkeypatch.setattr(module, "cycle_complement", spy)
+    g = cycle_complement(9)
+    assert build_embedding_certificate(g).cycle.ok
+    assert calls == [9]
+    calls.clear()
+    assert main(["cycle", "--n", "9"]) == 0
+    assert calls == [9] and capsys.readouterr().out.endswith("PASS\n")
 
 
 def test_embed_and_verify_never_compute_the_float_report(tmp_path, monkeypatch, capsys):

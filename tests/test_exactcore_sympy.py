@@ -30,6 +30,7 @@ from coxcert import (
 from coxcert.exactcore import (
     Poly,
     Signature,
+    is_squarefree,
     leading_principal_minors,
     poly_gcd,
     quad_sign,
@@ -44,6 +45,7 @@ from coxcert.exactcore.poly import (
     isolate_real_roots,
     sturm_sequence,
 )
+from coxcert.exactcore.quadratic import RADICAND_LIMIT
 
 import _gram_oracle as oracle
 from _gram_oracle import smallest_abs_root
@@ -128,7 +130,7 @@ def test_pencil_minors_match_sympy_block_determinants(g):
     m = sp.Matrix(
         g.n,
         g.n,
-        lambda i, j: 1 if i == j else (-X if g.adjacent(i + 1, j + 1) else 0),
+        lambda i, j: 1 if i == j else (0 if g.commutes(i + 1, j + 1) else -X),
     )
     expected = [_from_sympy(m[:k, :k].det(method="berkowitz")) for k in range(1, g.n + 1)]
     assert minor_polynomials(g) == tuple(expected)
@@ -225,6 +227,18 @@ def test_gcds_and_squarefree_parts_are_primitive_and_match_sympy(a, b, common):
     assert _in_normal_form(sf) and _in_normal_form(g), (sf, g)
     assert sf == _sympy_normal_form(sp.sqf_part(_to_sympy(p)).as_expr())
     assert g == _sympy_normal_form(sp.gcd(_to_sympy(p), _to_sympy(q)).as_expr())
+
+
+def test_is_squarefree_matches_sympy_factorint():
+    # m is squarefree when no prime occurs twice in its factorisation; m <= 0 never is
+    def squarefree(m):
+        return all(e == 1 for e in sp.factorint(m).values())
+
+    assert all(is_squarefree(m) == squarefree(m) for m in range(1, 20_001))
+    assert not any(is_squarefree(m) for m in range(-100, 1))
+    # 999^2, the largest prime below 10^6, and 10^6 = 2^6 5^6 itself
+    pinned = {998_001: False, 999_983: True, RADICAND_LIMIT: False}
+    assert {m: is_squarefree(m) for m in pinned} == pinned == {m: squarefree(m) for m in pinned}
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

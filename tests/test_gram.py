@@ -126,6 +126,8 @@ def test_evaluate_pencil_types():
     m_quad = evaluate_pencil(K3, alpha)
     assert m_quad[0][1] == -alpha
     assert m_quad[0][0] == 1
+    with pytest.raises(TypeError, match=r"^evaluation point must be exact, got float$"):
+        evaluate_pencil(K3, 1.5)
 
 
 def test_minor_polynomials_pinned():

@@ -11,7 +11,9 @@ so do a field of a package NamedTuple that no code there reads as an
 attribute and an __all__ entry that does not resolve.  The package defines
 one exception class per exit code, CoxcertError's InputError (2) and
 VerificationFailed (1), plus the command line's UsageError; any other class
-that derives from an exception fails here.  Last, the command line
+that derives from an exception fails here, and so does a module-level
+empty dict, list or set, the start of a hand-rolled cache: memos go through
+functools.lru_cache.  Last, the command line
 must start without `dataclasses`, `inspect`, `argparse`, `gettext` or
 `locale`, and each command must run only the stage modules and exactcore
 submodules it calls: no command runs exactcore.linalg, analyze, words and
@@ -208,6 +210,34 @@ def test_one_exception_class_per_exit_code():
         "errors.py: InputError",
         "errors.py: VerificationFailed",
     ]
+
+
+def empty_containers(source: str) -> list[str]:
+    """"name (line)" for each module-level assignment of an empty {}, [], set(), dict() or list()."""
+    return [
+        f"{ast.unparse(target)} (line {node.lineno})"
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and ast.unparse(node.value) in ("{}", "[]", "set()", "dict()", "list()")
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+
+
+def test_the_check_sees_an_empty_container():
+    source = (
+        "A = {}\nB: dict[int, bool] = dict()\nC = []\nD = set()\nE = list()\n"
+        "F = {1: 2}\nG = [0]\nH = set('ab')\nI = ()\nJ: int\n"
+        "def f():\n    local = {}\n    return local\n"
+    )
+    assert empty_containers(source) == [f"{name} (line {line})" for line, name in enumerate("ABCDE", start=1)]
+
+
+def test_no_hand_rolled_cache():
+    # A memo in a module-level container grows without bound and needs its
+    # own lookup code; functools.lru_cache gives both a bound and the lookup.
+    found = {str(p.relative_to(PACKAGE)): empty_containers(p.read_text(encoding="utf-8")) for p in PACKAGE.rglob("*.py")}
+    assert {name: empty for name, empty in found.items() if empty} == {}
 
 
 @pytest.mark.parametrize("module", ["coxcert", "coxcert.exactcore"])

@@ -138,8 +138,14 @@ def test_planar_generator_rejects_degenerate_form():
 
 
 def test_planar_generator_rejects_same_vertex():
-    with pytest.raises(VerificationFailed, match=r"^need two distinct vertices, got 2 twice$"):
+    with pytest.raises(ValueError, match=r"^need two distinct vertices, got 2 twice$"):
         planar_generator(_identity(3), 2, 2)
+
+
+def test_planar_generator_rejects_a_pair_outside_the_form():
+    for i, j in ((0, 1), (1, 4), (4, 4)):
+        with pytest.raises(ValueError, match=rf"^pair \({i}, {j}\) outside 1\.\.3$"):
+            planar_generator(_identity(3), i, j)
 
 
 def test_orthocomplement_dimension():

@@ -93,9 +93,9 @@ def test_normal_form_idempotent_and_letter_checked():
     w = (1, 2, 3, 2, 1)
     nf = normal_form(w, K3)
     assert normal_form(nf, K3) == nf
-    with pytest.raises(InputError, match=r"^letter 4 outside 1\.\.3$"):
+    with pytest.raises(ValueError, match=r"^letter 4 outside 1\.\.3$"):
         normal_form((1, 4), K3)
-    with pytest.raises(InputError, match=r"^letter 0 outside 1\.\.3$"):
+    with pytest.raises(ValueError, match=r"^letter 0 outside 1\.\.3$"):
         append_letter((), 0, K3)
 
 
@@ -574,6 +574,13 @@ def test_counts_of_the_finite_group_stop_at_its_longest_element(monkeypatch):
         enumerate_by_length(free, 41)
     with pytest.raises(InputError, match="^radius 41 is above the cap of 40 ball elements$"):
         faithfulness_probe(free, 2, 41)
+
+
+def test_a_negative_radius_is_misuse():
+    with pytest.raises(ValueError, match=r"^max_len must be >= 0$"):
+        enumerate_by_length(K3, -1)
+    with pytest.raises(ValueError, match=r"^max_len must be >= 0$"):
+        faithfulness_probe(K3, 2, -1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
